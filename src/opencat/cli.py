@@ -99,9 +99,13 @@ def parse_config(raw: dict) -> RunConfig:
     phase = raw.get("phase", "leading")
     if phase not in ("none", "leading"):
         raise ConfigError("phase must be 'none' or 'leading'")
-    k_count = int(raw.get("k_count", 4))
-    if k_count < 1:
-        raise ConfigError("k_count must be >= 1")
+    # The default asks for four modes, or as many as the smallest N holds.
+    k_count = int(raw.get("k_count", min(4, n_list[0])))
+    if not 1 <= k_count <= 8:
+        raise ConfigError("k_count must be in 1..8; higher modes are not "
+                          "resolvable at desk scale")
+    if k_count > n_list[0]:
+        raise ConfigError(f"k_count {k_count} exceeds the smallest N {n_list[0]}")
     k_max = int(raw.get("k_max", 48))
     grid = int(raw.get("grid", 512))
     if grid < 4 * k_max:

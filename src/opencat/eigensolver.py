@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, OracleNoConvergence
+from .errors import EigensolverFailed, NonFinite, OracleNoConvergence
 
 ORACLE_MAX_DIM = 8
 
@@ -20,19 +20,21 @@ ORACLE_MAX_DIM = 8
 class SpectrumRaw:
     values: np.ndarray       # all eigenvalues, unordered
     converged: bool
-    iterations: int = 0
 
 
 def eigenvalues(a: np.ndarray) -> SpectrumRaw:
-    """All eigenvalues of a dense complex matrix."""
+    """All eigenvalues of a dense complex matrix.
+
+    A LAPACK failure raises EigensolverFailed; no partial spectrum is returned.
+    """
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains NaN or Inf")
     try:
         vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError:
-        return SpectrumRaw(values=np.zeros(a.shape[0], dtype=complex),
-                           converged=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailed(f"eigvals failed on a {a.shape[0]}x{a.shape[0]} "
+                                f"matrix: {exc}") from exc
     return SpectrumRaw(values=vals, converged=True)
 
 

@@ -45,5 +45,9 @@ class NonFinite(OpenCatError):
     """Matrix contains NaN or Inf entries."""
 
 
+class EigensolverFailed(OpenCatError):
+    """The dense eigensolver did not converge."""
+
+
 class OracleNoConvergence(OpenCatError):
     """Polynomial root oracle failed to converge."""

@@ -17,7 +17,8 @@ from .catmap import CatMap, analyze
 from .eigensolver import eigenvalues, sort_by_modulus
 from .hn import planck
 from .metaplectic import factor_sl2z, phase_factor, quantize_word
-from .quantizer import (BumpSpec, make_nontrapping_symbol, make_trapped_symbol,
+from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile,
+                        make_nontrapping_symbol, make_trapped_symbol,
                         op_left_separable, op_weyl, support_guard,
                         DEFAULT_GRID, DEFAULT_K_MAX)
 
@@ -64,21 +65,32 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
     return lam ** (-(2.0 * np.arange(k_count) + 1.0) / 2.0)
 
 
-def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
-                    k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
-    """Quantize the cutoff, by either quantization route."""
+def cutoff_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
+                  grid: int = DEFAULT_GRID) -> TorusSymbol:
+    """Fourier-truncated symbol rho(x) rho(xi) of the cutoff, for the Weyl route."""
     maker = make_trapped_symbol if spec.kind == "product_bump" else make_nontrapping_symbol
-    f, g, sym = maker(spec, k_max=k_max, grid=grid)
+    return maker(spec, k_max=k_max, grid=grid)[2]
+
+
+def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
+                    sym: TorusSymbol | None = None) -> np.ndarray:
+    """Quantize the cutoff, by either quantization route.
+
+    The left route needs only the profile.  The Weyl route quantizes sym, the
+    cutoff_symbol a sweep builds once for all N; without it, the symbol is
+    built at the default k_max and grid.
+    """
     if quant == "left":
-        return op_left_separable(f, g, n)
+        profile = cutoff_profile(spec)
+        return op_left_separable(profile, profile, n)
     if quant == "weyl":
-        return op_weyl(sym, n)
+        return op_weyl(sym if sym is not None else cutoff_symbol(spec), n)
     raise ValueError(f"unknown quantization {quant!r}")
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
                         phase: str = "none", word=None,
-                        k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
+                        sym: TorusSymbol | None = None) -> np.ndarray:
     """(quantized cutoff) @ (quantized map), optionally phase-normalized."""
     guard = support_guard(spec, analyze(m))
     if not guard["ok"]:
@@ -88,19 +100,28 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
             "theorem is only guaranteed for small enough support", stacklevel=2)
     if word is None:
         word = factor_sl2z(m)
-    chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
+    chi = cutoff_operator(spec, n, quant=quant, sym=sym)
     a = chi @ quantize_word(word, n)
     if phase == "leading_real_positive":
-        a = a * phase_factor(a)
+        a = a * phase_factor(eigenvalues(a).values)
     elif phase != "none":
         raise ValueError(f"unknown phase mode {phase!r}")
     return a
 
 
 def spectrum_report(m: CatMap, open_op: np.ndarray, n: int,
-                    k_count: int = 4) -> SpectrumReport:
-    spec_raw = eigenvalues(open_op)
-    vals = sort_by_modulus(spec_raw.values)
+                    k_count: int = 4, phase: str = "none") -> SpectrumReport:
+    """Diagonalize the open operator once; phase-normalize its eigenvalues.
+
+    phase="leading_real_positive" rotates the eigenvalues by the same
+    unimodular scalar build_open_operator would multiply the operator by.
+    """
+    vals = eigenvalues(open_op).values
+    if phase == "leading_real_positive":
+        vals = vals * phase_factor(vals)
+    elif phase != "none":
+        raise ValueError(f"unknown phase mode {phase!r}")
+    vals = sort_by_modulus(vals)
     targets = theorem_targets(m, k_count)
     top = vals[:k_count]
     return SpectrumReport(
@@ -121,11 +142,12 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     if k_count > 8:
         raise ValueError("k_count > 8 exceeds the resolvable range at desk scale")
     rows, reports = [], []
+    sym = cutoff_symbol(spec, k_max, grid) if quant == "weyl" else None
     for n in n_list:
         log.info("trapped sweep: N = %d", n)
-        op = build_open_operator(m, spec, n, quant=quant, phase=phase,
-                                 k_max=k_max, grid=grid)
-        report = spectrum_report(m, op, n, k_count=k_count)
+        # the operator is a temporary, freed before the next, larger N is built
+        report = spectrum_report(m, build_open_operator(m, spec, n, quant=quant, sym=sym),
+                                 n, k_count=k_count, phase=phase)
         reports.append(report)
         for k in range(k_count):
             mu = report.eigenvalues[k]
@@ -148,14 +170,14 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
         raise ValueError("nontrapping sweep needs an annulus cutoff")
     rows = []
     prev = None
+    sym = cutoff_symbol(spec, k_max, grid) if quant == "weyl" and radii is None else None
     for i, n in enumerate(n_list):
         h = planck(n).h
         if radii is not None:
             top = float(radii[i])
         else:
             log.info("nontrapping sweep: N = %d", n)
-            op = build_open_operator(m, spec, n, quant=quant,
-                                     k_max=k_max, grid=grid)
+            op = build_open_operator(m, spec, n, quant=quant, sym=sym)
             vals = eigenvalues(op).values
             top = float(np.abs(vals).max())
         slope = math.nan

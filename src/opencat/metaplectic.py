@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .catmap import CatMap
+from .eigensolver import eigenvalues
 from .errors import DegeneratePhase, OddDimension, TruncationOverflow
 from .hn import dft_matrix
 from .quantizer import TorusSymbol, op_weyl
@@ -143,12 +144,16 @@ def quantize_map(m: CatMap, n: int, phase: str = "none",
         raise ValueError(f"unknown phase mode {phase!r}")
     if chi is None:
         raise ValueError("phase normalization needs the cutoff operator")
-    return u * phase_factor(chi @ u)
+    return u * phase_factor(eigenvalues(chi @ u).values)
 
 
-def phase_factor(open_op: np.ndarray) -> complex:
-    """Unimodular scalar rotating the leading eigenvalue onto the positive axis."""
-    vals = np.linalg.eigvals(open_op)
+def phase_factor(vals: np.ndarray) -> complex:
+    """Unimodular scalar rotating the largest-modulus eigenvalue onto the positive axis.
+
+    vals are the eigenvalues of the open operator; the operator times this
+    scalar has the rotated eigenvalues vals * phase_factor(vals).
+    """
+    vals = np.asarray(vals)
     mu0 = vals[np.argmax(np.abs(vals))]
     if abs(mu0) < 1e-12:
         raise DegeneratePhase(f"leading eigenvalue modulus {abs(mu0):.3e}")

@@ -1,9 +1,10 @@
 """Symbols on the torus and their quantization on the N-dimensional space.
 
 Smooth symbols are carried as truncated Fourier coefficient tables.  Two
-quantizations are provided: the general Weyl quantization through its explicit
-matrix-entry formula, and the left (standard) quantization of separable
-products f(x)g(xi), which is a diagonal/Fourier-multiplier sandwich.
+quantizations are provided: the general Weyl quantization, built diagonal by
+diagonal from its explicit matrix-entry formula, and the left (standard)
+quantization of separable products f(x)g(xi), which is a
+diagonal/Fourier-multiplier sandwich.
 """
 
 from dataclasses import dataclass
@@ -121,32 +122,30 @@ def symbol_from_function(f, k_max: int = DEFAULT_K_MAX,
 
 
 def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
-    """Weyl quantization as a dense N x N matrix.
+    """Weyl quantization as a dense N x N matrix, built from its band.
 
     Entry (m, j) is the lattice sum of coeff(k, j - m - l N) times the parity
-    sign (-1)^{k l} and the half-integer phase e^{i pi (j+m) k / N}, over the
-    finitely many (k, l) surviving the truncation.
+    sign (-1)^{k l} and the half-integer phase e^{i pi (j+m) k / N}.  With
+    t = j - m - l N the parity sign cancels the e^{i pi l k} of the wrapped
+    phase, so every |t| <= k_max contributes
+
+        A[m, (m + t) mod N] += sum_k coeff(k, t) e^{i pi t k / N} e^{2 pi i m k / N},
+
+    one length-N inverse DFT over k per offset t: O(k_max N log N) work for
+    the 2 k_max + 1 cyclic diagonals.  The frequencies k are folded mod N
+    before the transform, and when N < 2 k_max + 1 several offsets t land on
+    the same diagonal and add, so every N >= 1 is exact.
     """
     kmax = sym.k_max
-    mm, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    s = jj - mm
-    jpm = jj + mm
-    l_span = (kmax + n - 1) // n + 1
+    k = np.arange(-kmax, kmax + 1)   # table rows: frequencies in x
+    t = k                            # table columns: diagonal offsets
+    weighted = sym.table * np.exp(1j * math.pi * np.outer(k, t) / n)
+    folded = np.zeros((n, t.size), dtype=complex)
+    np.add.at(folded, k % n, weighted)
+    diagonals = n * np.fft.ifft(folded, axis=0)   # [m, t]
+    m = np.arange(n)[:, None]
     a = np.zeros((n, n), dtype=complex)
-    for k in range(-kmax, kmax + 1):
-        col = sym.table[k + kmax]
-        if not np.any(col):
-            continue
-        phase = np.exp(1j * math.pi * k * jpm / n)
-        for l in range(-l_span, l_span + 1):
-            idx = s - l * n
-            mask = np.abs(idx) <= kmax
-            if not mask.any():
-                continue
-            sign = -1.0 if (k * l) % 2 else 1.0
-            vals = np.zeros((n, n), dtype=complex)
-            vals[mask] = col[idx[mask] + kmax]
-            a += sign * vals * phase
+    np.add.at(a, (m, (m + t) % n), diagonals)
     return a
 
 
@@ -159,18 +158,20 @@ def op_left_separable(f_profile, g_profile, n: int) -> np.ndarray:
     return d_f[:, None] * (f_mat.conj().T * d_g[None, :]) @ f_mat
 
 
+def cutoff_profile(spec: BumpSpec):
+    """The one-variable profile of a cutoff: rho, or rho(x) - rho(2x) for an annulus."""
+    profile = bump_profile if spec.kind == "product_bump" else annulus_profile
+    return lambda x: profile(spec, x)
+
+
 def make_trapped_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
                         grid: int = DEFAULT_GRID):
     """Cutoff equal to 1 near the origin: profiles and Weyl symbol of rho(x)rho(xi)."""
     if spec.kind != "product_bump":
         raise InvalidSpec("trapped cutoff needs kind='product_bump'")
-
-    def profile(x):
-        return bump_profile(spec, x)
-
-    sym = symbol_from_function(
-        lambda x, xi: bump_profile(spec, x) * bump_profile(spec, xi),
-        k_max=k_max, grid=grid)
+    profile = cutoff_profile(spec)
+    sym = symbol_from_function(lambda x, xi: profile(x) * profile(xi),
+                               k_max=k_max, grid=grid)
     return profile, profile, sym
 
 
@@ -179,13 +180,9 @@ def make_nontrapping_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
     """Cutoff vanishing near the origin: annulus profiles and their Weyl symbol."""
     if spec.kind != "annulus_product":
         raise InvalidSpec("nontrapping cutoff needs kind='annulus_product'")
-
-    def profile(x):
-        return annulus_profile(spec, x)
-
-    sym = symbol_from_function(
-        lambda x, xi: annulus_profile(spec, x) * annulus_profile(spec, xi),
-        k_max=k_max, grid=grid)
+    profile = cutoff_profile(spec)
+    sym = symbol_from_function(lambda x, xi: profile(x) * profile(xi),
+                               k_max=k_max, grid=grid)
     return profile, profile, sym
 
 

@@ -47,6 +47,38 @@ def test_parse_config_rejects_parabolic_matrix():
                                  "r_outer": 0.2}})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"k_count": 9},                   # above the resolvable 8 modes
+    {"k_count": 6, "n_list": [4, 8]},  # above the smallest N
+    {"k_count": 0},
+])
+def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out), **overrides)
+    assert main(["trapped", "--config", cfg]) == 2
+    assert "k_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_k_count_fits_smallest_n():
+    cfg = parse_config({"matrix": [2, 1, 1, 1], "n_list": [2, 4],
+                        "cutoff": {"kind": "product_bump", "r_inner": 0.1,
+                                   "r_outer": 0.2}})
+    assert cfg.k_count == 2
+
+
+def test_trapped_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out))
+    assert main(["trapped", "--config", cfg]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trapped_missing_out_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["trapped", "--config", cfg]) == 2

@@ -5,7 +5,7 @@ from opencat.catmap import ARNOLD
 from opencat.eigensolver import (char_poly_coeffs, char_poly_roots,
                                  eigenvalues, multiset_distance,
                                  sort_by_modulus)
-from opencat.errors import NonFinite
+from opencat.errors import EigensolverFailed, NonFinite, OpenCatError
 from opencat.experiments import DEFAULT_TRAPPED_SPEC, build_open_operator
 
 
@@ -29,6 +29,16 @@ def test_arnold_matrix_eigenvalues():
 def test_nonfinite_rejected():
     with pytest.raises(NonFinite):
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_solver_failure_raises(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(EigensolverFailed):
+        eigenvalues(np.eye(3))
+    assert issubclass(EigensolverFailed, OpenCatError)
 
 
 def test_char_poly_coeffs_known():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opencat.catmap import ARNOLD
+from opencat.eigensolver import sort_by_modulus
 from opencat.errors import DegeneratePhase
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
                                  build_open_operator, nontrapping_sweep,
@@ -115,3 +116,47 @@ def test_moduli_invariant_under_conventions():
     other = np.sort(other)[::-1][:4]
     assert np.abs(base - normed).max() < 1e-9
     assert np.abs(base - other).max() < 1e-9
+
+
+def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], k_count=2)
+    assert calls == [32, 64]
+
+
+def test_spectrum_report_phase_matches_normalized_operator():
+    n = 64
+    plain = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n)
+    normed = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n,
+                                 phase="leading_real_positive")
+    rep = spectrum_report(ARNOLD, plain, n, phase="leading_real_positive")
+    expect = sort_by_modulus(np.linalg.eigvals(normed))
+    assert np.abs(rep.eigenvalues[:4] - expect[:4]).max() < 1e-9
+    assert rep.eigenvalues[0].real > 0
+    assert abs(rep.eigenvalues[0].imag) < 1e-15
+    with pytest.raises(ValueError):
+        spectrum_report(ARNOLD, plain, n, phase="leading")
+
+
+def test_symbol_built_only_on_weyl_route_and_once(monkeypatch):
+    import opencat.experiments as experiments
+    built = []
+    maker = experiments.make_trapped_symbol
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("k_max"))
+        return maker(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "make_trapped_symbol", counted)
+    trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], quant="left", k_count=2)
+    assert built == []
+    trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], quant="weyl", k_count=2,
+                  k_max=16, grid=64)
+    assert built == [16]

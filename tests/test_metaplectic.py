@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from opencat.catmap import ARNOLD, CatMap
-from opencat.errors import OddDimension, TruncationOverflow
+from opencat.errors import DegeneratePhase, OddDimension, TruncationOverflow
 from opencat.metaplectic import (compose_symbol, egorov_residual, factor_sl2z,
-                                 letter_matrix, quantize_generator,
+                                 letter_matrix, phase_factor, quantize_generator,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol
 from opencat.experiments import DEFAULT_TRAPPED_SPEC, cutoff_operator
@@ -143,3 +143,11 @@ def test_phase_mode_preserves_moduli():
     vals = sort_by_modulus(np.linalg.eigvals(chi @ u_norm))
     assert vals[0].imag == pytest.approx(0.0, abs=1e-12)
     assert vals[0].real > 0
+
+
+def test_phase_factor_from_eigenvalues():
+    vals = np.array([0.1, -0.5j, 0.2 + 0.1j])
+    assert phase_factor(vals) == pytest.approx(1j, abs=1e-15)
+    assert (vals * phase_factor(vals))[1] == pytest.approx(0.5, abs=1e-15)
+    with pytest.raises(DegeneratePhase):
+        phase_factor(np.zeros(4))

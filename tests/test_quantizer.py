@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,6 +12,36 @@ from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                support_guard, symbol_from_function)
 
 SPEC = BumpSpec("product_bump", 0.10, 0.20)
+
+
+def op_weyl_dense(sym, n):
+    """Reference Weyl quantization: the entry formula summed over the lattice.
+
+    Entry (m, j) is the sum of coeff(k, j - m - l N) (-1)^{k l}
+    e^{i pi (j+m) k / N} over every (k, l) the truncation keeps, one dense
+    N x N pass per pair.
+    """
+    kmax = sym.k_max
+    mm, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    s = jj - mm
+    jpm = jj + mm
+    l_span = (kmax + n - 1) // n + 1
+    a = np.zeros((n, n), dtype=complex)
+    for k in range(-kmax, kmax + 1):
+        col = sym.table[k + kmax]
+        if not np.any(col):
+            continue
+        phase = np.exp(1j * math.pi * k * jpm / n)
+        for l in range(-l_span, l_span + 1):
+            idx = s - l * n
+            mask = np.abs(idx) <= kmax
+            if not mask.any():
+                continue
+            sign = -1.0 if (k * l) % 2 else 1.0
+            vals = np.zeros((n, n), dtype=complex)
+            vals[mask] = col[idx[mask] + kmax]
+            a += sign * vals * phase
+    return a
 
 
 def mode(k, l, kmax=2, value=1.0):
@@ -133,6 +164,27 @@ def test_op_weyl_hermitian_for_real_bump():
     _, _, sym = make_trapped_symbol(SPEC, k_max=32, grid=256)
     a = op_weyl(sym, 64)
     assert np.abs(a - a.conj().T).max() < 1e-11
+
+
+@settings(max_examples=150, deadline=None)
+@given(kmax=st.integers(1, 7), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_op_weyl_band_matches_dense(kmax, n, seed):
+    # n runs over even and odd dimensions, and below 2 kmax + 1 the cyclic
+    # diagonals of different offsets coincide
+    rng = np.random.default_rng(seed)
+    shape = (2 * kmax + 1, 2 * kmax + 1)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = TorusSymbol(table, kmax)
+    tol = 1e-12 * np.abs(table).max()
+    assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() <= tol
+
+
+@pytest.mark.parametrize("n", [96, 97, 256])
+def test_op_weyl_band_matches_dense_annulus(n):
+    # the default cutoff has k_max = 48: N = 96 folds two offsets onto one
+    # diagonal, N = 97 is the first dimension where all 97 are distinct
+    _, _, sym = make_nontrapping_symbol(BumpSpec("annulus_product", 0.15, 0.24))
+    assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() < 1e-14
 
 
 def test_op_left_identity_and_position():
