@@ -5,12 +5,12 @@ torus, or small 2x2 linear algebra for the hyperbolic eigen-data of the map.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import math
 
 import numpy as np
 
-from .errors import InvalidRadius, NotHyperbolic, NotUnimodular
+from .errors import (InvalidDenominatorBound, InvalidRadius, NotHyperbolic,
+                     NotUnimodular)
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,6 @@ class RationalPoint:
         my = min(self.y_num, self.q - self.y_num) if self.y_num else 0
         return math.hypot(mx, my) / self.q
 
-    def as_fractions(self):
-        return Fraction(self.x_num, self.q), Fraction(self.y_num, self.q)
-
 
 def iterate_mod_q(m: CatMap, p: RationalPoint) -> RationalPoint:
     """One step of the map on a rational point, exact mod-q arithmetic."""
@@ -163,7 +160,7 @@ def escape_check(m: CatMap, radius: float, q_max: int) -> EscapeReport:
     if not (0.0 < radius <= 0.5):
         raise InvalidRadius(f"radius {radius} outside (0, 1/2]")
     if q_max < 1:
-        raise ValueError("q_max must be >= 1")
+        raise InvalidDenominatorBound(f"q_max {q_max} must be >= 1")
 
     report = EscapeReport(all_escape=True)
     r2 = radius * radius

@@ -9,20 +9,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
-from .eigensolver import (char_poly_roots, eigenvalues, multiset_distance,
-                          sort_by_modulus)
+from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
 from .experiments import nontrapping_sweep, trapped_sweep
-from .metaplectic import (egorov_residual, factor_sl2z, letter_matrix,
-                          quantize_word, set_debug_mismatch_dft)
-from .quantizer import (BumpSpec, TorusSymbol, make_trapped_symbol, op_weyl,
-                        symbol_from_function)
+from .metaplectic import egorov_residual, factor_sl2z, letter_matrix, quantize_word
+from .quantizer import BumpSpec, TorusSymbol, make_trapped_symbol, op_weyl
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -52,10 +49,6 @@ class RunConfig:
     out_svg: str | None = None
     seed: int = 0
 
-    @property
-    def phase_mode(self) -> str:
-        return "leading_real_positive" if self.phase == "leading" else "none"
-
 
 def load_config(path: str) -> RunConfig:
     try:
@@ -66,7 +59,23 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
+def _integer(value, what: str) -> int:
+    """An integral JSON number as int; any other value is a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -74,23 +83,26 @@ def parse_config(raw: dict) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"missing config key {key!r}")
     mat = raw["matrix"]
-    if len(mat) != 4 or any(int(v) != v for v in mat):
+    if not isinstance(mat, list) or len(mat) != 4:
         raise ConfigError("matrix must be 4 integers [a, b, c, d]")
     try:
-        m = CatMap(*(int(v) for v in mat))
+        m = CatMap(*(_integer(v, "matrix entry") for v in mat))
         analyze(m)
     except OpenCatError as exc:
         raise ConfigError(f"bad matrix: {exc}")
-    n_list = [int(n) for n in raw["n_list"]]
+    if not isinstance(raw["n_list"], list):
+        raise ConfigError("n_list must be a list of integers")
+    n_list = [_integer(n, "n_list entry") for n in raw["n_list"]]
     if not n_list or any(n % 2 or n < 2 for n in n_list):
         raise ConfigError("n_list must be nonempty, even, positive")
     if n_list != sorted(n_list):
         raise ConfigError("n_list must be ascending")
     cut = raw["cutoff"]
-    if set(cut) != _CUTOFF_KEYS:
+    if not isinstance(cut, dict) or set(cut) != _CUTOFF_KEYS:
         raise ConfigError(f"cutoff needs exactly keys {sorted(_CUTOFF_KEYS)}")
     try:
-        spec = BumpSpec(cut["kind"], float(cut["r_inner"]), float(cut["r_outer"]))
+        spec = BumpSpec(cut["kind"], _number(cut["r_inner"], "r_inner"),
+                        _number(cut["r_outer"], "r_outer"))
     except OpenCatError as exc:
         raise ConfigError(f"bad cutoff: {exc}")
     quant = raw.get("quantization", "left")
@@ -100,20 +112,25 @@ def parse_config(raw: dict) -> RunConfig:
     if phase not in ("none", "leading"):
         raise ConfigError("phase must be 'none' or 'leading'")
     # The default asks for four modes, or as many as the smallest N holds.
-    k_count = int(raw.get("k_count", min(4, n_list[0])))
+    k_count = _integer(raw.get("k_count", min(4, n_list[0])), "k_count")
     if not 1 <= k_count <= 8:
         raise ConfigError("k_count must be in 1..8; higher modes are not "
                           "resolvable at desk scale")
     if k_count > n_list[0]:
         raise ConfigError(f"k_count {k_count} exceeds the smallest N {n_list[0]}")
-    k_max = int(raw.get("k_max", 48))
-    grid = int(raw.get("grid", 512))
+    k_max = _integer(raw.get("k_max", 48), "k_max")
+    if k_max < 1:
+        raise ConfigError("k_max must be >= 1")
+    grid = _integer(raw.get("grid", 512), "grid")
     if grid < 4 * k_max:
         raise ConfigError("grid must be >= 4 * k_max")
+    for key in ("out_csv", "out_svg"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a path string")
     return RunConfig(matrix=m, n_list=n_list, cutoff=spec, quantization=quant,
                      phase=phase, k_count=k_count, k_max=k_max, grid=grid,
                      out_csv=raw.get("out_csv"), out_svg=raw.get("out_svg"),
-                     seed=int(raw.get("seed", 0)))
+                     seed=_integer(raw.get("seed", 0), "seed"))
 
 
 def _fmt(x: float) -> str:
@@ -199,7 +216,8 @@ def cmd_trapped(config: RunConfig) -> int:
         rows, reports = trapped_sweep(
             config.matrix, config.cutoff, config.n_list,
             quant=config.quantization, k_count=config.k_count,
-            phase=config.phase_mode, k_max=config.k_max, grid=config.grid)
+            normalize_phase=config.phase == "leading", k_max=config.k_max,
+            grid=config.grid)
     except OpenCatError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -262,16 +280,20 @@ def cmd_classical(config: RunConfig, q_max: int, radius: float | None) -> int:
     return EXIT_OK
 
 
-def _verify_checks(config: RunConfig):
-    """Yield (name, passed, measure) for the cross-module invariant suite."""
+def _verify_checks(config: RunConfig, sign: int):
+    """Yield (name, passed, measure) for the cross-module invariant suite.
+
+    sign is the DFT kernel sign the map is quantized with; the observables
+    keep the package convention -1, so sign=+1 must fail the Egorov checks.
+    """
     dims = [32, 64, 128]
     for n in dims:
-        f = hn.dft_matrix(n)
+        f = hn.dft_matrix(n, sign)
         defect = np.abs(f.conj().T @ f - np.eye(n)).max()
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         word = factor_sl2z(config.matrix)
-        u = quantize_word(word, n)
+        u = quantize_word(word, n, sign)
         defect = np.abs(u.conj().T @ u - np.eye(n)).max()
         yield f"map_unitary_N{n}", defect < 1e-10, defect
     k = 3
@@ -280,7 +302,7 @@ def _verify_checks(config: RunConfig):
     table[k, k + 1] = table[k, k - 1] = 0.5
     sym = TorusSymbol(table, k)
     for n in (32, 64):
-        res = egorov_residual(config.matrix, sym, n)
+        res = egorov_residual(config.matrix, sym, n, sign=sign)
         yield f"egorov_N{n}", res < 1e-8, res
     # Per-generator residuals with single plane waves pin every sign
     # convention; the full-word residual alone can miss a flipped Fourier
@@ -293,7 +315,7 @@ def _verify_checks(config: RunConfig):
     for letter in (("S",), ("S_INV",), ("U", 1), ("L", 1)):
         g = letter_matrix(letter)
         gm = CatMap(int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1]))
-        res = max(egorov_residual(gm, mode, 32, word=[letter])
+        res = max(egorov_residual(gm, mode, 32, word=[letter], sign=sign)
                   for mode in modes)
         name = letter[0] if len(letter) == 1 else f"{letter[0]}{letter[1]}"
         yield f"egorov_gen_{name}", res < 1e-8, res
@@ -311,21 +333,16 @@ def _verify_checks(config: RunConfig):
     for _ in range(20):
         mat = rng.uniform(-1, 1, (6, 6)) + 1j * rng.uniform(-1, 1, (6, 6))
         worst = max(worst, multiset_distance(char_poly_roots(mat),
-                                             eigenvalues(mat).values))
+                                             eigenvalues(mat)))
     yield "eigensolver_oracle", worst < 1e-6, worst
 
 
 def cmd_verify(config: RunConfig, flip_dft: bool = False) -> int:
-    if flip_dft:
-        set_debug_mismatch_dft(True)
-    try:
-        failures = 0
-        for name, passed, measure in _verify_checks(config):
-            verdict = "PASS" if passed else "FAIL"
-            failures += not passed
-            print(f"{verdict}  {name}  ({measure:.3e})")
-    finally:
-        set_debug_mismatch_dft(False)
+    failures = 0
+    for name, passed, measure in _verify_checks(config, sign=1 if flip_dft else -1):
+        verdict = "PASS" if passed else "FAIL"
+        failures += not passed
+        print(f"{verdict}  {name}  ({measure:.3e})")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 
 
@@ -346,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="self-test: replace spectral radii with h^2")
         if name == "verify":
             p.add_argument("--debug-flip-dft", action="store_true",
-                           help="flip the DFT sign; Egorov checks must FAIL")
+                           help="quantize the map with the opposite DFT sign; "
+                                "Egorov checks must FAIL")
     return parser
 
 

@@ -1,13 +1,13 @@
 """Dense non-Hermitian eigenvalue computation, with an independent oracle.
 
-The production path wraps LAPACK's geev driver (balancing, Householder
-reduction to Hessenberg form, shifted QR with deflation) through numpy.  The
-oracle path, for small matrices, is entirely separate: characteristic
-polynomial by the Faddeev-LeVerrier recurrence, roots by Durand-Kerner
-iteration.  The two must agree; the tests enforce it.
+The production path, eigenvalues(), wraps LAPACK's geev driver (balancing,
+Householder reduction to Hessenberg form, shifted QR with deflation) through
+numpy and returns the plain array of eigenvalues; non-finite input and a
+LAPACK failure raise instead of yielding a partial spectrum.  The oracle
+path, for small matrices, is entirely separate: characteristic polynomial by
+the Faddeev-LeVerrier recurrence, roots by Durand-Kerner iteration.  The two
+must agree; the tests enforce it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +16,8 @@ from .errors import EigensolverFailed, NonFinite, OracleNoConvergence
 ORACLE_MAX_DIM = 8
 
 
-@dataclass
-class SpectrumRaw:
-    values: np.ndarray       # all eigenvalues, unordered
-    converged: bool
-
-
-def eigenvalues(a: np.ndarray) -> SpectrumRaw:
-    """All eigenvalues of a dense complex matrix.
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a dense complex matrix, unordered.
 
     A LAPACK failure raises EigensolverFailed; no partial spectrum is returned.
     """
@@ -35,7 +29,7 @@ def eigenvalues(a: np.ndarray) -> SpectrumRaw:
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailed(f"eigvals failed on a {a.shape[0]}x{a.shape[0]} "
                                 f"matrix: {exc}") from exc
-    return SpectrumRaw(values=vals, converged=True)
+    return vals
 
 
 def char_poly_coeffs(a: np.ndarray) -> np.ndarray:

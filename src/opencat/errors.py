@@ -17,6 +17,10 @@ class InvalidRadius(OpenCatError):
     """Escape-check radius outside the meaningful range."""
 
 
+class InvalidDenominatorBound(OpenCatError):
+    """Escape-check denominator bound q_max below 1."""
+
+
 class NonPositiveN(OpenCatError):
     """Hilbert space dimension must be a positive integer."""
 

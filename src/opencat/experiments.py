@@ -6,7 +6,7 @@ eigenvalue moduli converge to lam^{-(2k+1)/2}; with an annulus cutoff
 excluding the fixed point, the spectral radius decays superpolynomially in h.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import logging
 import math
 import warnings
@@ -89,9 +89,8 @@ def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
-                        phase: str = "none", word=None,
-                        sym: TorusSymbol | None = None) -> np.ndarray:
-    """(quantized cutoff) @ (quantized map), optionally phase-normalized."""
+                        word=None, sym: TorusSymbol | None = None) -> np.ndarray:
+    """(quantized cutoff) @ (quantized map), with the map's unnormalized phase."""
     guard = support_guard(spec, analyze(m))
     if not guard["ok"]:
         warnings.warn(
@@ -101,26 +100,20 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     if word is None:
         word = factor_sl2z(m)
     chi = cutoff_operator(spec, n, quant=quant, sym=sym)
-    a = chi @ quantize_word(word, n)
-    if phase == "leading_real_positive":
-        a = a * phase_factor(eigenvalues(a).values)
-    elif phase != "none":
-        raise ValueError(f"unknown phase mode {phase!r}")
-    return a
+    return chi @ quantize_word(word, n)
 
 
 def spectrum_report(m: CatMap, open_op: np.ndarray, n: int,
-                    k_count: int = 4, phase: str = "none") -> SpectrumReport:
-    """Diagonalize the open operator once; phase-normalize its eigenvalues.
+                    k_count: int = 4, normalize_phase: bool = False) -> SpectrumReport:
+    """Diagonalize the open operator once; optionally phase-normalize the eigenvalues.
 
-    phase="leading_real_positive" rotates the eigenvalues by the same
-    unimodular scalar build_open_operator would multiply the operator by.
+    The global phase of the quantized map is a convention.  normalize_phase
+    fixes it by rotating the eigenvalues with phase_factor, so the
+    largest-modulus one is real and positive; the moduli do not change.
     """
-    vals = eigenvalues(open_op).values
-    if phase == "leading_real_positive":
+    vals = eigenvalues(open_op)
+    if normalize_phase:
         vals = vals * phase_factor(vals)
-    elif phase != "none":
-        raise ValueError(f"unknown phase mode {phase!r}")
     vals = sort_by_modulus(vals)
     targets = theorem_targets(m, k_count)
     top = vals[:k_count]
@@ -132,7 +125,7 @@ def spectrum_report(m: CatMap, open_op: np.ndarray, n: int,
 
 
 def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
-                  k_count: int = 4, phase: str = "leading_real_positive",
+                  k_count: int = 4, normalize_phase: bool = True,
                   k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
     """Top-k eigenvalues against the theorem targets, per dimension.
 
@@ -147,7 +140,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
         log.info("trapped sweep: N = %d", n)
         # the operator is a temporary, freed before the next, larger N is built
         report = spectrum_report(m, build_open_operator(m, spec, n, quant=quant, sym=sym),
-                                 n, k_count=k_count, phase=phase)
+                                 n, k_count=k_count, normalize_phase=normalize_phase)
         reports.append(report)
         for k in range(k_count):
             mu = report.eigenvalues[k]
@@ -178,7 +171,7 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
         else:
             log.info("nontrapping sweep: N = %d", n)
             op = build_open_operator(m, spec, n, quant=quant, sym=sym)
-            vals = eigenvalues(op).values
+            vals = eigenvalues(op)
             top = float(np.abs(vals).max())
         slope = math.nan
         if prev is not None:

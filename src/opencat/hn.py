@@ -1,8 +1,8 @@
 """The N-dimensional state space of the quantized torus.
 
-Basis bookkeeping for the Dirac-comb basis, the discrete (semiclassical)
-Fourier transform, and a periodized-Gaussian coherent state used for phase
-diagnostics.  All matrices are plain dense numpy arrays.
+The Planck scale attached to N, the unitary DFT matrix (its sign is the
+Fourier convention, an argument of every caller) and the torus
+representative of a position.  All matrices are plain dense numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -28,13 +28,15 @@ def planck(n: int) -> PlanckScale:
 
 
 @lru_cache(maxsize=32)
-def dft_matrix(n: int, sign: int = -1) -> np.ndarray:
+def dft_matrix(n: int, sign: int) -> np.ndarray:
     """Unitary DFT matrix with kernel N^{-1/2} exp(sign * 2 pi i m k / N).
 
     sign=-1 is the package-wide convention.  Note that flipping the sign
     *everywhere* yields a unitarily equivalent setup (conjugation by parity,
     which commutes with every integer symplectic map); only a sign mismatch
-    between the map quantization and the observables is detectable.
+    between the map quantization and the observables is detectable.  The
+    sign has no default so that every caller passes it the same way and
+    shares one cache entry per N.
     """
     if n < 1:
         raise NonPositiveN(f"n = {n}")
@@ -44,42 +46,7 @@ def dft_matrix(n: int, sign: int = -1) -> np.ndarray:
     return mat
 
 
-def dft(amplitudes: np.ndarray) -> np.ndarray:
-    """Apply the DFT convention of this package to an amplitude vector."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    return dft_matrix(len(amplitudes)) @ amplitudes
-
-
-def dft_inverse(amplitudes: np.ndarray) -> np.ndarray:
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    return dft_matrix(len(amplitudes)).conj().T @ amplitudes
-
-
-def coherent_ground_state(n: int, k_trunc: int = 4) -> np.ndarray:
-    """Unit-norm periodized Gaussian centered at the origin.
-
-    Amplitude a_m is the theta-type sum of exp(-pi N (k + m/N)^2) over
-    |k| <= k_trunc, then normalized.  The truncation tail is below
-    exp(-pi N k_trunc^2) relative, negligible for every N >= 1 at the
-    default k_trunc.
-    """
-    if n < 1:
-        raise NonPositiveN(f"n = {n}")
-    if k_trunc < 1:
-        raise ValueError("k_trunc must be >= 1")
-    m = np.arange(n) / n
-    k = np.arange(-k_trunc, k_trunc + 1)
-    amps = np.exp(-math.pi * n * (k[:, None] + m[None, :]) ** 2).sum(axis=0)
-    return amps / np.linalg.norm(amps)
-
-
-def torus_rep(x: float) -> float:
-    """Representative of x mod 1 in [-1/2, 1/2)."""
-    r = x - math.floor(x)
-    return r - 1.0 if r >= 0.5 else r
-
-
 def torus_rep_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized torus_rep."""
+    """Representative of each x mod 1 in [-1/2, 1/2)."""
     r = x - np.floor(x)
     return np.where(r >= 0.5, r - 1.0, r)

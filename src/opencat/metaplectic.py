@@ -3,10 +3,14 @@
 A cat map is factored into the generators S = [[0,-1],[1,0]], shears
 U(b) = [[1,b],[0,1]] and L(c) = [[1,0],[c,1]], and the parity -I.  Each
 generator has a closed-form unitary on the state space (quadratic phases and
-the DFT); the product quantizes the map up to a global phase.  All sign
-conventions are pinned by the exact commutation identity with quantized
-observables (checked generator by generator in the tests): with the DFT
-kernel e^{-2 pi i m k / N}, S quantizes to a multiple of the *inverse* DFT.
+the DFT); the product quantizes the map up to a global phase.  That phase is
+a convention: the one rule that fixes it acts on the eigenvalues of the open
+operator (phase_factor).  All sign conventions are pinned by the exact
+commutation identity with quantized observables (checked generator by
+generator in the tests): with the DFT kernel e^{-2 pi i m k / N}, S
+quantizes to a multiple of the *inverse* DFT.  The quantizers take that
+kernel sign as the argument `sign`; sign=+1 quantizes S and U with the
+opposite convention to the observables, which breaks Egorov for S at O(1).
 """
 
 import math
@@ -14,27 +18,14 @@ import math
 import numpy as np
 
 from .catmap import CatMap
-from .eigensolver import eigenvalues
 from .errors import DegeneratePhase, OddDimension, TruncationOverflow
 from .hn import dft_matrix
 from .quantizer import TorusSymbol, op_weyl
 
-# Letters are tuples: ("S",), ("S_INV",), ("U", b), ("L", c), ("PAR",)
-_S = np.array([[0, -1], [1, 0]], dtype=object)
-
 OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
 
-# Debug switch: quantize S/U with the opposite Fourier convention while the
-# observables keep theirs.  This mismatch makes every Egorov check fail at
-# O(1) and exists only for the verify command's sensitivity diagnostic.
-_MISMATCH_DFT = False
 
-
-def set_debug_mismatch_dft(flag: bool) -> None:
-    global _MISMATCH_DFT
-    _MISMATCH_DFT = bool(flag)
-
-
+# Letters are tuples: ("S",), ("S_INV",), ("U", b), ("L", c), ("PAR",)
 def letter_matrix(letter) -> np.ndarray:
     kind = letter[0]
     if kind == "S":
@@ -90,15 +81,13 @@ def factor_sl2z(m: CatMap) -> list:
     return word
 
 
-def quantize_generator(letter, n: int) -> np.ndarray:
-    """Closed-form unitary for a single generator on the N-dimensional space."""
+def quantize_generator(letter, n: int, sign: int = -1) -> np.ndarray:
+    """Closed-form unitary for a single generator, DFT kernel sign `sign`."""
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
     kind = letter[0]
-    f = dft_matrix(n)
+    f = dft_matrix(n, sign)
     f_inv = f.conj().T
-    if _MISMATCH_DFT:
-        f, f_inv = f_inv, f
     if kind == "S":
         return OMEGA_S * f_inv
     if kind == "S_INV":
@@ -117,34 +106,21 @@ def quantize_generator(letter, n: int) -> np.ndarray:
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def quantize_word(word, n: int) -> np.ndarray:
+def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
     """Product of generator unitaries in word order."""
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
     u = np.eye(n, dtype=complex)
     for letter in word:
-        u = u @ quantize_generator(letter, n)
+        u = u @ quantize_generator(letter, n, sign)
     return u
 
 
-def quantize_map(m: CatMap, n: int, phase: str = "none",
-                 chi: np.ndarray | None = None, word=None) -> np.ndarray:
-    """Quantize a cat map; optionally fix the global phase through a cutoff.
-
-    phase="none" returns the word product as-is.  phase="leading_real_positive"
-    multiplies by the unimodular scalar making the largest-modulus eigenvalue
-    of chi @ Mhat real and positive (chi is then required).
-    """
+def quantize_map(m: CatMap, n: int, word=None, sign: int = -1) -> np.ndarray:
+    """Quantize a cat map, up to the global phase its factorization gives."""
     if word is None:
         word = factor_sl2z(m)
-    u = quantize_word(word, n)
-    if phase == "none":
-        return u
-    if phase != "leading_real_positive":
-        raise ValueError(f"unknown phase mode {phase!r}")
-    if chi is None:
-        raise ValueError("phase normalization needs the cutoff operator")
-    return u * phase_factor(eigenvalues(chi @ u).values)
+    return quantize_word(word, n, sign)
 
 
 def phase_factor(vals: np.ndarray) -> complex:
@@ -181,10 +157,14 @@ def compose_symbol(sym: TorusSymbol, m: CatMap,
     return TorusSymbol(table=table, k_max=out_k)
 
 
-def egorov_residual(m: CatMap, sym: TorusSymbol, n: int,
-                    word=None, k_cap: int | None = None) -> float:
-    """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat; zero in exact arithmetic."""
-    u = quantize_map(m, n, word=word)
+def egorov_residual(m: CatMap, sym: TorusSymbol, n: int, word=None,
+                    k_cap: int | None = None, sign: int = -1) -> float:
+    """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat; zero in exact arithmetic.
+
+    Mhat is quantized with DFT kernel sign `sign`; the observables Op keep
+    the package convention, so sign=+1 measures the mismatch.
+    """
+    u = quantize_map(m, n, word=word, sign=sign)
     lhs = op_weyl(compose_symbol(sym, m, k_cap=k_cap), n)
     rhs = u.conj().T @ op_weyl(sym, n) @ u
     return float(np.abs(lhs - rhs).max())

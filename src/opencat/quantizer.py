@@ -151,7 +151,7 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
 
 def op_left_separable(f_profile, g_profile, n: int) -> np.ndarray:
     """Left quantization of f(x) g(xi): position multiplier after Fourier multiplier."""
-    f_mat = dft_matrix(n)
+    f_mat = dft_matrix(n, -1)
     x = torus_rep_array(np.arange(n) / n)
     d_f = np.asarray(f_profile(x), dtype=complex)
     d_g = np.asarray(g_profile(x), dtype=complex)

@@ -19,7 +19,6 @@ from opencat.eigensolver import (char_poly_roots, eigenvalues,
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
                                  build_open_operator, nontrapping_sweep,
                                  phase_coherence_check, trapped_sweep)
-from opencat.hn import dft_matrix
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
                                  quantize_word, word_matrix)
 from opencat.quantizer import (TorusSymbol, make_trapped_symbol,
@@ -119,11 +118,11 @@ def test_criterion_5_eigensolver_oracle():
     for _ in range(100):
         a = rng.uniform(-1, 1, (6, 6)) + 1j * rng.uniform(-1, 1, (6, 6))
         worst = max(worst, multiset_distance(char_poly_roots(a),
-                                             eigenvalues(a).values))
+                                             eigenvalues(a)))
     a50 = rng.standard_normal((50, 50)) / math.sqrt(50)
-    vals50 = eigenvalues(a50).values
+    vals50 = eigenvalues(a50)
     open_op = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, 128)
-    vals_open = eigenvalues(open_op).values
+    vals_open = eigenvalues(open_op)
     trace_defect = 0.0
     for mat, vals in ((a50, vals50), (open_op, vals_open)):
         p = np.eye(mat.shape[0], dtype=complex)
@@ -163,8 +162,8 @@ def test_criterion_7_word_independence():
     assert (word_matrix(w2) == ARNOLD.as_array().astype(object)).all()
     from opencat.experiments import cutoff_operator
     chi = cutoff_operator(DEFAULT_TRAPPED_SPEC, n)
-    m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)).values)[:4])
-    m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)).values)[:4])
+    m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)))[:4])
+    m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)))[:4])
     diff = np.abs(m1 - m2).max()
     report("7a word independence", diff < 1e-9, f"max moduli diff {diff:.1e}")
     assert diff < 1e-9
@@ -190,7 +189,7 @@ def test_criterion_7_left_weyl_moduli_at_256():
     vals = {}
     for quant in ("left", "weyl"):
         op = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, 256, quant=quant)
-        vals[quant] = np.abs(sort_by_modulus(eigenvalues(op).values)[:4])
+        vals[quant] = np.abs(sort_by_modulus(eigenvalues(op))[:4])
     diff = np.abs(vals["left"] - vals["weyl"])
     report("7b left/weyl moduli at N=256", diff.max() <= 1e-2,
            f"per-mode diff {[f'{d:.1e}' for d in diff]}")

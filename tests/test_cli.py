@@ -60,6 +60,26 @@ def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"k_count": "abc"},
+    {"k_count": 2.7},
+    {"n_list": ["x"]},
+    {"n_list": 5},
+    {"matrix": ["a", 1, 1, 1]},
+    {"cutoff": {"kind": "product_bump", "r_inner": "a", "r_outer": 0.20}},
+    {"seed": "x"},
+    {"quantization": "weyl", "k_max": 0},
+    {"quantization": "weyl", "k_max": -1},
+    {"out_svg": 2},  # an integer path would be taken as a file descriptor
+])
+def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out), **overrides)
+    assert main(["trapped", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_k_count_fits_smallest_n():
     cfg = parse_config({"matrix": [2, 1, 1, 1], "n_list": [2, 4],
                         "cutoff": {"kind": "product_bump", "r_inner": 0.1,
@@ -170,6 +190,14 @@ def test_classical_q1(tmp_path, capsys):
 def test_classical_bad_radius(tmp_path):
     cfg = write_config(tmp_path, out_csv=str(tmp_path / "cl.csv"))
     assert main(["classical", "--config", cfg, "--radius", "0.7"]) == 2
+
+
+def test_classical_q_max_zero(tmp_path, capsys):
+    out = tmp_path / "cl.csv"
+    cfg = write_config(tmp_path, out_csv=str(out))
+    assert main(["classical", "--config", cfg, "--q-max", "0"]) == 2
+    assert "q_max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_passes(tmp_path, capsys):

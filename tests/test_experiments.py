@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from opencat.catmap import ARNOLD
-from opencat.eigensolver import sort_by_modulus
+from opencat.eigensolver import eigenvalues, sort_by_modulus
 from opencat.errors import DegeneratePhase
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
                                  build_open_operator, nontrapping_sweep,
                                  phase_coherence_check, spectrum_report,
                                  theorem_targets, trapped_sweep)
+from opencat.metaplectic import phase_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -37,10 +38,8 @@ def test_open_operator_warns_outside_guard():
 
 
 def test_degenerate_phase():
-    from opencat.metaplectic import quantize_map
     with pytest.raises(DegeneratePhase):
-        quantize_map(ARNOLD, 16, phase="leading_real_positive",
-                     chi=np.zeros((16, 16)))
+        spectrum_report(ARNOLD, np.zeros((16, 16)), 16, normalize_phase=True)
 
 
 def test_trapped_sweep_rows_and_report():
@@ -61,7 +60,7 @@ def test_trapped_sweep_rows_and_report():
 
 def test_trapped_sweep_k_count_zero():
     rows, reports = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32], k_count=0,
-                                  phase="none")
+                                  normalize_phase=False)
     assert rows == []
 
 
@@ -104,16 +103,12 @@ def test_phase_coherence_vacuous_and_synthetic():
 
 def test_moduli_invariant_under_conventions():
     n = 64
-    base = np.abs(np.linalg.eigvals(build_open_operator(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, n)))
-    base = np.sort(base)[::-1][:4]
-    normed = np.abs(np.linalg.eigvals(build_open_operator(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, n, phase="leading_real_positive")))
-    normed = np.sort(normed)[::-1][:4]
+    plain = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n)
+    base, normed = (np.abs(spectrum_report(ARNOLD, plain, n, normalize_phase=flag)
+                           .eigenvalues[:4]) for flag in (False, True))
     word2 = [("U", 1), ("L", 1)]
-    other = np.abs(np.linalg.eigvals(build_open_operator(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, n, word=word2)))
-    other = np.sort(other)[::-1][:4]
+    other = np.abs(spectrum_report(ARNOLD, build_open_operator(
+        ARNOLD, DEFAULT_TRAPPED_SPEC, n, word=word2), n).eigenvalues[:4])
     assert np.abs(base - normed).max() < 1e-9
     assert np.abs(base - other).max() < 1e-9
 
@@ -134,15 +129,12 @@ def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
 def test_spectrum_report_phase_matches_normalized_operator():
     n = 64
     plain = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n)
-    normed = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n,
-                                 phase="leading_real_positive")
-    rep = spectrum_report(ARNOLD, plain, n, phase="leading_real_positive")
+    normed = plain * phase_factor(eigenvalues(plain))
+    rep = spectrum_report(ARNOLD, plain, n, normalize_phase=True)
     expect = sort_by_modulus(np.linalg.eigvals(normed))
     assert np.abs(rep.eigenvalues[:4] - expect[:4]).max() < 1e-9
     assert rep.eigenvalues[0].real > 0
     assert abs(rep.eigenvalues[0].imag) < 1e-15
-    with pytest.raises(ValueError):
-        spectrum_report(ARNOLD, plain, n, phase="leading")
 
 
 def test_symbol_built_only_on_weyl_route_and_once(monkeypatch):

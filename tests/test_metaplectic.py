@@ -1,3 +1,4 @@
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from opencat.metaplectic import (compose_symbol, egorov_residual, factor_sl2z,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol
 from opencat.experiments import DEFAULT_TRAPPED_SPEC, cutoff_operator
-from opencat.eigensolver import multiset_distance, sort_by_modulus
+from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
 
 def mode(k, l, kmax=2):
@@ -23,6 +24,11 @@ def cos_pair_symbol():
     t[kmax + 1, kmax] = t[kmax - 1, kmax] = 0.5
     t[kmax, kmax + 1] = t[kmax, kmax - 1] = 0.5
     return TorusSymbol(t, kmax)
+
+
+def letter_map(letter):
+    g = letter_matrix(letter)
+    return CatMap(int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1]))
 
 
 @pytest.mark.parametrize("m", [ARNOLD, CatMap(0, -1, 1, 0), CatMap(-1, 0, 0, -1),
@@ -66,9 +72,7 @@ def test_map_unitary(n):
                                     ("L", 1), ("L", 3), ("PAR",)])
 @pytest.mark.parametrize("kl", [(1, 0), (0, 1)])
 def test_generator_egorov_pins_conventions(letter, kl):
-    mat = letter_matrix(letter)
-    m = CatMap(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
-    assert egorov_residual(m, mode(*kl), 16, word=[letter]) < 1e-12
+    assert egorov_residual(letter_map(letter), mode(*kl), 16, word=[letter]) < 1e-12
 
 
 def test_egorov_arnold_cos_pair():
@@ -136,7 +140,7 @@ def test_phase_mode_preserves_moduli():
     n = 64
     chi = cutoff_operator(DEFAULT_TRAPPED_SPEC, n)
     u_plain = quantize_map(ARNOLD, n)
-    u_norm = quantize_map(ARNOLD, n, phase="leading_real_positive", chi=chi)
+    u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
     m_norm = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_norm)))
     assert np.abs(m_plain - m_norm).max() < 1e-12
@@ -151,3 +155,26 @@ def test_phase_factor_from_eigenvalues():
     assert (vals * phase_factor(vals))[1] == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DegeneratePhase):
         phase_factor(np.zeros(4))
+
+
+shear = st.tuples(st.sampled_from(["U", "L"]),
+                  st.integers(-3, 3).filter(lambda v: v != 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4),
+       n=st.integers(2, 32).map(lambda h: 2 * h),
+       kl=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
+    mat = word_matrix(word)
+    m = CatMap(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
+    assume(abs(m.a + m.d) > 2)
+    # the factorization's word (S, S_INV, U, PAR letters) and the drawn
+    # shear word quantize the same map
+    assert egorov_residual(m, mode(*kl), n) < 1e-8
+    assert egorov_residual(m, mode(*kl), n, word=word) < 1e-8
+    # the opposite DFT sign breaks Egorov for the Fourier letters at O(1)
+    for letter in (("S",), ("S_INV",)):
+        res = max(egorov_residual(letter_map(letter), mode(*w), n, word=[letter], sign=1)
+                  for w in ((1, 0), (0, 1)))
+        assert res >= 1.0
