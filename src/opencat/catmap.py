@@ -150,12 +150,14 @@ class EscapeReport:
 
 
 def escape_check(m: CatMap, radius: float, q_max: int) -> EscapeReport:
-    """Brute-force check that every nonzero rational orbit leaves the ball.
+    """Exact check that every nonzero rational orbit leaves the ball.
 
-    Enumerates all points with denominator q <= q_max, decomposes the induced
-    permutation of (Z/q)^2 into orbits, and tests whether each nonzero orbit
+    For each denominator q <= q_max, decomposes the permutation of (Z/q)^2
+    induced by the map into orbits, and tests whether each nonzero orbit
     contains a point at torus distance > radius from 0.  The zero fixed point
-    is exempt.  Returns the first fully-contained orbit as witness if any.
+    is exempt.  The first fully-contained orbit, in the lexicographic order
+    of the orbits' smallest points and starting at that point, is returned
+    as witness.
     """
     if not (0.0 < radius <= 0.5):
         raise InvalidRadius(f"radius {radius} outside (0, 1/2]")
@@ -165,29 +167,46 @@ def escape_check(m: CatMap, radius: float, q_max: int) -> EscapeReport:
     report = EscapeReport(all_escape=True)
     r2 = radius * radius
     for q in range(1, q_max + 1):
-        seen = np.zeros((q, q), dtype=bool)
-        seen[0, 0] = True  # the fixed point at 0 is exempt
-        num_orbits = 1
+        heads, head_max2 = _orbit_heads(m, q)
+        heads, head_max2 = heads[1:], head_max2[1:]  # the zero fixed point is exempt
         min_orbit_max = math.sqrt(0.5)  # max possible torus norm
-        for x0 in range(q):
-            for y0 in range(q):
-                if seen[x0, y0]:
-                    continue
-                num_orbits += 1
-                orbit_max2 = 0
-                x, y = x0, y0
-                pts = []
-                while not seen[x, y]:
-                    seen[x, y] = True
-                    pts.append((x, y))
-                    mx = min(x, q - x) if x else 0
-                    my = min(y, q - y) if y else 0
-                    orbit_max2 = max(orbit_max2, mx * mx + my * my)
-                    x, y = (m.a * x + m.b * y) % q, (m.c * x + m.d * y) % q
-                orbit_max = math.sqrt(orbit_max2) / q
-                min_orbit_max = min(min_orbit_max, orbit_max)
-                if orbit_max2 <= r2 * q * q and report.all_escape:
-                    report.all_escape = False
-                    report.witness = [RationalPoint(px, py, q) for px, py in pts]
-        report.per_q.append((q, num_orbits, min_orbit_max))
+        if len(heads):
+            min_orbit_max = min(min_orbit_max, math.sqrt(int(head_max2.min())) / q)
+        if report.all_escape:
+            inside = heads[head_max2 <= r2 * q * q]
+            if len(inside):
+                report.all_escape = False
+                report.witness = orbit(m, RationalPoint(*divmod(int(inside[0]), q), q))
+        report.per_q.append((q, 1 + len(heads), min_orbit_max))
     return report
+
+
+def _orbit_heads(m: CatMap, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit of the map on (Z/q)^2 as its head, the smallest flat index
+    x*q + y on it, in increasing order, with the largest squared integer
+    torus norm on the orbit.
+
+    Pointer doubling: after k rounds each point is labelled with the
+    smallest index over its next 2^k points.  A round that changes no label
+    means every window already spans its whole orbit: the labels are then
+    non-decreasing, hence constant, along each cycle of the 2^k jump, so
+    each window holds its orbit's smallest index, and that index occurs once
+    per orbit.
+    """
+    x, y = np.arange(q)[:, None], np.arange(q)[None, :]
+    a, b, c, d = (v % q for v in (m.a, m.b, m.c, m.d))  # keeps products < q^2
+    step = ((a * x + b * y) % q * q + (c * x + d * y) % q).ravel()
+    label = np.arange(q * q)
+    width = 1
+    while width < q * q:
+        ahead = label[step]
+        if (ahead >= label).all():
+            break
+        np.minimum(label, ahead, out=label)
+        step = step[step]
+        width *= 2
+    heads = np.flatnonzero(label == np.arange(q * q))
+    norm2 = np.minimum(x, q - x) ** 2  # squared distance of a coordinate to 0
+    max2 = np.zeros(q * q, dtype=np.int64)
+    np.maximum.at(max2, label, (norm2 + norm2.T).ravel())
+    return heads, max2[heads]

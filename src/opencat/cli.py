@@ -116,8 +116,6 @@ def parse_config(raw: dict) -> RunConfig:
     if not 1 <= k_count <= 8:
         raise ConfigError("k_count must be in 1..8; higher modes are not "
                           "resolvable at desk scale")
-    if k_count > n_list[0]:
-        raise ConfigError(f"k_count {k_count} exceeds the smallest N {n_list[0]}")
     k_max = _integer(raw.get("k_max", 48), "k_max")
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
@@ -211,6 +209,10 @@ def cmd_trapped(config: RunConfig) -> int:
         return EXIT_CONFIG
     if config.cutoff.kind != "product_bump":
         print("config error: trapped run needs a product_bump cutoff", file=sys.stderr)
+        return EXIT_CONFIG
+    if config.k_count > config.n_list[0]:
+        print(f"config error: k_count {config.k_count} exceeds the smallest N "
+              f"{config.n_list[0]}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         rows, reports = trapped_sweep(

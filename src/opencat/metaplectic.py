@@ -101,18 +101,32 @@ def quantize_generator(letter, n: int, sign: int = -1) -> np.ndarray:
         return f @ (d[:, None] * f_inv)
     if kind == "PAR":
         p = np.zeros((n, n))
-        p[(n - np.arange(n)) % n, np.arange(n)] = 1.0
+        p[_parity_index(n), np.arange(n)] = 1.0
         return p
     raise ValueError(f"unknown letter {letter!r}")
 
 
+def _parity_index(n: int) -> np.ndarray:
+    """Index j -> -j mod n: the parity unitary sends basis vector j there."""
+    return (n - np.arange(n)) % n
+
+
 def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
-    """Product of generator unitaries in word order."""
+    """Product of generator unitaries in word order.
+
+    A PAR letter after the first is applied as a column gather, which gives
+    the same bits as multiplying by its permutation matrix.
+    """
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
-    u = np.eye(n, dtype=complex)
-    for letter in word:
-        u = u @ quantize_generator(letter, n, sign)
+    if not word:
+        return np.eye(n, dtype=complex)
+    u = quantize_generator(word[0], n, sign).astype(complex, copy=False)
+    for letter in word[1:]:
+        if letter[0] == "PAR":
+            u = u[:, _parity_index(n)]
+        else:
+            u = u @ quantize_generator(letter, n, sign)
     return u
 
 

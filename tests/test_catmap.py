@@ -1,13 +1,51 @@
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat.catmap import (ARNOLD, CatMap, RationalPoint, analyze,
+from opencat.catmap import (ARNOLD, CatMap, EscapeReport, RationalPoint, analyze,
                             escape_check, guard_radius, iterate_mod_q, orbit)
 from opencat.errors import InvalidRadius, NotHyperbolic, NotUnimodular
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def escape_check_loop(m: CatMap, radius: float, q_max: int) -> EscapeReport:
+    """Reference escape check: a pure-Python orbit scan over every point.
+
+    Starts each orbit at the first unseen point in lexicographic order, so
+    the witness starts at its orbit's smallest point.
+    """
+    report = EscapeReport(all_escape=True)
+    r2 = radius * radius
+    for q in range(1, q_max + 1):
+        seen = np.zeros((q, q), dtype=bool)
+        seen[0, 0] = True  # the fixed point at 0 is exempt
+        num_orbits = 1
+        min_orbit_max = math.sqrt(0.5)  # max possible torus norm
+        for x0 in range(q):
+            for y0 in range(q):
+                if seen[x0, y0]:
+                    continue
+                num_orbits += 1
+                orbit_max2 = 0
+                x, y = x0, y0
+                pts = []
+                while not seen[x, y]:
+                    seen[x, y] = True
+                    pts.append((x, y))
+                    mx = min(x, q - x) if x else 0
+                    my = min(y, q - y) if y else 0
+                    orbit_max2 = max(orbit_max2, mx * mx + my * my)
+                    x, y = (m.a * x + m.b * y) % q, (m.c * x + m.d * y) % q
+                orbit_max = math.sqrt(orbit_max2) / q
+                min_orbit_max = min(min_orbit_max, orbit_max)
+                if orbit_max2 <= r2 * q * q and report.all_escape:
+                    report.all_escape = False
+                    report.witness = [RationalPoint(px, py, q) for px, py in pts]
+        report.per_q.append((q, num_orbits, min_orbit_max))
+    return report
 
 
 def test_arnold_expanding_eigenvalue():
@@ -131,3 +169,47 @@ def test_escape_invalid_radius():
 def test_torus_norm_fundamental_domain():
     assert RationalPoint(3, 0, 4).torus_norm() == pytest.approx(0.25)
     assert RationalPoint(2, 2, 4).torus_norm() == pytest.approx(math.sqrt(0.5))
+
+
+def assert_same_report(fast: EscapeReport, slow: EscapeReport):
+    assert fast.per_q == slow.per_q
+    assert fast.all_escape == slow.all_escape
+    assert fast.witness == slow.witness  # same points in the same order
+
+
+@pytest.mark.parametrize("mat", [[2, 1, 1, 1], [1, 1, 1, 2], [2, -1, -1, 1],
+                                 [1, -1, -1, 2], [-2, -1, -1, -1]])
+@pytest.mark.parametrize("radius, q_max", [(None, 40), (0.5, 3), (0.3, 30),
+                                           (0.2, 40), (0.45, 25)])
+def test_escape_check_matches_loop(mat, radius, q_max):
+    m = CatMap(*mat)
+    if radius is None:
+        radius = guard_radius(analyze(m))
+    assert_same_report(escape_check(m, radius, q_max),
+                       escape_check_loop(m, radius, q_max))
+
+
+shear = st.tuples(st.sampled_from(["U", "L"]),
+                  st.integers(-3, 3).filter(lambda v: v != 0))
+
+
+def shear_map(letters, negate: bool) -> CatMap:
+    m = CatMap(-1, 0, 0, -1) if negate else CatMap(1, 0, 0, 1)
+    for kind, v in letters:
+        m = m @ (CatMap(1, v, 0, 1) if kind == "U" else CatMap(1, 0, v, 1))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(letters=st.lists(shear, min_size=2, max_size=4), negate=st.booleans(),
+       q_max=st.integers(1, 25),
+       radius=st.floats(0.0, 0.5, exclude_min=True, allow_nan=False))
+def test_escape_check_matches_loop_on_random_maps(letters, negate, q_max, radius):
+    m = shear_map(letters, negate)
+    assume(abs(m.trace) > 2)
+    fast = escape_check(m, radius, q_max)
+    assert_same_report(fast, escape_check_loop(m, radius, q_max))
+    if fast.witness is not None:
+        pts = [(p.x_num, p.y_num) for p in fast.witness]
+        assert pts[0] == min(pts)
+        assert fast.witness == orbit(m, fast.witness[0])

@@ -51,6 +51,7 @@ def test_parse_config_rejects_parabolic_matrix():
     {"k_count": 9},                   # above the resolvable 8 modes
     {"k_count": 6, "n_list": [4, 8]},  # above the smallest N
     {"k_count": 0},
+    {"k_count": 4, "n_list": [2, 4]},  # nontrapping accepts this config
 ])
 def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
     out = tmp_path / "rows.csv"
@@ -78,6 +79,15 @@ def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
     assert main(["trapped", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nontrapping_ignores_k_count_above_smallest_n(tmp_path):
+    out = tmp_path / "nt.csv"
+    cfg = write_config(tmp_path, n_list=[2, 4], k_count=4, out_csv=str(out),
+                       cutoff={"kind": "annulus_product", "r_inner": 0.15,
+                               "r_outer": 0.24})
+    assert main(["nontrapping", "--config", cfg]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_default_k_count_fits_smallest_n():

@@ -26,6 +26,14 @@ def cos_pair_symbol():
     return TorusSymbol(t, kmax)
 
 
+def quantize_word_dense(word, n, sign=-1):
+    """Reference word product: identity times each generator matrix in turn."""
+    u = np.eye(n, dtype=complex)
+    for letter in word:
+        u = u @ quantize_generator(letter, n, sign)
+    return u
+
+
 def letter_map(letter):
     g = letter_matrix(letter)
     return CatMap(int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1]))
@@ -178,3 +186,27 @@ def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
         res = max(egorov_residual(letter_map(letter), mode(*w), n, word=[letter], sign=1)
                   for w in ((1, 0), (0, 1)))
         assert res >= 1.0
+
+
+BENCHMARK_MAPS = [CatMap(2, 1, 1, 1), CatMap(1, 1, 1, 2), CatMap(2, -1, -1, 1),
+                  CatMap(1, -1, -1, 2)]
+
+
+@pytest.mark.parametrize("m", BENCHMARK_MAPS)
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_quantize_word_bitwise_matches_dense(m, n):
+    word = factor_sl2z(m)
+    assert np.array_equal(quantize_word(word, n), quantize_word_dense(word, n))
+
+
+fourier_letter = st.one_of(st.sampled_from([("S",), ("S_INV",), ("PAR",)]),
+                           st.integers(-3, 3).map(lambda b: ("U", b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.lists(fourier_letter, max_size=5),
+       n=st.integers(1, 16).map(lambda h: 2 * h), sign=st.sampled_from([-1, 1]))
+def test_quantize_word_bitwise_matches_dense_on_random_words(word, n, sign):
+    fast = quantize_word(word, n, sign)
+    assert fast.dtype == complex
+    assert np.array_equal(fast, quantize_word_dense(word, n, sign))
