@@ -16,7 +16,7 @@ import numpy as np
 from .catmap import CatMap, analyze
 from .eigensolver import eigenvalues, sort_by_modulus
 from .hn import planck
-from .metaplectic import factor_sl2z, phase_factor, quantize_word
+from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile,
                         make_nontrapping_symbol, make_trapped_symbol,
                         op_left_separable, op_weyl, support_guard,
@@ -90,7 +90,11 @@ def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
                         word=None, sym: TorusSymbol | None = None) -> np.ndarray:
-    """(quantized cutoff) @ (quantized map), with the map's unnormalized phase."""
+    """(quantized cutoff) @ (quantized map), with the map's unnormalized phase.
+
+    The word is applied to the cutoff's nonzero rows only; the rows where the
+    cutoff vanishes stay exact zeros, so the result is still N x N.
+    """
     guard = support_guard(spec, analyze(m))
     if not guard["ok"]:
         warnings.warn(
@@ -100,7 +104,12 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     if word is None:
         word = factor_sl2z(m)
     chi = cutoff_operator(spec, n, quant=quant, sym=sym)
-    return chi @ quantize_word(word, n)
+    live = chi.any(axis=1)
+    if live.all():
+        return apply_word(chi, word, n)
+    # chi's dead rows are already the zeros the product has there
+    chi[live] = apply_word(chi[live], word, n)
+    return chi
 
 
 def spectrum_report(m: CatMap, open_op: np.ndarray, n: int,

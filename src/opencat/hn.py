@@ -27,7 +27,10 @@ def planck(n: int) -> PlanckScale:
     return PlanckScale(n=n, h=1.0 / (2.0 * math.pi * n))
 
 
-@lru_cache(maxsize=32)
+# A sweep uses one N at a time and production passes one sign; the second
+# entry holds the other sign (verify --debug-flip-dft) or the previous N.
+# At N = 4096 each entry pins 268 MB.
+@lru_cache(maxsize=2)
 def dft_matrix(n: int, sign: int) -> np.ndarray:
     """Unitary DFT matrix with kernel N^{-1/2} exp(sign * 2 pi i m k / N).
 

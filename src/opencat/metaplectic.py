@@ -3,7 +3,9 @@
 A cat map is factored into the generators S = [[0,-1],[1,0]], shears
 U(b) = [[1,b],[0,1]] and L(c) = [[1,0],[c,1]], and the parity -I.  Each
 generator has a closed-form unitary on the state space (quadratic phases and
-the DFT); the product quantizes the map up to a global phase.  That phase is
+the DFT); the product quantizes the map up to a global phase.  apply_word
+multiplies a matrix by that product letter by letter, so chi Mhat is formed
+from chi's nonzero rows without building Mhat.  The global phase is
 a convention: the one rule that fixes it acts on the eigenvalues of the open
 operator (phase_factor).  All sign conventions are pinned by the exact
 commutation identity with quantized observables (checked generator by
@@ -81,29 +83,14 @@ def factor_sl2z(m: CatMap) -> list:
     return word
 
 
-def quantize_generator(letter, n: int, sign: int = -1) -> np.ndarray:
-    """Closed-form unitary for a single generator, DFT kernel sign `sign`."""
-    if n % 2:
-        raise OddDimension(f"n = {n} must be even")
-    kind = letter[0]
-    f = dft_matrix(n, sign)
-    f_inv = f.conj().T
-    if kind == "S":
-        return OMEGA_S * f_inv
-    if kind == "S_INV":
-        return np.conj(OMEGA_S) * f
-    if kind == "L":
-        m = np.arange(n)
-        return np.diag(np.exp(1j * math.pi * letter[1] * m * m / n))
-    if kind == "U":
-        m = np.arange(n)
-        d = np.exp(-1j * math.pi * letter[1] * m * m / n)
-        return f @ (d[:, None] * f_inv)
-    if kind == "PAR":
-        p = np.zeros((n, n))
-        p[_parity_index(n), np.arange(n)] = 1.0
-        return p
-    raise ValueError(f"unknown letter {letter!r}")
+def _chirp(coef: int, n: int) -> np.ndarray:
+    """The quadratic phase e^{i pi coef m^2 / N}, m = 0..N-1.
+
+    L(c) multiplies by the chirp with coef = c; U(b) is the chirp with
+    coef = -b conjugated by the DFT.
+    """
+    m = np.arange(n)
+    return np.exp(1j * math.pi * coef * m * m / n)
 
 
 def _parity_index(n: int) -> np.ndarray:
@@ -111,23 +98,43 @@ def _parity_index(n: int) -> np.ndarray:
     return (n - np.arange(n)) % n
 
 
-def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
-    """Product of generator unitaries in word order.
+def apply_word(x: np.ndarray, word, n: int, sign: int = -1) -> np.ndarray:
+    """x @ Mhat for the word's unitary, applied one letter at a time from the right.
 
-    A PAR letter after the first is applied as a column gather, which gives
-    the same bits as multiplying by its permutation matrix.
+    With F the unitary DFT of kernel sign `sign`, the letters act on the rows
+    of x as S: omega x F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp)
+    F^dag, L(c): x * chirp and PAR: a column gather.  A Fourier letter costs
+    one (rows x N) by (N x N) product, so for a few rows of x this is far
+    cheaper than building Mhat.  x is not modified; the empty word returns it.
     """
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
-    if not word:
-        return np.eye(n, dtype=complex)
-    u = quantize_generator(word[0], n, sign).astype(complex, copy=False)
-    for letter in word[1:]:
-        if letter[0] == "PAR":
-            u = u[:, _parity_index(n)]
+    f = dft_matrix(n, sign)
+    f_inv = f.conj().T
+    for letter in word:
+        kind = letter[0]
+        if kind == "S":
+            x = x @ f_inv
+            x *= OMEGA_S
+        elif kind == "S_INV":
+            x = x @ f
+            x *= np.conj(OMEGA_S)
+        elif kind == "U":
+            y = x @ f
+            y *= _chirp(-letter[1], n)
+            x = y @ f_inv
+        elif kind == "L":
+            x = x * _chirp(letter[1], n)
+        elif kind == "PAR":
+            x = x[:, _parity_index(n)]
         else:
-            u = u @ quantize_generator(letter, n, sign)
-    return u
+            raise ValueError(f"unknown letter {letter!r}")
+    return x
+
+
+def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
+    """Product of generator unitaries in word order: the word applied to the identity."""
+    return apply_word(np.eye(n, dtype=complex), word, n, sign)
 
 
 def quantize_map(m: CatMap, n: int, word=None, sign: int = -1) -> np.ndarray:

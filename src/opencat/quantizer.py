@@ -150,12 +150,19 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
 
 
 def op_left_separable(f_profile, g_profile, n: int) -> np.ndarray:
-    """Left quantization of f(x) g(xi): position multiplier after Fourier multiplier."""
+    """Left quantization of f(x) g(xi): position multiplier after Fourier multiplier.
+
+    Row m is f(x_m) times row m of F^dag diag(g) F, so the rows where f
+    vanishes are exact zeros and only the others are multiplied out.
+    """
     f_mat = dft_matrix(n, -1)
     x = torus_rep_array(np.arange(n) / n)
     d_f = np.asarray(f_profile(x), dtype=complex)
     d_g = np.asarray(g_profile(x), dtype=complex)
-    return d_f[:, None] * (f_mat.conj().T * d_g[None, :]) @ f_mat
+    live = d_f != 0
+    out = np.zeros((n, n), dtype=complex)
+    out[live] = d_f[live, None] * (f_mat[:, live].conj().T * d_g[None, :]) @ f_mat
+    return out
 
 
 def cutoff_profile(spec: BumpSpec):

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -115,6 +116,24 @@ def test_hermitian_input_real_output():
     _, _, sym = make_trapped_symbol(DEFAULT_TRAPPED_SPEC, k_max=32, grid=256)
     vals = eigenvalues(op_weyl(sym, 64))
     assert np.abs(vals.imag).max() < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(dead=st.lists(st.booleans(), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_zero_rows_split_off_exactly(dead, seed):
+    rng = np.random.default_rng(seed)
+    n = len(dead)
+    a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    a[dead] = 0.0
+    vals = eigenvalues(a)
+    assert vals.shape == (n,)
+    assert np.count_nonzero(vals == 0) == sum(dead)
+    assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-8
+    if n <= 8:
+        # the oracle's root at zero has multiplicity d, so roundoff e in the
+        # characteristic polynomial moves it by about e^(1/d)
+        d = max(sum(dead), 1)
+        assert multiset_distance(vals, char_poly_roots(a)) < 1e-8 ** (1.0 / d)
 
 
 def test_sort_by_modulus():

@@ -10,7 +10,9 @@ from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
                                  build_open_operator, nontrapping_sweep,
                                  phase_coherence_check, spectrum_report,
                                  theorem_targets, trapped_sweep)
+from opencat.hn import torus_rep_array
 from opencat.metaplectic import phase_factor
+from opencat.quantizer import cutoff_profile
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -123,7 +125,12 @@ def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], k_count=2)
-    assert calls == [32, 64]
+    # one solve per N, on the rows where the cutoff profile is nonzero
+    profile = cutoff_profile(DEFAULT_TRAPPED_SPEC)
+    live = [int(np.count_nonzero(profile(torus_rep_array(np.arange(n) / n))))
+            for n in (32, 64)]
+    assert 0 < live[0] < 32 and 0 < live[1] < 64
+    assert calls == live
 
 
 def test_spectrum_report_phase_matches_normalized_operator():

@@ -1,14 +1,18 @@
+import math
+
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension, TruncationOverflow
-from opencat.metaplectic import (compose_symbol, egorov_residual, factor_sl2z,
-                                 letter_matrix, phase_factor, quantize_generator,
+from opencat.hn import dft_matrix, torus_rep_array
+from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_residual,
+                                 factor_sl2z, letter_matrix, phase_factor,
                                  quantize_map, quantize_word, word_matrix)
-from opencat.quantizer import TorusSymbol
-from opencat.experiments import DEFAULT_TRAPPED_SPEC, cutoff_operator
+from opencat.quantizer import TorusSymbol, cutoff_profile
+from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
+                                 build_open_operator, cutoff_operator, cutoff_symbol)
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
 
@@ -24,6 +28,31 @@ def cos_pair_symbol():
     t[kmax + 1, kmax] = t[kmax - 1, kmax] = 0.5
     t[kmax, kmax + 1] = t[kmax, kmax - 1] = 0.5
     return TorusSymbol(t, kmax)
+
+
+def quantize_generator(letter, n, sign=-1):
+    """Reference closed-form unitary of a single generator, DFT kernel sign `sign`."""
+    if n % 2:
+        raise OddDimension(f"n = {n} must be even")
+    kind = letter[0]
+    f = dft_matrix(n, sign)
+    f_inv = f.conj().T
+    if kind == "S":
+        return OMEGA_S * f_inv
+    if kind == "S_INV":
+        return np.conj(OMEGA_S) * f
+    if kind == "L":
+        m = np.arange(n)
+        return np.diag(np.exp(1j * math.pi * letter[1] * m * m / n))
+    if kind == "U":
+        m = np.arange(n)
+        d = np.exp(-1j * math.pi * letter[1] * m * m / n)
+        return f @ (d[:, None] * f_inv)
+    if kind == "PAR":
+        p = np.zeros((n, n))
+        p[(n - np.arange(n)) % n, np.arange(n)] = 1.0
+        return p
+    raise ValueError(f"unknown letter {letter!r}")
 
 
 def quantize_word_dense(word, n, sign=-1):
@@ -53,19 +82,19 @@ def test_factor_single_s():
 
 
 def test_generator_examples():
-    l1 = quantize_generator(("L", 1), 2)
+    l1 = quantize_word([("L", 1)], 2)
     assert np.allclose(l1, np.diag([1.0, 1j]), atol=1e-14)
-    par = quantize_generator(("PAR",), 4)
+    par = quantize_word([("PAR",)], 4)
     expect = np.zeros((4, 4))
     expect[0, 0] = expect[2, 2] = expect[1, 3] = expect[3, 1] = 1.0
     assert np.allclose(par, expect)
-    l2 = quantize_generator(("L", 2), 4)
+    l2 = quantize_word([("L", 2)], 4)
     assert np.allclose(np.diag(l2), [1.0, 1j, 1.0, 1j], atol=1e-14)
 
 
 def test_odd_dimension_rejected():
     with pytest.raises(OddDimension):
-        quantize_generator(("S",), 5)
+        quantize_word([("S",)], 5)
     with pytest.raises(OddDimension):
         quantize_map(ARNOLD, 7)
 
@@ -109,8 +138,8 @@ def test_compose_symbol_overflow():
 
 
 def test_s_squared_is_parity_up_to_phase():
-    s = quantize_generator(("S",), 16)
-    par = quantize_generator(("PAR",), 16)
+    s = quantize_word([("S",)], 16)
+    par = quantize_word([("PAR",)], 16)
     ratio = (s @ s)[0, 0] / par[0, 0]
     assert abs(abs(ratio) - 1.0) < 1e-12
     assert np.abs(s @ s - ratio * par).max() < 1e-10
@@ -194,9 +223,9 @@ BENCHMARK_MAPS = [CatMap(2, 1, 1, 1), CatMap(1, 1, 1, 2), CatMap(2, -1, -1, 1),
 
 @pytest.mark.parametrize("m", BENCHMARK_MAPS)
 @pytest.mark.parametrize("n", [2, 4, 64])
-def test_quantize_word_bitwise_matches_dense(m, n):
+def test_quantize_word_matches_dense(m, n):
     word = factor_sl2z(m)
-    assert np.array_equal(quantize_word(word, n), quantize_word_dense(word, n))
+    assert np.abs(quantize_word(word, n) - quantize_word_dense(word, n)).max() <= 1e-12
 
 
 fourier_letter = st.one_of(st.sampled_from([("S",), ("S_INV",), ("PAR",)]),
@@ -206,7 +235,41 @@ fourier_letter = st.one_of(st.sampled_from([("S",), ("S_INV",), ("PAR",)]),
 @settings(max_examples=60, deadline=None)
 @given(word=st.lists(fourier_letter, max_size=5),
        n=st.integers(1, 16).map(lambda h: 2 * h), sign=st.sampled_from([-1, 1]))
-def test_quantize_word_bitwise_matches_dense_on_random_words(word, n, sign):
+def test_quantize_word_matches_dense_on_random_words(word, n, sign):
     fast = quantize_word(word, n, sign)
     assert fast.dtype == complex
-    assert np.array_equal(fast, quantize_word_dense(word, n, sign))
+    assert np.abs(fast - quantize_word_dense(word, n, sign)).max() <= 1e-12
+
+
+any_letter = st.one_of(fourier_letter, st.integers(-3, 3).map(lambda c: ("L", c)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(word=st.lists(any_letter, max_size=6),
+       n=st.integers(1, 32).map(lambda h: 2 * h), sign=st.sampled_from([-1, 1]),
+       rows=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (rows, n)) + 1j * rng.uniform(-1, 1, (rows, n))
+    before = x.copy()
+    out = apply_word(x, word, n, sign)
+    assert out.shape == (rows, n)
+    assert np.abs(out - x @ quantize_word_dense(word, n, sign)).max() <= 1e-12
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_TRAPPED_SPEC, DEFAULT_NONTRAP_SPEC])
+@pytest.mark.parametrize("quant", ["left", "weyl"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_open_operator_matches_dense_product(spec, quant, n):
+    sym = cutoff_symbol(spec) if quant == "weyl" else None
+    word = factor_sl2z(ARNOLD)
+    op = build_open_operator(ARNOLD, spec, n, quant=quant, sym=sym)
+    dense = cutoff_operator(spec, n, quant=quant, sym=sym) @ quantize_word_dense(word, n)
+    assert np.abs(op - dense).max() <= 1e-12
+    if quant == "left":
+        # row m carries the factor f(x_m) of the left symbol f(x) f(xi)
+        dead = cutoff_profile(spec)(torus_rep_array(np.arange(n) / n)) == 0
+        assert dead.any() and not dead.all()
+        assert not op[dead].any()
+        assert op[~dead].any(axis=1).all()
