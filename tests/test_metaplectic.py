@@ -223,7 +223,7 @@ BENCHMARK_MAPS = [CatMap(2, 1, 1, 1), CatMap(1, 1, 1, 2), CatMap(2, -1, -1, 1),
 
 @pytest.mark.parametrize("m", BENCHMARK_MAPS)
 @pytest.mark.parametrize("n", [2, 4, 64])
-def test_quantize_word_matches_dense(m, n):
+def test_quantize_word_bitwise_matches_dense(m, n):
     word = factor_sl2z(m)
     assert np.abs(quantize_word(word, n) - quantize_word_dense(word, n)).max() <= 1e-12
 
@@ -235,7 +235,7 @@ fourier_letter = st.one_of(st.sampled_from([("S",), ("S_INV",), ("PAR",)]),
 @settings(max_examples=60, deadline=None)
 @given(word=st.lists(fourier_letter, max_size=5),
        n=st.integers(1, 16).map(lambda h: 2 * h), sign=st.sampled_from([-1, 1]))
-def test_quantize_word_matches_dense_on_random_words(word, n, sign):
+def test_quantize_word_bitwise_matches_dense_on_random_words(word, n, sign):
     fast = quantize_word(word, n, sign)
     assert fast.dtype == complex
     assert np.abs(fast - quantize_word_dense(word, n, sign)).max() <= 1e-12
