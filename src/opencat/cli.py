@@ -17,9 +17,9 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
-from .experiments import nontrapping_sweep, trapped_sweep
+from .experiments import nontrapping_rows, nontrapping_sweep, trapped_sweep
 from .metaplectic import egorov_residual, factor_sl2z, letter_matrix, quantize_word
-from .quantizer import BumpSpec, TorusSymbol, make_trapped_symbol, op_weyl
+from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -135,11 +135,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write one output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
+
+
 def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_text(path, header + "\n" + "".join(",".join(row) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------- SVG output
@@ -183,8 +189,7 @@ def write_trapped_svg(path, rows, targets) -> None:
         body += _polyline(series, _COLORS[k % len(_COLORS)])
         body += _polyline([(pad, ym(targets[k])), (w - pad, ym(targets[k]))],
                           _COLORS[k % len(_COLORS)], dashed=True)
-    with open(path, "w") as fh:
-        fh.write(_svg_document(w, h, body))
+    _write_text(path, _svg_document(w, h, body))
 
 
 def write_nontrapping_svg(path, rows) -> None:
@@ -197,23 +202,19 @@ def write_nontrapping_svg(path, rows) -> None:
     xm = _axis_map([p[0] for p in pts], pad, w - pad)
     ym = _axis_map([p[1] for p in pts], h - pad, pad)
     body = _polyline([(xm(x), ym(y)) for x, y in pts], _COLORS[0])
-    with open(path, "w") as fh:
-        fh.write(_svg_document(w, h, body))
+    _write_text(path, _svg_document(w, h, body))
 
 
 # --------------------------------------------------------------- subcommands
 
 def cmd_trapped(config: RunConfig) -> int:
     if config.out_csv is None:
-        print("config error: out_csv is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("out_csv is required")
     if config.cutoff.kind != "product_bump":
-        print("config error: trapped run needs a product_bump cutoff", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("trapped run needs a product_bump cutoff")
     if config.k_count > config.n_list[0]:
-        print(f"config error: k_count {config.k_count} exceeds the smallest N "
-              f"{config.n_list[0]}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"k_count {config.k_count} exceeds the smallest N "
+                          f"{config.n_list[0]}")
     try:
         rows, reports = trapped_sweep(
             config.matrix, config.cutoff, config.n_list,
@@ -235,22 +236,20 @@ def cmd_trapped(config: RunConfig) -> int:
 
 def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
     if config.out_csv is None:
-        print("config error: out_csv is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("out_csv is required")
     if config.cutoff.kind != "annulus_product":
-        print("config error: nontrapping run needs an annulus_product cutoff",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    radii = None
+        raise ConfigError("nontrapping run needs an annulus_product cutoff")
     if synthetic_h2:
-        radii = [(1.0 / (2.0 * math.pi * n)) ** 2 for n in config.n_list]
-    try:
-        rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list,
-                                 quant=config.quantization, k_max=config.k_max,
-                                 grid=config.grid, radii=radii)
-    except OpenCatError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        rows = nontrapping_rows(config.n_list, [(1.0 / (2.0 * math.pi * n)) ** 2
+                                                for n in config.n_list])
+    else:
+        try:
+            rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list,
+                                     quant=config.quantization, k_max=config.k_max,
+                                     grid=config.grid)
+        except OpenCatError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
     _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev",
                ([str(r.n), _fmt(r.h), _fmt(r.top_modulus),
                  "" if math.isnan(r.slope_vs_prev) else _fmt(r.slope_vs_prev)]
@@ -262,15 +261,13 @@ def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
 
 def cmd_classical(config: RunConfig, q_max: int, radius: float | None) -> int:
     if config.out_csv is None:
-        print("config error: out_csv is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("out_csv is required")
     if radius is None:
         radius = guard_radius(analyze(config.matrix))
     try:
         report = escape_check(config.matrix, radius, q_max)
     except OpenCatError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc))
     _write_csv(config.out_csv, "q,num_orbits,min_orbit_max_norm,all_escape",
                ([str(q), str(num), _fmt(norm), str(report.all_escape).lower()]
                 for q, num, norm in report.per_q))
@@ -325,8 +322,7 @@ def _verify_checks(config: RunConfig, sign: int):
     one[1, 1] = 1.0
     defect = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
     yield "op_weyl_identity", defect < 1e-13, defect
-    _, _, bump = make_trapped_symbol(BumpSpec("product_bump", 0.10, 0.20),
-                                     k_max=config.k_max, grid=config.grid)
+    bump = cutoff_symbol(BumpSpec("product_bump", 0.10, 0.20), config.k_max, config.grid)
     a = op_weyl(bump, 64)
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
@@ -374,17 +370,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.command == "trapped":
+            return cmd_trapped(config)
+        if args.command == "nontrapping":
+            return cmd_nontrapping(config, synthetic_h2=args.synthetic_h2)
+        if args.command == "classical":
+            return cmd_classical(config, q_max=args.q_max, radius=args.radius)
+        if args.command == "verify":
+            return cmd_verify(config, flip_dft=args.debug_flip_dft)
     except ConfigError as exc:
+        # also an output path that cannot be written; the SVG is written
+        # after the CSV, so an SVG failure leaves the CSV in place
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "trapped":
-        return cmd_trapped(config)
-    if args.command == "nontrapping":
-        return cmd_nontrapping(config, synthetic_h2=args.synthetic_h2)
-    if args.command == "classical":
-        return cmd_classical(config, q_max=args.q_max, radius=args.radius)
-    if args.command == "verify":
-        return cmd_verify(config, flip_dft=args.debug_flip_dft)
     raise AssertionError("unreachable")
 
 

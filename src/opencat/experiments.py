@@ -17,8 +17,7 @@ from .catmap import CatMap, analyze
 from .eigensolver import eigenvalues, sort_by_modulus
 from .hn import planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
-from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile,
-                        make_nontrapping_symbol, make_trapped_symbol,
+from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
                         op_left_separable, op_weyl, support_guard,
                         DEFAULT_GRID, DEFAULT_K_MAX)
 
@@ -35,7 +34,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray          # modulus-sorted, full spectrum
     targets: np.ndarray              # lam^{-(2k+1)/2}, k = 0..k_count-1
     errors_modulus: np.ndarray
-    errors_real: np.ndarray
     abs_imag: np.ndarray
 
 
@@ -65,31 +63,24 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
     return lam ** (-(2.0 * np.arange(k_count) + 1.0) / 2.0)
 
 
-def cutoff_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
-                  grid: int = DEFAULT_GRID) -> TorusSymbol:
-    """Fourier-truncated symbol rho(x) rho(xi) of the cutoff, for the Weyl route."""
-    maker = make_trapped_symbol if spec.kind == "product_bump" else make_nontrapping_symbol
-    return maker(spec, k_max=k_max, grid=grid)[2]
-
-
 def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
-                    sym: TorusSymbol | None = None) -> np.ndarray:
+                    k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
     """Quantize the cutoff, by either quantization route.
 
-    The left route needs only the profile.  The Weyl route quantizes sym, the
-    cutoff_symbol a sweep builds once for all N; without it, the symbol is
-    built at the default k_max and grid.
+    The left route quantizes the profile itself and ignores k_max and grid;
+    the Weyl route quantizes cutoff_symbol(spec, k_max, grid).
     """
     if quant == "left":
         profile = cutoff_profile(spec)
         return op_left_separable(profile, profile, n)
     if quant == "weyl":
-        return op_weyl(sym if sym is not None else cutoff_symbol(spec), n)
+        return op_weyl(cutoff_symbol(spec, k_max, grid), n)
     raise ValueError(f"unknown quantization {quant!r}")
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
-                        word=None, sym: TorusSymbol | None = None) -> np.ndarray:
+                        word=None, k_max: int = DEFAULT_K_MAX,
+                        grid: int = DEFAULT_GRID) -> np.ndarray:
     """(quantized cutoff) @ (quantized map), with the map's unnormalized phase.
 
     The word is applied to the cutoff's nonzero rows only; the rows where the
@@ -103,7 +94,7 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
             "theorem is only guaranteed for small enough support", stacklevel=2)
     if word is None:
         word = factor_sl2z(m)
-    chi = cutoff_operator(spec, n, quant=quant, sym=sym)
+    chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
     live = chi.any(axis=1)
     if live.all():
         return apply_word(chi, word, n)
@@ -129,7 +120,6 @@ def spectrum_report(m: CatMap, open_op: np.ndarray, n: int,
     return SpectrumReport(
         n=n, h=planck(n).h, eigenvalues=vals, targets=targets,
         errors_modulus=np.abs(np.abs(top) - targets),
-        errors_real=np.abs(top.real - targets),
         abs_imag=np.abs(top.imag))
 
 
@@ -144,12 +134,12 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     if k_count > 8:
         raise ValueError("k_count > 8 exceeds the resolvable range at desk scale")
     rows, reports = [], []
-    sym = cutoff_symbol(spec, k_max, grid) if quant == "weyl" else None
     for n in n_list:
         log.info("trapped sweep: N = %d", n)
         # the operator is a temporary, freed before the next, larger N is built
-        report = spectrum_report(m, build_open_operator(m, spec, n, quant=quant, sym=sym),
-                                 n, k_count=k_count, normalize_phase=normalize_phase)
+        report = spectrum_report(
+            m, build_open_operator(m, spec, n, quant=quant, k_max=k_max, grid=grid),
+            n, k_count=k_count, normalize_phase=normalize_phase)
         reports.append(report)
         for k in range(k_count):
             mu = report.eigenvalues[k]
@@ -161,27 +151,31 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
 
 
 def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
-                      k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID,
-                      radii=None):
-    """Spectral radius per dimension with log-log slopes between neighbors.
-
-    radii, if given, replaces the computed spectral radii (synthetic
-    self-test hook used by the CLI).
-    """
+                      k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
+    """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ValueError("nontrapping sweep needs an annulus cutoff")
+    tops = []
+    for n in n_list:
+        log.info("nontrapping sweep: N = %d", n)
+        # the operator is a temporary, freed before the next, larger N is built
+        vals = eigenvalues(build_open_operator(m, spec, n, quant=quant,
+                                               k_max=k_max, grid=grid))
+        tops.append(float(np.abs(vals).max()))
+    return nontrapping_rows(n_list, tops)
+
+
+def nontrapping_rows(n_list, tops):
+    """Rows of a nontrapping sweep; tops[i] is the spectral radius at n_list[i].
+
+    Each row carries h and the log-log slope of the radius against h since
+    the previous dimension; the first slope, or one across a zero radius, is
+    NaN.
+    """
     rows = []
     prev = None
-    sym = cutoff_symbol(spec, k_max, grid) if quant == "weyl" and radii is None else None
-    for i, n in enumerate(n_list):
+    for n, top in zip(n_list, tops):
         h = planck(n).h
-        if radii is not None:
-            top = float(radii[i])
-        else:
-            log.info("nontrapping sweep: N = %d", n)
-            op = build_open_operator(m, spec, n, quant=quant, sym=sym)
-            vals = eigenvalues(op)
-            top = float(np.abs(vals).max())
         slope = math.nan
         if prev is not None:
             h_prev, top_prev = prev
@@ -192,10 +186,3 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
         rows.append(NontrapRow(n=n, h=h, top_modulus=top, slope_vs_prev=slope))
         prev = (h, top)
     return rows
-
-
-def phase_coherence_check(report: SpectrumReport) -> float:
-    """Largest |Im mu_k| over k >= 1 after the k = 0 phase normalization."""
-    if len(report.abs_imag) <= 1:
-        return 0.0
-    return float(report.abs_imag[1:].max())

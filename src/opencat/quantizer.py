@@ -101,26 +101,6 @@ class TorusSymbol:
         return float(np.abs(self.table - flipped).max())
 
 
-def symbol_from_function(f, k_max: int = DEFAULT_K_MAX,
-                         grid: int = DEFAULT_GRID) -> TorusSymbol:
-    """Fourier-truncate a periodic function on the torus.
-
-    f is sampled on a grid x grid uniform lattice of [0,1)^2 (f may be given
-    on the fundamental domain [-1/2,1/2)^2; sampling arguments are passed
-    through torus_rep) and transformed with an exact 2D DFT.  Aliasing is
-    bounded by f's Fourier tail beyond grid - k_max.
-    """
-    if grid < 4 * k_max:
-        raise GridTooCoarse(f"grid {grid} < 4*k_max = {4 * k_max}")
-    pts = torus_rep_array(np.arange(grid) / grid)
-    xx, yy = np.meshgrid(pts, pts, indexing="ij")
-    samples = np.asarray(f(xx, yy), dtype=complex)
-    big = np.fft.fft2(samples) / grid**2
-    kk = np.arange(-k_max, k_max + 1)
-    table = big[np.ix_(kk % grid, kk % grid)]
-    return TorusSymbol(table=np.ascontiguousarray(table), k_max=k_max)
-
-
 def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
     """Weyl quantization as a dense N x N matrix, built from its band.
 
@@ -171,26 +151,21 @@ def cutoff_profile(spec: BumpSpec):
     return lambda x: profile(spec, x)
 
 
-def make_trapped_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
-                        grid: int = DEFAULT_GRID):
-    """Cutoff equal to 1 near the origin: profiles and Weyl symbol of rho(x)rho(xi)."""
-    if spec.kind != "product_bump":
-        raise InvalidSpec("trapped cutoff needs kind='product_bump'")
-    profile = cutoff_profile(spec)
-    sym = symbol_from_function(lambda x, xi: profile(x) * profile(xi),
-                               k_max=k_max, grid=grid)
-    return profile, profile, sym
+def cutoff_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
+                  grid: int = DEFAULT_GRID) -> TorusSymbol:
+    """Fourier-truncated symbol rho(x) rho(xi) of the cutoff, for the Weyl route.
 
-
-def make_nontrapping_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
-                            grid: int = DEFAULT_GRID):
-    """Cutoff vanishing near the origin: annulus profiles and their Weyl symbol."""
-    if spec.kind != "annulus_product":
-        raise InvalidSpec("nontrapping cutoff needs kind='annulus_product'")
-    profile = cutoff_profile(spec)
-    sym = symbol_from_function(lambda x, xi: profile(x) * profile(xi),
-                               k_max=k_max, grid=grid)
-    return profile, profile, sym
+    The profile is sampled on grid uniform points of [0, 1) (through
+    torus_rep) and transformed with one length-grid DFT.  The symbol is a
+    product, so its coefficient table is the outer product of the profile's
+    coefficients with |k| <= k_max.  Aliasing is bounded by the profile's
+    Fourier tail beyond grid - k_max.
+    """
+    if grid < 4 * k_max:
+        raise GridTooCoarse(f"grid {grid} < 4*k_max = {4 * k_max}")
+    samples = cutoff_profile(spec)(torus_rep_array(np.arange(grid) / grid))
+    c = np.fft.fft(samples)[np.arange(-k_max, k_max + 1) % grid] / grid
+    return TorusSymbol(table=np.outer(c, c), k_max=k_max)
 
 
 def support_guard(spec: BumpSpec, analysis: CatMapAnalysis, c: float = 0.25):

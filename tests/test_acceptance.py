@@ -18,10 +18,10 @@ from opencat.eigensolver import (char_poly_roots, eigenvalues,
                                  multiset_distance, sort_by_modulus)
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
                                  build_open_operator, nontrapping_sweep,
-                                 phase_coherence_check, trapped_sweep)
+                                 spectrum_report, trapped_sweep)
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
                                  quantize_word, word_matrix)
-from opencat.quantizer import (TorusSymbol, make_trapped_symbol,
+from opencat.quantizer import (TorusSymbol, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -30,6 +30,20 @@ TARGETS = GOLDEN ** -(2.0 * np.arange(4) + 1.0)
 
 def report(criterion: str, ok: bool, detail: str = ""):
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'}  {detail}")
+
+
+def phase_coherence_check(rep) -> float:
+    """Largest |Im mu_k| over k >= 1 after the k = 0 phase normalization."""
+    if len(rep.abs_imag) <= 1:
+        return 0.0
+    return float(rep.abs_imag[1:].max())
+
+
+def test_phase_coherence_vacuous_and_synthetic():
+    rep = spectrum_report(ARNOLD, np.diag([0.6, 0.2, 0.1, 0.05]), 4, k_count=1)
+    assert phase_coherence_check(rep) == 0.0
+    rep4 = spectrum_report(ARNOLD, np.diag([0.6, 0.2, 0.1, 0.05]), 4, k_count=4)
+    assert phase_coherence_check(rep4) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +113,7 @@ def test_criterion_4_exactness():
     one = np.zeros((3, 3), dtype=complex)
     one[1, 1] = 1.0
     ident = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
-    _, _, bump = make_trapped_symbol(DEFAULT_TRAPPED_SPEC)
+    bump = cutoff_symbol(DEFAULT_TRAPPED_SPEC)
     a = op_weyl(bump, 128)
     herm = np.abs(a - a.conj().T).max()
     ok = unit < 1e-10 and ego < 1e-8 and ident < 1e-13 and herm < 1e-11
@@ -170,8 +184,8 @@ def test_criterion_7_word_independence():
 
 
 def test_criterion_7_left_weyl_halving_ratio():
-    f, g, sym = make_trapped_symbol(DEFAULT_TRAPPED_SPEC)
-    diff = {n: np.linalg.norm(op_left_separable(f, g, n) - op_weyl(sym, n), 2)
+    f, sym = cutoff_profile(DEFAULT_TRAPPED_SPEC), cutoff_symbol(DEFAULT_TRAPPED_SPEC)
+    diff = {n: np.linalg.norm(op_left_separable(f, f, n) - op_weyl(sym, n), 2)
             for n in (128, 256)}
     ratio = diff[128] / diff[256]
     report("7c left/weyl halving ratio", 1.3 <= ratio <= 3.0,

@@ -115,6 +115,27 @@ def test_trapped_missing_out_csv(tmp_path, capsys):
     assert "out_csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trapped", "nontrapping", "classical"])
+def test_unwritable_out_csv_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "rows.csv"
+    annulus = {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}
+    cutoff = {"cutoff": annulus} if command == "nontrapping" else {}
+    cfg = write_config(tmp_path, out_csv=str(out), **cutoff)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot write output" in err and "rows.csv" in err
+
+
+def test_unwritable_out_svg_is_config_error(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out),
+                       out_svg=str(tmp_path / "missing" / "plot.svg"))
+    assert main(["trapped", "--config", cfg]) == 2
+    assert "plot.svg" in capsys.readouterr().err
+    # the CSV is written before the plot is attempted
+    assert len(out.read_text().splitlines()) == 1 + 2 * 4
+
+
 def test_trapped_csv(tmp_path):
     out = tmp_path / "rows.csv"
     cfg = write_config(tmp_path, out_csv=str(out))

@@ -112,8 +112,8 @@ def test_similarity_invariance():
 
 
 def test_hermitian_input_real_output():
-    from opencat.quantizer import make_trapped_symbol, op_weyl
-    _, _, sym = make_trapped_symbol(DEFAULT_TRAPPED_SPEC, k_max=32, grid=256)
+    from opencat.quantizer import cutoff_symbol, op_weyl
+    sym = cutoff_symbol(DEFAULT_TRAPPED_SPEC, k_max=32, grid=256)
     vals = eigenvalues(op_weyl(sym, 64))
     assert np.abs(vals.imag).max() < 1e-10
 

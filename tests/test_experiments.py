@@ -7,8 +7,8 @@ from opencat.catmap import ARNOLD
 from opencat.eigensolver import eigenvalues, sort_by_modulus
 from opencat.errors import DegeneratePhase
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
-                                 build_open_operator, nontrapping_sweep,
-                                 phase_coherence_check, spectrum_report,
+                                 build_open_operator, nontrapping_rows,
+                                 nontrapping_sweep, spectrum_report,
                                  theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
 from opencat.metaplectic import phase_factor
@@ -69,7 +69,7 @@ def test_trapped_sweep_k_count_zero():
 def test_nontrapping_synthetic_h2():
     n_list = [64, 128, 256]
     radii = [(1.0 / (2 * math.pi * n)) ** 2 for n in n_list]
-    rows = nontrapping_sweep(ARNOLD, DEFAULT_NONTRAP_SPEC, n_list, radii=radii)
+    rows = nontrapping_rows(n_list, radii)
     assert math.isnan(rows[0].slope_vs_prev)
     assert rows[1].slope_vs_prev == pytest.approx(2.0, rel=1e-12)
     assert rows[2].slope_vs_prev == pytest.approx(2.0, rel=1e-12)
@@ -79,8 +79,7 @@ def test_nontrapping_synthetic_superpolynomial():
     # keep 1/h below ~700 so exp(-1/h) stays above the float underflow floor
     n_list = [8, 16, 32, 64]
     hs = [1.0 / (2 * math.pi * n) for n in n_list]
-    rows = nontrapping_sweep(ARNOLD, DEFAULT_NONTRAP_SPEC, n_list,
-                             radii=[math.exp(-1.0 / h) for h in hs])
+    rows = nontrapping_rows(n_list, [math.exp(-1.0 / h) for h in hs])
     slopes = [r.slope_vs_prev for r in rows[1:]]
     assert all(b > a for a, b in zip(slopes, slopes[1:]))
 
@@ -94,13 +93,6 @@ def test_nontrapping_real_small():
 def test_nontrapping_requires_annulus():
     with pytest.raises(ValueError):
         nontrapping_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [64])
-
-
-def test_phase_coherence_vacuous_and_synthetic():
-    rep = spectrum_report(ARNOLD, np.diag([0.6, 0.2, 0.1, 0.05]), 4, k_count=1)
-    assert phase_coherence_check(rep) == 0.0
-    rep4 = spectrum_report(ARNOLD, np.diag([0.6, 0.2, 0.1, 0.05]), 4, k_count=4)
-    assert phase_coherence_check(rep4) == 0.0
 
 
 def test_moduli_invariant_under_conventions():
@@ -144,18 +136,19 @@ def test_spectrum_report_phase_matches_normalized_operator():
     assert abs(rep.eigenvalues[0].imag) < 1e-15
 
 
-def test_symbol_built_only_on_weyl_route_and_once(monkeypatch):
+def test_symbol_built_only_on_weyl_route(monkeypatch):
     import opencat.experiments as experiments
     built = []
-    maker = experiments.make_trapped_symbol
+    maker = experiments.cutoff_symbol
 
-    def counted(*args, **kwargs):
-        built.append(kwargs.get("k_max"))
-        return maker(*args, **kwargs)
+    def counted(spec, k_max, grid):
+        built.append((spec, k_max, grid))
+        return maker(spec, k_max, grid)
 
-    monkeypatch.setattr(experiments, "make_trapped_symbol", counted)
+    monkeypatch.setattr(experiments, "cutoff_symbol", counted)
     trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], quant="left", k_count=2)
     assert built == []
     trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], quant="weyl", k_count=2,
                   k_max=16, grid=64)
-    assert built == [16]
+    # once per N, from the sweep's own spec, k_max and grid
+    assert built == [(DEFAULT_TRAPPED_SPEC, 16, 64)] * 2

@@ -1,4 +1,5 @@
-"""Static hygiene of the package source: no unused import, no `global`."""
+"""Static hygiene of the package source: no unused import, no `global`, no
+definition that the package itself never uses."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,34 @@ def test_no_unused_import_or_global(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used | exported(tree))
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def references(node: ast.AST) -> set:
+    """Names a node refers to, bare (f) or as an attribute (module.f)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_definition_is_used_by_the_package():
+    # A module-level function or class must be referenced from some other
+    # top-level statement of the package, or be exported; one that only the
+    # tests call belongs in the tests.
+    units, definitions, public = [], [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        public |= exported(tree)
+        for node in tree.body:
+            name = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.name, name))
+            units.append(((path.name, name), references(node)))
+    unused = sorted(f"{module}:{name}" for module, name in definitions
+                    if name not in public
+                    and not any(name in refs for key, refs in units
+                                if key != (module, name)))
+    assert not unused, f"defined but never used in src/opencat: {unused}"

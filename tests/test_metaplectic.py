@@ -12,7 +12,7 @@ from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_res
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
-                                 build_open_operator, cutoff_operator, cutoff_symbol)
+                                 build_open_operator, cutoff_operator)
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
 
@@ -217,6 +217,20 @@ def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
         assert res >= 1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4), n=st.sampled_from([32, 48, 64]))
+def test_word_independent_moduli_on_random_hyperbolic_maps(word, n):
+    mat = word_matrix(word)
+    m = CatMap(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
+    assume(abs(m.a + m.d) > 2)
+    # the drawn shear word and the factorization's word quantize the same
+    # map up to a global phase, which leaves the moduli unchanged
+    moduli = [np.abs(sort_by_modulus(eigenvalues(
+        build_open_operator(m, DEFAULT_TRAPPED_SPEC, n, word=w)))[:4])
+        for w in (word, None)]
+    assert np.abs(moduli[0] - moduli[1]).max() < 1e-8
+
+
 BENCHMARK_MAPS = [CatMap(2, 1, 1, 1), CatMap(1, 1, 1, 2), CatMap(2, -1, -1, 1),
                   CatMap(1, -1, -1, 2)]
 
@@ -262,10 +276,9 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
 @pytest.mark.parametrize("quant", ["left", "weyl"])
 @pytest.mark.parametrize("n", [64, 128])
 def test_open_operator_matches_dense_product(spec, quant, n):
-    sym = cutoff_symbol(spec) if quant == "weyl" else None
     word = factor_sl2z(ARNOLD)
-    op = build_open_operator(ARNOLD, spec, n, quant=quant, sym=sym)
-    dense = cutoff_operator(spec, n, quant=quant, sym=sym) @ quantize_word_dense(word, n)
+    op = build_open_operator(ARNOLD, spec, n, quant=quant)
+    dense = cutoff_operator(spec, n, quant=quant) @ quantize_word_dense(word, n)
     assert np.abs(op - dense).max() <= 1e-12
     if quant == "left":
         # row m carries the factor f(x_m) of the left symbol f(x) f(xi)

@@ -6,12 +6,31 @@ import pytest
 
 from opencat.catmap import ARNOLD, analyze
 from opencat.errors import GridTooCoarse, InvalidSpec
+from opencat.hn import torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
-                               bump_profile, make_nontrapping_symbol,
-                               make_trapped_symbol, op_left_separable, op_weyl,
-                               support_guard, symbol_from_function)
+                               bump_profile, cutoff_profile, cutoff_symbol,
+                               op_left_separable, op_weyl, support_guard)
 
 SPEC = BumpSpec("product_bump", 0.10, 0.20)
+
+
+def symbol_from_function(f, k_max, grid):
+    """Reference Fourier truncation of a periodic function on the torus.
+
+    f is sampled on a grid x grid uniform lattice of [0,1)^2 (f may be given
+    on the fundamental domain [-1/2,1/2)^2; sampling arguments are passed
+    through torus_rep) and transformed with an exact 2D DFT.  Aliasing is
+    bounded by f's Fourier tail beyond grid - k_max.
+    """
+    if grid < 4 * k_max:
+        raise GridTooCoarse(f"grid {grid} < 4*k_max = {4 * k_max}")
+    pts = torus_rep_array(np.arange(grid) / grid)
+    xx, yy = np.meshgrid(pts, pts, indexing="ij")
+    samples = np.asarray(f(xx, yy), dtype=complex)
+    big = np.fft.fft2(samples) / grid**2
+    kk = np.arange(-k_max, k_max + 1)
+    table = big[np.ix_(kk % grid, kk % grid)]
+    return TorusSymbol(table=np.ascontiguousarray(table), k_max=k_max)
 
 
 def op_weyl_dense(sym, n):
@@ -99,10 +118,32 @@ def test_symbol_cosine():
 def test_symbol_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         symbol_from_function(lambda x, xi: x, k_max=16, grid=32)
+    with pytest.raises(GridTooCoarse):
+        cutoff_symbol(SPEC, k_max=16, grid=63)
+
+
+@st.composite
+def cutoff_specs(draw):
+    kind = draw(st.sampled_from(["product_bump", "annulus_product"]))
+    # an annulus needs 2 r_outer < 1/2
+    r_outer = draw(st.floats(0.02, 0.49 if kind == "product_bump" else 0.249))
+    r_inner = r_outer * draw(st.floats(0.05, 0.95))
+    return BumpSpec(kind, r_inner, r_outer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=cutoff_specs(), k_max=st.integers(1, 48), data=st.data())
+def test_cutoff_symbol_matches_2d_oracle(spec, k_max, data):
+    grid = data.draw(st.integers(4 * k_max, 512), label="grid")
+    p = cutoff_profile(spec)
+    oracle = symbol_from_function(lambda x, xi: p(x) * p(xi), k_max, grid)
+    sym = cutoff_symbol(spec, k_max, grid)
+    assert sym.k_max == k_max
+    assert np.abs(sym.table - oracle.table).max() <= 1e-15
 
 
 def test_bump_symbol_tail_below_tolerance():
-    _, _, sym = make_trapped_symbol(SPEC, k_max=40, grid=256)
+    sym = cutoff_symbol(SPEC, k_max=40, grid=256)
     shell = np.concatenate([np.abs(sym.table[0]), np.abs(sym.table[-1]),
                             np.abs(sym.table[:, 0]), np.abs(sym.table[:, -1])])
     assert shell.max() < 1e-10
@@ -110,7 +151,7 @@ def test_bump_symbol_tail_below_tolerance():
 
 def test_trapped_symbol_values_and_reality():
     # k_max = 32 truncates the bump's Fourier tail at the ~1e-3 level
-    f, g, sym = make_trapped_symbol(SPEC, k_max=32, grid=256)
+    sym = cutoff_symbol(SPEC, k_max=32, grid=256)
     assert sym.value(0.0, 0.0).real == pytest.approx(1.0, abs=2e-3)
     assert abs(sym.value(0.4, 0.0)) < 2e-3
     assert sym.hermitian_defect() < 1e-12
@@ -119,12 +160,13 @@ def test_trapped_symbol_values_and_reality():
 
 def test_nontrapping_symbol_profile():
     spec = BumpSpec("annulus_product", 0.15, 0.24)
-    f, g, sym = make_nontrapping_symbol(spec, k_max=32, grid=256)
+    f = cutoff_profile(spec)
+    sym = cutoff_symbol(spec, k_max=32, grid=256)
     assert f(0.0) == 0.0
     assert f(0.30) == 0.0
     assert sym.hermitian_defect() < 1e-12
-    with pytest.raises(InvalidSpec):
-        make_nontrapping_symbol(SPEC)
+    # the annulus, not the bump, vanishes at the origin
+    assert abs(sym.value(0.0, 0.0)) < 2e-3
 
 
 def test_op_weyl_identity():
@@ -161,7 +203,7 @@ def test_op_weyl_linear():
 
 
 def test_op_weyl_hermitian_for_real_bump():
-    _, _, sym = make_trapped_symbol(SPEC, k_max=32, grid=256)
+    sym = cutoff_symbol(SPEC, k_max=32, grid=256)
     a = op_weyl(sym, 64)
     assert np.abs(a - a.conj().T).max() < 1e-11
 
@@ -183,7 +225,7 @@ def test_op_weyl_band_matches_dense(kmax, n, seed):
 def test_op_weyl_band_matches_dense_annulus(n):
     # the default cutoff has k_max = 48: N = 96 folds two offsets onto one
     # diagonal, N = 97 is the first dimension where all 97 are distinct
-    _, _, sym = make_nontrapping_symbol(BumpSpec("annulus_product", 0.15, 0.24))
+    sym = cutoff_symbol(BumpSpec("annulus_product", 0.15, 0.24))
     assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() < 1e-14
 
 
@@ -209,8 +251,8 @@ def test_disjoint_supports_shrink():
 
 
 def test_left_weyl_consistency_first_order():
-    f, g, sym = make_trapped_symbol(SPEC)
-    diff = {n: np.linalg.norm(op_left_separable(f, g, n) - op_weyl(sym, n), 2)
+    f, sym = cutoff_profile(SPEC), cutoff_symbol(SPEC)
+    diff = {n: np.linalg.norm(op_left_separable(f, f, n) - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
 
