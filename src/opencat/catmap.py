@@ -41,9 +41,6 @@ class CatMap:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "CatMap":
-        return CatMap(self.d, -self.b, -self.c, self.a)
-
 
 ARNOLD = CatMap(2, 1, 1, 1)
 
@@ -118,12 +115,6 @@ class RationalPoint:
             raise ValueError("denominator must be positive")
         object.__setattr__(self, "x_num", self.x_num % self.q)
         object.__setattr__(self, "y_num", self.y_num % self.q)
-
-    def torus_norm(self) -> float:
-        """Euclidean distance to 0 with coordinates represented in [-1/2, 1/2)."""
-        mx = min(self.x_num, self.q - self.x_num) if self.x_num else 0
-        my = min(self.y_num, self.q - self.y_num) if self.y_num else 0
-        return math.hypot(mx, my) / self.q
 
 
 def iterate_mod_q(m: CatMap, p: RationalPoint) -> RationalPoint:

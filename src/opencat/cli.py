@@ -17,9 +17,11 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
-from .experiments import nontrapping_rows, nontrapping_sweep, trapped_sweep
+from .experiments import (nontrapping_rows, nontrapping_sweep, theorem_targets,
+                          trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, letter_matrix, quantize_word
-from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
+from .quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_weyl,
+                        DEFAULT_GRID, DEFAULT_K_MAX)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -40,14 +42,14 @@ class RunConfig:
     matrix: CatMap
     n_list: list
     cutoff: BumpSpec
-    quantization: str = "left"
-    phase: str = "leading"
-    k_count: int = 4
-    k_max: int = 48
-    grid: int = 512
-    out_csv: str | None = None
-    out_svg: str | None = None
-    seed: int = 0
+    quantization: str
+    phase: str
+    k_count: int
+    k_max: int
+    grid: int
+    out_csv: str | None
+    out_svg: str | None
+    seed: int
 
 
 def load_config(path: str) -> RunConfig:
@@ -116,10 +118,10 @@ def parse_config(raw: dict) -> RunConfig:
     if not 1 <= k_count <= 8:
         raise ConfigError("k_count must be in 1..8; higher modes are not "
                           "resolvable at desk scale")
-    k_max = _integer(raw.get("k_max", 48), "k_max")
+    k_max = _integer(raw.get("k_max", DEFAULT_K_MAX), "k_max")
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    grid = _integer(raw.get("grid", 512), "grid")
+    grid = _integer(raw.get("grid", DEFAULT_GRID), "grid")
     if grid < 4 * k_max:
         raise ConfigError("grid must be >= 4 * k_max")
     for key in ("out_csv", "out_svg"):
@@ -215,22 +217,17 @@ def cmd_trapped(config: RunConfig) -> int:
     if config.k_count > config.n_list[0]:
         raise ConfigError(f"k_count {config.k_count} exceeds the smallest N "
                           f"{config.n_list[0]}")
-    try:
-        rows, reports = trapped_sweep(
-            config.matrix, config.cutoff, config.n_list,
-            quant=config.quantization, k_count=config.k_count,
-            normalize_phase=config.phase == "leading", k_max=config.k_max,
-            grid=config.grid)
-    except OpenCatError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
+                         quant=config.quantization, k_count=config.k_count,
+                         normalize_phase=config.phase == "leading",
+                         k_max=config.k_max, grid=config.grid)
     _write_csv(config.out_csv, "N,h,k,re,im,modulus,target,abs_err",
                ([str(r.n), _fmt(r.h), str(r.k), _fmt(r.re), _fmt(r.im),
                  _fmt(r.modulus), _fmt(r.target), _fmt(r.abs_err)]
                 for r in rows))
     if config.out_svg:
-        targets = reports[0].targets if reports else []
-        write_trapped_svg(config.out_svg, rows, targets)
+        write_trapped_svg(config.out_svg, rows,
+                          theorem_targets(config.matrix, config.k_count))
     return EXIT_OK
 
 
@@ -240,16 +237,12 @@ def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
     if config.cutoff.kind != "annulus_product":
         raise ConfigError("nontrapping run needs an annulus_product cutoff")
     if synthetic_h2:
-        rows = nontrapping_rows(config.n_list, [(1.0 / (2.0 * math.pi * n)) ** 2
-                                                for n in config.n_list])
+        rows = nontrapping_rows(config.n_list,
+                                [hn.planck(n).h ** 2 for n in config.n_list])
     else:
-        try:
-            rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list,
-                                     quant=config.quantization, k_max=config.k_max,
-                                     grid=config.grid)
-        except OpenCatError as exc:
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list,
+                                 quant=config.quantization, k_max=config.k_max,
+                                 grid=config.grid)
     _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev",
                ([str(r.n), _fmt(r.h), _fmt(r.top_modulus),
                  "" if math.isnan(r.slope_vs_prev) else _fmt(r.slope_vs_prev)]
@@ -312,9 +305,8 @@ def _verify_checks(config: RunConfig, sign: int):
         t[1 + k_mode, 1 + l_mode] = 1.0
         modes.append(TorusSymbol(t, 1))
     for letter in (("S",), ("S_INV",), ("U", 1), ("L", 1)):
-        g = letter_matrix(letter)
-        gm = CatMap(int(g[0, 0]), int(g[0, 1]), int(g[1, 0]), int(g[1, 1]))
-        res = max(egorov_residual(gm, mode, 32, word=[letter], sign=sign)
+        res = max(egorov_residual(letter_matrix(letter), mode, 32, word=[letter],
+                                  sign=sign)
                   for mode in modes)
         name = letter[0] if len(letter) == 1 else f"{letter[0]}{letter[1]}"
         yield f"egorov_gen_{name}", res < 1e-8, res
@@ -383,6 +375,10 @@ def main(argv=None) -> int:
         # after the CSV, so an SVG failure leaves the CSV in place
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OpenCatError as exc:
+        # the sweeps raise before the CSV is written, so none is left behind
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     raise AssertionError("unreachable")
 
 

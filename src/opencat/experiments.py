@@ -28,16 +28,6 @@ DEFAULT_NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
 
 
 @dataclass
-class SpectrumReport:
-    n: int
-    h: float
-    eigenvalues: np.ndarray          # modulus-sorted, full spectrum
-    targets: np.ndarray              # lam^{-(2k+1)/2}, k = 0..k_count-1
-    errors_modulus: np.ndarray
-    abs_imag: np.ndarray
-
-
-@dataclass
 class SweepRow:
     n: int
     h: float
@@ -86,12 +76,6 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     The word is applied to the cutoff's nonzero rows only; the rows where the
     cutoff vanishes stay exact zeros, so the result is still N x N.
     """
-    guard = support_guard(spec, analyze(m))
-    if not guard["ok"]:
-        warnings.warn(
-            f"cutoff support radius {guard['support_radius']:.4f} exceeds the "
-            f"guard limit {guard['radius_limit']:.4f}; the trapped-limit "
-            "theorem is only guaranteed for small enough support", stacklevel=2)
     if word is None:
         word = factor_sl2z(m)
     chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
@@ -103,51 +87,46 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     return chi
 
 
-def spectrum_report(m: CatMap, open_op: np.ndarray, n: int,
-                    k_count: int = 4, normalize_phase: bool = False) -> SpectrumReport:
-    """Diagonalize the open operator once; optionally phase-normalize the eigenvalues.
-
-    The global phase of the quantized map is a convention.  normalize_phase
-    fixes it by rotating the eigenvalues with phase_factor, so the
-    largest-modulus one is real and positive; the moduli do not change.
-    """
-    vals = eigenvalues(open_op)
-    if normalize_phase:
-        vals = vals * phase_factor(vals)
-    vals = sort_by_modulus(vals)
-    targets = theorem_targets(m, k_count)
-    top = vals[:k_count]
-    return SpectrumReport(
-        n=n, h=planck(n).h, eigenvalues=vals, targets=targets,
-        errors_modulus=np.abs(np.abs(top) - targets),
-        abs_imag=np.abs(top.imag))
+def _open_spectra(m: CatMap, spec: BumpSpec, n_list, quant, k_max, grid):
+    """Yield (N, eigenvalues of the open operator) for each N of a sweep, unordered."""
+    for n in n_list:
+        log.info("open operator spectrum: N = %d", n)
+        # the operator is a temporary, freed before the next, larger N is built
+        yield n, eigenvalues(build_open_operator(m, spec, n, quant=quant,
+                                                 k_max=k_max, grid=grid))
 
 
 def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
                   k_count: int = 4, normalize_phase: bool = True,
                   k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
-    """Top-k eigenvalues against the theorem targets, per dimension.
+    """Top-k eigenvalues against the theorem targets, as SweepRows in (N, k) order.
 
-    Returns (rows, reports): SweepRow records in (N, k) order and one
-    SpectrumReport per dimension.
+    The global phase of the quantized map is a convention.  normalize_phase
+    fixes it by rotating each N's eigenvalues with phase_factor, so the
+    largest-modulus one is real and positive; the moduli do not change.  A
+    cutoff outside the support guard warns once per sweep, not once per N.
     """
     if k_count > 8:
         raise ValueError("k_count > 8 exceeds the resolvable range at desk scale")
-    rows, reports = [], []
-    for n in n_list:
-        log.info("trapped sweep: N = %d", n)
-        # the operator is a temporary, freed before the next, larger N is built
-        report = spectrum_report(
-            m, build_open_operator(m, spec, n, quant=quant, k_max=k_max, grid=grid),
-            n, k_count=k_count, normalize_phase=normalize_phase)
-        reports.append(report)
-        for k in range(k_count):
-            mu = report.eigenvalues[k]
-            rows.append(SweepRow(
-                n=n, h=report.h, k=k, re=float(mu.real), im=float(mu.imag),
-                modulus=float(abs(mu)), target=float(report.targets[k]),
-                abs_err=float(report.errors_modulus[k])))
-    return rows, reports
+    guard = support_guard(spec, analyze(m))
+    if not guard["ok"]:
+        warnings.warn(
+            f"cutoff support radius {guard['support_radius']:.4f} exceeds the "
+            f"guard limit {guard['radius_limit']:.4f}; the trapped-limit "
+            "theorem is only guaranteed for small enough support", stacklevel=2)
+    targets = theorem_targets(m, k_count)
+    rows = []
+    for n, vals in _open_spectra(m, spec, n_list, quant, k_max, grid):
+        if normalize_phase:
+            vals = vals * phase_factor(vals)
+        top = sort_by_modulus(vals)[:k_count]
+        errors = np.abs(np.abs(top) - targets)
+        h = planck(n).h
+        rows += [SweepRow(n=n, h=h, k=k, re=float(mu.real), im=float(mu.imag),
+                          modulus=float(abs(mu)), target=float(targets[k]),
+                          abs_err=float(errors[k]))
+                 for k, mu in enumerate(top)]
+    return rows
 
 
 def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
@@ -155,13 +134,8 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ValueError("nontrapping sweep needs an annulus cutoff")
-    tops = []
-    for n in n_list:
-        log.info("nontrapping sweep: N = %d", n)
-        # the operator is a temporary, freed before the next, larger N is built
-        vals = eigenvalues(build_open_operator(m, spec, n, quant=quant,
-                                               k_max=k_max, grid=grid))
-        tops.append(float(np.abs(vals).max()))
+    tops = [float(np.abs(vals).max())
+            for _, vals in _open_spectra(m, spec, n_list, quant, k_max, grid)]
     return nontrapping_rows(n_list, tops)
 
 

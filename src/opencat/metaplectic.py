@@ -28,23 +28,24 @@ OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
 
 
 # Letters are tuples: ("S",), ("S_INV",), ("U", b), ("L", c), ("PAR",)
-def letter_matrix(letter) -> np.ndarray:
+def letter_matrix(letter) -> CatMap:
     kind = letter[0]
     if kind == "S":
-        return np.array([[0, -1], [1, 0]], dtype=object)
+        return CatMap(0, -1, 1, 0)
     if kind == "S_INV":
-        return np.array([[0, 1], [-1, 0]], dtype=object)
+        return CatMap(0, 1, -1, 0)
     if kind == "U":
-        return np.array([[1, letter[1]], [0, 1]], dtype=object)
+        return CatMap(1, letter[1], 0, 1)
     if kind == "L":
-        return np.array([[1, 0], [letter[1], 1]], dtype=object)
+        return CatMap(1, 0, letter[1], 1)
     if kind == "PAR":
-        return np.array([[-1, 0], [0, -1]], dtype=object)
+        return CatMap(-1, 0, 0, -1)
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def word_matrix(word) -> np.ndarray:
-    prod = np.eye(2, dtype=object)
+def word_matrix(word) -> CatMap:
+    """Ordered product of the word's letters; the empty word is the identity."""
+    prod = CatMap(1, 0, 0, 1)
     for letter in word:
         prod = prod @ letter_matrix(letter)
     return prod
@@ -77,9 +78,7 @@ def factor_sl2z(m: CatMap) -> list:
         tail = [("PAR",)] + ([("U", -b)] if b != 0 else [])
     inverses = {"S": lambda g: ("S_INV",), "U": lambda g: ("U", -g[1])}
     word = [inverses[g[0]](g) for g in applied] + tail
-    check = word_matrix(word) if word else np.eye(2, dtype=object)
-    target = np.array([[m.a, m.b], [m.c, m.d]], dtype=object)
-    assert (check == target).all(), f"factorization failed for {m}"
+    assert word_matrix(word) == m, f"factorization failed for {m}"
     return word
 
 

@@ -83,23 +83,6 @@ class TorusSymbol:
             raise ValueError(f"table shape {self.table.shape}, expected ({kk}, {kk})")
         self.table.setflags(write=False)
 
-    def coeff(self, k: int, l: int) -> complex:
-        if abs(k) > self.k_max or abs(l) > self.k_max:
-            return 0.0 + 0.0j
-        return complex(self.table[k + self.k_max, l + self.k_max])
-
-    def value(self, x: float, xi: float) -> complex:
-        """Evaluate the truncated series at a phase-space point."""
-        k = np.arange(-self.k_max, self.k_max + 1)
-        ex = np.exp(2j * np.pi * k * x)
-        exi = np.exp(2j * np.pi * k * xi)
-        return complex(ex @ self.table @ exi)
-
-    def hermitian_defect(self) -> float:
-        """Max deviation from coeff(-k,-l) = conj(coeff(k,l)); 0 for real symbols."""
-        flipped = self.table[::-1, ::-1].conj()
-        return float(np.abs(self.table - flipped).max())
-
 
 def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
     """Weyl quantization as a dense N x N matrix, built from its band.

@@ -109,6 +109,30 @@ def test_trapped_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_nontrapping_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    out = tmp_path / "nt.csv"
+    cfg = write_config(tmp_path, out_csv=str(out),
+                       cutoff={"kind": "annulus_product", "r_inner": 0.15,
+                               "r_outer": 0.24})
+    assert main(["nontrapping", "--config", cfg]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    cfg = write_config(tmp_path)
+    assert main(["verify", "--config", cfg]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_trapped_missing_out_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["trapped", "--config", cfg]) == 2

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import opencat.experiments as experiments
 from opencat.catmap import ARNOLD
 from opencat.eigensolver import eigenvalues, sort_by_modulus
 from opencat.errors import DegeneratePhase
 from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
                                  build_open_operator, nontrapping_rows,
-                                 nontrapping_sweep, spectrum_report,
-                                 theorem_targets, trapped_sweep)
+                                 nontrapping_sweep, theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
 from opencat.metaplectic import phase_factor
 from opencat.quantizer import cutoff_profile
@@ -34,35 +35,50 @@ def test_open_operator_with_unit_cutoff_is_unitary():
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
 
-def test_open_operator_warns_outside_guard():
-    with pytest.warns(UserWarning):
-        build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, 32)
+def guard_warnings(sweep, *args, **kwargs):
+    """The support-guard UserWarnings a sweep emits, none hidden by filters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(*args, **kwargs)
+    return [w for w in caught if w.category is UserWarning
+            and str(w.message).startswith("cutoff support radius")]
 
 
-def test_degenerate_phase():
+def test_guard_warns_once_per_trapped_sweep_only():
+    # both default specs are outside the guard (support radius > 0.0955)
+    assert len(guard_warnings(trapped_sweep, ARNOLD, DEFAULT_TRAPPED_SPEC,
+                              [16, 32, 64], k_count=2)) == 1
+    assert guard_warnings(nontrapping_sweep, ARNOLD, DEFAULT_NONTRAP_SPEC,
+                          [16, 32, 64]) == []
+
+
+def test_degenerate_phase(monkeypatch):
+    monkeypatch.setattr(experiments, "build_open_operator",
+                        lambda *args, **kwargs: np.zeros((16, 16)))
     with pytest.raises(DegeneratePhase):
-        spectrum_report(ARNOLD, np.zeros((16, 16)), 16, normalize_phase=True)
+        trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [16], normalize_phase=True)
+    # without the phase rule a zero spectrum is a valid result
+    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [16], normalize_phase=False)
+    assert [r.modulus for r in rows] == [0.0] * 4
 
 
-def test_trapped_sweep_rows_and_report():
-    rows, reports = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [64, 128],
-                                  k_count=3)
+def test_trapped_sweep_rows():
+    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [64, 128], k_count=3)
     assert len(rows) == 6
     assert [(r.n, r.k) for r in rows] == [(64, 0), (64, 1), (64, 2),
                                           (128, 0), (128, 1), (128, 2)]
     for r in rows:
         assert r.h == pytest.approx(1.0 / (2 * math.pi * r.n), rel=1e-14)
         assert r.abs_err == pytest.approx(abs(r.modulus - r.target), abs=1e-14)
-    rep = reports[-1]
-    assert len(rep.eigenvalues) == 128
-    assert (np.diff(rep.targets) < 0).all()
+    assert [r.target for r in rows[3:]] == list(theorem_targets(ARNOLD, 3))
+    assert rows[3].target > rows[4].target > rows[5].target
     # leading eigenvalue already close at N = 128
     assert rows[3].abs_err < 1e-2
 
 
 def test_trapped_sweep_k_count_zero():
-    rows, reports = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32], k_count=0,
-                                  normalize_phase=False)
+    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32], k_count=0,
+                         normalize_phase=False)
     assert rows == []
 
 
@@ -97,12 +113,12 @@ def test_nontrapping_requires_annulus():
 
 def test_moduli_invariant_under_conventions():
     n = 64
-    plain = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n)
-    base, normed = (np.abs(spectrum_report(ARNOLD, plain, n, normalize_phase=flag)
-                           .eigenvalues[:4]) for flag in (False, True))
+    base, normed = (np.array([r.modulus for r in trapped_sweep(
+        ARNOLD, DEFAULT_TRAPPED_SPEC, [n], normalize_phase=flag)])
+        for flag in (False, True))
     word2 = [("U", 1), ("L", 1)]
-    other = np.abs(spectrum_report(ARNOLD, build_open_operator(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, n, word=word2), n).eigenvalues[:4])
+    other = np.abs(sort_by_modulus(eigenvalues(build_open_operator(
+        ARNOLD, DEFAULT_TRAPPED_SPEC, n, word=word2)))[:4])
     assert np.abs(base - normed).max() < 1e-9
     assert np.abs(base - other).max() < 1e-9
 
@@ -125,19 +141,19 @@ def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
     assert calls == live
 
 
-def test_spectrum_report_phase_matches_normalized_operator():
+def test_trapped_sweep_phase_matches_normalized_operator():
     n = 64
     plain = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n)
     normed = plain * phase_factor(eigenvalues(plain))
-    rep = spectrum_report(ARNOLD, plain, n, normalize_phase=True)
+    top = np.array([complex(r.re, r.im) for r in trapped_sweep(
+        ARNOLD, DEFAULT_TRAPPED_SPEC, [n], normalize_phase=True)])
     expect = sort_by_modulus(np.linalg.eigvals(normed))
-    assert np.abs(rep.eigenvalues[:4] - expect[:4]).max() < 1e-9
-    assert rep.eigenvalues[0].real > 0
-    assert abs(rep.eigenvalues[0].imag) < 1e-15
+    assert np.abs(top - expect[:4]).max() < 1e-9
+    assert top[0].real > 0
+    assert abs(top[0].imag) < 1e-15
 
 
 def test_symbol_built_only_on_weyl_route(monkeypatch):
-    import opencat.experiments as experiments
     built = []
     maker = experiments.cutoff_symbol
 

@@ -63,3 +63,25 @@ def test_every_definition_is_used_by_the_package():
                     and not any(name in refs for key, refs in units
                                 if key != (module, name)))
     assert not unused, f"defined but never used in src/opencat: {unused}"
+
+
+def test_every_method_is_used_by_the_package():
+    # A method other than a dunder must be read as an attribute (obj.method)
+    # somewhere in the package outside its own body; a recursive call does
+    # not count.  One that only the tests call belongs in the tests.
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+             for path in SOURCES]
+    attributes = [node for _, tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    unused = []
+    for module, tree in trees:
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name.startswith("__") and method.name.endswith("__")):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if not any(node.attr == method.name and id(node) not in own
+                           for node in attributes):
+                    unused.append(f"{module}:{cls.name}.{method.name}")
+    assert not unused, f"methods never used in src/opencat: {sorted(unused)}"
