@@ -238,7 +238,7 @@ def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
         raise ConfigError("nontrapping run needs an annulus_product cutoff")
     if synthetic_h2:
         rows = nontrapping_rows(config.n_list,
-                                [hn.planck(n).h ** 2 for n in config.n_list])
+                                [hn.planck(n) ** 2 for n in config.n_list])
     else:
         rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list,
                                  quant=config.quantization, k_max=config.k_max,

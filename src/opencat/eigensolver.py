@@ -2,8 +2,7 @@
 
 The production path, eigenvalues(), wraps LAPACK's geev driver (balancing,
 Householder reduction to Hessenberg form, shifted QR with deflation) through
-numpy on the block left after exactly zero rows (and their columns) are
-split off, and returns the plain array of eigenvalues; non-finite input and a
+numpy and returns the plain array of eigenvalues; non-finite input and a
 LAPACK failure raise instead of yielding a partial spectrum.  The oracle
 path, for small matrices, is entirely separate: characteristic polynomial by
 the Faddeev-LeVerrier recurrence, roots by Durand-Kerner iteration.  The two
@@ -20,23 +19,16 @@ ORACLE_MAX_DIM = 8
 def eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense complex matrix, unordered.
 
-    Rows that are exactly zero are split off first.  With them permuted last
-    the matrix is block upper triangular, [[A_LL, A_LD], [0, 0]], so its
-    spectrum is that of the live block A_LL plus one exact zero per dead row;
-    LAPACK runs on A_LL alone.  A LAPACK failure raises EigensolverFailed; no
-    partial spectrum is returned.
+    A LAPACK failure raises EigensolverFailed; no partial spectrum is returned.
     """
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains NaN or Inf")
-    live = a.any(axis=1)
-    block = a if live.all() else a[np.ix_(live, live)]
     try:
-        vals = np.linalg.eigvals(block)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverFailed(f"eigvals failed on a {block.shape[0]}x{block.shape[0]} "
+        raise EigensolverFailed(f"eigvals failed on a {a.shape[0]}x{a.shape[0]} "
                                 f"matrix: {exc}") from exc
-    return np.concatenate([vals, np.zeros(a.shape[0] - block.shape[0], dtype=complex)])
 
 
 def char_poly_coeffs(a: np.ndarray) -> np.ndarray:

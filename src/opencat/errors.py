@@ -41,10 +41,6 @@ class DegeneratePhase(OpenCatError):
     """Leading eigenvalue too small to fix the global phase."""
 
 
-class TruncationOverflow(OpenCatError):
-    """Composed symbol modes exceed the coefficient table capacity."""
-
-
 class NonFinite(OpenCatError):
     """Matrix contains NaN or Inf entries."""
 

@@ -23,9 +23,6 @@ from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
-DEFAULT_NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
-
 
 @dataclass
 class SweepRow:
@@ -54,46 +51,53 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
 
 
 def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
-                    k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
-    """Quantize the cutoff, by either quantization route.
+                    k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
+    """Quantize the cutoff, by either quantization route, as (live, rows).
 
-    The left route quantizes the profile itself and ignores k_max and grid;
-    the Weyl route quantizes cutoff_symbol(spec, k_max, grid).
+    rows holds the rows of the N x N operator that live indexes; the others
+    are exactly zero.  The left route quantizes the profile itself, keeps the
+    rows where it is nonzero and ignores k_max and grid; the Weyl route
+    quantizes cutoff_symbol(spec, k_max, grid) and keeps every row.
     """
     if quant == "left":
         profile = cutoff_profile(spec)
         return op_left_separable(profile, profile, n)
     if quant == "weyl":
-        return op_weyl(cutoff_symbol(spec, k_max, grid), n)
+        return slice(None), op_weyl(cutoff_symbol(spec, k_max, grid), n)
     raise ValueError(f"unknown quantization {quant!r}")
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
                         word=None, k_max: int = DEFAULT_K_MAX,
-                        grid: int = DEFAULT_GRID) -> np.ndarray:
-    """(quantized cutoff) @ (quantized map), with the map's unnormalized phase.
+                        grid: int = DEFAULT_GRID):
+    """(quantized cutoff) @ (quantized map) as (live, rows), unnormalized phase.
 
-    The word is applied to the cutoff's nonzero rows only; the rows where the
-    cutoff vanishes stay exact zeros, so the result is still N x N.
+    The cutoff's rows outside live are zero, and so are the product's; the
+    word is applied to the cutoff's live rows only.
     """
     if word is None:
         word = factor_sl2z(m)
-    chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
-    live = chi.any(axis=1)
-    if live.all():
-        return apply_word(chi, word, n)
-    # chi's dead rows are already the zeros the product has there
-    chi[live] = apply_word(chi[live], word, n)
-    return chi
+    live, chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
+    return live, apply_word(chi, word, n)
 
 
-def _open_spectra(m: CatMap, spec: BumpSpec, n_list, quant, k_max, grid):
-    """Yield (N, eigenvalues of the open operator) for each N of a sweep, unordered."""
-    for n in n_list:
-        log.info("open operator spectrum: N = %d", n)
-        # the operator is a temporary, freed before the next, larger N is built
-        yield n, eigenvalues(build_open_operator(m, spec, n, quant=quant,
-                                                 k_max=k_max, grid=grid))
+def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
+                  word=None, k_max: int = DEFAULT_K_MAX,
+                  grid: int = DEFAULT_GRID) -> np.ndarray:
+    """All N eigenvalues of the open operator, unordered.
+
+    With its dead rows permuted last the operator is block upper triangular,
+    [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL
+    plus one exact zero per dead row; only B_LL is diagonalized.  A NaN in a
+    live row of the cutoff still reaches B_LL: every hyperbolic word has a
+    Fourier letter, which spreads it along the row.  The operator is freed on
+    return, before a sweep builds the next, larger N.
+    """
+    log.info("open operator spectrum: N = %d", n)
+    live, rows = build_open_operator(m, spec, n, quant=quant, word=word,
+                                     k_max=k_max, grid=grid)
+    vals = eigenvalues(rows[:, live])
+    return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
 
 def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
@@ -116,15 +120,15 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
             "theorem is only guaranteed for small enough support", stacklevel=2)
     targets = theorem_targets(m, k_count)
     rows = []
-    for n, vals in _open_spectra(m, spec, n_list, quant, k_max, grid):
+    for n in n_list:
+        vals = open_spectrum(m, spec, n, quant=quant, k_max=k_max, grid=grid)
         if normalize_phase:
             vals = vals * phase_factor(vals)
         top = sort_by_modulus(vals)[:k_count]
         errors = np.abs(np.abs(top) - targets)
-        h = planck(n).h
-        rows += [SweepRow(n=n, h=h, k=k, re=float(mu.real), im=float(mu.imag),
-                          modulus=float(abs(mu)), target=float(targets[k]),
-                          abs_err=float(errors[k]))
+        rows += [SweepRow(n=n, h=planck(n), k=k, re=float(mu.real),
+                          im=float(mu.imag), modulus=float(abs(mu)),
+                          target=float(targets[k]), abs_err=float(errors[k]))
                  for k, mu in enumerate(top)]
     return rows
 
@@ -134,8 +138,8 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ValueError("nontrapping sweep needs an annulus cutoff")
-    tops = [float(np.abs(vals).max())
-            for _, vals in _open_spectra(m, spec, n_list, quant, k_max, grid)]
+    tops = [float(np.abs(open_spectrum(m, spec, n, quant=quant, k_max=k_max,
+                                       grid=grid)).max()) for n in n_list]
     return nontrapping_rows(n_list, tops)
 
 
@@ -149,7 +153,7 @@ def nontrapping_rows(n_list, tops):
     rows = []
     prev = None
     for n, top in zip(n_list, tops):
-        h = planck(n).h
+        h = planck(n)
         slope = math.nan
         if prev is not None:
             h_prev, top_prev = prev

@@ -5,7 +5,6 @@ Fourier convention, an argument of every caller) and the torus
 representative of a position.  All matrices are plain dense numpy arrays.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 import math
 
@@ -14,17 +13,11 @@ import numpy as np
 from .errors import NonPositiveN
 
 
-@dataclass(frozen=True)
-class PlanckScale:
-    n: int
-    h: float
-
-
-def planck(n: int) -> PlanckScale:
+def planck(n: int) -> float:
     """Planck scale h = 1/(2 pi N) attached to dimension N."""
     if n < 1:
         raise NonPositiveN(f"n = {n}")
-    return PlanckScale(n=n, h=1.0 / (2.0 * math.pi * n))
+    return 1.0 / (2.0 * math.pi * n)
 
 
 # A sweep uses one N at a time and production passes one sign; the second

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .catmap import CatMap
-from .errors import DegeneratePhase, OddDimension, TruncationOverflow
+from .errors import DegeneratePhase, OddDimension
 from .hn import dft_matrix
 from .quantizer import TorusSymbol, op_weyl
 
@@ -156,8 +156,7 @@ def phase_factor(vals: np.ndarray) -> complex:
     return np.conj(mu0) / abs(mu0)
 
 
-def compose_symbol(sym: TorusSymbol, m: CatMap,
-                   k_cap: int | None = None) -> TorusSymbol:
+def compose_symbol(sym: TorusSymbol, m: CatMap) -> TorusSymbol:
     """Pull back a symbol by the map: coefficient at M^T w moves to w's value.
 
     Exact integer reindexing of the Fourier table; the plane wave with
@@ -169,8 +168,6 @@ def compose_symbol(sym: TorusSymbol, m: CatMap,
     new_k = m.a * ks + m.c * ls
     new_l = m.b * ks + m.d * ls
     needed = int(max(np.abs(new_k).max(), np.abs(new_l).max())) if len(ks) else 0
-    if k_cap is not None and needed > k_cap:
-        raise TruncationOverflow(f"composed modes reach {needed} > cap {k_cap}")
     out_k = max(needed, kmax)
     table = np.zeros((2 * out_k + 1, 2 * out_k + 1), dtype=complex)
     table[new_k + out_k, new_l + out_k] = sym.table[ks + kmax, ls + kmax]
@@ -178,13 +175,13 @@ def compose_symbol(sym: TorusSymbol, m: CatMap,
 
 
 def egorov_residual(m: CatMap, sym: TorusSymbol, n: int, word=None,
-                    k_cap: int | None = None, sign: int = -1) -> float:
+                    sign: int = -1) -> float:
     """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat; zero in exact arithmetic.
 
     Mhat is quantized with DFT kernel sign `sign`; the observables Op keep
     the package convention, so sign=+1 measures the mismatch.
     """
     u = quantize_map(m, n, word=word, sign=sign)
-    lhs = op_weyl(compose_symbol(sym, m, k_cap=k_cap), n)
+    lhs = op_weyl(compose_symbol(sym, m), n)
     rhs = u.conj().T @ op_weyl(sym, n) @ u
     return float(np.abs(lhs - rhs).max())

@@ -52,19 +52,15 @@ def _smooth_step(t):
 
 def bump_profile(spec: BumpSpec, x):
     """The plateau bump rho: 1 on |x| <= r_inner, 0 on |x| >= r_outer, smooth between."""
-    scalar = np.isscalar(x)
     ax = np.abs(np.asarray(x, dtype=float))
     t = (spec.r_outer - ax) / (spec.r_outer - spec.r_inner)
-    out = _smooth_step(t)
-    return float(out) if scalar else out
+    return _smooth_step(t)
 
 
 def annulus_profile(spec: BumpSpec, x):
     """rho(x) - rho(2x): vanishes near 0 and outside |x| >= r_outer."""
-    scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    out = bump_profile(spec, x) - bump_profile(spec, 2.0 * x)
-    return float(out) if scalar else out
+    return bump_profile(spec, x) - bump_profile(spec, 2.0 * x)
 
 
 @dataclass(frozen=True)
@@ -112,20 +108,19 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
     return a
 
 
-def op_left_separable(f_profile, g_profile, n: int) -> np.ndarray:
-    """Left quantization of f(x) g(xi): position multiplier after Fourier multiplier.
+def op_left_separable(f_profile, g_profile, n: int):
+    """Left quantization of f(x) g(xi) as its live rows, (live, rows).
 
-    Row m is f(x_m) times row m of F^dag diag(g) F, so the rows where f
-    vanishes are exact zeros and only the others are multiplied out.
+    Row m of the N x N operator is f(x_m) times row m of F^dag diag(g) F.
+    live indexes the rows where f(x_m) != 0 and rows holds them, multiplied
+    out; every other row of the operator is exactly zero.
     """
     f_mat = dft_matrix(n, -1)
     x = torus_rep_array(np.arange(n) / n)
     d_f = np.asarray(f_profile(x), dtype=complex)
     d_g = np.asarray(g_profile(x), dtype=complex)
-    live = d_f != 0
-    out = np.zeros((n, n), dtype=complex)
-    out[live] = d_f[live, None] * (f_mat[:, live].conj().T * d_g[None, :]) @ f_mat
-    return out
+    live = np.flatnonzero(d_f)
+    return live, d_f[live, None] * (f_mat[:, live].conj().T * d_g[None, :]) @ f_mat
 
 
 def cutoff_profile(spec: BumpSpec):

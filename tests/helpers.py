@@ -1,0 +1,29 @@
+"""Cutoff specs and operator helpers shared by the test modules."""
+
+import numpy as np
+
+import opencat.experiments as experiments
+from opencat.quantizer import BumpSpec
+
+# The cutoffs of the README's example config and of the benchmark workloads.
+TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
+NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
+
+
+def dense_operator(live, rows, n):
+    """The N x N matrix whose rows live are rows and whose other rows are zero."""
+    out = np.zeros((n, n), dtype=complex)
+    out[live] = rows
+    return out
+
+
+def nan_in_dead_column(monkeypatch):
+    """Make the left cutoff carry a NaN in its first live row, at a dead column."""
+    quantize = experiments.op_left_separable
+
+    def poisoned(f, g, n):
+        live, rows = quantize(f, g, n)
+        rows[0, np.setdiff1d(np.arange(n), live)[0]] = np.nan
+        return live, rows
+
+    monkeypatch.setattr(experiments, "op_left_separable", poisoned)

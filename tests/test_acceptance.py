@@ -17,13 +17,14 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, RationalPoint, analyze, escape_check, orbit
 from opencat.eigensolver import (char_poly_roots, eigenvalues,
                                  multiset_distance, sort_by_modulus)
-from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
-                                 build_open_operator, nontrapping_sweep,
-                                 trapped_sweep)
+from opencat.experiments import (build_open_operator, cutoff_operator,
+                                 nontrapping_sweep, open_spectrum, trapped_sweep)
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
                                  quantize_word, word_matrix)
 from opencat.quantizer import (TorusSymbol, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
+
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 TARGETS = GOLDEN ** -(2.0 * np.arange(4) + 1.0)
@@ -41,22 +42,23 @@ def phase_coherence_check(rows, n) -> float:
 
 def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
     monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: np.diag([0.6, 0.2, 0.1, 0.05]))
-    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [4], k_count=1)
+                        lambda *args, **kwargs: (slice(None),
+                                                 np.diag([0.6, 0.2, 0.1, 0.05])))
+    rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=1)
     assert phase_coherence_check(rows, 4) == 0.0
-    rows4 = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [4], k_count=4)
+    rows4 = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
     assert phase_coherence_check(rows4, 4) == 0.0
 
 
 @pytest.fixture(scope="module")
 def trapped_left():
-    return trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [128, 256, 384, 512],
+    return trapped_sweep(ARNOLD, TRAPPED_SPEC, [128, 256, 384, 512],
                          quant="left")
 
 
 @pytest.fixture(scope="module")
 def trapped_weyl():
-    return trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [128, 512], quant="weyl")
+    return trapped_sweep(ARNOLD, TRAPPED_SPEC, [128, 512], quant="weyl")
 
 
 def test_criterion_1_trapped_limits(trapped_left):
@@ -84,7 +86,7 @@ def test_criterion_2_imaginary_decay(trapped_weyl):
 
 
 def test_criterion_3_nontrapping_decay():
-    rows = nontrapping_sweep(ARNOLD, DEFAULT_NONTRAP_SPEC, [64, 128, 256, 512])
+    rows = nontrapping_sweep(ARNOLD, NONTRAP_SPEC, [64, 128, 256, 512])
     tops = [r.top_modulus for r in rows]
     slopes = [r.slope_vs_prev for r in rows[1:]]
     decreasing = all(b < a for a, b in zip(tops, tops[1:]))
@@ -110,7 +112,7 @@ def test_criterion_4_exactness():
     one = np.zeros((3, 3), dtype=complex)
     one[1, 1] = 1.0
     ident = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
-    bump = cutoff_symbol(DEFAULT_TRAPPED_SPEC)
+    bump = cutoff_symbol(TRAPPED_SPEC)
     a = op_weyl(bump, 128)
     herm = np.abs(a - a.conj().T).max()
     ok = unit < 1e-10 and ego < 1e-8 and ident < 1e-13 and herm < 1e-11
@@ -132,8 +134,8 @@ def test_criterion_5_eigensolver_oracle():
                                              eigenvalues(a)))
     a50 = rng.standard_normal((50, 50)) / math.sqrt(50)
     vals50 = eigenvalues(a50)
-    open_op = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, 128)
-    vals_open = eigenvalues(open_op)
+    open_op = dense_operator(*build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
+    vals_open = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
     trace_defect = 0.0
     for mat, vals in ((a50, vals50), (open_op, vals_open)):
         p = np.eye(mat.shape[0], dtype=complex)
@@ -171,8 +173,7 @@ def test_criterion_7_word_independence():
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
-    from opencat.experiments import cutoff_operator
-    chi = cutoff_operator(DEFAULT_TRAPPED_SPEC, n)
+    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
     m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)))[:4])
     m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)))[:4])
     diff = np.abs(m1 - m2).max()
@@ -181,8 +182,9 @@ def test_criterion_7_word_independence():
 
 
 def test_criterion_7_left_weyl_halving_ratio():
-    f, sym = cutoff_profile(DEFAULT_TRAPPED_SPEC), cutoff_symbol(DEFAULT_TRAPPED_SPEC)
-    diff = {n: np.linalg.norm(op_left_separable(f, f, n) - op_weyl(sym, n), 2)
+    f, sym = cutoff_profile(TRAPPED_SPEC), cutoff_symbol(TRAPPED_SPEC)
+    diff = {n: np.linalg.norm(dense_operator(*op_left_separable(f, f, n), n)
+                              - op_weyl(sym, n), 2)
             for n in (128, 256)}
     ratio = diff[128] / diff[256]
     report("7c left/weyl halving ratio", 1.3 <= ratio <= 3.0,
@@ -199,8 +201,8 @@ def test_criterion_7_left_weyl_halving_ratio():
 def test_criterion_7_left_weyl_moduli_at_256():
     vals = {}
     for quant in ("left", "weyl"):
-        op = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, 256, quant=quant)
-        vals[quant] = np.abs(sort_by_modulus(eigenvalues(op))[:4])
+        vals[quant] = np.abs(sort_by_modulus(
+            open_spectrum(ARNOLD, TRAPPED_SPEC, 256, quant=quant))[:4])
     diff = np.abs(vals["left"] - vals["weyl"])
     report("7b left/weyl moduli at N=256", diff.max() <= 1e-2,
            f"per-mode diff {[f'{d:.1e}' for d in diff]}")

@@ -5,6 +5,8 @@ import pytest
 
 from opencat.cli import ConfigError, main, parse_config
 
+from helpers import nan_in_dead_column
+
 
 def write_config(tmp_path, **overrides):
     cfg = {
@@ -106,6 +108,15 @@ def test_trapped_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, out_csv=str(out))
     assert main(["trapped", "--config", cfg]) == 3
     assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trapped_nan_outside_live_block_exits_numeric(tmp_path, monkeypatch, capsys):
+    nan_in_dead_column(monkeypatch)
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out))
+    assert main(["trapped", "--config", cfg]) == 3
+    assert "NaN" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,13 +7,16 @@ import pytest
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD
 from opencat.eigensolver import eigenvalues, sort_by_modulus
-from opencat.errors import DegeneratePhase
-from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
-                                 build_open_operator, nontrapping_rows,
-                                 nontrapping_sweep, theorem_targets, trapped_sweep)
+from opencat.errors import DegeneratePhase, NonFinite
+from opencat.experiments import (build_open_operator, nontrapping_rows,
+                                 nontrapping_sweep, open_spectrum,
+                                 theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
 from opencat.metaplectic import phase_factor
-from opencat.quantizer import cutoff_profile
+from opencat.quantizer import cutoff_profile, op_left_separable
+
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator,
+                     nan_in_dead_column)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -28,10 +31,11 @@ def test_theorem_targets_arnold():
 
 
 def test_open_operator_with_unit_cutoff_is_unitary():
-    from opencat.quantizer import op_left_separable
     from opencat.metaplectic import quantize_map
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    a = op_left_separable(one, one, 64) @ quantize_map(ARNOLD, 64)
+    live, rows = op_left_separable(one, one, 64)
+    assert np.array_equal(live, np.arange(64))
+    a = rows @ quantize_map(ARNOLD, 64)
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
 
@@ -45,25 +49,25 @@ def guard_warnings(sweep, *args, **kwargs):
 
 
 def test_guard_warns_once_per_trapped_sweep_only():
-    # both default specs are outside the guard (support radius > 0.0955)
-    assert len(guard_warnings(trapped_sweep, ARNOLD, DEFAULT_TRAPPED_SPEC,
+    # both specs are outside the guard (support radius > 0.0955)
+    assert len(guard_warnings(trapped_sweep, ARNOLD, TRAPPED_SPEC,
                               [16, 32, 64], k_count=2)) == 1
-    assert guard_warnings(nontrapping_sweep, ARNOLD, DEFAULT_NONTRAP_SPEC,
+    assert guard_warnings(nontrapping_sweep, ARNOLD, NONTRAP_SPEC,
                           [16, 32, 64]) == []
 
 
 def test_degenerate_phase(monkeypatch):
     monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: np.zeros((16, 16)))
+                        lambda *args, **kwargs: (slice(None), np.zeros((16, 16))))
     with pytest.raises(DegeneratePhase):
-        trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [16], normalize_phase=True)
+        trapped_sweep(ARNOLD, TRAPPED_SPEC, [16], normalize_phase=True)
     # without the phase rule a zero spectrum is a valid result
-    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [16], normalize_phase=False)
+    rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [16], normalize_phase=False)
     assert [r.modulus for r in rows] == [0.0] * 4
 
 
 def test_trapped_sweep_rows():
-    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [64, 128], k_count=3)
+    rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [64, 128], k_count=3)
     assert len(rows) == 6
     assert [(r.n, r.k) for r in rows] == [(64, 0), (64, 1), (64, 2),
                                           (128, 0), (128, 1), (128, 2)]
@@ -77,7 +81,7 @@ def test_trapped_sweep_rows():
 
 
 def test_trapped_sweep_k_count_zero():
-    rows = trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32], k_count=0,
+    rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [32], k_count=0,
                          normalize_phase=False)
     assert rows == []
 
@@ -101,24 +105,24 @@ def test_nontrapping_synthetic_superpolynomial():
 
 
 def test_nontrapping_real_small():
-    rows = nontrapping_sweep(ARNOLD, DEFAULT_NONTRAP_SPEC, [64, 128])
+    rows = nontrapping_sweep(ARNOLD, NONTRAP_SPEC, [64, 128])
     assert rows[1].top_modulus < rows[0].top_modulus
     assert rows[1].slope_vs_prev > 0
 
 
 def test_nontrapping_requires_annulus():
     with pytest.raises(ValueError):
-        nontrapping_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [64])
+        nontrapping_sweep(ARNOLD, TRAPPED_SPEC, [64])
 
 
 def test_moduli_invariant_under_conventions():
     n = 64
     base, normed = (np.array([r.modulus for r in trapped_sweep(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, [n], normalize_phase=flag)])
+        ARNOLD, TRAPPED_SPEC, [n], normalize_phase=flag)])
         for flag in (False, True))
     word2 = [("U", 1), ("L", 1)]
-    other = np.abs(sort_by_modulus(eigenvalues(build_open_operator(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, n, word=word2)))[:4])
+    other = np.abs(sort_by_modulus(open_spectrum(
+        ARNOLD, TRAPPED_SPEC, n, word=word2))[:4])
     assert np.abs(base - normed).max() < 1e-9
     assert np.abs(base - other).max() < 1e-9
 
@@ -132,9 +136,9 @@ def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], k_count=2)
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)
     # one solve per N, on the rows where the cutoff profile is nonzero
-    profile = cutoff_profile(DEFAULT_TRAPPED_SPEC)
+    profile = cutoff_profile(TRAPPED_SPEC)
     live = [int(np.count_nonzero(profile(torus_rep_array(np.arange(n) / n))))
             for n in (32, 64)]
     assert 0 < live[0] < 32 and 0 < live[1] < 64
@@ -143,10 +147,10 @@ def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
 
 def test_trapped_sweep_phase_matches_normalized_operator():
     n = 64
-    plain = build_open_operator(ARNOLD, DEFAULT_TRAPPED_SPEC, n)
+    plain = dense_operator(*build_open_operator(ARNOLD, TRAPPED_SPEC, n), n)
     normed = plain * phase_factor(eigenvalues(plain))
     top = np.array([complex(r.re, r.im) for r in trapped_sweep(
-        ARNOLD, DEFAULT_TRAPPED_SPEC, [n], normalize_phase=True)])
+        ARNOLD, TRAPPED_SPEC, [n], normalize_phase=True)])
     expect = sort_by_modulus(np.linalg.eigvals(normed))
     assert np.abs(top - expect[:4]).max() < 1e-9
     assert top[0].real > 0
@@ -162,9 +166,16 @@ def test_symbol_built_only_on_weyl_route(monkeypatch):
         return maker(spec, k_max, grid)
 
     monkeypatch.setattr(experiments, "cutoff_symbol", counted)
-    trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], quant="left", k_count=2)
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], quant="left", k_count=2)
     assert built == []
-    trapped_sweep(ARNOLD, DEFAULT_TRAPPED_SPEC, [32, 64], quant="weyl", k_count=2,
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], quant="weyl", k_count=2,
                   k_max=16, grid=64)
     # once per N, from the sweep's own spec, k_max and grid
-    assert built == [(DEFAULT_TRAPPED_SPEC, 16, 64)] * 2
+    assert built == [(TRAPPED_SPEC, 16, 64)] * 2
+
+
+def test_nan_outside_live_block_raises(monkeypatch):
+    # the Fourier letters of the word spread the NaN into the live block
+    nan_in_dead_column(monkeypatch)
+    with pytest.raises(NonFinite):
+        trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)

@@ -45,23 +45,31 @@ def references(node: ast.AST) -> set:
     return out
 
 
+def assigned(node: ast.AST) -> list:
+    """Names a module-level assignment binds, dunders (__all__) excluded."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def test_every_definition_is_used_by_the_package():
-    # A module-level function or class must be referenced from some other
-    # top-level statement of the package, or be exported; one that only the
-    # tests call belongs in the tests.
+    # A module-level function, class or constant must be referenced from some
+    # other top-level statement of the package, or be exported; one that only
+    # the tests read belongs in the tests.
     units, definitions, public = [], [], set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         public |= exported(tree)
         for node in tree.body:
-            name = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((path.name, name))
-            units.append(((path.name, name), references(node)))
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     else assigned(node))
+            definitions += [(path.name, name) for name in names]
+            units.append(((path.name, names), references(node)))
     unused = sorted(f"{module}:{name}" for module, name in definitions
                     if name not in public
-                    and not any(name in refs for key, refs in units
-                                if key != (module, name)))
+                    and not any(name in refs for (unit_module, names), refs in units
+                                if not (unit_module == module and name in names)))
     assert not unused, f"defined but never used in src/opencat: {unused}"
 
 

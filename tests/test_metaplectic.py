@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from opencat.catmap import ARNOLD, CatMap
-from opencat.errors import DegeneratePhase, OddDimension, TruncationOverflow
+from opencat.errors import DegeneratePhase, OddDimension
 from opencat.hn import dft_matrix, torus_rep_array
 from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_residual,
                                  factor_sl2z, letter_matrix, phase_factor,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
-from opencat.experiments import (DEFAULT_NONTRAP_SPEC, DEFAULT_TRAPPED_SPEC,
-                                 build_open_operator, cutoff_operator)
+from opencat.experiments import build_open_operator, cutoff_operator, open_spectrum
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
+
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator
 
 
 def mode(k, l, kmax=2):
@@ -127,11 +128,6 @@ def test_compose_symbol_reindexes_exactly():
     assert abs(out.table[1 + out.k_max, out.k_max]) < 1e-15
 
 
-def test_compose_symbol_overflow():
-    with pytest.raises(TruncationOverflow):
-        compose_symbol(mode(2, 2), ARNOLD, k_cap=3)
-
-
 def test_s_squared_is_parity_up_to_phase():
     s = quantize_word([("S",)], 16)
     par = quantize_word([("PAR",)], 16)
@@ -151,7 +147,7 @@ def test_projective_inverse():
 
 def test_word_independent_moduli():
     n = 64
-    chi = cutoff_operator(DEFAULT_TRAPPED_SPEC, n)
+    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
@@ -162,7 +158,7 @@ def test_word_independent_moduli():
 
 def test_chi_m_vs_m_chi_spectrum():
     n = 64
-    chi = cutoff_operator(DEFAULT_TRAPPED_SPEC, n)
+    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
     u = quantize_map(ARNOLD, n)
     d = multiset_distance(np.linalg.eigvals(chi @ u), np.linalg.eigvals(u @ chi))
     assert d < 1e-8
@@ -170,7 +166,7 @@ def test_chi_m_vs_m_chi_spectrum():
 
 def test_phase_mode_preserves_moduli():
     n = 64
-    chi = cutoff_operator(DEFAULT_TRAPPED_SPEC, n)
+    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
     u_plain = quantize_map(ARNOLD, n)
     u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
@@ -218,9 +214,8 @@ def test_word_independent_moduli_on_random_hyperbolic_maps(word, n):
     assume(abs(m.a + m.d) > 2)
     # the drawn shear word and the factorization's word quantize the same
     # map up to a global phase, which leaves the moduli unchanged
-    moduli = [np.abs(sort_by_modulus(eigenvalues(
-        build_open_operator(m, DEFAULT_TRAPPED_SPEC, n, word=w)))[:4])
-        for w in (word, None)]
+    moduli = [np.abs(sort_by_modulus(open_spectrum(m, TRAPPED_SPEC, n, word=w))[:4])
+              for w in (word, None)]
     assert np.abs(moduli[0] - moduli[1]).max() < 1e-8
 
 
@@ -265,17 +260,18 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
     assert np.array_equal(x, before)
 
 
-@pytest.mark.parametrize("spec", [DEFAULT_TRAPPED_SPEC, DEFAULT_NONTRAP_SPEC])
+@pytest.mark.parametrize("spec", [TRAPPED_SPEC, NONTRAP_SPEC])
 @pytest.mark.parametrize("quant", ["left", "weyl"])
 @pytest.mark.parametrize("n", [64, 128])
 def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
-    op = build_open_operator(ARNOLD, spec, n, quant=quant)
-    dense = cutoff_operator(spec, n, quant=quant) @ quantize_word_dense(word, n)
-    assert np.abs(op - dense).max() <= 1e-12
+    live, rows = build_open_operator(ARNOLD, spec, n, quant=quant)
+    dense = (dense_operator(*cutoff_operator(spec, n, quant=quant), n)
+             @ quantize_word_dense(word, n))
+    assert np.abs(dense_operator(live, rows, n) - dense).max() <= 1e-12
     if quant == "left":
         # row m carries the factor f(x_m) of the left symbol f(x) f(xi)
         dead = cutoff_profile(spec)(torus_rep_array(np.arange(n) / n)) == 0
         assert dead.any() and not dead.all()
-        assert not op[dead].any()
-        assert op[~dead].any(axis=1).all()
+        assert np.array_equal(live, np.flatnonzero(~dead))
+        assert rows.any(axis=1).all()

@@ -11,6 +11,8 @@ from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl, support_guard)
 
+from helpers import dense_operator
+
 SPEC = BumpSpec("product_bump", 0.10, 0.20)
 
 
@@ -247,10 +249,35 @@ def test_op_weyl_band_matches_dense_annulus(n):
 
 def test_op_left_identity_and_position():
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    assert np.abs(op_left_separable(one, one, 16) - np.eye(16)).max() < 1e-13
+    a = dense_operator(*op_left_separable(one, one, 16), 16)
+    assert np.abs(a - np.eye(16)).max() < 1e-13
     cos = lambda x: np.cos(2 * np.pi * np.asarray(x, dtype=float))
-    a = op_left_separable(cos, one, 16)
+    a = dense_operator(*op_left_separable(cos, one, 16), 16)
     assert np.abs(a - np.diag(np.cos(2 * np.pi * np.arange(16) / 16))).max() < 1e-13
+
+
+def op_left_dense(f, g, n):
+    """Reference left quantization diag(f) F^dag diag(g) F, F the unitary DFT
+    of kernel e^{-2 pi i m k / N} built by np.fft."""
+    x = torus_rep_array(np.arange(n) / n)
+    fourier = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
+    return np.diag(f(x)) @ fourier.conj().T @ np.diag(g(x)) @ fourier
+
+
+@pytest.mark.parametrize("n", [16, 64, 130])
+@pytest.mark.parametrize("kinds", [("product_bump", "product_bump"),
+                                   ("annulus_product", "annulus_product"),
+                                   ("product_bump", "annulus_product")])
+def test_op_left_live_rows_match_dense(n, kinds):
+    f, g = (cutoff_profile(BumpSpec(kind, 0.11, 0.23)) for kind in kinds)
+    live, rows = op_left_separable(f, g, n)
+    oracle = op_left_dense(f, g, n)
+    x = torus_rep_array(np.arange(n) / n)
+    assert np.array_equal(live, np.flatnonzero(f(x)))
+    assert 0 < len(live) < n
+    assert rows.shape == (len(live), n)
+    assert not np.delete(oracle, live, axis=0).any()
+    assert np.abs(rows - oracle[live]).max() < 1e-13
 
 
 def test_disjoint_supports_shrink():
@@ -268,7 +295,8 @@ def test_disjoint_supports_shrink():
 
 def test_left_weyl_consistency_first_order():
     f, sym = cutoff_profile(SPEC), cutoff_symbol(SPEC)
-    diff = {n: np.linalg.norm(op_left_separable(f, f, n) - op_weyl(sym, n), 2)
+    diff = {n: np.linalg.norm(dense_operator(*op_left_separable(f, f, n), n)
+                              - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
 
