@@ -117,22 +117,6 @@ class RationalPoint:
         object.__setattr__(self, "y_num", self.y_num % self.q)
 
 
-def iterate_mod_q(m: CatMap, p: RationalPoint) -> RationalPoint:
-    """One step of the map on a rational point, exact mod-q arithmetic."""
-    return RationalPoint(m.a * p.x_num + m.b * p.y_num,
-                         m.c * p.x_num + m.d * p.y_num, p.q)
-
-
-def orbit(m: CatMap, p: RationalPoint) -> list[RationalPoint]:
-    """Full forward orbit of p until first return; length is the period."""
-    pts = [p]
-    cur = iterate_mod_q(m, p)
-    while cur != p:
-        pts.append(cur)
-        cur = iterate_mod_q(m, cur)
-    return pts
-
-
 @dataclass
 class EscapeReport:
     all_escape: bool
@@ -158,7 +142,7 @@ def escape_check(m: CatMap, radius: float, q_max: int) -> EscapeReport:
     report = EscapeReport(all_escape=True)
     r2 = radius * radius
     for q in range(1, q_max + 1):
-        heads, head_max2 = _orbit_heads(m, q)
+        succ, heads, head_max2 = _orbit_heads(m, q)
         heads, head_max2 = heads[1:], head_max2[1:]  # the zero fixed point is exempt
         min_orbit_max = math.sqrt(0.5)  # max possible torus norm
         if len(heads):
@@ -167,15 +151,18 @@ def escape_check(m: CatMap, radius: float, q_max: int) -> EscapeReport:
             inside = heads[head_max2 <= r2 * q * q]
             if len(inside):
                 report.all_escape = False
-                report.witness = orbit(m, RationalPoint(*divmod(int(inside[0]), q), q))
+                walk = [int(inside[0])]
+                while (nxt := int(succ[walk[-1]])) != walk[0]:
+                    walk.append(nxt)
+                report.witness = [RationalPoint(*divmod(i, q), q) for i in walk]
         report.per_q.append((q, 1 + len(heads), min_orbit_max))
     return report
 
 
-def _orbit_heads(m: CatMap, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each orbit of the map on (Z/q)^2 as its head, the smallest flat index
-    x*q + y on it, in increasing order, with the largest squared integer
-    torus norm on the orbit.
+def _orbit_heads(m: CatMap, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The map on (Z/q)^2 as its successor array on flat indices x*q + y, and
+    each orbit as its head, the smallest flat index on it, in increasing
+    order, with the largest squared integer torus norm on the orbit.
 
     Pointer doubling: after k rounds each point is labelled with the
     smallest index over its next 2^k points.  A round that changes no label
@@ -187,6 +174,7 @@ def _orbit_heads(m: CatMap, q: int) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.arange(q)[:, None], np.arange(q)[None, :]
     a, b, c, d = (v % q for v in (m.a, m.b, m.c, m.d))  # keeps products < q^2
     step = ((a * x + b * y) % q * q + (c * x + d * y) % q).ravel()
+    succ = step  # the doubling loop rebinds step, never writes into it
     label = np.arange(q * q)
     width = 1
     while width < q * q:
@@ -200,4 +188,4 @@ def _orbit_heads(m: CatMap, q: int) -> tuple[np.ndarray, np.ndarray]:
     norm2 = np.minimum(x, q - x) ** 2  # squared distance of a coordinate to 0
     max2 = np.zeros(q * q, dtype=np.int64)
     np.maximum.at(max2, label, (norm2 + norm2.T).ravel())
-    return heads, max2[heads]
+    return succ, heads, max2[heads]

@@ -19,7 +19,7 @@ from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
 from .experiments import (nontrapping_rows, nontrapping_sweep, theorem_targets,
                           trapped_sweep)
-from .metaplectic import egorov_residual, factor_sl2z, letter_matrix, quantize_word
+from .metaplectic import egorov_residual, letter_matrix, quantize_map
 from .quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_weyl,
                         DEFAULT_GRID, DEFAULT_K_MAX)
 
@@ -61,11 +61,13 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _integer(value, what: str) -> int:
-    """An integral JSON number as int; any other value is a ConfigError."""
+def _integer(value, what: str, low: int | None = None) -> int:
+    """An integral JSON number, at least low if given, as int; else a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value!r}")
     return int(value)
 
 
@@ -97,8 +99,8 @@ def parse_config(raw: dict) -> RunConfig:
     n_list = [_integer(n, "n_list entry") for n in raw["n_list"]]
     if not n_list or any(n % 2 or n < 2 for n in n_list):
         raise ConfigError("n_list must be nonempty, even, positive")
-    if n_list != sorted(n_list):
-        raise ConfigError("n_list must be ascending")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("n_list must be strictly ascending")
     cut = raw["cutoff"]
     if not isinstance(cut, dict) or set(cut) != _CUTOFF_KEYS:
         raise ConfigError(f"cutoff needs exactly keys {sorted(_CUTOFF_KEYS)}")
@@ -118,9 +120,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not 1 <= k_count <= 8:
         raise ConfigError("k_count must be in 1..8; higher modes are not "
                           "resolvable at desk scale")
-    k_max = _integer(raw.get("k_max", DEFAULT_K_MAX), "k_max")
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
+    k_max = _integer(raw.get("k_max", DEFAULT_K_MAX), "k_max", low=1)
     grid = _integer(raw.get("grid", DEFAULT_GRID), "grid")
     if grid < 4 * k_max:
         raise ConfigError("grid must be >= 4 * k_max")
@@ -130,7 +130,7 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(matrix=m, n_list=n_list, cutoff=spec, quantization=quant,
                      phase=phase, k_count=k_count, k_max=k_max, grid=grid,
                      out_csv=raw.get("out_csv"), out_svg=raw.get("out_svg"),
-                     seed=_integer(raw.get("seed", 0), "seed"))
+                     seed=_integer(raw.get("seed", 0), "seed", low=0))
 
 
 def _fmt(x: float) -> str:
@@ -284,8 +284,7 @@ def _verify_checks(config: RunConfig, sign: int):
         defect = np.abs(f.conj().T @ f - np.eye(n)).max()
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
-        word = factor_sl2z(config.matrix)
-        u = quantize_word(word, n, sign)
+        u = quantize_map(config.matrix, n, sign=sign)
         defect = np.abs(u.conj().T @ u - np.eye(n)).max()
         yield f"map_unitary_N{n}", defect < 1e-10, defect
     k = 3
@@ -314,8 +313,7 @@ def _verify_checks(config: RunConfig, sign: int):
     one[1, 1] = 1.0
     defect = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
     yield "op_weyl_identity", defect < 1e-13, defect
-    bump = cutoff_symbol(BumpSpec("product_bump", 0.10, 0.20), config.k_max, config.grid)
-    a = op_weyl(bump, 64)
+    a = op_weyl(cutoff_symbol(config.cutoff, config.k_max, config.grid), 64)
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
     rng = np.random.default_rng(config.seed)

@@ -14,6 +14,10 @@ import numpy as np
 from .errors import EigensolverFailed, NonFinite, OracleNoConvergence
 
 ORACLE_MAX_DIM = 8
+# Durand-Kerner stops once every residual is below ORACLE_TOL times
+# 1 + max |coefficient|, and raises after ORACLE_MAX_SWEEPS sweeps.
+ORACLE_MAX_SWEEPS = 500
+ORACLE_TOL = 1e-12
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -49,8 +53,7 @@ def char_poly_coeffs(a: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def durand_kerner(coeffs: np.ndarray, max_sweeps: int = 500,
-                  tol: float = 1e-12) -> np.ndarray:
+def durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration for a monic polynomial.
 
     Starts from a slightly rotated circle (radius from the Cauchy bound) so
@@ -64,9 +67,9 @@ def durand_kerner(coeffs: np.ndarray, max_sweeps: int = 500,
     angles = 2.0 * np.pi * np.arange(n) / n + 0.41
     z = radius * np.exp(1j * angles)
     scale = 1.0 + np.abs(coeffs).max()
-    for sweep in range(max_sweeps):
+    for _ in range(ORACLE_MAX_SWEEPS):
         p = np.polyval(coeffs, z)
-        if np.abs(p).max() < tol * scale:
+        if np.abs(p).max() < ORACLE_TOL * scale:
             return z
         moved = 0.0
         for i in range(n):
@@ -79,7 +82,7 @@ def durand_kerner(coeffs: np.ndarray, max_sweeps: int = 500,
             moved = max(moved, abs(step))
         if moved < 5e-15 * radius:
             return z
-    raise OracleNoConvergence(f"no convergence after {max_sweeps} sweeps")
+    raise OracleNoConvergence(f"no convergence after {ORACLE_MAX_SWEEPS} sweeps")
 
 
 def char_poly_roots(a: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ import warnings
 
 import numpy as np
 
-from .catmap import CatMap, analyze
+from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, sort_by_modulus
 from .hn import planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
-                        op_left_separable, op_weyl, support_guard,
+                        op_left_separable, op_weyl,
                         DEFAULT_GRID, DEFAULT_K_MAX)
 
 log = logging.getLogger(__name__)
@@ -68,22 +68,18 @@ def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
-                        word=None, k_max: int = DEFAULT_K_MAX,
-                        grid: int = DEFAULT_GRID):
+                        k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
     """(quantized cutoff) @ (quantized map) as (live, rows), unnormalized phase.
 
     The cutoff's rows outside live are zero, and so are the product's; the
-    word is applied to the cutoff's live rows only.
+    map's word is applied to the cutoff's live rows only.
     """
-    if word is None:
-        word = factor_sl2z(m)
     live, chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
-    return live, apply_word(chi, word, n)
+    return live, apply_word(chi, factor_sl2z(m), n)
 
 
 def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
-                  word=None, k_max: int = DEFAULT_K_MAX,
-                  grid: int = DEFAULT_GRID) -> np.ndarray:
+                  k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered.
 
     With its dead rows permuted last the operator is block upper triangular,
@@ -94,8 +90,8 @@ def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     return, before a sweep builds the next, larger N.
     """
     log.info("open operator spectrum: N = %d", n)
-    live, rows = build_open_operator(m, spec, n, quant=quant, word=word,
-                                     k_max=k_max, grid=grid)
+    live, rows = build_open_operator(m, spec, n, quant=quant, k_max=k_max,
+                                     grid=grid)
     vals = eigenvalues(rows[:, live])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
@@ -108,15 +104,19 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     The global phase of the quantized map is a convention.  normalize_phase
     fixes it by rotating each N's eigenvalues with phase_factor, so the
     largest-modulus one is real and positive; the moduli do not change.  A
-    cutoff outside the support guard warns once per sweep, not once per N.
+    cutoff whose support leaves the ball of guard_radius warns once per
+    sweep, not once per N; the theorem's constant is unspecified, so this is
+    advisory.  A product bump's support reaches the corner of its square, so
+    its radius is sqrt(2) * r_outer.
     """
     if k_count > 8:
         raise ValueError("k_count > 8 exceeds the resolvable range at desk scale")
-    guard = support_guard(spec, analyze(m))
-    if not guard["ok"]:
+    support_radius = math.sqrt(2.0) * spec.r_outer
+    radius_limit = guard_radius(analyze(m))
+    if support_radius > radius_limit:
         warnings.warn(
-            f"cutoff support radius {guard['support_radius']:.4f} exceeds the "
-            f"guard limit {guard['radius_limit']:.4f}; the trapped-limit "
+            f"cutoff support radius {support_radius:.4f} exceeds the "
+            f"guard limit {radius_limit:.4f}; the trapped-limit "
             "theorem is only guaranteed for small enough support", stacklevel=2)
     targets = theorem_targets(m, k_count)
     rows = []

@@ -131,16 +131,15 @@ def apply_word(x: np.ndarray, word, n: int, sign: int = -1) -> np.ndarray:
     return x
 
 
-def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
-    """Product of generator unitaries in word order: the word applied to the identity."""
-    return apply_word(np.eye(n, dtype=complex), word, n, sign)
-
-
 def quantize_map(m: CatMap, n: int, word=None, sign: int = -1) -> np.ndarray:
-    """Quantize a cat map, up to the global phase its factorization gives."""
+    """Quantize a cat map, up to the global phase its factorization gives.
+
+    The unitary is the word applied to the identity; word, if given, is the
+    factorization of m to use instead of factor_sl2z(m).
+    """
     if word is None:
         word = factor_sl2z(m)
-    return quantize_word(word, n, sign)
+    return apply_word(np.eye(n, dtype=complex), word, n, sign)
 
 
 def phase_factor(vals: np.ndarray) -> complex:

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .catmap import CatMapAnalysis
 from .errors import GridTooCoarse, InvalidSpec
 from .hn import dft_matrix, torus_rep_array
 
@@ -144,16 +143,3 @@ def cutoff_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
     samples = cutoff_profile(spec)(torus_rep_array(np.arange(grid) / grid))
     c = np.fft.fft(samples)[np.arange(-k_max, k_max + 1) % grid] / grid
     return TorusSymbol(table=np.outer(c, c), k_max=k_max)
-
-
-def support_guard(spec: BumpSpec, analysis: CatMapAnalysis, c: float = 0.25):
-    """Compare the cutoff's phase-space support radius against c/(lam |Q|^2).
-
-    The support of a product bump reaches the corner of its square, so the
-    radius is taken as sqrt(2) * r_outer.  Advisory: the theorem's constant
-    is unspecified, so a violation is a warning for the caller, not an error.
-    """
-    radius_limit = c / (analysis.lam * analysis.q_norm**2)
-    support_radius = math.sqrt(2.0) * spec.r_outer
-    return {"ok": support_radius <= radius_limit, "radius_limit": radius_limit,
-            "support_radius": support_radius}

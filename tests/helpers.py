@@ -3,6 +3,7 @@
 import numpy as np
 
 import opencat.experiments as experiments
+from opencat.metaplectic import apply_word
 from opencat.quantizer import BumpSpec
 
 # The cutoffs of the README's example config and of the benchmark workloads.
@@ -15,6 +16,11 @@ def dense_operator(live, rows, n):
     out = np.zeros((n, n), dtype=complex)
     out[live] = rows
     return out
+
+
+def quantize_word(word, n, sign=-1):
+    """The word's unitary: the word applied to the identity."""
+    return apply_word(np.eye(n, dtype=complex), word, n, sign)
 
 
 def nan_in_dead_column(monkeypatch):

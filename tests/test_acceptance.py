@@ -14,17 +14,18 @@ import numpy as np
 import pytest
 
 import opencat.experiments as experiments
-from opencat.catmap import ARNOLD, RationalPoint, analyze, escape_check, orbit
+from opencat.catmap import ARNOLD, RationalPoint, analyze, escape_check
 from opencat.eigensolver import (char_poly_roots, eigenvalues,
                                  multiset_distance, sort_by_modulus)
 from opencat.experiments import (build_open_operator, cutoff_operator,
                                  nontrapping_sweep, open_spectrum, trapped_sweep)
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
-                                 quantize_word, word_matrix)
+                                 word_matrix)
 from opencat.quantizer import (TorusSymbol, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
 
-from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, quantize_word
+from test_catmap import orbit
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 TARGETS = GOLDEN ** -(2.0 * np.arange(4) + 1.0)

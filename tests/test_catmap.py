@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opencat.catmap import (ARNOLD, CatMap, EscapeReport, RationalPoint, analyze,
-                            escape_check, guard_radius, iterate_mod_q, orbit)
+                            escape_check, guard_radius)
 from opencat.errors import InvalidRadius, NotHyperbolic, NotUnimodular
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -16,6 +16,22 @@ def torus_norm(p: RationalPoint) -> float:
     mx = min(p.x_num, p.q - p.x_num) if p.x_num else 0
     my = min(p.y_num, p.q - p.y_num) if p.y_num else 0
     return math.hypot(mx, my) / p.q
+
+
+def iterate_mod_q(m: CatMap, p: RationalPoint) -> RationalPoint:
+    """One step of the map on a rational point, exact mod-q arithmetic."""
+    return RationalPoint(m.a * p.x_num + m.b * p.y_num,
+                         m.c * p.x_num + m.d * p.y_num, p.q)
+
+
+def orbit(m: CatMap, p: RationalPoint) -> list[RationalPoint]:
+    """Reference forward orbit of p until first return; length is the period."""
+    pts = [p]
+    cur = iterate_mod_q(m, p)
+    while cur != p:
+        pts.append(cur)
+        cur = iterate_mod_q(m, cur)
+    return pts
 
 
 def escape_check_loop(m: CatMap, radius: float, q_max: int) -> EscapeReport:

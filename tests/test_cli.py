@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import opencat.cli as cli
 from opencat.cli import ConfigError, main, parse_config
+from opencat.quantizer import BumpSpec
 
 from helpers import nan_in_dead_column
 
@@ -71,6 +73,7 @@ def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
     {"matrix": ["a", 1, 1, 1]},
     {"cutoff": {"kind": "product_bump", "r_inner": "a", "r_outer": 0.20}},
     {"seed": "x"},
+    {"seed": -1},  # numpy's generator takes no negative seed
     {"quantization": "weyl", "k_max": 0},
     {"quantization": "weyl", "k_max": -1},
     {"out_svg": 2},  # an integer path would be taken as a file descriptor
@@ -80,6 +83,18 @@ def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, out_csv=str(out), **overrides)
     assert main(["trapped", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind", [("trapped", "product_bump"),
+                                           ("nontrapping", "annulus_product")])
+def test_repeated_n_is_config_error(tmp_path, capsys, command, kind):
+    # a repeated N left the nontrapping slope dividing by log(h) - log(h) = 0
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, n_list=[32, 32], out_csv=str(out),
+                       cutoff={"kind": kind, "r_inner": 0.15, "r_outer": 0.24})
+    assert main([command, "--config", cfg]) == 2
+    assert "strictly ascending" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -271,6 +286,23 @@ def test_verify_passes(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+
+
+def test_verify_checks_configured_cutoff(tmp_path, capsys, monkeypatch):
+    quantized = []
+    maker = cli.cutoff_symbol
+
+    def recorded(spec, k_max, grid):
+        quantized.append(spec)
+        return maker(spec, k_max, grid)
+
+    monkeypatch.setattr(cli, "cutoff_symbol", recorded)
+    annulus = {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}
+    cfg = write_config(tmp_path, cutoff=annulus)
+    assert main(["verify", "--config", cfg]) == 0
+    assert quantized == [BumpSpec(**annulus)]
+    assert any(line.startswith("PASS  weyl_hermitian")
+               for line in capsys.readouterr().out.splitlines())
 
 
 def test_verify_same_verdicts_across_seeds(tmp_path, capsys):

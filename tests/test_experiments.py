@@ -13,7 +13,7 @@ from opencat.experiments import (build_open_operator, nontrapping_rows,
                                  theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
 from opencat.metaplectic import phase_factor
-from opencat.quantizer import cutoff_profile, op_left_separable
+from opencat.quantizer import BumpSpec, cutoff_profile, op_left_separable
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator,
                      nan_in_dead_column)
@@ -54,6 +54,12 @@ def test_guard_warns_once_per_trapped_sweep_only():
                               [16, 32, 64], k_count=2)) == 1
     assert guard_warnings(nontrapping_sweep, ARNOLD, NONTRAP_SPEC,
                           [16, 32, 64]) == []
+
+
+def test_no_guard_warning_inside_guard():
+    # support radius sqrt(2) * 0.05 = 0.0707 < guard radius 0.0955
+    inside = BumpSpec("product_bump", 0.02, 0.05)
+    assert guard_warnings(trapped_sweep, ARNOLD, inside, [16, 32], k_count=2) == []
 
 
 def test_degenerate_phase(monkeypatch):
@@ -115,14 +121,14 @@ def test_nontrapping_requires_annulus():
         nontrapping_sweep(ARNOLD, TRAPPED_SPEC, [64])
 
 
-def test_moduli_invariant_under_conventions():
+def test_moduli_invariant_under_conventions(monkeypatch):
     n = 64
     base, normed = (np.array([r.modulus for r in trapped_sweep(
         ARNOLD, TRAPPED_SPEC, [n], normalize_phase=flag)])
         for flag in (False, True))
-    word2 = [("U", 1), ("L", 1)]
-    other = np.abs(sort_by_modulus(open_spectrum(
-        ARNOLD, TRAPPED_SPEC, n, word=word2))[:4])
+    # another word for the same map, through the production factorization hook
+    monkeypatch.setattr(experiments, "factor_sl2z", lambda m: [("U", 1), ("L", 1)])
+    other = np.abs(sort_by_modulus(open_spectrum(ARNOLD, TRAPPED_SPEC, n))[:4])
     assert np.abs(base - normed).max() < 1e-9
     assert np.abs(base - other).max() < 1e-9
 

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat.catmap import ARNOLD, analyze
 from opencat.errors import GridTooCoarse, InvalidSpec
 from opencat.hn import torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl, support_guard)
+                               op_left_separable, op_weyl)
 
 from helpers import dense_operator
 
@@ -299,13 +298,3 @@ def test_left_weyl_consistency_first_order():
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
-
-
-def test_support_guard():
-    an = analyze(ARNOLD)
-    ok = support_guard(BumpSpec("product_bump", 0.02, 0.05), an, c=0.25)
-    assert ok["ok"]
-    bad = support_guard(BumpSpec("product_bump", 0.10, 0.25), an, c=0.25)
-    assert not bad["ok"]
-    assert support_guard(SPEC, an, c=0.5)["radius_limit"] == pytest.approx(
-        2 * support_guard(SPEC, an, c=0.25)["radius_limit"], rel=1e-12)
