@@ -17,7 +17,8 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
-from .experiments import (nontrapping_rows, nontrapping_sweep, theorem_targets,
+from .experiments import (PARITY_TOL, build_open_operator, nontrapping_rows,
+                          nontrapping_sweep, parity_sectors, theorem_targets,
                           trapped_sweep)
 from .metaplectic import egorov_residual, letter_matrix, quantize_map
 from .quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_weyl,
@@ -316,6 +317,12 @@ def _verify_checks(config: RunConfig, sign: int):
     a = op_weyl(cutoff_symbol(config.cutoff, config.k_max, config.grid), 64)
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
+    # open_spectrum diagonalizes the parity sectors apart; this measures the
+    # coupling it would drop, on the operator the configured sweep builds
+    _, _, defect = parity_sectors(*build_open_operator(
+        config.matrix, config.cutoff, 64, quant=config.quantization,
+        k_max=config.k_max, grid=config.grid), 64)
+    yield "parity_commutation", defect < PARITY_TOL, defect
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for _ in range(20):

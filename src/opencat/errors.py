@@ -45,6 +45,10 @@ class NonFinite(OpenCatError):
     """Matrix contains NaN or Inf entries."""
 
 
+class ParityBroken(OpenCatError):
+    """The open operator does not commute with parity j -> -j, so its sectors couple."""
+
+
 class EigensolverFailed(OpenCatError):
     """The dense eigensolver did not converge."""
 

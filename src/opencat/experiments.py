@@ -15,6 +15,7 @@ import numpy as np
 
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, sort_by_modulus
+from .errors import ParityBroken
 from .hn import planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
@@ -22,6 +23,12 @@ from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
                         DEFAULT_GRID, DEFAULT_K_MAX)
 
 log = logging.getLogger(__name__)
+
+# Largest off-sector entry of the parity-folded live block, relative to the
+# block's largest entry, that open_spectrum accepts as roundoff.  The DFT's
+# phase error makes it about 2e-12 at N = 2048 on either route; an operator
+# that really breaks parity couples the sectors at O(1).
+PARITY_TOL = 1e-9
 
 
 @dataclass
@@ -78,21 +85,70 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     return live, apply_word(chi, factor_sl2z(m), n)
 
 
+def _fold(x, fixed, plus, minus):
+    """The rows of x in the parity basis, as (even rows, odd rows).
+
+    Row j of x pairs with row -j: the even rows are the fixed rows and the
+    sums (x_j + x_-j)/sqrt(2), the odd rows the differences.
+    """
+    p, m = x[plus], x[minus]
+    return (np.concatenate([x[fixed], (p + m) * math.sqrt(0.5)]),
+            (p - m) * math.sqrt(0.5))
+
+
+def parity_sectors(live, rows, n: int):
+    """The live block of (live, rows) split by parity j -> -j: (even, odd, defect).
+
+    live is first closed under parity; a row that adds is an exact zero row
+    of the operator.  On the closed set the even sector has the basis e_j for
+    the fixed points j = -j mod N (0 and N/2) and (e_j + e_-j)/sqrt(2) for
+    each pair, the odd sector (e_j - e_-j)/sqrt(2).  Rows are combined, then
+    columns, in O(live^2) work and with no basis matrix.  defect is the
+    largest entry of the two off-sector blocks relative to the largest entry
+    of the block: zero for an operator that commutes with parity, and then
+    the block's spectrum is the union of the sectors'.
+    """
+    idx = np.arange(n)[live]
+    closed = np.union1d(idx, -idx % n)
+    block = np.zeros((closed.size, closed.size), dtype=complex)
+    block[np.searchsorted(closed, idx)] = rows[:, closed]
+    fixed = np.flatnonzero(closed == -closed % n)
+    plus = np.flatnonzero((closed > 0) & (2 * closed < n))
+    minus = np.searchsorted(closed, n - closed[plus])
+    scale = np.abs(block).max(initial=0.0)
+    even_rows, odd_rows = _fold(block, fixed, plus, minus)
+    del block
+    even_t, even_odd_t = _fold(even_rows.T, fixed, plus, minus)
+    odd_even_t, odd_t = _fold(odd_rows.T, fixed, plus, minus)
+    cross = max(np.abs(even_odd_t).max(initial=0.0),
+                np.abs(odd_even_t).max(initial=0.0))
+    return even_t.T, odd_t.T, cross / scale if scale > 0 else 0.0
+
+
 def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
                   k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered.
 
     With its dead rows permuted last the operator is block upper triangular,
     [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL
-    plus one exact zero per dead row; only B_LL is diagonalized.  A NaN in a
-    live row of the cutoff still reaches B_LL: every hyperbolic word has a
+    plus one exact zero per dead row.  Parity commutes with the quantized map
+    (-I is central in SL(2,Z)) and with the quantized even cutoff, so B_LL
+    splits into the even and odd blocks of parity_sectors, and each is
+    diagonalized on its own: about half the size, a quarter of the work.  An
+    operator whose sectors couple by more than PARITY_TOL raises ParityBroken
+    rather than lose the coupling.  A NaN in a live row of the cutoff still
+    reaches a sector, whose solve rejects it: every hyperbolic word has a
     Fourier letter, which spreads it along the row.  The operator is freed on
     return, before a sweep builds the next, larger N.
     """
     log.info("open operator spectrum: N = %d", n)
     live, rows = build_open_operator(m, spec, n, quant=quant, k_max=k_max,
                                      grid=grid)
-    vals = eigenvalues(rows[:, live])
+    even, odd, defect = parity_sectors(live, rows, n)
+    if defect > PARITY_TOL:
+        raise ParityBroken(f"open operator at N = {n} couples the parity "
+                           f"sectors: defect {defect:.3e} > {PARITY_TOL:g}")
+    vals = np.concatenate([eigenvalues(even), eigenvalues(odd)])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
 

@@ -1,5 +1,6 @@
 """Cutoff specs and operator helpers shared by the test modules."""
 
+from hypothesis import strategies as st
 import numpy as np
 
 import opencat.experiments as experiments
@@ -9,6 +10,11 @@ from opencat.quantizer import BumpSpec
 # The cutoffs of the README's example config and of the benchmark workloads.
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
 NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
+
+# A shear letter; words of two or more of them draw random SL(2,Z) maps,
+# hyperbolic once their trace exceeds 2 in modulus.
+shear = st.tuples(st.sampled_from(["U", "L"]),
+                  st.integers(-3, 3).filter(lambda v: v != 0))
 
 
 def dense_operator(live, rows, n):

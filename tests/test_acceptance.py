@@ -42,9 +42,10 @@ def phase_coherence_check(rows, n) -> float:
 
 
 def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
+    # a diagonal operator commutes with parity j -> -j when d_j = d_-j
     monkeypatch.setattr(experiments, "build_open_operator",
                         lambda *args, **kwargs: (slice(None),
-                                                 np.diag([0.6, 0.2, 0.1, 0.05])))
+                                                 np.diag([0.6, 0.2, 0.1, 0.2])))
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=1)
     assert phase_coherence_check(rows, 4) == 0.0
     rows4 = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)

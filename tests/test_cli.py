@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import opencat.cli as cli
+import opencat.experiments as experiments
 from opencat.cli import ConfigError, main, parse_config
 from opencat.quantizer import BumpSpec
 
@@ -146,6 +147,22 @@ def test_nontrapping_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys)
                                "r_outer": 0.24})
     assert main(["nontrapping", "--config", cfg]) == 3
     assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trapped", "nontrapping"])
+def test_parity_breaking_operator_exits_numeric(tmp_path, monkeypatch, capsys,
+                                                command):
+    rng = np.random.default_rng(3)
+    monkeypatch.setattr(experiments, "build_open_operator",
+                        lambda m, spec, n, **kwargs: (slice(None),
+                                                      rng.standard_normal((n, n))))
+    out = tmp_path / "rows.csv"
+    cutoff = {"kind": "product_bump" if command == "trapped" else "annulus_product",
+              "r_inner": 0.15, "r_outer": 0.24}
+    cfg = write_config(tmp_path, out_csv=str(out), cutoff=cutoff)
+    assert main([command, "--config", cfg]) == 3
+    assert "couples the parity sectors" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,3 +342,15 @@ def test_verify_flipped_dft_fails_egorov(tmp_path, capsys):
 
 def test_missing_config_file(capsys):
     assert main(["trapped", "--config", "/nonexistent/zz.json"]) == 2
+
+
+def test_verify_checks_parity_commutation(tmp_path, capsys):
+    # the flipped DFT sign still commutes with parity, so only the Fourier
+    # generators' Egorov checks fail
+    cfg = write_config(tmp_path)
+    for flip, code in (([], 0), (["--debug-flip-dft"], 1)):
+        assert main(["verify", "--config", cfg, *flip]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("PASS  parity_commutation") for line in lines)
+        failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
+        assert failed == ({"egorov_gen_S", "egorov_gen_S_INV"} if flip else set())

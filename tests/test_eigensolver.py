@@ -126,9 +126,14 @@ def test_hermitian_input_real_output():
 def test_zero_rows_split_off_exactly(dead, seed):
     rng = np.random.default_rng(seed)
     n = len(dead)
-    a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    # open_spectrum splits by parity j -> -j, so draw b + PbP, which commutes
+    # with it, and a dead pattern closed under it
+    par = -np.arange(n) % n
+    dead = np.array(dead) | np.array(dead)[par]
+    b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    a = b + b[np.ix_(par, par)]
     a[dead] = 0.0
-    live = np.flatnonzero(~np.array(dead))
+    live = np.flatnonzero(~dead)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "build_open_operator",
                    lambda *args, **kwargs: (live, a[live]))

@@ -1,22 +1,24 @@
 import math
 import warnings
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD
-from opencat.eigensolver import eigenvalues, sort_by_modulus
-from opencat.errors import DegeneratePhase, NonFinite
-from opencat.experiments import (build_open_operator, nontrapping_rows,
-                                 nontrapping_sweep, open_spectrum,
+from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
+from opencat.errors import DegeneratePhase, NonFinite, OpenCatError, ParityBroken
+from opencat.experiments import (PARITY_TOL, build_open_operator,
+                                 nontrapping_rows, nontrapping_sweep,
+                                 open_spectrum, parity_sectors,
                                  theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
-from opencat.metaplectic import phase_factor
+from opencat.metaplectic import phase_factor, word_matrix
 from opencat.quantizer import BumpSpec, cutoff_profile, op_left_separable
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator,
-                     nan_in_dead_column)
+                     nan_in_dead_column, shear)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -133,7 +135,7 @@ def test_moduli_invariant_under_conventions(monkeypatch):
     assert np.abs(base - other).max() < 1e-9
 
 
-def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
+def test_trapped_sweep_diagonalizes_once_per_sector_per_n(monkeypatch):
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -143,12 +145,16 @@ def test_trapped_sweep_diagonalizes_once_per_n(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)
-    # one solve per N, on the rows where the cutoff profile is nonzero
+    # one solve per parity sector per N, even then odd; together they span
+    # the rows where the cutoff profile is nonzero
     profile = cutoff_profile(TRAPPED_SPEC)
     live = [int(np.count_nonzero(profile(torus_rep_array(np.arange(n) / n))))
             for n in (32, 64)]
     assert 0 < live[0] < 32 and 0 < live[1] < 64
-    assert calls == live
+    assert len(calls) == 4
+    assert [calls[0] + calls[1], calls[2] + calls[3]] == live
+    # the live rows hold x = 0 and pair up, so the even sector has one more
+    assert calls[0] == calls[1] + 1 and calls[2] == calls[3] + 1
 
 
 def test_trapped_sweep_phase_matches_normalized_operator():
@@ -185,3 +191,53 @@ def test_nan_outside_live_block_raises(monkeypatch):
     nan_in_dead_column(monkeypatch)
     with pytest.raises(NonFinite):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)
+
+
+def test_parity_breaking_operator_raises(monkeypatch):
+    # diag(d) commutes with parity only if d_j = d_-j; here d_1 != d_3
+    monkeypatch.setattr(experiments, "build_open_operator",
+                        lambda *args, **kwargs: (slice(None),
+                                                 np.diag([0.6, 0.2, 0.1, 0.05])))
+    with pytest.raises(ParityBroken, match="couples the parity sectors"):
+        open_spectrum(ARNOLD, TRAPPED_SPEC, 4)
+    assert issubclass(ParityBroken, OpenCatError)
+
+
+def test_live_set_closed_under_parity(monkeypatch):
+    # row 1 is listed live but is zero, and its partner row 3 is not listed:
+    # the fold adds row 3 as a zero row, so no zero eigenvalue is padded
+    n = 4
+    rng = np.random.default_rng(7)
+    par = -np.arange(n) % n
+    b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    a = b + b[np.ix_(par, par)]
+    a[[1, 3]] = 0.0
+    live = np.array([0, 1, 2])
+    monkeypatch.setattr(experiments, "build_open_operator",
+                        lambda *args, **kwargs: (live, a[live]))
+    vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
+    even, odd, defect = parity_sectors(live, a[live], n)
+    assert (even.shape, odd.shape, defect) == ((3, 3), (1, 1), 0.0)
+    assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4),
+       n=st.sampled_from([2, 4, 16, 32, 96]),
+       quant=st.sampled_from(["left", "weyl"]),
+       spec=st.sampled_from([TRAPPED_SPEC, NONTRAP_SPEC]))
+def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
+    m = word_matrix(word)
+    assume(abs(m.a + m.d) > 2)
+    live, rows = build_open_operator(m, spec, n, quant=quant, k_max=16, grid=64)
+    a = dense_operator(live, rows, n)
+    par = -np.arange(n) % n
+    assert np.abs(a[np.ix_(par, par)] - a).max() <= PARITY_TOL * np.abs(a).max()
+    even, odd, defect = parity_sectors(live, rows, n)
+    assert defect <= PARITY_TOL
+    # the sectors span the live rows; N = 2 has no pair j != -j, so no odd sector
+    assert even.shape[0] + odd.shape[0] == np.arange(n)[live].size
+    assert n > 2 or odd.shape == (0, 0)
+    # the unsplit solve of the live block is the oracle
+    split = np.concatenate([eigenvalues(even), eigenvalues(odd)])
+    assert multiset_distance(split, eigenvalues(rows[:, live])) < 1e-8

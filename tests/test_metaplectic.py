@@ -16,7 +16,7 @@ from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import build_open_operator, cutoff_operator, open_spectrum
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, quantize_word
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, quantize_word, shear
 
 
 def mode(k, l, kmax=2):
@@ -185,10 +185,6 @@ def test_phase_factor_from_eigenvalues():
     assert (vals * phase_factor(vals))[1] == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DegeneratePhase):
         phase_factor(np.zeros(4))
-
-
-shear = st.tuples(st.sampled_from(["U", "L"]),
-                  st.integers(-3, 3).filter(lambda v: v != 0))
 
 
 @settings(max_examples=60, deadline=None)
