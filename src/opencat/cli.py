@@ -90,8 +90,11 @@ def parse_config(raw: dict) -> RunConfig:
     mat = raw["matrix"]
     if not isinstance(mat, list) or len(mat) != 4:
         raise ConfigError("matrix must be 4 integers [a, b, c, d]")
+    entries = [_integer(v, "matrix entry") for v in mat]
+    if max(abs(v) for v in entries) >= 2**63:  # CatMap.as_array is int64
+        raise ConfigError(f"matrix entries must be below 2**63 in magnitude, got {mat}")
     try:
-        m = CatMap(*(_integer(v, "matrix entry") for v in mat))
+        m = CatMap(*entries)
         analyze(m)
     except OpenCatError as exc:
         raise ConfigError(f"bad matrix: {exc}")
@@ -281,8 +284,8 @@ def _verify_checks(config: RunConfig, sign: int):
     """
     dims = [32, 64, 128]
     for n in dims:
-        f = hn.dft_matrix(n, sign)
-        defect = np.abs(f.conj().T @ f - np.eye(n)).max()
+        f = hn.dft_matrix(n)
+        defect = np.abs(np.conj(f) @ f - np.eye(n)).max()  # F^dag = conj(F)
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         u = quantize_map(config.matrix, n, sign=sign)

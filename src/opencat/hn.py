@@ -1,8 +1,8 @@
 """The N-dimensional state space of the quantized torus.
 
-The Planck scale attached to N, the unitary DFT matrix (its sign is the
-Fourier convention, an argument of every caller) and the torus
-representative of a position.  All matrices are plain dense numpy arrays.
+The Planck scale attached to N, the unitary DFT matrix of the package
+convention and the torus representative of a position.  All matrices are
+plain dense numpy arrays.
 """
 
 from functools import lru_cache
@@ -20,24 +20,18 @@ def planck(n: int) -> float:
     return 1.0 / (2.0 * math.pi * n)
 
 
-# A sweep uses one N at a time and production passes one sign; the second
-# entry holds the other sign (verify --debug-flip-dft) or the previous N.
-# At N = 4096 each entry pins 268 MB.
-@lru_cache(maxsize=2)
-def dft_matrix(n: int, sign: int) -> np.ndarray:
-    """Unitary DFT matrix with kernel N^{-1/2} exp(sign * 2 pi i m k / N).
+# A sweep uses one N at a time; at N = 4096 the matrix pins 268 MB.
+@lru_cache(maxsize=1)
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary DFT matrix with kernel N^{-1/2} exp(-2 pi i m k / N).
 
-    sign=-1 is the package-wide convention.  Note that flipping the sign
-    *everywhere* yields a unitarily equivalent setup (conjugation by parity,
-    which commutes with every integer symplectic map); only a sign mismatch
-    between the map quantization and the observables is detectable.  The
-    sign has no default so that every caller passes it the same way and
-    shares one cache entry per N.
+    outer(m, m) is symmetric, so F = F^T bit for bit and F^dag = conj(F):
+    callers form x F^dag as conj(conj(x) F) and never copy F.
     """
     if n < 1:
         raise NonPositiveN(f"n = {n}")
     m = np.arange(n)
-    mat = np.exp(sign * 2j * np.pi * np.outer(m, m) / n) / math.sqrt(n)
+    mat = np.exp(-2j * np.pi * np.outer(m, m) / n) / math.sqrt(n)
     mat.setflags(write=False)
     return mat
 

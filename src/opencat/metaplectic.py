@@ -10,9 +10,7 @@ a convention: the one rule that fixes it acts on the eigenvalues of the open
 operator (phase_factor).  All sign conventions are pinned by the exact
 commutation identity with quantized observables (checked generator by
 generator in the tests): with the DFT kernel e^{-2 pi i m k / N}, S
-quantizes to a multiple of the *inverse* DFT.  The quantizers take that
-kernel sign as the argument `sign`; sign=+1 quantizes S and U with the
-opposite convention to the observables, which breaks Egorov for S at O(1).
+quantizes to a multiple of the *inverse* DFT (apply_word's sign=-1).
 """
 
 import math
@@ -100,28 +98,33 @@ def _parity_index(n: int) -> np.ndarray:
 def apply_word(x: np.ndarray, word, n: int, sign: int = -1) -> np.ndarray:
     """x @ Mhat for the word's unitary, applied one letter at a time from the right.
 
-    With F the unitary DFT of kernel sign `sign`, the letters act on the rows
-    of x as S: omega x F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp)
-    F^dag, L(c): x * chirp and PAR: a column gather.  A Fourier letter costs
-    one (rows x N) by (N x N) product, so for a few rows of x this is far
-    cheaper than building Mhat.  x is not modified; the empty word returns it.
+    With F the unitary DFT, the letters act on the rows of x as S: omega x
+    F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp) F^dag, L(c): x * chirp
+    and PAR: a column gather; F is symmetric, so x F^dag is conj(conj(x) F).
+    A Fourier letter costs one (rows x N) by (N x N) product, far cheaper than
+    building Mhat for a few rows.  x is not modified; the empty word returns
+    it.  sign=+1 uses conj(F), the kernel opposite to the package's.  Flipping
+    the sign everywhere is unitarily equivalent (conjugation by parity, which
+    commutes with every integer symplectic map), so only a mismatch with the
+    observables shows: sign=+1 breaks Egorov for S at O(1).
     """
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
-    f = dft_matrix(n, sign)
-    f_inv = f.conj().T
+    f = dft_matrix(n) if sign == -1 else dft_matrix(n).conj()
     for letter in word:
         kind = letter[0]
         if kind == "S":
-            x = x @ f_inv
+            x = np.conj(np.conj(x) @ f)
             x *= OMEGA_S
         elif kind == "S_INV":
             x = x @ f
             x *= np.conj(OMEGA_S)
         elif kind == "U":
-            y = x @ f
-            y *= _chirp(-letter[1], n)
-            x = y @ f_inv
+            # x @ f is this letter's own buffer, so it is conjugated in place
+            x = x @ f
+            x *= _chirp(-letter[1], n)
+            x = np.conj(x, out=x) @ f
+            np.conj(x, out=x)
         elif kind == "L":
             x = x * _chirp(letter[1], n)
         elif kind == "PAR":

@@ -114,12 +114,12 @@ def op_left_separable(f_profile, g_profile, n: int):
     live indexes the rows where f(x_m) != 0 and rows holds them, multiplied
     out; every other row of the operator is exactly zero.
     """
-    f_mat = dft_matrix(n, -1)
+    f_mat = dft_matrix(n)
     x = torus_rep_array(np.arange(n) / n)
     d_f = np.asarray(f_profile(x), dtype=complex)
     d_g = np.asarray(g_profile(x), dtype=complex)
     live = np.flatnonzero(d_f)
-    return live, d_f[live, None] * (f_mat[:, live].conj().T * d_g[None, :]) @ f_mat
+    return live, d_f[live, None] * (np.conj(f_mat[live]) * d_g[None, :]) @ f_mat
 
 
 def cutoff_profile(spec: BumpSpec):

@@ -87,6 +87,18 @@ def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trapped", "classical"])
+@pytest.mark.parametrize("matrix", [[2**63 + 1, 2**63, 1, 1], [1, 1, 2**63, 2**63 + 1],
+                                    [-(2**63), 1, -1, 0]])
+def test_matrix_entry_beyond_int64_is_config_error(tmp_path, capsys, command, matrix):
+    # det 1 and hyperbolic, but CatMap.as_array would overflow int64 with a traceback
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, matrix=matrix, out_csv=str(out))
+    assert main([command, "--config", cfg]) == 2
+    assert "2**63" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, kind", [("trapped", "product_bump"),
                                            ("nontrapping", "annulus_product")])
 def test_repeated_n_is_config_error(tmp_path, capsys, command, kind):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
@@ -38,17 +39,16 @@ def quantize_generator(letter, n, sign=-1):
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
     kind = letter[0]
-    f = dft_matrix(n, sign)
+    m = np.arange(n)
+    f = np.exp(sign * 2j * np.pi * np.outer(m, m) / n) / math.sqrt(n)
     f_inv = f.conj().T
     if kind == "S":
         return OMEGA_S * f_inv
     if kind == "S_INV":
         return np.conj(OMEGA_S) * f
     if kind == "L":
-        m = np.arange(n)
         return np.diag(np.exp(1j * math.pi * letter[1] * m * m / n))
     if kind == "U":
-        m = np.arange(n)
         d = np.exp(-1j * math.pi * letter[1] * m * m / n)
         return f @ (d[:, None] * f_inv)
     if kind == "PAR":
@@ -257,6 +257,23 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
     assert out.shape == (rows, n)
     assert np.abs(out - x @ quantize_word_dense(word, n, sign)).max() <= 1e-12
     assert np.array_equal(x, before)
+
+
+def test_apply_word_allocates_no_dft_sized_array():
+    # F^dag is never materialized: on a few rows the word's peak allocation
+    # stays far below one N x N complex matrix
+    n = 512
+    word = factor_sl2z(ARNOLD) + [("S",)]
+    assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
+    dft_matrix(n)
+    x = np.random.default_rng(0).standard_normal((8, n)).astype(complex)
+    tracemalloc.start()
+    try:
+        apply_word(x, word, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
 
 
 @pytest.mark.parametrize("spec", [TRAPPED_SPEC, NONTRAP_SPEC])
