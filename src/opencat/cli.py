@@ -20,9 +20,8 @@ from .errors import OpenCatError
 from .experiments import (PARITY_TOL, build_open_operator, nontrapping_rows,
                           nontrapping_sweep, parity_sectors, theorem_targets,
                           trapped_sweep)
-from .metaplectic import egorov_residual, letter_matrix, quantize_map
-from .quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_weyl,
-                        DEFAULT_GRID, DEFAULT_K_MAX)
+from .metaplectic import egorov_residual, factor_sl2z, quantize_map
+from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -43,11 +42,8 @@ class RunConfig:
     matrix: CatMap
     n_list: list
     cutoff: BumpSpec
-    quantization: str
     phase: str
     k_count: int
-    k_max: int
-    grid: int
     out_csv: str | None
     out_svg: str | None
     seed: int
@@ -108,14 +104,14 @@ def parse_config(raw: dict) -> RunConfig:
     cut = raw["cutoff"]
     if not isinstance(cut, dict) or set(cut) != _CUTOFF_KEYS:
         raise ConfigError(f"cutoff needs exactly keys {sorted(_CUTOFF_KEYS)}")
+    # the quantization route's keys default and are checked in BumpSpec
+    route = {key: raw[key] if key == "quantization" else _integer(raw[key], key)
+             for key in ("quantization", "k_max", "grid") if key in raw}
     try:
         spec = BumpSpec(cut["kind"], _number(cut["r_inner"], "r_inner"),
-                        _number(cut["r_outer"], "r_outer"))
+                        _number(cut["r_outer"], "r_outer"), **route)
     except OpenCatError as exc:
         raise ConfigError(f"bad cutoff: {exc}")
-    quant = raw.get("quantization", "left")
-    if quant not in ("left", "weyl"):
-        raise ConfigError("quantization must be 'left' or 'weyl'")
     phase = raw.get("phase", "leading")
     if phase not in ("none", "leading"):
         raise ConfigError("phase must be 'none' or 'leading'")
@@ -124,16 +120,12 @@ def parse_config(raw: dict) -> RunConfig:
     if not 1 <= k_count <= 8:
         raise ConfigError("k_count must be in 1..8; higher modes are not "
                           "resolvable at desk scale")
-    k_max = _integer(raw.get("k_max", DEFAULT_K_MAX), "k_max", low=1)
-    grid = _integer(raw.get("grid", DEFAULT_GRID), "grid")
-    if grid < 4 * k_max:
-        raise ConfigError("grid must be >= 4 * k_max")
     for key in ("out_csv", "out_svg"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string")
-    return RunConfig(matrix=m, n_list=n_list, cutoff=spec, quantization=quant,
-                     phase=phase, k_count=k_count, k_max=k_max, grid=grid,
-                     out_csv=raw.get("out_csv"), out_svg=raw.get("out_svg"),
+    return RunConfig(matrix=m, n_list=n_list, cutoff=spec, phase=phase,
+                     k_count=k_count, out_csv=raw.get("out_csv"),
+                     out_svg=raw.get("out_svg"),
                      seed=_integer(raw.get("seed", 0), "seed", low=0))
 
 
@@ -222,9 +214,8 @@ def cmd_trapped(config: RunConfig) -> int:
         raise ConfigError(f"k_count {config.k_count} exceeds the smallest N "
                           f"{config.n_list[0]}")
     rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
-                         quant=config.quantization, k_count=config.k_count,
-                         normalize_phase=config.phase == "leading",
-                         k_max=config.k_max, grid=config.grid)
+                         k_count=config.k_count,
+                         normalize_phase=config.phase == "leading")
     _write_csv(config.out_csv, "N,h,k,re,im,modulus,target,abs_err",
                ([str(r.n), _fmt(r.h), str(r.k), _fmt(r.re), _fmt(r.im),
                  _fmt(r.modulus), _fmt(r.target), _fmt(r.abs_err)]
@@ -244,9 +235,7 @@ def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
         rows = nontrapping_rows(config.n_list,
                                 [hn.planck(n) ** 2 for n in config.n_list])
     else:
-        rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list,
-                                 quant=config.quantization, k_max=config.k_max,
-                                 grid=config.grid)
+        rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list)
     _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev",
                ([str(r.n), _fmt(r.h), _fmt(r.top_modulus),
                  "" if math.isnan(r.slope_vs_prev) else _fmt(r.slope_vs_prev)]
@@ -296,8 +285,9 @@ def _verify_checks(config: RunConfig, sign: int):
     table[k + 1, k] = table[k - 1, k] = 0.5
     table[k, k + 1] = table[k, k - 1] = 0.5
     sym = TorusSymbol(table, k)
+    word = factor_sl2z(config.matrix)
     for n in (32, 64):
-        res = egorov_residual(config.matrix, sym, n, sign=sign)
+        res = egorov_residual(word, sym, n, sign=sign)
         yield f"egorov_N{n}", res < 1e-8, res
     # Per-generator residuals with single plane waves pin every sign
     # convention; the full-word residual alone can miss a flipped Fourier
@@ -308,23 +298,20 @@ def _verify_checks(config: RunConfig, sign: int):
         t[1 + k_mode, 1 + l_mode] = 1.0
         modes.append(TorusSymbol(t, 1))
     for letter in (("S",), ("S_INV",), ("U", 1), ("L", 1)):
-        res = max(egorov_residual(letter_matrix(letter), mode, 32, word=[letter],
-                                  sign=sign)
-                  for mode in modes)
+        res = max(egorov_residual([letter], mode, 32, sign=sign) for mode in modes)
         name = letter[0] if len(letter) == 1 else f"{letter[0]}{letter[1]}"
         yield f"egorov_gen_{name}", res < 1e-8, res
     one = np.zeros((3, 3), dtype=complex)
     one[1, 1] = 1.0
     defect = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
     yield "op_weyl_identity", defect < 1e-13, defect
-    a = op_weyl(cutoff_symbol(config.cutoff, config.k_max, config.grid), 64)
+    a = op_weyl(cutoff_symbol(config.cutoff), 64)
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
     # open_spectrum diagonalizes the parity sectors apart; this measures the
     # coupling it would drop, on the operator the configured sweep builds
-    _, _, defect = parity_sectors(*build_open_operator(
-        config.matrix, config.cutoff, 64, quant=config.quantization,
-        k_max=config.k_max, grid=config.grid), 64)
+    _, _, defect = parity_sectors(
+        *build_open_operator(config.matrix, config.cutoff, 64), 64)
     yield "parity_commutation", defect < PARITY_TOL, defect
     rng = np.random.default_rng(config.seed)
     worst = 0.0

@@ -19,8 +19,7 @@ from .errors import ParityBroken
 from .hn import planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
-                        op_left_separable, op_weyl,
-                        DEFAULT_GRID, DEFAULT_K_MAX)
+                        op_left_separable, op_weyl)
 
 log = logging.getLogger(__name__)
 
@@ -57,31 +56,27 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
     return lam ** (-(2.0 * np.arange(k_count) + 1.0) / 2.0)
 
 
-def cutoff_operator(spec: BumpSpec, n: int, quant: str = "left",
-                    k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
-    """Quantize the cutoff, by either quantization route, as (live, rows).
+def cutoff_operator(spec: BumpSpec, n: int):
+    """Quantize the cutoff by its own route, spec.quantization, as (live, rows).
 
     rows holds the rows of the N x N operator that live indexes; the others
-    are exactly zero.  The left route quantizes the profile itself, keeps the
-    rows where it is nonzero and ignores k_max and grid; the Weyl route
-    quantizes cutoff_symbol(spec, k_max, grid) and keeps every row.
+    are exactly zero.  The left route quantizes the profile itself and keeps
+    the rows where it is nonzero; the Weyl route quantizes
+    cutoff_symbol(spec) and keeps every row.
     """
-    if quant == "left":
+    if spec.quantization == "left":
         profile = cutoff_profile(spec)
         return op_left_separable(profile, profile, n)
-    if quant == "weyl":
-        return slice(None), op_weyl(cutoff_symbol(spec, k_max, grid), n)
-    raise ValueError(f"unknown quantization {quant!r}")
+    return slice(None), op_weyl(cutoff_symbol(spec), n)
 
 
-def build_open_operator(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
-                        k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
+def build_open_operator(m: CatMap, spec: BumpSpec, n: int):
     """(quantized cutoff) @ (quantized map) as (live, rows), unnormalized phase.
 
     The cutoff's rows outside live are zero, and so are the product's; the
     map's word is applied to the cutoff's live rows only.
     """
-    live, chi = cutoff_operator(spec, n, quant=quant, k_max=k_max, grid=grid)
+    live, chi = cutoff_operator(spec, n)
     return live, apply_word(chi, factor_sl2z(m), n)
 
 
@@ -125,8 +120,7 @@ def parity_sectors(live, rows, n: int):
     return even_t.T, odd_t.T, cross / scale if scale > 0 else 0.0
 
 
-def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
-                  k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID) -> np.ndarray:
+def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered.
 
     With its dead rows permuted last the operator is block upper triangular,
@@ -142,8 +136,7 @@ def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     return, before a sweep builds the next, larger N.
     """
     log.info("open operator spectrum: N = %d", n)
-    live, rows = build_open_operator(m, spec, n, quant=quant, k_max=k_max,
-                                     grid=grid)
+    live, rows = build_open_operator(m, spec, n)
     even, odd, defect = parity_sectors(live, rows, n)
     if defect > PARITY_TOL:
         raise ParityBroken(f"open operator at N = {n} couples the parity "
@@ -152,9 +145,8 @@ def open_spectrum(m: CatMap, spec: BumpSpec, n: int, quant: str = "left",
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
 
-def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
-                  k_count: int = 4, normalize_phase: bool = True,
-                  k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
+def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int = 4,
+                  normalize_phase: bool = True):
     """Top-k eigenvalues against the theorem targets, as SweepRows in (N, k) order.
 
     The global phase of the quantized map is a convention.  normalize_phase
@@ -177,7 +169,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     targets = theorem_targets(m, k_count)
     rows = []
     for n in n_list:
-        vals = open_spectrum(m, spec, n, quant=quant, k_max=k_max, grid=grid)
+        vals = open_spectrum(m, spec, n)
         if normalize_phase:
             vals = vals * phase_factor(vals)
         top = sort_by_modulus(vals)[:k_count]
@@ -189,13 +181,11 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
     return rows
 
 
-def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list, quant: str = "left",
-                      k_max: int = DEFAULT_K_MAX, grid: int = DEFAULT_GRID):
+def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list):
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ValueError("nontrapping sweep needs an annulus cutoff")
-    tops = [float(np.abs(open_spectrum(m, spec, n, quant=quant, k_max=k_max,
-                                       grid=grid)).max()) for n in n_list]
+    tops = [float(np.abs(open_spectrum(m, spec, n)).max()) for n in n_list]
     return nontrapping_rows(n_list, tops)
 
 

@@ -84,8 +84,10 @@ def _chirp(coef: int, n: int) -> np.ndarray:
     """The quadratic phase e^{i pi coef m^2 / N}, m = 0..N-1.
 
     L(c) multiplies by the chirp with coef = c; U(b) is the chirp with
-    coef = -b conjugated by the DFT.
+    coef = -b conjugated by the DFT.  The phase has period 2N in coef, so
+    coef is first reduced into [-N, N) in exact integer arithmetic.
     """
+    coef = (coef + n) % (2 * n) - n
     m = np.arange(n)
     return np.exp(1j * math.pi * coef * m * m / n)
 
@@ -134,15 +136,12 @@ def apply_word(x: np.ndarray, word, n: int, sign: int = -1) -> np.ndarray:
     return x
 
 
-def quantize_map(m: CatMap, n: int, word=None, sign: int = -1) -> np.ndarray:
+def quantize_map(m: CatMap, n: int, sign: int = -1) -> np.ndarray:
     """Quantize a cat map, up to the global phase its factorization gives.
 
-    The unitary is the word applied to the identity; word, if given, is the
-    factorization of m to use instead of factor_sl2z(m).
+    The unitary is the word factor_sl2z(m) applied to the identity.
     """
-    if word is None:
-        word = factor_sl2z(m)
-    return apply_word(np.eye(n, dtype=complex), word, n, sign)
+    return apply_word(np.eye(n, dtype=complex), factor_sl2z(m), n, sign)
 
 
 def phase_factor(vals: np.ndarray) -> complex:
@@ -158,32 +157,36 @@ def phase_factor(vals: np.ndarray) -> complex:
     return np.conj(mu0) / abs(mu0)
 
 
-def compose_symbol(sym: TorusSymbol, m: CatMap) -> TorusSymbol:
-    """Pull back a symbol by the map: coefficient at M^T w moves to w's value.
+def compose_symbol(sym: TorusSymbol, m: CatMap, n: int) -> TorusSymbol:
+    """Pull back a symbol by the map, for Op_N: coefficient at M^T w moves to w's value.
 
     Exact integer reindexing of the Fourier table; the plane wave with
     frequency w composed with M is the plane wave with frequency M^T w.
+    Op_N of a plane wave depends on its frequency only mod 2N, so M's entries
+    are reduced mod 2N and each M^T w into [-N, N), where coefficients that
+    land on one frequency add; a frequency already in range keeps its place.
     """
     kmax = sym.k_max
     ks, ls = np.nonzero(sym.table)
     ks, ls = ks - kmax, ls - kmax
-    new_k = m.a * ks + m.c * ls
-    new_l = m.b * ks + m.d * ls
+    a, b, c, d = (entry % (2 * n) for entry in (m.a, m.b, m.c, m.d))
+    new_k = (a * ks + c * ls + n) % (2 * n) - n
+    new_l = (b * ks + d * ls + n) % (2 * n) - n
     needed = int(max(np.abs(new_k).max(), np.abs(new_l).max())) if len(ks) else 0
     out_k = max(needed, kmax)
     table = np.zeros((2 * out_k + 1, 2 * out_k + 1), dtype=complex)
-    table[new_k + out_k, new_l + out_k] = sym.table[ks + kmax, ls + kmax]
+    np.add.at(table, (new_k + out_k, new_l + out_k), sym.table[ks + kmax, ls + kmax])
     return TorusSymbol(table=table, k_max=out_k)
 
 
-def egorov_residual(m: CatMap, sym: TorusSymbol, n: int, word=None,
-                    sign: int = -1) -> float:
+def egorov_residual(word, sym: TorusSymbol, n: int, sign: int = -1) -> float:
     """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat; zero in exact arithmetic.
 
-    Mhat is quantized with DFT kernel sign `sign`; the observables Op keep
-    the package convention, so sign=+1 measures the mismatch.
+    Mhat is the word's unitary and M = word_matrix(word).  Mhat is quantized
+    with DFT kernel sign `sign`; the observables Op keep the package
+    convention, so sign=+1 measures the mismatch.
     """
-    u = quantize_map(m, n, word=word, sign=sign)
-    lhs = op_weyl(compose_symbol(sym, m), n)
+    u = apply_word(np.eye(n, dtype=complex), word, n, sign)
+    lhs = op_weyl(compose_symbol(sym, word_matrix(word), n), n)
     rhs = u.conj().T @ op_weyl(sym, n) @ u
     return float(np.abs(lhs - rhs).max())

@@ -21,11 +21,20 @@ DEFAULT_GRID = 512
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Per-axis radii of the plateau/support of the profile rho."""
+    """A cutoff: per-axis radii of the plateau/support of its profile rho, and
+    the route that quantizes it.
+
+    quantization "left" quantizes the profile itself and ignores k_max and
+    grid; "weyl" quantizes cutoff_symbol(spec), the profile's Fourier
+    coefficients with |k| <= k_max taken from grid samples.
+    """
 
     kind: str          # "product_bump" or "annulus_product"
     r_inner: float
     r_outer: float
+    quantization: str = "left"
+    k_max: int = DEFAULT_K_MAX
+    grid: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.kind not in ("product_bump", "annulus_product"):
@@ -35,6 +44,13 @@ class BumpSpec:
                               f"({self.r_inner}, {self.r_outer})")
         if self.kind == "annulus_product" and 2.0 * self.r_outer >= 0.5:
             raise InvalidSpec("annulus profile needs 2*r_outer < 1/2")
+        if self.quantization not in ("left", "weyl"):
+            raise InvalidSpec(f"quantization must be 'left' or 'weyl', "
+                              f"got {self.quantization!r}")
+        if self.k_max < 1:
+            raise InvalidSpec(f"k_max must be >= 1, got {self.k_max}")
+        if self.grid < 4 * self.k_max:
+            raise GridTooCoarse(f"grid {self.grid} < 4*k_max = {4 * self.k_max}")
 
 
 def _smooth_step(t):
@@ -128,18 +144,16 @@ def cutoff_profile(spec: BumpSpec):
     return lambda x: profile(spec, x)
 
 
-def cutoff_symbol(spec: BumpSpec, k_max: int = DEFAULT_K_MAX,
-                  grid: int = DEFAULT_GRID) -> TorusSymbol:
+def cutoff_symbol(spec: BumpSpec) -> TorusSymbol:
     """Fourier-truncated symbol rho(x) rho(xi) of the cutoff, for the Weyl route.
 
-    The profile is sampled on grid uniform points of [0, 1) (through
+    The profile is sampled on spec.grid uniform points of [0, 1) (through
     torus_rep) and transformed with one length-grid DFT.  The symbol is a
     product, so its coefficient table is the outer product of the profile's
-    coefficients with |k| <= k_max.  Aliasing is bounded by the profile's
-    Fourier tail beyond grid - k_max.
+    coefficients with |k| <= spec.k_max.  Aliasing is bounded by the
+    profile's Fourier tail beyond grid - k_max.
     """
-    if grid < 4 * k_max:
-        raise GridTooCoarse(f"grid {grid} < 4*k_max = {4 * k_max}")
+    k_max, grid = spec.k_max, spec.grid
     samples = cutoff_profile(spec)(torus_rep_array(np.arange(grid) / grid))
     c = np.fft.fft(samples)[np.arange(-k_max, k_max + 1) % grid] / grid
     return TorusSymbol(table=np.outer(c, c), k_max=k_max)

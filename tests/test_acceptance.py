@@ -8,6 +8,7 @@ fourth moduli of the two routes differ by ~2e-2 there; the same comparison
 passes at N = 512.  See the repository notes for the analysis.
 """
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -54,13 +55,13 @@ def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
 
 @pytest.fixture(scope="module")
 def trapped_left():
-    return trapped_sweep(ARNOLD, TRAPPED_SPEC, [128, 256, 384, 512],
-                         quant="left")
+    return trapped_sweep(ARNOLD, TRAPPED_SPEC, [128, 256, 384, 512])
 
 
 @pytest.fixture(scope="module")
 def trapped_weyl():
-    return trapped_sweep(ARNOLD, TRAPPED_SPEC, [128, 512], quant="weyl")
+    return trapped_sweep(ARNOLD, replace(TRAPPED_SPEC, quantization="weyl"),
+                         [128, 512])
 
 
 def test_criterion_1_trapped_limits(trapped_left):
@@ -109,7 +110,7 @@ def test_criterion_4_exactness():
     table = np.zeros((2 * kmax + 1, 2 * kmax + 1), dtype=complex)
     table[kmax + 1, kmax] = table[kmax - 1, kmax] = 0.5
     table[kmax, kmax + 1] = table[kmax, kmax - 1] = 0.5
-    ego = max(egorov_residual(ARNOLD, TorusSymbol(table.copy(), kmax), n)
+    ego = max(egorov_residual(factor_sl2z(ARNOLD), TorusSymbol(table.copy(), kmax), n)
               for n in (32, 64))
     one = np.zeros((3, 3), dtype=complex)
     one[1, 1] = 1.0
@@ -204,7 +205,8 @@ def test_criterion_7_left_weyl_moduli_at_256():
     vals = {}
     for quant in ("left", "weyl"):
         vals[quant] = np.abs(sort_by_modulus(
-            open_spectrum(ARNOLD, TRAPPED_SPEC, 256, quant=quant))[:4])
+            open_spectrum(ARNOLD, replace(TRAPPED_SPEC, quantization=quant),
+                          256))[:4])
     diff = np.abs(vals["left"] - vals["weyl"])
     report("7b left/weyl moduli at N=256", diff.max() <= 1e-2,
            f"per-mode diff {[f'{d:.1e}' for d in diff]}")

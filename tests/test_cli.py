@@ -77,6 +77,9 @@ def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
     {"seed": -1},  # numpy's generator takes no negative seed
     {"quantization": "weyl", "k_max": 0},
     {"quantization": "weyl", "k_max": -1},
+    {"quantization": "exact"},
+    {"quantization": "weyl", "k_max": 48, "grid": 100},  # grid < 4 k_max
+    {"k_max": 48, "grid": 100},  # on the left route too
     {"out_svg": 2},  # an integer path would be taken as a file descriptor
 ])
 def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
@@ -97,6 +100,30 @@ def test_matrix_entry_beyond_int64_is_config_error(tmp_path, capsys, command, ma
     assert main([command, "--config", cfg]) == 2
     assert "2**63" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_large_shear_trapped_matches_its_reduction(tmp_path):
+    # both maps are L(1) mod 128, so they quantize alike at N = 32 and 64;
+    # unreduced, the shear's chirp lost its phase and broke parity
+    moduli = []
+    for matrix in ([2**30 + 1, 2**30, 1, 1], [2**62 + 1, 2**62, 1, 1]):
+        out = tmp_path / "rows.csv"
+        cfg = write_config(tmp_path, matrix=matrix, out_csv=str(out))
+        with pytest.warns(UserWarning, match="guard limit"):
+            assert main(["trapped", "--config", cfg]) == 0
+        moduli.append([float(line.split(",")[5])
+                       for line in out.read_text().splitlines()[1:]])
+    assert np.abs(np.subtract(*moduli)).max() < 1e-12
+
+
+@pytest.mark.parametrize("matrix", [[2**40 + 1, 2**40, 1, 1], [2**62 + 1, 2**62, 1, 1]])
+def test_verify_passes_on_large_entries(tmp_path, capsys, matrix):
+    # the pulled-back Egorov symbol is reduced mod 2N instead of tabulated
+    # out to the map's entries
+    cfg = write_config(tmp_path, matrix=matrix)
+    assert main(["verify", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16 and all(line.startswith("PASS") for line in lines)
 
 
 @pytest.mark.parametrize("command, kind", [("trapped", "product_bump"),
@@ -321,15 +348,16 @@ def test_verify_checks_configured_cutoff(tmp_path, capsys, monkeypatch):
     quantized = []
     maker = cli.cutoff_symbol
 
-    def recorded(spec, k_max, grid):
+    def recorded(spec):
         quantized.append(spec)
-        return maker(spec, k_max, grid)
+        return maker(spec)
 
     monkeypatch.setattr(cli, "cutoff_symbol", recorded)
     annulus = {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}
     cfg = write_config(tmp_path, cutoff=annulus)
     assert main(["verify", "--config", cfg]) == 0
-    assert quantized == [BumpSpec(**annulus)]
+    # the spec carries the config's route, k_max = 32 and grid = 128
+    assert quantized == [BumpSpec(**annulus, k_max=32, grid=128)]
     assert any(line.startswith("PASS  weyl_hermitian")
                for line in capsys.readouterr().out.splitlines())
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -116,7 +118,7 @@ def test_similarity_invariance():
 
 def test_hermitian_input_real_output():
     from opencat.quantizer import cutoff_symbol, op_weyl
-    sym = cutoff_symbol(TRAPPED_SPEC, k_max=32, grid=256)
+    sym = cutoff_symbol(replace(TRAPPED_SPEC, k_max=32, grid=256))
     vals = eigenvalues(op_weyl(sym, 64))
     assert np.abs(vals.imag).max() < 1e-10
 

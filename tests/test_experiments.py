@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 import warnings
 
@@ -173,17 +174,17 @@ def test_symbol_built_only_on_weyl_route(monkeypatch):
     built = []
     maker = experiments.cutoff_symbol
 
-    def counted(spec, k_max, grid):
-        built.append((spec, k_max, grid))
-        return maker(spec, k_max, grid)
+    def counted(spec):
+        built.append(spec)
+        return maker(spec)
 
     monkeypatch.setattr(experiments, "cutoff_symbol", counted)
-    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], quant="left", k_count=2)
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)
     assert built == []
-    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], quant="weyl", k_count=2,
-                  k_max=16, grid=64)
-    # once per N, from the sweep's own spec, k_max and grid
-    assert built == [(TRAPPED_SPEC, 16, 64)] * 2
+    weyl = replace(TRAPPED_SPEC, quantization="weyl", k_max=16, grid=64)
+    trapped_sweep(ARNOLD, weyl, [32, 64], k_count=2)
+    # once per N, from the sweep's own spec, which carries k_max and grid
+    assert built == [weyl] * 2
 
 
 def test_nan_outside_live_block_raises(monkeypatch):
@@ -229,7 +230,8 @@ def test_live_set_closed_under_parity(monkeypatch):
 def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
     m = word_matrix(word)
     assume(abs(m.a + m.d) > 2)
-    live, rows = build_open_operator(m, spec, n, quant=quant, k_max=16, grid=64)
+    live, rows = build_open_operator(
+        m, replace(spec, quantization=quant, k_max=16, grid=64), n)
     a = dense_operator(live, rows, n)
     par = -np.arange(n) % n
     assert np.abs(a[np.ix_(par, par)] - a).max() <= PARITY_TOL * np.abs(a).max()

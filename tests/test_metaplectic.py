@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,7 @@ from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
 from opencat.hn import dft_matrix, torus_rep_array
 from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_residual,
-                                 factor_sl2z, letter_matrix, phase_factor,
+                                 factor_sl2z, phase_factor,
                                  quantize_map, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import build_open_operator, cutoff_operator, open_spectrum
@@ -107,24 +108,24 @@ def test_map_unitary(n):
                                     ("L", 1), ("L", 3), ("PAR",)])
 @pytest.mark.parametrize("kl", [(1, 0), (0, 1)])
 def test_generator_egorov_pins_conventions(letter, kl):
-    assert egorov_residual(letter_matrix(letter), mode(*kl), 16, word=[letter]) < 1e-12
+    assert egorov_residual([letter], mode(*kl), 16) < 1e-12
 
 
 def test_egorov_arnold_cos_pair():
-    assert egorov_residual(ARNOLD, cos_pair_symbol(), 32) < 1e-8
+    assert egorov_residual(factor_sl2z(ARNOLD), cos_pair_symbol(), 32) < 1e-8
 
 
 def test_egorov_identity_word():
-    assert egorov_residual(CatMap(1, 0, 0, 1), mode(1, 0), 16, word=[]) < 1e-13
+    assert egorov_residual([], mode(1, 0), 16) < 1e-13
 
 
 def test_egorov_constant_symbol():
-    assert egorov_residual(ARNOLD, mode(0, 0), 16) < 1e-12
+    assert egorov_residual(factor_sl2z(ARNOLD), mode(0, 0), 16) < 1e-12
 
 
 def test_compose_symbol_reindexes_exactly():
     sym = mode(1, 0)
-    out = compose_symbol(sym, ARNOLD)
+    out = compose_symbol(sym, ARNOLD, 16)
     # M^T maps (1,0) to (a, b) = (2, 1)
     assert out.table[2 + out.k_max, 1 + out.k_max] == pytest.approx(1.0)
     assert abs(out.table[1 + out.k_max, out.k_max]) < 1e-15
@@ -196,11 +197,11 @@ def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
     assume(abs(m.a + m.d) > 2)
     # the factorization's word (S, S_INV, U, PAR letters) and the drawn
     # shear word quantize the same map
-    assert egorov_residual(m, mode(*kl), n) < 1e-8
-    assert egorov_residual(m, mode(*kl), n, word=word) < 1e-8
+    assert egorov_residual(factor_sl2z(m), mode(*kl), n) < 1e-8
+    assert egorov_residual(word, mode(*kl), n) < 1e-8
     # the opposite DFT sign breaks Egorov for the Fourier letters at O(1)
     for letter in (("S",), ("S_INV",)):
-        res = max(egorov_residual(letter_matrix(letter), mode(*w), n, word=[letter], sign=1)
+        res = max(egorov_residual([letter], mode(*w), n, sign=1)
                   for w in ((1, 0), (0, 1)))
         assert res >= 1.0
 
@@ -281,8 +282,9 @@ def test_apply_word_allocates_no_dft_sized_array():
 @pytest.mark.parametrize("n", [64, 128])
 def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
-    live, rows = build_open_operator(ARNOLD, spec, n, quant=quant)
-    dense = (dense_operator(*cutoff_operator(spec, n, quant=quant), n)
+    routed = replace(spec, quantization=quant)
+    live, rows = build_open_operator(ARNOLD, routed, n)
+    dense = (dense_operator(*cutoff_operator(routed, n), n)
              @ quantize_word_dense(word, n))
     assert np.abs(dense_operator(live, rows, n) - dense).max() <= 1e-12
     if quant == "left":

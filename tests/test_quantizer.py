@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -93,6 +94,17 @@ def test_bump_spec_validation():
         BumpSpec("annulus_product", 0.2, 0.3)  # 2*r_outer >= 1/2
     with pytest.raises(InvalidSpec):
         BumpSpec("mystery", 0.1, 0.2)
+    with pytest.raises(InvalidSpec):
+        BumpSpec("product_bump", 0.1, 0.2, quantization="exact")
+    with pytest.raises(InvalidSpec):
+        BumpSpec("product_bump", 0.1, 0.2, quantization="weyl", k_max=0)
+    # grid >= 4 k_max is checked on either route
+    with pytest.raises(GridTooCoarse):
+        BumpSpec("product_bump", 0.1, 0.2, quantization="weyl", k_max=48, grid=100)
+    with pytest.raises(GridTooCoarse):
+        BumpSpec("product_bump", 0.1, 0.2, k_max=48, grid=100)
+    with pytest.raises(GridTooCoarse):
+        replace(SPEC, k_max=16, grid=63)
 
 
 def test_bump_profile_plateau_and_support():
@@ -135,8 +147,6 @@ def test_symbol_cosine():
 def test_symbol_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         symbol_from_function(lambda x, xi: x, k_max=16, grid=32)
-    with pytest.raises(GridTooCoarse):
-        cutoff_symbol(SPEC, k_max=16, grid=63)
 
 
 @st.composite
@@ -154,13 +164,13 @@ def test_cutoff_symbol_matches_2d_oracle(spec, k_max, data):
     grid = data.draw(st.integers(4 * k_max, 512), label="grid")
     p = cutoff_profile(spec)
     oracle = symbol_from_function(lambda x, xi: p(x) * p(xi), k_max, grid)
-    sym = cutoff_symbol(spec, k_max, grid)
+    sym = cutoff_symbol(replace(spec, k_max=k_max, grid=grid))
     assert sym.k_max == k_max
     assert np.abs(sym.table - oracle.table).max() <= 1e-15
 
 
 def test_bump_symbol_tail_below_tolerance():
-    sym = cutoff_symbol(SPEC, k_max=40, grid=256)
+    sym = cutoff_symbol(replace(SPEC, k_max=40, grid=256))
     shell = np.concatenate([np.abs(sym.table[0]), np.abs(sym.table[-1]),
                             np.abs(sym.table[:, 0]), np.abs(sym.table[:, -1])])
     assert shell.max() < 1e-10
@@ -168,7 +178,7 @@ def test_bump_symbol_tail_below_tolerance():
 
 def test_trapped_symbol_values_and_reality():
     # k_max = 32 truncates the bump's Fourier tail at the ~1e-3 level
-    sym = cutoff_symbol(SPEC, k_max=32, grid=256)
+    sym = cutoff_symbol(replace(SPEC, k_max=32, grid=256))
     assert value(sym, 0.0, 0.0).real == pytest.approx(1.0, abs=2e-3)
     assert abs(value(sym, 0.4, 0.0)) < 2e-3
     assert hermitian_defect(sym) < 1e-12
@@ -178,7 +188,7 @@ def test_trapped_symbol_values_and_reality():
 def test_nontrapping_symbol_profile():
     spec = BumpSpec("annulus_product", 0.15, 0.24)
     f = cutoff_profile(spec)
-    sym = cutoff_symbol(spec, k_max=32, grid=256)
+    sym = cutoff_symbol(replace(spec, k_max=32, grid=256))
     assert f(0.0) == 0.0
     assert f(0.30) == 0.0
     assert hermitian_defect(sym) < 1e-12
@@ -220,7 +230,7 @@ def test_op_weyl_linear():
 
 
 def test_op_weyl_hermitian_for_real_bump():
-    sym = cutoff_symbol(SPEC, k_max=32, grid=256)
+    sym = cutoff_symbol(replace(SPEC, k_max=32, grid=256))
     a = op_weyl(sym, 64)
     assert np.abs(a - a.conj().T).max() < 1e-11
 
