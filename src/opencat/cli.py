@@ -18,8 +18,7 @@ from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
 from .experiments import (PARITY_TOL, build_open_operator, nontrapping_rows,
-                          nontrapping_sweep, parity_sectors, theorem_targets,
-                          trapped_sweep)
+                          nontrapping_sweep, theorem_targets, trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
@@ -273,8 +272,9 @@ def _verify_checks(config: RunConfig, sign: int):
     """
     dims = [32, 64, 128]
     for n in dims:
-        f = hn.dft_matrix(n)
-        defect = np.abs(np.conj(f) @ f - np.eye(n)).max()  # F^dag = conj(F)
+        # the sector blocks the sweeps multiply by; F_s^dag = conj(F_s)
+        defect = max(np.abs(np.conj(f) @ f - np.eye(len(f))).max()
+                     for f in hn.dft_sectors(n)[:2])
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         u = quantize_map(config.matrix, n, sign=sign)
@@ -308,10 +308,9 @@ def _verify_checks(config: RunConfig, sign: int):
     a = op_weyl(cutoff_symbol(config.cutoff), 64)
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
-    # open_spectrum diagonalizes the parity sectors apart; this measures the
-    # coupling it would drop, on the operator the configured sweep builds
-    _, _, defect = parity_sectors(
-        *build_open_operator(config.matrix, config.cutoff, 64), 64)
+    # open_spectrum builds and diagonalizes the parity sectors apart; this is
+    # the largest factor defect it checks, for the configured sweep's operator
+    defect = build_open_operator(config.matrix, config.cutoff, 64)[2]
     yield "parity_commutation", defect < PARITY_TOL, defect
     rng = np.random.default_rng(config.seed)
     worst = 0.0

@@ -96,9 +96,10 @@ def char_poly_roots(a: np.ndarray) -> np.ndarray:
 def sort_by_modulus(values: np.ndarray) -> np.ndarray:
     """Descending modulus; ties broken by descending real then imaginary part."""
     vals = np.asarray(values, dtype=complex)
-    order = sorted(range(len(vals)),
-                   key=lambda i: (-abs(vals[i]), -vals[i].real, -vals[i].imag))
-    return vals[order]
+    # hypot is the modulus Python's abs gives, bit for bit; np.abs can differ
+    # in the last bit, which would reorder near ties
+    modulus = np.hypot(vals.real, vals.imag)
+    return vals[np.lexsort((-vals.imag, -vals.real, -modulus))]
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,6 +4,10 @@ An open operator is the product of a quantized cutoff with the quantized map.
 With the cutoff equal to 1 near the hyperbolic fixed point, the top
 eigenvalue moduli converge to lam^{-(2k+1)/2}; with an annulus cutoff
 excluding the fixed point, the spectral radius decays superpolynomially in h.
+Parity j -> -j commutes with the quantized map (-I is central in SL(2,Z))
+and with either quantization of an even cutoff, so every factor is folded
+into the two parity sectors of hn first, and the operator is built and
+diagonalized sector by sector.
 """
 
 from dataclasses import dataclass
@@ -16,17 +20,20 @@ import numpy as np
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, sort_by_modulus
 from .errors import ParityBroken
-from .hn import planck
-from .metaplectic import apply_word, factor_sl2z, phase_factor
+from .hn import fold_parity, planck
+from .metaplectic import apply_word, factor_sl2z, phase_factor, word_defect
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
                         op_left_separable, op_weyl)
 
 log = logging.getLogger(__name__)
 
-# Largest off-sector entry of the parity-folded live block, relative to the
-# block's largest entry, that open_spectrum accepts as roundoff.  The DFT's
-# phase error makes it about 2e-12 at N = 2048 on either route; an operator
-# that really breaks parity couples the sectors at O(1).
+# Largest fold defect of a factor of the open operator, the part of it that
+# couples the parity sectors relative to its largest entry, that
+# open_spectrum accepts as roundoff.  Measured on the benchmark's maps and
+# cutoffs: the DFT's phase error gives 9.0e-13 at N = 2048 and the chirps
+# 1.1e-12; the left profile gives 0 at N = 2048 (3.3e-16 at N = 768, where
+# m/N is inexact) and the Weyl chi 3.0e-16 at N = 768.  A factor that
+# really breaks parity couples the sectors at O(1).
 PARITY_TOL = 1e-9
 
 
@@ -57,91 +64,57 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
 
 
 def cutoff_operator(spec: BumpSpec, n: int):
-    """Quantize the cutoff by its own route, spec.quantization, as (live, rows).
+    """Quantize the cutoff by its own route, spec.quantization, in the parity sectors.
 
-    rows holds the rows of the N x N operator that live indexes; the others
-    are exactly zero.  The left route quantizes the profile itself and keeps
-    the rows where it is nonzero; the Weyl route quantizes
-    cutoff_symbol(spec) and keeps every row.
+    Returns (even, odd, defect): each sector is (live, rows), its rows that
+    live indexes, the others being exactly zero, and defect is the largest
+    fold defect of the cutoff's factors.  The left route quantizes the
+    profile itself and keeps the rows where its folded profile is nonzero;
+    the Weyl route folds op_weyl(cutoff_symbol(spec)), O(N^2) work, and keeps
+    every row.
     """
     if spec.quantization == "left":
         profile = cutoff_profile(spec)
         return op_left_separable(profile, profile, n)
-    return slice(None), op_weyl(cutoff_symbol(spec), n)
+    even, odd, defect = fold_parity(op_weyl(cutoff_symbol(spec), n))
+    return (slice(None), even), (slice(None), odd), defect
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int):
-    """(quantized cutoff) @ (quantized map) as (live, rows), unnormalized phase.
+    """(quantized cutoff) @ (quantized map) in the parity sectors, unnormalized phase.
 
-    The cutoff's rows outside live are zero, and so are the product's; the
-    map's word is applied to the cutoff's live rows only.
+    Returns (even, odd, defect) as cutoff_operator does: the map's word is
+    applied to each sector's live rows, and defect also covers the word's
+    factors.  Each factor commutes with parity up to its defect, so the
+    product does too, up to their sum.
     """
-    live, chi = cutoff_operator(spec, n)
-    return live, apply_word(chi, factor_sl2z(m), n)
-
-
-def _fold(x, fixed, plus, minus):
-    """The rows of x in the parity basis, as (even rows, odd rows).
-
-    Row j of x pairs with row -j: the even rows are the fixed rows and the
-    sums (x_j + x_-j)/sqrt(2), the odd rows the differences.
-    """
-    p, m = x[plus], x[minus]
-    return (np.concatenate([x[fixed], (p + m) * math.sqrt(0.5)]),
-            (p - m) * math.sqrt(0.5))
-
-
-def parity_sectors(live, rows, n: int):
-    """The live block of (live, rows) split by parity j -> -j: (even, odd, defect).
-
-    live is first closed under parity; a row that adds is an exact zero row
-    of the operator.  On the closed set the even sector has the basis e_j for
-    the fixed points j = -j mod N (0 and N/2) and (e_j + e_-j)/sqrt(2) for
-    each pair, the odd sector (e_j - e_-j)/sqrt(2).  Rows are combined, then
-    columns, in O(live^2) work and with no basis matrix.  defect is the
-    largest entry of the two off-sector blocks relative to the largest entry
-    of the block: zero for an operator that commutes with parity, and then
-    the block's spectrum is the union of the sectors'.
-    """
-    idx = np.arange(n)[live]
-    closed = np.union1d(idx, -idx % n)
-    block = np.zeros((closed.size, closed.size), dtype=complex)
-    block[np.searchsorted(closed, idx)] = rows[:, closed]
-    fixed = np.flatnonzero(closed == -closed % n)
-    plus = np.flatnonzero((closed > 0) & (2 * closed < n))
-    minus = np.searchsorted(closed, n - closed[plus])
-    scale = np.abs(block).max(initial=0.0)
-    even_rows, odd_rows = _fold(block, fixed, plus, minus)
-    del block
-    even_t, even_odd_t = _fold(even_rows.T, fixed, plus, minus)
-    odd_even_t, odd_t = _fold(odd_rows.T, fixed, plus, minus)
-    cross = max(np.abs(even_odd_t).max(initial=0.0),
-                np.abs(odd_even_t).max(initial=0.0))
-    return even_t.T, odd_t.T, cross / scale if scale > 0 else 0.0
+    word = factor_sl2z(m)
+    even, odd, defect = cutoff_operator(spec, n)
+    (live_e, chi_e), (live_o, chi_o) = even, odd
+    return ((live_e, apply_word(chi_e, word, n, 1)),
+            (live_o, apply_word(chi_o, word, n, -1)),
+            max(defect, word_defect(word, n)))
 
 
 def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered.
 
-    With its dead rows permuted last the operator is block upper triangular,
-    [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL
-    plus one exact zero per dead row.  Parity commutes with the quantized map
-    (-I is central in SL(2,Z)) and with the quantized even cutoff, so B_LL
-    splits into the even and odd blocks of parity_sectors, and each is
-    diagonalized on its own: about half the size, a quarter of the work.  An
-    operator whose sectors couple by more than PARITY_TOL raises ParityBroken
-    rather than lose the coupling.  A NaN in a live row of the cutoff still
-    reaches a sector, whose solve rejects it: every hyperbolic word has a
-    Fourier letter, which spreads it along the row.  The operator is freed on
-    return, before a sweep builds the next, larger N.
+    Each parity sector is diagonalized on its own.  With its dead rows
+    permuted last a sector is block upper triangular, [[B_LL, B_LD], [0, 0]],
+    so its spectrum is that of the live block B_LL plus one exact zero per
+    dead row.  An operator with a factor whose fold defect exceeds
+    PARITY_TOL raises ParityBroken rather than lose the coupling.  A NaN in
+    a live row of the cutoff still reaches a sector, whose solve rejects it:
+    every hyperbolic word has a Fourier letter, which spreads it along the
+    row.  The operator is freed on return, before a sweep builds the next,
+    larger N.
     """
     log.info("open operator spectrum: N = %d", n)
-    live, rows = build_open_operator(m, spec, n)
-    even, odd, defect = parity_sectors(live, rows, n)
+    even, odd, defect = build_open_operator(m, spec, n)
     if defect > PARITY_TOL:
         raise ParityBroken(f"open operator at N = {n} couples the parity "
-                           f"sectors: defect {defect:.3e} > {PARITY_TOL:g}")
-    vals = np.concatenate([eigenvalues(even), eigenvalues(odd)])
+                           f"sectors: factor defect {defect:.3e} > {PARITY_TOL:g}")
+    vals = np.concatenate([eigenvalues(rows[:, live]) for live, rows in (even, odd)])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
 

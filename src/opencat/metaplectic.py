@@ -3,14 +3,18 @@
 A cat map is factored into the generators S = [[0,-1],[1,0]], shears
 U(b) = [[1,b],[0,1]] and L(c) = [[1,0],[c,1]], and the parity -I.  Each
 generator has a closed-form unitary on the state space (quadratic phases and
-the DFT); the product quantizes the map up to a global phase.  apply_word
-multiplies a matrix by that product letter by letter, so chi Mhat is formed
-from chi's nonzero rows without building Mhat.  The global phase is
-a convention: the one rule that fixes it acts on the eigenvalues of the open
-operator (phase_factor).  All sign conventions are pinned by the exact
-commutation identity with quantized observables (checked generator by
-generator in the tests): with the DFT kernel e^{-2 pi i m k / N}, S
-quantizes to a multiple of the *inverse* DFT (apply_word's sign=-1).
+the DFT); the product quantizes the map up to a global phase.  -I is central
+in SL(2,Z), so every generator commutes with parity j -> -j and the word
+acts on the two parity sectors of hn apart.  apply_word multiplies one
+sector's rows by the word letter by letter, with the DFT's sector block and
+the folded chirps, so chi Mhat is formed from chi's nonzero rows without
+building Mhat; quantize_word unfolds the two sector unitaries into the N x N
+matrix.  The global phase is a convention: the one rule that fixes it acts
+on the eigenvalues of the open operator (phase_factor).  All sign
+conventions are pinned by the exact commutation identity with quantized
+observables (checked generator by generator in the tests): with the DFT
+kernel e^{-2 pi i m k / N}, S quantizes to a multiple of the *inverse* DFT
+(apply_word's sign=-1).
 """
 
 import math
@@ -18,8 +22,8 @@ import math
 import numpy as np
 
 from .catmap import CatMap
-from .errors import DegeneratePhase, OddDimension
-from .hn import dft_matrix
+from .errors import DegeneratePhase
+from .hn import dft_sectors, fold_parity, unfold_parity
 from .quantizer import TorusSymbol, op_weyl
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
@@ -80,39 +84,46 @@ def factor_sl2z(m: CatMap) -> list:
     return word
 
 
-def _chirp(coef: int, n: int) -> np.ndarray:
-    """The quadratic phase e^{i pi coef m^2 / N}, m = 0..N-1.
+def _chirp(letter, n: int):
+    """A shear letter's quadratic phase e^{i pi coef m^2 / N} in the sector basis.
 
     L(c) multiplies by the chirp with coef = c; U(b) is the chirp with
     coef = -b conjugated by the DFT.  The phase has period 2N in coef, so
-    coef is first reduced into [-N, N) in exact integer arithmetic.
+    coef is first reduced into [-N, N) in exact integer arithmetic.  For N
+    even the chirp takes the same value at m and -m, so it folds into one
+    diagonal per sector; returns fold_parity's (even, odd, defect).
     """
+    coef = letter[1] if letter[0] == "L" else -letter[1]
     coef = (coef + n) % (2 * n) - n
     m = np.arange(n)
-    return np.exp(1j * math.pi * coef * m * m / n)
+    return fold_parity(np.exp(1j * math.pi * coef * m * m / n))
 
 
-def _parity_index(n: int) -> np.ndarray:
-    """Index j -> -j mod n: the parity unitary sends basis vector j there."""
-    return (n - np.arange(n)) % n
+def word_defect(word, n: int) -> float:
+    """The largest fold defect of the word's factors: the DFT and each chirp."""
+    chirps = [_chirp(letter, n)[2] for letter in word if letter[0] in ("U", "L")]
+    return max([dft_sectors(n)[2]] + chirps)
 
 
-def apply_word(x: np.ndarray, word, n: int, sign: int = -1) -> np.ndarray:
-    """x @ Mhat for the word's unitary, applied one letter at a time from the right.
+def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1) -> np.ndarray:
+    """x @ Mhat_s for the word's unitary on one parity sector, letter by letter from the right.
 
-    With F the unitary DFT, the letters act on the rows of x as S: omega x
-    F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp) F^dag, L(c): x * chirp
-    and PAR: a column gather; F is symmetric, so x F^dag is conj(conj(x) F).
-    A Fourier letter costs one (rows x N) by (N x N) product, far cheaper than
-    building Mhat for a few rows.  x is not modified; the empty word returns
-    it.  sign=+1 uses conj(F), the kernel opposite to the package's.  Flipping
-    the sign everywhere is unitarily equivalent (conjugation by parity, which
-    commutes with every integer symplectic map), so only a mismatch with the
-    observables shows: sign=+1 breaks Egorov for S at O(1).
+    x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
+    odd (parity=-1, N/2 - 1 columns); N must be even.  With F the sector's block of the
+    unitary DFT and chirp the sector's folded chirp, the letters act on the
+    rows as S: omega x F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp)
+    F^dag, L(c): x * chirp and PAR: x * parity; F is symmetric, so x F^dag
+    is conj(conj(x) F).  A Fourier letter costs one (rows x N/2) by
+    (N/2 x N/2) product, a quarter of the full-space one.  x is not
+    modified.  sign=+1 uses conj(F), the kernel opposite to the package's.
+    Flipping the sign everywhere is unitarily equivalent (conjugation by
+    parity, which commutes with every integer symplectic map), so only a
+    mismatch with the observables shows: sign=+1 breaks Egorov for S at O(1).
     """
-    if n % 2:
-        raise OddDimension(f"n = {n} must be even")
-    f = dft_matrix(n) if sign == -1 else dft_matrix(n).conj()
+    sector = 0 if parity == 1 else 1
+    f = dft_sectors(n)[sector]
+    if sign == 1:
+        f = f.conj()
     for letter in word:
         kind = letter[0]
         if kind == "S":
@@ -124,24 +135,31 @@ def apply_word(x: np.ndarray, word, n: int, sign: int = -1) -> np.ndarray:
         elif kind == "U":
             # x @ f is this letter's own buffer, so it is conjugated in place
             x = x @ f
-            x *= _chirp(-letter[1], n)
+            x *= _chirp(letter, n)[sector]
             x = np.conj(x, out=x) @ f
             np.conj(x, out=x)
         elif kind == "L":
-            x = x * _chirp(letter[1], n)
+            x = x * _chirp(letter, n)[sector]
         elif kind == "PAR":
-            x = x[:, _parity_index(n)]
+            x = x * parity
         else:
             raise ValueError(f"unknown letter {letter!r}")
     return x
 
 
+def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
+    """The word's unitary as an N x N matrix: apply_word on each sector's identity, unfolded."""
+    half = n // 2
+    return unfold_parity(apply_word(np.eye(half + 1, dtype=complex), word, n, 1, sign),
+                         apply_word(np.eye(half - 1, dtype=complex), word, n, -1, sign))
+
+
 def quantize_map(m: CatMap, n: int, sign: int = -1) -> np.ndarray:
     """Quantize a cat map, up to the global phase its factorization gives.
 
-    The unitary is the word factor_sl2z(m) applied to the identity.
+    The unitary is quantize_word of the word factor_sl2z(m).
     """
-    return apply_word(np.eye(n, dtype=complex), factor_sl2z(m), n, sign)
+    return quantize_word(factor_sl2z(m), n, sign)
 
 
 def phase_factor(vals: np.ndarray) -> complex:
@@ -186,7 +204,7 @@ def egorov_residual(word, sym: TorusSymbol, n: int, sign: int = -1) -> float:
     with DFT kernel sign `sign`; the observables Op keep the package
     convention, so sign=+1 measures the mismatch.
     """
-    u = apply_word(np.eye(n, dtype=complex), word, n, sign)
+    u = quantize_word(word, n, sign)
     lhs = op_weyl(compose_symbol(sym, word_matrix(word), n), n)
     rhs = u.conj().T @ op_weyl(sym, n) @ u
     return float(np.abs(lhs - rhs).max())

@@ -1,10 +1,11 @@
 """Symbols on the torus and their quantization on the N-dimensional space.
 
 Smooth symbols are carried as truncated Fourier coefficient tables.  Two
-quantizations are provided: the general Weyl quantization, built diagonal by
-diagonal from its explicit matrix-entry formula, and the left (standard)
-quantization of separable products f(x)g(xi), which is a
-diagonal/Fourier-multiplier sandwich.
+quantizations are provided: the general Weyl quantization, a dense N x N
+matrix built diagonal by diagonal from its explicit matrix-entry formula,
+and the left (standard) quantization of separable products f(x)g(xi), a
+diagonal/Fourier-multiplier sandwich built in the parity sectors of hn from
+the folded profiles and the DFT's sector blocks.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import dft_matrix, torus_rep_array
+from .hn import dft_sectors, fold_parity, torus_rep_array
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
@@ -124,18 +125,25 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
 
 
 def op_left_separable(f_profile, g_profile, n: int):
-    """Left quantization of f(x) g(xi) as its live rows, (live, rows).
+    """Left quantization of f(x) g(xi) in the parity sectors, as (even, odd, defect).
 
-    Row m of the N x N operator is f(x_m) times row m of F^dag diag(g) F.
-    live indexes the rows where f(x_m) != 0 and rows holds them, multiplied
-    out; every other row of the operator is exactly zero.
+    The N x N operator is diag(f) F^dag diag(g) F, f and g sampled at the
+    points x_m.  In each sector s it is d_f,s F_s^dag d_g,s F_s, with d_f,s
+    and d_g,s the profiles folded into the sector (fold_parity) and F_s the
+    DFT's block (dft_sectors).  F_s equals its transpose, so rows live of
+    F_s^dag are conj(F_s[live]).  A sector is (live, rows): live indexes its
+    rows where d_f,s is nonzero and rows holds them, multiplied out; every
+    other row of the sector is exactly zero.  defect is the larger of the
+    two profiles' fold defects.
     """
-    f_mat = dft_matrix(n)
     x = torus_rep_array(np.arange(n) / n)
-    d_f = np.asarray(f_profile(x), dtype=complex)
-    d_g = np.asarray(g_profile(x), dtype=complex)
-    live = np.flatnonzero(d_f)
-    return live, d_f[live, None] * (np.conj(f_mat[live]) * d_g[None, :]) @ f_mat
+    f_even, f_odd, f_defect = fold_parity(np.asarray(f_profile(x), dtype=complex))
+    g_even, g_odd, g_defect = fold_parity(np.asarray(g_profile(x), dtype=complex))
+    sectors = []
+    for d_f, d_g, f_mat in zip((f_even, f_odd), (g_even, g_odd), dft_sectors(n)[:2]):
+        live = np.flatnonzero(d_f)
+        sectors.append((live, d_f[live, None] * (np.conj(f_mat[live]) * d_g) @ f_mat))
+    return sectors[0], sectors[1], max(f_defect, g_defect)
 
 
 def cutoff_profile(spec: BumpSpec):

@@ -21,11 +21,11 @@ from opencat.eigensolver import (char_poly_roots, eigenvalues,
 from opencat.experiments import (build_open_operator, cutoff_operator,
                                  nontrapping_sweep, open_spectrum, trapped_sweep)
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
-                                 word_matrix)
+                                 quantize_word, word_matrix)
 from opencat.quantizer import (TorusSymbol, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
 
-from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, quantize_word
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, operator_sectors
 from test_catmap import orbit
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -45,8 +45,8 @@ def phase_coherence_check(rows, n) -> float:
 def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
     # a diagonal operator commutes with parity j -> -j when d_j = d_-j
     monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: (slice(None),
-                                                 np.diag([0.6, 0.2, 0.1, 0.2])))
+                        lambda *args, **kwargs: operator_sectors(
+                            np.diag([0.6, 0.2, 0.1, 0.2])))
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=1)
     assert phase_coherence_check(rows, 4) == 0.0
     rows4 = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
@@ -137,7 +137,7 @@ def test_criterion_5_eigensolver_oracle():
                                              eigenvalues(a)))
     a50 = rng.standard_normal((50, 50)) / math.sqrt(50)
     vals50 = eigenvalues(a50)
-    open_op = dense_operator(*build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
+    open_op = dense_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
     vals_open = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
     trace_defect = 0.0
     for mat, vals in ((a50, vals50), (open_op, vals_open)):
@@ -176,7 +176,7 @@ def test_criterion_7_word_independence():
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
-    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
     m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)))[:4])
     m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)))[:4])
     diff = np.abs(m1 - m2).max()
@@ -186,7 +186,7 @@ def test_criterion_7_word_independence():
 
 def test_criterion_7_left_weyl_halving_ratio():
     f, sym = cutoff_profile(TRAPPED_SPEC), cutoff_symbol(TRAPPED_SPEC)
-    diff = {n: np.linalg.norm(dense_operator(*op_left_separable(f, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(op_left_separable(f, f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     ratio = diff[128] / diff[256]

@@ -192,14 +192,22 @@ def test_nontrapping_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("command", ["trapped", "nontrapping"])
 def test_parity_breaking_operator_exits_numeric(tmp_path, monkeypatch, capsys,
                                                 command):
-    rng = np.random.default_rng(3)
-    monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda m, spec, n, **kwargs: (slice(None),
-                                                      rng.standard_normal((n, n))))
+    # a factor that breaks parity: an uneven left profile for the trapped
+    # run, an uneven Weyl cutoff for the nontrapping run
+    if command == "trapped":
+        profile = experiments.cutoff_profile
+        monkeypatch.setattr(experiments, "cutoff_profile",
+                            lambda spec: lambda x: profile(spec)(x) * (1.0 + x))
+    else:
+        weyl = experiments.op_weyl
+        monkeypatch.setattr(experiments, "op_weyl",
+                            lambda sym, n: weyl(sym, n) + np.eye(n, k=1))
     out = tmp_path / "rows.csv"
     cutoff = {"kind": "product_bump" if command == "trapped" else "annulus_product",
               "r_inner": 0.15, "r_outer": 0.24}
-    cfg = write_config(tmp_path, out_csv=str(out), cutoff=cutoff)
+    quantization = "left" if command == "trapped" else "weyl"
+    cfg = write_config(tmp_path, out_csv=str(out), cutoff=cutoff,
+                       quantization=quantization)
     assert main([command, "--config", cfg]) == 3
     assert "couples the parity sectors" in capsys.readouterr().err
     assert not out.exists()

@@ -12,7 +12,7 @@ from opencat.errors import EigensolverFailed, NonFinite, OpenCatError
 import opencat.experiments as experiments
 from opencat.experiments import build_open_operator, open_spectrum
 
-from helpers import TRAPPED_SPEC, dense_operator
+from helpers import TRAPPED_SPEC, dense_operator, operator_sectors
 
 
 def test_diagonal():
@@ -99,7 +99,7 @@ def test_power_traces_random():
 
 
 def test_power_traces_open_map():
-    a = dense_operator(*build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
+    a = dense_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
     p = np.eye(128, dtype=complex)
     for k in range(1, 6):
@@ -124,21 +124,23 @@ def test_hermitian_input_real_output():
 
 
 @settings(max_examples=100, deadline=None)
-@given(dead=st.lists(st.booleans(), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+@given(dead=st.integers(1, 6).flatmap(lambda h: st.lists(st.booleans(), min_size=2 * h,
+                                                          max_size=2 * h)),
+       seed=st.integers(0, 2**32 - 1))
 def test_zero_rows_split_off_exactly(dead, seed):
     rng = np.random.default_rng(seed)
     n = len(dead)
-    # open_spectrum splits by parity j -> -j, so draw b + PbP, which commutes
-    # with it, and a dead pattern closed under it
+    # open_spectrum works in the parity sectors of an even N, so draw
+    # b + PbP, which commutes with parity j -> -j, and a dead pattern closed
+    # under it
     par = -np.arange(n) % n
     dead = np.array(dead) | np.array(dead)[par]
     b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     a = b + b[np.ix_(par, par)]
     a[dead] = 0.0
-    live = np.flatnonzero(~dead)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "build_open_operator",
-                   lambda *args, **kwargs: (live, a[live]))
+                   lambda *args, **kwargs: operator_sectors(a, dead))
         vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
     assert vals.shape == (n,)
     assert np.count_nonzero(vals == 0) == sum(dead)
@@ -157,3 +159,29 @@ def test_sort_by_modulus():
     assert np.allclose(tie, [0.5, 0.5])
     tb = sort_by_modulus(np.array([3 + 4j, 5.0 + 0j]))
     assert tb[0] == 5.0 and tb[1] == 3 + 4j
+
+
+def sort_by_modulus_keyed(values):
+    """The former sort: Python's sorted on the key (-|v|, -Re v, -Im v)."""
+    vals = np.asarray(values, dtype=complex)
+    order = sorted(range(len(vals)),
+                   key=lambda i: (-abs(vals[i]), -vals[i].real, -vals[i].imag))
+    return vals[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=40),
+       scale=st.sampled_from([1.0, 0.1, 1e-300, 3.7e5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sort_by_modulus_matches_keyed_sort(parts, scale, seed):
+    # small integer parts give many exact ties: equal moduli (3+4j, 5, -5j),
+    # equal real parts (conjugate pairs) and repeated values.  Rotated copies
+    # of random values have moduli equal up to rounding, so the order of
+    # those turns on the last bit of the modulus
+    vals = np.array([complex(re, im) for re, im in parts], dtype=complex) * scale
+    rng = np.random.default_rng(seed)
+    noisy = rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals))
+    turned = noisy * np.exp(2j * np.pi * rng.uniform(size=len(vals)))
+    for v in (vals, np.concatenate([vals, noisy, noisy.conj(), -noisy, turned])):
+        got, want = sort_by_modulus(v), sort_by_modulus_keyed(v)
+        assert np.array_equal(got.view(float), want.view(float))

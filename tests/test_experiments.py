@@ -12,14 +12,15 @@ from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 from opencat.errors import DegeneratePhase, NonFinite, OpenCatError, ParityBroken
 from opencat.experiments import (PARITY_TOL, build_open_operator,
                                  nontrapping_rows, nontrapping_sweep,
-                                 open_spectrum, parity_sectors,
-                                 theorem_targets, trapped_sweep)
-from opencat.hn import torus_rep_array
-from opencat.metaplectic import phase_factor, word_matrix
-from opencat.quantizer import BumpSpec, cutoff_profile, op_left_separable
+                                 open_spectrum, theorem_targets, trapped_sweep)
+from opencat.hn import fold_parity, torus_rep_array
+from opencat.metaplectic import factor_sl2z, phase_factor, word_matrix
+from opencat.quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
+                               op_left_separable, op_weyl)
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator,
-                     nan_in_dead_column, shear)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, dft_matrix,
+                     nan_in_dead_column, operator_sectors, shear)
+from test_metaplectic import quantize_word_dense
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -36,9 +37,9 @@ def test_theorem_targets_arnold():
 def test_open_operator_with_unit_cutoff_is_unitary():
     from opencat.metaplectic import quantize_map
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    live, rows = op_left_separable(one, one, 64)
-    assert np.array_equal(live, np.arange(64))
-    a = rows @ quantize_map(ARNOLD, 64)
+    sectors = op_left_separable(one, one, 64)
+    assert [len(live) for live, _ in sectors[:2]] == [33, 31]
+    a = dense_operator(sectors, 64) @ quantize_map(ARNOLD, 64)
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
 
@@ -67,7 +68,7 @@ def test_no_guard_warning_inside_guard():
 
 def test_degenerate_phase(monkeypatch):
     monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: (slice(None), np.zeros((16, 16))))
+                        lambda *args, **kwargs: operator_sectors(np.zeros((16, 16))))
     with pytest.raises(DegeneratePhase):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [16], normalize_phase=True)
     # without the phase rule a zero spectrum is a valid result
@@ -160,7 +161,7 @@ def test_trapped_sweep_diagonalizes_once_per_sector_per_n(monkeypatch):
 
 def test_trapped_sweep_phase_matches_normalized_operator():
     n = 64
-    plain = dense_operator(*build_open_operator(ARNOLD, TRAPPED_SPEC, n), n)
+    plain = dense_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, n), n)
     normed = plain * phase_factor(eigenvalues(plain))
     top = np.array([complex(r.re, r.im) for r in trapped_sweep(
         ARNOLD, TRAPPED_SPEC, [n], normalize_phase=True)])
@@ -194,32 +195,63 @@ def test_nan_outside_live_block_raises(monkeypatch):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)
 
 
+def uneven_profile(spec):
+    """The cutoff's profile times 1 + x: no longer even, so its fold drops 0.1 of it."""
+    profile = cutoff_profile(spec)
+    return lambda x: profile(x) * (1.0 + np.asarray(x))
+
+
+def uneven_weyl(sym, n):
+    """The Weyl cutoff plus a rank-one part coupling e_1 to e_0, which parity breaks."""
+    a = op_weyl(sym, n)
+    a[0, 1] += 0.5
+    return a
+
+
 def test_parity_breaking_operator_raises(monkeypatch):
-    # diag(d) commutes with parity only if d_j = d_-j; here d_1 != d_3
-    monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: (slice(None),
-                                                 np.diag([0.6, 0.2, 0.1, 0.05])))
+    # a factor that does not commute with parity, on either route
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "cutoff_profile", uneven_profile)
+        with pytest.raises(ParityBroken, match="couples the parity sectors"):
+            open_spectrum(ARNOLD, TRAPPED_SPEC, 32)
+    weyl = replace(TRAPPED_SPEC, quantization="weyl", k_max=16, grid=64)
+    assert open_spectrum(ARNOLD, weyl, 32).shape == (32,)
+    monkeypatch.setattr(experiments, "op_weyl", uneven_weyl)
     with pytest.raises(ParityBroken, match="couples the parity sectors"):
-        open_spectrum(ARNOLD, TRAPPED_SPEC, 4)
+        open_spectrum(ARNOLD, weyl, 32)
     assert issubclass(ParityBroken, OpenCatError)
 
 
 def test_live_set_closed_under_parity(monkeypatch):
-    # row 1 is listed live but is zero, and its partner row 3 is not listed:
-    # the fold adds row 3 as a zero row, so no zero eigenvalue is padded
-    n = 4
-    rng = np.random.default_rng(7)
-    par = -np.arange(n) % n
-    b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    a = b + b[np.ix_(par, par)]
-    a[[1, 3]] = 0.0
-    live = np.array([0, 1, 2])
-    monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: (live, a[live]))
+    # an even profile with a hole: the bump of TRAPPED_SPEC, live at
+    # x = 0, +-1/16, +-1/8, +-3/16 for N = 16, with x = +-1/8 cut out.  Each
+    # dead pair j, -j is one dead row in each sector, the fixed point N/2
+    # one in the even sector, and open_spectrum pads one zero per dead row
+    n = 16
+    profile = cutoff_profile(TRAPPED_SPEC)
+    pinched = lambda x: profile(x) * (np.abs(np.asarray(x)) != 0.125)
+    monkeypatch.setattr(experiments, "cutoff_profile", lambda spec: pinched)
+    x = torus_rep_array(np.arange(n) / n)
+    dead = pinched(x) == 0
+    assert np.array_equal(np.flatnonzero(~dead), [0, 1, 3, 13, 15])
+    even, odd, defect = build_open_operator(ARNOLD, TRAPPED_SPEC, n)
+    assert defect < 1e-12
+    assert np.array_equal(even[0], [0, 1, 3]) and np.array_equal(odd[0], [0, 2])
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
-    even, odd, defect = parity_sectors(live, a[live], n)
-    assert (even.shape, odd.shape, defect) == ((3, 3), (1, 1), 0.0)
-    assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-12
+    a = dense_operator((even, odd, defect), n)
+    assert not a[dead].any()
+    assert np.count_nonzero(vals == 0) == np.count_nonzero(dead)
+    assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-8
+
+
+def dense_cutoff(spec, n):
+    """The quantized cutoff as a dense N x N matrix from the dense DFT oracle."""
+    if spec.quantization == "weyl":
+        return op_weyl(cutoff_symbol(spec), n)
+    x = torus_rep_array(np.arange(n) / n)
+    f = dft_matrix(n)
+    d = cutoff_profile(spec)(x)
+    return d[:, None] * (f.conj().T * d) @ f
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,16 +262,13 @@ def test_live_set_closed_under_parity(monkeypatch):
 def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
     m = word_matrix(word)
     assume(abs(m.a + m.d) > 2)
-    live, rows = build_open_operator(
-        m, replace(spec, quantization=quant, k_max=16, grid=64), n)
-    a = dense_operator(live, rows, n)
-    par = -np.arange(n) % n
-    assert np.abs(a[np.ix_(par, par)] - a).max() <= PARITY_TOL * np.abs(a).max()
-    even, odd, defect = parity_sectors(live, rows, n)
+    routed = replace(spec, quantization=quant, k_max=16, grid=64)
+    even, odd, defect = build_open_operator(m, routed, n)
     assert defect <= PARITY_TOL
-    # the sectors span the live rows; N = 2 has no pair j != -j, so no odd sector
-    assert even.shape[0] + odd.shape[0] == np.arange(n)[live].size
-    assert n > 2 or odd.shape == (0, 0)
-    # the unsplit solve of the live block is the oracle
-    split = np.concatenate([eigenvalues(even), eigenvalues(odd)])
-    assert multiset_distance(split, eigenvalues(rows[:, live])) < 1e-8
+    # N = 2 has no pair j != -j, so no odd sector
+    assert n > 2 or odd[1].shape == (0, 0)
+    # the dense chi Mhat from the dense DFT, unsplit, is the oracle
+    oracle = dense_cutoff(routed, n) @ quantize_word_dense(factor_sl2z(m), n)
+    vals = open_spectrum(m, routed, n)
+    assert vals.shape == (n,)
+    assert multiset_distance(vals, np.linalg.eigvals(oracle)) < 1e-8

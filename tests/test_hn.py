@@ -1,12 +1,17 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from opencat import metaplectic, quantizer
-from opencat.errors import NonPositiveN
-from opencat.hn import dft_matrix, planck, torus_rep_array
-from opencat.metaplectic import OMEGA_S, apply_word
+from opencat.eigensolver import multiset_distance
+from opencat.errors import NonPositiveN, OddDimension
+from opencat.hn import (dft_sectors, fold_parity, planck, torus_rep_array,
+                        unfold_parity)
+from opencat.metaplectic import OMEGA_S, quantize_word
+
+from helpers import dft_matrix
 
 
 def test_planck_values():
@@ -29,51 +34,112 @@ def test_dft_small_cases():
     assert np.allclose(out4, [2.0, 0.0, 0.0, 0.0], atol=1e-14)
     # the kernel sign: e^{-2 pi i m k / N} at N = 4 sends e_1 to powers of -i
     assert np.allclose(dft_matrix(4)[:, 1], [0.5, -0.5j, -0.5, 0.5j], atol=1e-15)
+    # at N = 2 both basis vectors are fixed by parity: the even block is F
+    even, odd, defect = dft_sectors(2)
+    assert np.array_equal(even, dft_matrix(2)) and odd.shape == (0, 0)
+    assert defect == 0.0
+    # at N = 4 the odd sector is (e_1 - e_3)/sqrt(2), which F sends to -i times itself
+    assert np.allclose(dft_sectors(4)[1], [[-1j]], atol=1e-15)
     # the opposite kernel sign reaches the map only through apply_word's sign=+1,
     # which takes conj(F): S_INV then quantizes to conj(omega) times that kernel
-    s_inv = apply_word(np.eye(4, dtype=complex), [("S_INV",)], 4, sign=1)
+    s_inv = quantize_word([("S_INV",)], 4, sign=1)
     assert np.allclose(s_inv * OMEGA_S, dft_matrix(4).conj(), atol=1e-15)
     assert np.allclose((s_inv * OMEGA_S)[:, 1], [0.5, 0.5j, -0.5, -0.5j], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 4, 96, 768])
 def test_dft_symmetric_bitwise(n):
-    # apply_word and op_left_separable use F^dag = conj(F), which needs F = F^T exactly
-    f = dft_matrix(n)
-    assert np.array_equal(f, f.T)
+    # apply_word and op_left_separable use F_s^dag = conj(F_s), which needs
+    # each sector block to equal its transpose exactly
+    for f in dft_sectors(n)[:2]:
+        assert np.array_equal(f, f.T)
 
 
 def test_dft_cache_holds_one_matrix():
-    # perfbench/tracing.py counts DFT cache hits and misses through cache_info()
-    assert quantizer.dft_matrix is metaplectic.dft_matrix is dft_matrix
-    dft_matrix(6)
-    before = dft_matrix.cache_info()
-    assert dft_matrix(6) is dft_matrix(6)
-    after = dft_matrix.cache_info()
+    # one N at a time: the two sector blocks of the last N asked for
+    assert quantizer.dft_sectors is metaplectic.dft_sectors is dft_sectors
+    # perfbench/tracing.py calls cache_info() on any dft_matrix bound there
+    assert not hasattr(quantizer, "dft_matrix") and not hasattr(metaplectic, "dft_matrix")
+    dft_sectors(6)
+    before = dft_sectors.cache_info()
+    assert dft_sectors(6) is dft_sectors(6)
+    after = dft_sectors.cache_info()
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-    dft_matrix(8)
-    assert dft_matrix.cache_info().maxsize == 1
-    assert dft_matrix.cache_info().currsize == 1
+    dft_sectors(8)
+    assert dft_sectors.cache_info().maxsize == 1
+    assert dft_sectors.cache_info().currsize == 1
+    assert not any(f.flags.writeable for f in dft_sectors(8)[:2])
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 65, 256, 1024])
 def test_dft_unitary(n):
     f = dft_matrix(n)
     assert np.abs(f.conj().T @ f - np.eye(n)).max() < 1e-13
+    if n % 2 == 0:
+        for f_s in dft_sectors(n)[:2]:
+            assert np.abs(f_s.conj().T @ f_s - np.eye(len(f_s))).max(initial=0.0) < 1e-13
 
 
 def test_dft_norm_preserved():
     rng = np.random.default_rng(3)
-    v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    f = dft_matrix(128)
-    assert np.linalg.norm(f @ v) == pytest.approx(np.linalg.norm(v), abs=1e-13)
-    assert np.allclose(f.conj().T @ (f @ v), v, atol=1e-13)
+    for f in dft_sectors(128)[:2]:
+        v = rng.standard_normal(len(f)) + 1j * rng.standard_normal(len(f))
+        assert np.linalg.norm(f @ v) == pytest.approx(np.linalg.norm(v), abs=1e-13)
+        assert np.allclose(f.conj().T @ (f @ v), v, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 32, 100])
 def test_dft_order_four(n):
-    f = dft_matrix(n)
-    assert np.abs(np.linalg.matrix_power(f, 4) - np.eye(n)).max() < 1e-12
+    for f in dft_sectors(n)[:2]:
+        assert np.abs(np.linalg.matrix_power(f, 4) - np.eye(len(f))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 32, 96, 130])
+def test_dft_sectors_match_folded_oracle(n):
+    even, odd, defect = dft_sectors(n)
+    even_o, odd_o, defect_o = fold_parity(dft_matrix(n))
+    assert even.shape == (n // 2 + 1,) * 2 and odd.shape == (n // 2 - 1,) * 2
+    assert np.abs(even - even_o).max() <= 1e-15
+    assert n == 2 or np.abs(odd - odd_o).max() <= 1e-15
+    # the coupling the fold drops is the kernel's phase error, on both
+    assert defect == pytest.approx(defect_o, rel=1e-3, abs=1e-16)
+    assert defect < 1e-13
+
+
+def test_dft_sectors_reject_odd_and_nonpositive_n():
+    with pytest.raises(OddDimension):
+        dft_sectors(7)
+    with pytest.raises(NonPositiveN):
+        dft_sectors(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_fold_parity_round_trip(h, seed):
+    n = 2 * h
+    rng = np.random.default_rng(seed)
+    par = -np.arange(n) % n
+    b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    a = b + b[np.ix_(par, par)]
+    even, odd, defect = fold_parity(a)
+    assert (even.shape, odd.shape) == ((h + 1, h + 1), (h - 1, h - 1))
+    assert defect < 1e-15
+    assert np.abs(unfold_parity(even, odd) - a).max() < 1e-14
+    # the sectors carry the whole spectrum
+    assert multiset_distance(np.concatenate([np.linalg.eigvals(even),
+                                             np.linalg.eigvals(odd)]),
+                             np.linalg.eigvals(a)) < 1e-10
+    # a diagonal folds to the diagonals of its matrix's sectors
+    d = rng.uniform(-1, 1, n)
+    d = d + d[par]
+    even_d, odd_d, defect_d = fold_parity(d)
+    even_m, odd_m, _ = fold_parity(np.diag(d))
+    assert defect_d == 0.0
+    assert np.allclose(even_d, np.diag(even_m), atol=1e-15)
+    assert np.allclose(odd_d, np.diag(odd_m), atol=1e-15)
+    # a part that is odd under parity is what the fold drops, and measures
+    assert fold_parity(a + (b - b[np.ix_(par, par)]))[2] > 1e-3 or n == 2
+    assert fold_parity(d + np.arange(n))[2] > 1e-3 or n == 2
 
 
 def test_torus_rep():

@@ -10,15 +10,15 @@ import pytest
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
-from opencat.hn import dft_matrix, torus_rep_array
+from opencat.hn import dft_sectors, fold_parity, torus_rep_array
 from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_residual,
-                                 factor_sl2z, phase_factor,
-                                 quantize_map, word_matrix)
+                                 factor_sl2z, phase_factor, quantize_map,
+                                 quantize_word, word_defect, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import build_open_operator, cutoff_operator, open_spectrum
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, quantize_word, shear
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, shear
 
 
 def mode(k, l, kmax=2):
@@ -150,7 +150,7 @@ def test_projective_inverse():
 
 def test_word_independent_moduli():
     n = 64
-    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
@@ -161,7 +161,7 @@ def test_word_independent_moduli():
 
 def test_chi_m_vs_m_chi_spectrum():
     n = 64
-    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
     u = quantize_map(ARNOLD, n)
     d = multiset_distance(np.linalg.eigvals(chi @ u), np.linalg.eigvals(u @ chi))
     assert d < 1e-8
@@ -169,7 +169,7 @@ def test_chi_m_vs_m_chi_spectrum():
 
 def test_phase_mode_preserves_moduli():
     n = 64
-    chi = dense_operator(*cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
     u_plain = quantize_map(ARNOLD, n)
     u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
@@ -251,30 +251,49 @@ any_letter = st.one_of(fourier_letter, st.integers(-3, 3).map(lambda c: ("L", c)
        n=st.integers(1, 32).map(lambda h: 2 * h), sign=st.sampled_from([-1, 1]),
        rows=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
 def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
+    # each sector's rows times the word match those rows times the sector
+    # block of the dense word
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, (rows, n)) + 1j * rng.uniform(-1, 1, (rows, n))
-    before = x.copy()
-    out = apply_word(x, word, n, sign)
-    assert out.shape == (rows, n)
-    assert np.abs(out - x @ quantize_word_dense(word, n, sign)).max() <= 1e-12
-    assert np.array_equal(x, before)
+    blocks = fold_parity(quantize_word_dense(word, n, sign))[:2]
+    for parity, block in zip((1, -1), blocks):
+        size = len(block)
+        x = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
+        before = x.copy()
+        out = apply_word(x, word, n, parity, sign)
+        assert out.shape == (rows, size)
+        assert np.abs(out - x @ block).max(initial=0.0) <= 1e-12
+        assert np.array_equal(x, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4),
+       n=st.sampled_from([2, 4, 16, 32, 96]), sign=st.sampled_from([-1, 1]))
+def test_sector_word_matches_dense_on_random_hyperbolic_maps(word, n, sign):
+    m = word_matrix(word)
+    assume(abs(m.a + m.d) > 2)
+    # the two sector unitaries, unfolded, are the dense product of the
+    # generators, for the drawn word and for the factorization's
+    for w in (word, factor_sl2z(m)):
+        assert np.abs(quantize_word(w, n, sign) - quantize_word_dense(w, n, sign)).max() <= 1e-12
+    # every factor of the word commutes with parity up to roundoff
+    assert word_defect(factor_sl2z(m), n) < 1e-12
 
 
 def test_apply_word_allocates_no_dft_sized_array():
-    # F^dag is never materialized: on a few rows the word's peak allocation
-    # stays far below one N x N complex matrix
+    # neither F^dag nor a copy of a sector block is materialized: on a few
+    # rows the word's peak allocation stays below one sector block
     n = 512
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
-    dft_matrix(n)
-    x = np.random.default_rng(0).standard_normal((8, n)).astype(complex)
+    dft_sectors(n)
+    x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
     tracemalloc.start()
     try:
-        apply_word(x, word, n)
+        apply_word(x, word, n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 16
+    assert peak < (n // 2 + 1) ** 2 * 16
 
 
 @pytest.mark.parametrize("spec", [TRAPPED_SPEC, NONTRAP_SPEC])
@@ -283,13 +302,16 @@ def test_apply_word_allocates_no_dft_sized_array():
 def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
     routed = replace(spec, quantization=quant)
-    live, rows = build_open_operator(ARNOLD, routed, n)
-    dense = (dense_operator(*cutoff_operator(routed, n), n)
+    a = dense_operator(build_open_operator(ARNOLD, routed, n), n)
+    dense = (dense_operator(cutoff_operator(routed, n), n)
              @ quantize_word_dense(word, n))
-    assert np.abs(dense_operator(live, rows, n) - dense).max() <= 1e-12
+    assert np.abs(a - dense).max() <= 1e-12
     if quant == "left":
-        # row m carries the factor f(x_m) of the left symbol f(x) f(xi)
+        # row m carries the factor f(x_m) of the left symbol f(x) f(xi); the
+        # profile is even, so a pair of rows j, -j is live or dead together
         dead = cutoff_profile(spec)(torus_rep_array(np.arange(n) / n)) == 0
         assert dead.any() and not dead.all()
-        assert np.array_equal(live, np.flatnonzero(~dead))
-        assert rows.any(axis=1).all()
+        assert not a[dead].any()
+        assert a[~dead].any(axis=1).all()
+        even, odd, _ = build_open_operator(ARNOLD, routed, n)
+        assert len(even[0]) + len(odd[0]) == np.count_nonzero(~dead)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opencat.errors import GridTooCoarse, InvalidSpec
-from opencat.hn import torus_rep_array
+from opencat.hn import fold_parity, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
@@ -258,10 +258,10 @@ def test_op_weyl_band_matches_dense_annulus(n):
 
 def test_op_left_identity_and_position():
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    a = dense_operator(*op_left_separable(one, one, 16), 16)
+    a = dense_operator(op_left_separable(one, one, 16), 16)
     assert np.abs(a - np.eye(16)).max() < 1e-13
     cos = lambda x: np.cos(2 * np.pi * np.asarray(x, dtype=float))
-    a = dense_operator(*op_left_separable(cos, one, 16), 16)
+    a = dense_operator(op_left_separable(cos, one, 16), 16)
     assert np.abs(a - np.diag(np.cos(2 * np.pi * np.arange(16) / 16))).max() < 1e-13
 
 
@@ -279,14 +279,19 @@ def op_left_dense(f, g, n):
                                    ("product_bump", "annulus_product")])
 def test_op_left_live_rows_match_dense(n, kinds):
     f, g = (cutoff_profile(BumpSpec(kind, 0.11, 0.23)) for kind in kinds)
-    live, rows = op_left_separable(f, g, n)
+    sectors = op_left_separable(f, g, n)
     oracle = op_left_dense(f, g, n)
     x = torus_rep_array(np.arange(n) / n)
-    assert np.array_equal(live, np.flatnonzero(f(x)))
-    assert 0 < len(live) < n
-    assert rows.shape == (len(live), n)
-    assert not np.delete(oracle, live, axis=0).any()
-    assert np.abs(rows - oracle[live]).max() < 1e-13
+    # the profiles are even, so the fold drops nothing
+    assert sectors[2] < 1e-15
+    assert np.abs(dense_operator(sectors, n) - oracle).max() < 1e-13
+    for (live, rows), d_f, block in zip(sectors[:2], fold_parity(f(x))[:2],
+                                        fold_parity(oracle)[:2]):
+        assert np.array_equal(live, np.flatnonzero(d_f))
+        assert 0 < len(live) < len(block)
+        assert rows.shape == (len(live), len(block))
+        assert not np.delete(block, live, axis=0).any()
+        assert np.abs(rows - block[live]).max() < 1e-13
 
 
 def test_disjoint_supports_shrink():
@@ -304,7 +309,7 @@ def test_disjoint_supports_shrink():
 
 def test_left_weyl_consistency_first_order():
     f, sym = cutoff_profile(SPEC), cutoff_symbol(SPEC)
-    diff = {n: np.linalg.norm(dense_operator(*op_left_separable(f, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(op_left_separable(f, f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
