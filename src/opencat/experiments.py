@@ -7,7 +7,8 @@ excluding the fixed point, the spectral radius decays superpolynomially in h.
 Parity j -> -j commutes with the quantized map (-I is central in SL(2,Z))
 and with either quantization of an even cutoff, so every factor is folded
 into the two parity sectors of hn first, and the operator is built and
-diagonalized sector by sector.
+diagonalized sector by sector, on the block of rows and columns where the
+cutoff is nonzero.
 """
 
 from dataclasses import dataclass
@@ -83,16 +84,19 @@ def cutoff_operator(spec: BumpSpec, n: int):
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int):
     """(quantized cutoff) @ (quantized map) in the parity sectors, unnormalized phase.
 
-    Returns (even, odd, defect) as cutoff_operator does: the map's word is
-    applied to each sector's live rows, and defect also covers the word's
-    factors.  Each factor commutes with parity up to its defect, so the
-    product does too, up to their sum.
+    Returns (even, odd, defect).  Each sector is (live, block): live indexes
+    the sector's rows where the cutoff is nonzero, as cutoff_operator gives
+    them, and block is the product's live x live block, the only part the
+    spectrum reads.  The map's word is applied to the live rows and its
+    last Fourier letter forms only the live columns.  defect is the largest
+    fold defect of the cutoff's and the word's factors: each commutes with
+    parity up to its defect, so the product does too, up to their sum.
     """
     word = factor_sl2z(m)
     even, odd, defect = cutoff_operator(spec, n)
     (live_e, chi_e), (live_o, chi_o) = even, odd
-    return ((live_e, apply_word(chi_e, word, n, 1)),
-            (live_o, apply_word(chi_o, word, n, -1)),
+    return ((live_e, apply_word(chi_e, word, n, 1, cols=live_e)),
+            (live_o, apply_word(chi_o, word, n, -1, cols=live_o)),
             max(defect, word_defect(word, n)))
 
 
@@ -101,20 +105,21 @@ def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
 
     Each parity sector is diagonalized on its own.  With its dead rows
     permuted last a sector is block upper triangular, [[B_LL, B_LD], [0, 0]],
-    so its spectrum is that of the live block B_LL plus one exact zero per
-    dead row.  An operator with a factor whose fold defect exceeds
-    PARITY_TOL raises ParityBroken rather than lose the coupling.  A NaN in
-    a live row of the cutoff still reaches a sector, whose solve rejects it:
-    every hyperbolic word has a Fourier letter, which spreads it along the
-    row.  The operator is freed on return, before a sweep builds the next,
-    larger N.
+    so its spectrum is that of the live block B_LL, which is all that
+    build_open_operator forms, plus one exact zero per dead row.  An
+    operator with a factor whose fold defect exceeds PARITY_TOL raises
+    ParityBroken rather than lose the coupling.  A NaN in a live row of the
+    cutoff still reaches the live block, whose solve rejects it: every
+    hyperbolic word has a Fourier letter, which spreads it along the row.
+    The operator is freed on return, before a sweep builds the next, larger
+    N.
     """
     log.info("open operator spectrum: N = %d", n)
     even, odd, defect = build_open_operator(m, spec, n)
     if defect > PARITY_TOL:
         raise ParityBroken(f"open operator at N = {n} couples the parity "
                            f"sectors: factor defect {defect:.3e} > {PARITY_TOL:g}")
-    vals = np.concatenate([eigenvalues(rows[:, live]) for live, rows in (even, odd)])
+    vals = np.concatenate([eigenvalues(block) for _, block in (even, odd)])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
 

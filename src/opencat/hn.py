@@ -11,8 +11,9 @@ sector basis, N even:
 
 fold_parity takes a diagonal or a matrix into that basis, unfold_parity
 takes two sector blocks back to an N x N matrix, and dft_sectors builds the
-two blocks of the unitary DFT straight from its kernel: no N x N DFT matrix
-is formed.  All matrices are plain dense numpy arrays.
+two blocks of the unitary DFT straight from its kernel, on half of each
+symmetric block: no N x N DFT matrix is formed.  All matrices are plain
+dense numpy arrays.
 """
 
 from functools import lru_cache
@@ -22,9 +23,10 @@ import numpy as np
 
 from .errors import NonPositiveN, OddDimension
 
-# Rows of the DFT sectors built per pass: four kernel blocks of this many
-# rows by N/2 + 1 columns, 4.2 MB at N = 2048.
-_DFT_CHUNK = 64
+# Rows of the DFT sectors built per pass.  A pass holds about a dozen
+# temporaries of this many rows by at most N/2 + 1 columns, 1.6 MB at
+# N = 2048 beside the two blocks' 33.6 MB.
+_DFT_CHUNK = 16
 
 
 def planck(n: int) -> float:
@@ -104,13 +106,17 @@ def dft_sectors(n: int):
     The DFT has kernel g(p) = N^{-1/2} exp(-2 pi i p / N) at p = j k and
     commutes with parity.  A sector entry (j, k) is a weighted sum of the
     four kernel values at p = j k, j (N - k), (N - j) k and (N - j)(N - k),
-    each evaluated as in the N x N matrix, with p an exact integer that is
-    not reduced mod N.  They are added in an order symmetric in j and k, so
-    each block equals its transpose bit for bit and F_s^dag = conj(F_s).
-    The blocks are built a few rows at a time; the N x N matrix is never
-    formed.  defect is the largest entry of the dropped even-odd block
-    relative to the kernel's modulus N^{-1/2}: the kernel's phase error,
-    about 1e-12 at N = 2048.
+    with p an exact integer that is not reduced mod N.  Each value is
+    cos and sin of (-2 pi p)(1/N), times 1/sqrt(N): the real arithmetic
+    that numpy's exp(-2j pi p / N) / sqrt(N) does, a complex division by a
+    real being a product with its reciprocal.  The four values are added
+    in an order symmetric in j and k, so each block equals its transpose
+    bit for bit and F_s^dag = conj(F_s).  The blocks are built a few rows
+    at a time: a pass computes the columns from its first row on and
+    mirrors them into the rows below, so the kernel is evaluated on half
+    of each block and the N x N matrix is never formed.  defect is the
+    largest entry of the dropped even-odd block relative to the kernel's
+    modulus N^{-1/2}: the kernel's phase error, about 1e-12 at N = 2048.
     """
     if n < 1:
         raise NonPositiveN(f"n = {n}")
@@ -122,27 +128,66 @@ def dft_sectors(n: int):
     # a fixed point is its own partner: its four terms are one value, 4 g
     partner = np.where(fixed, idx, n - idx)
     weight = np.where(fixed, 0.5, math.sqrt(0.5))
+    step, scale = 1.0 / n, 1.0 / math.sqrt(n)
 
     def kernel(p):
-        return np.exp(-2j * np.pi * p / n) / math.sqrt(n)
+        theta = p * (-2.0 * math.pi)
+        theta *= step
+        g = np.empty(p.shape, dtype=complex)
+        np.cos(theta, out=g.real)
+        np.sin(theta, out=g.imag)
+        parts = g.view(float)
+        parts *= scale
+        return g
+
+    def plus_minus(x, y):
+        diff = x - y
+        return np.add(x, y, out=x), diff
 
     even = np.empty((h + 1, h + 1), dtype=complex)
     odd = np.empty((h - 1, h - 1), dtype=complex)
-    cross = 0.0
-    for start in range(0, h + 1, _DFT_CHUNK):
-        rows = slice(start, min(start + _DFT_CHUNK, h + 1))
+
+    def fill(start):
+        # rows start.. of both blocks from their columns start..N/2, mirrored
+        # into those columns; returns the pass's largest coupling entry
+        stop = min(start + _DFT_CHUNK, h + 1)
+        rows, cols = slice(start, stop), slice(start, h + 1)
         j, pj = idx[rows, None], partner[rows, None]
-        direct, far = kernel(j * idx), kernel(pj * partner)
-        near, back = kernel(j * partner), kernel(pj * idx)
-        same, swapped = direct + far, near + back
-        even[rows] = (same + swapped) * (weight[rows, None] * weight)
-        pairs = ~fixed[rows]
-        odd[j[pairs, 0] - 1] = (same - swapped)[pairs, 1:h] * 0.5
-        coupling = ((direct - far) + (back - near))[:, 1:h] * weight[rows, None]
-        cross = max(cross, np.abs(coupling).max(initial=0.0) * math.sqrt(0.5))
+        k, pk = idx[cols], partner[cols]
+        # direct + far, back + near and their differences, from the four kernels
+        same, same_diff = plus_minus(kernel(j * k), kernel(pj * pk))
+        swapped, swapped_diff = plus_minus(kernel(pj * k), kernel(j * pk))
+        # the pass's paired rows and columns, 0 < j, k < N/2, as local slices
+        low = max(start, 1) - start
+        pair_rows, pair_cols = slice(low, min(stop, h) - start), slice(low, h - start)
+        # back is near^T, so the coupling block's entry (j, k), k paired, is
+        # (same_diff + swapped_diff) w_j and its entry (k, j), j paired, is
+        # (same_diff - swapped_diff) w_k
+        coupling = same_diff + swapped_diff
+        coupling *= weight[rows, None]
+        cross = np.abs(coupling)[:, pair_cols].max(initial=0.0)
+        coupling = np.subtract(same_diff[pair_rows], swapped_diff[pair_rows],
+                               out=swapped_diff[pair_rows])
+        coupling *= weight[cols]
+        cross = max(cross, np.abs(coupling).max(initial=0.0))
+        # freed before the blocks' parts are formed, to keep the pass's peak low
+        del same_diff, swapped_diff, coupling
+        part = same[pair_rows, pair_cols] - swapped[pair_rows, pair_cols]
+        part *= 0.5
+        odd_rows = slice(start + low - 1, min(stop, h) - 1)
+        odd_cols = slice(start + low - 1, h - 1)
+        odd[odd_rows, odd_cols] = part
+        odd[odd_cols, odd_rows] = part.T
+        part = np.add(same, swapped, out=same)
+        part *= weight[rows, None] * weight[cols]
+        even[rows, cols] = part
+        even[cols, rows] = part.T
+        return cross
+
+    cross = max(fill(start) for start in range(0, h + 1, _DFT_CHUNK))
     even.setflags(write=False)
     odd.setflags(write=False)
-    return even, odd, cross * math.sqrt(n)
+    return even, odd, cross * math.sqrt(0.5) * math.sqrt(n)
 
 
 def torus_rep_array(x: np.ndarray) -> np.ndarray:

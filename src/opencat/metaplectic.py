@@ -8,13 +8,13 @@ in SL(2,Z), so every generator commutes with parity j -> -j and the word
 acts on the two parity sectors of hn apart.  apply_word multiplies one
 sector's rows by the word letter by letter, with the DFT's sector block and
 the folded chirps, so chi Mhat is formed from chi's nonzero rows without
-building Mhat; quantize_word unfolds the two sector unitaries into the N x N
-matrix.  The global phase is a convention: the one rule that fixes it acts
-on the eigenvalues of the open operator (phase_factor).  All sign
-conventions are pinned by the exact commutation identity with quantized
-observables (checked generator by generator in the tests): with the DFT
-kernel e^{-2 pi i m k / N}, S quantizes to a multiple of the *inverse* DFT
-(apply_word's sign=-1).
+building Mhat, and only in the columns asked for; quantize_word unfolds the
+two sector unitaries into the N x N matrix.  The global phase is a
+convention: the one rule that fixes it acts on the eigenvalues of the open
+operator (phase_factor).  All sign conventions are pinned by the exact
+commutation identity with quantized observables (checked generator by
+generator in the tests): with the DFT kernel e^{-2 pi i m k / N}, S
+quantizes to a multiple of the *inverse* DFT (apply_word's sign=-1).
 """
 
 import math
@@ -27,6 +27,10 @@ from .hn import dft_sectors, fold_parity, unfold_parity
 from .quantizer import TorusSymbol, op_weyl
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
+
+# Columns of a DFT sector block gathered per product when apply_word forms
+# a subset of its output columns: 1 MB at N = 2048.
+_COLUMN_CHUNK = 64
 
 
 # Letters are tuples: ("S",), ("S_INV",), ("U", b), ("L", c), ("PAR",)
@@ -105,8 +109,24 @@ def word_defect(word, n: int) -> float:
     return max([dft_sectors(n)[2]] + chirps)
 
 
-def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1) -> np.ndarray:
-    """x @ Mhat_s for the word's unitary on one parity sector, letter by letter from the right.
+def _times(x: np.ndarray, f: np.ndarray, cols) -> np.ndarray:
+    """x @ f[:, cols] for a symmetric f; cols is a slice or an index array.
+
+    An index array's columns of f are its rows, gathered _COLUMN_CHUNK at a
+    time into one output block each: f[:, cols] is never copied whole.
+    """
+    if isinstance(cols, slice):
+        return x @ f[:, cols]
+    out = np.empty((len(x), len(cols)), dtype=complex)
+    for start in range(0, len(cols), _COLUMN_CHUNK):
+        part = slice(start, start + _COLUMN_CHUNK)
+        np.matmul(x, f[cols[part]].T, out=out[:, part])
+    return out
+
+
+def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
+               cols=slice(None)) -> np.ndarray:
+    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right.
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even.  With F the sector's block of the
@@ -114,8 +134,11 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1) -> np.n
     rows as S: omega x F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp)
     F^dag, L(c): x * chirp and PAR: x * parity; F is symmetric, so x F^dag
     is conj(conj(x) F).  A Fourier letter costs one (rows x N/2) by
-    (N/2 x N/2) product, a quarter of the full-space one.  x is not
-    modified.  sign=+1 uses conj(F), the kernel opposite to the package's.
+    (N/2 x N/2) product, a quarter of the full-space one.  cols, a slice or
+    sorted indices, selects the output columns: the last Fourier letter
+    forms only those, a (rows x N/2) by (N/2 x len(cols)) product, and the
+    L and PAR letters after it act on them alone.  x is not modified.
+    sign=+1 uses conj(F), the kernel opposite to the package's.
     Flipping the sign everywhere is unitarily equivalent (conjugation by
     parity, which commutes with every integer symplectic map), so only a
     mismatch with the observables shows: sign=+1 breaks Egorov for S at O(1).
@@ -124,22 +147,28 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1) -> np.n
     f = dft_sectors(n)[sector]
     if sign == 1:
         f = f.conj()
-    for letter in word:
+    last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),
+               default=-1)
+    if last < 0:
+        x = x[:, cols]
+    for i, letter in enumerate(word):
         kind = letter[0]
+        out = cols if i == last else slice(None)
         if kind == "S":
-            x = np.conj(np.conj(x) @ f)
+            x = _times(np.conj(x), f, out)
+            np.conj(x, out=x)
             x *= OMEGA_S
         elif kind == "S_INV":
-            x = x @ f
+            x = _times(x, f, out)
             x *= np.conj(OMEGA_S)
         elif kind == "U":
             # x @ f is this letter's own buffer, so it is conjugated in place
             x = x @ f
             x *= _chirp(letter, n)[sector]
-            x = np.conj(x, out=x) @ f
+            x = _times(np.conj(x, out=x), f, out)
             np.conj(x, out=x)
         elif kind == "L":
-            x = x * _chirp(letter, n)[sector]
+            x = x * _chirp(letter, n)[sector][cols if i > last else slice(None)]
         elif kind == "PAR":
             x = x * parity
         else:

@@ -12,7 +12,7 @@ from opencat.errors import EigensolverFailed, NonFinite, OpenCatError
 import opencat.experiments as experiments
 from opencat.experiments import build_open_operator, open_spectrum
 
-from helpers import TRAPPED_SPEC, dense_operator, operator_sectors
+from helpers import TRAPPED_SPEC, live_operator, operator_sectors
 
 
 def test_diagonal():
@@ -99,7 +99,7 @@ def test_power_traces_random():
 
 
 def test_power_traces_open_map():
-    a = dense_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
+    a = live_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
     p = np.eye(128, dtype=complex)
     for k in range(1, 6):

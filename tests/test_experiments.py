@@ -10,7 +10,7 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 from opencat.errors import DegeneratePhase, NonFinite, OpenCatError, ParityBroken
-from opencat.experiments import (PARITY_TOL, build_open_operator,
+from opencat.experiments import (PARITY_TOL, build_open_operator, cutoff_operator,
                                  nontrapping_rows, nontrapping_sweep,
                                  open_spectrum, theorem_targets, trapped_sweep)
 from opencat.hn import fold_parity, torus_rep_array
@@ -19,7 +19,7 @@ from opencat.quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, dft_matrix,
-                     nan_in_dead_column, operator_sectors, shear)
+                     live_operator, nan_in_dead_column, operator_sectors, shear)
 from test_metaplectic import quantize_word_dense
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -161,7 +161,7 @@ def test_trapped_sweep_diagonalizes_once_per_sector_per_n(monkeypatch):
 
 def test_trapped_sweep_phase_matches_normalized_operator():
     n = 64
-    plain = dense_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, n), n)
+    plain = live_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, n), n)
     normed = plain * phase_factor(eigenvalues(plain))
     top = np.array([complex(r.re, r.im) for r in trapped_sweep(
         ARNOLD, TRAPPED_SPEC, [n], normalize_phase=True)])
@@ -238,8 +238,12 @@ def test_live_set_closed_under_parity(monkeypatch):
     assert defect < 1e-12
     assert np.array_equal(even[0], [0, 1, 3]) and np.array_equal(odd[0], [0, 2])
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
-    a = dense_operator((even, odd, defect), n)
+    a = (dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
+         @ quantize_word_dense(factor_sl2z(ARNOLD), n))
     assert not a[dead].any()
+    # the sectors are the live x live blocks of the folded dense product
+    for (live, block), oracle in zip((even, odd), fold_parity(a)[:2]):
+        assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
     assert np.count_nonzero(vals == 0) == np.count_nonzero(dead)
     assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-8
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -11,7 +12,7 @@ from opencat.hn import (dft_sectors, fold_parity, planck, torus_rep_array,
                         unfold_parity)
 from opencat.metaplectic import OMEGA_S, quantize_word
 
-from helpers import dft_matrix
+from helpers import dft_matrix, dft_sectors_oracle
 
 
 def test_planck_values():
@@ -104,6 +105,31 @@ def test_dft_sectors_match_folded_oracle(n):
     # the coupling the fold drops is the kernel's phase error, on both
     assert defect == pytest.approx(defect_o, rel=1e-3, abs=1e-16)
     assert defect < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 96, 768, 2048])
+def test_dft_sectors_bitwise_match_oracle(n):
+    # cos and sin over half of each block, mirrored, round every entry as the
+    # complex exponentials on the full blocks do; 1/N is inexact at N = 768
+    even, odd, defect = dft_sectors(n)
+    even_o, odd_o, defect_o = dft_sectors_oracle(n)
+    assert np.array_equal(even, even_o) and np.array_equal(odd, odd_o)
+    assert defect == pytest.approx(defect_o, rel=1e-12)
+
+
+def test_dft_sectors_cold_build_memory():
+    # a pass holds temporaries of a few rows and mirrors its rows into the
+    # columns as it goes, so a cold build peaks close to the two blocks
+    n = 512
+    blocks = ((n // 2 + 1) ** 2 + (n // 2 - 1) ** 2) * 16
+    dft_sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        dft_sectors(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * blocks
 
 
 def test_dft_sectors_reject_odd_and_nonpositive_n():

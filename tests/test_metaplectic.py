@@ -279,21 +279,49 @@ def test_sector_word_matches_dense_on_random_hyperbolic_maps(word, n, sign):
     assert word_defect(factor_sl2z(m), n) < 1e-12
 
 
+trailing_letter = st.one_of(st.just(("PAR",)), st.integers(-3, 3).map(lambda c: ("L", c)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(head=st.lists(any_letter, max_size=4), tail=st.lists(trailing_letter, max_size=3),
+       n=st.one_of(st.integers(1, 16).map(lambda h: 2 * h), st.just(260)),
+       sign=st.sampled_from([-1, 1]), rows=st.integers(1, 8), data=st.data())
+def test_apply_word_narrowed_columns_match_full_product(head, tail, n, sign, rows, data):
+    # the last Fourier letter forms only the requested columns and the L and
+    # PAR letters after it index their chirps; a word of L and PAR letters
+    # alone narrows x first.  At N = 260 the columns span several chunks
+    word = head + tail
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
+        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        cols = np.flatnonzero(keep)
+        x = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
+        full = apply_word(x, word, n, parity, sign)
+        out = apply_word(x, word, n, parity, sign, cols=cols)
+        assert out.shape == (rows, len(cols))
+        assert np.abs(out - full[:, cols]).max(initial=0.0) <= 1e-12
+
+
 def test_apply_word_allocates_no_dft_sized_array():
     # neither F^dag nor a copy of a sector block is materialized: on a few
-    # rows the word's peak allocation stays below one sector block
+    # rows the word's peak allocation stays below one sector block, and
+    # narrowed to the trapped cutoff's live columns it stays below
+    # F[:, live], which is gathered a chunk of columns at a time
     n = 512
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
     dft_sectors(n)
+    live = cutoff_operator(TRAPPED_SPEC, n)[0][0]
+    assert 0 < len(live) < n // 2 + 1
     x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
-    tracemalloc.start()
-    try:
-        apply_word(x, word, n, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (n // 2 + 1) ** 2 * 16
+    for cols, bound in ((slice(None), n // 2 + 1), (live, len(live))):
+        tracemalloc.start()
+        try:
+            apply_word(x, word, n, 1, cols=cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n // 2 + 1) * bound * 16
 
 
 @pytest.mark.parametrize("spec", [TRAPPED_SPEC, NONTRAP_SPEC])
@@ -302,16 +330,21 @@ def test_apply_word_allocates_no_dft_sized_array():
 def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
     routed = replace(spec, quantization=quant)
-    a = dense_operator(build_open_operator(ARNOLD, routed, n), n)
+    sectors = build_open_operator(ARNOLD, routed, n)
     dense = (dense_operator(cutoff_operator(routed, n), n)
              @ quantize_word_dense(word, n))
-    assert np.abs(a - dense).max() <= 1e-12
+    # each sector is the live x live block of the folded dense product, and
+    # the product's other rows in the sector are zero
+    for (live, block), oracle in zip(sectors[:2], fold_parity(dense)[:2]):
+        live = np.arange(len(oracle))[live]
+        assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
+        assert not np.delete(oracle, live, axis=0).any()
     if quant == "left":
         # row m carries the factor f(x_m) of the left symbol f(x) f(xi); the
         # profile is even, so a pair of rows j, -j is live or dead together
         dead = cutoff_profile(spec)(torus_rep_array(np.arange(n) / n)) == 0
         assert dead.any() and not dead.all()
-        assert not a[dead].any()
-        assert a[~dead].any(axis=1).all()
-        even, odd, _ = build_open_operator(ARNOLD, routed, n)
+        assert not dense[dead].any()
+        assert dense[~dead].any(axis=1).all()
+        even, odd, _ = sectors
         assert len(even[0]) + len(odd[0]) == np.count_nonzero(~dead)
