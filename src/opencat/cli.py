@@ -17,8 +17,9 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError
-from .experiments import (PARITY_TOL, build_open_operator, nontrapping_rows,
-                          nontrapping_sweep, theorem_targets, trapped_sweep)
+from .experiments import (PARITY_TOL, build_open_operator, live_rows,
+                          nontrapping_rows, nontrapping_sweep, theorem_targets,
+                          trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
@@ -209,9 +210,12 @@ def cmd_trapped(config: RunConfig) -> int:
         raise ConfigError("out_csv is required")
     if config.cutoff.kind != "product_bump":
         raise ConfigError("trapped run needs a product_bump cutoff")
-    if config.k_count > config.n_list[0]:
-        raise ConfigError(f"k_count {config.k_count} exceeds the smallest N "
-                          f"{config.n_list[0]}")
+    # more modes than the cutoff has live rows would report padding zeros
+    for n in config.n_list:
+        live = live_rows(config.cutoff, n)
+        if config.k_count > live:
+            raise ConfigError(f"k_count {config.k_count} exceeds the {live} rows "
+                              f"where the cutoff is nonzero at N = {n}")
     rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
                          k_count=config.k_count,
                          normalize_phase=config.phase == "leading")

@@ -5,10 +5,11 @@ With the cutoff equal to 1 near the hyperbolic fixed point, the top
 eigenvalue moduli converge to lam^{-(2k+1)/2}; with an annulus cutoff
 excluding the fixed point, the spectral radius decays superpolynomially in h.
 Parity j -> -j commutes with the quantized map (-I is central in SL(2,Z))
-and with either quantization of an even cutoff, so every factor is folded
-into the two parity sectors of hn first, and the operator is built and
+and with either quantization of an even cutoff, so every factor is built
+in the two parity sectors of hn, and the operator is built and
 diagonalized sector by sector, on the block of rows and columns where the
-cutoff is nonzero.
+cutoff is nonzero.  The cutoff arrives per sector as a factor times rows:
+the map's word runs on the rows, and the factor multiplies the result.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,10 @@ import numpy as np
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, sort_by_modulus
 from .errors import ParityBroken
-from .hn import fold_parity, planck
+from .hn import planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor, word_defect
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
-                        op_left_separable, op_weyl)
+                        op_left_separable, op_weyl_sectors, profile_sectors)
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +34,7 @@ log = logging.getLogger(__name__)
 # open_spectrum accepts as roundoff.  Measured on the benchmark's maps and
 # cutoffs: the DFT's phase error gives 9.0e-13 at N = 2048 and the chirps
 # 1.1e-12; the left profile gives 0 at N = 2048 (3.3e-16 at N = 768, where
-# m/N is inexact) and the Weyl chi 3.0e-16 at N = 768.  A factor that
+# m/N is inexact) and the Weyl chi 2.8e-16 at N = 768.  A factor that
 # really breaks parity couples the sectors at O(1).
 PARITY_TOL = 1e-9
 
@@ -67,18 +68,28 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
 def cutoff_operator(spec: BumpSpec, n: int):
     """Quantize the cutoff by its own route, spec.quantization, in the parity sectors.
 
-    Returns (even, odd, defect): each sector is (live, rows), its rows that
-    live indexes, the others being exactly zero, and defect is the largest
-    fold defect of the cutoff's factors.  The left route quantizes the
-    profile itself and keeps the rows where its folded profile is nonzero;
-    the Weyl route folds op_weyl(cutoff_symbol(spec)), O(N^2) work, and keeps
-    every row.
+    Returns (even, odd, defect).  Each sector is (live, factor, rows): the
+    sector's rows that live indexes equal factor @ rows, or rows when
+    factor is None, and its other rows are exactly zero.  defect is the
+    largest fold defect of the cutoff's factors.  The left route keeps the
+    rows where the folded profile is nonzero, with op_left_separable's
+    factor on the DFT's rows; the Weyl route keeps every row and builds its
+    sector blocks from the band of the cutoff's symbol (op_weyl_sectors).
     """
     if spec.quantization == "left":
         profile = cutoff_profile(spec)
         return op_left_separable(profile, profile, n)
-    even, odd, defect = fold_parity(op_weyl(cutoff_symbol(spec), n))
-    return (slice(None), even), (slice(None), odd), defect
+    even, odd, defect = op_weyl_sectors(cutoff_symbol(spec), n)
+    return (slice(None), None, even), (slice(None), None, odd), defect
+
+
+def live_rows(spec: BumpSpec, n: int) -> int:
+    """The rows of both sectors where cutoff_operator is nonzero: at most that
+    many eigenvalues of the open operator are not zero."""
+    if spec.quantization == "weyl":
+        return n
+    even, odd, _ = profile_sectors(cutoff_profile(spec), n)
+    return np.count_nonzero(even) + np.count_nonzero(odd)
 
 
 def build_open_operator(m: CatMap, spec: BumpSpec, n: int):
@@ -87,17 +98,19 @@ def build_open_operator(m: CatMap, spec: BumpSpec, n: int):
     Returns (even, odd, defect).  Each sector is (live, block): live indexes
     the sector's rows where the cutoff is nonzero, as cutoff_operator gives
     them, and block is the product's live x live block, the only part the
-    spectrum reads.  The map's word is applied to the live rows and its
-    last Fourier letter forms only the live columns.  defect is the largest
-    fold defect of the cutoff's and the word's factors: each commutes with
-    parity up to its defect, so the product does too, up to their sum.
+    spectrum reads.  The map's word is applied to the cutoff's rows, and
+    its last Fourier letter forms only the live columns; a factor then
+    multiplies the result.  defect is the largest fold defect of the
+    cutoff's and the word's factors: each commutes with parity up to its
+    defect, so the product does too, up to their sum.
     """
     word = factor_sl2z(m)
-    even, odd, defect = cutoff_operator(spec, n)
-    (live_e, chi_e), (live_o, chi_o) = even, odd
-    return ((live_e, apply_word(chi_e, word, n, 1, cols=live_e)),
-            (live_o, apply_word(chi_o, word, n, -1, cols=live_o)),
-            max(defect, word_defect(word, n)))
+    *sectors, defect = cutoff_operator(spec, n)
+    blocks = []
+    for (live, factor, rows), parity in zip(sectors, (1, -1)):
+        block = apply_word(rows, word, n, parity, cols=live)
+        blocks.append((live, block if factor is None else factor @ block))
+    return blocks[0], blocks[1], max(defect, word_defect(word, n))
 
 
 def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:

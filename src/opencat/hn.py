@@ -9,11 +9,13 @@ sector basis, N even:
           natural order j = 0..N/2 (size N/2 + 1);
     odd:  (e_j - e_{N-j})/sqrt(2) for 0 < j < N/2 (size N/2 - 1).
 
-fold_parity takes a diagonal or a matrix into that basis, unfold_parity
-takes two sector blocks back to an N x N matrix, and dft_sectors builds the
-two blocks of the unitary DFT straight from its kernel, on half of each
-symmetric block: no N x N DFT matrix is formed.  All matrices are plain
-dense numpy arrays.
+fold_parity takes a diagonal into that basis, sector_coordinates gives
+each basis vector e_m's place and weights in the two sectors (what a
+builder needs to scatter a matrix's entries straight into its sector
+blocks), unfold_parity takes two sector blocks back to an N x N matrix, and
+dft_sectors builds the two blocks of the unitary DFT straight from its
+kernel, on half of each symmetric block: no N x N DFT matrix is formed.
+All matrices are plain dense numpy arrays.
 """
 
 from functools import lru_cache
@@ -36,18 +38,8 @@ def planck(n: int) -> float:
     return 1.0 / (2.0 * math.pi * n)
 
 
-def _fold_rows(x):
-    """The rows of x (N rows) in the sector basis, as (even rows, odd rows)."""
-    n = x.shape[0]
-    h = n // 2
-    j = np.arange(1, h)
-    p, m = x[j], x[n - j]
-    r = math.sqrt(0.5)
-    return np.concatenate([x[:1], (p + m) * r, x[h:h + 1]]), (p - m) * r
-
-
 def _unfold_rows(even, odd):
-    """Rows in the sector basis back in the basis e_0..e_{N-1}: _fold_rows inverted."""
+    """Rows in the sector basis, as (even rows, odd rows), back in the basis e_0..e_{N-1}."""
     h = even.shape[0] - 1
     n = 2 * h
     j = np.arange(1, h)
@@ -59,33 +51,46 @@ def _unfold_rows(even, odd):
     return out
 
 
-def fold_parity(a):
-    """a in the sector basis, as (even, odd, defect).
+def fold_parity(d):
+    """A diagonal in the sector basis, as (even, odd, defect).
 
-    a is a diagonal, given by its N entries, or an N x N matrix, N even.  A
-    diagonal folds to the two sector diagonals, a pair's entry being the
-    mean (a_j + a_{N-j})/2; a matrix folds to its two sector blocks.  The
-    part that couples the sectors is dropped, and defect is its largest
-    entry relative to a's largest entry: zero when a commutes with parity.
+    d holds the N entries of the diagonal, N even.  A pair's entry in both
+    sectors is the mean (d_j + d_{N-j})/2.  The part that couples the
+    sectors, (d_j - d_{N-j})/2, is dropped, and defect is its largest entry
+    relative to d's largest entry: zero when d commutes with parity.
     """
-    a = np.asarray(a)
-    n = a.shape[0]
-    scale = np.abs(a).max(initial=0.0)
-    if a.ndim == 1:
-        h = n // 2
-        j = np.arange(1, h)
-        p, m = a[j], a[n - j]
-        odd = (p + m) * 0.5
-        even = np.concatenate([a[:1], odd, a[h:h + 1]])
-        cross = np.abs(p - m).max(initial=0.0) * 0.5
-    else:
-        even_rows, odd_rows = _fold_rows(a)
-        even_t, even_odd = _fold_rows(even_rows.T)
-        odd_even, odd_t = _fold_rows(odd_rows.T)
-        even, odd = even_t.T, odd_t.T
-        cross = max(np.abs(even_odd).max(initial=0.0),
-                    np.abs(odd_even).max(initial=0.0))
+    d = np.asarray(d)
+    n = d.shape[0]
+    scale = np.abs(d).max(initial=0.0)
+    h = n // 2
+    j = np.arange(1, h)
+    p, m = d[j], d[n - j]
+    odd = (p + m) * 0.5
+    even = np.concatenate([d[:1], odd, d[h:h + 1]])
+    cross = np.abs(p - m).max(initial=0.0) * 0.5
     return even, odd, cross / scale if scale > 0 else 0.0
+
+
+def sector_coordinates(n: int):
+    """Where each e_m lies in the sector basis, as (index, even_weight, odd_weight).
+
+    e_m is even_weight times even basis vector index plus odd_weight times
+    odd basis vector index - 1: index is min(m, N - m), even_weight is 1 at
+    the fixed points m = 0, N/2 and sqrt(1/2) elsewhere, and odd_weight is 0
+    at the fixed points, sqrt(1/2) for m < N/2 and -sqrt(1/2) above.  So a
+    matrix entry A[m, c] adds even_weight[m] even_weight[c] A[m, c] to the
+    even block at (index[m], index[c]), and the odd and coupling blocks take
+    the other products of weights alike.
+    """
+    if n % 2:
+        raise OddDimension(f"n = {n} must be even")
+    h = n // 2
+    m = np.arange(n)
+    r = math.sqrt(0.5)
+    fixed = (m == 0) | (m == h)
+    even_weight = np.where(fixed, 1.0, r)
+    odd_weight = np.where(fixed, 0.0, np.where(m < h, r, -r))
+    return np.minimum(m, n - m), even_weight, odd_weight
 
 
 def unfold_parity(even, odd):

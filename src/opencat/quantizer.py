@@ -1,11 +1,14 @@
 """Symbols on the torus and their quantization on the N-dimensional space.
 
 Smooth symbols are carried as truncated Fourier coefficient tables.  Two
-quantizations are provided: the general Weyl quantization, a dense N x N
-matrix built diagonal by diagonal from its explicit matrix-entry formula,
-and the left (standard) quantization of separable products f(x)g(xi), a
-diagonal/Fourier-multiplier sandwich built in the parity sectors of hn from
-the folded profiles and the DFT's sector blocks.
+quantizations are provided.  The general Weyl quantization is cyclically
+banded: weyl_band gives its 2 k_max + 1 diagonals from the explicit
+matrix-entry formula, op_weyl places them in a dense N x N matrix, and
+op_weyl_sectors adds them straight into the two parity sectors of hn
+without forming it.  The left (standard) quantization of separable
+products f(x)g(xi), a diagonal/Fourier-multiplier sandwich, is given per
+sector in factored form: a small factor from the folded profiles and the
+DFT's sector block, times the block's rows where the g profile is nonzero.
 """
 
 from dataclasses import dataclass
@@ -14,10 +17,13 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import dft_sectors, fold_parity, torus_rep_array
+from .hn import dft_sectors, fold_parity, sector_coordinates, torus_rep_array
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
+
+# Cyclic diagonals of a Weyl quantization computed per pass: 0.1 MB at N = 768.
+_BAND_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -96,32 +102,109 @@ class TorusSymbol:
         self.table.setflags(write=False)
 
 
-def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
-    """Weyl quantization as a dense N x N matrix, built from its band.
+def weyl_band(sym: TorusSymbol, n: int):
+    """The cyclic diagonals of the Weyl quantization, a few at a time, as (offsets, diagonals).
 
-    Entry (m, j) is the lattice sum of coeff(k, j - m - l N) times the parity
-    sign (-1)^{k l} and the half-integer phase e^{i pi (j+m) k / N}.  With
-    t = j - m - l N the parity sign cancels the e^{i pi l k} of the wrapped
-    phase, so every |t| <= k_max contributes
+    Entry (m, j) of the N x N matrix is the lattice sum of coeff(k, j - m - l N)
+    times the parity sign (-1)^{k l} and the half-integer phase
+    e^{i pi (j+m) k / N}.  With t = j - m - l N the parity sign cancels the
+    e^{i pi l k} of the wrapped phase, so every |t| <= k_max contributes
 
         A[m, (m + t) mod N] += sum_k coeff(k, t) e^{i pi t k / N} e^{2 pi i m k / N},
 
     one length-N inverse DFT over k per offset t: O(k_max N log N) work for
-    the 2 k_max + 1 cyclic diagonals.  The frequencies k are folded mod N
-    before the transform, and when N < 2 k_max + 1 several offsets t land on
-    the same diagonal and add, so every N >= 1 is exact.
+    the 2 k_max + 1 cyclic diagonals.  They are yielded _BAND_CHUNK at a
+    time, column i of diagonals holding A[m, (m + offsets[i]) mod N], so
+    the N x (2 k_max + 1) band is never held whole.  The frequencies k are
+    folded mod N before the transform, and when N < 2 k_max + 1 the
+    offsets that are equal mod N are summed into one diagonal, so the
+    offsets are distinct mod N and every N >= 1 is exact.
     """
     kmax = sym.k_max
-    k = np.arange(-kmax, kmax + 1)   # table rows: frequencies in x
-    t = k                            # table columns: diagonal offsets
-    weighted = sym.table * np.exp(1j * math.pi * np.outer(k, t) / n)
-    folded = np.zeros((n, t.size), dtype=complex)
-    np.add.at(folded, k % n, weighted)
-    diagonals = n * np.fft.ifft(folded, axis=0)   # [m, t]
+    k = np.arange(-kmax, kmax + 1)   # table rows: frequencies in x; columns: offsets
+    weighted = sym.table * np.exp(1j * math.pi * np.outer(k, k) / n)
+    offsets = k
+    if k.size > n:
+        offsets = np.arange(n)
+        aliased = np.zeros((k.size, n), dtype=complex)
+        np.add.at(aliased, (slice(None), k % n), weighted)
+        weighted = aliased
+    for start in range(0, offsets.size, _BAND_CHUNK):
+        part = slice(start, start + _BAND_CHUNK)
+        spectra = np.zeros((n, len(offsets[part])), dtype=complex)
+        np.add.at(spectra, k % n, weighted[:, part])
+        diagonals = np.fft.ifft(spectra, axis=0)
+        del spectra
+        diagonals *= n
+        yield offsets[part], diagonals
+
+
+def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
+    """Weyl quantization as a dense N x N matrix: the diagonals of weyl_band in place."""
     m = np.arange(n)[:, None]
     a = np.zeros((n, n), dtype=complex)
-    np.add.at(a, (m, (m + t) % n), diagonals)
+    for offsets, diagonals in weyl_band(sym, n):
+        a[m, (m + offsets) % n] = diagonals
     return a
+
+
+def _scatter_add(block, rows, cols, values):
+    """block[rows, cols] += values, repeated cells adding: np.add.at on the flat view."""
+    np.add.at(block.reshape(-1), (rows * block.shape[1] + cols).ravel(), values.ravel())
+
+
+def op_weyl_sectors(sym: TorusSymbol, n: int):
+    """Weyl quantization in the parity sectors, as (even, odd, defect), N even.
+
+    Each entry A[m, c] of weyl_band's diagonals is added into the sector
+    blocks at the places sector_coordinates gives, weighted by the product
+    of the even weights of m and c, or of their odd weights.  defect is the
+    largest entry of the two coupling blocks, which the even-odd and
+    odd-even products of weights fill from the same entries, relative to
+    the largest entry of A.  The coupling blocks are banded like A,
+    |index[c] - index[m]| <= min(k_max, N/2), so each is kept as its band,
+    filled in a first pass over the diagonals before the sector blocks
+    exist.  O(k_max N) work beside the transforms; no N x N array is formed.
+    """
+    index, even_w, odd_w = sector_coordinates(n)
+    h = n // 2
+    m = np.arange(n)[:, None]
+    rows, even_m, odd_m = index[:, None], even_w[:, None], odd_w[:, None]
+    w = min(sym.k_max, h)
+    # the coupling blocks' cell (i, k) is at [i, k - i + w]
+    even_odd = np.zeros((h + 1, 2 * w + 1), dtype=complex)
+    odd_even = np.zeros_like(even_odd)
+    scale = 0.0
+    for offsets, diagonals in weyl_band(sym, n):
+        c = (m + offsets) % n
+        cols = index[c] - rows + w
+        _scatter_add(even_odd, rows, cols, even_m * odd_w[c] * diagonals)
+        _scatter_add(odd_even, rows, cols, odd_m * even_w[c] * diagonals)
+        scale = max(scale, np.abs(diagonals).max())
+    cross = max(np.abs(even_odd).max(), np.abs(odd_even).max())
+    del even_odd, odd_even
+    # rows and columns 1..N/2-1 of odd are the odd block; its rows and
+    # columns 0 and N/2 collect only the zero odd weights of the fixed points
+    even = np.zeros((h + 1, h + 1), dtype=complex)
+    odd = np.zeros_like(even)
+    for offsets, diagonals in weyl_band(sym, n):
+        c = (m + offsets) % n
+        _scatter_add(even, rows, index[c], even_m * even_w[c] * diagonals)
+        _scatter_add(odd, rows, index[c], odd_m * odd_w[c] * diagonals)
+    return even, odd[1:h, 1:h], cross / scale if scale > 0 else 0.0
+
+
+def profile_sectors(profile, n: int):
+    """A profile sampled at the points x_m and folded into the sectors: fold_parity's triple."""
+    x = torus_rep_array(np.arange(n) / n)
+    return fold_parity(np.asarray(profile(x), dtype=complex))
+
+
+def _take_rows(a, idx):
+    """a[idx] for sorted indices idx: a view of a when they are one run, else a copy."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return a[idx[0]:idx[-1] + 1]
+    return a[idx]
 
 
 def op_left_separable(f_profile, g_profile, n: int):
@@ -129,20 +212,24 @@ def op_left_separable(f_profile, g_profile, n: int):
 
     The N x N operator is diag(f) F^dag diag(g) F, f and g sampled at the
     points x_m.  In each sector s it is d_f,s F_s^dag d_g,s F_s, with d_f,s
-    and d_g,s the profiles folded into the sector (fold_parity) and F_s the
-    DFT's block (dft_sectors).  F_s equals its transpose, so rows live of
-    F_s^dag are conj(F_s[live]).  A sector is (live, rows): live indexes its
-    rows where d_f,s is nonzero and rows holds them, multiplied out; every
-    other row of the sector is exactly zero.  defect is the larger of the
-    two profiles' fold defects.
+    and d_g,s the profiles folded into the sector (profile_sectors) and F_s
+    the DFT's block (dft_sectors).  A sector is (live, factor, rows): live
+    indexes its rows where d_f,s is nonzero, the others being exactly zero,
+    and those rows equal factor @ rows.  F_s is symmetric, so
+    F_s^dag = conj(F_s), and with live_g the indices where d_g,s is nonzero
+    the factor is d_f,s[live] conj(F_s[live, live_g]) d_g,s[live_g], built
+    entrywise, and rows is F_s[live_g]: nothing is multiplied out.  A
+    bump's or an annulus's live_g is one run of indices, and then rows is a
+    read-only view of the cached block, not a copy.  defect is the larger
+    of the two profiles' fold defects.
     """
-    x = torus_rep_array(np.arange(n) / n)
-    f_even, f_odd, f_defect = fold_parity(np.asarray(f_profile(x), dtype=complex))
-    g_even, g_odd, g_defect = fold_parity(np.asarray(g_profile(x), dtype=complex))
+    f_even, f_odd, f_defect = profile_sectors(f_profile, n)
+    g_even, g_odd, g_defect = profile_sectors(g_profile, n)
     sectors = []
     for d_f, d_g, f_mat in zip((f_even, f_odd), (g_even, g_odd), dft_sectors(n)[:2]):
-        live = np.flatnonzero(d_f)
-        sectors.append((live, d_f[live, None] * (np.conj(f_mat[live]) * d_g) @ f_mat))
+        live, live_g = np.flatnonzero(d_f), np.flatnonzero(d_g)
+        factor = d_f[live, None] * np.conj(f_mat[np.ix_(live, live_g)]) * d_g[live_g]
+        sectors.append((live, factor, _take_rows(f_mat, live_g)))
     return sectors[0], sectors[1], max(f_defect, g_defect)
 
 

@@ -1,4 +1,4 @@
-"""Cutoff specs, operator helpers and the DFT oracles shared by the test modules."""
+"""Cutoff specs, operator helpers and the fold and DFT oracles shared by the test modules."""
 
 import math
 
@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 import opencat.experiments as experiments
-from opencat.hn import fold_parity, unfold_parity
-from opencat.quantizer import BumpSpec
+from opencat.hn import unfold_parity
+from opencat.quantizer import BumpSpec, TorusSymbol, cutoff_symbol
 
 # The cutoffs of the README's example config and of the benchmark workloads.
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
@@ -17,6 +17,33 @@ NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
 # hyperbolic once their trace exceeds 2 in modulus.
 shear = st.tuples(st.sampled_from(["U", "L"]),
                   st.integers(-3, 3).filter(lambda v: v != 0))
+
+
+def _fold_rows(x):
+    """The rows of x (N rows) in the sector basis, as (even rows, odd rows)."""
+    n = x.shape[0]
+    h = n // 2
+    j = np.arange(1, h)
+    p, m = x[j], x[n - j]
+    r = math.sqrt(0.5)
+    return np.concatenate([x[:1], (p + m) * r, x[h:h + 1]]), (p - m) * r
+
+
+def fold_matrix(a):
+    """An N x N matrix in the sector basis, as (even, odd, defect), N even.
+
+    The oracle for quantizer.op_weyl_sectors: the rows and then the columns
+    of a are folded into the two sectors, the two blocks that couple them
+    are dropped, and defect is their largest entry relative to a's largest
+    entry: zero when a commutes with parity.
+    """
+    a = np.asarray(a)
+    scale = np.abs(a).max(initial=0.0)
+    even_rows, odd_rows = _fold_rows(a)
+    even_t, even_odd = _fold_rows(even_rows.T)
+    odd_even, odd_t = _fold_rows(odd_rows.T)
+    cross = max(np.abs(even_odd).max(initial=0.0), np.abs(odd_even).max(initial=0.0))
+    return even_t.T, odd_t.T, cross / scale if scale > 0 else 0.0
 
 
 def dft_matrix(n):
@@ -66,12 +93,13 @@ def dft_sectors_oracle(n):
 def dense_operator(sectors, n):
     """The N x N matrix of a cutoff in the sector form (even, odd, defect) of cutoff_operator.
 
-    Each sector is (live, rows): its rows live are rows, its other rows zero.
+    Each sector is (live, factor, rows): its rows live are factor @ rows,
+    or rows when factor is None, and its other rows are zero.
     """
     blocks = []
-    for (live, rows), size in zip(sectors[:2], (n // 2 + 1, n // 2 - 1)):
+    for (live, factor, rows), size in zip(sectors[:2], (n // 2 + 1, n // 2 - 1)):
         block = np.zeros((size, size), dtype=complex)
-        block[live] = rows
+        block[live] = rows if factor is None else factor @ rows
         blocks.append(block)
     return unfold_parity(*blocks)
 
@@ -101,20 +129,35 @@ def operator_sectors(a, dead=None):
     """
     n = a.shape[0]
     h = n // 2
-    even, odd, defect = fold_parity(a)
+    even, odd, defect = fold_matrix(a)
     dead = np.zeros(n, dtype=bool) if dead is None else np.asarray(dead)
     live_e, live_o = np.flatnonzero(~dead[:h + 1]), np.flatnonzero(~dead[1:h])
     return ((live_e, even[np.ix_(live_e, live_e)]), (live_o, odd[np.ix_(live_o, live_o)]),
             defect)
 
 
+def odd_term_symbol(spec):
+    """The cutoff's symbol plus 0.5 e^{2 pi i x}: a term that parity (x, xi) -> (-x, -xi)
+    does not fix, so its Weyl quantization couples the sectors at O(1)."""
+    sym = cutoff_symbol(spec)
+    table = sym.table.copy()
+    table[sym.k_max + 1, sym.k_max] += 0.5
+    return TorusSymbol(table, sym.k_max)
+
+
 def nan_in_dead_column(monkeypatch):
-    """Make the left cutoff carry a NaN in its first live even row, at a dead column."""
+    """Make the left cutoff carry a NaN in its live even rows, at a dead column.
+
+    The NaN goes into a copy of the first of the even sector's DFT rows
+    that the factor multiplies, so every live row the factor mixes it into
+    has it.
+    """
     quantize = experiments.op_left_separable
 
     def poisoned(f, g, n):
-        (live, rows), odd, defect = quantize(f, g, n)
+        (live, factor, rows), odd, defect = quantize(f, g, n)
+        rows = rows.copy()
         rows[0, np.setdiff1d(np.arange(n // 2 + 1), live)[0]] = np.nan
-        return (live, rows), odd, defect
+        return (live, factor, rows), odd, defect
 
     monkeypatch.setattr(experiments, "op_left_separable", poisoned)

@@ -8,7 +8,7 @@ import opencat.experiments as experiments
 from opencat.cli import ConfigError, main, parse_config
 from opencat.quantizer import BumpSpec
 
-from helpers import nan_in_dead_column
+from helpers import nan_in_dead_column, odd_term_symbol
 
 
 def write_config(tmp_path, **overrides):
@@ -64,6 +64,22 @@ def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
     assert main(["trapped", "--config", cfg]) == 2
     assert "k_count" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_trapped_k_count_above_live_rows_is_config_error(tmp_path, capsys):
+    # the default bump is nonzero at 1 point of N = 4 and 3 points of N = 8,
+    # so the default k_count 4 would report padding zeros at both
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out), n_list=[4, 8], k_count=None)
+    assert main(["trapped", "--config", cfg]) == 2
+    assert "k_count 4 exceeds the 1 rows where the cutoff is nonzero at N = 4" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    # the Weyl cutoff is nonzero on every row
+    cfg = write_config(tmp_path, out_csv=str(out), n_list=[4, 8], k_count=None,
+                       quantization="weyl", k_max=1, grid=4)
+    assert main(["trapped", "--config", cfg]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -193,15 +209,13 @@ def test_nontrapping_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys)
 def test_parity_breaking_operator_exits_numeric(tmp_path, monkeypatch, capsys,
                                                 command):
     # a factor that breaks parity: an uneven left profile for the trapped
-    # run, an uneven Weyl cutoff for the nontrapping run
+    # run, a Weyl cutoff whose symbol has an odd term for the nontrapping run
     if command == "trapped":
         profile = experiments.cutoff_profile
         monkeypatch.setattr(experiments, "cutoff_profile",
                             lambda spec: lambda x: profile(spec)(x) * (1.0 + x))
     else:
-        weyl = experiments.op_weyl
-        monkeypatch.setattr(experiments, "op_weyl",
-                            lambda sym, n: weyl(sym, n) + np.eye(n, k=1))
+        monkeypatch.setattr(experiments, "cutoff_symbol", odd_term_symbol)
     out = tmp_path / "rows.csv"
     cutoff = {"kind": "product_bump" if command == "trapped" else "annulus_product",
               "r_inner": 0.15, "r_outer": 0.24}

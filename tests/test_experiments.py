@@ -11,15 +11,16 @@ from opencat.catmap import ARNOLD
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 from opencat.errors import DegeneratePhase, NonFinite, OpenCatError, ParityBroken
 from opencat.experiments import (PARITY_TOL, build_open_operator, cutoff_operator,
-                                 nontrapping_rows, nontrapping_sweep,
+                                 live_rows, nontrapping_rows, nontrapping_sweep,
                                  open_spectrum, theorem_targets, trapped_sweep)
-from opencat.hn import fold_parity, torus_rep_array
+from opencat.hn import torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor, word_matrix
 from opencat.quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, dft_matrix,
-                     live_operator, nan_in_dead_column, operator_sectors, shear)
+                     fold_matrix, live_operator, nan_in_dead_column,
+                     odd_term_symbol, operator_sectors, shear)
 from test_metaplectic import quantize_word_dense
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -38,7 +39,7 @@ def test_open_operator_with_unit_cutoff_is_unitary():
     from opencat.metaplectic import quantize_map
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     sectors = op_left_separable(one, one, 64)
-    assert [len(live) for live, _ in sectors[:2]] == [33, 31]
+    assert [len(live) for live, _, _ in sectors[:2]] == [33, 31]
     a = dense_operator(sectors, 64) @ quantize_map(ARNOLD, 64)
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
@@ -201,13 +202,6 @@ def uneven_profile(spec):
     return lambda x: profile(x) * (1.0 + np.asarray(x))
 
 
-def uneven_weyl(sym, n):
-    """The Weyl cutoff plus a rank-one part coupling e_1 to e_0, which parity breaks."""
-    a = op_weyl(sym, n)
-    a[0, 1] += 0.5
-    return a
-
-
 def test_parity_breaking_operator_raises(monkeypatch):
     # a factor that does not commute with parity, on either route
     with monkeypatch.context() as mp:
@@ -216,10 +210,21 @@ def test_parity_breaking_operator_raises(monkeypatch):
             open_spectrum(ARNOLD, TRAPPED_SPEC, 32)
     weyl = replace(TRAPPED_SPEC, quantization="weyl", k_max=16, grid=64)
     assert open_spectrum(ARNOLD, weyl, 32).shape == (32,)
-    monkeypatch.setattr(experiments, "op_weyl", uneven_weyl)
+    monkeypatch.setattr(experiments, "cutoff_symbol", odd_term_symbol)
     with pytest.raises(ParityBroken, match="couples the parity sectors"):
         open_spectrum(ARNOLD, weyl, 32)
     assert issubclass(ParityBroken, OpenCatError)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_live_rows_count_the_cutoff_sectors(n):
+    even, odd, _ = cutoff_operator(TRAPPED_SPEC, n)
+    assert live_rows(TRAPPED_SPEC, n) == len(even[0]) + len(odd[0])
+    # the bump is nonzero exactly inside its support |x| < r_outer = 0.2
+    assert live_rows(TRAPPED_SPEC, n) == np.count_nonzero(
+        np.abs(torus_rep_array(np.arange(n) / n)) < 0.2)
+    weyl = replace(TRAPPED_SPEC, quantization="weyl", k_max=1, grid=4)
+    assert live_rows(weyl, n) == n
 
 
 def test_live_set_closed_under_parity(monkeypatch):
@@ -242,7 +247,7 @@ def test_live_set_closed_under_parity(monkeypatch):
          @ quantize_word_dense(factor_sl2z(ARNOLD), n))
     assert not a[dead].any()
     # the sectors are the live x live blocks of the folded dense product
-    for (live, block), oracle in zip((even, odd), fold_parity(a)[:2]):
+    for (live, block), oracle in zip((even, odd), fold_matrix(a)[:2]):
         assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
     assert np.count_nonzero(vals == 0) == np.count_nonzero(dead)
     assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-8

@@ -8,11 +8,11 @@ import pytest
 from opencat import metaplectic, quantizer
 from opencat.eigensolver import multiset_distance
 from opencat.errors import NonPositiveN, OddDimension
-from opencat.hn import (dft_sectors, fold_parity, planck, torus_rep_array,
-                        unfold_parity)
+from opencat.hn import (dft_sectors, fold_parity, planck, sector_coordinates,
+                        torus_rep_array, unfold_parity)
 from opencat.metaplectic import OMEGA_S, quantize_word
 
-from helpers import dft_matrix, dft_sectors_oracle
+from helpers import dft_matrix, dft_sectors_oracle, fold_matrix
 
 
 def test_planck_values():
@@ -98,7 +98,7 @@ def test_dft_order_four(n):
 @pytest.mark.parametrize("n", [2, 4, 16, 32, 96, 130])
 def test_dft_sectors_match_folded_oracle(n):
     even, odd, defect = dft_sectors(n)
-    even_o, odd_o, defect_o = fold_parity(dft_matrix(n))
+    even_o, odd_o, defect_o = fold_matrix(dft_matrix(n))
     assert even.shape == (n // 2 + 1,) * 2 and odd.shape == (n // 2 - 1,) * 2
     assert np.abs(even - even_o).max() <= 1e-15
     assert n == 2 or np.abs(odd - odd_o).max() <= 1e-15
@@ -147,7 +147,7 @@ def test_fold_parity_round_trip(h, seed):
     par = -np.arange(n) % n
     b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     a = b + b[np.ix_(par, par)]
-    even, odd, defect = fold_parity(a)
+    even, odd, defect = fold_matrix(a)
     assert (even.shape, odd.shape) == ((h + 1, h + 1), (h - 1, h - 1))
     assert defect < 1e-15
     assert np.abs(unfold_parity(even, odd) - a).max() < 1e-14
@@ -159,13 +159,33 @@ def test_fold_parity_round_trip(h, seed):
     d = rng.uniform(-1, 1, n)
     d = d + d[par]
     even_d, odd_d, defect_d = fold_parity(d)
-    even_m, odd_m, _ = fold_parity(np.diag(d))
+    even_m, odd_m, _ = fold_matrix(np.diag(d))
     assert defect_d == 0.0
     assert np.allclose(even_d, np.diag(even_m), atol=1e-15)
     assert np.allclose(odd_d, np.diag(odd_m), atol=1e-15)
     # a part that is odd under parity is what the fold drops, and measures
-    assert fold_parity(a + (b - b[np.ix_(par, par)]))[2] > 1e-3 or n == 2
+    assert fold_matrix(a + (b - b[np.ix_(par, par)]))[2] > 1e-3 or n == 2
     assert fold_parity(d + np.arange(n))[2] > 1e-3 or n == 2
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_sector_coordinates_give_the_fold(n):
+    # row s of q is sector basis vector s, even then odd, in the basis e_m
+    h = n // 2
+    index, even_w, odd_w = sector_coordinates(n)
+    m = np.arange(n)
+    q = np.zeros((n, n))
+    q[index, m] = even_w
+    pair = odd_w != 0
+    q[h + index[pair], m[pair]] = odd_w[pair]
+    assert np.abs(q @ q.T - np.eye(n)).max() < 1e-15
+    a = np.random.default_rng(n).uniform(-1, 1, (n, n))
+    even, odd, _ = fold_matrix(a)
+    folded = q @ a @ q.T
+    assert np.abs(folded[:h + 1, :h + 1] - even).max() < 1e-14
+    assert np.abs(folded[h + 1:, h + 1:] - odd).max(initial=0.0) < 1e-14
+    with pytest.raises(OddDimension):
+        sector_coordinates(n + 1)
 
 
 def test_torus_rep():

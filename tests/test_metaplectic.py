@@ -10,7 +10,7 @@ import pytest
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
-from opencat.hn import dft_sectors, fold_parity, torus_rep_array
+from opencat.hn import dft_sectors, torus_rep_array
 from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_residual,
                                  factor_sl2z, phase_factor, quantize_map,
                                  quantize_word, word_defect, word_matrix)
@@ -18,7 +18,7 @@ from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import build_open_operator, cutoff_operator, open_spectrum
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, shear
+from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, fold_matrix, shear
 
 
 def mode(k, l, kmax=2):
@@ -254,7 +254,7 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
     # each sector's rows times the word match those rows times the sector
     # block of the dense word
     rng = np.random.default_rng(seed)
-    blocks = fold_parity(quantize_word_dense(word, n, sign))[:2]
+    blocks = fold_matrix(quantize_word_dense(word, n, sign))[:2]
     for parity, block in zip((1, -1), blocks):
         size = len(block)
         x = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
@@ -335,7 +335,7 @@ def test_open_operator_matches_dense_product(spec, quant, n):
              @ quantize_word_dense(word, n))
     # each sector is the live x live block of the folded dense product, and
     # the product's other rows in the sector are zero
-    for (live, block), oracle in zip(sectors[:2], fold_parity(dense)[:2]):
+    for (live, block), oracle in zip(sectors[:2], fold_matrix(dense)[:2]):
         live = np.arange(len(oracle))[live]
         assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
         assert not np.delete(oracle, live, axis=0).any()

@@ -1,17 +1,19 @@
 from dataclasses import replace
 import math
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat.errors import GridTooCoarse, InvalidSpec
+from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
+from opencat.experiments import cutoff_operator
 from opencat.hn import fold_parity, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl)
+                               op_left_separable, op_weyl, op_weyl_sectors)
 
-from helpers import dense_operator
+from helpers import NONTRAP_SPEC, dense_operator, fold_matrix
 
 SPEC = BumpSpec("product_bump", 0.10, 0.20)
 
@@ -256,6 +258,50 @@ def test_op_weyl_band_matches_dense_annulus(n):
     assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() < 1e-14
 
 
+@settings(max_examples=100, deadline=None)
+@given(kmax=st.integers(1, 8), h=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
+    # even N from 2 to 40: below 2 kmax + 1 offsets alias onto one diagonal
+    n = 2 * h
+    rng = np.random.default_rng(seed)
+    shape = (2 * kmax + 1, 2 * kmax + 1)
+    table = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    # a general symbol, its part even under (x, xi) -> (-x, -xi), and its odd part
+    even_table, odd_table = table + table[::-1, ::-1], table - table[::-1, ::-1]
+    for tab in (table, even_table, odd_table):
+        sym = TorusSymbol(tab, kmax)
+        even, odd, defect = op_weyl_sectors(sym, n)
+        even_o, odd_o, defect_o = fold_matrix(op_weyl(sym, n))
+        assert even.shape == even_o.shape and odd.shape == odd_o.shape
+        assert np.abs(even - even_o).max() <= 1e-13
+        assert np.abs(odd - odd_o).max(initial=0.0) <= 1e-13
+        assert defect == pytest.approx(defect_o, abs=1e-13)
+    # an even symbol commutes with parity; an odd one maps each sector to the
+    # other, so the coupling is all there is (N = 2 has no odd sector)
+    assert op_weyl_sectors(TorusSymbol(even_table, kmax), n)[2] < 1e-14
+    assert op_weyl_sectors(TorusSymbol(odd_table, kmax), n)[2] > 0.5 or n == 2
+
+
+def test_weyl_cutoff_peaks_at_its_blocks():
+    # the band is scattered into the sector blocks a few diagonals at a time;
+    # an N x N array (4.2 MB here) would take the peak above 2x the blocks
+    n = 512
+    blocks = ((n // 2 + 1) ** 2 + (n // 2 - 1) ** 2) * 16
+    spec = replace(NONTRAP_SPEC, quantization="weyl")
+    tracemalloc.start()
+    try:
+        cutoff_operator(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * blocks
+
+
+def test_op_weyl_sectors_reject_odd_n():
+    with pytest.raises(OddDimension):
+        op_weyl_sectors(cutoff_symbol(SPEC), 7)
+
+
 def test_op_left_identity_and_position():
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     a = dense_operator(op_left_separable(one, one, 16), 16)
@@ -285,13 +331,17 @@ def test_op_left_live_rows_match_dense(n, kinds):
     # the profiles are even, so the fold drops nothing
     assert sectors[2] < 1e-15
     assert np.abs(dense_operator(sectors, n) - oracle).max() < 1e-13
-    for (live, rows), d_f, block in zip(sectors[:2], fold_parity(f(x))[:2],
-                                        fold_parity(oracle)[:2]):
+    for (live, factor, rows), d_f, d_g, block in zip(sectors[:2], fold_parity(f(x))[:2],
+                                                     fold_parity(g(x))[:2],
+                                                     fold_matrix(oracle)[:2]):
         assert np.array_equal(live, np.flatnonzero(d_f))
         assert 0 < len(live) < len(block)
-        assert rows.shape == (len(live), len(block))
+        # the factor mixes the DFT's rows where the g profile is nonzero
+        live_g = np.count_nonzero(d_g)
+        assert factor.shape == (len(live), live_g)
+        assert rows.shape == (live_g, len(block))
         assert not np.delete(block, live, axis=0).any()
-        assert np.abs(rows - block[live]).max() < 1e-13
+        assert np.abs(factor @ rows - block[live]).max() < 1e-13
 
 
 def test_disjoint_supports_shrink():
