@@ -16,9 +16,10 @@ import numpy as np
 from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
-from .errors import OpenCatError
-from .experiments import (PARITY_TOL, build_open_operator, live_rows,
-                          nontrapping_rows, nontrapping_sweep, theorem_targets,
+from .errors import OpenCatError, TooFewLiveRows
+from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_source,
+                          nontrapping_rows, nontrapping_sweep, open_spectrum,
+                          parity_defect, spectrum_gap, theorem_targets,
                           trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
@@ -210,15 +211,12 @@ def cmd_trapped(config: RunConfig) -> int:
         raise ConfigError("out_csv is required")
     if config.cutoff.kind != "product_bump":
         raise ConfigError("trapped run needs a product_bump cutoff")
-    # more modes than the cutoff has live rows would report padding zeros
-    for n in config.n_list:
-        live = live_rows(config.cutoff, n)
-        if config.k_count > live:
-            raise ConfigError(f"k_count {config.k_count} exceeds the {live} rows "
-                              f"where the cutoff is nonzero at N = {n}")
-    rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
-                         k_count=config.k_count,
-                         normalize_phase=config.phase == "leading")
+    try:
+        rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
+                             k_count=config.k_count,
+                             normalize_phase=config.phase == "leading")
+    except TooFewLiveRows as exc:
+        raise ConfigError(str(exc))
     _write_csv(config.out_csv, "N,h,k,re,im,modulus,target,abs_err",
                ([str(r.n), _fmt(r.h), str(r.k), _fmt(r.re), _fmt(r.im),
                  _fmt(r.modulus), _fmt(r.target), _fmt(r.abs_err)]
@@ -313,9 +311,15 @@ def _verify_checks(config: RunConfig, sign: int):
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
     # open_spectrum builds and diagonalizes the parity sectors apart; this is
-    # the largest factor defect it checks, for the configured sweep's operator
-    defect = build_open_operator(config.matrix, config.cutoff, 64)[2]
+    # the largest factor defect it checks first, for the configured operator
+    defect = parity_defect(config.matrix, cutoff_source(config.cutoff), 64)
     yield "parity_commutation", defect < PARITY_TOL, defect
+    # reference-free: the open spectra of M and R M R, R = diag(1, -1), are
+    # complex conjugates up to the global phase
+    m = config.matrix
+    gap = spectrum_gap(open_spectrum(m, config.cutoff, 64),
+                       np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), config.cutoff, 64)))
+    yield "time_reversal_N64", gap < SYMMETRY_TOL_N64, gap
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for _ in range(20):

@@ -103,17 +103,24 @@ def sort_by_modulus(values: np.ndarray) -> np.ndarray:
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy matching metric between two eigenvalue multisets.
+    """Greedy matching metric between two eigenvalue multisets of one size.
 
     Each value of a (largest modulus first) is paired with the nearest unused
     value of b; the result is the largest paired distance.  Greedy matching is
     stable where a plain co-sorted comparison is not: rounding can reorder
     near-tied values between the two lists.
     """
+    if len(a) != len(b):
+        raise ValueError("multisets differ in size")
+    return match_distance(a, b)
+
+
+def match_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """multiset_distance's greedy metric with a matched into b, which may hold more values."""
     sa = sort_by_modulus(a)
     sb = list(sort_by_modulus(b))
-    if len(sa) != len(sb):
-        raise ValueError("multisets differ in size")
+    if len(sa) > len(sb):
+        raise ValueError("a has more values than b")
     worst = 0.0
     for va in sa:
         gaps = [abs(va - vb) for vb in sb]

@@ -45,6 +45,10 @@ class NonFinite(OpenCatError):
     """Matrix contains NaN or Inf entries."""
 
 
+class TooFewLiveRows(OpenCatError):
+    """More trapped modes asked for than the cutoff has live rows at some N."""
+
+
 class ParityBroken(OpenCatError):
     """The open operator does not commute with parity j -> -j, so its sectors couple."""
 

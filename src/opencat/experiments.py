@@ -6,8 +6,8 @@ eigenvalue moduli converge to lam^{-(2k+1)/2}; with an annulus cutoff
 excluding the fixed point, the spectral radius decays superpolynomially in h.
 Parity j -> -j commutes with the quantized map (-I is central in SL(2,Z))
 and with either quantization of an even cutoff, so every factor is built
-in the two parity sectors of hn, and the operator is built and
-diagonalized sector by sector, on the block of rows and columns where the
+in the two parity sectors of hn, and the operator is built, diagonalized
+and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  The cutoff arrives per sector as a factor times rows:
 the map's word runs on the rows, and the factor multiplies the result.
 """
@@ -20,12 +20,12 @@ import warnings
 import numpy as np
 
 from .catmap import CatMap, analyze, guard_radius
-from .eigensolver import eigenvalues, sort_by_modulus
-from .errors import ParityBroken
+from .eigensolver import eigenvalues, match_distance, sort_by_modulus
+from .errors import ParityBroken, TooFewLiveRows
 from .hn import planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor, word_defect
-from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
-                        op_left_separable, op_weyl_sectors, profile_sectors)
+from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
+                        op_left_separable, op_weyl_sector, profile_sectors, weyl_defect)
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +37,18 @@ log = logging.getLogger(__name__)
 # m/N is inexact) and the Weyl chi 2.8e-16 at N = 768.  A factor that
 # really breaks parity couples the sectors at O(1).
 PARITY_TOL = 1e-9
+
+
+# The modes spectrum_gap compares, the most a trapped sweep reports, and
+# its bound at N = 64.  The gap is the roundoff of ill-conditioned
+# eigenvalues and grows like N^3: over 120 random hyperbolic maps (words
+# of 2-4 shears U(b), L(c), 0 < |b|, |c| <= 3) with the trapped cutoff at
+# N = 4 to 256, on both routes and for both symmetries, it stayed below
+# 4.7e-18 N^3 (1.7e-13 at N = 64, 7.7e-11 at N = 256), and 800 more draws
+# at N = 16 to 256 below 0.15 of the bound, SYMMETRY_TOL_N64 (N/64)^3.  A
+# word that drops its -I breaks the time reversal by 1e-2 or more.
+SYMMETRY_MODES = 8
+SYMMETRY_TOL_N64 = 1e-11
 
 
 @dataclass
@@ -65,22 +77,31 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
     return lam ** (-(2.0 * np.arange(k_count) + 1.0) / 2.0)
 
 
-def cutoff_operator(spec: BumpSpec, n: int):
-    """Quantize the cutoff by its own route, spec.quantization, in the parity sectors.
+def cutoff_source(spec: BumpSpec):
+    """What the cutoff is quantized from, by its own route, spec.quantization.
 
-    Returns (even, odd, defect).  Each sector is (live, factor, rows): the
-    sector's rows that live indexes equal factor @ rows, or rows when
-    factor is None, and its other rows are exactly zero.  defect is the
-    largest fold defect of the cutoff's factors.  The left route keeps the
-    rows where the folded profile is nonzero, with op_left_separable's
-    factor on the DFT's rows; the Weyl route keeps every row and builds its
-    sector blocks from the band of the cutoff's symbol (op_weyl_sectors).
+    The left route quantizes the profile (cutoff_profile) and the Weyl
+    route the symbol (cutoff_symbol), which is built here once, so a caller
+    that builds both sectors and the defect at one N builds it once.
     """
-    if spec.quantization == "left":
-        profile = cutoff_profile(spec)
-        return op_left_separable(profile, profile, n)
-    even, odd, defect = op_weyl_sectors(cutoff_symbol(spec), n)
-    return (slice(None), None, even), (slice(None), None, odd), defect
+    return cutoff_profile(spec) if spec.quantization == "left" else cutoff_symbol(spec)
+
+
+def cutoff_operator(cutoff, n: int, parity: int):
+    """Quantize the cutoff, as cutoff_source gives it, in one parity sector.
+
+    Returns (live, factor, rows) for the even (parity=+1) or odd sector:
+    the sector's rows that live indexes equal factor @ rows, or rows when
+    factor is None, and its other rows are exactly zero.  The left route
+    keeps the rows where the folded profile is nonzero, with
+    op_left_separable's factor on the DFT's rows; the Weyl route keeps
+    every row and builds the sector's block from the band of the cutoff's
+    symbol (op_weyl_sector).  How far the cutoff couples the sectors is
+    parity_defect's.
+    """
+    if isinstance(cutoff, TorusSymbol):
+        return slice(None), None, op_weyl_sector(cutoff, n, parity)
+    return op_left_separable(cutoff, cutoff, n, parity)
 
 
 def live_rows(spec: BumpSpec, n: int) -> int:
@@ -92,48 +113,84 @@ def live_rows(spec: BumpSpec, n: int) -> int:
     return np.count_nonzero(even) + np.count_nonzero(odd)
 
 
-def build_open_operator(m: CatMap, spec: BumpSpec, n: int):
-    """(quantized cutoff) @ (quantized map) in the parity sectors, unnormalized phase.
+def parity_defect(m: CatMap, cutoff, n: int) -> float:
+    """The largest fold defect of the open operator's factors, known before any is multiplied.
 
-    Returns (even, odd, defect).  Each sector is (live, block): live indexes
-    the sector's rows where the cutoff is nonzero, as cutoff_operator gives
-    them, and block is the product's live x live block, the only part the
-    spectrum reads.  The map's word is applied to the cutoff's rows, and
-    its last Fourier letter forms only the live columns; a factor then
-    multiplies the result.  defect is the largest fold defect of the
-    cutoff's and the word's factors: each commutes with parity up to its
-    defect, so the product does too, up to their sum.
+    The cutoff's comes from its folded profile on the left route and from
+    the band of its symbol on the Weyl route (weyl_defect); the word's from
+    the DFT's sector build and the folded chirps (word_defect).  Each factor
+    commutes with parity up to its defect, so the product does too, up to
+    their sum.
     """
-    word = factor_sl2z(m)
-    *sectors, defect = cutoff_operator(spec, n)
-    blocks = []
-    for (live, factor, rows), parity in zip(sectors, (1, -1)):
-        block = apply_word(rows, word, n, parity, cols=live)
-        blocks.append((live, block if factor is None else factor @ block))
-    return blocks[0], blocks[1], max(defect, word_defect(word, n))
+    if isinstance(cutoff, TorusSymbol):
+        defect = weyl_defect(cutoff, n)
+    else:
+        defect = profile_sectors(cutoff, n)[2]
+    return max(defect, word_defect(factor_sl2z(m), n))
+
+
+def build_open_operator(m: CatMap, cutoff, n: int, parity: int):
+    """(quantized cutoff) @ (quantized map) in one parity sector, unnormalized phase.
+
+    Returns (live, block) for the even (parity=+1) or odd sector: live
+    indexes the sector's rows where the cutoff is nonzero, as
+    cutoff_operator gives them, and block is the product's live x live
+    block, the only part the spectrum reads.  The map's word is applied to
+    the cutoff's rows, and its last Fourier letter forms only the live
+    columns; a factor then multiplies the result.
+    """
+    live, factor, rows = cutoff_operator(cutoff, n, parity)
+    block = apply_word(rows, factor_sl2z(m), n, parity, cols=live)
+    return live, block if factor is None else factor @ block
 
 
 def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered.
 
-    Each parity sector is diagonalized on its own.  With its dead rows
-    permuted last a sector is block upper triangular, [[B_LL, B_LD], [0, 0]],
-    so its spectrum is that of the live block B_LL, which is all that
-    build_open_operator forms, plus one exact zero per dead row.  An
-    operator with a factor whose fold defect exceeds PARITY_TOL raises
-    ParityBroken rather than lose the coupling.  A NaN in a live row of the
-    cutoff still reaches the live block, whose solve rejects it: every
-    hyperbolic word has a Fourier letter, which spreads it along the row.
-    The operator is freed on return, before a sweep builds the next, larger
-    N.
+    An operator with a factor whose fold defect (parity_defect) exceeds
+    PARITY_TOL raises ParityBroken before any product is formed, rather
+    than lose the coupling.  Then each parity sector is built, diagonalized
+    and freed in turn, so one sector's blocks are held at a time.  With its
+    dead rows permuted last a sector is block upper triangular,
+    [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
+    which is all that build_open_operator forms, plus one exact zero per
+    dead row.  A NaN in a live row of the cutoff still reaches the live
+    block, whose solve rejects it: every hyperbolic word has a Fourier
+    letter, which spreads it along the row.
     """
     log.info("open operator spectrum: N = %d", n)
-    even, odd, defect = build_open_operator(m, spec, n)
+    cutoff = cutoff_source(spec)
+    defect = parity_defect(m, cutoff, n)
     if defect > PARITY_TOL:
         raise ParityBroken(f"open operator at N = {n} couples the parity "
                            f"sectors: factor defect {defect:.3e} > {PARITY_TOL:g}")
-    vals = np.concatenate([eigenvalues(block) for _, block in (even, odd)])
+    vals = np.concatenate([eigenvalues(build_open_operator(m, cutoff, n, parity)[1])
+                           for parity in (1, -1)])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
+
+
+def spectrum_gap(vals: np.ndarray, partner: np.ndarray) -> float:
+    """How far a partner's open spectrum is from vals, up to the global phase.
+
+    The quantized map carries a global phase, so two maps whose open
+    operators agree up to it have spectra that agree up to a rotation.
+    Complex conjugation in the position basis takes Mhat_M to Mhat_{RMR},
+    R = diag(1, -1), and fixes either quantization of the real, even
+    cutoff, so M and RMR have conjugate spectra: the partner of M's is the
+    conjugate of RMR's.  On the Weyl route the DFT also quantizes S
+    exactly, so M and S M S^-1 have one spectrum.  vals is rotated by
+    phase_factor and the partner so that one of its leading eigenvalues is
+    real and positive: each one that ties for the largest modulus to a
+    relative 1e-8, since the phase rule cannot tell them apart.  The gap is
+    the smallest over those choices of the distance from vals' top
+    SYMMETRY_MODES eigenvalues matched into the partner (match_distance):
+    roundoff, with no reference.
+    """
+    vals = sort_by_modulus(vals)
+    top = (vals * phase_factor(vals))[:SYMMETRY_MODES]
+    lead = np.abs(partner).max()
+    return min(match_distance(top, partner * (np.conj(mu) / abs(mu)))
+               for mu in partner[np.abs(partner) >= lead * (1.0 - 1e-8)])
 
 
 def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int = 4,
@@ -146,10 +203,17 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int = 4,
     cutoff whose support leaves the ball of guard_radius warns once per
     sweep, not once per N; the theorem's constant is unspecified, so this is
     advisory.  A product bump's support reaches the corner of its square, so
-    its radius is sqrt(2) * r_outer.
+    its radius is sqrt(2) * r_outer.  A k_count above live_rows at any N
+    raises TooFewLiveRows before any N is solved: the modes beyond the live
+    rows would be padding zeros.
     """
     if k_count > 8:
         raise ValueError("k_count > 8 exceeds the resolvable range at desk scale")
+    for n in n_list:
+        live = live_rows(spec, n)
+        if k_count > live:
+            raise TooFewLiveRows(f"k_count {k_count} exceeds the {live} rows "
+                                 f"where the cutoff is nonzero at N = {n}")
     support_radius = math.sqrt(2.0) * spec.r_outer
     radius_limit = guard_radius(analyze(m))
     if support_radius > radius_limit:

@@ -18,7 +18,6 @@ kernel, on half of each symmetric block: no N x N DFT matrix is formed.
 All matrices are plain dense numpy arrays.
 """
 
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -49,6 +48,13 @@ def _unfold_rows(even, odd):
     out[j] = (even[1:h] + odd) * r
     out[n - j] = (even[1:h] - odd) * r
     return out
+
+
+def index_run(idx):
+    """Sorted indices as a slice when they are one run, so indexing with them is a view; else idx."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def fold_parity(d):
@@ -103,10 +109,25 @@ def unfold_parity(even, odd):
     return _unfold_rows(half[:h + 1], half[h + 1:]).T        # P B P^T
 
 
-# A sweep uses one N at a time; at N = 4096 the two sectors pin 134 MB.
-@lru_cache(maxsize=1)
+# The last N's dft_sectors: a sweep uses one N at a time, and at N = 4096
+# the two sectors pin 134 MB.
+_DFT_CACHE = {}
+
+
 def dft_sectors(n: int):
-    """The unitary DFT in the sector basis, as (F_even, F_odd, defect).
+    """The unitary DFT in the sector basis, as (F_even, F_odd, defect), cached for the last N.
+
+    The previous N's blocks are dropped before this N's are built, so a
+    sweep never holds two sizes at once.  The blocks are read-only.
+    """
+    if n not in _DFT_CACHE:
+        _DFT_CACHE.clear()
+        _DFT_CACHE[n] = _build_dft_sectors(n)
+    return _DFT_CACHE[n]
+
+
+def _build_dft_sectors(n: int):
+    """The two sector blocks of the unitary DFT and their fold defect, built from the kernel.
 
     The DFT has kernel g(p) = N^{-1/2} exp(-2 pi i p / N) at p = j k and
     commutes with parity.  A sector entry (j, k) is a weighted sum of the

@@ -23,7 +23,7 @@ import numpy as np
 
 from .catmap import CatMap
 from .errors import DegeneratePhase
-from .hn import dft_sectors, fold_parity, unfold_parity
+from .hn import dft_sectors, fold_parity, index_run, unfold_parity
 from .quantizer import TorusSymbol, op_weyl
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
@@ -31,6 +31,9 @@ OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
 # Columns of a DFT sector block gathered per product when apply_word forms
 # a subset of its output columns: 1 MB at N = 2048.
 _COLUMN_CHUNK = 64
+# Most rows of apply_word's buffer overwritten per product; the panel is
+# copied first, 1.7 MB at N = 2048 (410 rows in 4 panels).
+_ROW_PANEL = 128
 
 
 # Letters are tuples: ("S",), ("S_INV",), ("U", b), ("L", c), ("PAR",)
@@ -109,18 +112,41 @@ def word_defect(word, n: int) -> float:
     return max([dft_sectors(n)[2]] + chirps)
 
 
-def _times(x: np.ndarray, f: np.ndarray, cols) -> np.ndarray:
-    """x @ f[:, cols] for a symmetric f; cols is a slice or an index array.
+def _panels(rows: int):
+    """Slices of near-equal panels of at most _ROW_PANEL rows covering range(rows).
+
+    Equal panels leave no lone trailing row: numpy multiplies a one-row
+    panel as a vector, which rounds otherwise than the matrix product.
+    """
+    count = max(1, -(-rows // _ROW_PANEL))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _product(x, f, cols, out):
+    """out = x @ f[:, cols] for a symmetric f; cols is a slice or an index array.
 
     An index array's columns of f are its rows, gathered _COLUMN_CHUNK at a
-    time into one output block each: f[:, cols] is never copied whole.
+    time: f[:, cols] is never copied whole.
     """
     if isinstance(cols, slice):
-        return x @ f[:, cols]
-    out = np.empty((len(x), len(cols)), dtype=complex)
+        np.matmul(x, f[:, cols], out=out)
+        return
     for start in range(0, len(cols), _COLUMN_CHUNK):
         part = slice(start, start + _COLUMN_CHUNK)
         np.matmul(x, f[cols[part]].T, out=out[:, part])
+
+
+def _times(x, f, cols):
+    """x @ f[:, cols], written over x's first columns; the result is a view of x.
+
+    The product goes a panel of rows at a time, each panel copied before it
+    is overwritten.
+    """
+    width = len(range(f.shape[1])[cols]) if isinstance(cols, slice) else len(cols)
+    out = x[:, :width]
+    for rows in _panels(len(x)):
+        _product(x[rows].copy(), f, cols, out[rows])
     return out
 
 
@@ -136,8 +162,13 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
     is conj(conj(x) F).  A Fourier letter costs one (rows x N/2) by
     (N/2 x N/2) product, a quarter of the full-space one.  cols, a slice or
     sorted indices, selects the output columns: the last Fourier letter
-    forms only those, a (rows x N/2) by (N/2 x len(cols)) product, and the
-    L and PAR letters after it act on them alone.  x is not modified.
+    forms only those, and the L and PAR letters after it act on them alone.
+
+    The word runs in one buffer of its own, a copy of x made before the
+    first letter, so the caller's x is never modified.  Every letter works
+    in place on it, a product a panel of rows at a time, and when cols is
+    one run of indices the last Fourier letter writes them into the
+    buffer's first columns.  So the result may be a view of a wider buffer.
     sign=+1 uses conj(F), the kernel opposite to the package's.
     Flipping the sign everywhere is unitarily equivalent (conjugation by
     parity, which commutes with every integer symplectic map), so only a
@@ -147,30 +178,35 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
     f = dft_sectors(n)[sector]
     if sign == 1:
         f = f.conj()
+    if not isinstance(cols, slice):
+        cols = index_run(np.asarray(cols))
     last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),
                default=-1)
+    if word:
+        x = np.array(x, dtype=complex)
     if last < 0:
         x = x[:, cols]
     for i, letter in enumerate(word):
         kind = letter[0]
         out = cols if i == last else slice(None)
         if kind == "S":
-            x = _times(np.conj(x), f, out)
+            np.conj(x, out=x)
+            x = _times(x, f, out)
             np.conj(x, out=x)
             x *= OMEGA_S
         elif kind == "S_INV":
             x = _times(x, f, out)
             x *= np.conj(OMEGA_S)
         elif kind == "U":
-            # x @ f is this letter's own buffer, so it is conjugated in place
-            x = x @ f
+            x = _times(x, f, slice(None))
             x *= _chirp(letter, n)[sector]
-            x = _times(np.conj(x, out=x), f, out)
+            np.conj(x, out=x)
+            x = _times(x, f, out)
             np.conj(x, out=x)
         elif kind == "L":
-            x = x * _chirp(letter, n)[sector][cols if i > last else slice(None)]
+            x *= _chirp(letter, n)[sector][cols if i > last else slice(None)]
         elif kind == "PAR":
-            x = x * parity
+            x *= parity
         else:
             raise ValueError(f"unknown letter {letter!r}")
     return x

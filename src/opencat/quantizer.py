@@ -3,12 +3,14 @@
 Smooth symbols are carried as truncated Fourier coefficient tables.  Two
 quantizations are provided.  The general Weyl quantization is cyclically
 banded: weyl_band gives its 2 k_max + 1 diagonals from the explicit
-matrix-entry formula, op_weyl places them in a dense N x N matrix, and
-op_weyl_sectors adds them straight into the two parity sectors of hn
-without forming it.  The left (standard) quantization of separable
-products f(x)g(xi), a diagonal/Fourier-multiplier sandwich, is given per
-sector in factored form: a small factor from the folded profiles and the
-DFT's sector block, times the block's rows where the g profile is nonzero.
+matrix-entry formula, op_weyl places them in a dense N x N matrix,
+op_weyl_sector adds them straight into one parity sector of hn without
+forming it, and weyl_defect into the blocks that would couple the sectors.
+The left (standard) quantization of separable products f(x)g(xi), a
+diagonal/Fourier-multiplier sandwich, is given per sector in factored
+form: a small factor from the folded profiles and the DFT's sector block,
+times the block's rows where the g profile is nonzero.  Both build one
+sector at a time, so a caller need hold only one.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,8 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import dft_sectors, fold_parity, sector_coordinates, torus_rep_array
+from .hn import (dft_sectors, fold_parity, index_run, sector_coordinates,
+                 torus_rep_array)
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
@@ -153,18 +156,16 @@ def _scatter_add(block, rows, cols, values):
     np.add.at(block.reshape(-1), (rows * block.shape[1] + cols).ravel(), values.ravel())
 
 
-def op_weyl_sectors(sym: TorusSymbol, n: int):
-    """Weyl quantization in the parity sectors, as (even, odd, defect), N even.
+def weyl_defect(sym: TorusSymbol, n: int) -> float:
+    """How far the Weyl quantization couples the parity sectors, N even.
 
-    Each entry A[m, c] of weyl_band's diagonals is added into the sector
-    blocks at the places sector_coordinates gives, weighted by the product
-    of the even weights of m and c, or of their odd weights.  defect is the
-    largest entry of the two coupling blocks, which the even-odd and
-    odd-even products of weights fill from the same entries, relative to
-    the largest entry of A.  The coupling blocks are banded like A,
-    |index[c] - index[m]| <= min(k_max, N/2), so each is kept as its band,
-    filled in a first pass over the diagonals before the sector blocks
-    exist.  O(k_max N) work beside the transforms; no N x N array is formed.
+    Each entry A[m, c] of weyl_band's diagonals adds into the two coupling
+    blocks at the places sector_coordinates gives, weighted by the even
+    weight of m times the odd weight of c, or the other way round.  The
+    result is the largest entry of the two blocks relative to the largest
+    entry of A: zero when A commutes with parity.  The coupling blocks are
+    banded like A, |index[c] - index[m]| <= min(k_max, N/2), so each is
+    kept as its band: O(k_max N) work beside the transforms.
     """
     index, even_w, odd_w = sector_coordinates(n)
     h = n // 2
@@ -182,16 +183,28 @@ def op_weyl_sectors(sym: TorusSymbol, n: int):
         _scatter_add(odd_even, rows, cols, odd_m * even_w[c] * diagonals)
         scale = max(scale, np.abs(diagonals).max())
     cross = max(np.abs(even_odd).max(), np.abs(odd_even).max())
-    del even_odd, odd_even
-    # rows and columns 1..N/2-1 of odd are the odd block; its rows and
-    # columns 0 and N/2 collect only the zero odd weights of the fixed points
-    even = np.zeros((h + 1, h + 1), dtype=complex)
-    odd = np.zeros_like(even)
+    return cross / scale if scale > 0 else 0.0
+
+
+def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
+    """One parity sector's block of the Weyl quantization, even (parity=+1) or odd, N even.
+
+    Each entry A[m, c] of weyl_band's diagonals adds into the block at the
+    places sector_coordinates gives, weighted by the sector's weights of m
+    and c; the part that couples the sectors is weyl_defect's.  O(k_max N)
+    work beside the transforms; no N x N array is formed.
+    """
+    index, even_w, odd_w = sector_coordinates(n)
+    weight = even_w if parity == 1 else odd_w
+    h = n // 2
+    m = np.arange(n)[:, None]
+    # rows and columns 1..N/2-1 of the odd sector's array are its block;
+    # its rows and columns 0 and N/2 collect only the fixed points' zero weights
+    block = np.zeros((h + 1, h + 1), dtype=complex)
     for offsets, diagonals in weyl_band(sym, n):
         c = (m + offsets) % n
-        _scatter_add(even, rows, index[c], even_m * even_w[c] * diagonals)
-        _scatter_add(odd, rows, index[c], odd_m * odd_w[c] * diagonals)
-    return even, odd[1:h, 1:h], cross / scale if scale > 0 else 0.0
+        _scatter_add(block, index[:, None], index[c], weight[:, None] * weight[c] * diagonals)
+    return block if parity == 1 else block[1:h, 1:h]
 
 
 def profile_sectors(profile, n: int):
@@ -200,37 +213,34 @@ def profile_sectors(profile, n: int):
     return fold_parity(np.asarray(profile(x), dtype=complex))
 
 
-def _take_rows(a, idx):
-    """a[idx] for sorted indices idx: a view of a when they are one run, else a copy."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return a[idx[0]:idx[-1] + 1]
-    return a[idx]
-
-
-def op_left_separable(f_profile, g_profile, n: int):
-    """Left quantization of f(x) g(xi) in the parity sectors, as (even, odd, defect).
+def op_left_separable(f_profile, g_profile, n: int, parity: int):
+    """Left quantization of f(x) g(xi) in one parity sector, as (live, factor, rows).
 
     The N x N operator is diag(f) F^dag diag(g) F, f and g sampled at the
-    points x_m.  In each sector s it is d_f,s F_s^dag d_g,s F_s, with d_f,s
-    and d_g,s the profiles folded into the sector (profile_sectors) and F_s
-    the DFT's block (dft_sectors).  A sector is (live, factor, rows): live
-    indexes its rows where d_f,s is nonzero, the others being exactly zero,
-    and those rows equal factor @ rows.  F_s is symmetric, so
-    F_s^dag = conj(F_s), and with live_g the indices where d_g,s is nonzero
-    the factor is d_f,s[live] conj(F_s[live, live_g]) d_g,s[live_g], built
-    entrywise, and rows is F_s[live_g]: nothing is multiplied out.  A
-    bump's or an annulus's live_g is one run of indices, and then rows is a
-    read-only view of the cached block, not a copy.  defect is the larger
-    of the two profiles' fold defects.
+    points x_m.  In the sector s (parity +1 even, -1 odd) it is
+    d_f,s F_s^dag d_g,s F_s, with d_f,s and d_g,s the profiles folded into
+    the sector (profile_sectors; the fold defects are the caller's) and F_s
+    the DFT's block (dft_sectors).  live indexes the sector's rows where
+    d_f,s is nonzero, the others being exactly zero, and those rows equal
+    factor @ rows.  F_s is symmetric, so F_s^dag = conj(F_s), and with
+    live_g the indices where d_g,s is nonzero the factor is
+    d_f,s[live] conj(F_s[live, live_g]) d_g,s[live_g], built entrywise, and
+    rows is F_s[live_g]: nothing is multiplied out.  A bump's or an
+    annulus's live_g is one run of indices, and then rows is a read-only
+    view of the cached block, not a copy.
     """
-    f_even, f_odd, f_defect = profile_sectors(f_profile, n)
-    g_even, g_odd, g_defect = profile_sectors(g_profile, n)
-    sectors = []
-    for d_f, d_g, f_mat in zip((f_even, f_odd), (g_even, g_odd), dft_sectors(n)[:2]):
-        live, live_g = np.flatnonzero(d_f), np.flatnonzero(d_g)
-        factor = d_f[live, None] * np.conj(f_mat[np.ix_(live, live_g)]) * d_g[live_g]
-        sectors.append((live, factor, _take_rows(f_mat, live_g)))
-    return sectors[0], sectors[1], max(f_defect, g_defect)
+    sector = 0 if parity == 1 else 1
+    d_f = profile_sectors(f_profile, n)[sector]
+    d_g = profile_sectors(g_profile, n)[sector]
+    f_mat = dft_sectors(n)[sector]
+    live, live_g = np.flatnonzero(d_f), np.flatnonzero(d_g)
+    # one live x live_g array, its products taken in place in the order
+    # d_f conj(F) d_g
+    factor = f_mat[np.ix_(live, live_g)]
+    np.conj(factor, out=factor)
+    np.multiply(d_f[live, None], factor, out=factor)
+    factor *= d_g[live_g]
+    return live, factor, f_mat[index_run(live_g)]
 
 
 def cutoff_profile(spec: BumpSpec):

@@ -90,14 +90,19 @@ def dft_sectors_oracle(n):
     return even, odd, cross * math.sqrt(n)
 
 
+def both_sectors(build, *args):
+    """(even, odd) from a function that builds one sector, called with args and then the parity, +1 or -1."""
+    return build(*args, 1), build(*args, -1)
+
+
 def dense_operator(sectors, n):
-    """The N x N matrix of a cutoff in the sector form (even, odd, defect) of cutoff_operator.
+    """The N x N matrix of a cutoff from its two sectors, each as cutoff_operator gives it.
 
     Each sector is (live, factor, rows): its rows live are factor @ rows,
     or rows when factor is None, and its other rows are zero.
     """
     blocks = []
-    for (live, factor, rows), size in zip(sectors[:2], (n // 2 + 1, n // 2 - 1)):
+    for (live, factor, rows), size in zip(sectors, (n // 2 + 1, n // 2 - 1)):
         block = np.zeros((size, size), dtype=complex)
         block[live] = rows if factor is None else factor @ rows
         blocks.append(block)
@@ -105,14 +110,14 @@ def dense_operator(sectors, n):
 
 
 def live_operator(sectors, n):
-    """The N x N matrix with each live x live block of build_open_operator in place, zeros elsewhere.
+    """The N x N matrix with each sector's live x live block from build_open_operator in place, zeros elsewhere.
 
     With its dead rows permuted last a sector of the open operator is
     [[B_LL, B_LD], [0, 0]], so this matrix has the operator's spectrum and
     the traces of its powers.
     """
     blocks = []
-    for (live, block), size in zip(sectors[:2], (n // 2 + 1, n // 2 - 1)):
+    for (live, block), size in zip(sectors, (n // 2 + 1, n // 2 - 1)):
         live = np.arange(size)[live]
         full = np.zeros((size, size), dtype=complex)
         full[np.ix_(live, live)] = block
@@ -121,7 +126,7 @@ def live_operator(sectors, n):
 
 
 def operator_sectors(a, dead=None):
-    """An N x N matrix in build_open_operator's form (even, odd, defect).
+    """A stand-in for build_open_operator that gives the sectors of the N x N matrix a.
 
     dead marks rows of a that are zero, a set closed under parity; a
     sector's live rows are the others, every row when dead is None, and
@@ -129,11 +134,12 @@ def operator_sectors(a, dead=None):
     """
     n = a.shape[0]
     h = n // 2
-    even, odd, defect = fold_matrix(a)
+    even, odd, _ = fold_matrix(a)
     dead = np.zeros(n, dtype=bool) if dead is None else np.asarray(dead)
     live_e, live_o = np.flatnonzero(~dead[:h + 1]), np.flatnonzero(~dead[1:h])
-    return ((live_e, even[np.ix_(live_e, live_e)]), (live_o, odd[np.ix_(live_o, live_o)]),
-            defect)
+    sectors = {1: (live_e, even[np.ix_(live_e, live_e)]),
+               -1: (live_o, odd[np.ix_(live_o, live_o)])}
+    return lambda m, spec, n, parity: sectors[parity]
 
 
 def odd_term_symbol(spec):
@@ -154,10 +160,11 @@ def nan_in_dead_column(monkeypatch):
     """
     quantize = experiments.op_left_separable
 
-    def poisoned(f, g, n):
-        (live, factor, rows), odd, defect = quantize(f, g, n)
-        rows = rows.copy()
-        rows[0, np.setdiff1d(np.arange(n // 2 + 1), live)[0]] = np.nan
-        return (live, factor, rows), odd, defect
+    def poisoned(f, g, n, parity):
+        live, factor, rows = quantize(f, g, n, parity)
+        if parity == 1:
+            rows = rows.copy()
+            rows[0, np.setdiff1d(np.arange(n // 2 + 1), live)[0]] = np.nan
+        return live, factor, rows
 
     monkeypatch.setattr(experiments, "op_left_separable", poisoned)

@@ -139,7 +139,7 @@ def test_verify_passes_on_large_entries(tmp_path, capsys, matrix):
     cfg = write_config(tmp_path, matrix=matrix)
     assert main(["verify", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 16 and all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 17 and all(line.startswith("PASS") for line in lines)
 
 
 @pytest.mark.parametrize("command, kind", [("trapped", "product_bump"),
@@ -416,3 +416,23 @@ def test_verify_checks_parity_commutation(tmp_path, capsys):
         assert any(line.startswith("PASS  parity_commutation") for line in lines)
         failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
         assert failed == ({"egorov_gen_S", "egorov_gen_S_INV"} if flip else set())
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"cutoff": {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24},
+     "quantization": "weyl"},
+])
+def test_verify_checks_time_reversal(tmp_path, capsys, monkeypatch, overrides):
+    # the open spectra of M and R M R are conjugate; the annulus's leading
+    # modulus is a tie, which the gap takes either way
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["verify", "--config", cfg]) == 0
+    assert "PASS  time_reversal_N64" in capsys.readouterr().out
+    # a factorization that drops its -I quantizes -M for M, whose word has a
+    # PAR letter, but R M R itself, whose word has none
+    factor = experiments.factor_sl2z
+    monkeypatch.setattr(experiments, "factor_sl2z",
+                        lambda m: [letter for letter in factor(m) if letter[0] != "PAR"])
+    assert main(["verify", "--config", cfg]) == 1
+    assert "FAIL  time_reversal_N64" in capsys.readouterr().out

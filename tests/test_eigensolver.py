@@ -6,13 +6,13 @@ import pytest
 
 from opencat.catmap import ARNOLD
 from opencat.eigensolver import (char_poly_coeffs, char_poly_roots,
-                                 eigenvalues, multiset_distance,
+                                 eigenvalues, match_distance, multiset_distance,
                                  sort_by_modulus)
 from opencat.errors import EigensolverFailed, NonFinite, OpenCatError
 import opencat.experiments as experiments
-from opencat.experiments import build_open_operator, open_spectrum
+from opencat.experiments import build_open_operator, cutoff_source, open_spectrum
 
-from helpers import TRAPPED_SPEC, live_operator, operator_sectors
+from helpers import TRAPPED_SPEC, both_sectors, live_operator, operator_sectors
 
 
 def test_diagonal():
@@ -63,6 +63,17 @@ def test_oracle_companion_of_t2_plus_1():
     assert multiset_distance(char_poly_roots(comp), np.array([1j, -1j])) < 1e-10
 
 
+def test_multiset_distance_needs_equal_sizes():
+    # a solver that drops or adds values fails every oracle comparison;
+    # only match_distance matches a shorter list into a longer one
+    for a, b in (([1.0], [1.0, 0.5]), ([1.0, 0.5], [1.0])):
+        with pytest.raises(ValueError, match="differ in size"):
+            multiset_distance(np.array(a), np.array(b))
+    assert match_distance(np.array([0.5]), np.array([1.0, 0.5 + 1e-3])) == pytest.approx(1e-3)
+    with pytest.raises(ValueError):
+        match_distance(np.array([1.0, 0.5]), np.array([1.0]))
+
+
 def test_oracle_dim_limit():
     with pytest.raises(ValueError):
         char_poly_roots(np.eye(9))
@@ -99,7 +110,7 @@ def test_power_traces_random():
 
 
 def test_power_traces_open_map():
-    a = live_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, 128), 128)
+    a = live_operator(both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), 128), 128)
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
     p = np.eye(128, dtype=complex)
     for k in range(1, 6):
@@ -139,8 +150,7 @@ def test_zero_rows_split_off_exactly(dead, seed):
     a = b + b[np.ix_(par, par)]
     a[dead] = 0.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "build_open_operator",
-                   lambda *args, **kwargs: operator_sectors(a, dead))
+        mp.setattr(experiments, "build_open_operator", operator_sectors(a, dead))
         vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
     assert vals.shape == (n,)
     assert np.count_nonzero(vals == 0) == sum(dead)

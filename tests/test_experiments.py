@@ -1,24 +1,28 @@
 from dataclasses import replace
 import math
 import warnings
+import weakref
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
+from opencat import hn
 import opencat.experiments as experiments
-from opencat.catmap import ARNOLD
+from opencat.catmap import ARNOLD, CatMap
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
-from opencat.errors import DegeneratePhase, NonFinite, OpenCatError, ParityBroken
+from opencat.errors import (DegeneratePhase, NonFinite, OpenCatError, ParityBroken,
+                            TooFewLiveRows)
 from opencat.experiments import (PARITY_TOL, build_open_operator, cutoff_operator,
-                                 live_rows, nontrapping_rows, nontrapping_sweep,
-                                 open_spectrum, theorem_targets, trapped_sweep)
+                                 cutoff_source, live_rows, nontrapping_rows, nontrapping_sweep,
+                                 open_spectrum, parity_defect, SYMMETRY_TOL_N64,
+                                 spectrum_gap, theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor, word_matrix
 from opencat.quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl)
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, dft_matrix,
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator, dft_matrix,
                      fold_matrix, live_operator, nan_in_dead_column,
                      odd_term_symbol, operator_sectors, shear)
 from test_metaplectic import quantize_word_dense
@@ -38,8 +42,8 @@ def test_theorem_targets_arnold():
 def test_open_operator_with_unit_cutoff_is_unitary():
     from opencat.metaplectic import quantize_map
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    sectors = op_left_separable(one, one, 64)
-    assert [len(live) for live, _, _ in sectors[:2]] == [33, 31]
+    sectors = both_sectors(op_left_separable, one, one, 64)
+    assert [len(live) for live, _, _ in sectors] == [33, 31]
     a = dense_operator(sectors, 64) @ quantize_map(ARNOLD, 64)
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
@@ -62,19 +66,80 @@ def test_guard_warns_once_per_trapped_sweep_only():
 
 
 def test_no_guard_warning_inside_guard():
-    # support radius sqrt(2) * 0.05 = 0.0707 < guard radius 0.0955
+    # support radius sqrt(2) * 0.05 = 0.0707 < guard radius 0.0955; at
+    # N = 16 the cutoff is live on one row, so one mode
     inside = BumpSpec("product_bump", 0.02, 0.05)
-    assert guard_warnings(trapped_sweep, ARNOLD, inside, [16, 32], k_count=2) == []
+    assert guard_warnings(trapped_sweep, ARNOLD, inside, [16, 32], k_count=1) == []
 
 
 def test_degenerate_phase(monkeypatch):
     monkeypatch.setattr(experiments, "build_open_operator",
-                        lambda *args, **kwargs: operator_sectors(np.zeros((16, 16))))
+                        operator_sectors(np.zeros((16, 16))))
     with pytest.raises(DegeneratePhase):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [16], normalize_phase=True)
     # without the phase rule a zero spectrum is a valid result
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [16], normalize_phase=False)
     assert [r.modulus for r in rows] == [0.0] * 4
+
+
+def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch):
+    # the bump is nonzero at 1 point of N = 4: more modes would be padding
+    # zeros, and the check comes before N = 64 is solved
+    with pytest.raises(TooFewLiveRows, match="k_count 4 exceeds the 1 rows "
+                                             "where the cutoff is nonzero at N = 4"):
+        trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
+    solved = []
+    monkeypatch.setattr(experiments, "open_spectrum", lambda m, spec, n: solved.append(n))
+    with pytest.raises(TooFewLiveRows):
+        trapped_sweep(ARNOLD, TRAPPED_SPEC, [64, 4], k_count=4)
+    assert solved == []
+    assert issubclass(TooFewLiveRows, OpenCatError)
+
+
+def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
+    # a sector's cutoff is built only after the sector before it is solved
+    # and its factor and block are gone, and each N's DFT blocks only after
+    # the previous N's are gone
+    events, held, dfts = [], [], {}
+    quantize, build, solve, build_dft = (
+        experiments.op_left_separable, experiments.build_open_operator,
+        experiments.eigenvalues, hn._build_dft_sectors)
+
+    def alive(refs):
+        return any(ref() is not None for ref in refs)
+
+    def cutoff(f, g, n, parity):
+        events.append(("cutoff", n, parity, alive(held)))
+        live, factor, rows = quantize(f, g, n, parity)
+        held.append(weakref.ref(factor))
+        return live, factor, rows
+
+    def sector(m, spec, n, parity):
+        live, block = build(m, spec, n, parity)
+        held.append(weakref.ref(block if block.base is None else block.base))
+        return live, block
+
+    def eigenvalues(a):
+        events.append(("solve",))
+        return solve(a)
+
+    def dft(n):
+        events.append(("dft", n, [m for m, refs in dfts.items() if alive(refs)]))
+        blocks = build_dft(n)
+        dfts[n] = [weakref.ref(f) for f in blocks[:2]]
+        return blocks
+
+    monkeypatch.setattr(experiments, "op_left_separable", cutoff)
+    monkeypatch.setattr(experiments, "build_open_operator", sector)
+    monkeypatch.setattr(experiments, "eigenvalues", eigenvalues)
+    monkeypatch.setattr(hn, "_build_dft_sectors", dft)
+    hn._DFT_CACHE.clear()
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [256, 512], k_count=2)
+    assert [e for e in events if e[0] == "dft"] == [("dft", 256, []), ("dft", 512, [])]
+    assert [e[:3] for e in events if e[0] != "dft"] == [
+        ("cutoff", 256, 1), ("solve",), ("cutoff", 256, -1), ("solve",),
+        ("cutoff", 512, 1), ("solve",), ("cutoff", 512, -1), ("solve",)]
+    assert not any(e[3] for e in events if e[0] == "cutoff")
 
 
 def test_trapped_sweep_rows():
@@ -162,7 +227,7 @@ def test_trapped_sweep_diagonalizes_once_per_sector_per_n(monkeypatch):
 
 def test_trapped_sweep_phase_matches_normalized_operator():
     n = 64
-    plain = live_operator(build_open_operator(ARNOLD, TRAPPED_SPEC, n), n)
+    plain = live_operator(both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), n), n)
     normed = plain * phase_factor(eigenvalues(plain))
     top = np.array([complex(r.re, r.im) for r in trapped_sweep(
         ARNOLD, TRAPPED_SPEC, [n], normalize_phase=True)])
@@ -218,7 +283,7 @@ def test_parity_breaking_operator_raises(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 64])
 def test_live_rows_count_the_cutoff_sectors(n):
-    even, odd, _ = cutoff_operator(TRAPPED_SPEC, n)
+    even, odd = both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n)
     assert live_rows(TRAPPED_SPEC, n) == len(even[0]) + len(odd[0])
     # the bump is nonzero exactly inside its support |x| < r_outer = 0.2
     assert live_rows(TRAPPED_SPEC, n) == np.count_nonzero(
@@ -239,11 +304,11 @@ def test_live_set_closed_under_parity(monkeypatch):
     x = torus_rep_array(np.arange(n) / n)
     dead = pinched(x) == 0
     assert np.array_equal(np.flatnonzero(~dead), [0, 1, 3, 13, 15])
-    even, odd, defect = build_open_operator(ARNOLD, TRAPPED_SPEC, n)
-    assert defect < 1e-12
+    even, odd = both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), n)
+    assert parity_defect(ARNOLD, cutoff_source(TRAPPED_SPEC), n) < 1e-12
     assert np.array_equal(even[0], [0, 1, 3]) and np.array_equal(odd[0], [0, 2])
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
-    a = (dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
+    a = (dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
          @ quantize_word_dense(factor_sl2z(ARNOLD), n))
     assert not a[dead].any()
     # the sectors are the live x live blocks of the folded dense product
@@ -272,8 +337,8 @@ def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
     m = word_matrix(word)
     assume(abs(m.a + m.d) > 2)
     routed = replace(spec, quantization=quant, k_max=16, grid=64)
-    even, odd, defect = build_open_operator(m, routed, n)
-    assert defect <= PARITY_TOL
+    even, odd = both_sectors(build_open_operator, m, cutoff_source(routed), n)
+    assert parity_defect(m, cutoff_source(routed), n) <= PARITY_TOL
     # N = 2 has no pair j != -j, so no odd sector
     assert n > 2 or odd[1].shape == (0, 0)
     # the dense chi Mhat from the dense DFT, unsplit, is the oracle
@@ -281,3 +346,41 @@ def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
     vals = open_spectrum(m, routed, n)
     assert vals.shape == (n,)
     assert multiset_distance(vals, np.linalg.eigvals(oracle)) < 1e-8
+
+
+S, S_INV = CatMap(0, -1, 1, 0), CatMap(0, 1, -1, 0)
+
+
+def time_reversed(m):
+    """R M R with R = diag(1, -1)."""
+    return CatMap(m.a, -m.b, -m.c, m.d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4),
+       n=st.integers(8, 128).map(lambda h: 2 * h),
+       quant=st.sampled_from(["left", "weyl"]))
+def test_symmetries_of_the_open_spectrum_on_random_hyperbolic_maps(word, n, quant):
+    # no reference: conjugation in the position basis takes M to R M R and
+    # fixes the cutoff, so their open spectra are conjugate; on the Weyl
+    # route the DFT quantizes S exactly, so S M S^-1 has M's spectrum.  The
+    # roundoff bound grows like N^3
+    m = word_matrix(word)
+    assume(abs(m.a + m.d) > 2)
+    spec = replace(TRAPPED_SPEC, quantization=quant)
+    tol = SYMMETRY_TOL_N64 * (n / 64) ** 3
+    try:
+        vals = open_spectrum(m, spec, n)
+        assert spectrum_gap(vals, np.conj(open_spectrum(time_reversed(m), spec, n))) < tol
+        if quant == "weyl":
+            assert spectrum_gap(vals, open_spectrum(S @ m @ S_INV, spec, n)) < tol
+    except DegeneratePhase:
+        reject()
+
+
+def test_symmetry_gaps_resolve_a_broken_symmetry():
+    # the left quantization is not S-covariant: the same gap reads O(0.1)
+    left = replace(TRAPPED_SPEC, quantization="left")
+    vals = open_spectrum(ARNOLD, left, 64)
+    assert spectrum_gap(vals, np.conj(open_spectrum(time_reversed(ARNOLD), left, 64))) < 1e-13
+    assert spectrum_gap(vals, open_spectrum(S @ ARNOLD @ S_INV, left, 64)) > 1e-2

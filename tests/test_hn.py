@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat import metaplectic, quantizer
+from opencat import hn, metaplectic, quantizer
 from opencat.eigensolver import multiset_distance
 from opencat.errors import NonPositiveN, OddDimension
 from opencat.hn import (dft_sectors, fold_parity, planck, sector_coordinates,
@@ -61,14 +61,11 @@ def test_dft_cache_holds_one_matrix():
     assert quantizer.dft_sectors is metaplectic.dft_sectors is dft_sectors
     # perfbench/tracing.py calls cache_info() on any dft_matrix bound there
     assert not hasattr(quantizer, "dft_matrix") and not hasattr(metaplectic, "dft_matrix")
-    dft_sectors(6)
-    before = dft_sectors.cache_info()
-    assert dft_sectors(6) is dft_sectors(6)
-    after = dft_sectors.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    blocks = dft_sectors(6)
+    assert dft_sectors(6) is blocks
+    assert list(hn._DFT_CACHE) == [6]
     dft_sectors(8)
-    assert dft_sectors.cache_info().maxsize == 1
-    assert dft_sectors.cache_info().currsize == 1
+    assert list(hn._DFT_CACHE) == [8]
     assert not any(f.flags.writeable for f in dft_sectors(8)[:2])
 
 
@@ -122,7 +119,7 @@ def test_dft_sectors_cold_build_memory():
     # columns as it goes, so a cold build peaks close to the two blocks
     n = 512
     blocks = ((n // 2 + 1) ** 2 + (n // 2 - 1) ** 2) * 16
-    dft_sectors.cache_clear()
+    hn._DFT_CACHE.clear()
     tracemalloc.start()
     try:
         dft_sectors(n)

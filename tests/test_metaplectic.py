@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from opencat import hn
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
@@ -15,10 +16,12 @@ from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_res
                                  factor_sl2z, phase_factor, quantize_map,
                                  quantize_word, word_defect, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
-from opencat.experiments import build_open_operator, cutoff_operator, open_spectrum
+from opencat.experiments import (build_open_operator, cutoff_operator, cutoff_source,
+                                 open_spectrum)
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import NONTRAP_SPEC, TRAPPED_SPEC, dense_operator, fold_matrix, shear
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator, fold_matrix,
+                     shear)
 
 
 def mode(k, l, kmax=2):
@@ -150,7 +153,7 @@ def test_projective_inverse():
 
 def test_word_independent_moduli():
     n = 64
-    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
@@ -161,7 +164,7 @@ def test_word_independent_moduli():
 
 def test_chi_m_vs_m_chi_spectrum():
     n = 64
-    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
     u = quantize_map(ARNOLD, n)
     d = multiset_distance(np.linalg.eigvals(chi @ u), np.linalg.eigvals(u @ chi))
     assert d < 1e-8
@@ -169,7 +172,7 @@ def test_chi_m_vs_m_chi_spectrum():
 
 def test_phase_mode_preserves_moduli():
     n = 64
-    chi = dense_operator(cutoff_operator(TRAPPED_SPEC, n), n)
+    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
     u_plain = quantize_map(ARNOLD, n)
     u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
@@ -306,12 +309,13 @@ def test_apply_word_allocates_no_dft_sized_array():
     # neither F^dag nor a copy of a sector block is materialized: on a few
     # rows the word's peak allocation stays below one sector block, and
     # narrowed to the trapped cutoff's live columns it stays below
-    # F[:, live], which is gathered a chunk of columns at a time
+    # F[:, live], which is a view of F when live is one run of indices and
+    # is gathered a chunk of columns at a time otherwise
     n = 512
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
     dft_sectors(n)
-    live = cutoff_operator(TRAPPED_SPEC, n)[0][0]
+    live = cutoff_operator(cutoff_source(TRAPPED_SPEC), n, 1)[0]
     assert 0 < len(live) < n // 2 + 1
     x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
     for cols, bound in ((slice(None), n // 2 + 1), (live, len(live))):
@@ -324,18 +328,61 @@ def test_apply_word_allocates_no_dft_sized_array():
         assert peak < (n // 2 + 1) * bound * 16
 
 
+@pytest.mark.parametrize("first", [("S",), ("S_INV",), ("U", 2), ("L", -1), ("PAR",), None])
+def test_apply_word_leaves_its_input_alone(first):
+    # the word works in place on a buffer of its own, whichever letter
+    # allocates it: the caller's rows are never written, neither an array
+    # the caller owns nor a read-only view of one
+    n = 32
+    rng = np.random.default_rng(7)
+    for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
+        base = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
+        view = base[1:]
+        view.flags.writeable = False
+        for word in ([first] + [("U", 1), ("S",), ("L", 2)] if first else [],
+                     [first] if first else []):
+            for x in (base, view):
+                before = x.tobytes()
+                for cols in (slice(None), slice(2, 7), np.array([0, 3, 4])):
+                    out = apply_word(x, word, n, parity, cols=cols)
+                    assert x.tobytes() == before
+                    expect = x @ fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
+                    assert np.abs(out - expect[:, cols]).max() <= 1e-12
+
+
+def test_open_spectrum_holds_one_sector_and_one_buffer():
+    # a cold build at N = 512: the two DFT blocks, then one sector at a time,
+    # whose word runs in one rows x (N/2 + 1) buffer (one panel of it copied
+    # per product) and whose live x live block the factor forms.  Peak over
+    # those three: 1.16 measured here; two word buffers and both sectors'
+    # factors and blocks held at once gave 1.34
+    n = 512
+    h = n // 2
+    live, factor, rows = cutoff_operator(cutoff_source(TRAPPED_SPEC), n, 1)
+    bound = ((h + 1) ** 2 + (h - 1) ** 2 + len(rows) * (h + 1) + len(live) ** 2) * 16
+    del live, factor, rows
+    hn._DFT_CACHE.clear()
+    tracemalloc.start()
+    try:
+        open_spectrum(ARNOLD, TRAPPED_SPEC, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * bound
+
+
 @pytest.mark.parametrize("spec", [TRAPPED_SPEC, NONTRAP_SPEC])
 @pytest.mark.parametrize("quant", ["left", "weyl"])
 @pytest.mark.parametrize("n", [64, 128])
 def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
     routed = replace(spec, quantization=quant)
-    sectors = build_open_operator(ARNOLD, routed, n)
-    dense = (dense_operator(cutoff_operator(routed, n), n)
+    sectors = both_sectors(build_open_operator, ARNOLD, cutoff_source(routed), n)
+    dense = (dense_operator(both_sectors(cutoff_operator, cutoff_source(routed), n), n)
              @ quantize_word_dense(word, n))
     # each sector is the live x live block of the folded dense product, and
     # the product's other rows in the sector are zero
-    for (live, block), oracle in zip(sectors[:2], fold_matrix(dense)[:2]):
+    for (live, block), oracle in zip(sectors, fold_matrix(dense)[:2]):
         live = np.arange(len(oracle))[live]
         assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
         assert not np.delete(oracle, live, axis=0).any()
@@ -346,5 +393,5 @@ def test_open_operator_matches_dense_product(spec, quant, n):
         assert dead.any() and not dead.all()
         assert not dense[dead].any()
         assert dense[~dead].any(axis=1).all()
-        even, odd, _ = sectors
+        even, odd = sectors
         assert len(even[0]) + len(odd[0]) == np.count_nonzero(~dead)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
-from opencat.experiments import cutoff_operator
+from opencat.experiments import cutoff_operator, cutoff_source
 from opencat.hn import fold_parity, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl, op_weyl_sectors)
+                               op_left_separable, op_weyl, op_weyl_sector, weyl_defect)
 
-from helpers import NONTRAP_SPEC, dense_operator, fold_matrix
+from helpers import NONTRAP_SPEC, both_sectors, dense_operator, fold_matrix
 
 SPEC = BumpSpec("product_bump", 0.10, 0.20)
 
@@ -270,7 +270,8 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
     even_table, odd_table = table + table[::-1, ::-1], table - table[::-1, ::-1]
     for tab in (table, even_table, odd_table):
         sym = TorusSymbol(tab, kmax)
-        even, odd, defect = op_weyl_sectors(sym, n)
+        even, odd = both_sectors(op_weyl_sector, sym, n)
+        defect = weyl_defect(sym, n)
         even_o, odd_o, defect_o = fold_matrix(op_weyl(sym, n))
         assert even.shape == even_o.shape and odd.shape == odd_o.shape
         assert np.abs(even - even_o).max() <= 1e-13
@@ -278,36 +279,42 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
         assert defect == pytest.approx(defect_o, abs=1e-13)
     # an even symbol commutes with parity; an odd one maps each sector to the
     # other, so the coupling is all there is (N = 2 has no odd sector)
-    assert op_weyl_sectors(TorusSymbol(even_table, kmax), n)[2] < 1e-14
-    assert op_weyl_sectors(TorusSymbol(odd_table, kmax), n)[2] > 0.5 or n == 2
+    assert weyl_defect(TorusSymbol(even_table, kmax), n) < 1e-14
+    assert weyl_defect(TorusSymbol(odd_table, kmax), n) > 0.5 or n == 2
 
 
 def test_weyl_cutoff_peaks_at_its_blocks():
-    # the band is scattered into the sector blocks a few diagonals at a time;
-    # an N x N array (4.2 MB here) would take the peak above 2x the blocks
+    # the band is scattered into one sector's block a few diagonals at a
+    # time, and the coupling into two bands; an N x N array (4.2 MB here)
+    # would take the peak above 3x one sector's block (1.1 MB)
     n = 512
-    blocks = ((n // 2 + 1) ** 2 + (n // 2 - 1) ** 2) * 16
+    block = (n // 2 + 1) ** 2 * 16
     spec = replace(NONTRAP_SPEC, quantization="weyl")
     tracemalloc.start()
     try:
-        cutoff_operator(spec, n)
+        cutoff = cutoff_source(spec)
+        weyl_defect(cutoff, n)
+        for parity in (1, -1):
+            cutoff_operator(cutoff, n, parity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * blocks
+    assert peak < 1.75 * block
 
 
 def test_op_weyl_sectors_reject_odd_n():
     with pytest.raises(OddDimension):
-        op_weyl_sectors(cutoff_symbol(SPEC), 7)
+        op_weyl_sector(cutoff_symbol(SPEC), 7, 1)
+    with pytest.raises(OddDimension):
+        weyl_defect(cutoff_symbol(SPEC), 7)
 
 
 def test_op_left_identity_and_position():
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    a = dense_operator(op_left_separable(one, one, 16), 16)
+    a = dense_operator(both_sectors(op_left_separable, one, one, 16), 16)
     assert np.abs(a - np.eye(16)).max() < 1e-13
     cos = lambda x: np.cos(2 * np.pi * np.asarray(x, dtype=float))
-    a = dense_operator(op_left_separable(cos, one, 16), 16)
+    a = dense_operator(both_sectors(op_left_separable, cos, one, 16), 16)
     assert np.abs(a - np.diag(np.cos(2 * np.pi * np.arange(16) / 16))).max() < 1e-13
 
 
@@ -325,13 +332,13 @@ def op_left_dense(f, g, n):
                                    ("product_bump", "annulus_product")])
 def test_op_left_live_rows_match_dense(n, kinds):
     f, g = (cutoff_profile(BumpSpec(kind, 0.11, 0.23)) for kind in kinds)
-    sectors = op_left_separable(f, g, n)
+    sectors = both_sectors(op_left_separable, f, g, n)
     oracle = op_left_dense(f, g, n)
     x = torus_rep_array(np.arange(n) / n)
     # the profiles are even, so the fold drops nothing
-    assert sectors[2] < 1e-15
+    assert fold_parity(f(x))[2] < 1e-15 and fold_parity(g(x))[2] < 1e-15
     assert np.abs(dense_operator(sectors, n) - oracle).max() < 1e-13
-    for (live, factor, rows), d_f, d_g, block in zip(sectors[:2], fold_parity(f(x))[:2],
+    for (live, factor, rows), d_f, d_g, block in zip(sectors, fold_parity(f(x))[:2],
                                                      fold_parity(g(x))[:2],
                                                      fold_matrix(oracle)[:2]):
         assert np.array_equal(live, np.flatnonzero(d_f))
@@ -359,7 +366,7 @@ def test_disjoint_supports_shrink():
 
 def test_left_weyl_consistency_first_order():
     f, sym = cutoff_profile(SPEC), cutoff_symbol(SPEC)
-    diff = {n: np.linalg.norm(dense_operator(op_left_separable(f, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
