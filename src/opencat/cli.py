@@ -276,7 +276,7 @@ def _verify_checks(config: RunConfig, sign: int):
     for n in dims:
         # the sector blocks the sweeps multiply by; F_s^dag = conj(F_s)
         defect = max(np.abs(np.conj(f) @ f - np.eye(len(f))).max()
-                     for f in hn.dft_sectors(n)[:2])
+                     for f in hn.dft_sectors(n))
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         u = quantize_map(config.matrix, n, sign=sign)
@@ -311,8 +311,8 @@ def _verify_checks(config: RunConfig, sign: int):
     defect = np.abs(a - a.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
     # open_spectrum builds and diagonalizes the parity sectors apart; this is
-    # the largest factor defect it checks first, for the configured operator
-    defect = parity_defect(config.matrix, cutoff_source(config.cutoff), 64)
+    # the cutoff's parity defect it checks first, for the configured cutoff
+    defect = parity_defect(cutoff_source(config.cutoff), 64)
     yield "parity_commutation", defect < PARITY_TOL, defect
     # reference-free: the open spectra of M and R M R, R = diag(1, -1), are
     # complex conjugates up to the global phase

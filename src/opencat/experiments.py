@@ -10,6 +10,8 @@ in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  The cutoff arrives per sector as a factor times rows:
 the map's word runs on the rows, and the factor multiplies the result.
+The map commutes with parity exactly, in the integers of its phases, so
+only the cutoff, which comes from the spec, is checked (parity_defect).
 """
 
 from dataclasses import dataclass
@@ -23,19 +25,19 @@ from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, match_distance, sort_by_modulus
 from .errors import ParityBroken, TooFewLiveRows
 from .hn import planck
-from .metaplectic import apply_word, factor_sl2z, phase_factor, word_defect
+from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
-                        op_left_separable, op_weyl_sector, profile_sectors, weyl_defect)
+                        op_left_separable, op_weyl_sector, profile_sectors)
 
 log = logging.getLogger(__name__)
 
-# Largest fold defect of a factor of the open operator, the part of it that
-# couples the parity sectors relative to its largest entry, that
-# open_spectrum accepts as roundoff.  Measured on the benchmark's maps and
-# cutoffs: the DFT's phase error gives 9.0e-13 at N = 2048 and the chirps
-# 1.1e-12; the left profile gives 0 at N = 2048 (3.3e-16 at N = 768, where
-# m/N is inexact) and the Weyl chi 2.8e-16 at N = 768.  A factor that
-# really breaks parity couples the sectors at O(1).
+# Largest parity defect of the cutoff (parity_defect) that open_spectrum
+# accepts as roundoff.  Measured on the benchmark's cutoffs: the left
+# profiles give 0 at N = 2048 and at most 8.9e-16 at N = 768, where m/N is
+# inexact; the Weyl symbols' tables 1.9e-16 (annulus) and 1.6e-16 (bump).
+# A cutoff that really breaks parity gives O(1): 0.96 and 0.87 for those
+# symbols with the tests' odd term added.  The map's factors are not
+# checked: their roundoff coupling is about 5.4e-16 N, 1.1e-12 at N = 2048.
 PARITY_TOL = 1e-9
 
 
@@ -82,7 +84,7 @@ def cutoff_source(spec: BumpSpec):
 
     The left route quantizes the profile (cutoff_profile) and the Weyl
     route the symbol (cutoff_symbol), which is built here once, so a caller
-    that builds both sectors and the defect at one N builds it once.
+    that builds both sectors and checks their parity at one N builds it once.
     """
     return cutoff_profile(spec) if spec.quantization == "left" else cutoff_symbol(spec)
 
@@ -113,20 +115,19 @@ def live_rows(spec: BumpSpec, n: int) -> int:
     return np.count_nonzero(even) + np.count_nonzero(odd)
 
 
-def parity_defect(m: CatMap, cutoff, n: int) -> float:
-    """The largest fold defect of the open operator's factors, known before any is multiplied.
+def parity_defect(cutoff, n: int) -> float:
+    """How far the cutoff, as cutoff_source gives it, breaks parity, before it is quantized.
 
-    The cutoff's comes from its folded profile on the left route and from
-    the band of its symbol on the Weyl route (weyl_defect); the word's from
-    the DFT's sector build and the folded chirps (word_defect).  Each factor
-    commutes with parity up to its defect, so the product does too, up to
-    their sum.
+    The left route's is the fold defect of the profile sampled at N
+    points (profile_sectors).  The Weyl route's is max|T - T[::-1, ::-1]|
+    relative to max|T| on the symbol's table T, for every N: the Weyl
+    quantization is parity-covariant, P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
     """
     if isinstance(cutoff, TorusSymbol):
-        defect = weyl_defect(cutoff, n)
-    else:
-        defect = profile_sectors(cutoff, n)[2]
-    return max(defect, word_defect(factor_sl2z(m), n))
+        table = cutoff.table
+        scale = np.abs(table).max()
+        return np.abs(table - table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
+    return profile_sectors(cutoff, n)[2]
 
 
 def build_open_operator(m: CatMap, cutoff, n: int, parity: int):
@@ -147,10 +148,10 @@ def build_open_operator(m: CatMap, cutoff, n: int, parity: int):
 def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered.
 
-    An operator with a factor whose fold defect (parity_defect) exceeds
-    PARITY_TOL raises ParityBroken before any product is formed, rather
-    than lose the coupling.  Then each parity sector is built, diagonalized
-    and freed in turn, so one sector's blocks are held at a time.  With its
+    A cutoff whose parity defect (parity_defect) exceeds PARITY_TOL raises
+    ParityBroken before any product is formed, rather than lose the
+    coupling.  Then each parity sector is built, diagonalized and freed in
+    turn, so one sector's blocks are held at a time.  With its
     dead rows permuted last a sector is block upper triangular,
     [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
     which is all that build_open_operator forms, plus one exact zero per
@@ -160,10 +161,10 @@ def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
     """
     log.info("open operator spectrum: N = %d", n)
     cutoff = cutoff_source(spec)
-    defect = parity_defect(m, cutoff, n)
+    defect = parity_defect(cutoff, n)
     if defect > PARITY_TOL:
         raise ParityBroken(f"open operator at N = {n} couples the parity "
-                           f"sectors: factor defect {defect:.3e} > {PARITY_TOL:g}")
+                           f"sectors: cutoff defect {defect:.3e} > {PARITY_TOL:g}")
     vals = np.concatenate([eigenvalues(build_open_operator(m, cutoff, n, parity)[1])
                            for parity in (1, -1)])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])

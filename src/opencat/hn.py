@@ -2,8 +2,8 @@
 
 The Planck scale attached to N, the torus representative of a position, and
 the split of the space by parity j -> -j mod N.  Every factor of the open
-operator commutes with parity, so the package does its algebra in the
-sector basis, N even:
+operator commutes with parity (the DFT exactly: (N - j)(N - k) = j k mod N),
+so the package does its algebra in the sector basis, N even:
 
     even: e_0, e_{N/2} and (e_j + e_{N-j})/sqrt(2) for 0 < j < N/2, in the
           natural order j = 0..N/2 (size N/2 + 1);
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonPositiveN, OddDimension
 
-# Rows of the DFT sectors built per pass.  A pass holds about a dozen
+# Rows of the DFT sectors built per pass.  A pass holds a few
 # temporaries of this many rows by at most N/2 + 1 columns, 1.6 MB at
 # N = 2048 beside the two blocks' 33.6 MB.
 _DFT_CHUNK = 16
@@ -115,7 +115,7 @@ _DFT_CACHE = {}
 
 
 def dft_sectors(n: int):
-    """The unitary DFT in the sector basis, as (F_even, F_odd, defect), cached for the last N.
+    """The unitary DFT in the sector basis, as (F_even, F_odd), cached for the last N.
 
     The previous N's blocks are dropped before this N's are built, so a
     sweep never holds two sizes at once.  The blocks are read-only.
@@ -127,7 +127,7 @@ def dft_sectors(n: int):
 
 
 def _build_dft_sectors(n: int):
-    """The two sector blocks of the unitary DFT and their fold defect, built from the kernel.
+    """The two sector blocks of the unitary DFT, built from the kernel.
 
     The DFT has kernel g(p) = N^{-1/2} exp(-2 pi i p / N) at p = j k and
     commutes with parity.  A sector entry (j, k) is a weighted sum of the
@@ -140,9 +140,9 @@ def _build_dft_sectors(n: int):
     bit for bit and F_s^dag = conj(F_s).  The blocks are built a few rows
     at a time: a pass computes the columns from its first row on and
     mirrors them into the rows below, so the kernel is evaluated on half
-    of each block and the N x N matrix is never formed.  defect is the
-    largest entry of the dropped even-odd block relative to the kernel's
-    modulus N^{-1/2}: the kernel's phase error, about 1e-12 at N = 2048.
+    of each block and the N x N matrix is never formed.  The block that
+    would couple the sectors is not formed: its partner arguments are
+    equal mod N, so it is the unreduced phases' roundoff.
     """
     if n < 1:
         raise NonPositiveN(f"n = {n}")
@@ -166,38 +166,22 @@ def _build_dft_sectors(n: int):
         parts *= scale
         return g
 
-    def plus_minus(x, y):
-        diff = x - y
-        return np.add(x, y, out=x), diff
-
     even = np.empty((h + 1, h + 1), dtype=complex)
     odd = np.empty((h - 1, h - 1), dtype=complex)
 
-    def fill(start):
+    for start in range(0, h + 1, _DFT_CHUNK):
         # rows start.. of both blocks from their columns start..N/2, mirrored
-        # into those columns; returns the pass's largest coupling entry
+        # into those columns
         stop = min(start + _DFT_CHUNK, h + 1)
         rows, cols = slice(start, stop), slice(start, h + 1)
         j, pj = idx[rows, None], partner[rows, None]
         k, pk = idx[cols], partner[cols]
-        # direct + far, back + near and their differences, from the four kernels
-        same, same_diff = plus_minus(kernel(j * k), kernel(pj * pk))
-        swapped, swapped_diff = plus_minus(kernel(pj * k), kernel(j * pk))
+        # direct + far and back + near, from the four kernels
+        same = kernel(j * k) + kernel(pj * pk)
+        swapped = kernel(pj * k) + kernel(j * pk)
         # the pass's paired rows and columns, 0 < j, k < N/2, as local slices
         low = max(start, 1) - start
         pair_rows, pair_cols = slice(low, min(stop, h) - start), slice(low, h - start)
-        # back is near^T, so the coupling block's entry (j, k), k paired, is
-        # (same_diff + swapped_diff) w_j and its entry (k, j), j paired, is
-        # (same_diff - swapped_diff) w_k
-        coupling = same_diff + swapped_diff
-        coupling *= weight[rows, None]
-        cross = np.abs(coupling)[:, pair_cols].max(initial=0.0)
-        coupling = np.subtract(same_diff[pair_rows], swapped_diff[pair_rows],
-                               out=swapped_diff[pair_rows])
-        coupling *= weight[cols]
-        cross = max(cross, np.abs(coupling).max(initial=0.0))
-        # freed before the blocks' parts are formed, to keep the pass's peak low
-        del same_diff, swapped_diff, coupling
         part = same[pair_rows, pair_cols] - swapped[pair_rows, pair_cols]
         part *= 0.5
         odd_rows = slice(start + low - 1, min(stop, h) - 1)
@@ -208,12 +192,9 @@ def _build_dft_sectors(n: int):
         part *= weight[rows, None] * weight[cols]
         even[rows, cols] = part
         even[cols, rows] = part.T
-        return cross
-
-    cross = max(fill(start) for start in range(0, h + 1, _DFT_CHUNK))
     even.setflags(write=False)
     odd.setflags(write=False)
-    return even, odd, cross * math.sqrt(0.5) * math.sqrt(n)
+    return even, odd
 
 
 def torus_rep_array(x: np.ndarray) -> np.ndarray:

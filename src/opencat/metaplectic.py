@@ -4,12 +4,13 @@ A cat map is factored into the generators S = [[0,-1],[1,0]], shears
 U(b) = [[1,b],[0,1]] and L(c) = [[1,0],[c,1]], and the parity -I.  Each
 generator has a closed-form unitary on the state space (quadratic phases and
 the DFT); the product quantizes the map up to a global phase.  -I is central
-in SL(2,Z), so every generator commutes with parity j -> -j and the word
-acts on the two parity sectors of hn apart.  apply_word multiplies one
-sector's rows by the word letter by letter, with the DFT's sector block and
-the folded chirps, so chi Mhat is formed from chi's nonzero rows without
-building Mhat, and only in the columns asked for; quantize_word unfolds the
-two sector unitaries into the N x N matrix.  The global phase is a
+in SL(2,Z), so every generator commutes with parity j -> -j, exactly in the
+integers of its phases: the word acts on the two parity sectors of hn apart
+and is not checked at run time.  apply_word multiplies one sector's rows
+by the word letter by letter, with the DFT's sector block and the folded
+chirps, so chi Mhat is formed from chi's nonzero rows without building
+Mhat, and only in the columns asked for; quantize_word unfolds the two
+sector unitaries into the N x N matrix.  The global phase is a
 convention: the one rule that fixes it acts on the eigenvalues of the open
 operator (phase_factor).  All sign conventions are pinned by the exact
 commutation identity with quantized observables (checked generator by
@@ -97,19 +98,13 @@ def _chirp(letter, n: int):
     L(c) multiplies by the chirp with coef = c; U(b) is the chirp with
     coef = -b conjugated by the DFT.  The phase has period 2N in coef, so
     coef is first reduced into [-N, N) in exact integer arithmetic.  For N
-    even the chirp takes the same value at m and -m, so it folds into one
+    even coef (N - m)^2 = coef m^2 mod 2N, so the chirp folds into one
     diagonal per sector; returns fold_parity's (even, odd, defect).
     """
     coef = letter[1] if letter[0] == "L" else -letter[1]
     coef = (coef + n) % (2 * n) - n
     m = np.arange(n)
     return fold_parity(np.exp(1j * math.pi * coef * m * m / n))
-
-
-def word_defect(word, n: int) -> float:
-    """The largest fold defect of the word's factors: the DFT and each chirp."""
-    chirps = [_chirp(letter, n)[2] for letter in word if letter[0] in ("U", "L")]
-    return max([dft_sectors(n)[2]] + chirps)
 
 
 def _panels(rows: int):

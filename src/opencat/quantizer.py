@@ -3,9 +3,10 @@
 Smooth symbols are carried as truncated Fourier coefficient tables.  Two
 quantizations are provided.  The general Weyl quantization is cyclically
 banded: weyl_band gives its 2 k_max + 1 diagonals from the explicit
-matrix-entry formula, op_weyl places them in a dense N x N matrix,
+matrix-entry formula, op_weyl places them in a dense N x N matrix, and
 op_weyl_sector adds them straight into one parity sector of hn without
-forming it, and weyl_defect into the blocks that would couple the sectors.
+forming it; the sectors couple only through the table's part that is odd
+under T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
 The left (standard) quantization of separable products f(x)g(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
 form: a small factor from the folded profiles and the DFT's sector block,
@@ -34,9 +35,11 @@ class BumpSpec:
     """A cutoff: per-axis radii of the plateau/support of its profile rho, and
     the route that quantizes it.
 
-    quantization "left" quantizes the profile itself and ignores k_max and
-    grid; "weyl" quantizes cutoff_symbol(spec), the profile's Fourier
-    coefficients with |k| <= k_max taken from grid samples.
+    quantization "left" quantizes the profile itself; "weyl" quantizes
+    cutoff_symbol(spec), the profile's Fourier coefficients with
+    |k| <= k_max taken from grid samples.  The sweeps read k_max and grid
+    only on the Weyl route, but they are validated here on both, and
+    verify's Hermiticity check quantizes cutoff_symbol(spec) on either.
     """
 
     kind: str          # "product_bump" or "annulus_product"
@@ -151,48 +154,13 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
     return a
 
 
-def _scatter_add(block, rows, cols, values):
-    """block[rows, cols] += values, repeated cells adding: np.add.at on the flat view."""
-    np.add.at(block.reshape(-1), (rows * block.shape[1] + cols).ravel(), values.ravel())
-
-
-def weyl_defect(sym: TorusSymbol, n: int) -> float:
-    """How far the Weyl quantization couples the parity sectors, N even.
-
-    Each entry A[m, c] of weyl_band's diagonals adds into the two coupling
-    blocks at the places sector_coordinates gives, weighted by the even
-    weight of m times the odd weight of c, or the other way round.  The
-    result is the largest entry of the two blocks relative to the largest
-    entry of A: zero when A commutes with parity.  The coupling blocks are
-    banded like A, |index[c] - index[m]| <= min(k_max, N/2), so each is
-    kept as its band: O(k_max N) work beside the transforms.
-    """
-    index, even_w, odd_w = sector_coordinates(n)
-    h = n // 2
-    m = np.arange(n)[:, None]
-    rows, even_m, odd_m = index[:, None], even_w[:, None], odd_w[:, None]
-    w = min(sym.k_max, h)
-    # the coupling blocks' cell (i, k) is at [i, k - i + w]
-    even_odd = np.zeros((h + 1, 2 * w + 1), dtype=complex)
-    odd_even = np.zeros_like(even_odd)
-    scale = 0.0
-    for offsets, diagonals in weyl_band(sym, n):
-        c = (m + offsets) % n
-        cols = index[c] - rows + w
-        _scatter_add(even_odd, rows, cols, even_m * odd_w[c] * diagonals)
-        _scatter_add(odd_even, rows, cols, odd_m * even_w[c] * diagonals)
-        scale = max(scale, np.abs(diagonals).max())
-    cross = max(np.abs(even_odd).max(), np.abs(odd_even).max())
-    return cross / scale if scale > 0 else 0.0
-
-
 def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
     """One parity sector's block of the Weyl quantization, even (parity=+1) or odd, N even.
 
     Each entry A[m, c] of weyl_band's diagonals adds into the block at the
     places sector_coordinates gives, weighted by the sector's weights of m
-    and c; the part that couples the sectors is weyl_defect's.  O(k_max N)
-    work beside the transforms; no N x N array is formed.
+    and c; the part that couples the sectors is dropped.  O(k_max N) work
+    beside the transforms; no N x N array is formed.
     """
     index, even_w, odd_w = sector_coordinates(n)
     weight = even_w if parity == 1 else odd_w
@@ -203,7 +171,9 @@ def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
     block = np.zeros((h + 1, h + 1), dtype=complex)
     for offsets, diagonals in weyl_band(sym, n):
         c = (m + offsets) % n
-        _scatter_add(block, index[:, None], index[c], weight[:, None] * weight[c] * diagonals)
+        # repeated cells add: np.add.at on the flat view
+        np.add.at(block.reshape(-1), (index[:, None] * (h + 1) + index[c]).ravel(),
+                  (weight[:, None] * weight[c] * diagonals).ravel())
     return block if parity == 1 else block[1:h, 1:h]
 
 

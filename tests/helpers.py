@@ -62,7 +62,9 @@ def dft_sectors_oracle(n):
     Each pass of a few rows evaluates the four kernel values
     exp(-2 pi i p / N) / sqrt(N) at p = j k, j (N - k), (N - j) k and
     (N - j)(N - k) on every column, p not reduced mod N, and adds them in
-    the order dft_sectors does.  N must be even.
+    the order dft_sectors does.  defect is the largest entry of the block
+    that couples the sectors, relative to the kernel's modulus N^{-1/2},
+    which dft_sectors does not form.  N must be even.
     """
     h = n // 2
     idx = np.arange(h + 1)

@@ -126,7 +126,7 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def dft(n):
         events.append(("dft", n, [m for m, refs in dfts.items() if alive(refs)]))
         blocks = build_dft(n)
-        dfts[n] = [weakref.ref(f) for f in blocks[:2]]
+        dfts[n] = [weakref.ref(f) for f in blocks]
         return blocks
 
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
@@ -305,7 +305,7 @@ def test_live_set_closed_under_parity(monkeypatch):
     dead = pinched(x) == 0
     assert np.array_equal(np.flatnonzero(~dead), [0, 1, 3, 13, 15])
     even, odd = both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), n)
-    assert parity_defect(ARNOLD, cutoff_source(TRAPPED_SPEC), n) < 1e-12
+    assert parity_defect(cutoff_source(TRAPPED_SPEC), n) < 1e-12
     assert np.array_equal(even[0], [0, 1, 3]) and np.array_equal(odd[0], [0, 2])
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
     a = (dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
@@ -338,7 +338,7 @@ def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
     assume(abs(m.a + m.d) > 2)
     routed = replace(spec, quantization=quant, k_max=16, grid=64)
     even, odd = both_sectors(build_open_operator, m, cutoff_source(routed), n)
-    assert parity_defect(m, cutoff_source(routed), n) <= PARITY_TOL
+    assert parity_defect(cutoff_source(routed), n) <= PARITY_TOL
     # N = 2 has no pair j != -j, so no odd sector
     assert n > 2 or odd[1].shape == (0, 0)
     # the dense chi Mhat from the dense DFT, unsplit, is the oracle

@@ -36,9 +36,8 @@ def test_dft_small_cases():
     # the kernel sign: e^{-2 pi i m k / N} at N = 4 sends e_1 to powers of -i
     assert np.allclose(dft_matrix(4)[:, 1], [0.5, -0.5j, -0.5, 0.5j], atol=1e-15)
     # at N = 2 both basis vectors are fixed by parity: the even block is F
-    even, odd, defect = dft_sectors(2)
+    even, odd = dft_sectors(2)
     assert np.array_equal(even, dft_matrix(2)) and odd.shape == (0, 0)
-    assert defect == 0.0
     # at N = 4 the odd sector is (e_1 - e_3)/sqrt(2), which F sends to -i times itself
     assert np.allclose(dft_sectors(4)[1], [[-1j]], atol=1e-15)
     # the opposite kernel sign reaches the map only through apply_word's sign=+1,
@@ -52,7 +51,7 @@ def test_dft_small_cases():
 def test_dft_symmetric_bitwise(n):
     # apply_word and op_left_separable use F_s^dag = conj(F_s), which needs
     # each sector block to equal its transpose exactly
-    for f in dft_sectors(n)[:2]:
+    for f in dft_sectors(n):
         assert np.array_equal(f, f.T)
 
 
@@ -66,7 +65,7 @@ def test_dft_cache_holds_one_matrix():
     assert list(hn._DFT_CACHE) == [6]
     dft_sectors(8)
     assert list(hn._DFT_CACHE) == [8]
-    assert not any(f.flags.writeable for f in dft_sectors(8)[:2])
+    assert not any(f.flags.writeable for f in dft_sectors(8))
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 65, 256, 1024])
@@ -74,13 +73,13 @@ def test_dft_unitary(n):
     f = dft_matrix(n)
     assert np.abs(f.conj().T @ f - np.eye(n)).max() < 1e-13
     if n % 2 == 0:
-        for f_s in dft_sectors(n)[:2]:
+        for f_s in dft_sectors(n):
             assert np.abs(f_s.conj().T @ f_s - np.eye(len(f_s))).max(initial=0.0) < 1e-13
 
 
 def test_dft_norm_preserved():
     rng = np.random.default_rng(3)
-    for f in dft_sectors(128)[:2]:
+    for f in dft_sectors(128):
         v = rng.standard_normal(len(f)) + 1j * rng.standard_normal(len(f))
         assert np.linalg.norm(f @ v) == pytest.approx(np.linalg.norm(v), abs=1e-13)
         assert np.allclose(f.conj().T @ (f @ v), v, atol=1e-13)
@@ -88,30 +87,26 @@ def test_dft_norm_preserved():
 
 @pytest.mark.parametrize("n", [4, 32, 100])
 def test_dft_order_four(n):
-    for f in dft_sectors(n)[:2]:
+    for f in dft_sectors(n):
         assert np.abs(np.linalg.matrix_power(f, 4) - np.eye(len(f))).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 16, 32, 96, 130])
 def test_dft_sectors_match_folded_oracle(n):
-    even, odd, defect = dft_sectors(n)
-    even_o, odd_o, defect_o = fold_matrix(dft_matrix(n))
+    even, odd = dft_sectors(n)
+    even_o, odd_o, _ = fold_matrix(dft_matrix(n))
     assert even.shape == (n // 2 + 1,) * 2 and odd.shape == (n // 2 - 1,) * 2
     assert np.abs(even - even_o).max() <= 1e-15
     assert n == 2 or np.abs(odd - odd_o).max() <= 1e-15
-    # the coupling the fold drops is the kernel's phase error, on both
-    assert defect == pytest.approx(defect_o, rel=1e-3, abs=1e-16)
-    assert defect < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 96, 768, 2048])
 def test_dft_sectors_bitwise_match_oracle(n):
     # cos and sin over half of each block, mirrored, round every entry as the
     # complex exponentials on the full blocks do; 1/N is inexact at N = 768
-    even, odd, defect = dft_sectors(n)
-    even_o, odd_o, defect_o = dft_sectors_oracle(n)
+    even, odd = dft_sectors(n)
+    even_o, odd_o, _ = dft_sectors_oracle(n)
     assert np.array_equal(even, even_o) and np.array_equal(odd, odd_o)
-    assert defect == pytest.approx(defect_o, rel=1e-12)
 
 
 def test_dft_sectors_cold_build_memory():

@@ -12,16 +12,16 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
 from opencat.hn import dft_sectors, torus_rep_array
-from opencat.metaplectic import (OMEGA_S, apply_word, compose_symbol, egorov_residual,
-                                 factor_sl2z, phase_factor, quantize_map,
-                                 quantize_word, word_defect, word_matrix)
+from opencat.metaplectic import (OMEGA_S, _chirp, apply_word, compose_symbol,
+                                 egorov_residual, factor_sl2z, phase_factor,
+                                 quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import (build_open_operator, cutoff_operator, cutoff_source,
                                  open_spectrum)
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator, fold_matrix,
-                     shear)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator,
+                     dft_sectors_oracle, fold_matrix, shear)
 
 
 def mode(k, l, kmax=2):
@@ -278,8 +278,30 @@ def test_sector_word_matches_dense_on_random_hyperbolic_maps(word, n, sign):
     # generators, for the drawn word and for the factorization's
     for w in (word, factor_sl2z(m)):
         assert np.abs(quantize_word(w, n, sign) - quantize_word_dense(w, n, sign)).max() <= 1e-12
-    # every factor of the word commutes with parity up to roundoff
-    assert word_defect(factor_sl2z(m), n) < 1e-12
+
+
+def assert_word_folds(word, n):
+    # the part of each factor that couples the parity sectors, which the fold
+    # drops, is the unreduced phases' roundoff: the DFT's, whose blocks equal
+    # the oracle's bit for bit, about 5.4e-16 N, and a chirp's, whose phase
+    # pi coef m^2 / N reaches pi |coef| N with coef reduced into [-N, N)
+    for letter in word:
+        if letter[0] in ("U", "L"):
+            coef = (letter[1] + n) % (2 * n) - n
+            assert _chirp(letter, n)[2] <= 1e-15 * n * max(1, abs(coef))
+    assert dft_sectors_oracle(n)[2] <= 1e-15 * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4), n=st.integers(1, 128).map(lambda h: 2 * h))
+def test_word_factors_commute_with_parity_on_random_words(word, n):
+    assert_word_folds(word + factor_sl2z(word_matrix(word)), n)
+
+
+@pytest.mark.parametrize("m", BENCHMARK_MAPS)
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_word_factors_commute_with_parity_on_benchmark_maps(m, n):
+    assert_word_folds(factor_sl2z(m), n)
 
 
 trailing_letter = st.one_of(st.just(("PAR",)), st.integers(-3, 3).map(lambda c: ("L", c)))

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
-from opencat.experiments import cutoff_operator, cutoff_source
+from opencat.experiments import cutoff_operator, cutoff_source, parity_defect
 from opencat.hn import fold_parity, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl, op_weyl_sector, weyl_defect)
+                               op_left_separable, op_weyl, op_weyl_sector)
 
 from helpers import NONTRAP_SPEC, both_sectors, dense_operator, fold_matrix
 
@@ -268,32 +268,39 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
     table = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
     # a general symbol, its part even under (x, xi) -> (-x, -xi), and its odd part
     even_table, odd_table = table + table[::-1, ::-1], table - table[::-1, ::-1]
+    flip = -np.arange(n) % n
+    couplings = []
     for tab in (table, even_table, odd_table):
         sym = TorusSymbol(tab, kmax)
         even, odd = both_sectors(op_weyl_sector, sym, n)
-        defect = weyl_defect(sym, n)
-        even_o, odd_o, defect_o = fold_matrix(op_weyl(sym, n))
+        a = op_weyl(sym, n)
+        even_o, odd_o, coupling = fold_matrix(a)
+        couplings.append(coupling)
         assert even.shape == even_o.shape and odd.shape == odd_o.shape
         assert np.abs(even - even_o).max() <= 1e-13
         assert np.abs(odd - odd_o).max(initial=0.0) <= 1e-13
-        assert defect == pytest.approx(defect_o, abs=1e-13)
+        # parity covariance P op_weyl(T) P = op_weyl(T[::-1, ::-1]), which lets
+        # parity_defect read the coupling off the table
+        flipped = op_weyl(TorusSymbol(tab[::-1, ::-1], kmax), n)
+        assert np.abs(a[np.ix_(flip, flip)] - flipped).max() <= 1e-13
     # an even symbol commutes with parity; an odd one maps each sector to the
     # other, so the coupling is all there is (N = 2 has no odd sector)
-    assert weyl_defect(TorusSymbol(even_table, kmax), n) < 1e-14
-    assert weyl_defect(TorusSymbol(odd_table, kmax), n) > 0.5 or n == 2
+    assert couplings[1] < 1e-14
+    assert couplings[2] > 0.5 or n == 2
+    assert parity_defect(TorusSymbol(even_table, kmax), n) == 0.0
+    assert parity_defect(TorusSymbol(odd_table, kmax), n) > 0.5
 
 
 def test_weyl_cutoff_peaks_at_its_blocks():
     # the band is scattered into one sector's block a few diagonals at a
-    # time, and the coupling into two bands; an N x N array (4.2 MB here)
-    # would take the peak above 3x one sector's block (1.1 MB)
+    # time; an N x N array (4.2 MB here) would take the peak above 3x one
+    # sector's block (1.1 MB)
     n = 512
     block = (n // 2 + 1) ** 2 * 16
     spec = replace(NONTRAP_SPEC, quantization="weyl")
     tracemalloc.start()
     try:
         cutoff = cutoff_source(spec)
-        weyl_defect(cutoff, n)
         for parity in (1, -1):
             cutoff_operator(cutoff, n, parity)
         peak = tracemalloc.get_traced_memory()[1]
@@ -305,8 +312,6 @@ def test_weyl_cutoff_peaks_at_its_blocks():
 def test_op_weyl_sectors_reject_odd_n():
     with pytest.raises(OddDimension):
         op_weyl_sector(cutoff_symbol(SPEC), 7, 1)
-    with pytest.raises(OddDimension):
-        weyl_defect(cutoff_symbol(SPEC), 7)
 
 
 def test_op_left_identity_and_position():
