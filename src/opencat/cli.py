@@ -52,9 +52,9 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(raw)
 
@@ -102,6 +102,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("n_list must be nonempty, even, positive")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly ascending")
+    # a shear's int64 phase coef m^2, |coef| <= N and m < N, is exact while N^3 < 2**63
+    if n_list[-1] >= 2**21:
+        raise ConfigError(f"n_list entries must be below 2**21, got {n_list[-1]}")
     cut = raw["cutoff"]
     if not isinstance(cut, dict) or set(cut) != _CUTOFF_KEYS:
         raise ConfigError(f"cutoff needs exactly keys {sorted(_CUTOFF_KEYS)}")

@@ -24,7 +24,7 @@ import numpy as np
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, match_distance, sort_by_modulus
 from .errors import ParityBroken, TooFewLiveRows
-from .hn import planck
+from .hn import live_run, planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
                         op_left_separable, op_weyl_sector, profile_sectors)
@@ -93,26 +93,26 @@ def cutoff_operator(cutoff, n: int, parity: int):
     """Quantize the cutoff, as cutoff_source gives it, in one parity sector.
 
     Returns (live, factor, rows) for the even (parity=+1) or odd sector:
-    the sector's rows that live indexes equal factor @ rows, or rows when
+    the sector's rows in the slice live equal factor @ rows, or rows when
     factor is None, and its other rows are exactly zero.  The left route
-    keeps the rows where the folded profile is nonzero, with
-    op_left_separable's factor on the DFT's rows; the Weyl route keeps
-    every row and builds the sector's block from the band of the cutoff's
-    symbol (op_weyl_sector).  How far the cutoff couples the sectors is
-    parity_defect's.
+    keeps the run of rows where the folded profile is nonzero (live_run),
+    with op_left_separable's factor on the DFT's rows; the Weyl route
+    keeps every row and builds the sector's block from the band of the
+    cutoff's symbol (op_weyl_sector).  How far the cutoff couples the
+    sectors is parity_defect's.
     """
     if isinstance(cutoff, TorusSymbol):
         return slice(None), None, op_weyl_sector(cutoff, n, parity)
-    return op_left_separable(cutoff, cutoff, n, parity)
+    return op_left_separable(cutoff, n, parity)
 
 
 def live_rows(spec: BumpSpec, n: int) -> int:
-    """The rows of both sectors where cutoff_operator is nonzero: at most that
-    many eigenvalues of the open operator are not zero."""
+    """The live rows of both sectors, as cutoff_operator gives them: at most
+    that many eigenvalues of the open operator are not zero."""
     if spec.quantization == "weyl":
         return n
     even, odd, _ = profile_sectors(cutoff_profile(spec), n)
-    return np.count_nonzero(even) + np.count_nonzero(odd)
+    return sum(run.stop - run.start for run in (live_run(even), live_run(odd)))
 
 
 def parity_defect(cutoff, n: int) -> float:

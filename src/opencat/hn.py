@@ -9,7 +9,8 @@ so the package does its algebra in the sector basis, N even:
           natural order j = 0..N/2 (size N/2 + 1);
     odd:  (e_j - e_{N-j})/sqrt(2) for 0 < j < N/2 (size N/2 - 1).
 
-fold_parity takes a diagonal into that basis, sector_coordinates gives
+fold_parity takes a diagonal into that basis, live_run gives the run of
+indices where a folded cutoff profile is nonzero, sector_coordinates gives
 each basis vector e_m's place and weights in the two sectors (what a
 builder needs to scatter a matrix's entries straight into its sector
 blocks), unfold_parity takes two sector blocks back to an N x N matrix, and
@@ -50,11 +51,14 @@ def _unfold_rows(even, odd):
     return out
 
 
-def index_run(idx):
-    """Sorted indices as a slice when they are one run, so indexing with them is a view; else idx."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+def live_run(d):
+    """The indices from d's first nonzero entry to its last, as a slice; slice(0, 0) when d is zero.
+
+    A folded bump or annulus profile is nonzero on one run of indices, so
+    for them the run is exactly the nonzero set; a hole would be zeros in it.
+    """
+    nz = np.flatnonzero(d)
+    return slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
 
 
 def fold_parity(d):

@@ -9,8 +9,8 @@ integers of its phases: the word acts on the two parity sectors of hn apart
 and is not checked at run time.  apply_word multiplies one sector's rows
 by the word letter by letter, with the DFT's sector block and the folded
 chirps, so chi Mhat is formed from chi's nonzero rows without building
-Mhat, and only in the columns asked for; quantize_word unfolds the two
-sector unitaries into the N x N matrix.  The global phase is a
+Mhat, and only in the run of columns asked for; quantize_word unfolds the
+two sector unitaries into the N x N matrix.  The global phase is a
 convention: the one rule that fixes it acts on the eigenvalues of the open
 operator (phase_factor).  All sign conventions are pinned by the exact
 commutation identity with quantized observables (checked generator by
@@ -24,14 +24,11 @@ import numpy as np
 
 from .catmap import CatMap
 from .errors import DegeneratePhase
-from .hn import dft_sectors, fold_parity, index_run, unfold_parity
+from .hn import dft_sectors, fold_parity, unfold_parity
 from .quantizer import TorusSymbol, op_weyl
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
 
-# Columns of a DFT sector block gathered per product when apply_word forms
-# a subset of its output columns: 1 MB at N = 2048.
-_COLUMN_CHUNK = 64
 # Most rows of apply_word's buffer overwritten per product; the panel is
 # copied first, 1.7 MB at N = 2048 (410 rows in 4 panels).
 _ROW_PANEL = 128
@@ -118,30 +115,15 @@ def _panels(rows: int):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _product(x, f, cols, out):
-    """out = x @ f[:, cols] for a symmetric f; cols is a slice or an index array.
-
-    An index array's columns of f are its rows, gathered _COLUMN_CHUNK at a
-    time: f[:, cols] is never copied whole.
-    """
-    if isinstance(cols, slice):
-        np.matmul(x, f[:, cols], out=out)
-        return
-    for start in range(0, len(cols), _COLUMN_CHUNK):
-        part = slice(start, start + _COLUMN_CHUNK)
-        np.matmul(x, f[cols[part]].T, out=out[:, part])
-
-
 def _times(x, f, cols):
     """x @ f[:, cols], written over x's first columns; the result is a view of x.
 
     The product goes a panel of rows at a time, each panel copied before it
     is overwritten.
     """
-    width = len(range(f.shape[1])[cols]) if isinstance(cols, slice) else len(cols)
-    out = x[:, :width]
+    out = x[:, :len(range(f.shape[1])[cols])]
     for rows in _panels(len(x)):
-        _product(x[rows].copy(), f, cols, out[rows])
+        np.matmul(x[rows].copy(), f[:, cols], out=out[rows])
     return out
 
 
@@ -155,15 +137,15 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
     rows as S: omega x F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp)
     F^dag, L(c): x * chirp and PAR: x * parity; F is symmetric, so x F^dag
     is conj(conj(x) F).  A Fourier letter costs one (rows x N/2) by
-    (N/2 x N/2) product, a quarter of the full-space one.  cols, a slice or
-    sorted indices, selects the output columns: the last Fourier letter
-    forms only those, and the L and PAR letters after it act on them alone.
+    (N/2 x N/2) product, a quarter of the full-space one.  The slice cols
+    selects the output columns: the last Fourier letter forms only those,
+    and the L and PAR letters after it act on them alone.
 
     The word runs in one buffer of its own, a copy of x made before the
     first letter, so the caller's x is never modified.  Every letter works
-    in place on it, a product a panel of rows at a time, and when cols is
-    one run of indices the last Fourier letter writes them into the
-    buffer's first columns.  So the result may be a view of a wider buffer.
+    in place on it, a product a panel of rows at a time, and the last
+    Fourier letter writes the columns cols into the buffer's first
+    columns.  So the result may be a view of a wider buffer.
     sign=+1 uses conj(F), the kernel opposite to the package's.
     Flipping the sign everywhere is unitarily equivalent (conjugation by
     parity, which commutes with every integer symplectic map), so only a
@@ -173,8 +155,6 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
     f = dft_sectors(n)[sector]
     if sign == 1:
         f = f.conj()
-    if not isinstance(cols, slice):
-        cols = index_run(np.asarray(cols))
     last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),
                default=-1)
     if word:

@@ -7,11 +7,11 @@ matrix-entry formula, op_weyl places them in a dense N x N matrix, and
 op_weyl_sector adds them straight into one parity sector of hn without
 forming it; the sectors couple only through the table's part that is odd
 under T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
-The left (standard) quantization of separable products f(x)g(xi), a
+The left (standard) quantization of the cutoff f(x)f(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
-form: a small factor from the folded profiles and the DFT's sector block,
-times the block's rows where the g profile is nonzero.  Both build one
-sector at a time, so a caller need hold only one.
+form: a square factor from the folded profile and the DFT's sector block,
+times the block's rows on the profile's live set, one run of indices.
+Both build one sector at a time, so a caller need hold only one.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import (dft_sectors, fold_parity, index_run, sector_coordinates,
+from .hn import (dft_sectors, fold_parity, live_run, sector_coordinates,
                  torus_rep_array)
 
 DEFAULT_K_MAX = 48
@@ -183,34 +183,27 @@ def profile_sectors(profile, n: int):
     return fold_parity(np.asarray(profile(x), dtype=complex))
 
 
-def op_left_separable(f_profile, g_profile, n: int, parity: int):
-    """Left quantization of f(x) g(xi) in one parity sector, as (live, factor, rows).
+def op_left_separable(profile, n: int, parity: int):
+    """Left quantization of the cutoff f(x) f(xi) in one parity sector, as (live, factor, rows).
 
-    The N x N operator is diag(f) F^dag diag(g) F, f and g sampled at the
-    points x_m.  In the sector s (parity +1 even, -1 odd) it is
-    d_f,s F_s^dag d_g,s F_s, with d_f,s and d_g,s the profiles folded into
-    the sector (profile_sectors; the fold defects are the caller's) and F_s
-    the DFT's block (dft_sectors).  live indexes the sector's rows where
-    d_f,s is nonzero, the others being exactly zero, and those rows equal
-    factor @ rows.  F_s is symmetric, so F_s^dag = conj(F_s), and with
-    live_g the indices where d_g,s is nonzero the factor is
-    d_f,s[live] conj(F_s[live, live_g]) d_g,s[live_g], built entrywise, and
-    rows is F_s[live_g]: nothing is multiplied out.  A bump's or an
-    annulus's live_g is one run of indices, and then rows is a read-only
-    view of the cached block, not a copy.
+    The N x N operator is diag(f) F^dag diag(f) F, f the profile sampled
+    at the points x_m.  In the sector s (parity +1 even, -1 odd) it is
+    d_s F_s^dag d_s F_s, with d_s the profile folded into the sector
+    (profile_sectors; the fold defect is the caller's) and F_s the DFT's
+    block (dft_sectors).  The slice live is the run of indices where d_s
+    is nonzero (live_run); the rows outside it are zero, and the rows in
+    it equal factor @ rows.  F_s is symmetric, so F_s^dag = conj(F_s): the
+    factor is d_s[live] conj(F_s[live, live]) d_s[live], built entrywise
+    in place in that order, and rows is F_s[live], a view of the cached block.
     """
     sector = 0 if parity == 1 else 1
-    d_f = profile_sectors(f_profile, n)[sector]
-    d_g = profile_sectors(g_profile, n)[sector]
+    d = profile_sectors(profile, n)[sector]
     f_mat = dft_sectors(n)[sector]
-    live, live_g = np.flatnonzero(d_f), np.flatnonzero(d_g)
-    # one live x live_g array, its products taken in place in the order
-    # d_f conj(F) d_g
-    factor = f_mat[np.ix_(live, live_g)]
-    np.conj(factor, out=factor)
-    np.multiply(d_f[live, None], factor, out=factor)
-    factor *= d_g[live_g]
-    return live, factor, f_mat[index_run(live_g)]
+    live = live_run(d)
+    factor = np.conj(f_mat[live, live])
+    np.multiply(d[live, None], factor, out=factor)
+    factor *= d[live]
+    return live, factor, f_mat[live]
 
 
 def cutoff_profile(spec: BumpSpec):

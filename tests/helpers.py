@@ -162,11 +162,12 @@ def nan_in_dead_column(monkeypatch):
     """
     quantize = experiments.op_left_separable
 
-    def poisoned(f, g, n, parity):
-        live, factor, rows = quantize(f, g, n, parity)
+    def poisoned(f, n, parity):
+        live, factor, rows = quantize(f, n, parity)
         if parity == 1:
             rows = rows.copy()
-            rows[0, np.setdiff1d(np.arange(n // 2 + 1), live)[0]] = np.nan
+            # the bump's even run starts at index 0, so its end is dead
+            rows[0, live.stop] = np.nan
         return live, factor, rows
 
     monkeypatch.setattr(experiments, "op_left_separable", poisoned)

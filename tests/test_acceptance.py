@@ -188,7 +188,7 @@ def test_criterion_7_word_independence():
 
 def test_criterion_7_left_weyl_halving_ratio():
     f, sym = cutoff_profile(TRAPPED_SPEC), cutoff_symbol(TRAPPED_SPEC)
-    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     ratio = diff[128] / diff[256]

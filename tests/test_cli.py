@@ -406,6 +406,25 @@ def test_missing_config_file(capsys):
     assert main(["trapped", "--config", "/nonexistent/zz.json"]) == 2
 
 
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["trapped", "--config", str(path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trapped", "nontrapping", "classical"])
+@pytest.mark.parametrize("n", [1e20, 2**21])
+def test_n_beyond_exact_chirp_phase_is_config_error(tmp_path, capsys, command, n):
+    # N^3 reaches 2**63 at N = 2**21, where a shear's int64 phase stops being exact
+    out = tmp_path / "rows.csv"
+    cutoff = {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}
+    cfg = write_config(tmp_path, n_list=[32, n], cutoff=cutoff, out_csv=str(out))
+    assert main([command, "--config", cfg]) == 2
+    assert "2**21" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_checks_parity_commutation(tmp_path, capsys):
     # the flipped DFT sign still commutes with parity, so only the Fourier
     # generators' Egorov checks fail

@@ -42,8 +42,8 @@ def test_theorem_targets_arnold():
 def test_open_operator_with_unit_cutoff_is_unitary():
     from opencat.metaplectic import quantize_map
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    sectors = both_sectors(op_left_separable, one, one, 64)
-    assert [len(live) for live, _, _ in sectors] == [33, 31]
+    sectors = both_sectors(op_left_separable, one, 64)
+    assert [live for live, _, _ in sectors] == [slice(0, 33), slice(0, 31)]
     a = dense_operator(sectors, 64) @ quantize_map(ARNOLD, 64)
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
@@ -108,9 +108,9 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def alive(refs):
         return any(ref() is not None for ref in refs)
 
-    def cutoff(f, g, n, parity):
+    def cutoff(f, n, parity):
         events.append(("cutoff", n, parity, alive(held)))
-        live, factor, rows = quantize(f, g, n, parity)
+        live, factor, rows = quantize(f, n, parity)
         held.append(weakref.ref(factor))
         return live, factor, rows
 
@@ -284,7 +284,7 @@ def test_parity_breaking_operator_raises(monkeypatch):
 @pytest.mark.parametrize("n", [2, 4, 8, 64])
 def test_live_rows_count_the_cutoff_sectors(n):
     even, odd = both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n)
-    assert live_rows(TRAPPED_SPEC, n) == len(even[0]) + len(odd[0])
+    assert live_rows(TRAPPED_SPEC, n) == sum(live.stop - live.start for live, _, _ in (even, odd))
     # the bump is nonzero exactly inside its support |x| < r_outer = 0.2
     assert live_rows(TRAPPED_SPEC, n) == np.count_nonzero(
         np.abs(torus_rep_array(np.arange(n) / n)) < 0.2)
@@ -306,14 +306,17 @@ def test_live_set_closed_under_parity(monkeypatch):
     assert np.array_equal(np.flatnonzero(~dead), [0, 1, 3, 13, 15])
     even, odd = both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), n)
     assert parity_defect(cutoff_source(TRAPPED_SPEC), n) < 1e-12
-    assert np.array_equal(even[0], [0, 1, 3]) and np.array_equal(odd[0], [0, 2])
+    # the live set is the run from the first live index to the last: the
+    # hole, index 2 of the even sector and 1 of the odd, is a zero row of
+    # each live block, and its eigenvalue is an exact zero
+    assert even[0] == slice(0, 4) and odd[0] == slice(0, 3)
     vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
     a = (dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
          @ quantize_word_dense(factor_sl2z(ARNOLD), n))
     assert not a[dead].any()
     # the sectors are the live x live blocks of the folded dense product
     for (live, block), oracle in zip((even, odd), fold_matrix(a)[:2]):
-        assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
+        assert np.abs(block - oracle[live, live]).max() <= 1e-12
     assert np.count_nonzero(vals == 0) == np.count_nonzero(dead)
     assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-8
 

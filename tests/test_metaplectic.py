@@ -312,35 +312,35 @@ trailing_letter = st.one_of(st.just(("PAR",)), st.integers(-3, 3).map(lambda c: 
        n=st.one_of(st.integers(1, 16).map(lambda h: 2 * h), st.just(260)),
        sign=st.sampled_from([-1, 1]), rows=st.integers(1, 8), data=st.data())
 def test_apply_word_narrowed_columns_match_full_product(head, tail, n, sign, rows, data):
-    # the last Fourier letter forms only the requested columns and the L and
-    # PAR letters after it index their chirps; a word of L and PAR letters
-    # alone narrows x first.  At N = 260 the columns span several chunks
+    # the last Fourier letter forms only the requested run of columns and
+    # the L and PAR letters after it index their chirps; a word of L and PAR
+    # letters alone narrows x first.  The run may be empty or full, and
+    # N = 260 adds a sector wider than the small ones
     word = head + tail
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
-        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
-        cols = np.flatnonzero(keep)
+        start = data.draw(st.integers(0, size))
+        cols = slice(start, data.draw(st.integers(start, size)))
         x = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
         full = apply_word(x, word, n, parity, sign)
         out = apply_word(x, word, n, parity, sign, cols=cols)
-        assert out.shape == (rows, len(cols))
+        assert out.shape == (rows, cols.stop - cols.start)
         assert np.abs(out - full[:, cols]).max(initial=0.0) <= 1e-12
 
 
 def test_apply_word_allocates_no_dft_sized_array():
     # neither F^dag nor a copy of a sector block is materialized: on a few
     # rows the word's peak allocation stays below one sector block, and
-    # narrowed to the trapped cutoff's live columns it stays below
-    # F[:, live], which is a view of F when live is one run of indices and
-    # is gathered a chunk of columns at a time otherwise
+    # narrowed to the trapped cutoff's live columns, one run of indices,
+    # it stays below F[:, live], which is a view of F
     n = 512
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
     dft_sectors(n)
     live = cutoff_operator(cutoff_source(TRAPPED_SPEC), n, 1)[0]
-    assert 0 < len(live) < n // 2 + 1
+    assert 0 < live.stop - live.start < n // 2 + 1
     x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
-    for cols, bound in ((slice(None), n // 2 + 1), (live, len(live))):
+    for cols, bound in ((slice(None), n // 2 + 1), (live, live.stop - live.start)):
         tracemalloc.start()
         try:
             apply_word(x, word, n, 1, cols=cols)
@@ -365,7 +365,7 @@ def test_apply_word_leaves_its_input_alone(first):
                      [first] if first else []):
             for x in (base, view):
                 before = x.tobytes()
-                for cols in (slice(None), slice(2, 7), np.array([0, 3, 4])):
+                for cols in (slice(None), slice(2, 7)):
                     out = apply_word(x, word, n, parity, cols=cols)
                     assert x.tobytes() == before
                     expect = x @ fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
@@ -381,7 +381,7 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
     n = 512
     h = n // 2
     live, factor, rows = cutoff_operator(cutoff_source(TRAPPED_SPEC), n, 1)
-    bound = ((h + 1) ** 2 + (h - 1) ** 2 + len(rows) * (h + 1) + len(live) ** 2) * 16
+    bound = ((h + 1) ** 2 + (h - 1) ** 2 + len(rows) * (h + 1) + len(factor) ** 2) * 16
     del live, factor, rows
     hn._DFT_CACHE.clear()
     tracemalloc.start()
@@ -405,9 +405,8 @@ def test_open_operator_matches_dense_product(spec, quant, n):
     # each sector is the live x live block of the folded dense product, and
     # the product's other rows in the sector are zero
     for (live, block), oracle in zip(sectors, fold_matrix(dense)[:2]):
-        live = np.arange(len(oracle))[live]
-        assert np.abs(block - oracle[np.ix_(live, live)]).max() <= 1e-12
-        assert not np.delete(oracle, live, axis=0).any()
+        assert np.abs(block - oracle[live, live]).max() <= 1e-12
+        assert not np.delete(oracle, np.arange(len(oracle))[live], axis=0).any()
     if quant == "left":
         # row m carries the factor f(x_m) of the left symbol f(x) f(xi); the
         # profile is even, so a pair of rows j, -j is live or dead together
@@ -416,4 +415,4 @@ def test_open_operator_matches_dense_product(spec, quant, n):
         assert not dense[dead].any()
         assert dense[~dead].any(axis=1).all()
         even, odd = sectors
-        assert len(even[0]) + len(odd[0]) == np.count_nonzero(~dead)
+        assert len(even[1]) + len(odd[1]) == np.count_nonzero(~dead)

@@ -2,16 +2,17 @@ from dataclasses import replace
 import math
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
 from opencat.experiments import cutoff_operator, cutoff_source, parity_defect
-from opencat.hn import fold_parity, torus_rep_array
+from opencat.hn import fold_parity, live_run, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl, op_weyl_sector)
+                               op_left_separable, op_weyl, op_weyl_sector,
+                               profile_sectors)
 
 from helpers import NONTRAP_SPEC, both_sectors, dense_operator, fold_matrix
 
@@ -315,45 +316,61 @@ def test_op_weyl_sectors_reject_odd_n():
 
 
 def test_op_left_identity_and_position():
+    n = 16
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    a = dense_operator(both_sectors(op_left_separable, one, one, 16), 16)
-    assert np.abs(a - np.eye(16)).max() < 1e-13
+    sectors = both_sectors(op_left_separable, one, n)
+    assert [live for live, _, _ in sectors] == [slice(0, 9), slice(0, 7)]
+    assert np.abs(dense_operator(sectors, n) - np.eye(n)).max() < 1e-13
+    # cos(2 pi x) cos(2 pi xi) is diag(cos(2 pi m / N)) times the shift
+    # average (T + T^-1)/2
     cos = lambda x: np.cos(2 * np.pi * np.asarray(x, dtype=float))
-    a = dense_operator(both_sectors(op_left_separable, cos, one, 16), 16)
-    assert np.abs(a - np.diag(np.cos(2 * np.pi * np.arange(16) / 16))).max() < 1e-13
+    sectors = both_sectors(op_left_separable, cos, n)
+    assert [live for live, _, _ in sectors] == [slice(0, 9), slice(0, 7)]
+    shift = np.roll(np.eye(n), 1, axis=1)
+    expect = np.diag(np.cos(2 * np.pi * np.arange(n) / n)) @ (shift + shift.T) / 2
+    assert np.abs(dense_operator(sectors, n) - expect).max() < 1e-13
 
 
-def op_left_dense(f, g, n):
-    """Reference left quantization diag(f) F^dag diag(g) F, F the unitary DFT
+def op_left_dense(f, n):
+    """Reference left quantization diag(f) F^dag diag(f) F, F the unitary DFT
     of kernel e^{-2 pi i m k / N} built by np.fft."""
     x = torus_rep_array(np.arange(n) / n)
     fourier = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
-    return np.diag(f(x)) @ fourier.conj().T @ np.diag(g(x)) @ fourier
+    return np.diag(f(x)) @ fourier.conj().T @ np.diag(f(x)) @ fourier
 
 
 @pytest.mark.parametrize("n", [16, 64, 130])
-@pytest.mark.parametrize("kinds", [("product_bump", "product_bump"),
-                                   ("annulus_product", "annulus_product"),
-                                   ("product_bump", "annulus_product")])
-def test_op_left_live_rows_match_dense(n, kinds):
-    f, g = (cutoff_profile(BumpSpec(kind, 0.11, 0.23)) for kind in kinds)
-    sectors = both_sectors(op_left_separable, f, g, n)
-    oracle = op_left_dense(f, g, n)
+# the ids keep the names these cases have long had in the suite
+@pytest.mark.parametrize("kind", ["product_bump", "annulus_product"], ids=["kinds0", "kinds1"])
+def test_op_left_live_rows_match_dense(n, kind):
+    f = cutoff_profile(BumpSpec(kind, 0.11, 0.23))
+    sectors = both_sectors(op_left_separable, f, n)
+    oracle = op_left_dense(f, n)
     x = torus_rep_array(np.arange(n) / n)
-    # the profiles are even, so the fold drops nothing
-    assert fold_parity(f(x))[2] < 1e-15 and fold_parity(g(x))[2] < 1e-15
+    # the profile is even, so the fold drops nothing
+    assert fold_parity(f(x))[2] < 1e-15
     assert np.abs(dense_operator(sectors, n) - oracle).max() < 1e-13
-    for (live, factor, rows), d_f, d_g, block in zip(sectors, fold_parity(f(x))[:2],
-                                                     fold_parity(g(x))[:2],
-                                                     fold_matrix(oracle)[:2]):
-        assert np.array_equal(live, np.flatnonzero(d_f))
-        assert 0 < len(live) < len(block)
-        # the factor mixes the DFT's rows where the g profile is nonzero
-        live_g = np.count_nonzero(d_g)
-        assert factor.shape == (len(live), live_g)
-        assert rows.shape == (live_g, len(block))
-        assert not np.delete(block, live, axis=0).any()
+    for (live, factor, rows), d, block in zip(sectors, fold_parity(f(x))[:2],
+                                              fold_matrix(oracle)[:2]):
+        # the live set is one run, and exactly the profile's nonzero set
+        assert np.array_equal(np.arange(len(block))[live], np.flatnonzero(d))
+        assert 0 < live.stop - live.start < len(block)
+        # the square factor mixes the DFT's rows on the live set
+        assert factor.shape == (live.stop - live.start,) * 2
+        assert rows.shape == (live.stop - live.start, len(block))
+        assert not np.delete(block, np.arange(len(block))[live], axis=0).any()
         assert np.abs(factor @ rows - block[live]).max() < 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=cutoff_specs(), n=st.integers(1, 2048).map(lambda h: 2 * h))
+@example(spec=SPEC, n=4096)
+@example(spec=NONTRAP_SPEC, n=4096)
+def test_folded_profile_is_live_on_one_run(spec, n):
+    # a bump or an annulus is nonzero on one interval of x >= 0, so in each
+    # sector the hull live_run takes adds no zero row
+    for d in profile_sectors(cutoff_profile(spec), n)[:2]:
+        assert np.array_equal(np.flatnonzero(d), np.arange(len(d))[live_run(d)])
 
 
 def test_disjoint_supports_shrink():
@@ -371,7 +388,7 @@ def test_disjoint_supports_shrink():
 
 def test_left_weyl_consistency_first_order():
     f, sym = cutoff_profile(SPEC), cutoff_symbol(SPEC)
-    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
