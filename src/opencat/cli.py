@@ -17,10 +17,9 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import OpenCatError, TooFewLiveRows
-from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_source,
+from .experiments import (MAX_MODES, PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors,
                           nontrapping_rows, nontrapping_sweep, open_spectrum,
-                          parity_defect, spectrum_gap, theorem_targets,
-                          trapped_sweep)
+                          spectrum_gap, trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
@@ -44,7 +43,7 @@ class RunConfig:
     n_list: list
     cutoff: BumpSpec
     phase: str
-    k_count: int
+    k_count: int | None  # None: trapped_sweep's default
     out_csv: str | None
     out_svg: str | None
     seed: int
@@ -119,11 +118,13 @@ def parse_config(raw: dict) -> RunConfig:
     phase = raw.get("phase", "leading")
     if phase not in ("none", "leading"):
         raise ConfigError("phase must be 'none' or 'leading'")
-    # The default asks for four modes, or as many as the smallest N holds.
-    k_count = _integer(raw.get("k_count", min(4, n_list[0])), "k_count")
-    if not 1 <= k_count <= 8:
-        raise ConfigError("k_count must be in 1..8; higher modes are not "
-                          "resolvable at desk scale")
+    # without k_count, trapped_sweep fits the default to the cutoff's live rows
+    k_count = None
+    if "k_count" in raw:
+        k_count = _integer(raw["k_count"], "k_count")
+        if not 1 <= k_count <= MAX_MODES:
+            raise ConfigError(f"k_count must be in 1..{MAX_MODES}; higher modes are not "
+                              "resolvable at desk scale")
     for key in ("out_csv", "out_svg"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string")
@@ -226,7 +227,7 @@ def cmd_trapped(config: RunConfig) -> int:
                 for r in rows))
     if config.out_svg:
         write_trapped_svg(config.out_svg, rows,
-                          theorem_targets(config.matrix, config.k_count))
+                          [r.target for r in rows if r.n == config.n_list[0]])
     return EXIT_OK
 
 
@@ -315,13 +316,14 @@ def _verify_checks(config: RunConfig, sign: int):
     yield "weyl_hermitian", defect < 1e-11, defect
     # open_spectrum builds and diagonalizes the parity sectors apart; this is
     # the cutoff's parity defect it checks first, for the configured cutoff
-    defect = parity_defect(cutoff_source(config.cutoff), 64)
+    cutoff = cutoff_sectors(config.cutoff, 64)
+    defect = cutoff[0]
     yield "parity_commutation", defect < PARITY_TOL, defect
     # reference-free: the open spectra of M and R M R, R = diag(1, -1), are
     # complex conjugates up to the global phase
     m = config.matrix
-    gap = spectrum_gap(open_spectrum(m, config.cutoff, 64),
-                       np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), config.cutoff, 64)))
+    gap = spectrum_gap(open_spectrum(m, cutoff, 64),
+                       np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), cutoff, 64)))
     yield "time_reversal_N64", gap < SYMMETRY_TOL_N64, gap
     rng = np.random.default_rng(config.seed)
     worst = 0.0

@@ -8,10 +8,12 @@ Parity j -> -j commutes with the quantized map (-I is central in SL(2,Z))
 and with either quantization of an even cutoff, so every factor is built
 in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
-cutoff is nonzero.  The cutoff arrives per sector as a factor times rows:
-the map's word runs on the rows, and the factor multiplies the result.
-The map commutes with parity exactly, in the integers of its phases, so
-only the cutoff, which comes from the spec, is checked (parity_defect).
+cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
+route, as its parity defect and per sector a live slice and a builder of
+a factor times rows: the map's word runs on the rows, and the factor
+multiplies the result.  The map commutes with parity exactly, in the
+integers of its phases, so only the cutoff, which comes from the spec,
+is checked.
 """
 
 from dataclasses import dataclass
@@ -26,12 +28,12 @@ from .eigensolver import eigenvalues, match_distance, sort_by_modulus
 from .errors import ParityBroken, TooFewLiveRows
 from .hn import live_run, planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
-from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
-                        op_left_separable, op_weyl_sector, profile_sectors)
+from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol, op_left_separable,
+                        op_weyl_sector, profile_sectors)
 
 log = logging.getLogger(__name__)
 
-# Largest parity defect of the cutoff (parity_defect) that open_spectrum
+# Largest parity defect of the cutoff (cutoff_sectors) that open_spectrum
 # accepts as roundoff.  Measured on the benchmark's cutoffs: the left
 # profiles give 0 at N = 2048 and at most 8.9e-16 at N = 768, where m/N is
 # inexact; the Weyl symbols' tables 1.9e-16 (annulus) and 1.6e-16 (bump).
@@ -41,15 +43,15 @@ log = logging.getLogger(__name__)
 PARITY_TOL = 1e-9
 
 
-# The modes spectrum_gap compares, the most a trapped sweep reports, and
-# its bound at N = 64.  The gap is the roundoff of ill-conditioned
+# The most modes a trapped sweep reports, which spectrum_gap compares, and
+# the gap's bound at N = 64.  The gap is the roundoff of ill-conditioned
 # eigenvalues and grows like N^3: over 120 random hyperbolic maps (words
 # of 2-4 shears U(b), L(c), 0 < |b|, |c| <= 3) with the trapped cutoff at
 # N = 4 to 256, on both routes and for both symmetries, it stayed below
 # 4.7e-18 N^3 (1.7e-13 at N = 64, 7.7e-11 at N = 256), and 800 more draws
 # at N = 16 to 256 below 0.15 of the bound, SYMMETRY_TOL_N64 (N/64)^3.  A
 # word that drops its -I breaks the time reversal by 1e-2 or more.
-SYMMETRY_MODES = 8
+MAX_MODES = 8
 SYMMETRY_TOL_N64 = 1e-11
 
 
@@ -79,79 +81,55 @@ def theorem_targets(m: CatMap, k_count: int) -> np.ndarray:
     return lam ** (-(2.0 * np.arange(k_count) + 1.0) / 2.0)
 
 
-def cutoff_source(spec: BumpSpec):
-    """What the cutoff is quantized from, by its own route, spec.quantization.
+def cutoff_sectors(spec: BumpSpec, n: int):
+    """The cutoff of spec at N, by its route, spec.quantization, as (defect, sectors).
 
-    The left route quantizes the profile (cutoff_profile) and the Weyl
-    route the symbol (cutoff_symbol), which is built here once, so a caller
-    that builds both sectors and checks their parity at one N builds it once.
+    defect is how far the cutoff breaks parity.  sectors holds the even
+    and the odd sector as (parity, live, build): the sector's rows outside
+    the slice live are zero, and build() forms (factor, rows) anew at each
+    call, the live rows being factor @ rows, or rows when factor is None.
+    The left route samples and folds the profile once (profile_sectors):
+    the defect is the fold's, a sector is live on the run where its folded
+    profile is nonzero (live_run), and it is built by op_left_separable.
+    The Weyl route builds the symbol once (cutoff_symbol): the defect is
+    max|T - T[::-1, ::-1]| / max|T| on its table T, for every N, since
+    P op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, and a sector
+    is its block of the symbol's band (op_weyl_sector), with no factor.
     """
-    return cutoff_profile(spec) if spec.quantization == "left" else cutoff_symbol(spec)
-
-
-def cutoff_operator(cutoff, n: int, parity: int):
-    """Quantize the cutoff, as cutoff_source gives it, in one parity sector.
-
-    Returns (live, factor, rows) for the even (parity=+1) or odd sector:
-    the sector's rows in the slice live equal factor @ rows, or rows when
-    factor is None, and its other rows are exactly zero.  The left route
-    keeps the run of rows where the folded profile is nonzero (live_run),
-    with op_left_separable's factor on the DFT's rows; the Weyl route
-    keeps every row and builds the sector's block from the band of the
-    cutoff's symbol (op_weyl_sector).  How far the cutoff couples the
-    sectors is parity_defect's.
-    """
-    if isinstance(cutoff, TorusSymbol):
-        return slice(None), None, op_weyl_sector(cutoff, n, parity)
-    return op_left_separable(cutoff, n, parity)
-
-
-def live_rows(spec: BumpSpec, n: int) -> int:
-    """The live rows of both sectors, as cutoff_operator gives them: at most
-    that many eigenvalues of the open operator are not zero."""
     if spec.quantization == "weyl":
-        return n
-    even, odd, _ = profile_sectors(cutoff_profile(spec), n)
-    return sum(run.stop - run.start for run in (live_run(even), live_run(odd)))
+        sym = cutoff_symbol(spec)
+        scale = np.abs(sym.table).max()
+        defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
+        return defect, tuple((parity, slice(0, size),
+                              lambda parity=parity: (None, op_weyl_sector(sym, n, parity)))
+                             for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)))
+    even, odd, defect = profile_sectors(cutoff_profile(spec), n)
+    return defect, tuple((parity, live_run(d),
+                          lambda d=d, parity=parity: op_left_separable(d, n, parity)[1:])
+                         for parity, d in ((1, even), (-1, odd)))
 
 
-def parity_defect(cutoff, n: int) -> float:
-    """How far the cutoff, as cutoff_source gives it, breaks parity, before it is quantized.
-
-    The left route's is the fold defect of the profile sampled at N
-    points (profile_sectors).  The Weyl route's is max|T - T[::-1, ::-1]|
-    relative to max|T| on the symbol's table T, for every N: the Weyl
-    quantization is parity-covariant, P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
-    """
-    if isinstance(cutoff, TorusSymbol):
-        table = cutoff.table
-        scale = np.abs(table).max()
-        return np.abs(table - table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
-    return profile_sectors(cutoff, n)[2]
-
-
-def build_open_operator(m: CatMap, cutoff, n: int, parity: int):
+def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     """(quantized cutoff) @ (quantized map) in one parity sector, unnormalized phase.
 
-    Returns (live, block) for the even (parity=+1) or odd sector: live
-    indexes the sector's rows where the cutoff is nonzero, as
-    cutoff_operator gives them, and block is the product's live x live
-    block, the only part the spectrum reads.  The map's word is applied to
-    the cutoff's rows, and its last Fourier letter forms only the live
-    columns; a factor then multiplies the result.
+    Returns the product's live x live block for a sector (parity, live,
+    build) of cutoff_sectors: the only part the spectrum reads.  The map's
+    word is applied to the cutoff's rows, and its last Fourier letter
+    forms only the live columns; a factor then multiplies the result.
     """
-    live, factor, rows = cutoff_operator(cutoff, n, parity)
+    parity, live, build = sector
+    factor, rows = build()
     block = apply_word(rows, factor_sl2z(m), n, parity, cols=live)
-    return live, block if factor is None else factor @ block
+    return block if factor is None else factor @ block
 
 
-def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
-    """All N eigenvalues of the open operator, unordered.
+def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
+    """All N eigenvalues of the open operator, unordered, for the cutoff as cutoff_sectors gives it at N.
 
-    A cutoff whose parity defect (parity_defect) exceeds PARITY_TOL raises
-    ParityBroken before any product is formed, rather than lose the
-    coupling.  Then each parity sector is built, diagonalized and freed in
-    turn, so one sector's blocks are held at a time.  With its
+    A cutoff whose parity defect exceeds PARITY_TOL raises ParityBroken
+    before any product is formed, rather than lose the coupling.  Then
+    each parity sector is built, diagonalized and freed in turn, so one
+    sector's blocks are held at a time.  With its
     dead rows permuted last a sector is block upper triangular,
     [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
     which is all that build_open_operator forms, plus one exact zero per
@@ -160,13 +138,11 @@ def open_spectrum(m: CatMap, spec: BumpSpec, n: int) -> np.ndarray:
     letter, which spreads it along the row.
     """
     log.info("open operator spectrum: N = %d", n)
-    cutoff = cutoff_source(spec)
-    defect = parity_defect(cutoff, n)
+    defect, sectors = cutoff
     if defect > PARITY_TOL:
         raise ParityBroken(f"open operator at N = {n} couples the parity "
                            f"sectors: cutoff defect {defect:.3e} > {PARITY_TOL:g}")
-    vals = np.concatenate([eigenvalues(build_open_operator(m, cutoff, n, parity)[1])
-                           for parity in (1, -1)])
+    vals = np.concatenate([eigenvalues(build_open_operator(m, sector, n)) for sector in sectors])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
 
 
@@ -184,17 +160,20 @@ def spectrum_gap(vals: np.ndarray, partner: np.ndarray) -> float:
     real and positive: each one that ties for the largest modulus to a
     relative 1e-8, since the phase rule cannot tell them apart.  The gap is
     the smallest over those choices of the distance from vals' top
-    SYMMETRY_MODES eigenvalues matched into the partner (match_distance):
-    roundoff, with no reference.
+    MAX_MODES eigenvalues matched into the partner (match_distance):
+    roundoff, with no reference.  A zero spectrum has no phase to fix; its
+    gap is the partner's largest modulus.
     """
+    if not vals.any():
+        return float(np.abs(partner).max())
     vals = sort_by_modulus(vals)
-    top = (vals * phase_factor(vals))[:SYMMETRY_MODES]
+    top = (vals * phase_factor(vals))[:MAX_MODES]
     lead = np.abs(partner).max()
     return min(match_distance(top, partner * (np.conj(mu) / abs(mu)))
                for mu in partner[np.abs(partner) >= lead * (1.0 - 1e-8)])
 
 
-def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int = 4,
+def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
                   normalize_phase: bool = True):
     """Top-k eigenvalues against the theorem targets, as SweepRows in (N, k) order.
 
@@ -204,16 +183,21 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int = 4,
     cutoff whose support leaves the ball of guard_radius warns once per
     sweep, not once per N; the theorem's constant is unspecified, so this is
     advisory.  A product bump's support reaches the corner of its square, so
-    its radius is sqrt(2) * r_outer.  A k_count above live_rows at any N
-    raises TooFewLiveRows before any N is solved: the modes beyond the live
-    rows would be padding zeros.
+    its radius is sqrt(2) * r_outer.  Each N's cutoff is prepared once
+    (cutoff_sectors).  A k_count above its live rows at any N raises
+    TooFewLiveRows before any N is solved: the modes beyond the live rows
+    would be padding zeros.  k_count defaults to 4, or to the fewest live
+    rows over n_list when that is below 4 (but at least 1).
     """
-    if k_count > 8:
-        raise ValueError("k_count > 8 exceeds the resolvable range at desk scale")
-    for n in n_list:
-        live = live_rows(spec, n)
-        if k_count > live:
-            raise TooFewLiveRows(f"k_count {k_count} exceeds the {live} rows "
+    if k_count is not None and k_count > MAX_MODES:
+        raise ValueError(f"k_count > {MAX_MODES} exceeds the resolvable range at desk scale")
+    cutoffs = [cutoff_sectors(spec, n) for n in n_list]
+    live = [sum(run.stop - run.start for _, run, _ in sectors) for _, sectors in cutoffs]
+    if k_count is None:
+        k_count = max(1, min([4] + live))
+    for n, count in zip(n_list, live):
+        if k_count > count:
+            raise TooFewLiveRows(f"k_count {k_count} exceeds the {count} rows "
                                  f"where the cutoff is nonzero at N = {n}")
     support_radius = math.sqrt(2.0) * spec.r_outer
     radius_limit = guard_radius(analyze(m))
@@ -224,8 +208,8 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int = 4,
             "theorem is only guaranteed for small enough support", stacklevel=2)
     targets = theorem_targets(m, k_count)
     rows = []
-    for n in n_list:
-        vals = open_spectrum(m, spec, n)
+    for n, cutoff in zip(n_list, cutoffs):
+        vals = open_spectrum(m, cutoff, n)
         if normalize_phase:
             vals = vals * phase_factor(vals)
         top = sort_by_modulus(vals)[:k_count]
@@ -241,7 +225,8 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list):
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ValueError("nontrapping sweep needs an annulus cutoff")
-    tops = [float(np.abs(open_spectrum(m, spec, n)).max()) for n in n_list]
+    tops = [float(np.abs(open_spectrum(m, cutoff_sectors(spec, n), n)).max())
+            for n in n_list]
     return nontrapping_rows(n_list, tops)
 
 

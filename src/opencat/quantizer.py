@@ -183,21 +183,21 @@ def profile_sectors(profile, n: int):
     return fold_parity(np.asarray(profile(x), dtype=complex))
 
 
-def op_left_separable(profile, n: int, parity: int):
+def op_left_separable(d, n: int, parity: int):
     """Left quantization of the cutoff f(x) f(xi) in one parity sector, as (live, factor, rows).
 
     The N x N operator is diag(f) F^dag diag(f) F, f the profile sampled
     at the points x_m.  In the sector s (parity +1 even, -1 odd) it is
-    d_s F_s^dag d_s F_s, with d_s the profile folded into the sector
-    (profile_sectors; the fold defect is the caller's) and F_s the DFT's
-    block (dft_sectors).  The slice live is the run of indices where d_s
-    is nonzero (live_run); the rows outside it are zero, and the rows in
-    it equal factor @ rows.  F_s is symmetric, so F_s^dag = conj(F_s): the
-    factor is d_s[live] conj(F_s[live, live]) d_s[live], built entrywise
-    in place in that order, and rows is F_s[live], a view of the cached block.
+    d_s F_s^dag d_s F_s, with d = d_s the profile folded into the sector
+    (the even or odd entry of profile_sectors; the fold defect is the
+    caller's) and F_s the DFT's block (dft_sectors).  The slice live is the
+    run of indices where d_s is nonzero (live_run); the rows outside it are
+    zero, and the rows in it equal factor @ rows.  F_s is symmetric, so
+    F_s^dag = conj(F_s): the factor is d_s[live] conj(F_s[live, live])
+    d_s[live], built entrywise in place in that order, and rows is
+    F_s[live], a view of the cached block.
     """
     sector = 0 if parity == 1 else 1
-    d = profile_sectors(profile, n)[sector]
     f_mat = dft_sectors(n)[sector]
     live = live_run(d)
     factor = np.conj(f_mat[live, live])

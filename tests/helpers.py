@@ -7,7 +7,8 @@ import numpy as np
 
 import opencat.experiments as experiments
 from opencat.hn import unfold_parity
-from opencat.quantizer import BumpSpec, TorusSymbol, cutoff_symbol
+from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_left_separable,
+                               profile_sectors)
 
 # The cutoffs of the README's example config and of the benchmark workloads.
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
@@ -97,8 +98,35 @@ def both_sectors(build, *args):
     return build(*args, 1), build(*args, -1)
 
 
+def left_sectors(profile, n):
+    """op_left_separable's (live, factor, rows) for the even and the odd sector of a profile folded at N."""
+    even, odd, _ = profile_sectors(profile, n)
+    return op_left_separable(even, n, 1), op_left_separable(odd, n, -1)
+
+
+def built(cutoff):
+    """The two sectors of a cutoff from cutoff_sectors, each built, as (live, factor, rows)."""
+    return [(live, *build()) for _, live, build in cutoff[1]]
+
+
+def live_rows(cutoff):
+    """The live rows of both sectors of a cutoff from cutoff_sectors."""
+    return sum(live.stop - live.start for _, live, _ in cutoff[1])
+
+
+def open_sectors(m, spec, n):
+    """The open operator's two sectors for spec's cutoff at N, as (live, block from build_open_operator)."""
+    return [(sector[1], experiments.build_open_operator(m, sector, n))
+            for sector in experiments.cutoff_sectors(spec, n)[1]]
+
+
+def spectrum(m, spec, n):
+    """open_spectrum with spec's cutoff prepared at N."""
+    return experiments.open_spectrum(m, experiments.cutoff_sectors(spec, n), n)
+
+
 def dense_operator(sectors, n):
-    """The N x N matrix of a cutoff from its two sectors, each as cutoff_operator gives it.
+    """The N x N matrix of a cutoff from its two sectors, as built or left_sectors give them.
 
     Each sector is (live, factor, rows): its rows live are factor @ rows,
     or rows when factor is None, and its other rows are zero.
@@ -112,7 +140,7 @@ def dense_operator(sectors, n):
 
 
 def live_operator(sectors, n):
-    """The N x N matrix with each sector's live x live block from build_open_operator in place, zeros elsewhere.
+    """The N x N matrix with each sector's live x live block, as open_sectors gives them, in place, zeros elsewhere.
 
     With its dead rows permuted last a sector of the open operator is
     [[B_LL, B_LD], [0, 0]], so this matrix has the operator's spectrum and
@@ -132,16 +160,16 @@ def operator_sectors(a, dead=None):
 
     dead marks rows of a that are zero, a set closed under parity; a
     sector's live rows are the others, every row when dead is None, and
-    its block is the live x live part of the folded matrix.
+    its block, for the sector's parity, is the live x live part of the
+    folded matrix.
     """
     n = a.shape[0]
     h = n // 2
     even, odd, _ = fold_matrix(a)
     dead = np.zeros(n, dtype=bool) if dead is None else np.asarray(dead)
     live_e, live_o = np.flatnonzero(~dead[:h + 1]), np.flatnonzero(~dead[1:h])
-    sectors = {1: (live_e, even[np.ix_(live_e, live_e)]),
-               -1: (live_o, odd[np.ix_(live_o, live_o)])}
-    return lambda m, spec, n, parity: sectors[parity]
+    blocks = {1: even[np.ix_(live_e, live_e)], -1: odd[np.ix_(live_o, live_o)]}
+    return lambda m, sector, n: blocks[sector[0]]
 
 
 def odd_term_symbol(spec):
@@ -162,8 +190,8 @@ def nan_in_dead_column(monkeypatch):
     """
     quantize = experiments.op_left_separable
 
-    def poisoned(f, n, parity):
-        live, factor, rows = quantize(f, n, parity)
+    def poisoned(d, n, parity):
+        live, factor, rows = quantize(d, n, parity)
         if parity == 1:
             rows = rows.copy()
             # the bump's even run starts at index 0, so its end is dead

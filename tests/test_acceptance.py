@@ -18,15 +18,13 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, RationalPoint, analyze, escape_check
 from opencat.eigensolver import (char_poly_roots, eigenvalues,
                                  multiset_distance, sort_by_modulus)
-from opencat.experiments import (build_open_operator, cutoff_operator, cutoff_source,
-                                 nontrapping_sweep, open_spectrum, trapped_sweep)
+from opencat.experiments import cutoff_sectors, nontrapping_sweep, trapped_sweep
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
                                  quantize_word, word_matrix)
-from opencat.quantizer import (TorusSymbol, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl)
+from opencat.quantizer import TorusSymbol, cutoff_profile, cutoff_symbol, op_weyl
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator,
-                     live_operator, operator_sectors)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, left_sectors,
+                     live_operator, open_sectors, operator_sectors, spectrum)
 from test_catmap import orbit
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -48,7 +46,8 @@ def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
     monkeypatch.setattr(experiments, "build_open_operator",
                         operator_sectors(np.diag([0.6, 0.2, 0.1, 0.2])))
     # every row of the stand-in operator is live
-    monkeypatch.setattr(experiments, "live_rows", lambda spec, n: n)
+    monkeypatch.setattr(experiments, "cutoff_sectors", lambda spec, n: (
+        0.0, ((1, slice(0, n // 2 + 1), None), (-1, slice(0, n // 2 - 1), None))))
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=1)
     assert phase_coherence_check(rows, 4) == 0.0
     rows4 = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
@@ -139,8 +138,8 @@ def test_criterion_5_eigensolver_oracle():
                                              eigenvalues(a)))
     a50 = rng.standard_normal((50, 50)) / math.sqrt(50)
     vals50 = eigenvalues(a50)
-    open_op = live_operator(both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), 128), 128)
-    vals_open = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
+    open_op = live_operator(open_sectors(ARNOLD, TRAPPED_SPEC, 128), 128)
+    vals_open = spectrum(ARNOLD, TRAPPED_SPEC, 128)
     trace_defect = 0.0
     for mat, vals in ((a50, vals50), (open_op, vals_open)):
         p = np.eye(mat.shape[0], dtype=complex)
@@ -178,7 +177,7 @@ def test_criterion_7_word_independence():
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
-    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
     m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)))[:4])
     m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)))[:4])
     diff = np.abs(m1 - m2).max()
@@ -188,7 +187,7 @@ def test_criterion_7_word_independence():
 
 def test_criterion_7_left_weyl_halving_ratio():
     f, sym = cutoff_profile(TRAPPED_SPEC), cutoff_symbol(TRAPPED_SPEC)
-    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(left_sectors(f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     ratio = diff[128] / diff[256]
@@ -207,8 +206,8 @@ def test_criterion_7_left_weyl_moduli_at_256():
     vals = {}
     for quant in ("left", "weyl"):
         vals[quant] = np.abs(sort_by_modulus(
-            open_spectrum(ARNOLD, replace(TRAPPED_SPEC, quantization=quant),
-                          256))[:4])
+            spectrum(ARNOLD, replace(TRAPPED_SPEC, quantization=quant),
+                     256))[:4])
     diff = np.abs(vals["left"] - vals["weyl"])
     report("7b left/weyl moduli at N=256", diff.max() <= 1e-2,
            f"per-mode diff {[f'{d:.1e}' for d in diff]}")

@@ -5,7 +5,7 @@ import pytest
 
 import opencat.cli as cli
 import opencat.experiments as experiments
-from opencat.cli import ConfigError, main, parse_config
+from opencat.cli import ConfigError, load_config, main, parse_config
 from opencat.quantizer import BumpSpec
 
 from helpers import nan_in_dead_column, odd_term_symbol
@@ -68,9 +68,9 @@ def test_trapped_bad_k_count_is_config_error(tmp_path, capsys, overrides):
 
 def test_trapped_k_count_above_live_rows_is_config_error(tmp_path, capsys):
     # the default bump is nonzero at 1 point of N = 4 and 3 points of N = 8,
-    # so the default k_count 4 would report padding zeros at both
+    # so k_count 4 would report padding zeros at both
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, out_csv=str(out), n_list=[4, 8], k_count=None)
+    cfg = write_config(tmp_path, out_csv=str(out), n_list=[4, 8], k_count=4)
     assert main(["trapped", "--config", cfg]) == 2
     assert "k_count 4 exceeds the 1 rows where the cutoff is nonzero at N = 4" \
         in capsys.readouterr().err
@@ -163,11 +163,47 @@ def test_nontrapping_ignores_k_count_above_smallest_n(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
-def test_default_k_count_fits_smallest_n():
-    cfg = parse_config({"matrix": [2, 1, 1, 1], "n_list": [2, 4],
-                        "cutoff": {"kind": "product_bump", "r_inner": 0.1,
-                                   "r_outer": 0.2}})
-    assert cfg.k_count == 2
+def test_default_k_count_fits_smallest_n(tmp_path):
+    # without k_count the sweep asks for four modes, or as many as the
+    # cutoff's fewest live rows: the bump is live on 1 row at N = 2 and 4
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out), n_list=[2, 4], k_count=None)
+    assert load_config(cfg).k_count is None
+    with pytest.warns(UserWarning, match="guard limit"):
+        assert main(["trapped", "--config", cfg]) == 0
+    assert [line.split(",")[0:3:2] for line in out.read_text().splitlines()[1:]] == [
+        ["2", "0"], ["4", "0"]]
+
+
+def test_default_k_count_fits_the_live_rows(tmp_path, capsys):
+    # the default bump is live on 3 rows at N = 8 and 7 at N = 16: without
+    # k_count the sweep reports 3 modes per N, and an explicit 4 is still
+    # a config error
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out), n_list=[8, 16], k_count=None)
+    with pytest.warns(UserWarning, match="guard limit"):
+        assert main(["trapped", "--config", cfg]) == 0
+    assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["0", "1", "2"] * 2
+    out.unlink()
+    cfg = write_config(tmp_path, out_csv=str(out), n_list=[8, 16], k_count=4)
+    assert main(["trapped", "--config", cfg]) == 2
+    assert "k_count 4 exceeds the 3 rows where the cutoff is nonzero at N = 8" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_runs_through_a_cutoff_that_is_zero_at_n64(tmp_path, capsys):
+    # the annulus vanishes at every point of N = 64, so both open spectra
+    # there are zero: time_reversal_N64 compares them without a phase, and
+    # the checks after it still run
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"matrix": [2, 1, 1, 1], "n_list": [32],
+                               "cutoff": {"kind": "annulus_product", "r_inner": 0.01,
+                                          "r_outer": 0.012}}))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 17 and all(line.startswith("PASS") for line in lines)
+    assert "time_reversal_N64  (0.000e+00)" in lines[15]
 
 
 def test_trapped_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):

@@ -10,9 +10,8 @@ from opencat.eigensolver import (char_poly_coeffs, char_poly_roots,
                                  sort_by_modulus)
 from opencat.errors import EigensolverFailed, NonFinite, OpenCatError
 import opencat.experiments as experiments
-from opencat.experiments import build_open_operator, cutoff_source, open_spectrum
 
-from helpers import TRAPPED_SPEC, both_sectors, live_operator, operator_sectors
+from helpers import TRAPPED_SPEC, live_operator, open_sectors, operator_sectors, spectrum
 
 
 def test_diagonal():
@@ -110,8 +109,8 @@ def test_power_traces_random():
 
 
 def test_power_traces_open_map():
-    a = live_operator(both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), 128), 128)
-    vals = open_spectrum(ARNOLD, TRAPPED_SPEC, 128)
+    a = live_operator(open_sectors(ARNOLD, TRAPPED_SPEC, 128), 128)
+    vals = spectrum(ARNOLD, TRAPPED_SPEC, 128)
     p = np.eye(128, dtype=complex)
     for k in range(1, 6):
         p = p @ a
@@ -151,7 +150,7 @@ def test_zero_rows_split_off_exactly(dead, seed):
     a[dead] = 0.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "build_open_operator", operator_sectors(a, dead))
-        vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
+        vals = spectrum(ARNOLD, TRAPPED_SPEC, n)
     assert vals.shape == (n,)
     assert np.count_nonzero(vals == 0) == sum(dead)
     assert multiset_distance(vals, np.linalg.eigvals(a)) < 1e-8

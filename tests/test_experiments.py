@@ -1,4 +1,5 @@
 from dataclasses import replace
+import json
 import math
 import warnings
 import weakref
@@ -10,21 +11,21 @@ import pytest
 from opencat import hn
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
+from opencat.cli import main
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 from opencat.errors import (DegeneratePhase, NonFinite, OpenCatError, ParityBroken,
                             TooFewLiveRows)
-from opencat.experiments import (PARITY_TOL, build_open_operator, cutoff_operator,
-                                 cutoff_source, live_rows, nontrapping_rows, nontrapping_sweep,
-                                 open_spectrum, parity_defect, SYMMETRY_TOL_N64,
-                                 spectrum_gap, theorem_targets, trapped_sweep)
+from opencat.experiments import (PARITY_TOL, cutoff_sectors, nontrapping_rows,
+                                 nontrapping_sweep, SYMMETRY_TOL_N64, spectrum_gap,
+                                 theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor, word_matrix
-from opencat.quantizer import (BumpSpec, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl)
+from opencat.quantizer import BumpSpec, cutoff_profile, cutoff_symbol, op_weyl
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator, dft_matrix,
-                     fold_matrix, live_operator, nan_in_dead_column,
-                     odd_term_symbol, operator_sectors, shear)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, dft_matrix,
+                     fold_matrix, left_sectors, live_operator, live_rows,
+                     nan_in_dead_column, odd_term_symbol, open_sectors, operator_sectors,
+                     shear, spectrum)
 from test_metaplectic import quantize_word_dense
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -42,7 +43,7 @@ def test_theorem_targets_arnold():
 def test_open_operator_with_unit_cutoff_is_unitary():
     from opencat.metaplectic import quantize_map
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    sectors = both_sectors(op_left_separable, one, 64)
+    sectors = left_sectors(one, 64)
     assert [live for live, _, _ in sectors] == [slice(0, 33), slice(0, 31)]
     a = dense_operator(sectors, 64) @ quantize_map(ARNOLD, 64)
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
@@ -89,7 +90,7 @@ def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch
                                              "where the cutoff is nonzero at N = 4"):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
     solved = []
-    monkeypatch.setattr(experiments, "open_spectrum", lambda m, spec, n: solved.append(n))
+    monkeypatch.setattr(experiments, "open_spectrum", lambda m, cutoff, n: solved.append(n))
     with pytest.raises(TooFewLiveRows):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [64, 4], k_count=4)
     assert solved == []
@@ -108,16 +109,16 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def alive(refs):
         return any(ref() is not None for ref in refs)
 
-    def cutoff(f, n, parity):
+    def cutoff(d, n, parity):
         events.append(("cutoff", n, parity, alive(held)))
-        live, factor, rows = quantize(f, n, parity)
+        live, factor, rows = quantize(d, n, parity)
         held.append(weakref.ref(factor))
         return live, factor, rows
 
-    def sector(m, spec, n, parity):
-        live, block = build(m, spec, n, parity)
+    def sector(m, cutoff_sector, n):
+        block = build(m, cutoff_sector, n)
         held.append(weakref.ref(block if block.base is None else block.base))
-        return live, block
+        return block
 
     def eigenvalues(a):
         events.append(("solve",))
@@ -198,7 +199,7 @@ def test_moduli_invariant_under_conventions(monkeypatch):
         for flag in (False, True))
     # another word for the same map, through the production factorization hook
     monkeypatch.setattr(experiments, "factor_sl2z", lambda m: [("U", 1), ("L", 1)])
-    other = np.abs(sort_by_modulus(open_spectrum(ARNOLD, TRAPPED_SPEC, n))[:4])
+    other = np.abs(sort_by_modulus(spectrum(ARNOLD, TRAPPED_SPEC, n))[:4])
     assert np.abs(base - normed).max() < 1e-9
     assert np.abs(base - other).max() < 1e-9
 
@@ -227,7 +228,7 @@ def test_trapped_sweep_diagonalizes_once_per_sector_per_n(monkeypatch):
 
 def test_trapped_sweep_phase_matches_normalized_operator():
     n = 64
-    plain = live_operator(both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), n), n)
+    plain = live_operator(open_sectors(ARNOLD, TRAPPED_SPEC, n), n)
     normed = plain * phase_factor(eigenvalues(plain))
     top = np.array([complex(r.re, r.im) for r in trapped_sweep(
         ARNOLD, TRAPPED_SPEC, [n], normalize_phase=True)])
@@ -254,6 +255,38 @@ def test_symbol_built_only_on_weyl_route(monkeypatch):
     assert built == [weyl] * 2
 
 
+def test_cutoff_prepared_once_per_n(monkeypatch, tmp_path, capsys):
+    # the sweep's live-rows check and its solve share one prepared cutoff
+    # per N, so the left profile is sampled and folded once per N; verify
+    # prepares N = 64 once for parity_commutation and both time-reversal
+    # spectra
+    folded = []
+    fold = experiments.profile_sectors
+
+    def counted(profile, n):
+        folded.append(n)
+        return fold(profile, n)
+
+    monkeypatch.setattr(experiments, "profile_sectors", counted)
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [32, 64], k_count=2)
+    assert folded == [32, 64]
+    folded.clear()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"matrix": [2, 1, 1, 1], "n_list": [32],
+                                  "cutoff": {"kind": "product_bump", "r_inner": 0.1,
+                                             "r_outer": 0.2}}))
+    assert main(["verify", "--config", str(config)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17
+    assert folded == [64]
+
+
+def test_symmetry_gap_of_a_zero_spectrum():
+    # no phase to fix: the gap is how far the partner is from zero
+    zero = np.zeros(8, dtype=complex)
+    assert spectrum_gap(zero, zero) == 0.0
+    assert spectrum_gap(zero, np.array([0.0, 0.5j, -0.25])) == 0.5
+
+
 def test_nan_outside_live_block_raises(monkeypatch):
     # the Fourier letters of the word spread the NaN into the live block
     nan_in_dead_column(monkeypatch)
@@ -272,24 +305,25 @@ def test_parity_breaking_operator_raises(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(experiments, "cutoff_profile", uneven_profile)
         with pytest.raises(ParityBroken, match="couples the parity sectors"):
-            open_spectrum(ARNOLD, TRAPPED_SPEC, 32)
+            spectrum(ARNOLD, TRAPPED_SPEC, 32)
     weyl = replace(TRAPPED_SPEC, quantization="weyl", k_max=16, grid=64)
-    assert open_spectrum(ARNOLD, weyl, 32).shape == (32,)
+    assert spectrum(ARNOLD, weyl, 32).shape == (32,)
     monkeypatch.setattr(experiments, "cutoff_symbol", odd_term_symbol)
     with pytest.raises(ParityBroken, match="couples the parity sectors"):
-        open_spectrum(ARNOLD, weyl, 32)
+        spectrum(ARNOLD, weyl, 32)
     assert issubclass(ParityBroken, OpenCatError)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 64])
 def test_live_rows_count_the_cutoff_sectors(n):
-    even, odd = both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n)
-    assert live_rows(TRAPPED_SPEC, n) == sum(live.stop - live.start for live, _, _ in (even, odd))
+    cutoff = cutoff_sectors(TRAPPED_SPEC, n)
+    # each sector's live slice spans the rows its builder forms
+    assert live_rows(cutoff) == sum(len(rows) for _, _, rows in built(cutoff))
     # the bump is nonzero exactly inside its support |x| < r_outer = 0.2
-    assert live_rows(TRAPPED_SPEC, n) == np.count_nonzero(
+    assert live_rows(cutoff) == np.count_nonzero(
         np.abs(torus_rep_array(np.arange(n) / n)) < 0.2)
-    weyl = replace(TRAPPED_SPEC, quantization="weyl", k_max=1, grid=4)
-    assert live_rows(weyl, n) == n
+    weyl = cutoff_sectors(replace(TRAPPED_SPEC, quantization="weyl", k_max=1, grid=4), n)
+    assert live_rows(weyl) == n
 
 
 def test_live_set_closed_under_parity(monkeypatch):
@@ -304,14 +338,14 @@ def test_live_set_closed_under_parity(monkeypatch):
     x = torus_rep_array(np.arange(n) / n)
     dead = pinched(x) == 0
     assert np.array_equal(np.flatnonzero(~dead), [0, 1, 3, 13, 15])
-    even, odd = both_sectors(build_open_operator, ARNOLD, cutoff_source(TRAPPED_SPEC), n)
-    assert parity_defect(cutoff_source(TRAPPED_SPEC), n) < 1e-12
+    even, odd = open_sectors(ARNOLD, TRAPPED_SPEC, n)
+    assert cutoff_sectors(TRAPPED_SPEC, n)[0] < 1e-12
     # the live set is the run from the first live index to the last: the
     # hole, index 2 of the even sector and 1 of the odd, is a zero row of
     # each live block, and its eigenvalue is an exact zero
     assert even[0] == slice(0, 4) and odd[0] == slice(0, 3)
-    vals = open_spectrum(ARNOLD, TRAPPED_SPEC, n)
-    a = (dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
+    vals = spectrum(ARNOLD, TRAPPED_SPEC, n)
+    a = (dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
          @ quantize_word_dense(factor_sl2z(ARNOLD), n))
     assert not a[dead].any()
     # the sectors are the live x live blocks of the folded dense product
@@ -340,13 +374,13 @@ def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
     m = word_matrix(word)
     assume(abs(m.a + m.d) > 2)
     routed = replace(spec, quantization=quant, k_max=16, grid=64)
-    even, odd = both_sectors(build_open_operator, m, cutoff_source(routed), n)
-    assert parity_defect(cutoff_source(routed), n) <= PARITY_TOL
+    even, odd = open_sectors(m, routed, n)
+    assert cutoff_sectors(routed, n)[0] <= PARITY_TOL
     # N = 2 has no pair j != -j, so no odd sector
     assert n > 2 or odd[1].shape == (0, 0)
     # the dense chi Mhat from the dense DFT, unsplit, is the oracle
     oracle = dense_cutoff(routed, n) @ quantize_word_dense(factor_sl2z(m), n)
-    vals = open_spectrum(m, routed, n)
+    vals = spectrum(m, routed, n)
     assert vals.shape == (n,)
     assert multiset_distance(vals, np.linalg.eigvals(oracle)) < 1e-8
 
@@ -373,10 +407,10 @@ def test_symmetries_of_the_open_spectrum_on_random_hyperbolic_maps(word, n, quan
     spec = replace(TRAPPED_SPEC, quantization=quant)
     tol = SYMMETRY_TOL_N64 * (n / 64) ** 3
     try:
-        vals = open_spectrum(m, spec, n)
-        assert spectrum_gap(vals, np.conj(open_spectrum(time_reversed(m), spec, n))) < tol
+        vals = spectrum(m, spec, n)
+        assert spectrum_gap(vals, np.conj(spectrum(time_reversed(m), spec, n))) < tol
         if quant == "weyl":
-            assert spectrum_gap(vals, open_spectrum(S @ m @ S_INV, spec, n)) < tol
+            assert spectrum_gap(vals, spectrum(S @ m @ S_INV, spec, n)) < tol
     except DegeneratePhase:
         reject()
 
@@ -384,6 +418,6 @@ def test_symmetries_of_the_open_spectrum_on_random_hyperbolic_maps(word, n, quan
 def test_symmetry_gaps_resolve_a_broken_symmetry():
     # the left quantization is not S-covariant: the same gap reads O(0.1)
     left = replace(TRAPPED_SPEC, quantization="left")
-    vals = open_spectrum(ARNOLD, left, 64)
-    assert spectrum_gap(vals, np.conj(open_spectrum(time_reversed(ARNOLD), left, 64))) < 1e-13
-    assert spectrum_gap(vals, open_spectrum(S @ ARNOLD @ S_INV, left, 64)) > 1e-2
+    vals = spectrum(ARNOLD, left, 64)
+    assert spectrum_gap(vals, np.conj(spectrum(time_reversed(ARNOLD), left, 64))) < 1e-13
+    assert spectrum_gap(vals, spectrum(S @ ARNOLD @ S_INV, left, 64)) > 1e-2

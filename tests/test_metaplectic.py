@@ -16,12 +16,11 @@ from opencat.metaplectic import (OMEGA_S, _chirp, apply_word, compose_symbol,
                                  egorov_residual, factor_sl2z, phase_factor,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
-from opencat.experiments import (build_open_operator, cutoff_operator, cutoff_source,
-                                 open_spectrum)
+from opencat.experiments import cutoff_sectors
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, both_sectors, dense_operator,
-                     dft_sectors_oracle, fold_matrix, shear)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, dft_sectors_oracle,
+                     fold_matrix, open_sectors, shear, spectrum)
 
 
 def mode(k, l, kmax=2):
@@ -153,7 +152,7 @@ def test_projective_inverse():
 
 def test_word_independent_moduli():
     n = 64
-    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
@@ -164,7 +163,7 @@ def test_word_independent_moduli():
 
 def test_chi_m_vs_m_chi_spectrum():
     n = 64
-    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
     u = quantize_map(ARNOLD, n)
     d = multiset_distance(np.linalg.eigvals(chi @ u), np.linalg.eigvals(u @ chi))
     assert d < 1e-8
@@ -172,7 +171,7 @@ def test_chi_m_vs_m_chi_spectrum():
 
 def test_phase_mode_preserves_moduli():
     n = 64
-    chi = dense_operator(both_sectors(cutoff_operator, cutoff_source(TRAPPED_SPEC), n), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
     u_plain = quantize_map(ARNOLD, n)
     u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
@@ -217,8 +216,8 @@ def test_word_independent_moduli_on_random_hyperbolic_maps(word, n):
     # the drawn shear word and the factorization's word quantize the same
     # map up to a global phase, which leaves the moduli unchanged
     with mock.patch.object(experiments, "factor_sl2z", lambda _: word):
-        drawn = np.abs(sort_by_modulus(open_spectrum(m, TRAPPED_SPEC, n))[:4])
-    factored = np.abs(sort_by_modulus(open_spectrum(m, TRAPPED_SPEC, n))[:4])
+        drawn = np.abs(sort_by_modulus(spectrum(m, TRAPPED_SPEC, n))[:4])
+    factored = np.abs(sort_by_modulus(spectrum(m, TRAPPED_SPEC, n))[:4])
     assert np.abs(drawn - factored).max() < 1e-8
 
 
@@ -337,7 +336,7 @@ def test_apply_word_allocates_no_dft_sized_array():
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
     dft_sectors(n)
-    live = cutoff_operator(cutoff_source(TRAPPED_SPEC), n, 1)[0]
+    live = cutoff_sectors(TRAPPED_SPEC, n)[1][0][1]
     assert 0 < live.stop - live.start < n // 2 + 1
     x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
     for cols, bound in ((slice(None), n // 2 + 1), (live, live.stop - live.start)):
@@ -380,13 +379,13 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
     # factors and blocks held at once gave 1.34
     n = 512
     h = n // 2
-    live, factor, rows = cutoff_operator(cutoff_source(TRAPPED_SPEC), n, 1)
+    live, factor, rows = built(cutoff_sectors(TRAPPED_SPEC, n))[0]
     bound = ((h + 1) ** 2 + (h - 1) ** 2 + len(rows) * (h + 1) + len(factor) ** 2) * 16
     del live, factor, rows
     hn._DFT_CACHE.clear()
     tracemalloc.start()
     try:
-        open_spectrum(ARNOLD, TRAPPED_SPEC, n)
+        spectrum(ARNOLD, TRAPPED_SPEC, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,8 +398,8 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
 def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
     routed = replace(spec, quantization=quant)
-    sectors = both_sectors(build_open_operator, ARNOLD, cutoff_source(routed), n)
-    dense = (dense_operator(both_sectors(cutoff_operator, cutoff_source(routed), n), n)
+    sectors = open_sectors(ARNOLD, routed, n)
+    dense = (dense_operator(built(cutoff_sectors(routed, n)), n)
              @ quantize_word_dense(word, n))
     # each sector is the live x live block of the folded dense product, and
     # the product's other rows in the sector are zero

@@ -1,20 +1,21 @@
 from dataclasses import replace
 import math
 import tracemalloc
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
-from opencat.experiments import cutoff_operator, cutoff_source, parity_defect
+import opencat.experiments as experiments
+from opencat.experiments import cutoff_sectors
 from opencat.hn import fold_parity, live_run, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
-                               bump_profile, cutoff_profile, cutoff_symbol,
-                               op_left_separable, op_weyl, op_weyl_sector,
-                               profile_sectors)
+                               bump_profile, cutoff_profile, cutoff_symbol, op_weyl,
+                               op_weyl_sector, profile_sectors)
 
-from helpers import NONTRAP_SPEC, both_sectors, dense_operator, fold_matrix
+from helpers import NONTRAP_SPEC, both_sectors, dense_operator, fold_matrix, left_sectors
 
 SPEC = BumpSpec("product_bump", 0.10, 0.20)
 
@@ -281,15 +282,22 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
         assert np.abs(even - even_o).max() <= 1e-13
         assert np.abs(odd - odd_o).max(initial=0.0) <= 1e-13
         # parity covariance P op_weyl(T) P = op_weyl(T[::-1, ::-1]), which lets
-        # parity_defect read the coupling off the table
+        # cutoff_sectors read the coupling off the table
         flipped = op_weyl(TorusSymbol(tab[::-1, ::-1], kmax), n)
         assert np.abs(a[np.ix_(flip, flip)] - flipped).max() <= 1e-13
     # an even symbol commutes with parity; an odd one maps each sector to the
     # other, so the coupling is all there is (N = 2 has no odd sector)
     assert couplings[1] < 1e-14
     assert couplings[2] > 0.5 or n == 2
-    assert parity_defect(TorusSymbol(even_table, kmax), n) == 0.0
-    assert parity_defect(TorusSymbol(odd_table, kmax), n) > 0.5
+    assert weyl_defect(TorusSymbol(even_table, kmax), n) == 0.0
+    assert weyl_defect(TorusSymbol(odd_table, kmax), n) > 0.5
+
+
+def weyl_defect(sym, n):
+    """cutoff_sectors' parity defect at N for a Weyl cutoff whose symbol is sym."""
+    spec = replace(SPEC, quantization="weyl", k_max=sym.k_max, grid=4 * sym.k_max)
+    with mock.patch.object(experiments, "cutoff_symbol", lambda _: sym):
+        return cutoff_sectors(spec, n)[0]
 
 
 def test_weyl_cutoff_peaks_at_its_blocks():
@@ -301,9 +309,8 @@ def test_weyl_cutoff_peaks_at_its_blocks():
     spec = replace(NONTRAP_SPEC, quantization="weyl")
     tracemalloc.start()
     try:
-        cutoff = cutoff_source(spec)
-        for parity in (1, -1):
-            cutoff_operator(cutoff, n, parity)
+        for _, _, build in cutoff_sectors(spec, n)[1]:
+            build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,13 +325,13 @@ def test_op_weyl_sectors_reject_odd_n():
 def test_op_left_identity_and_position():
     n = 16
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    sectors = both_sectors(op_left_separable, one, n)
+    sectors = left_sectors(one, n)
     assert [live for live, _, _ in sectors] == [slice(0, 9), slice(0, 7)]
     assert np.abs(dense_operator(sectors, n) - np.eye(n)).max() < 1e-13
     # cos(2 pi x) cos(2 pi xi) is diag(cos(2 pi m / N)) times the shift
     # average (T + T^-1)/2
     cos = lambda x: np.cos(2 * np.pi * np.asarray(x, dtype=float))
-    sectors = both_sectors(op_left_separable, cos, n)
+    sectors = left_sectors(cos, n)
     assert [live for live, _, _ in sectors] == [slice(0, 9), slice(0, 7)]
     shift = np.roll(np.eye(n), 1, axis=1)
     expect = np.diag(np.cos(2 * np.pi * np.arange(n) / n)) @ (shift + shift.T) / 2
@@ -344,7 +351,7 @@ def op_left_dense(f, n):
 @pytest.mark.parametrize("kind", ["product_bump", "annulus_product"], ids=["kinds0", "kinds1"])
 def test_op_left_live_rows_match_dense(n, kind):
     f = cutoff_profile(BumpSpec(kind, 0.11, 0.23))
-    sectors = both_sectors(op_left_separable, f, n)
+    sectors = left_sectors(f, n)
     oracle = op_left_dense(f, n)
     x = torus_rep_array(np.arange(n) / n)
     # the profile is even, so the fold drops nothing
@@ -388,7 +395,7 @@ def test_disjoint_supports_shrink():
 
 def test_left_weyl_consistency_first_order():
     f, sym = cutoff_profile(SPEC), cutoff_symbol(SPEC)
-    diff = {n: np.linalg.norm(dense_operator(both_sectors(op_left_separable, f, n), n)
+    diff = {n: np.linalg.norm(dense_operator(left_sectors(f, n), n)
                               - op_weyl(sym, n), 2)
             for n in (128, 256)}
     assert 1.3 <= diff[128] / diff[256] <= 3.0
