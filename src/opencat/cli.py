@@ -280,7 +280,7 @@ def _verify_checks(config: RunConfig, sign: int):
     for n in dims:
         # the sector blocks the sweeps multiply by; F_s^dag = conj(F_s)
         defect = max(np.abs(np.conj(f) @ f - np.eye(len(f))).max()
-                     for f in hn.dft_sectors(n))
+                     for f in map(hn.dft_sector, (n, n), (1, -1)))
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         u = quantize_map(config.matrix, n, sign=sign)
@@ -320,11 +320,15 @@ def _verify_checks(config: RunConfig, sign: int):
     defect = cutoff[0]
     yield "parity_commutation", defect < PARITY_TOL, defect
     # reference-free: the open spectra of M and R M R, R = diag(1, -1), are
-    # complex conjugates up to the global phase
-    m = config.matrix
-    gap = spectrum_gap(open_spectrum(m, cutoff, 64),
-                       np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), cutoff, 64)))
-    yield "time_reversal_N64", gap < SYMMETRY_TOL_N64, gap
+    # complex conjugates up to the global phase.  The witness is a fixed
+    # map that is not symmetric: on a symmetric map such as Arnold's the
+    # phase-normalized spectrum is self-conjugate, so a word fault that
+    # conjugates it (every U chirp conjugated) leaves the gap at roundoff
+    for name, m in (("time_reversal_N64", config.matrix),
+                    ("time_reversal_N64_witness", CatMap(3, 2, 4, 3))):
+        gap = spectrum_gap(open_spectrum(m, cutoff, 64),
+                           np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), cutoff, 64)))
+        yield name, gap < SYMMETRY_TOL_N64, gap
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for _ in range(20):

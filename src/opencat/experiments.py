@@ -10,10 +10,10 @@ in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
 route, as its parity defect and per sector a live slice and a builder of
-a factor times rows: the map's word runs on the rows, and the factor
-multiplies the result.  The map commutes with parity exactly, in the
-integers of its phases, so only the cutoff, which comes from the spec,
-is checked.
+a factor times rows: the map's word runs on the rows, and the factor,
+formed only after the word, multiplies the result.  The map commutes
+with parity exactly, in the integers of its phases, so only the cutoff,
+which comes from the spec, is checked.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ import numpy as np
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, match_distance, sort_by_modulus
 from .errors import ParityBroken, TooFewLiveRows
-from .hn import live_run, planck
+from .hn import dft_sector, live_run, planck
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol, op_left_separable,
                         op_weyl_sector, profile_sectors)
@@ -86,27 +86,34 @@ def cutoff_sectors(spec: BumpSpec, n: int):
 
     defect is how far the cutoff breaks parity.  sectors holds the even
     and the odd sector as (parity, live, build): the sector's rows outside
-    the slice live are zero, and build() forms (factor, rows) anew at each
-    call, the live rows being factor @ rows, or rows when factor is None.
-    The left route samples and folds the profile once (profile_sectors):
-    the defect is the fold's, a sector is live on the run where its folded
-    profile is nonzero (live_run), and it is built by op_left_separable.
-    The Weyl route builds the symbol once (cutoff_symbol): the defect is
-    max|T - T[::-1, ::-1]| / max|T| on its table T, for every N, since
-    P op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, and a sector
-    is its block of the symbol's band (op_weyl_sector), with no factor.
+    the slice live are zero, and build() forms (rows, factor) anew at each
+    call, the live rows being factor() @ rows, or rows when factor is None;
+    factor builds the square factor only when called, so the map's word
+    can run on rows first.  The left route samples and folds the profile
+    once (profile_sectors): the defect is the fold's, a sector is live on
+    the run where its folded profile is nonzero (live_run), its rows are
+    the DFT block's live rows (dft_sector), and op_left_separable builds
+    its factor.  The Weyl route builds the symbol once (cutoff_symbol): the
+    defect is max|T - T[::-1, ::-1]| / max|T| on its table T, for every N,
+    since P op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, and a
+    sector is its block of the symbol's band (op_weyl_sector), with no
+    factor.
     """
     if spec.quantization == "weyl":
         sym = cutoff_symbol(spec)
         scale = np.abs(sym.table).max()
         defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
         return defect, tuple((parity, slice(0, size),
-                              lambda parity=parity: (None, op_weyl_sector(sym, n, parity)))
+                              lambda parity=parity: (op_weyl_sector(sym, n, parity), None))
                              for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)))
     even, odd, defect = profile_sectors(cutoff_profile(spec), n)
-    return defect, tuple((parity, live_run(d),
-                          lambda d=d, parity=parity: op_left_separable(d, n, parity)[1:])
-                         for parity, d in ((1, even), (-1, odd)))
+
+    def left(parity, d):
+        live = live_run(d)
+        return parity, live, lambda: (dft_sector(n, parity)[live],
+                                      lambda: op_left_separable(d, n, parity))
+
+    return defect, (left(1, even), left(-1, odd))
 
 
 def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
@@ -115,12 +122,18 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     Returns the product's live x live block for a sector (parity, live,
     build) of cutoff_sectors: the only part the spectrum reads.  The map's
     word is applied to the cutoff's rows, and its last Fourier letter
-    forms only the live columns; a factor then multiplies the result.
+    forms only the live columns, in the first columns of the word's
+    buffer.  With a factor, the block is copied out of the buffer, which
+    is freed before the factor is formed and multiplies the copy.
     """
     parity, live, build = sector
-    factor, rows = build()
+    rows, factor = build()
     block = apply_word(rows, factor_sl2z(m), n, parity, cols=live)
-    return block if factor is None else factor @ block
+    if factor is None:
+        return block
+    # rebinding drops the view, so the buffer is freed before factor() runs
+    block = block.copy()
+    return factor() @ block
 
 
 def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
@@ -129,8 +142,9 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     A cutoff whose parity defect exceeds PARITY_TOL raises ParityBroken
     before any product is formed, rather than lose the coupling.  Then
     each parity sector is built, diagonalized and freed in turn, so one
-    sector's blocks are held at a time.  With its
-    dead rows permuted last a sector is block upper triangular,
+    sector's DFT block, word buffer and live block are held at a time,
+    and a left factor only after the buffer is freed (build_open_operator).
+    With its dead rows permuted last a sector is block upper triangular,
     [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
     which is all that build_open_operator forms, plus one exact zero per
     dead row.  A NaN in a live row of the cutoff still reaches the live

@@ -14,8 +14,9 @@ indices where a folded cutoff profile is nonzero, sector_coordinates gives
 each basis vector e_m's place and weights in the two sectors (what a
 builder needs to scatter a matrix's entries straight into its sector
 blocks), unfold_parity takes two sector blocks back to an N x N matrix, and
-dft_sectors builds the two blocks of the unitary DFT straight from its
-kernel, on half of each symmetric block: no N x N DFT matrix is formed.
+dft_sector builds one sector's block of the unitary DFT straight from its
+kernel, on half of the symmetric block: no N x N DFT matrix is formed, and
+only the last block asked for is cached.
 All matrices are plain dense numpy arrays.
 """
 
@@ -25,9 +26,9 @@ import numpy as np
 
 from .errors import NonPositiveN, OddDimension
 
-# Rows of the DFT sectors built per pass.  A pass holds a few
-# temporaries of this many rows by at most N/2 + 1 columns, 1.6 MB at
-# N = 2048 beside the two blocks' 33.6 MB.
+# Rows of a DFT sector block built per pass.  A pass holds a few
+# temporaries of this many rows by at most N/2 + 1 columns, 0.95 MB at
+# N = 2048 beside the even block's 16.8 MB.
 _DFT_CHUNK = 16
 
 
@@ -113,25 +114,25 @@ def unfold_parity(even, odd):
     return _unfold_rows(half[:h + 1], half[h + 1:]).T        # P B P^T
 
 
-# The last N's dft_sectors: a sweep uses one N at a time, and at N = 4096
-# the two sectors pin 134 MB.
+# The last (N, parity) dft_sector: a sweep uses one sector of one N at a
+# time, and at N = 4096 the even block pins 67 MB, where both pinned 134 MB.
 _DFT_CACHE = {}
 
 
-def dft_sectors(n: int):
-    """The unitary DFT in the sector basis, as (F_even, F_odd), cached for the last N.
+def dft_sector(n: int, parity: int):
+    """The unitary DFT's block in the even (parity=+1) or odd sector, cached for the last (N, parity).
 
-    The previous N's blocks are dropped before this N's are built, so a
-    sweep never holds two sizes at once.  The blocks are read-only.
+    The previous block is dropped before this one is built, so a sweep
+    never holds two blocks at once.  The block is read-only.
     """
-    if n not in _DFT_CACHE:
+    if (n, parity) not in _DFT_CACHE:
         _DFT_CACHE.clear()
-        _DFT_CACHE[n] = _build_dft_sectors(n)
-    return _DFT_CACHE[n]
+        _DFT_CACHE[n, parity] = _build_dft_sector(n, parity)
+    return _DFT_CACHE[n, parity]
 
 
-def _build_dft_sectors(n: int):
-    """The two sector blocks of the unitary DFT, built from the kernel.
+def _build_dft_sector(n: int, parity: int):
+    """One sector block of the unitary DFT, built from the kernel.
 
     The DFT has kernel g(p) = N^{-1/2} exp(-2 pi i p / N) at p = j k and
     commutes with parity.  A sector entry (j, k) is a weighted sum of the
@@ -140,65 +141,61 @@ def _build_dft_sectors(n: int):
     cos and sin of (-2 pi p)(1/N), times 1/sqrt(N): the real arithmetic
     that numpy's exp(-2j pi p / N) / sqrt(N) does, a complex division by a
     real being a product with its reciprocal.  The four values are added
-    in an order symmetric in j and k, so each block equals its transpose
-    bit for bit and F_s^dag = conj(F_s).  The blocks are built a few rows
-    at a time: a pass computes the columns from its first row on and
-    mirrors them into the rows below, so the kernel is evaluated on half
-    of each block and the N x N matrix is never formed.  The block that
-    would couple the sectors is not formed: its partner arguments are
-    equal mod N, so it is the unreduced phases' roundoff.
+    in an order symmetric in j and k, so the block equals its transpose
+    bit for bit and F_s^dag = conj(F_s).  The block is built a few rows at
+    a time: a pass computes the columns from its first row on and mirrors
+    them into the rows below, so the kernel is evaluated on half of the
+    block and the N x N matrix is never formed.  The block that would
+    couple the sectors is not formed: its partner arguments are equal mod
+    N, so it is the unreduced phases' roundoff.
     """
     if n < 1:
         raise NonPositiveN(f"n = {n}")
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
     h = n // 2
-    idx = np.arange(h + 1)
+    # the sector's indices j: 0..N/2 even, 1..N/2-1 odd
+    idx = np.arange(h + 1) if parity == 1 else np.arange(1, h)
+    size = len(idx)
     fixed = (idx == 0) | (idx == h)
     # a fixed point is its own partner: its four terms are one value, 4 g
     partner = np.where(fixed, idx, n - idx)
     weight = np.where(fixed, 0.5, math.sqrt(0.5))
     step, scale = 1.0 / n, 1.0 / math.sqrt(n)
 
-    def kernel(p):
-        theta = p * (-2.0 * math.pi)
+    def kernel(a, b):
+        # g at p = a b, with p formed in floating point: exact below 2^53
+        theta = np.multiply(a, b, dtype=float)
+        theta *= -2.0 * math.pi
         theta *= step
-        g = np.empty(p.shape, dtype=complex)
+        g = np.empty(theta.shape, dtype=complex)
         np.cos(theta, out=g.real)
         np.sin(theta, out=g.imag)
         parts = g.view(float)
         parts *= scale
         return g
 
-    even = np.empty((h + 1, h + 1), dtype=complex)
-    odd = np.empty((h - 1, h - 1), dtype=complex)
-
-    for start in range(0, h + 1, _DFT_CHUNK):
-        # rows start.. of both blocks from their columns start..N/2, mirrored
-        # into those columns
-        stop = min(start + _DFT_CHUNK, h + 1)
-        rows, cols = slice(start, stop), slice(start, h + 1)
+    block = np.empty((size, size), dtype=complex)
+    for start in range(0, size, _DFT_CHUNK):
+        # rows start.. from their columns start.., mirrored into those columns
+        rows, cols = slice(start, min(start + _DFT_CHUNK, size)), slice(start, size)
         j, pj = idx[rows, None], partner[rows, None]
         k, pk = idx[cols], partner[cols]
         # direct + far and back + near, from the four kernels
-        same = kernel(j * k) + kernel(pj * pk)
-        swapped = kernel(pj * k) + kernel(j * pk)
-        # the pass's paired rows and columns, 0 < j, k < N/2, as local slices
-        low = max(start, 1) - start
-        pair_rows, pair_cols = slice(low, min(stop, h) - start), slice(low, h - start)
-        part = same[pair_rows, pair_cols] - swapped[pair_rows, pair_cols]
-        part *= 0.5
-        odd_rows = slice(start + low - 1, min(stop, h) - 1)
-        odd_cols = slice(start + low - 1, h - 1)
-        odd[odd_rows, odd_cols] = part
-        odd[odd_cols, odd_rows] = part.T
-        part = np.add(same, swapped, out=same)
-        part *= weight[rows, None] * weight[cols]
-        even[rows, cols] = part
-        even[cols, rows] = part.T
-    even.setflags(write=False)
-    odd.setflags(write=False)
-    return even, odd
+        part = kernel(j, k)
+        part += kernel(pj, pk)
+        swapped = kernel(pj, k)
+        swapped += kernel(j, pk)
+        if parity == 1:
+            part += swapped
+            part *= weight[rows, None] * weight[cols]
+        else:
+            part -= swapped
+            part *= 0.5
+        block[rows, cols] = part
+        block[cols, rows] = part.T
+    block.setflags(write=False)
+    return block
 
 
 def torus_rep_array(x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catmap import CatMap
 from .errors import DegeneratePhase
-from .hn import dft_sectors, fold_parity, unfold_parity
+from .hn import dft_sector, fold_parity, unfold_parity
 from .quantizer import TorusSymbol, op_weyl
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
@@ -152,7 +152,7 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
     mismatch with the observables shows: sign=+1 breaks Egorov for S at O(1).
     """
     sector = 0 if parity == 1 else 1
-    f = dft_sectors(n)[sector]
+    f = dft_sector(n, parity)
     if sign == 1:
         f = f.conj()
     last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),

@@ -10,8 +10,9 @@ under T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
 The left (standard) quantization of the cutoff f(x)f(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
 form: a square factor from the folded profile and the DFT's sector block,
-times the block's rows on the profile's live set, one run of indices.
-Both build one sector at a time, so a caller need hold only one.
+times the block's rows on the profile's live set, one run of indices; the
+factor is built on its own, so a caller can form it after the rows are
+used.  Both build one sector at a time, so a caller need hold only one.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import (dft_sectors, fold_parity, live_run, sector_coordinates,
+from .hn import (dft_sector, fold_parity, live_run, sector_coordinates,
                  torus_rep_array)
 
 DEFAULT_K_MAX = 48
@@ -184,26 +185,25 @@ def profile_sectors(profile, n: int):
 
 
 def op_left_separable(d, n: int, parity: int):
-    """Left quantization of the cutoff f(x) f(xi) in one parity sector, as (live, factor, rows).
+    """Left quantization of the cutoff f(x) f(xi) in one parity sector: its factor.
 
     The N x N operator is diag(f) F^dag diag(f) F, f the profile sampled
     at the points x_m.  In the sector s (parity +1 even, -1 odd) it is
     d_s F_s^dag d_s F_s, with d = d_s the profile folded into the sector
     (the even or odd entry of profile_sectors; the fold defect is the
-    caller's) and F_s the DFT's block (dft_sectors).  The slice live is the
-    run of indices where d_s is nonzero (live_run); the rows outside it are
-    zero, and the rows in it equal factor @ rows.  F_s is symmetric, so
-    F_s^dag = conj(F_s): the factor is d_s[live] conj(F_s[live, live])
-    d_s[live], built entrywise in place in that order, and rows is
-    F_s[live], a view of the cached block.
+    caller's) and F_s the DFT's block (dft_sector).  Its rows outside the
+    run live = live_run(d), where d_s is zero, are zero, and the rows in it
+    equal factor @ F_s[live].  F_s is symmetric, so F_s^dag = conj(F_s):
+    the factor is d_s[live] conj(F_s[live, live]) d_s[live], built
+    entrywise in place in that order.  It is built apart from the rows
+    F_s[live], so a caller can run the map's word on them first and form
+    the factor after the word's buffer is freed.
     """
-    sector = 0 if parity == 1 else 1
-    f_mat = dft_sectors(n)[sector]
     live = live_run(d)
-    factor = np.conj(f_mat[live, live])
+    factor = np.conj(dft_sector(n, parity)[live, live])
     np.multiply(d[live, None], factor, out=factor)
     factor *= d[live]
-    return live, factor, f_mat[live]
+    return factor
 
 
 def cutoff_profile(spec: BumpSpec):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import opencat.experiments as experiments
-from opencat.hn import unfold_parity
+from opencat.hn import dft_sector, live_run, unfold_parity
 from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_left_separable,
                                profile_sectors)
 
@@ -50,7 +50,7 @@ def fold_matrix(a):
 def dft_matrix(n):
     """The N x N unitary DFT with kernel N^{-1/2} exp(-2 pi i m k / N).
 
-    The oracle for hn.dft_sectors: the same expression for every entry, with
+    The oracle for hn.dft_sector: the same expression for every entry, with
     m k not reduced mod N.
     """
     m = np.arange(n)
@@ -58,14 +58,14 @@ def dft_matrix(n):
 
 
 def dft_sectors_oracle(n):
-    """hn.dft_sectors from complex exponentials on the full blocks, as (F_even, F_odd, defect).
+    """hn.dft_sector's two blocks from complex exponentials on the full blocks, as (F_even, F_odd, defect).
 
     Each pass of a few rows evaluates the four kernel values
     exp(-2 pi i p / N) / sqrt(N) at p = j k, j (N - k), (N - j) k and
     (N - j)(N - k) on every column, p not reduced mod N, and adds them in
-    the order dft_sectors does.  defect is the largest entry of the block
+    the order dft_sector does.  defect is the largest entry of the block
     that couples the sectors, relative to the kernel's modulus N^{-1/2},
-    which dft_sectors does not form.  N must be even.
+    which dft_sector does not form.  N must be even.
     """
     h = n // 2
     idx = np.arange(h + 1)
@@ -99,14 +99,23 @@ def both_sectors(build, *args):
 
 
 def left_sectors(profile, n):
-    """op_left_separable's (live, factor, rows) for the even and the odd sector of a profile folded at N."""
+    """The left cutoff's (live, factor, rows) for the even and the odd sector of a profile folded at N.
+
+    live is the folded profile's run, factor is op_left_separable's and
+    rows is the DFT block's live rows: the live rows are factor @ rows.
+    """
     even, odd, _ = profile_sectors(profile, n)
-    return op_left_separable(even, n, 1), op_left_separable(odd, n, -1)
+    return tuple((live_run(d), op_left_separable(d, n, parity), dft_sector(n, parity)[live_run(d)])
+                 for parity, d in ((1, even), (-1, odd)))
 
 
 def built(cutoff):
     """The two sectors of a cutoff from cutoff_sectors, each built, as (live, factor, rows)."""
-    return [(live, *build()) for _, live, build in cutoff[1]]
+    out = []
+    for _, live, build in cutoff[1]:
+        rows, factor = build()
+        out.append((live, None if factor is None else factor(), rows))
+    return out
 
 
 def live_rows(cutoff):
@@ -184,18 +193,19 @@ def odd_term_symbol(spec):
 def nan_in_dead_column(monkeypatch):
     """Make the left cutoff carry a NaN in its live even rows, at a dead column.
 
-    The NaN goes into a copy of the first of the even sector's DFT rows
-    that the factor multiplies, so every live row the factor mixes it into
-    has it.
+    The NaN goes into a copy of the even sector's DFT block that the
+    cutoff's rows are taken from, at row 0 and column N/2: the bump's even
+    run starts at index 0 and ends before N/2, so row 0 is live and column
+    N/2 dead.  The factor, built from the live columns, stays finite, and
+    every live row it mixes row 0 into has the NaN.
     """
-    quantize = experiments.op_left_separable
+    block = experiments.dft_sector
 
-    def poisoned(d, n, parity):
-        live, factor, rows = quantize(d, n, parity)
+    def poisoned(n, parity):
+        f = block(n, parity)
         if parity == 1:
-            rows = rows.copy()
-            # the bump's even run starts at index 0, so its end is dead
-            rows[0, live.stop] = np.nan
-        return live, factor, rows
+            f = f.copy()
+            f[0, n // 2] = np.nan
+        return f
 
-    monkeypatch.setattr(experiments, "op_left_separable", poisoned)
+    monkeypatch.setattr(experiments, "dft_sector", poisoned)

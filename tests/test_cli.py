@@ -5,6 +5,7 @@ import pytest
 
 import opencat.cli as cli
 import opencat.experiments as experiments
+import opencat.metaplectic as metaplectic
 from opencat.cli import ConfigError, load_config, main, parse_config
 from opencat.quantizer import BumpSpec
 
@@ -139,7 +140,7 @@ def test_verify_passes_on_large_entries(tmp_path, capsys, matrix):
     cfg = write_config(tmp_path, matrix=matrix)
     assert main(["verify", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 17 and all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 18 and all(line.startswith("PASS") for line in lines)
 
 
 @pytest.mark.parametrize("command, kind", [("trapped", "product_bump"),
@@ -202,8 +203,9 @@ def test_verify_runs_through_a_cutoff_that_is_zero_at_n64(tmp_path, capsys):
                                           "r_outer": 0.012}}))
     assert main(["verify", "--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 17 and all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 18 and all(line.startswith("PASS") for line in lines)
     assert "time_reversal_N64  (0.000e+00)" in lines[15]
+    assert "time_reversal_N64_witness  (0.000e+00)" in lines[16]
 
 
 def test_trapped_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
@@ -491,3 +493,26 @@ def test_verify_checks_time_reversal(tmp_path, capsys, monkeypatch, overrides):
                         lambda m: [letter for letter in factor(m) if letter[0] != "PAR"])
     assert main(["verify", "--config", cfg]) == 1
     assert "FAIL  time_reversal_N64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"cutoff": {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24},
+     "quantization": "weyl"},
+])
+def test_verify_witness_catches_conjugated_u_chirps(tmp_path, capsys, monkeypatch, overrides):
+    # Arnold's phase-normalized open spectrum is self-conjugate, so a word
+    # whose U chirps are conjugated keeps its time-reversal gap at roundoff;
+    # the witness map [3, 2, 4, 3] is not symmetric, and its gap is O(1e-2)
+    chirp = metaplectic._chirp
+
+    def conjugated(letter, n):
+        even, odd, defect = chirp(letter, n)
+        return (even.conj(), odd.conj(), defect) if letter[0] == "U" else (even, odd, defect)
+
+    monkeypatch.setattr(metaplectic, "_chirp", conjugated)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["verify", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "PASS  time_reversal_N64  " in out
+    assert "FAIL  time_reversal_N64_witness" in out

@@ -98,49 +98,64 @@ def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch
 
 
 def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
-    # a sector's cutoff is built only after the sector before it is solved
-    # and its factor and block are gone, and each N's DFT blocks only after
-    # the previous N's are gone
-    events, held, dfts = [], [], {}
-    quantize, build, solve, build_dft = (
-        experiments.op_left_separable, experiments.build_open_operator,
-        experiments.eigenvalues, hn._build_dft_sectors)
+    # a sector's factor is formed only after the sector before it is solved
+    # and its factor and block are gone, and after its own word has run and
+    # its buffer is gone; each (N, parity) DFT block is built once, only
+    # after the block before it is gone
+    events, held, buffers, dfts = [], [], [], []
+    quantize, word, build, solve, build_dft = (
+        experiments.op_left_separable, experiments.apply_word,
+        experiments.build_open_operator, experiments.eigenvalues, hn._build_dft_sector)
 
     def alive(refs):
         return any(ref() is not None for ref in refs)
 
+    def owner(a):
+        return weakref.ref(a if a.base is None else a.base)
+
     def cutoff(d, n, parity):
-        events.append(("cutoff", n, parity, alive(held)))
-        live, factor, rows = quantize(d, n, parity)
+        events.append(("factor", n, parity, alive(held), alive(buffers)))
+        factor = quantize(d, n, parity)
         held.append(weakref.ref(factor))
-        return live, factor, rows
+        return factor
+
+    def apply(x, letters, n, parity, **kwargs):
+        events.append(("word", n, parity))
+        out = word(x, letters, n, parity, **kwargs)
+        buffers.append(owner(out))
+        return out
 
     def sector(m, cutoff_sector, n):
         block = build(m, cutoff_sector, n)
-        held.append(weakref.ref(block if block.base is None else block.base))
+        held.append(owner(block))
         return block
 
     def eigenvalues(a):
         events.append(("solve",))
         return solve(a)
 
-    def dft(n):
-        events.append(("dft", n, [m for m, refs in dfts.items() if alive(refs)]))
-        blocks = build_dft(n)
-        dfts[n] = [weakref.ref(f) for f in blocks]
-        return blocks
+    def dft(n, parity):
+        events.append(("dft", n, parity, alive(dfts)))
+        block = build_dft(n, parity)
+        dfts.append(weakref.ref(block))
+        return block
 
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
+    monkeypatch.setattr(experiments, "apply_word", apply)
     monkeypatch.setattr(experiments, "build_open_operator", sector)
     monkeypatch.setattr(experiments, "eigenvalues", eigenvalues)
-    monkeypatch.setattr(hn, "_build_dft_sectors", dft)
+    monkeypatch.setattr(hn, "_build_dft_sector", dft)
     hn._DFT_CACHE.clear()
     trapped_sweep(ARNOLD, TRAPPED_SPEC, [256, 512], k_count=2)
-    assert [e for e in events if e[0] == "dft"] == [("dft", 256, []), ("dft", 512, [])]
+    assert [e for e in events if e[0] == "dft"] == [
+        ("dft", 256, 1, False), ("dft", 256, -1, False),
+        ("dft", 512, 1, False), ("dft", 512, -1, False)]
     assert [e[:3] for e in events if e[0] != "dft"] == [
-        ("cutoff", 256, 1), ("solve",), ("cutoff", 256, -1), ("solve",),
-        ("cutoff", 512, 1), ("solve",), ("cutoff", 512, -1), ("solve",)]
-    assert not any(e[3] for e in events if e[0] == "cutoff")
+        ("word", 256, 1), ("factor", 256, 1), ("solve",),
+        ("word", 256, -1), ("factor", 256, -1), ("solve",),
+        ("word", 512, 1), ("factor", 512, 1), ("solve",),
+        ("word", 512, -1), ("factor", 512, -1), ("solve",)]
+    assert not any(e[3] or e[4] for e in events if e[0] == "factor")
 
 
 def test_trapped_sweep_rows():
@@ -276,7 +291,7 @@ def test_cutoff_prepared_once_per_n(monkeypatch, tmp_path, capsys):
                                   "cutoff": {"kind": "product_bump", "r_inner": 0.1,
                                              "r_outer": 0.2}}))
     assert main(["verify", "--config", str(config)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 17
+    assert len(capsys.readouterr().out.splitlines()) == 18
     assert folded == [64]
 
 

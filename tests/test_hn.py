@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat import hn, metaplectic, quantizer
+from opencat import experiments, hn, metaplectic, quantizer
 from opencat.eigensolver import multiset_distance
 from opencat.errors import NonPositiveN, OddDimension
-from opencat.hn import (dft_sectors, fold_parity, planck, sector_coordinates,
+from opencat.hn import (dft_sector, fold_parity, planck, sector_coordinates,
                         torus_rep_array, unfold_parity)
 from opencat.metaplectic import OMEGA_S, quantize_word
 
@@ -36,10 +36,9 @@ def test_dft_small_cases():
     # the kernel sign: e^{-2 pi i m k / N} at N = 4 sends e_1 to powers of -i
     assert np.allclose(dft_matrix(4)[:, 1], [0.5, -0.5j, -0.5, 0.5j], atol=1e-15)
     # at N = 2 both basis vectors are fixed by parity: the even block is F
-    even, odd = dft_sectors(2)
-    assert np.array_equal(even, dft_matrix(2)) and odd.shape == (0, 0)
+    assert np.array_equal(dft_sector(2, 1), dft_matrix(2)) and dft_sector(2, -1).shape == (0, 0)
     # at N = 4 the odd sector is (e_1 - e_3)/sqrt(2), which F sends to -i times itself
-    assert np.allclose(dft_sectors(4)[1], [[-1j]], atol=1e-15)
+    assert np.allclose(dft_sector(4, -1), [[-1j]], atol=1e-15)
     # the opposite kernel sign reaches the map only through apply_word's sign=+1,
     # which takes conj(F): S_INV then quantizes to conj(omega) times that kernel
     s_inv = quantize_word([("S_INV",)], 4, sign=1)
@@ -51,21 +50,24 @@ def test_dft_small_cases():
 def test_dft_symmetric_bitwise(n):
     # apply_word and op_left_separable use F_s^dag = conj(F_s), which needs
     # each sector block to equal its transpose exactly
-    for f in dft_sectors(n):
+    for parity in (1, -1):
+        f = dft_sector(n, parity)
         assert np.array_equal(f, f.T)
 
 
 def test_dft_cache_holds_one_matrix():
-    # one N at a time: the two sector blocks of the last N asked for
-    assert quantizer.dft_sectors is metaplectic.dft_sectors is dft_sectors
+    # one block at a time: the sector block of the last (N, parity) asked for
+    assert quantizer.dft_sector is metaplectic.dft_sector is experiments.dft_sector is dft_sector
     # perfbench/tracing.py calls cache_info() on any dft_matrix bound there
     assert not hasattr(quantizer, "dft_matrix") and not hasattr(metaplectic, "dft_matrix")
-    blocks = dft_sectors(6)
-    assert dft_sectors(6) is blocks
-    assert list(hn._DFT_CACHE) == [6]
-    dft_sectors(8)
-    assert list(hn._DFT_CACHE) == [8]
-    assert not any(f.flags.writeable for f in dft_sectors(8))
+    block = dft_sector(6, 1)
+    assert dft_sector(6, 1) is block
+    assert list(hn._DFT_CACHE) == [(6, 1)]
+    dft_sector(6, -1)
+    assert list(hn._DFT_CACHE) == [(6, -1)]
+    dft_sector(8, 1)
+    assert list(hn._DFT_CACHE) == [(8, 1)]
+    assert not dft_sector(8, 1).flags.writeable and not dft_sector(8, -1).flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 65, 256, 1024])
@@ -73,13 +75,13 @@ def test_dft_unitary(n):
     f = dft_matrix(n)
     assert np.abs(f.conj().T @ f - np.eye(n)).max() < 1e-13
     if n % 2 == 0:
-        for f_s in dft_sectors(n):
+        for f_s in map(dft_sector, (n, n), (1, -1)):
             assert np.abs(f_s.conj().T @ f_s - np.eye(len(f_s))).max(initial=0.0) < 1e-13
 
 
 def test_dft_norm_preserved():
     rng = np.random.default_rng(3)
-    for f in dft_sectors(128):
+    for f in map(dft_sector, (128, 128), (1, -1)):
         v = rng.standard_normal(len(f)) + 1j * rng.standard_normal(len(f))
         assert np.linalg.norm(f @ v) == pytest.approx(np.linalg.norm(v), abs=1e-13)
         assert np.allclose(f.conj().T @ (f @ v), v, atol=1e-13)
@@ -87,13 +89,13 @@ def test_dft_norm_preserved():
 
 @pytest.mark.parametrize("n", [4, 32, 100])
 def test_dft_order_four(n):
-    for f in dft_sectors(n):
+    for f in map(dft_sector, (n, n), (1, -1)):
         assert np.abs(np.linalg.matrix_power(f, 4) - np.eye(len(f))).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 16, 32, 96, 130])
 def test_dft_sectors_match_folded_oracle(n):
-    even, odd = dft_sectors(n)
+    even, odd = dft_sector(n, 1), dft_sector(n, -1)
     even_o, odd_o, _ = fold_matrix(dft_matrix(n))
     assert even.shape == (n // 2 + 1,) * 2 and odd.shape == (n // 2 - 1,) * 2
     assert np.abs(even - even_o).max() <= 1e-15
@@ -104,31 +106,43 @@ def test_dft_sectors_match_folded_oracle(n):
 def test_dft_sectors_bitwise_match_oracle(n):
     # cos and sin over half of each block, mirrored, round every entry as the
     # complex exponentials on the full blocks do; 1/N is inexact at N = 768
-    even, odd = dft_sectors(n)
     even_o, odd_o, _ = dft_sectors_oracle(n)
-    assert np.array_equal(even, even_o) and np.array_equal(odd, odd_o)
+    assert np.array_equal(dft_sector(n, 1), even_o) and np.array_equal(dft_sector(n, -1), odd_o)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 256))
+def test_dft_sector_bitwise_matches_oracle_on_random_even_n(h):
+    # each sector is built in its own passes, the odd one from its row 1,
+    # so its chunk edges fall elsewhere than the even one's
+    n = 2 * h
+    even_o, odd_o, _ = dft_sectors_oracle(n)
+    assert np.array_equal(dft_sector(n, 1), even_o) and np.array_equal(dft_sector(n, -1), odd_o)
 
 
 def test_dft_sectors_cold_build_memory():
     # a pass holds temporaries of a few rows and mirrors its rows into the
-    # columns as it goes, so a cold build peaks close to the two blocks
+    # columns as it goes, so a cold build of one sector peaks close to that
+    # one block
     n = 512
-    blocks = ((n // 2 + 1) ** 2 + (n // 2 - 1) ** 2) * 16
-    hn._DFT_CACHE.clear()
-    tracemalloc.start()
-    try:
-        dft_sectors(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * blocks
+    for parity in (1, -1):
+        block = (n // 2 + parity) ** 2 * 16
+        hn._DFT_CACHE.clear()
+        tracemalloc.start()
+        try:
+            dft_sector(n, parity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * block
 
 
 def test_dft_sectors_reject_odd_and_nonpositive_n():
-    with pytest.raises(OddDimension):
-        dft_sectors(7)
-    with pytest.raises(NonPositiveN):
-        dft_sectors(0)
+    for parity in (1, -1):
+        with pytest.raises(OddDimension):
+            dft_sector(7, parity)
+        with pytest.raises(NonPositiveN):
+            dft_sector(0, parity)
 
 
 @settings(max_examples=40, deadline=None)

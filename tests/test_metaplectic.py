@@ -11,8 +11,8 @@ from opencat import hn
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
-from opencat.hn import dft_sectors, torus_rep_array
-from opencat.metaplectic import (OMEGA_S, _chirp, apply_word, compose_symbol,
+from opencat.hn import dft_sector, torus_rep_array
+from opencat.metaplectic import (OMEGA_S, _chirp, _panels, apply_word, compose_symbol,
                                  egorov_residual, factor_sl2z, phase_factor,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
@@ -335,7 +335,7 @@ def test_apply_word_allocates_no_dft_sized_array():
     n = 512
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
-    dft_sectors(n)
+    dft_sector(n, 1)
     live = cutoff_sectors(TRAPPED_SPEC, n)[1][0][1]
     assert 0 < live.stop - live.start < n // 2 + 1
     x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
@@ -372,15 +372,17 @@ def test_apply_word_leaves_its_input_alone(first):
 
 
 def test_open_spectrum_holds_one_sector_and_one_buffer():
-    # a cold build at N = 512: the two DFT blocks, then one sector at a time,
-    # whose word runs in one rows x (N/2 + 1) buffer (one panel of it copied
-    # per product) and whose live x live block the factor forms.  Peak over
-    # those three: 1.16 measured here; two word buffers and both sectors'
-    # factors and blocks held at once gave 1.34
+    # a cold build at N = 512, one sector at a time: its DFT block, then
+    # its word in one rows x (N/2 + 1) buffer, one panel of it copied per
+    # product; the live x live block is copied out and the buffer freed
+    # before the factor is formed.  Peak over one block, the buffer and one
+    # panel: 1.01 measured here; both sectors' DFT blocks held at once and
+    # the factor's product formed beside the buffer gave 1.64
     n = 512
     h = n // 2
     live, factor, rows = built(cutoff_sectors(TRAPPED_SPEC, n))[0]
-    bound = ((h + 1) ** 2 + (h - 1) ** 2 + len(rows) * (h + 1) + len(factor) ** 2) * 16
+    panel = max(p.stop - p.start for p in _panels(len(rows)))
+    bound = ((h + 1) ** 2 + (len(rows) + panel) * (h + 1)) * 16
     del live, factor, rows
     hn._DFT_CACHE.clear()
     tracemalloc.start()
