@@ -9,11 +9,11 @@ and with either quantization of an even cutoff, so every factor is built
 in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
-route, as its parity defect and per sector a live slice and a builder of
-a factor times rows: the map's word runs on the rows, and the factor,
-formed only after the word, multiplies the result.  The map commutes
-with parity exactly, in the integers of its phases, so only the cutoff,
-which comes from the spec, is checked.
+route, as its parity defect and per sector (parity, live, rows, factor);
+build_open_operator builds the sector's DFT block once for the rows, the
+map's word, which runs in place on them, and the factor, formed after the
+word.  The map commutes with parity exactly, in the integers of its
+phases, so only the cutoff, which comes from the spec, is checked.
 """
 
 from dataclasses import dataclass
@@ -85,33 +85,32 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     """The cutoff of spec at N, by its route, spec.quantization, as (defect, sectors).
 
     defect is how far the cutoff breaks parity.  sectors holds the even
-    and the odd sector as (parity, live, build): the sector's rows outside
-    the slice live are zero, and build() forms (rows, factor) anew at each
-    call, the live rows being factor() @ rows, or rows when factor is None;
-    factor builds the square factor only when called, so the map's word
-    can run on rows first.  The left route samples and folds the profile
-    once (profile_sectors): the defect is the fold's, a sector is live on
-    the run where its folded profile is nonzero (live_run), its rows are
-    the DFT block's live rows (dft_sector), and op_left_separable builds
-    its factor.  The Weyl route builds the symbol once (cutoff_symbol): the
-    defect is max|T - T[::-1, ::-1]| / max|T| on its table T, for every N,
-    since P op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, and a
-    sector is its block of the symbol's band (op_weyl_sector), with no
-    factor.
+    and the odd sector as (parity, live, rows, factor): the sector's rows
+    outside the slice live are zero, and with f its DFT block (dft_sector)
+    the live rows are factor(f) @ rows(f), or rows(f) when factor(f) is
+    None; rows(f) is a fresh buffer for the map's word to overwrite.  The
+    left route samples and folds the profile once (profile_sectors): the
+    defect is the fold's, a sector is live on the run where its folded
+    profile is nonzero (live_run), its rows are a copy of f's live rows,
+    and op_left_separable builds its factor.  The Weyl route builds the
+    symbol once (cutoff_symbol): the defect is max|T - T[::-1, ::-1]| /
+    max|T| on its table T, for every N, since P op_weyl(T) P =
+    op_weyl(T[::-1, ::-1]); every row is live, a sector's rows are its
+    block of the symbol's band (op_weyl_sector), and there is no factor.
     """
     if spec.quantization == "weyl":
         sym = cutoff_symbol(spec)
         scale = np.abs(sym.table).max()
         defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
         return defect, tuple((parity, slice(0, size),
-                              lambda parity=parity: (op_weyl_sector(sym, n, parity), None))
+                              lambda f, parity=parity: op_weyl_sector(sym, n, parity),
+                              lambda f: None)
                              for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)))
     even, odd, defect = profile_sectors(cutoff_profile(spec), n)
 
     def left(parity, d):
         live = live_run(d)
-        return parity, live, lambda: (dft_sector(n, parity)[live],
-                                      lambda: op_left_separable(d, n, parity))
+        return parity, live, lambda f: f[live].copy(), lambda f: op_left_separable(d, f)
 
     return defect, (left(1, even), left(-1, odd))
 
@@ -120,20 +119,20 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     """(quantized cutoff) @ (quantized map) in one parity sector, unnormalized phase.
 
     Returns the product's live x live block for a sector (parity, live,
-    build) of cutoff_sectors: the only part the spectrum reads.  The map's
-    word is applied to the cutoff's rows, and its last Fourier letter
-    forms only the live columns, in the first columns of the word's
-    buffer.  With a factor, the block is copied out of the buffer, which
-    is freed before the factor is formed and multiplies the copy.
+    rows, factor) of cutoff_sectors: the only part the spectrum reads.
+    The sector's DFT block f is built here, passed to the cutoff's rows,
+    the map's word and the factor, and freed on return, before the block
+    is solved.  The word runs in place on the buffer rows(f), and its last
+    Fourier letter forms only the live columns, in the buffer's first
+    columns.  A block narrower than the buffer is copied out of it, so the
+    buffer is freed before the factor is formed and multiplies the copy.
     """
-    parity, live, build = sector
-    rows, factor = build()
-    block = apply_word(rows, factor_sl2z(m), n, parity, cols=live)
-    if factor is None:
-        return block
-    # rebinding drops the view, so the buffer is freed before factor() runs
-    block = block.copy()
-    return factor() @ block
+    parity, live, rows, factor = sector
+    f = dft_sector(n, parity)
+    # a view narrower than its buffer is not contiguous: the copy frees the buffer
+    block = np.ascontiguousarray(apply_word(rows(f), factor_sl2z(m), f, n, parity, cols=live))
+    lead = factor(f)
+    return block if lead is None else lead @ block
 
 
 def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
@@ -142,8 +141,9 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     A cutoff whose parity defect exceeds PARITY_TOL raises ParityBroken
     before any product is formed, rather than lose the coupling.  Then
     each parity sector is built, diagonalized and freed in turn, so one
-    sector's DFT block, word buffer and live block are held at a time,
-    and a left factor only after the buffer is freed (build_open_operator).
+    sector's DFT block and word buffer are held at a time, a left factor
+    is formed only after the buffer is freed, and the DFT block is freed
+    before the live block is solved (build_open_operator).
     With its dead rows permuted last a sector is block upper triangular,
     [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
     which is all that build_open_operator forms, plus one exact zero per
@@ -206,7 +206,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
     if k_count is not None and k_count > MAX_MODES:
         raise ValueError(f"k_count > {MAX_MODES} exceeds the resolvable range at desk scale")
     cutoffs = [cutoff_sectors(spec, n) for n in n_list]
-    live = [sum(run.stop - run.start for _, run, _ in sectors) for _, sectors in cutoffs]
+    live = [sum(run.stop - run.start for _, run, _, _ in sectors) for _, sectors in cutoffs]
     if k_count is None:
         k_count = max(1, min([4] + live))
     for n, count in zip(n_list, live):

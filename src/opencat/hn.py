@@ -15,8 +15,9 @@ each basis vector e_m's place and weights in the two sectors (what a
 builder needs to scatter a matrix's entries straight into its sector
 blocks), unfold_parity takes two sector blocks back to an N x N matrix, and
 dft_sector builds one sector's block of the unitary DFT straight from its
-kernel, on half of the symmetric block: no N x N DFT matrix is formed, and
-only the last block asked for is cached.
+kernel, on half of the symmetric block: no N x N DFT matrix is formed.
+Nothing is cached: the caller holds the block as long as it needs it and
+passes it to whatever reads it.
 All matrices are plain dense numpy arrays.
 """
 
@@ -114,25 +115,8 @@ def unfold_parity(even, odd):
     return _unfold_rows(half[:h + 1], half[h + 1:]).T        # P B P^T
 
 
-# The last (N, parity) dft_sector: a sweep uses one sector of one N at a
-# time, and at N = 4096 the even block pins 67 MB, where both pinned 134 MB.
-_DFT_CACHE = {}
-
-
 def dft_sector(n: int, parity: int):
-    """The unitary DFT's block in the even (parity=+1) or odd sector, cached for the last (N, parity).
-
-    The previous block is dropped before this one is built, so a sweep
-    never holds two blocks at once.  The block is read-only.
-    """
-    if (n, parity) not in _DFT_CACHE:
-        _DFT_CACHE.clear()
-        _DFT_CACHE[n, parity] = _build_dft_sector(n, parity)
-    return _DFT_CACHE[n, parity]
-
-
-def _build_dft_sector(n: int, parity: int):
-    """One sector block of the unitary DFT, built from the kernel.
+    """The unitary DFT's block in the even (parity=+1) or odd sector, built from the kernel, read-only.
 
     The DFT has kernel g(p) = N^{-1/2} exp(-2 pi i p / N) at p = j k and
     commutes with parity.  A sector entry (j, k) is a weighted sum of the

@@ -6,16 +6,18 @@ generator has a closed-form unitary on the state space (quadratic phases and
 the DFT); the product quantizes the map up to a global phase.  -I is central
 in SL(2,Z), so every generator commutes with parity j -> -j, exactly in the
 integers of its phases: the word acts on the two parity sectors of hn apart
-and is not checked at run time.  apply_word multiplies one sector's rows
-by the word letter by letter, with the DFT's sector block and the folded
-chirps, so chi Mhat is formed from chi's nonzero rows without building
-Mhat, and only in the run of columns asked for; quantize_word unfolds the
-two sector unitaries into the N x N matrix.  The global phase is a
-convention: the one rule that fixes it acts on the eigenvalues of the open
-operator (phase_factor).  All sign conventions are pinned by the exact
-commutation identity with quantized observables (checked generator by
-generator in the tests): with the DFT kernel e^{-2 pi i m k / N}, S
-quantizes to a multiple of the *inverse* DFT (apply_word's sign=-1).
+and is not checked at run time.  apply_word multiplies one sector's rows,
+in place, by the word letter by letter, with the DFT's sector block that
+its caller passes and the folded chirps, so chi Mhat is formed from chi's
+nonzero rows without building Mhat, and only in the run of columns asked
+for; quantize_word builds each sector's block, runs the word on the
+sector's identity and unfolds the two sector unitaries into the N x N
+matrix.  The global phase is a convention: the one rule that fixes it acts
+on the eigenvalues of the open operator (phase_factor).  All sign
+conventions are pinned by the exact commutation identity with quantized
+observables (checked generator by generator in the tests): with the DFT
+kernel e^{-2 pi i m k / N}, S quantizes to a multiple of the *inverse* DFT
+(quantize_word's sign=-1).
 """
 
 import math
@@ -127,38 +129,30 @@ def _times(x, f, cols):
     return out
 
 
-def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
+def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
                cols=slice(None)) -> np.ndarray:
-    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right.
+    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right, in place.
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
-    odd (parity=-1, N/2 - 1 columns); N must be even.  With F the sector's block of the
-    unitary DFT and chirp the sector's folded chirp, the letters act on the
-    rows as S: omega x F^dag, S_INV: conj(omega) x F, U(b): ((x F) * chirp)
-    F^dag, L(c): x * chirp and PAR: x * parity; F is symmetric, so x F^dag
-    is conj(conj(x) F).  A Fourier letter costs one (rows x N/2) by
-    (N/2 x N/2) product, a quarter of the full-space one.  The slice cols
-    selects the output columns: the last Fourier letter forms only those,
-    and the L and PAR letters after it act on them alone.
+    odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
+    sector's block of the unitary DFT (hn.dft_sector).  With chirp the
+    sector's folded chirp, the letters act on the rows as S: omega x F^dag,
+    S_INV: conj(omega) x F, U(b): ((x F) * chirp) F^dag, L(c): x * chirp
+    and PAR: x * parity; F is symmetric, so x F^dag is conj(conj(x) F).  A
+    Fourier letter costs one (rows x N/2) by (N/2 x N/2) product, a quarter
+    of the full-space one.  The slice cols selects the output columns: the
+    last Fourier letter forms only those, and the L and PAR letters after
+    it act on them alone.
 
-    The word runs in one buffer of its own, a copy of x made before the
-    first letter, so the caller's x is never modified.  Every letter works
-    in place on it, a product a panel of rows at a time, and the last
-    Fourier letter writes the columns cols into the buffer's first
-    columns.  So the result may be a view of a wider buffer.
-    sign=+1 uses conj(F), the kernel opposite to the package's.
-    Flipping the sign everywhere is unitarily equivalent (conjugation by
-    parity, which commutes with every integer symplectic map), so only a
-    mismatch with the observables shows: sign=+1 breaks Egorov for S at O(1).
+    The word runs in x, a complex buffer the caller gives up: every letter
+    overwrites it, a product a panel of rows at a time, and the last
+    Fourier letter writes the columns cols into its first columns, so the
+    result is a view of x.  A read-only x raises ValueError at the first
+    letter, before anything is written; the empty word writes nothing.
     """
     sector = 0 if parity == 1 else 1
-    f = dft_sector(n, parity)
-    if sign == 1:
-        f = f.conj()
     last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),
                default=-1)
-    if word:
-        x = np.array(x, dtype=complex)
     if last < 0:
         x = x[:, cols]
     for i, letter in enumerate(word):
@@ -188,10 +182,18 @@ def apply_word(x: np.ndarray, word, n: int, parity: int, sign: int = -1,
 
 
 def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
-    """The word's unitary as an N x N matrix: apply_word on each sector's identity, unfolded."""
-    half = n // 2
-    return unfold_parity(apply_word(np.eye(half + 1, dtype=complex), word, n, 1, sign),
-                         apply_word(np.eye(half - 1, dtype=complex), word, n, -1, sign))
+    """The word's unitary as an N x N matrix: apply_word on each sector's identity, unfolded.
+
+    sign=+1 uses conj(F), the kernel opposite to the package's.  Flipping
+    the sign everywhere is unitarily equivalent (conjugation by parity), so
+    only a mismatch with the observables shows: Egorov for S breaks at O(1).
+    """
+    blocks = []
+    for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
+        f = dft_sector(n, parity)
+        blocks.append(apply_word(np.eye(size, dtype=complex), word,
+                                 f.conj() if sign == 1 else f, n, parity))
+    return unfold_parity(*blocks)
 
 
 def quantize_map(m: CatMap, n: int, sign: int = -1) -> np.ndarray:

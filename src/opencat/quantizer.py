@@ -7,12 +7,13 @@ matrix-entry formula, op_weyl places them in a dense N x N matrix, and
 op_weyl_sector adds them straight into one parity sector of hn without
 forming it; the sectors couple only through the table's part that is odd
 under T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
-The left (standard) quantization of the cutoff f(x)f(xi), a
+The left (standard) quantization of the cutoff rho(x)rho(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
 form: a square factor from the folded profile and the DFT's sector block,
-times the block's rows on the profile's live set, one run of indices; the
-factor is built on its own, so a caller can form it after the rows are
-used.  Both build one sector at a time, so a caller need hold only one.
+which the caller passes, times that block's rows on the profile's live
+set, one run of indices; the factor is built on its own, so a caller can
+form it after the rows are used.  Both build one sector at a time, so a
+caller need hold only one.
 """
 
 from dataclasses import dataclass
@@ -21,14 +22,18 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import (dft_sector, fold_parity, live_run, sector_coordinates,
-                 torus_rep_array)
+from .hn import fold_parity, live_run, sector_coordinates, torus_rep_array
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
 
 # Cyclic diagonals of a Weyl quantization computed per pass: 0.1 MB at N = 768.
 _BAND_CHUNK = 8
+
+# At k_max = 4096 the symbol's table and weyl_band's weighted table are
+# 1.07 GB apiece; grid has the cap on N.
+MAX_K_MAX = 4096
+MAX_GRID = 2**21
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,9 @@ class BumpSpec:
     quantization "left" quantizes the profile itself; "weyl" quantizes
     cutoff_symbol(spec), the profile's Fourier coefficients with
     |k| <= k_max taken from grid samples.  The sweeps read k_max and grid
-    only on the Weyl route, but they are validated here on both, and
-    verify's Hermiticity check quantizes cutoff_symbol(spec) on either.
+    only on the Weyl route, but they are validated here on both (k_max up
+    to MAX_K_MAX, grid from 4 k_max to below MAX_GRID), and verify's
+    Hermiticity check quantizes cutoff_symbol(spec) on either.
     """
 
     kind: str          # "product_bump" or "annulus_product"
@@ -61,8 +67,10 @@ class BumpSpec:
         if self.quantization not in ("left", "weyl"):
             raise InvalidSpec(f"quantization must be 'left' or 'weyl', "
                               f"got {self.quantization!r}")
-        if self.k_max < 1:
-            raise InvalidSpec(f"k_max must be >= 1, got {self.k_max}")
+        if not 1 <= self.k_max <= MAX_K_MAX:
+            raise InvalidSpec(f"k_max must be in 1..{MAX_K_MAX}, got {self.k_max}")
+        if self.grid >= MAX_GRID:
+            raise InvalidSpec(f"grid must be below 2**21, got {self.grid}")
         if self.grid < 4 * self.k_max:
             raise GridTooCoarse(f"grid {self.grid} < 4*k_max = {4 * self.k_max}")
 
@@ -164,18 +172,19 @@ def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
     beside the transforms; no N x N array is formed.
     """
     index, even_w, odd_w = sector_coordinates(n)
-    weight = even_w if parity == 1 else odd_w
-    h = n // 2
+    # the odd sector has no place for the fixed points m = 0, N/2 (weight 0)
+    # and numbers its places from index 1
+    size, weight, index = ((n // 2 + 1, even_w, index) if parity == 1
+                           else (n // 2 - 1, odd_w, index - 1))
     m = np.arange(n)[:, None]
-    # rows and columns 1..N/2-1 of the odd sector's array are its block;
-    # its rows and columns 0 and N/2 collect only the fixed points' zero weights
-    block = np.zeros((h + 1, h + 1), dtype=complex)
+    block = np.zeros((size, size), dtype=complex)
     for offsets, diagonals in weyl_band(sym, n):
         c = (m + offsets) % n
+        keep = (weight[:, None] != 0) & (weight[c] != 0)
         # repeated cells add: np.add.at on the flat view
-        np.add.at(block.reshape(-1), (index[:, None] * (h + 1) + index[c]).ravel(),
-                  (weight[:, None] * weight[c] * diagonals).ravel())
-    return block if parity == 1 else block[1:h, 1:h]
+        np.add.at(block.reshape(-1), (index[:, None] * size + index[c])[keep],
+                  (weight[:, None] * weight[c] * diagonals)[keep])
+    return block
 
 
 def profile_sectors(profile, n: int):
@@ -184,23 +193,23 @@ def profile_sectors(profile, n: int):
     return fold_parity(np.asarray(profile(x), dtype=complex))
 
 
-def op_left_separable(d, n: int, parity: int):
-    """Left quantization of the cutoff f(x) f(xi) in one parity sector: its factor.
+def op_left_separable(d, f):
+    """Left quantization of the cutoff rho(x) rho(xi) in one parity sector: its factor.
 
-    The N x N operator is diag(f) F^dag diag(f) F, f the profile sampled
-    at the points x_m.  In the sector s (parity +1 even, -1 odd) it is
+    The N x N operator is diag(rho) F^dag diag(rho) F, rho the profile
+    sampled at the points x_m.  In the sector s (parity +1 even, -1 odd) it is
     d_s F_s^dag d_s F_s, with d = d_s the profile folded into the sector
     (the even or odd entry of profile_sectors; the fold defect is the
-    caller's) and F_s the DFT's block (dft_sector).  Its rows outside the
-    run live = live_run(d), where d_s is zero, are zero, and the rows in it
-    equal factor @ F_s[live].  F_s is symmetric, so F_s^dag = conj(F_s):
-    the factor is d_s[live] conj(F_s[live, live]) d_s[live], built
-    entrywise in place in that order.  It is built apart from the rows
-    F_s[live], so a caller can run the map's word on them first and form
-    the factor after the word's buffer is freed.
+    caller's) and f = F_s the DFT's block (hn.dft_sector).  Its rows
+    outside the run live = live_run(d), where d_s is zero, are zero, and
+    the rows in it equal factor @ F_s[live].  F_s is symmetric, so
+    F_s^dag = conj(F_s): the factor is d_s[live] conj(F_s[live, live])
+    d_s[live], built entrywise in place in that order.  It is built apart
+    from the rows F_s[live], so a caller can run the map's word on them
+    first and form the factor after the word's buffer is freed.
     """
     live = live_run(d)
-    factor = np.conj(dft_sector(n, parity)[live, live])
+    factor = np.conj(f[live, live])
     np.multiply(d[live, None], factor, out=factor)
     factor *= d[live]
     return factor

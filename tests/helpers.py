@@ -105,22 +105,22 @@ def left_sectors(profile, n):
     rows is the DFT block's live rows: the live rows are factor @ rows.
     """
     even, odd, _ = profile_sectors(profile, n)
-    return tuple((live_run(d), op_left_separable(d, n, parity), dft_sector(n, parity)[live_run(d)])
-                 for parity, d in ((1, even), (-1, odd)))
+    return tuple((live_run(d), op_left_separable(d, f), f[live_run(d)])
+                 for d, f in ((even, dft_sector(n, 1)), (odd, dft_sector(n, -1))))
 
 
-def built(cutoff):
-    """The two sectors of a cutoff from cutoff_sectors, each built, as (live, factor, rows)."""
+def built(cutoff, n):
+    """The two sectors of a cutoff from cutoff_sectors at N, each built on its DFT block, as (live, factor, rows)."""
     out = []
-    for _, live, build in cutoff[1]:
-        rows, factor = build()
-        out.append((live, None if factor is None else factor(), rows))
+    for parity, live, rows, factor in cutoff[1]:
+        f = dft_sector(n, parity)
+        out.append((live, factor(f), rows(f)))
     return out
 
 
 def live_rows(cutoff):
     """The live rows of both sectors of a cutoff from cutoff_sectors."""
-    return sum(live.stop - live.start for _, live, _ in cutoff[1])
+    return sum(live.stop - live.start for _, live, _, _ in cutoff[1])
 
 
 def open_sectors(m, spec, n):
@@ -193,19 +193,22 @@ def odd_term_symbol(spec):
 def nan_in_dead_column(monkeypatch):
     """Make the left cutoff carry a NaN in its live even rows, at a dead column.
 
-    The NaN goes into a copy of the even sector's DFT block that the
-    cutoff's rows are taken from, at row 0 and column N/2: the bump's even
-    run starts at index 0 and ends before N/2, so row 0 is live and column
-    N/2 dead.  The factor, built from the live columns, stays finite, and
-    every live row it mixes row 0 into has the NaN.
+    The even sector's rows, a copy of the DFT block's live rows, get a NaN
+    at row 0 and column N/2: the bump's even run starts at index 0 and ends
+    before N/2, so row 0 is live and column N/2 dead.  The factor and the
+    word's DFT block stay finite, and every live row the factor mixes row 0
+    into has the NaN.
     """
-    block = experiments.dft_sector
+    prepare = experiments.cutoff_sectors
 
-    def poisoned(n, parity):
-        f = block(n, parity)
-        if parity == 1:
-            f = f.copy()
-            f[0, n // 2] = np.nan
-        return f
+    def poisoned(spec, n):
+        defect, ((parity, live, rows, factor), odd) = prepare(spec, n)
 
-    monkeypatch.setattr(experiments, "dft_sector", poisoned)
+        def nan_rows(f):
+            x = rows(f)
+            x[0, n // 2] = np.nan
+            return x
+
+        return defect, ((parity, live, nan_rows, factor), odd)
+
+    monkeypatch.setattr(experiments, "cutoff_sectors", poisoned)

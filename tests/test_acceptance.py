@@ -47,7 +47,7 @@ def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
                         operator_sectors(np.diag([0.6, 0.2, 0.1, 0.2])))
     # every row of the stand-in operator is live
     monkeypatch.setattr(experiments, "cutoff_sectors", lambda spec, n: (
-        0.0, ((1, slice(0, n // 2 + 1), None), (-1, slice(0, n // 2 - 1), None))))
+        0.0, ((1, slice(0, n // 2 + 1), None, None), (-1, slice(0, n // 2 - 1), None, None))))
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=1)
     assert phase_coherence_check(rows, 4) == 0.0
     rows4 = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
@@ -177,7 +177,7 @@ def test_criterion_7_word_independence():
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
-    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)))[:4])
     m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)))[:4])
     diff = np.abs(m1 - m2).max()

@@ -107,6 +107,24 @@ def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trapped", "nontrapping", "verify"])
+@pytest.mark.parametrize("route", [{"k_max": 1e18, "grid": 4e18}, {"k_max": 4097, "grid": 16388},
+                                   {"k_max": 48, "grid": 2**21}])
+def test_fourier_truncation_beyond_its_bounds_is_config_error(tmp_path, capsys, command, route):
+    # np.arange(grid) or the (2 k_max + 1)^2 symbol tables would crash with a
+    # traceback and exit 1, the code of a failed verify check
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, quantization="weyl", out_csv=str(out),
+                       cutoff={"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24},
+                       **route)
+    assert main([command, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    # the largest values are accepted
+    spec = load_config(write_config(tmp_path, k_max=4096, grid=2**21 - 1)).cutoff
+    assert (spec.k_max, spec.grid) == (4096, 2**21 - 1)
+
+
 @pytest.mark.parametrize("command", ["trapped", "classical"])
 @pytest.mark.parametrize("matrix", [[2**63 + 1, 2**63, 1, 1], [1, 1, 2**63, 2**63 + 1],
                                     [-(2**63), 1, -1, 0]])

@@ -8,7 +8,6 @@ from hypothesis import assume, given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat import hn
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.cli import main
@@ -101,11 +100,12 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     # a sector's factor is formed only after the sector before it is solved
     # and its factor and block are gone, and after its own word has run and
     # its buffer is gone; each (N, parity) DFT block is built once, only
-    # after the block before it is gone
-    events, held, buffers, dfts = [], [], [], []
+    # after the block before it is gone, the sector's word and factor read
+    # that block, and it is gone before the sector is solved
+    events, held, buffers, dfts, keys = [], [], [], [], []
     quantize, word, build, solve, build_dft = (
         experiments.op_left_separable, experiments.apply_word,
-        experiments.build_open_operator, experiments.eigenvalues, hn._build_dft_sector)
+        experiments.build_open_operator, experiments.eigenvalues, experiments.dft_sector)
 
     def alive(refs):
         return any(ref() is not None for ref in refs)
@@ -113,15 +113,16 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def owner(a):
         return weakref.ref(a if a.base is None else a.base)
 
-    def cutoff(d, n, parity):
+    def cutoff(d, f):
+        n, parity = next(key for key, ref in zip(keys, dfts) if ref() is f)
         events.append(("factor", n, parity, alive(held), alive(buffers)))
-        factor = quantize(d, n, parity)
+        factor = quantize(d, f)
         held.append(weakref.ref(factor))
         return factor
 
-    def apply(x, letters, n, parity, **kwargs):
-        events.append(("word", n, parity))
-        out = word(x, letters, n, parity, **kwargs)
+    def apply(x, letters, f, n, parity, **kwargs):
+        events.append(("word", n, parity, f is dfts[-1]()))
+        out = word(x, letters, f, n, parity, **kwargs)
         buffers.append(owner(out))
         return out
 
@@ -131,30 +132,31 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         return block
 
     def eigenvalues(a):
-        events.append(("solve",))
+        events.append(("solve", alive(dfts)))
         return solve(a)
 
     def dft(n, parity):
         events.append(("dft", n, parity, alive(dfts)))
         block = build_dft(n, parity)
         dfts.append(weakref.ref(block))
+        keys.append((n, parity))
         return block
 
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
     monkeypatch.setattr(experiments, "apply_word", apply)
     monkeypatch.setattr(experiments, "build_open_operator", sector)
     monkeypatch.setattr(experiments, "eigenvalues", eigenvalues)
-    monkeypatch.setattr(hn, "_build_dft_sector", dft)
-    hn._DFT_CACHE.clear()
+    monkeypatch.setattr(experiments, "dft_sector", dft)
     trapped_sweep(ARNOLD, TRAPPED_SPEC, [256, 512], k_count=2)
     assert [e for e in events if e[0] == "dft"] == [
         ("dft", 256, 1, False), ("dft", 256, -1, False),
         ("dft", 512, 1, False), ("dft", 512, -1, False)]
     assert [e[:3] for e in events if e[0] != "dft"] == [
-        ("word", 256, 1), ("factor", 256, 1), ("solve",),
-        ("word", 256, -1), ("factor", 256, -1), ("solve",),
-        ("word", 512, 1), ("factor", 512, 1), ("solve",),
-        ("word", 512, -1), ("factor", 512, -1), ("solve",)]
+        ("word", 256, 1), ("factor", 256, 1), ("solve", False),
+        ("word", 256, -1), ("factor", 256, -1), ("solve", False),
+        ("word", 512, 1), ("factor", 512, 1), ("solve", False),
+        ("word", 512, -1), ("factor", 512, -1), ("solve", False)]
+    assert all(e[3] for e in events if e[0] == "word")
     assert not any(e[3] or e[4] for e in events if e[0] == "factor")
 
 
@@ -333,7 +335,7 @@ def test_parity_breaking_operator_raises(monkeypatch):
 def test_live_rows_count_the_cutoff_sectors(n):
     cutoff = cutoff_sectors(TRAPPED_SPEC, n)
     # each sector's live slice spans the rows its builder forms
-    assert live_rows(cutoff) == sum(len(rows) for _, _, rows in built(cutoff))
+    assert live_rows(cutoff) == sum(len(rows) for _, _, rows in built(cutoff, n))
     # the bump is nonzero exactly inside its support |x| < r_outer = 0.2
     assert live_rows(cutoff) == np.count_nonzero(
         np.abs(torus_rep_array(np.arange(n) / n)) < 0.2)
@@ -360,7 +362,7 @@ def test_live_set_closed_under_parity(monkeypatch):
     # each live block, and its eigenvalue is an exact zero
     assert even[0] == slice(0, 4) and odd[0] == slice(0, 3)
     vals = spectrum(ARNOLD, TRAPPED_SPEC, n)
-    a = (dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
+    a = (dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
          @ quantize_word_dense(factor_sl2z(ARNOLD), n))
     assert not a[dead].any()
     # the sectors are the live x live blocks of the folded dense product

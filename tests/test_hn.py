@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat import experiments, hn, metaplectic, quantizer
+from opencat import experiments, metaplectic, quantizer
 from opencat.eigensolver import multiset_distance
 from opencat.errors import NonPositiveN, OddDimension
 from opencat.hn import (dft_sector, fold_parity, planck, sector_coordinates,
@@ -39,8 +39,8 @@ def test_dft_small_cases():
     assert np.array_equal(dft_sector(2, 1), dft_matrix(2)) and dft_sector(2, -1).shape == (0, 0)
     # at N = 4 the odd sector is (e_1 - e_3)/sqrt(2), which F sends to -i times itself
     assert np.allclose(dft_sector(4, -1), [[-1j]], atol=1e-15)
-    # the opposite kernel sign reaches the map only through apply_word's sign=+1,
-    # which takes conj(F): S_INV then quantizes to conj(omega) times that kernel
+    # the opposite kernel sign reaches the map only through quantize_word's sign=+1,
+    # which passes conj(F) to the word: S_INV then quantizes to conj(omega) times that kernel
     s_inv = quantize_word([("S_INV",)], 4, sign=1)
     assert np.allclose(s_inv * OMEGA_S, dft_matrix(4).conj(), atol=1e-15)
     assert np.allclose((s_inv * OMEGA_S)[:, 1], [0.5, 0.5j, -0.5, -0.5j], atol=1e-15)
@@ -55,19 +55,14 @@ def test_dft_symmetric_bitwise(n):
         assert np.array_equal(f, f.T)
 
 
-def test_dft_cache_holds_one_matrix():
-    # one block at a time: the sector block of the last (N, parity) asked for
-    assert quantizer.dft_sector is metaplectic.dft_sector is experiments.dft_sector is dft_sector
+def test_dft_sector_is_built_fresh_and_read_only():
+    # no cache: each call builds a new block, which the caller holds and passes on
+    assert metaplectic.dft_sector is experiments.dft_sector is dft_sector
     # perfbench/tracing.py calls cache_info() on any dft_matrix bound there
     assert not hasattr(quantizer, "dft_matrix") and not hasattr(metaplectic, "dft_matrix")
-    block = dft_sector(6, 1)
-    assert dft_sector(6, 1) is block
-    assert list(hn._DFT_CACHE) == [(6, 1)]
-    dft_sector(6, -1)
-    assert list(hn._DFT_CACHE) == [(6, -1)]
-    dft_sector(8, 1)
-    assert list(hn._DFT_CACHE) == [(8, 1)]
-    assert not dft_sector(8, 1).flags.writeable and not dft_sector(8, -1).flags.writeable
+    block = dft_sector(8, 1)
+    assert dft_sector(8, 1) is not block and np.array_equal(dft_sector(8, 1), block)
+    assert not block.flags.writeable and not dft_sector(8, -1).flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 65, 256, 1024])
@@ -127,7 +122,6 @@ def test_dft_sectors_cold_build_memory():
     n = 512
     for parity in (1, -1):
         block = (n // 2 + parity) ** 2 * 16
-        hn._DFT_CACHE.clear()
         tracemalloc.start()
         try:
             dft_sector(n, parity)

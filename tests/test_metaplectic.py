@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat import hn
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
@@ -59,6 +58,12 @@ def quantize_generator(letter, n, sign=-1):
         p[(n - np.arange(n)) % n, np.arange(n)] = 1.0
         return p
     raise ValueError(f"unknown letter {letter!r}")
+
+
+def sector_dft(n, parity, sign=-1):
+    """The sector's DFT block for apply_word, with kernel sign `sign`: conj(F) for +1."""
+    f = dft_sector(n, parity)
+    return f.conj() if sign == 1 else f
 
 
 def quantize_word_dense(word, n, sign=-1):
@@ -152,7 +157,7 @@ def test_projective_inverse():
 
 def test_word_independent_moduli():
     n = 64
-    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     w1 = factor_sl2z(ARNOLD)
     w2 = [("U", 1), ("L", 1)]
     assert word_matrix(w2) == ARNOLD
@@ -163,7 +168,7 @@ def test_word_independent_moduli():
 
 def test_chi_m_vs_m_chi_spectrum():
     n = 64
-    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     u = quantize_map(ARNOLD, n)
     d = multiset_distance(np.linalg.eigvals(chi @ u), np.linalg.eigvals(u @ chi))
     assert d < 1e-8
@@ -171,7 +176,7 @@ def test_chi_m_vs_m_chi_spectrum():
 
 def test_phase_mode_preserves_moduli():
     n = 64
-    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n)), n)
+    chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     u_plain = quantize_map(ARNOLD, n)
     u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
@@ -260,11 +265,12 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
     for parity, block in zip((1, -1), blocks):
         size = len(block)
         x = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
-        before = x.copy()
-        out = apply_word(x, word, n, parity, sign)
+        buf = x.copy()
+        out = apply_word(buf, word, sector_dft(n, parity, sign), n, parity)
         assert out.shape == (rows, size)
         assert np.abs(out - x @ block).max(initial=0.0) <= 1e-12
-        assert np.array_equal(x, before)
+        # the word ran in the buffer it was given
+        assert out.base is buf
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,8 +327,9 @@ def test_apply_word_narrowed_columns_match_full_product(head, tail, n, sign, row
         start = data.draw(st.integers(0, size))
         cols = slice(start, data.draw(st.integers(start, size)))
         x = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
-        full = apply_word(x, word, n, parity, sign)
-        out = apply_word(x, word, n, parity, sign, cols=cols)
+        f = sector_dft(n, parity, sign)
+        full = apply_word(x.copy(), word, f, n, parity)
+        out = apply_word(x.copy(), word, f, n, parity, cols=cols)
         assert out.shape == (rows, cols.stop - cols.start)
         assert np.abs(out - full[:, cols]).max(initial=0.0) <= 1e-12
 
@@ -331,18 +338,20 @@ def test_apply_word_allocates_no_dft_sized_array():
     # neither F^dag nor a copy of a sector block is materialized: on a few
     # rows the word's peak allocation stays below one sector block, and
     # narrowed to the trapped cutoff's live columns, one run of indices,
-    # it stays below F[:, live], which is a view of F
+    # it stays below F[:, live], which is a view of F.  The block and the
+    # rows are made before the measurement
     n = 512
     word = factor_sl2z(ARNOLD) + [("S",)]
     assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
-    dft_sector(n, 1)
+    f = dft_sector(n, 1)
     live = cutoff_sectors(TRAPPED_SPEC, n)[1][0][1]
     assert 0 < live.stop - live.start < n // 2 + 1
     x = np.random.default_rng(0).standard_normal((8, n // 2 + 1)).astype(complex)
     for cols, bound in ((slice(None), n // 2 + 1), (live, live.stop - live.start)):
+        buf = x.copy()
         tracemalloc.start()
         try:
-            apply_word(x, word, n, 1, cols=cols)
+            apply_word(buf, word, f, n, 1, cols=cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,25 +359,32 @@ def test_apply_word_allocates_no_dft_sized_array():
 
 
 @pytest.mark.parametrize("first", [("S",), ("S_INV",), ("U", 2), ("L", -1), ("PAR",), None])
-def test_apply_word_leaves_its_input_alone(first):
-    # the word works in place on a buffer of its own, whichever letter
-    # allocates it: the caller's rows are never written, neither an array
-    # the caller owns nor a read-only view of one
+def test_apply_word_works_in_place(first):
+    # the word overwrites the buffer its caller gives up, whichever letter
+    # comes first, and returns a view of it; on a read-only view of the DFT
+    # block it raises before any byte is written, and the empty word (first
+    # None) writes nothing
     n = 32
     rng = np.random.default_rng(7)
     for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
-        base = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
-        view = base[1:]
-        view.flags.writeable = False
+        f = dft_sector(n, parity)
+        before = f.tobytes()
         for word in ([first] + [("U", 1), ("S",), ("L", 2)] if first else [],
                      [first] if first else []):
-            for x in (base, view):
-                before = x.tobytes()
-                for cols in (slice(None), slice(2, 7)):
-                    out = apply_word(x, word, n, parity, cols=cols)
-                    assert x.tobytes() == before
-                    expect = x @ fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
-                    assert np.abs(out - expect[:, cols]).max() <= 1e-12
+            block = fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
+            for cols in (slice(None), slice(2, 7)):
+                x = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
+                buf = x.copy()
+                out = apply_word(buf, word, f, n, parity, cols=cols)
+                assert np.shares_memory(out, buf)
+                assert np.abs(out - (x @ block)[:, cols]).max() <= 1e-12
+                if word:
+                    with pytest.raises(ValueError):
+                        apply_word(f[1:], word, f, n, parity, cols=cols)
+                else:
+                    assert np.array_equal(apply_word(f[1:], word, f, n, parity, cols=cols),
+                                          f[1:, cols])
+                assert f.tobytes() == before
 
 
 def test_open_spectrum_holds_one_sector_and_one_buffer():
@@ -380,14 +396,32 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
     # the factor's product formed beside the buffer gave 1.64
     n = 512
     h = n // 2
-    live, factor, rows = built(cutoff_sectors(TRAPPED_SPEC, n))[0]
+    live, factor, rows = built(cutoff_sectors(TRAPPED_SPEC, n), n)[0]
     panel = max(p.stop - p.start for p in _panels(len(rows)))
     bound = ((h + 1) ** 2 + (len(rows) + panel) * (h + 1)) * 16
     del live, factor, rows
-    hn._DFT_CACHE.clear()
     tracemalloc.start()
     try:
         spectrum(ARNOLD, TRAPPED_SPEC, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * bound
+
+
+def test_weyl_open_spectrum_holds_two_sector_blocks():
+    # on the Weyl route the word runs in the symbol's sector block itself,
+    # beside the DFT block and one panel, and the DFT block is freed before
+    # the solve: at N = 512 open_spectrum peaks under 1.25 x (two blocks and
+    # a 128-row panel), 3.30 MB, at 2.61 MB measured here; a word on its own
+    # copy of the symbol block, with the block kept alive, peaked at 3.67 MB
+    n = 512
+    h = n // 2
+    cutoff = cutoff_sectors(replace(NONTRAP_SPEC, quantization="weyl"), n)
+    bound = (2 * (h + 1) ** 2 + 128 * (h + 1)) * 16
+    tracemalloc.start()
+    try:
+        experiments.open_spectrum(ARNOLD, cutoff, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,7 +435,7 @@ def test_open_operator_matches_dense_product(spec, quant, n):
     word = factor_sl2z(ARNOLD)
     routed = replace(spec, quantization=quant)
     sectors = open_sectors(ARNOLD, routed, n)
-    dense = (dense_operator(built(cutoff_sectors(routed, n)), n)
+    dense = (dense_operator(built(cutoff_sectors(routed, n), n), n)
              @ quantize_word_dense(word, n))
     # each sector is the live x live block of the folded dense product, and
     # the product's other rows in the sector are zero
