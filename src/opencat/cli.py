@@ -390,6 +390,11 @@ def main(argv=None) -> int:
         # the sweeps raise before the CSV is written, so none is left behind
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # a config can pass validation and still need more memory than there
+        # is, e.g. a DFT block at large N; like the above, before any CSV
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     raise AssertionError("unreachable")
 
 

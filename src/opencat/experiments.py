@@ -26,7 +26,7 @@ import numpy as np
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, match_distance, sort_by_modulus
 from .errors import ParityBroken, TooFewLiveRows
-from .hn import dft_sector, live_run, planck
+from .hn import dft_sector, live_run, planck, sector_basis
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol, op_left_separable,
                         op_weyl_sector, profile_sectors)
@@ -102,10 +102,10 @@ def cutoff_sectors(spec: BumpSpec, n: int):
         sym = cutoff_symbol(spec)
         scale = np.abs(sym.table).max()
         defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
-        return defect, tuple((parity, slice(0, size),
+        return defect, tuple((parity, slice(0, len(sector_basis(n, parity)[0])),
                               lambda f, parity=parity: op_weyl_sector(sym, n, parity),
                               lambda f: None)
-                             for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)))
+                             for parity in (1, -1))
     even, odd, defect = profile_sectors(cutoff_profile(spec), n)
 
     def left(parity, d):

@@ -9,16 +9,15 @@ so the package does its algebra in the sector basis, N even:
           natural order j = 0..N/2 (size N/2 + 1);
     odd:  (e_j - e_{N-j})/sqrt(2) for 0 < j < N/2 (size N/2 - 1).
 
-fold_parity takes a diagonal into that basis, live_run gives the run of
-indices where a folded cutoff profile is nonzero, sector_coordinates gives
-each basis vector e_m's place and weights in the two sectors (what a
-builder needs to scatter a matrix's entries straight into its sector
-blocks), unfold_parity takes two sector blocks back to an N x N matrix, and
-dft_sector builds one sector's block of the unitary DFT straight from its
-kernel, on half of the symmetric block: no N x N DFT matrix is formed.
-Nothing is cached: the caller holds the block as long as it needs it and
-passes it to whatever reads it.
-All matrices are plain dense numpy arrays.
+sector_basis is the one definition of that layout; everything that needs
+it reads it there.  fold_parity takes a diagonal into one sector and
+parity_defect measures what the fold drops, live_run gives the run of
+indices where a folded cutoff profile is nonzero, unfold_parity takes two
+sector blocks back to an N x N matrix, and dft_sector builds one sector's
+block of the unitary DFT straight from its kernel, on half of the
+symmetric block: no N x N DFT matrix is formed.  Nothing is cached: the
+caller holds the block as long as it needs it and passes it to whatever
+reads it.  All matrices are plain dense numpy arrays.
 """
 
 import math
@@ -40,17 +39,23 @@ def planck(n: int) -> float:
     return 1.0 / (2.0 * math.pi * n)
 
 
-def _unfold_rows(even, odd):
-    """Rows in the sector basis, as (even rows, odd rows), back in the basis e_0..e_{N-1}."""
-    h = even.shape[0] - 1
-    n = 2 * h
-    j = np.arange(1, h)
-    r = math.sqrt(0.5)
-    out = np.empty((n,) + even.shape[1:], dtype=complex)
-    out[[0, h]] = even[[0, h]]
-    out[j] = (even[1:h] + odd) * r
-    out[n - j] = (even[1:h] - odd) * r
-    return out
+def sector_basis(n: int, parity: int):
+    """One parity sector's basis, even (parity=+1) or odd, as (index, partner, weight); N even.
+
+    Basis vector s has weight[s] at e_j and parity weight[s] at e_{j'},
+    with j = index[s] and j' = partner[s] = N - j mod N: the indices run
+    0..N/2 in the even sector and 1..N/2 - 1 in the odd one.  A fixed point
+    j = 0, N/2, in the even sector only, is its own partner and its vector
+    is e_j, weight 1; every other weight is sqrt(1/2).
+    """
+    if n < 1:
+        raise NonPositiveN(f"n = {n}")
+    if n % 2:
+        raise OddDimension(f"n = {n} must be even")
+    h = n // 2
+    index = np.arange(h + 1) if parity == 1 else np.arange(1, h)
+    partner = (n - index) % n
+    return index, partner, np.where(index == partner, 1.0, math.sqrt(0.5))
 
 
 def live_run(d):
@@ -63,56 +68,36 @@ def live_run(d):
     return slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
 
 
-def fold_parity(d):
-    """A diagonal in the sector basis, as (even, odd, defect).
+def fold_parity(d, parity: int):
+    """A diagonal d in one parity sector: the pair means (d_j + d_{N-j})/2, d_j at a fixed point.
 
-    d holds the N entries of the diagonal, N even.  A pair's entry in both
-    sectors is the mean (d_j + d_{N-j})/2.  The part that couples the
-    sectors, (d_j - d_{N-j})/2, is dropped, and defect is its largest entry
-    relative to d's largest entry: zero when d commutes with parity.
+    The part that couples the sectors, (d_j - d_{N-j})/2, is dropped;
+    parity_defect measures it.
     """
-    d = np.asarray(d)
-    n = d.shape[0]
+    index, partner, _ = sector_basis(len(d), parity)
+    return (d[index] + d[partner]) * 0.5
+
+
+def parity_defect(d) -> float:
+    """The largest entry of the part fold_parity drops, relative to d's largest entry: zero when d commutes with parity."""
+    index, partner, _ = sector_basis(len(d), -1)     # every pair j, N - j once
     scale = np.abs(d).max(initial=0.0)
-    h = n // 2
-    j = np.arange(1, h)
-    p, m = d[j], d[n - j]
-    odd = (p + m) * 0.5
-    even = np.concatenate([d[:1], odd, d[h:h + 1]])
-    cross = np.abs(p - m).max(initial=0.0) * 0.5
-    return even, odd, cross / scale if scale > 0 else 0.0
-
-
-def sector_coordinates(n: int):
-    """Where each e_m lies in the sector basis, as (index, even_weight, odd_weight).
-
-    e_m is even_weight times even basis vector index plus odd_weight times
-    odd basis vector index - 1: index is min(m, N - m), even_weight is 1 at
-    the fixed points m = 0, N/2 and sqrt(1/2) elsewhere, and odd_weight is 0
-    at the fixed points, sqrt(1/2) for m < N/2 and -sqrt(1/2) above.  So a
-    matrix entry A[m, c] adds even_weight[m] even_weight[c] A[m, c] to the
-    even block at (index[m], index[c]), and the odd and coupling blocks take
-    the other products of weights alike.
-    """
-    if n % 2:
-        raise OddDimension(f"n = {n} must be even")
-    h = n // 2
-    m = np.arange(n)
-    r = math.sqrt(0.5)
-    fixed = (m == 0) | (m == h)
-    even_weight = np.where(fixed, 1.0, r)
-    odd_weight = np.where(fixed, 0.0, np.where(m < h, r, -r))
-    return np.minimum(m, n - m), even_weight, odd_weight
+    cross = np.abs(d[index] - d[partner]).max(initial=0.0) * 0.5
+    return cross / scale if scale > 0 else 0.0
 
 
 def unfold_parity(even, odd):
-    """The N x N matrix with sector blocks even and odd and no coupling between them."""
-    h = even.shape[0] - 1
-    block = np.zeros((2 * h, 2 * h), dtype=complex)
-    block[:h + 1, :h + 1] = even
-    block[h + 1:, h + 1:] = odd
-    half = _unfold_rows(block[:h + 1], block[h + 1:]).T      # (P B)^T
-    return _unfold_rows(half[:h + 1], half[h + 1:]).T        # P B P^T
+    """The N x N matrix with sector blocks even and odd and no coupling between them: sum of Q_s^T B_s Q_s."""
+    n = 2 * (len(even) - 1)
+    out = np.zeros((n, n), dtype=complex)
+    for parity, block in zip((1, -1), (even, odd)):
+        index, partner, weight = sector_basis(n, parity)
+        q = np.zeros((len(index), n))     # row s: basis vector s in e_0..e_{N-1}
+        rows = np.arange(len(index))
+        q[rows, partner] = parity * weight
+        q[rows, index] = weight
+        out += q.T @ block @ q
+    return out
 
 
 def dft_sector(n: int, parity: int):
@@ -133,18 +118,10 @@ def dft_sector(n: int, parity: int):
     couple the sectors is not formed: its partner arguments are equal mod
     N, so it is the unreduced phases' roundoff.
     """
-    if n < 1:
-        raise NonPositiveN(f"n = {n}")
-    if n % 2:
-        raise OddDimension(f"n = {n} must be even")
-    h = n // 2
-    # the sector's indices j: 0..N/2 even, 1..N/2-1 odd
-    idx = np.arange(h + 1) if parity == 1 else np.arange(1, h)
+    idx, partner, weight = sector_basis(n, parity)
     size = len(idx)
-    fixed = (idx == 0) | (idx == h)
     # a fixed point is its own partner: its four terms are one value, 4 g
-    partner = np.where(fixed, idx, n - idx)
-    weight = np.where(fixed, 0.5, math.sqrt(0.5))
+    weight = np.where(idx == partner, 0.5 * weight, weight)
     step, scale = 1.0 / n, 1.0 / math.sqrt(n)
 
     def kernel(a, b):
@@ -174,6 +151,7 @@ def dft_sector(n: int, parity: int):
             part += swapped
             part *= weight[rows, None] * weight[cols]
         else:
+            # every odd weight is sqrt(1/2), whose square rounds above 1/2
             part -= swapped
             part *= 0.5
         block[rows, cols] = part

@@ -91,19 +91,19 @@ def factor_sl2z(m: CatMap) -> list:
     return word
 
 
-def _chirp(letter, n: int):
-    """A shear letter's quadratic phase e^{i pi coef m^2 / N} in the sector basis.
+def _chirp(letter, n: int, parity: int):
+    """A shear letter's quadratic phase e^{i pi coef m^2 / N}, folded into one parity sector.
 
     L(c) multiplies by the chirp with coef = c; U(b) is the chirp with
     coef = -b conjugated by the DFT.  The phase has period 2N in coef, so
     coef is first reduced into [-N, N) in exact integer arithmetic.  For N
     even coef (N - m)^2 = coef m^2 mod 2N, so the chirp folds into one
-    diagonal per sector; returns fold_parity's (even, odd, defect).
+    diagonal per sector (fold_parity).
     """
     coef = letter[1] if letter[0] == "L" else -letter[1]
     coef = (coef + n) % (2 * n) - n
     m = np.arange(n)
-    return fold_parity(np.exp(1j * math.pi * coef * m * m / n))
+    return fold_parity(np.exp(1j * math.pi * coef * m * m / n), parity)
 
 
 def _panels(rows: int):
@@ -150,7 +150,6 @@ def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
     result is a view of x.  A read-only x raises ValueError at the first
     letter, before anything is written; the empty word writes nothing.
     """
-    sector = 0 if parity == 1 else 1
     last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),
                default=-1)
     if last < 0:
@@ -168,12 +167,12 @@ def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
             x *= np.conj(OMEGA_S)
         elif kind == "U":
             x = _times(x, f, slice(None))
-            x *= _chirp(letter, n)[sector]
+            x *= _chirp(letter, n, parity)
             np.conj(x, out=x)
             x = _times(x, f, out)
             np.conj(x, out=x)
         elif kind == "L":
-            x *= _chirp(letter, n)[sector][cols if i > last else slice(None)]
+            x *= _chirp(letter, n, parity)[cols if i > last else slice(None)]
         elif kind == "PAR":
             x *= parity
         else:
@@ -189,9 +188,9 @@ def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
     only a mismatch with the observables shows: Egorov for S breaks at O(1).
     """
     blocks = []
-    for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
+    for parity in (1, -1):
         f = dft_sector(n, parity)
-        blocks.append(apply_word(np.eye(size, dtype=complex), word,
+        blocks.append(apply_word(np.eye(len(f), dtype=complex), word,
                                  f.conj() if sign == 1 else f, n, parity))
     return unfold_parity(*blocks)
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import fold_parity, live_run, sector_coordinates, torus_rep_array
+from .hn import fold_parity, live_run, parity_defect, sector_basis, torus_rep_array
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
@@ -166,31 +166,33 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
 def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
     """One parity sector's block of the Weyl quantization, even (parity=+1) or odd, N even.
 
-    Each entry A[m, c] of weyl_band's diagonals adds into the block at the
-    places sector_coordinates gives, weighted by the sector's weights of m
-    and c; the part that couples the sectors is dropped.  O(k_max N) work
-    beside the transforms; no N x N array is formed.
+    Each e_m lies in the sector at one place with one signed weight, from
+    sector_basis: 0 for a fixed point in the odd sector, which has no place
+    for it.  Each entry A[m, c] of weyl_band's diagonals adds into the block
+    at the places of m and c, times their weights; the part that couples
+    the sectors is dropped.  O(k_max N) work beside the transforms; no
+    N x N array is formed.
     """
-    index, even_w, odd_w = sector_coordinates(n)
-    # the odd sector has no place for the fixed points m = 0, N/2 (weight 0)
-    # and numbers its places from index 1
-    size, weight, index = ((n // 2 + 1, even_w, index) if parity == 1
-                           else (n // 2 - 1, odd_w, index - 1))
+    index, partner, basis_weight = sector_basis(n, parity)
+    size = len(index)
+    place, weight = np.zeros(n, dtype=int), np.zeros(n)
+    place[partner], weight[partner] = np.arange(size), parity * basis_weight
+    place[index], weight[index] = np.arange(size), basis_weight
     m = np.arange(n)[:, None]
     block = np.zeros((size, size), dtype=complex)
     for offsets, diagonals in weyl_band(sym, n):
         c = (m + offsets) % n
         keep = (weight[:, None] != 0) & (weight[c] != 0)
         # repeated cells add: np.add.at on the flat view
-        np.add.at(block.reshape(-1), (index[:, None] * size + index[c])[keep],
+        np.add.at(block.reshape(-1), (place[:, None] * size + place[c])[keep],
                   (weight[:, None] * weight[c] * diagonals)[keep])
     return block
 
 
 def profile_sectors(profile, n: int):
-    """A profile sampled at the points x_m and folded into the sectors: fold_parity's triple."""
-    x = torus_rep_array(np.arange(n) / n)
-    return fold_parity(np.asarray(profile(x), dtype=complex))
+    """A profile sampled at the points x_m and folded into the sectors, as (even, odd, parity_defect)."""
+    d = np.asarray(profile(torus_rep_array(np.arange(n) / n)), dtype=complex)
+    return fold_parity(d, 1), fold_parity(d, -1), parity_defect(d)
 
 
 def op_left_separable(d, f):

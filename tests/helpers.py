@@ -30,6 +30,32 @@ def _fold_rows(x):
     return np.concatenate([x[:1], (p + m) * r, x[h:h + 1]]), (p - m) * r
 
 
+def fold_pairs(d):
+    """A diagonal in the sector basis, as (even, odd, defect), N even, by the pairwise formula.
+
+    The oracle for hn.fold_parity and hn.parity_defect: a pair's entry in
+    both sectors is the mean (d_j + d_{N-j})/2 and a fixed point keeps its
+    entry; defect is the largest (d_j - d_{N-j})/2, the part that couples
+    the sectors, relative to d's largest entry.
+    """
+    n = d.shape[0]
+    h = n // 2
+    j = np.arange(1, h)
+    p, m = d[j], d[n - j]
+    odd = (p + m) * 0.5
+    scale = np.abs(d).max(initial=0.0)
+    cross = np.abs(p - m).max(initial=0.0) * 0.5
+    return np.concatenate([d[:1], odd, d[h:h + 1]]), odd, cross / scale if scale > 0 else 0.0
+
+
+def chirp_diagonal(letter, n):
+    """A shear letter's chirp e^{i pi coef m^2 / N} on the N points, as metaplectic._chirp forms it before its fold."""
+    coef = letter[1] if letter[0] == "L" else -letter[1]
+    coef = (coef + n) % (2 * n) - n
+    m = np.arange(n)
+    return np.exp(1j * math.pi * coef * m * m / n)
+
+
 def fold_matrix(a):
     """An N x N matrix in the sector basis, as (even, odd, defect), N even.
 

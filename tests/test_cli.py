@@ -293,6 +293,26 @@ def test_verify_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trapped", "nontrapping", "verify"])
+def test_out_of_memory_exits_numeric(tmp_path, monkeypatch, capsys, command):
+    # a config that passes validation can still exhaust memory; every
+    # subcommand builds a DFT sector block, where numpy's allocation fails
+    def fail(n, parity):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(experiments, "dft_sector", fail)
+    monkeypatch.setattr(cli.hn, "dft_sector", fail)
+    out = tmp_path / "rows.csv"
+    annulus = {"cutoff": {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}}
+    cfg = write_config(tmp_path, out_csv=str(out), **annulus if command == "nontrapping" else {})
+    assert main([command, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "numeric failure: out of memory: Unable to allocate 64.0 GiB for an array"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_trapped_missing_out_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["trapped", "--config", cfg]) == 2
@@ -524,9 +544,9 @@ def test_verify_witness_catches_conjugated_u_chirps(tmp_path, capsys, monkeypatc
     # the witness map [3, 2, 4, 3] is not symmetric, and its gap is O(1e-2)
     chirp = metaplectic._chirp
 
-    def conjugated(letter, n):
-        even, odd, defect = chirp(letter, n)
-        return (even.conj(), odd.conj(), defect) if letter[0] == "U" else (even, odd, defect)
+    def conjugated(letter, n, parity):
+        d = chirp(letter, n, parity)
+        return d.conj() if letter[0] == "U" else d
 
     monkeypatch.setattr(metaplectic, "_chirp", conjugated)
     cfg = write_config(tmp_path, **overrides)

@@ -8,11 +8,11 @@ import pytest
 from opencat import experiments, metaplectic, quantizer
 from opencat.eigensolver import multiset_distance
 from opencat.errors import NonPositiveN, OddDimension
-from opencat.hn import (dft_sector, fold_parity, planck, sector_coordinates,
+from opencat.hn import (dft_sector, fold_parity, parity_defect, planck, sector_basis,
                         torus_rep_array, unfold_parity)
-from opencat.metaplectic import OMEGA_S, quantize_word
+from opencat.metaplectic import OMEGA_S, _chirp, quantize_word
 
-from helpers import dft_matrix, dft_sectors_oracle, fold_matrix
+from helpers import chirp_diagonal, dft_matrix, dft_sectors_oracle, fold_matrix, fold_pairs, shear
 
 
 def test_planck_values():
@@ -158,34 +158,60 @@ def test_fold_parity_round_trip(h, seed):
     # a diagonal folds to the diagonals of its matrix's sectors
     d = rng.uniform(-1, 1, n)
     d = d + d[par]
-    even_d, odd_d, defect_d = fold_parity(d)
     even_m, odd_m, _ = fold_matrix(np.diag(d))
-    assert defect_d == 0.0
-    assert np.allclose(even_d, np.diag(even_m), atol=1e-15)
-    assert np.allclose(odd_d, np.diag(odd_m), atol=1e-15)
+    assert parity_defect(d) == 0.0
+    assert np.allclose(fold_parity(d, 1), np.diag(even_m), atol=1e-15)
+    assert np.allclose(fold_parity(d, -1), np.diag(odd_m), atol=1e-15)
     # a part that is odd under parity is what the fold drops, and measures
     assert fold_matrix(a + (b - b[np.ix_(par, par)]))[2] > 1e-3 or n == 2
-    assert fold_parity(d + np.arange(n))[2] > 1e-3 or n == 2
+    assert parity_defect(d + np.arange(n)) > 1e-3 or n == 2
+
+
+def assert_folds_bitwise(d):
+    # the fold from the basis against the pairwise formula, on the float view
+    even, odd, defect = fold_pairs(d)
+    assert np.array_equal(fold_parity(d, 1).view(float), even.view(float))
+    assert np.array_equal(fold_parity(d, -1).view(float), odd.view(float))
+    assert parity_defect(d) == defect
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 256), seed=st.integers(0, 2**32 - 1), letter=shear)
+def test_fold_parity_bitwise_matches_pairwise_formula(h, seed, letter):
+    # a fixed point's entry is (d + d) * 0.5, exactly d; the shear chirp,
+    # folded straight into the sector the word runs in, is the fold of the
+    # full chirp
+    n = 2 * h
+    rng = np.random.default_rng(seed)
+    assert_folds_bitwise(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    chirp = chirp_diagonal(letter, n)
+    assert_folds_bitwise(chirp)
+    for parity, folded in zip((1, -1), fold_pairs(chirp)):
+        assert np.array_equal(_chirp(letter, n, parity).view(float), folded.view(float))
 
 
 @pytest.mark.parametrize("n", [2, 4, 10])
-def test_sector_coordinates_give_the_fold(n):
+def test_sector_basis_gives_the_fold(n):
     # row s of q is sector basis vector s, even then odd, in the basis e_m
     h = n // 2
-    index, even_w, odd_w = sector_coordinates(n)
-    m = np.arange(n)
     q = np.zeros((n, n))
-    q[index, m] = even_w
-    pair = odd_w != 0
-    q[h + index[pair], m[pair]] = odd_w[pair]
+    start = 0
+    for parity in (1, -1):
+        index, partner, weight = sector_basis(n, parity)
+        rows = start + np.arange(len(index))
+        q[rows, partner] = parity * weight
+        q[rows, index] = weight
+        start += len(index)
+    assert start == n
     assert np.abs(q @ q.T - np.eye(n)).max() < 1e-15
     a = np.random.default_rng(n).uniform(-1, 1, (n, n))
     even, odd, _ = fold_matrix(a)
     folded = q @ a @ q.T
     assert np.abs(folded[:h + 1, :h + 1] - even).max() < 1e-14
     assert np.abs(folded[h + 1:, h + 1:] - odd).max(initial=0.0) < 1e-14
-    with pytest.raises(OddDimension):
-        sector_coordinates(n + 1)
+    for parity in (1, -1):
+        with pytest.raises(OddDimension):
+            sector_basis(n + 1, parity)
 
 
 def test_torus_rep():

@@ -11,15 +11,15 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
 from opencat.hn import dft_sector, torus_rep_array
-from opencat.metaplectic import (OMEGA_S, _chirp, _panels, apply_word, compose_symbol,
+from opencat.metaplectic import (OMEGA_S, _panels, apply_word, compose_symbol,
                                  egorov_residual, factor_sl2z, phase_factor,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import cutoff_sectors
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, dft_sectors_oracle,
-                     fold_matrix, open_sectors, shear, spectrum)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, chirp_diagonal, dense_operator,
+                     dft_sectors_oracle, fold_matrix, fold_pairs, open_sectors, shear, spectrum)
 
 
 def mode(k, l, kmax=2):
@@ -293,7 +293,7 @@ def assert_word_folds(word, n):
     for letter in word:
         if letter[0] in ("U", "L"):
             coef = (letter[1] + n) % (2 * n) - n
-            assert _chirp(letter, n)[2] <= 1e-15 * n * max(1, abs(coef))
+            assert fold_pairs(chirp_diagonal(letter, n))[2] <= 1e-15 * n * max(1, abs(coef))
     assert dft_sectors_oracle(n)[2] <= 1e-15 * n
 
 

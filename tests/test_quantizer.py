@@ -10,7 +10,7 @@ import pytest
 from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
 import opencat.experiments as experiments
 from opencat.experiments import cutoff_sectors
-from opencat.hn import fold_parity, live_run, torus_rep_array
+from opencat.hn import live_run, parity_defect, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol, op_weyl,
                                op_weyl_sector, profile_sectors)
@@ -356,9 +356,9 @@ def test_op_left_live_rows_match_dense(n, kind):
     oracle = op_left_dense(f, n)
     x = torus_rep_array(np.arange(n) / n)
     # the profile is even, so the fold drops nothing
-    assert fold_parity(f(x))[2] < 1e-15
+    assert parity_defect(f(x)) < 1e-15
     assert np.abs(dense_operator(sectors, n) - oracle).max() < 1e-13
-    for (live, factor, rows), d, block in zip(sectors, fold_parity(f(x))[:2],
+    for (live, factor, rows), d, block in zip(sectors, profile_sectors(f, n)[:2],
                                               fold_matrix(oracle)[:2]):
         # the live set is one run, and exactly the profile's nonzero set
         assert np.array_equal(np.arange(len(block))[live], np.flatnonzero(d))
