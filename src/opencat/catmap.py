@@ -24,7 +24,8 @@ class CatMap:
 
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
-            raise NotUnimodular(f"det = {self.a * self.d - self.b * self.c}, expected 1")
+            raise NotUnimodular(f"matrix {[self.a, self.b, self.c, self.d]}: "
+                                f"det = {self.a * self.d - self.b * self.c}, expected 1")
 
     @property
     def trace(self) -> int:
@@ -65,7 +66,7 @@ def analyze(m: CatMap) -> CatMapAnalysis:
     """
     tr = m.trace
     if abs(tr) <= 2:
-        raise NotHyperbolic(f"|trace| = {abs(tr)} <= 2")
+        raise NotHyperbolic(f"matrix {[m.a, m.b, m.c, m.d]}: |trace| = {abs(tr)} <= 2")
     lam = (abs(tr) + math.sqrt(tr * tr - 4)) / 2.0
     mat = m.as_array().astype(float)
     # Right eigenvectors as columns of P; Q = P^-1 has det 1 once P does.

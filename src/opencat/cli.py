@@ -16,7 +16,7 @@ import numpy as np
 from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
-from .errors import OpenCatError, TooFewLiveRows
+from .errors import ConfigError, OpenCatError
 from .experiments import (MAX_MODES, PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors,
                           nontrapping_rows, nontrapping_sweep, open_spectrum,
                           spectrum_gap, trapped_sweep)
@@ -31,10 +31,6 @@ EXIT_NUMERIC = 3
 _CONFIG_KEYS = {"matrix", "n_list", "cutoff", "quantization", "phase",
                 "k_count", "k_max", "grid", "out_csv", "out_svg", "seed"}
 _CUTOFF_KEYS = {"kind", "r_inner", "r_outer"}
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -89,11 +85,8 @@ def parse_config(raw: dict) -> RunConfig:
     entries = [_integer(v, "matrix entry") for v in mat]
     if max(abs(v) for v in entries) >= 2**63:  # CatMap.as_array is int64
         raise ConfigError(f"matrix entries must be below 2**63 in magnitude, got {mat}")
-    try:
-        m = CatMap(*entries)
-        analyze(m)
-    except OpenCatError as exc:
-        raise ConfigError(f"bad matrix: {exc}")
+    m = CatMap(*entries)
+    analyze(m)  # NotHyperbolic for |trace| <= 2
     if not isinstance(raw["n_list"], list):
         raise ConfigError("n_list must be a list of integers")
     n_list = [_integer(n, "n_list entry") for n in raw["n_list"]]
@@ -110,11 +103,8 @@ def parse_config(raw: dict) -> RunConfig:
     # the quantization route's keys default and are checked in BumpSpec
     route = {key: raw[key] if key == "quantization" else _integer(raw[key], key)
              for key in ("quantization", "k_max", "grid") if key in raw}
-    try:
-        spec = BumpSpec(cut["kind"], _number(cut["r_inner"], "r_inner"),
-                        _number(cut["r_outer"], "r_outer"), **route)
-    except OpenCatError as exc:
-        raise ConfigError(f"bad cutoff: {exc}")
+    spec = BumpSpec(cut["kind"], _number(cut["r_inner"], "r_inner"),
+                    _number(cut["r_outer"], "r_outer"), **route)
     phase = raw.get("phase", "leading")
     if phase not in ("none", "leading"):
         raise ConfigError("phase must be 'none' or 'leading'")
@@ -211,16 +201,9 @@ def write_nontrapping_svg(path, rows) -> None:
 # --------------------------------------------------------------- subcommands
 
 def cmd_trapped(config: RunConfig) -> int:
-    if config.out_csv is None:
-        raise ConfigError("out_csv is required")
-    if config.cutoff.kind != "product_bump":
-        raise ConfigError("trapped run needs a product_bump cutoff")
-    try:
-        rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
-                             k_count=config.k_count,
-                             normalize_phase=config.phase == "leading")
-    except TooFewLiveRows as exc:
-        raise ConfigError(str(exc))
+    rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
+                         k_count=config.k_count,
+                         normalize_phase=config.phase == "leading")
     _write_csv(config.out_csv, "N,h,k,re,im,modulus,target,abs_err",
                ([str(r.n), _fmt(r.h), str(r.k), _fmt(r.re), _fmt(r.im),
                  _fmt(r.modulus), _fmt(r.target), _fmt(r.abs_err)]
@@ -232,10 +215,6 @@ def cmd_trapped(config: RunConfig) -> int:
 
 
 def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
-    if config.out_csv is None:
-        raise ConfigError("out_csv is required")
-    if config.cutoff.kind != "annulus_product":
-        raise ConfigError("nontrapping run needs an annulus_product cutoff")
     if synthetic_h2:
         rows = nontrapping_rows(config.n_list,
                                 [hn.planck(n) ** 2 for n in config.n_list])
@@ -251,14 +230,9 @@ def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
 
 
 def cmd_classical(config: RunConfig, q_max: int, radius: float | None) -> int:
-    if config.out_csv is None:
-        raise ConfigError("out_csv is required")
     if radius is None:
         radius = guard_radius(analyze(config.matrix))
-    try:
-        report = escape_check(config.matrix, radius, q_max)
-    except OpenCatError as exc:
-        raise ConfigError(str(exc))
+    report = escape_check(config.matrix, radius, q_max)
     _write_csv(config.out_csv, "q,num_orbits,min_orbit_max_norm,all_escape",
                ([str(q), str(num), _fmt(norm), str(report.all_escape).lower()]
                 for q, num, norm in report.per_q))
@@ -373,6 +347,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.command != "verify" and config.out_csv is None:
+            raise ConfigError("out_csv is required")
         if args.command == "trapped":
             return cmd_trapped(config)
         if args.command == "nontrapping":
@@ -382,12 +358,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, flip_dft=args.debug_flip_dft)
     except ConfigError as exc:
-        # also an output path that cannot be written; the SVG is written
-        # after the CSV, so an SVG failure leaves the CSV in place
+        # bad input, also an output path that cannot be written; the SVG is
+        # written after the CSV, so an SVG failure leaves the CSV in place
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OpenCatError as exc:
-        # the sweeps raise before the CSV is written, so none is left behind
+        # every other package error is numeric; the sweeps raise before the
+        # CSV is written, so none is left behind
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:

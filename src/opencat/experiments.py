@@ -25,7 +25,7 @@ import numpy as np
 
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, match_distance, sort_by_modulus
-from .errors import ParityBroken, TooFewLiveRows
+from .errors import ConfigError, InvalidSpec, ParityBroken, TooFewLiveRows
 from .hn import dft_sector, live_run, planck, sector_basis
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol, op_left_separable,
@@ -176,14 +176,15 @@ def spectrum_gap(vals: np.ndarray, partner: np.ndarray) -> float:
     the smallest over those choices of the distance from vals' top
     MAX_MODES eigenvalues matched into the partner (match_distance):
     roundoff, with no reference.  A zero spectrum has no phase to fix; its
-    gap is the partner's largest modulus.
+    gap is the partner's largest modulus.  A partner with none to fix
+    under a nonzero vals raises DegeneratePhase (phase_factor).
     """
     if not vals.any():
         return float(np.abs(partner).max())
     vals = sort_by_modulus(vals)
     top = (vals * phase_factor(vals))[:MAX_MODES]
     lead = np.abs(partner).max()
-    return min(match_distance(top, partner * (np.conj(mu) / abs(mu)))
+    return min(match_distance(top, partner * phase_factor([mu]))
                for mu in partner[np.abs(partner) >= lead * (1.0 - 1e-8)])
 
 
@@ -201,10 +202,13 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
     (cutoff_sectors).  A k_count above its live rows at any N raises
     TooFewLiveRows before any N is solved: the modes beyond the live rows
     would be padding zeros.  k_count defaults to 4, or to the fewest live
-    rows over n_list when that is below 4 (but at least 1).
+    rows over n_list when that is below 4 (but at least 1).  A cutoff that
+    is not a product bump raises InvalidSpec.
     """
+    if spec.kind != "product_bump":
+        raise InvalidSpec(f"trapped sweep needs a product_bump cutoff, got {spec.kind!r}")
     if k_count is not None and k_count > MAX_MODES:
-        raise ValueError(f"k_count > {MAX_MODES} exceeds the resolvable range at desk scale")
+        raise ConfigError(f"k_count > {MAX_MODES} exceeds the resolvable range at desk scale")
     cutoffs = [cutoff_sectors(spec, n) for n in n_list]
     live = [sum(run.stop - run.start for _, run, _, _ in sectors) for _, sectors in cutoffs]
     if k_count is None:
@@ -238,7 +242,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
 def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list):
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
-        raise ValueError("nontrapping sweep needs an annulus cutoff")
+        raise InvalidSpec(f"nontrapping sweep needs an annulus_product cutoff, got {spec.kind!r}")
     tops = [float(np.abs(open_spectrum(m, cutoff_sectors(spec, n), n)).max())
             for n in n_list]
     return nontrapping_rows(n_list, tops)

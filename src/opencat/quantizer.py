@@ -58,19 +58,19 @@ class BumpSpec:
 
     def __post_init__(self):
         if self.kind not in ("product_bump", "annulus_product"):
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
+            raise InvalidSpec(f"unknown cutoff kind {self.kind!r}")
         if not (0.0 < self.r_inner < self.r_outer < 0.5):
-            raise InvalidSpec(f"need 0 < r_inner < r_outer < 1/2, got "
+            raise InvalidSpec(f"cutoff needs 0 < r_inner < r_outer < 1/2, got "
                               f"({self.r_inner}, {self.r_outer})")
         if self.kind == "annulus_product" and 2.0 * self.r_outer >= 0.5:
-            raise InvalidSpec("annulus profile needs 2*r_outer < 1/2")
+            raise InvalidSpec("annulus cutoff needs 2*r_outer < 1/2")
         if self.quantization not in ("left", "weyl"):
-            raise InvalidSpec(f"quantization must be 'left' or 'weyl', "
+            raise InvalidSpec(f"cutoff quantization must be 'left' or 'weyl', "
                               f"got {self.quantization!r}")
         if not 1 <= self.k_max <= MAX_K_MAX:
-            raise InvalidSpec(f"k_max must be in 1..{MAX_K_MAX}, got {self.k_max}")
+            raise InvalidSpec(f"cutoff k_max must be in 1..{MAX_K_MAX}, got {self.k_max}")
         if self.grid >= MAX_GRID:
-            raise InvalidSpec(f"grid must be below 2**21, got {self.grid}")
+            raise InvalidSpec(f"cutoff grid must be below 2**21, got {self.grid}")
         if self.grid < 4 * self.k_max:
             raise GridTooCoarse(f"grid {self.grid} < 4*k_max = {4 * self.k_max}")
 

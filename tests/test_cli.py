@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import opencat.cli as cli
+import opencat.errors as errors
 import opencat.experiments as experiments
 import opencat.metaplectic as metaplectic
 from opencat.cli import ConfigError, load_config, main, parse_config
+from opencat.errors import (DegeneratePhase, EigensolverFailed, GridTooCoarse,
+                            InvalidDenominatorBound, InvalidRadius, InvalidSpec, NonFinite,
+                            NonPositiveN, NotHyperbolic, NotUnimodular, OddDimension,
+                            OpenCatError, OracleNoConvergence, ParityBroken, TooFewLiveRows)
 from opencat.quantizer import BumpSpec
 
 from helpers import nan_in_dead_column, odd_term_symbol
@@ -319,6 +324,95 @@ def test_trapped_missing_out_csv(tmp_path, capsys):
     assert "out_csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, code", [("trapped", 2), ("nontrapping", 2),
+                                           ("classical", 2), ("verify", 0)])
+def test_missing_out_csv_is_config_error_except_for_verify(tmp_path, capsys, command, code):
+    # main checks out_csv once for the commands that write a CSV; the cutoff
+    # fits each command, so out_csv is the only fault
+    annulus = {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}
+    cfg = write_config(tmp_path, **{"cutoff": annulus} if command == "nontrapping" else {})
+    assert main([command, "--config", cfg]) == code
+    if code == 2:
+        assert capsys.readouterr().err == "config error: out_csv is required\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command, kind", [("trapped", "annulus_product"),
+                                           ("nontrapping", "product_bump")])
+def test_sweep_on_the_other_cutoff_kind_is_config_error(tmp_path, capsys, command, kind):
+    # each sweep checks the cutoff kind it needs
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out),
+                       cutoff={"kind": kind, "r_inner": 0.15, "r_outer": 0.24})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {command} sweep needs")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, overrides, noun", [
+    pytest.param(NotUnimodular, {"matrix": [2, 1, 1, 2]},
+                 "matrix [2, 1, 1, 2]: det = 3, expected 1", id="NotUnimodular"),
+    pytest.param(NotHyperbolic, {"matrix": [1, 1, 0, 1]},
+                 "matrix [1, 1, 0, 1]: |trace| = 2 <= 2", id="NotHyperbolic"),
+    pytest.param(InvalidSpec, {"cutoff": {"kind": "product_bump", "r_inner": 0.3,
+                                          "r_outer": 0.2}}, "cutoff", id="InvalidSpec-radii"),
+    pytest.param(InvalidSpec, {"cutoff": {"kind": "disk", "r_inner": 0.1, "r_outer": 0.2}},
+                 "cutoff", id="InvalidSpec-kind"),
+    pytest.param(GridTooCoarse, {"k_max": 48, "grid": 100}, "grid 100", id="GridTooCoarse"),
+])
+def test_config_error_names_its_input(tmp_path, capsys, error, overrides, noun):
+    # the error's own message says which input is wrong; no wrapper adds it
+    cfg = write_config(tmp_path, out_csv=str(tmp_path / "rows.csv"), **overrides)
+    with pytest.raises(error):
+        load_config(cfg)
+    assert main(["trapped", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and noun in err[0]
+    assert not (tmp_path / "rows.csv").exists()
+
+
+CONFIG_ERRORS = {NotHyperbolic, NotUnimodular, InvalidRadius, InvalidDenominatorBound,
+                 NonPositiveN, OddDimension, GridTooCoarse, InvalidSpec, TooFewLiveRows}
+NUMERIC_ERRORS = {DegeneratePhase, NonFinite, ParityBroken, EigensolverFailed,
+                  OracleNoConvergence}
+
+
+def subclasses(cls):
+    return {cls} | {sub for child in cls.__subclasses__() for sub in subclasses(child)}
+
+
+def test_every_error_class_has_a_category():
+    # a new error class must be listed here, as an input error or a numeric one
+    found = subclasses(OpenCatError) - {OpenCatError, ConfigError}
+    assert found == CONFIG_ERRORS | NUMERIC_ERRORS
+    assert subclasses(ConfigError) - {ConfigError} == CONFIG_ERRORS
+    assert ConfigError is errors.ConfigError and issubclass(ConfigError, ValueError)
+    assert all(cls.__module__ == "opencat.errors" for cls in found)
+
+
+@pytest.mark.parametrize("command, target", [("trapped", "trapped_sweep"),
+                                             ("nontrapping", "nontrapping_sweep"),
+                                             ("classical", "escape_check")])
+@pytest.mark.parametrize("error", sorted(CONFIG_ERRORS | NUMERIC_ERRORS | {ConfigError},
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_main_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, capsys,
+                                                     command, target, error):
+    def fail(*args, **kwargs):
+        raise error("raised by the sweep")
+
+    monkeypatch.setattr(cli, target, fail)
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out_csv=str(out))
+    config_error = issubclass(error, ConfigError)
+    assert main([command, "--config", cfg]) == (2 if config_error else 3)
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"{'config error' if config_error else 'numeric failure'}: raised by the sweep"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["trapped", "nontrapping", "classical"])
 def test_unwritable_out_csv_is_config_error(tmp_path, capsys, command):
     out = tmp_path / "missing" / "rows.csv"
@@ -380,6 +474,15 @@ def test_nontrapping_synthetic(tmp_path):
     assert lines[0] == "N,h,top_modulus,slope_vs_prev"
     assert lines[1].endswith(",")  # first slope empty
     assert float(lines[2].rsplit(",", 1)[1]) == pytest.approx(2.0)
+
+
+def test_nontrapping_synthetic_reads_no_cutoff(tmp_path):
+    # the self-test replaces the radii without a sweep, so the sweep's
+    # annulus check does not run and a product bump is accepted
+    out = tmp_path / "nt.csv"
+    cfg = write_config(tmp_path, out_csv=str(out))
+    assert main(["nontrapping", "--config", cfg, "--synthetic-h2"]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_nontrapping_single_n(tmp_path):

@@ -12,8 +12,8 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.cli import main
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
-from opencat.errors import (DegeneratePhase, NonFinite, OpenCatError, ParityBroken,
-                            TooFewLiveRows)
+from opencat.errors import (ConfigError, DegeneratePhase, InvalidSpec, NonFinite,
+                            OpenCatError, ParityBroken, TooFewLiveRows)
 from opencat.experiments import (PARITY_TOL, cutoff_sectors, nontrapping_rows,
                                  nontrapping_sweep, SYMMETRY_TOL_N64, spectrum_gap,
                                  theorem_targets, trapped_sweep)
@@ -209,6 +209,17 @@ def test_nontrapping_requires_annulus():
         nontrapping_sweep(ARNOLD, TRAPPED_SPEC, [64])
 
 
+def test_sweep_input_errors_are_config_errors():
+    # each sweep checks its own cutoff kind and mode count; the errors are
+    # ConfigErrors, and still ValueErrors for callers
+    for sweep, spec, kwargs, error in ((trapped_sweep, NONTRAP_SPEC, {}, InvalidSpec),
+                                       (nontrapping_sweep, TRAPPED_SPEC, {}, InvalidSpec),
+                                       (trapped_sweep, TRAPPED_SPEC, {"k_count": 9}, ConfigError)):
+        with pytest.raises(error, match="cutoff" if error is InvalidSpec else "k_count") as info:
+            sweep(ARNOLD, spec, [16], **kwargs)
+        assert isinstance(info.value, ValueError)
+
+
 def test_moduli_invariant_under_conventions(monkeypatch):
     n = 64
     base, normed = (np.array([r.modulus for r in trapped_sweep(
@@ -302,6 +313,19 @@ def test_symmetry_gap_of_a_zero_spectrum():
     zero = np.zeros(8, dtype=complex)
     assert spectrum_gap(zero, zero) == 0.0
     assert spectrum_gap(zero, np.array([0.0, 0.5j, -0.25])) == 0.5
+
+
+def test_symmetry_gap_against_a_zero_partner_is_degenerate():
+    # a nonzero spectrum has a phase to fix, its zero partner none: the
+    # phase rule raises instead of rotating by 0 / 0 into a NaN gap
+    with pytest.raises(DegeneratePhase):
+        spectrum_gap(np.array([0.5, 0.25j]), np.zeros(2, dtype=complex))
+
+
+def test_symmetry_gap_rotates_the_partner_by_the_phase_rule():
+    vals = np.array([0.6, 0.2j, -0.05])
+    partner = vals * np.exp(0.7j)
+    assert spectrum_gap(vals, partner) < 1e-15
 
 
 def test_nan_outside_live_block_raises(monkeypatch):
