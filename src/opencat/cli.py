@@ -6,10 +6,10 @@ significant digits so reruns are diffable), SVG plots are a convenience.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,8 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import ConfigError, OpenCatError
-from .experiments import (MAX_MODES, PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors,
-                          nontrapping_rows, nontrapping_sweep, open_spectrum,
-                          spectrum_gap, trapped_sweep)
+from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors, nontrapping_rows,
+                          nontrapping_sweep, open_spectrum, spectrum_gap, trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
@@ -33,13 +32,13 @@ _CONFIG_KEYS = {"matrix", "n_list", "cutoff", "quantization", "phase",
 _CUTOFF_KEYS = {"kind", "r_inner", "r_outer"}
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     matrix: CatMap
     n_list: list
     cutoff: BumpSpec
     phase: str
-    k_count: int | None  # None: trapped_sweep's default
+    k_count: int | None  # None: trapped_sweep's default; trapped_sweep checks it
     out_csv: str | None
     out_svg: str | None
     seed: int
@@ -94,9 +93,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("n_list must be nonempty, even, positive")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly ascending")
-    # a shear's int64 phase coef m^2, |coef| <= N and m < N, is exact while N^3 < 2**63
-    if n_list[-1] >= 2**21:
-        raise ConfigError(f"n_list entries must be below 2**21, got {n_list[-1]}")
+    if (largest := n_list[-1]) >= hn.MAX_N:
+        raise ConfigError(f"n_list entry {largest} must be below 2**{hn.MAX_N.bit_length() - 1}")
     cut = raw["cutoff"]
     if not isinstance(cut, dict) or set(cut) != _CUTOFF_KEYS:
         raise ConfigError(f"cutoff needs exactly keys {sorted(_CUTOFF_KEYS)}")
@@ -109,12 +107,7 @@ def parse_config(raw: dict) -> RunConfig:
     if phase not in ("none", "leading"):
         raise ConfigError("phase must be 'none' or 'leading'")
     # without k_count, trapped_sweep fits the default to the cutoff's live rows
-    k_count = None
-    if "k_count" in raw:
-        k_count = _integer(raw["k_count"], "k_count")
-        if not 1 <= k_count <= MAX_MODES:
-            raise ConfigError(f"k_count must be in 1..{MAX_MODES}; higher modes are not "
-                              "resolvable at desk scale")
+    k_count = _integer(raw["k_count"], "k_count") if "k_count" in raw else None
     for key in ("out_csv", "out_svg"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string")
@@ -122,10 +115,6 @@ def parse_config(raw: dict) -> RunConfig:
                      k_count=k_count, out_csv=raw.get("out_csv"),
                      out_svg=raw.get("out_svg"),
                      seed=_integer(raw.get("seed", 0), "seed", low=0))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -137,65 +126,48 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output: {exc}")
 
 
+def _cell(value) -> str:
+    """A CSV field: true/false, an int as is, NaN empty, another float to 17 digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return "" if math.isnan(value) else format(value, ".17g")
+
+
 def _write_csv(path: str, header: str, rows) -> None:
-    _write_text(path, header + "\n" + "".join(",".join(row) + "\n" for row in rows))
-
-
-# ---------------------------------------------------------------- SVG output
-
-def _svg_document(width, height, body) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">\n'
-            f'<rect width="{width}" height="{height}" fill="white"/>\n'
-            + body + "</svg>\n")
-
-
-def _polyline(points, color, dashed=False) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    dash = ' stroke-dasharray="6,4"' if dashed else ""
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f'{dash} points="{pts}"/>\n')
+    _write_text(path, "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n")
 
 
 _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
            "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"]
 
 
-def _axis_map(vals, lo_px, hi_px):
-    vmin, vmax = min(vals), max(vals)
-    if vmax == vmin:
-        vmax = vmin + 1.0
-    return lambda v: lo_px + (v - vmin) / (vmax - vmin) * (hi_px - lo_px)
-
-
-def write_trapped_svg(path, rows, targets) -> None:
-    """Per-k series of Re mu_k against N, dotted horizontal target lines."""
+def _write_svg(path: str, series) -> None:
+    """Plot each (points, level) of series in its own colour: the points as a solid polyline,
+    then, unless level is None, a dashed horizontal line at level.  The axes span all of them."""
     w, h, pad = 640, 420, 50
-    ns = sorted({r.n for r in rows})
-    res = [r.re for r in rows] + list(targets)
-    xm = _axis_map(ns, pad, w - pad)
-    ym = _axis_map(res, h - pad, pad)
+
+    def scale(vals, lo_px, hi_px):
+        vmin = min(vals)
+        span = (max(vals) - vmin) or 1.0
+        return lambda v: lo_px + (v - vmin) / span * (hi_px - lo_px)
+
+    xm = scale([x for points, _ in series for x, _ in points], pad, w - pad)
+    ym = scale([y for points, _ in series for _, y in points]
+               + [level for _, level in series if level is not None], h - pad, pad)
     body = ""
-    k_count = len(targets)
-    for k in range(k_count):
-        series = [(xm(r.n), ym(r.re)) for r in rows if r.k == k]
-        body += _polyline(series, _COLORS[k % len(_COLORS)])
-        body += _polyline([(pad, ym(targets[k])), (w - pad, ym(targets[k]))],
-                          _COLORS[k % len(_COLORS)], dashed=True)
-    _write_text(path, _svg_document(w, h, body))
-
-
-def write_nontrapping_svg(path, rows) -> None:
-    """Log-log plot of the spectral radius against h."""
-    w, h, pad = 640, 420, 50
-    pts = [(math.log10(r.h), math.log10(r.top_modulus))
-           for r in rows if r.top_modulus > 0]
-    if not pts:
-        pts = [(0.0, 0.0)]
-    xm = _axis_map([p[0] for p in pts], pad, w - pad)
-    ym = _axis_map([p[1] for p in pts], h - pad, pad)
-    body = _polyline([(xm(x), ym(y)) for x, y in pts], _COLORS[0])
-    _write_text(path, _svg_document(w, h, body))
+    for i, (points, level) in enumerate(series):
+        lines = [([(xm(x), ym(y)) for x, y in points], "")]
+        if level is not None:
+            lines.append(([(pad, ym(level)), (w - pad, ym(level))], ' stroke-dasharray="6,4"'))
+        for pixels, dash in lines:
+            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels)
+            body += (f'<polyline fill="none" stroke="{_COLORS[i % len(_COLORS)]}" '
+                     f'stroke-width="1.5"{dash} points="{pts}"/>\n')
+    _write_text(path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+                      f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n'
+                      f'{body}</svg>\n')
 
 
 # --------------------------------------------------------------- subcommands
@@ -205,12 +177,12 @@ def cmd_trapped(config: RunConfig) -> int:
                          k_count=config.k_count,
                          normalize_phase=config.phase == "leading")
     _write_csv(config.out_csv, "N,h,k,re,im,modulus,target,abs_err",
-               ([str(r.n), _fmt(r.h), str(r.k), _fmt(r.re), _fmt(r.im),
-                 _fmt(r.modulus), _fmt(r.target), _fmt(r.abs_err)]
-                for r in rows))
+               map(dataclasses.astuple, rows))
     if config.out_svg:
-        write_trapped_svg(config.out_svg, rows,
-                          [r.target for r in rows if r.n == config.n_list[0]])
+        # per k, Re mu_k against N and the dashed target line
+        targets = {r.k: r.target for r in rows}
+        _write_svg(config.out_svg, [([(r.n, r.re) for r in rows if r.k == k], target)
+                                    for k, target in targets.items()])
     return EXIT_OK
 
 
@@ -220,12 +192,11 @@ def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
                                 [hn.planck(n) ** 2 for n in config.n_list])
     else:
         rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list)
-    _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev",
-               ([str(r.n), _fmt(r.h), _fmt(r.top_modulus),
-                 "" if math.isnan(r.slope_vs_prev) else _fmt(r.slope_vs_prev)]
-                for r in rows))
+    _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev", map(dataclasses.astuple, rows))
     if config.out_svg:
-        write_nontrapping_svg(config.out_svg, rows)
+        # log-log: the radius against h, a point at the origin when no radius is positive
+        pts = [(math.log10(r.h), math.log10(r.top_modulus)) for r in rows if r.top_modulus > 0]
+        _write_svg(config.out_svg, [(pts or [(0.0, 0.0)], None)])
     return EXIT_OK
 
 
@@ -234,8 +205,7 @@ def cmd_classical(config: RunConfig, q_max: int, radius: float | None) -> int:
         radius = guard_radius(analyze(config.matrix))
     report = escape_check(config.matrix, radius, q_max)
     _write_csv(config.out_csv, "q,num_orbits,min_orbit_max_norm,all_escape",
-               ([str(q), str(num), _fmt(norm), str(report.all_escape).lower()]
-                for q, num, norm in report.per_q))
+               (row + (report.all_escape,) for row in report.per_q))
     print(f"all_escape={str(report.all_escape).lower()} "
           f"(radius={radius:.6g}, q_max={q_max})")
     if report.witness is not None:

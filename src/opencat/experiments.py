@@ -202,13 +202,14 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
     (cutoff_sectors).  A k_count above its live rows at any N raises
     TooFewLiveRows before any N is solved: the modes beyond the live rows
     would be padding zeros.  k_count defaults to 4, or to the fewest live
-    rows over n_list when that is below 4 (but at least 1).  A cutoff that
-    is not a product bump raises InvalidSpec.
+    rows over n_list when that is below 4 (but at least 1); one outside
+    1..MAX_MODES raises ConfigError.  A cutoff that is not a product bump
+    raises InvalidSpec.
     """
     if spec.kind != "product_bump":
         raise InvalidSpec(f"trapped sweep needs a product_bump cutoff, got {spec.kind!r}")
-    if k_count is not None and k_count > MAX_MODES:
-        raise ConfigError(f"k_count > {MAX_MODES} exceeds the resolvable range at desk scale")
+    if k_count is not None and not 1 <= k_count <= MAX_MODES:
+        raise ConfigError(f"k_count must be in 1..{MAX_MODES} at desk scale, got {k_count}")
     cutoffs = [cutoff_sectors(spec, n) for n in n_list]
     live = [sum(run.stop - run.start for _, run, _, _ in sectors) for _, sectors in cutoffs]
     if k_count is None:

@@ -31,6 +31,10 @@ from .errors import NonPositiveN, OddDimension
 # N = 2048 beside the even block's 16.8 MB.
 _DFT_CHUNK = 16
 
+# Every dimension, and the grid a cutoff symbol is sampled on, is below MAX_N:
+# a shear's int64 phase coef m^2, |coef| <= N and m < N, is exact while N^3 < 2**63.
+MAX_N = 2**21
+
 
 def planck(n: int) -> float:
     """Planck scale h = 1/(2 pi N) attached to dimension N."""

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidSpec
-from .hn import fold_parity, live_run, parity_defect, sector_basis, torus_rep_array
+from .hn import MAX_N, fold_parity, live_run, parity_defect, sector_basis, torus_rep_array
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
@@ -31,9 +31,8 @@ DEFAULT_GRID = 512
 _BAND_CHUNK = 8
 
 # At k_max = 4096 the symbol's table and weyl_band's weighted table are
-# 1.07 GB apiece; grid has the cap on N.
+# 1.07 GB apiece; grid has the cap on N, hn.MAX_N.
 MAX_K_MAX = 4096
-MAX_GRID = 2**21
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class BumpSpec:
     cutoff_symbol(spec), the profile's Fourier coefficients with
     |k| <= k_max taken from grid samples.  The sweeps read k_max and grid
     only on the Weyl route, but they are validated here on both (k_max up
-    to MAX_K_MAX, grid from 4 k_max to below MAX_GRID), and verify's
+    to MAX_K_MAX, grid from 4 k_max to below MAX_N), and verify's
     Hermiticity check quantizes cutoff_symbol(spec) on either.
     """
 
@@ -69,8 +68,8 @@ class BumpSpec:
                               f"got {self.quantization!r}")
         if not 1 <= self.k_max <= MAX_K_MAX:
             raise InvalidSpec(f"cutoff k_max must be in 1..{MAX_K_MAX}, got {self.k_max}")
-        if self.grid >= MAX_GRID:
-            raise InvalidSpec(f"cutoff grid must be below 2**21, got {self.grid}")
+        if self.grid >= MAX_N:
+            raise InvalidSpec(f"cutoff grid {self.grid} must be below 2**{MAX_N.bit_length() - 1}")
         if self.grid < 4 * self.k_max:
             raise GridTooCoarse(f"grid {self.grid} < 4*k_max = {4 * self.k_max}")
 

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -455,13 +458,68 @@ def test_trapped_csv_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def polylines(svg):
+    """(stroke, dashed, points) of each polyline of an SVG file, in document order."""
+    return [(stroke, bool(dash), [tuple(map(float, p.split(","))) for p in pts.split()])
+            for stroke, dash, pts in re.findall(
+                r'<polyline fill="none" stroke="([^"]+)" stroke-width="1.5"'
+                r'( stroke-dasharray="6,4")? points="([^"]*)"/>', svg.read_text())]
+
+
 def test_trapped_svg(tmp_path):
-    out = tmp_path / "rows.csv"
-    svg = tmp_path / "plot.svg"
-    cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg))
+    out, svg = tmp_path / "rows.csv", tmp_path / "plot.svg"
+    cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=[32, 64, 128])
     assert main(["trapped", "--config", cfg]) == 0
+    assert svg.read_text().startswith("<svg")
+    lines = polylines(svg)
+    assert svg.read_text().count("<polyline") == len(lines) == 2 * 4
+    # per k in order: Re mu_k over the three N, solid, then its target,
+    # dashed and horizontal across the plot, in the same colour; each k its
+    # own colour, and the targets, which fall with k, lower down the plot
+    assert [dashed for _, dashed, _ in lines] == [False, True] * 4
+    assert [len(points) for _, _, points in lines] == [3, 2] * 4
+    for (stroke, _, _), (target_stroke, _, ((x0, y0), (x1, y1))) in zip(lines[::2], lines[1::2]):
+        assert stroke == target_stroke and y0 == y1 and (x0, x1) == (50.0, 590.0)
+    assert len({stroke for stroke, _, _ in lines}) == 4
+    levels = [points[0][1] for _, _, points in lines[1::2]]
+    assert levels == sorted(levels) and len(set(levels)) == 4
+
+
+@pytest.mark.parametrize("n_list, points", [([32, 64, 128], 3), ([2, 4], 1)])
+def test_nontrapping_svg_is_one_solid_line(tmp_path, n_list, points):
+    # at N = 2 and 4 the left annulus vanishes at every point, every radius
+    # is 0, and the plot holds only the placeholder point
+    out, svg = tmp_path / "nt.csv", tmp_path / "plot.svg"
+    cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=n_list,
+                       cutoff={"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24})
+    assert main(["nontrapping", "--config", cfg]) == 0
     text = svg.read_text()
-    assert text.startswith("<svg") and "stroke-dasharray" in text
+    assert text.startswith("<svg") and "stroke-dasharray" not in text
+    [(_, _, drawn)] = polylines(svg)
+    assert len(drawn) == points
+    if points == 1:
+        assert [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]] == [0, 0]
+        assert drawn == [(50.0, 370.0)]
+
+
+def test_csv_headers_name_the_row_fields_in_order(tmp_path):
+    # the rows are written field by field (dataclasses.astuple): a field
+    # moved in SweepRow or NontrapRow would move its column under the header
+    for command, row, overrides in (
+            ("trapped", experiments.SweepRow, {}),
+            ("nontrapping", experiments.NontrapRow,
+             {"cutoff": {"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24}})):
+        out = tmp_path / f"{command}.csv"
+        cfg = write_config(tmp_path, out_csv=str(out), n_list=[32], **overrides)
+        assert main([command, "--config", cfg]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert header == ["N" if f.name == "n" else f.name for f in dataclasses.fields(row)]
+
+
+def test_csv_cell_rule(tmp_path):
+    out = tmp_path / "cells.csv"
+    cli._write_csv(str(out), "a,b,c,d,e", [(True, 3, 0.1, math.nan, False)])
+    assert out.read_text() == "a,b,c,d,e\ntrue,3,0.10000000000000001,,false\n"
 
 
 def test_nontrapping_synthetic(tmp_path):

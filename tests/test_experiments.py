@@ -175,9 +175,9 @@ def test_trapped_sweep_rows():
 
 
 def test_trapped_sweep_k_count_zero():
-    rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [32], k_count=0,
-                         normalize_phase=False)
-    assert rows == []
+    # no modes is outside 1..MAX_MODES, as through the command line
+    with pytest.raises(ConfigError, match=r"k_count must be in 1\.\.8"):
+        trapped_sweep(ARNOLD, TRAPPED_SPEC, [32], k_count=0, normalize_phase=False)
 
 
 def test_nontrapping_synthetic_h2():
