@@ -1,7 +1,8 @@
 """Exact classical dynamics of hyperbolic toral automorphisms (cat maps).
 
 Everything here is either exact integer arithmetic on rational points of the
-torus, or small 2x2 linear algebra for the hyperbolic eigen-data of the map.
+torus, or closed-form expressions in the matrix entries for the hyperbolic
+eigen-data of the map.
 """
 
 from dataclasses import dataclass, field
@@ -31,9 +32,6 @@ class CatMap:
     def trace(self) -> int:
         return self.a + self.d
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.int64)
-
     def __matmul__(self, other: "CatMap") -> "CatMap":
         return CatMap(
             self.a * other.a + self.b * other.c,
@@ -48,54 +46,41 @@ ARNOLD = CatMap(2, 1, 1, 1)
 
 @dataclass(frozen=True)
 class CatMapAnalysis:
-    """Hyperbolic eigen-data: expanding eigenvalue, det-1 eigenvector matrix, its norm."""
+    """Hyperbolic eigen-data: expanding eigenvalue modulus and the norm of the eigenvector matrix."""
 
-    lam: float                 # expanding eigenvalue modulus, > 1
-    q_matrix: np.ndarray       # rows diagonalize: q_matrix @ M @ q_matrix^-1 diagonal
-    q_norm: float              # operator (2-)norm of q_matrix
-    negative_trace: bool = False
+    lam: float     # expanding eigenvalue modulus, > 1
+    q_norm: float  # operator (2-)norm of the det-1 Q with Q M Q^-1 diagonal
 
 
 def analyze(m: CatMap) -> CatMapAnalysis:
-    """Eigen-data of a cat map.
+    """Eigen-data of a cat map [[a, b], [c, d]], in closed form from its entries.
 
-    Returns the modulus of the expanding eigenvalue, the eigenvector matrix Q
-    rescaled so det Q = 1 (with Q M Q^-1 diagonal), and the operator norm of Q.
-    For trace < -2 the eigenvalues are -lam, -1/lam; lam records the modulus
-    and negative_trace the sign.
+    The eigenvalues are mu+ = +-lam and mu- = +-1/lam, signed as the trace
+    tr = a + d.  Q is the eigenvector matrix with Q M Q^-1 diagonal and
+    det Q = 1, and
+
+        |Q|^2 = (hypot(b + c, a - d) + |b - c|) / sqrt(tr^2 - 4).
+
+    Why: Q is 2x2 with det 1, so its singular values are s and 1/s and
+    |Q|^2 = s^2 = (F + sqrt(F^2 - 4))/2, where F = |Q|_F^2 = |P|_F^2 with
+    P = Q^-1.  P's columns are unit eigenvectors scaled to det 1, so
+    F = 2/|sin t| with t the angle between the eigenlines, and
+    |Q|^2 = (1 + |cos t|)/|sin t|.  The eigenvectors v = (b, mu - a) have
+    v+ . v- = b (b - c), |v+| |v-| = |b| hypot(b + c, a - d) and
+    |det[v+, v-]| = |b| sqrt(tr^2 - 4); b != 0 for every hyperbolic map in
+    SL(2, Z), since b = 0 forces a = d = +-1.  Each term is unchanged up to
+    sign under M -> M^T, R M R and S M S^-1 (R = diag(1, -1),
+    S = [[0, -1], [1, 0]]), which keep |Q|, so the guard radius is
+    bit-identical across them.
     """
-    tr = m.trace
+    a, b, c, d = m.a, m.b, m.c, m.d
+    tr = a + d
     if abs(tr) <= 2:
-        raise NotHyperbolic(f"matrix {[m.a, m.b, m.c, m.d]}: |trace| = {abs(tr)} <= 2")
-    lam = (abs(tr) + math.sqrt(tr * tr - 4)) / 2.0
-    mat = m.as_array().astype(float)
-    # Right eigenvectors as columns of P; Q = P^-1 has det 1 once P does.
-    sign = -1.0 if tr < 0 else 1.0
-    mu_plus, mu_minus = sign * lam, sign / lam
-    p = np.column_stack([_eigvec(mat, mu_plus), _eigvec(mat, mu_minus)])
-    det_p = np.linalg.det(p)
-    if det_p < 0:
-        p[:, 1] *= -1.0
-        det_p = -det_p
-    p /= math.sqrt(det_p)
-    q = np.linalg.inv(p)
-    if q[0, 0] < 0:
-        # flip both rows: keeps det, fixes the sign convention on column one
-        q = -q
-    q_norm = float(np.linalg.norm(q, 2))
-    return CatMapAnalysis(lam=lam, q_matrix=q, q_norm=q_norm, negative_trace=tr < 0)
-
-
-def _eigvec(mat: np.ndarray, mu: float) -> np.ndarray:
-    a, b = mat[0]
-    c, d = mat[1]
-    if abs(b) > 1e-14:
-        v = np.array([b, mu - a])
-    elif abs(c) > 1e-14:
-        v = np.array([mu - d, c])
-    else:
-        v = np.array([1.0, 0.0]) if abs(a - mu) < abs(d - mu) else np.array([0.0, 1.0])
-    return v / np.linalg.norm(v)
+        raise NotHyperbolic(f"matrix {[a, b, c, d]}: |trace| = {abs(tr)} <= 2")
+    root = math.sqrt(tr * tr - 4)
+    lam = (abs(tr) + root) / 2.0
+    q_norm = math.sqrt((math.hypot(b + c, a - d) + abs(b - c)) / root)
+    return CatMapAnalysis(lam=lam, q_norm=q_norm)
 
 
 def guard_radius(analysis: CatMapAnalysis) -> float:

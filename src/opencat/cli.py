@@ -17,8 +17,8 @@ from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
 from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import ConfigError, OpenCatError
-from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors, nontrapping_rows,
-                          nontrapping_sweep, open_spectrum, spectrum_gap, trapped_sweep)
+from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors, nontrapping_sweep,
+                          open_spectrum, spectrum_gap, trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
 
@@ -28,7 +28,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _CONFIG_KEYS = {"matrix", "n_list", "cutoff", "quantization", "phase",
-                "k_count", "k_max", "grid", "out_csv", "out_svg", "seed"}
+                "k_count", "k_max", "grid", "out_csv", "out_svg"}
 _CUTOFF_KEYS = {"kind", "r_inner", "r_outer"}
 
 
@@ -41,7 +41,6 @@ class RunConfig:
     k_count: int | None  # None: trapped_sweep's default; trapped_sweep checks it
     out_csv: str | None
     out_svg: str | None
-    seed: int
 
 
 def load_config(path: str) -> RunConfig:
@@ -53,13 +52,11 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _integer(value, what: str, low: int | None = None) -> int:
-    """An integral JSON number, at least low if given, as int; else a ConfigError."""
+def _integer(value, what: str) -> int:
+    """An integral JSON number as int; else a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"{what} must be >= {low}, got {value!r}")
     return int(value)
 
 
@@ -82,7 +79,9 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(mat, list) or len(mat) != 4:
         raise ConfigError("matrix must be 4 integers [a, b, c, d]")
     entries = [_integer(v, "matrix entry") for v in mat]
-    if max(abs(v) for v in entries) >= 2**63:  # CatMap.as_array is int64
+    # huge entries would overflow analyze's float conversions; the documented
+    # bound is 2**63, below which every subcommand runs
+    if max(abs(v) for v in entries) >= 2**63:
         raise ConfigError(f"matrix entries must be below 2**63 in magnitude, got {mat}")
     m = CatMap(*entries)
     analyze(m)  # NotHyperbolic for |trace| <= 2
@@ -113,8 +112,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"{key} must be a path string")
     return RunConfig(matrix=m, n_list=n_list, cutoff=spec, phase=phase,
                      k_count=k_count, out_csv=raw.get("out_csv"),
-                     out_svg=raw.get("out_svg"),
-                     seed=_integer(raw.get("seed", 0), "seed", low=0))
+                     out_svg=raw.get("out_svg"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -145,7 +143,8 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
 
 def _write_svg(path: str, series) -> None:
     """Plot each (points, level) of series in its own colour: the points as a solid polyline,
-    then, unless level is None, a dashed horizontal line at level.  The axes span all of them."""
+    or a dot when there is one point, then, unless level is None, a dashed horizontal line
+    at level.  The axes span all of them."""
     w, h, pad = 640, 420, 50
 
     def scale(vals, lo_px, hi_px):
@@ -158,12 +157,16 @@ def _write_svg(path: str, series) -> None:
                + [level for _, level in series if level is not None], h - pad, pad)
     body = ""
     for i, (points, level) in enumerate(series):
+        color = _COLORS[i % len(_COLORS)]
         lines = [([(xm(x), ym(y)) for x, y in points], "")]
+        if len(points) == 1:  # a one-point polyline has no length and draws nothing
+            [(x, y)], _ = lines.pop()
+            body += f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>\n'
         if level is not None:
             lines.append(([(pad, ym(level)), (w - pad, ym(level))], ' stroke-dasharray="6,4"'))
         for pixels, dash in lines:
             pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels)
-            body += (f'<polyline fill="none" stroke="{_COLORS[i % len(_COLORS)]}" '
+            body += (f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{dash} points="{pts}"/>\n')
     _write_text(path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
                       f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n'
@@ -186,12 +189,8 @@ def cmd_trapped(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_nontrapping(config: RunConfig, synthetic_h2: bool = False) -> int:
-    if synthetic_h2:
-        rows = nontrapping_rows(config.n_list,
-                                [hn.planck(n) ** 2 for n in config.n_list])
-    else:
-        rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list)
+def cmd_nontrapping(config: RunConfig) -> int:
+    rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list)
     _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev", map(dataclasses.astuple, rows))
     if config.out_svg:
         # log-log: the radius against h, a point at the origin when no radius is positive
@@ -273,7 +272,7 @@ def _verify_checks(config: RunConfig, sign: int):
         gap = spectrum_gap(open_spectrum(m, cutoff, 64),
                            np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), cutoff, 64)))
         yield name, gap < SYMMETRY_TOL_N64, gap
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
         mat = rng.uniform(-1, 1, (6, 6)) + 1j * rng.uniform(-1, 1, (6, 6))
@@ -303,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q-max", type=int, default=60)
             p.add_argument("--radius", type=float, default=None,
                            help="ball radius in (0, 1/2]; default: guard radius")
-        if name == "nontrapping":
-            p.add_argument("--synthetic-h2", action="store_true",
-                           help="self-test: replace spectral radii with h^2")
         if name == "verify":
             p.add_argument("--debug-flip-dft", action="store_true",
                            help="quantize the map with the opposite DFT sign; "
@@ -322,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "trapped":
             return cmd_trapped(config)
         if args.command == "nontrapping":
-            return cmd_nontrapping(config, synthetic_h2=args.synthetic_h2)
+            return cmd_nontrapping(config)
         if args.command == "classical":
             return cmd_classical(config, q_max=args.q_max, radius=args.radius)
         if args.command == "verify":

@@ -1,4 +1,4 @@
-"""Cutoff specs, operator helpers and the fold and DFT oracles shared by the test modules."""
+"""Cutoff specs, operator helpers and the eigenvector, fold and DFT oracles shared by the test modules."""
 
 import math
 
@@ -18,6 +18,42 @@ NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
 # hyperbolic once their trace exceeds 2 in modulus.
 shear = st.tuples(st.sampled_from(["U", "L"]),
                   st.integers(-3, 3).filter(lambda v: v != 0))
+
+
+def eigvec_matrix(m):
+    """The det-1 eigenvector matrix Q of a hyperbolic cat map, with Q M Q^-1 = diag(mu+, mu-).
+
+    The oracle for catmap.analyze's norm: unit right eigenvectors of M, for
+    the eigenvalues mu+ = +-lam and mu- = +-1/lam signed as the trace, are
+    the columns of P, scaled to det P = 1, and Q = P^-1.
+    """
+    mat = np.array([[m.a, m.b], [m.c, m.d]], dtype=float)
+    tr = m.a + m.d
+    lam = (abs(tr) + math.sqrt(tr * tr - 4)) / 2.0
+    sign = -1.0 if tr < 0 else 1.0
+    p = np.column_stack([_eigvec(mat, sign * lam), _eigvec(mat, sign / lam)])
+    det_p = np.linalg.det(p)
+    if det_p < 0:
+        p[:, 1] *= -1.0
+        det_p = -det_p
+    p /= math.sqrt(det_p)
+    q = np.linalg.inv(p)
+    if q[0, 0] < 0:
+        # flip both rows: keeps det, fixes the sign convention on column one
+        q = -q
+    return q
+
+
+def _eigvec(mat, mu):
+    a, b = mat[0]
+    c, d = mat[1]
+    if abs(b) > 1e-14:
+        v = np.array([b, mu - a])
+    elif abs(c) > 1e-14:
+        v = np.array([mu - d, c])
+    else:
+        v = np.array([1.0, 0.0]) if abs(a - mu) < abs(d - mu) else np.array([0.0, 1.0])
+    return v / np.linalg.norm(v)
 
 
 def _fold_rows(x):

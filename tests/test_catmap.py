@@ -8,6 +8,8 @@ from opencat.catmap import (ARNOLD, CatMap, EscapeReport, RationalPoint, analyze
                             escape_check, guard_radius)
 from opencat.errors import InvalidRadius, NotHyperbolic, NotUnimodular
 
+from helpers import eigvec_matrix
+
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -96,8 +98,9 @@ def test_second_map_eigenvalue():
 
 def test_negative_trace_map():
     an = analyze(CatMap(-2, -1, -1, -1))
-    assert an.negative_trace
     assert an.lam == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, abs=1e-13)
+    # -M has the eigenvectors of M
+    assert an.q_norm == analyze(ARNOLD).q_norm
 
 
 @pytest.mark.parametrize("m", [ARNOLD, CatMap(2, 3, 1, 2), CatMap(3, 2, 4, 3),
@@ -106,13 +109,16 @@ def test_analysis_invariants(m):
     an = analyze(m)
     assert an.lam > 1.0
     assert an.lam + 1.0 / an.lam == pytest.approx(abs(m.trace), abs=1e-10)
-    assert np.linalg.det(an.q_matrix) == pytest.approx(1.0, abs=1e-12)
-    sign = -1.0 if an.negative_trace else 1.0
-    diag = an.q_matrix @ m.as_array() @ np.linalg.inv(an.q_matrix)
+    q = eigvec_matrix(m)
+    mat = np.array([[m.a, m.b], [m.c, m.d]], dtype=float)
+    assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+    sign = -1.0 if m.trace < 0 else 1.0
+    diag = q @ mat @ np.linalg.inv(q)
     off = np.abs(diag - np.diag([sign * an.lam, sign / an.lam])).max()
     assert off < 1e-10
-    recon = np.linalg.inv(an.q_matrix) @ np.diag([sign * an.lam, sign / an.lam]) @ an.q_matrix
-    assert np.abs(recon - m.as_array()).max() < 1e-10
+    recon = np.linalg.inv(q) @ np.diag([sign * an.lam, sign / an.lam]) @ q
+    assert np.abs(recon - mat).max() < 1e-10
+    assert an.q_norm == pytest.approx(np.linalg.norm(q, 2), rel=1e-13)
     assert an.q_norm >= 1.0 - 1e-12
 
 
@@ -125,9 +131,21 @@ def test_guard_radius_values():
         1.0 / (4.0 * (2.0 + math.sqrt(3.0)) * an2.q_norm**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("mat", [[2, 1, 1, 1], [2, 3, 1, 2], [3, 2, 4, 3], [5, 2, 2, 1],
+                                 [-2, -1, -1, -1], [-7, 12, 4, -7], [41, 13, 63, 20]])
+def test_guard_radius_is_invariant_under_the_torus_symmetries(mat):
+    # M^T, R M R with R = diag(1, -1) and S M S^-1 with S = [[0, -1], [1, 0]]
+    # have M's eigenvalues and a det-1 eigenvector matrix of the same norm,
+    # Q^-T, R Q R and Q S^-1, so the same guard radius
+    a, b, c, d = mat
+    radii = {guard_radius(analyze(CatMap(*entries)))
+             for entries in (mat, [a, c, b, d], [a, -b, -c, d], [d, -c, -b, a])}
+    assert len(radii) == 1
+
+
 def test_guard_radius_scaling():
     an = analyze(ARNOLD)
-    doubled = an.__class__(lam=an.lam, q_matrix=an.q_matrix, q_norm=2 * an.q_norm)
+    doubled = an.__class__(lam=an.lam, q_norm=2 * an.q_norm)
     assert guard_radius(doubled) == pytest.approx(guard_radius(an) / 4.0, rel=1e-12)
 
 
@@ -221,6 +239,14 @@ def shear_map(letters, negate: bool) -> CatMap:
     for kind, v in letters:
         m = m @ (CatMap(1, v, 0, 1) if kind == "U" else CatMap(1, 0, v, 1))
     return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters=st.lists(shear, min_size=2, max_size=6), negate=st.booleans())
+def test_q_norm_matches_eigenvector_oracle(letters, negate):
+    m = shear_map(letters, negate)
+    assume(abs(m.trace) > 2)
+    assert analyze(m).q_norm == pytest.approx(np.linalg.norm(eigvec_matrix(m), 2), rel=1e-13)
 
 
 @settings(max_examples=150, deadline=None)

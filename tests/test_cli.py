@@ -30,7 +30,6 @@ def write_config(tmp_path, **overrides):
         "k_count": 4,
         "k_max": 32,
         "grid": 128,
-        "seed": 0,
     }
     cfg.update(overrides)
     cfg = {k: v for k, v in cfg.items() if v is not None}
@@ -98,8 +97,8 @@ def test_trapped_k_count_above_live_rows_is_config_error(tmp_path, capsys):
     {"n_list": 5},
     {"matrix": ["a", 1, 1, 1]},
     {"cutoff": {"kind": "product_bump", "r_inner": "a", "r_outer": 0.20}},
-    {"seed": "x"},
-    {"seed": -1},  # numpy's generator takes no negative seed
+    {"seed": 0},  # not a config key: verify's oracle draws a fixed sample
+    {"phase": "trailing"},
     {"quantization": "weyl", "k_max": 0},
     {"quantization": "weyl", "k_max": -1},
     {"quantization": "exact"},
@@ -137,7 +136,7 @@ def test_fourier_truncation_beyond_its_bounds_is_config_error(tmp_path, capsys, 
 @pytest.mark.parametrize("matrix", [[2**63 + 1, 2**63, 1, 1], [1, 1, 2**63, 2**63 + 1],
                                     [-(2**63), 1, -1, 0]])
 def test_matrix_entry_beyond_int64_is_config_error(tmp_path, capsys, command, matrix):
-    # det 1 and hyperbolic, but CatMap.as_array would overflow int64 with a traceback
+    # det 1 and hyperbolic, but beyond the documented 64-bit bound on entries
     out = tmp_path / "rows.csv"
     cfg = write_config(tmp_path, matrix=matrix, out_csv=str(out))
     assert main([command, "--config", cfg]) == 2
@@ -466,6 +465,12 @@ def polylines(svg):
                 r'( stroke-dasharray="6,4")? points="([^"]*)"/>', svg.read_text())]
 
 
+def dots(svg):
+    """(fill, (cx, cy)) of each circle of an SVG file, in document order."""
+    return [(fill, (float(x), float(y))) for x, y, fill in re.findall(
+        r'<circle cx="([^"]+)" cy="([^"]+)" r="3" fill="([^"]+)"/>', svg.read_text())]
+
+
 def test_trapped_svg(tmp_path):
     out, svg = tmp_path / "rows.csv", tmp_path / "plot.svg"
     cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=[32, 64, 128])
@@ -473,6 +478,7 @@ def test_trapped_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
     lines = polylines(svg)
     assert svg.read_text().count("<polyline") == len(lines) == 2 * 4
+    assert "<circle" not in svg.read_text()
     # per k in order: Re mu_k over the three N, solid, then its target,
     # dashed and horizontal across the plot, in the same colour; each k its
     # own colour, and the targets, which fall with k, lower down the plot
@@ -485,21 +491,39 @@ def test_trapped_svg(tmp_path):
     assert levels == sorted(levels) and len(set(levels)) == 4
 
 
+def test_trapped_svg_at_one_n_draws_a_dot_per_k(tmp_path):
+    # at one N each k has one point, which as a polyline would have no
+    # length and draw nothing: it is a dot, then its dashed target
+    out, svg = tmp_path / "rows.csv", tmp_path / "plot.svg"
+    cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=[64])
+    assert main(["trapped", "--config", cfg]) == 0
+    text = svg.read_text()
+    assert re.findall(r"<(circle|polyline) ", text) == ["circle", "polyline"] * 4
+    lines = polylines(svg)
+    assert [dashed for _, dashed, _ in lines] == [True] * 4
+    assert [fill for fill, _ in dots(svg)] == [stroke for stroke, _, _ in lines]
+    assert len({stroke for stroke, _, _ in lines}) == 4
+    # the x axis spans the one N from the left edge
+    assert {x for _, (x, _) in dots(svg)} == {50.0}
+
+
 @pytest.mark.parametrize("n_list, points", [([32, 64, 128], 3), ([2, 4], 1)])
 def test_nontrapping_svg_is_one_solid_line(tmp_path, n_list, points):
     # at N = 2 and 4 the left annulus vanishes at every point, every radius
-    # is 0, and the plot holds only the placeholder point
+    # is 0, and the plot holds only the placeholder point, drawn as a dot
     out, svg = tmp_path / "nt.csv", tmp_path / "plot.svg"
     cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=n_list,
                        cutoff={"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24})
     assert main(["nontrapping", "--config", cfg]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "stroke-dasharray" not in text
-    [(_, _, drawn)] = polylines(svg)
-    assert len(drawn) == points
     if points == 1:
         assert [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]] == [0, 0]
-        assert drawn == [(50.0, 370.0)]
+        assert polylines(svg) == []
+        assert dots(svg) == [("#1f77b4", (50.0, 370.0))]
+    else:
+        [(_, _, drawn)] = polylines(svg)
+        assert len(drawn) == points and dots(svg) == []
 
 
 def test_csv_headers_name_the_row_fields_in_order(tmp_path):
@@ -520,27 +544,6 @@ def test_csv_cell_rule(tmp_path):
     out = tmp_path / "cells.csv"
     cli._write_csv(str(out), "a,b,c,d,e", [(True, 3, 0.1, math.nan, False)])
     assert out.read_text() == "a,b,c,d,e\ntrue,3,0.10000000000000001,,false\n"
-
-
-def test_nontrapping_synthetic(tmp_path):
-    out = tmp_path / "nt.csv"
-    cfg = write_config(tmp_path, out_csv=str(out),
-                       cutoff={"kind": "annulus_product", "r_inner": 0.15,
-                               "r_outer": 0.24})
-    assert main(["nontrapping", "--config", cfg, "--synthetic-h2"]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "N,h,top_modulus,slope_vs_prev"
-    assert lines[1].endswith(",")  # first slope empty
-    assert float(lines[2].rsplit(",", 1)[1]) == pytest.approx(2.0)
-
-
-def test_nontrapping_synthetic_reads_no_cutoff(tmp_path):
-    # the self-test replaces the radii without a sweep, so the sweep's
-    # annulus check does not run and a product bump is accepted
-    out = tmp_path / "nt.csv"
-    cfg = write_config(tmp_path, out_csv=str(out))
-    assert main(["nontrapping", "--config", cfg, "--synthetic-h2"]) == 0
-    assert len(out.read_text().splitlines()) == 3
 
 
 def test_nontrapping_single_n(tmp_path):
@@ -619,16 +622,6 @@ def test_verify_checks_configured_cutoff(tmp_path, capsys, monkeypatch):
     assert quantized == [BumpSpec(**annulus, k_max=32, grid=128)]
     assert any(line.startswith("PASS  weyl_hermitian")
                for line in capsys.readouterr().out.splitlines())
-
-
-def test_verify_same_verdicts_across_seeds(tmp_path, capsys):
-    cfg1 = write_config(tmp_path, seed=1)
-    main(["verify", "--config", cfg1])
-    verdicts1 = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    cfg2 = write_config(tmp_path, seed=2)
-    main(["verify", "--config", cfg2])
-    verdicts2 = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert verdicts1 == verdicts2 == ["PASS"] * len(verdicts1)
 
 
 def test_verify_flipped_dft_fails_egorov(tmp_path, capsys):

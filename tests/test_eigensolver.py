@@ -13,6 +13,8 @@ import opencat.experiments as experiments
 
 from helpers import TRAPPED_SPEC, live_operator, open_sectors, operator_sectors, spectrum
 
+ARNOLD_MATRIX = np.array([[2.0, 1.0], [1.0, 1.0]])
+
 
 def test_diagonal():
     s = eigenvalues(np.diag([1.0, 2.0, 3.0]))
@@ -26,7 +28,7 @@ def test_rotation():
 
 
 def test_arnold_matrix_eigenvalues():
-    s = eigenvalues(ARNOLD.as_array().astype(float))
+    s = eigenvalues(ARNOLD_MATRIX)
     expect = np.array([(3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2])
     assert multiset_distance(s, expect) < 1e-12
 
@@ -48,7 +50,7 @@ def test_solver_failure_raises(monkeypatch):
 
 def test_char_poly_coeffs_known():
     # t^2 - 3t + 1 for the Arnold matrix
-    c = char_poly_coeffs(ARNOLD.as_array().astype(float))
+    c = char_poly_coeffs(ARNOLD_MATRIX)
     assert np.allclose(c, [1.0, -3.0, 1.0], atol=1e-12)
 
 
