@@ -37,7 +37,6 @@ class RunConfig:
     matrix: CatMap
     n_list: list
     cutoff: BumpSpec
-    phase: str
     k_count: int | None  # None: trapped_sweep's default; trapped_sweep checks it
     out_csv: str | None
     out_svg: str | None
@@ -102,17 +101,16 @@ def parse_config(raw: dict) -> RunConfig:
              for key in ("quantization", "k_max", "grid") if key in raw}
     spec = BumpSpec(cut["kind"], _number(cut["r_inner"], "r_inner"),
                     _number(cut["r_outer"], "r_outer"), **route)
-    phase = raw.get("phase", "leading")
-    if phase not in ("none", "leading"):
-        raise ConfigError("phase must be 'none' or 'leading'")
+    # one phase rule, trapped_sweep's; the key may still name it
+    if raw.get("phase", "leading") != "leading":
+        raise ConfigError(f"phase must be 'leading', got {raw['phase']!r}")
     # without k_count, trapped_sweep fits the default to the cutoff's live rows
     k_count = _integer(raw["k_count"], "k_count") if "k_count" in raw else None
     for key in ("out_csv", "out_svg"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string")
-    return RunConfig(matrix=m, n_list=n_list, cutoff=spec, phase=phase,
-                     k_count=k_count, out_csv=raw.get("out_csv"),
-                     out_svg=raw.get("out_svg"))
+    return RunConfig(matrix=m, n_list=n_list, cutoff=spec, k_count=k_count,
+                     out_csv=raw.get("out_csv"), out_svg=raw.get("out_svg"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -176,9 +174,7 @@ def _write_svg(path: str, series) -> None:
 # --------------------------------------------------------------- subcommands
 
 def cmd_trapped(config: RunConfig) -> int:
-    rows = trapped_sweep(config.matrix, config.cutoff, config.n_list,
-                         k_count=config.k_count,
-                         normalize_phase=config.phase == "leading")
+    rows = trapped_sweep(config.matrix, config.cutoff, config.n_list, k_count=config.k_count)
     _write_csv(config.out_csv, "N,h,k,re,im,modulus,target,abs_err",
                map(dataclasses.astuple, rows))
     if config.out_svg:
@@ -193,9 +189,13 @@ def cmd_nontrapping(config: RunConfig) -> int:
     rows = nontrapping_sweep(config.matrix, config.cutoff, config.n_list)
     _write_csv(config.out_csv, "N,h,top_modulus,slope_vs_prev", map(dataclasses.astuple, rows))
     if config.out_svg:
-        # log-log: the radius against h, a point at the origin when no radius is positive
+        # log-log: the radius against h, over the N where it is positive
         pts = [(math.log10(r.h), math.log10(r.top_modulus)) for r in rows if r.top_modulus > 0]
-        _write_svg(config.out_svg, [(pts or [(0.0, 0.0)], None)])
+        if pts:
+            _write_svg(config.out_svg, [(pts, None)])
+        else:
+            print(f"no plot written to {config.out_svg}: no spectral radius is positive",
+                  file=sys.stderr)
     return EXIT_OK
 
 

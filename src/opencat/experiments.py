@@ -182,29 +182,29 @@ def spectrum_gap(vals: np.ndarray, partner: np.ndarray) -> float:
     if not vals.any():
         return float(np.abs(partner).max())
     vals = sort_by_modulus(vals)
-    top = (vals * phase_factor(vals))[:MAX_MODES]
+    top = vals[:MAX_MODES] * phase_factor(vals[0])
     lead = np.abs(partner).max()
-    return min(match_distance(top, partner * phase_factor([mu]))
+    return min(match_distance(top, partner * phase_factor(mu))
                for mu in partner[np.abs(partner) >= lead * (1.0 - 1e-8)])
 
 
-def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
-                  normalize_phase: bool = True):
+def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None):
     """Top-k eigenvalues against the theorem targets, as SweepRows in (N, k) order.
 
-    The global phase of the quantized map is a convention.  normalize_phase
-    fixes it by rotating each N's eigenvalues with phase_factor, so the
-    largest-modulus one is real and positive; the moduli do not change.  A
-    cutoff whose support leaves the ball of guard_radius warns once per
-    sweep, not once per N; the theorem's constant is unspecified, so this is
-    advisory.  A product bump's support reaches the corner of its square, so
-    its radius is sqrt(2) * r_outer.  Each N's cutoff is prepared once
-    (cutoff_sectors).  A k_count above its live rows at any N raises
-    TooFewLiveRows before any N is solved: the modes beyond the live rows
-    would be padding zeros.  k_count defaults to 4, or to the fewest live
-    rows over n_list when that is below 4 (but at least 1); one outside
-    1..MAX_MODES raises ConfigError.  A cutoff that is not a product bump
-    raises InvalidSpec.
+    The global phase of the quantized map is a convention, fixed by one
+    rule: each N's top k eigenvalues, in sort_by_modulus order, are rotated
+    by phase_factor of the first, so it is real and positive; the moduli do
+    not change.  A leading modulus below 1e-12 has no phase to fix and
+    raises DegeneratePhase.  A cutoff whose support leaves the ball of
+    guard_radius warns once per sweep, not once per N; the theorem's
+    constant is unspecified, so this is advisory.  A product bump's support
+    reaches the corner of its square, so its radius is sqrt(2) * r_outer.
+    Each N's cutoff is prepared once (cutoff_sectors).  A k_count above its
+    live rows at any N raises TooFewLiveRows before any N is solved: the
+    modes beyond the live rows would be padding zeros.  k_count defaults to
+    4, or to the fewest live rows over n_list when that is below 4 (but at
+    least 1); one outside 1..MAX_MODES raises ConfigError.  A cutoff that
+    is not a product bump raises InvalidSpec.
     """
     if spec.kind != "product_bump":
         raise InvalidSpec(f"trapped sweep needs a product_bump cutoff, got {spec.kind!r}")
@@ -228,10 +228,8 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None,
     targets = theorem_targets(m, k_count)
     rows = []
     for n, cutoff in zip(n_list, cutoffs):
-        vals = open_spectrum(m, cutoff, n)
-        if normalize_phase:
-            vals = vals * phase_factor(vals)
-        top = sort_by_modulus(vals)[:k_count]
+        top = sort_by_modulus(open_spectrum(m, cutoff, n))[:k_count]
+        top = top * phase_factor(top[0])
         errors = np.abs(np.abs(top) - targets)
         rows += [SweepRow(n=n, h=planck(n), k=k, re=float(mu.real),
                           im=float(mu.imag), modulus=float(abs(mu)),
@@ -257,16 +255,16 @@ def nontrapping_rows(n_list, tops):
     NaN.
     """
     rows = []
-    prev = None
     for n, top in zip(n_list, tops):
         h = planck(n)
         slope = math.nan
-        if prev is not None:
-            h_prev, top_prev = prev
-            if top <= 0.0 or top_prev <= 0.0:
-                log.warning("spectral radius underflow at N = %d; slope undefined", n)
+        if rows:
+            prev = rows[-1]
+            if top <= 0.0 or prev.top_modulus <= 0.0:
+                log.warning("slope undefined from N = %d to %d: a spectral radius is 0, "
+                            "so the cutoff vanishes at every point of that N", prev.n, n)
             else:
-                slope = (math.log(top) - math.log(top_prev)) / (math.log(h) - math.log(h_prev))
+                slope = ((math.log(top) - math.log(prev.top_modulus))
+                         / (math.log(h) - math.log(prev.h)))
         rows.append(NontrapRow(n=n, h=h, top_modulus=top, slope_vs_prev=slope))
-        prev = (h, top)
     return rows

@@ -203,14 +203,14 @@ def quantize_map(m: CatMap, n: int, sign: int = -1) -> np.ndarray:
     return quantize_word(factor_sl2z(m), n, sign)
 
 
-def phase_factor(vals: np.ndarray) -> complex:
-    """Unimodular scalar rotating the largest-modulus eigenvalue onto the positive axis.
+def phase_factor(mu0: complex) -> complex:
+    """Unimodular scalar rotating the leading eigenvalue mu0 onto the positive axis.
 
-    vals are the eigenvalues of the open operator; the operator times this
-    scalar has the rotated eigenvalues vals * phase_factor(vals).
+    mu0 is the open operator's eigenvalue that eigensolver.sort_by_modulus
+    ranks first; the operator times this scalar has its eigenvalues times
+    it, and mu0 among them real and positive.  A mu0 of modulus below 1e-12
+    has no phase to fix and raises DegeneratePhase.
     """
-    vals = np.asarray(vals)
-    mu0 = vals[np.argmax(np.abs(vals))]
     if abs(mu0) < 1e-12:
         raise DegeneratePhase(f"leading eigenvalue modulus {abs(mu0):.3e}")
     return np.conj(mu0) / abs(mu0)

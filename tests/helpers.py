@@ -1,4 +1,4 @@
-"""Cutoff specs, operator helpers and the eigenvector, fold and DFT oracles shared by the test modules."""
+"""Cutoff specs, operator helpers and the eigenvector, fold, DFT and long-double oracles shared by the test modules."""
 
 import math
 
@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 import numpy as np
 
 import opencat.experiments as experiments
-from opencat.hn import dft_sector, live_run, unfold_parity
-from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_symbol, op_left_separable,
-                               profile_sectors)
+from opencat.eigensolver import sort_by_modulus
+from opencat.hn import dft_sector, live_run, torus_rep_array, unfold_parity
+from opencat.metaplectic import factor_sl2z
+from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
+                               op_left_separable, profile_sectors)
 
 # The cutoffs of the README's example config and of the benchmark workloads.
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
@@ -274,3 +276,95 @@ def nan_in_dead_column(monkeypatch):
         return defect, ((parity, live, nan_rows, factor), odd)
 
     monkeypatch.setattr(experiments, "cutoff_sectors", poisoned)
+
+
+def _unit_roots(period):
+    """exp(2 pi i p / period) for p = 0..period - 1, in long double."""
+    theta = np.arange(period, dtype=np.longdouble) * (8 * np.arctan(np.longdouble(1)) / period)
+    return np.cos(theta) + 1j * np.sin(theta)
+
+
+def long_double_operator(m, spec, n):
+    """The left route's open operator on its live rows and columns, in the full space, in long double.
+
+    The oracle for the trapped sweep's moduli: x87 long double has eps
+    1.1e-19, and numpy 2 runs the FFT of a clongdouble array in it.  The
+    live rows of diag(rho) F^dag diag(rho) F, rho the package's double
+    profile at the points x_m, are rho_j g(j - l) with g = ifft(rho).  Each
+    letter of factor_sl2z(m) acts on them from the right as in
+    metaplectic.apply_word, by np.fft, with every chirp phase coef m^2
+    reduced mod 2N in the integers.  The live columns are kept at the end.
+    """
+    rho = np.asarray(cutoff_profile(spec)(torus_rep_array(np.arange(n) / n)), dtype=float)
+    live = np.flatnonzero(rho)
+    g = np.fft.ifft(rho.astype(np.clongdouble))
+    x = rho[live, None] * g[(live[:, None] - np.arange(n)) % n]
+    omega, chirps = _unit_roots(8)[7], _unit_roots(2 * n)    # e^{-i pi/4}, e^{i pi p/N}
+    root_n = np.sqrt(np.longdouble(n))
+    squares = np.arange(n, dtype=np.int64) ** 2
+    for letter in factor_sl2z(m):
+        kind = letter[0]
+        if kind == "S":
+            x = np.fft.ifft(x, axis=1) * (omega * root_n)
+        elif kind == "S_INV":
+            x = np.fft.fft(x, axis=1) * (np.conj(omega) / root_n)
+        elif kind == "U":
+            x = np.fft.ifft(np.fft.fft(x, axis=1) * chirps[-letter[1] * squares % (2 * n)], axis=1)
+        elif kind == "L":
+            x = x * chirps[letter[1] * squares % (2 * n)]
+        else:  # PAR
+            x = x[:, -np.arange(n) % n]
+    return x[:, live]
+
+
+def _lu_solve(lu, perm, b, adjoint=False):
+    """Solve A x = b, or A^H x = b when adjoint, from A[perm] = L U packed in lu."""
+    size = len(lu)
+    if adjoint:
+        u = lu.conj().T          # A^H = U^H L^H P: U^H lower, L^H unit upper
+        y = b.copy()
+        for i in range(size):
+            y[i] = (y[i] - u[i, :i] @ y[:i]) / u[i, i]
+        for i in reversed(range(size)):
+            y[i] -= u[i, i + 1:] @ y[i + 1:]
+        x = np.empty_like(y)
+        x[perm] = y
+        return x
+    y = b[perm]
+    for i in range(size):
+        y[i] -= lu[i, :i] @ y[:i]
+    for i in reversed(range(size)):
+        y[i] = (y[i] - lu[i, i + 1:] @ y[i + 1:]) / lu[i, i]
+    return y
+
+
+def long_double_modes(m, spec, n, count):
+    """The top count modes of the left route's open operator at N in long double, as (values, residuals).
+
+    Each of the top count double eigenvalues of long_double_operator is
+    refined by inverse iteration shifted at it, with a long-double LU with
+    partial pivoting done in row operations, on a right and a left vector;
+    the value is the two-sided Rayleigh quotient, and its residual is
+    |B v - mu v| for the unit right vector v.
+    """
+    b = long_double_operator(m, spec, n)
+    size = len(b)
+    start = np.array([1, 1j]) @ np.random.default_rng(0).standard_normal((2, size))
+    values, residuals = [], []
+    for shift in sort_by_modulus(np.linalg.eigvals(b.astype(complex)))[:count]:
+        lu, perm = b - shift * np.eye(size), np.arange(size)
+        for k in range(size):
+            p = k + int(np.argmax(np.abs(lu[k:, k])))
+            lu[[k, p]], perm[[k, p]] = lu[[p, k]], perm[[p, k]]
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+        right = left = start.astype(np.clongdouble)
+        for _ in range(3):
+            right = _lu_solve(lu, perm, right)
+            right /= np.sqrt(np.sum(np.abs(right) ** 2))
+            left = _lu_solve(lu, perm, left, adjoint=True)
+            left /= np.sqrt(np.sum(np.abs(left) ** 2))
+        mu = (left.conj() @ b @ right) / (left.conj() @ right)
+        values.append(complex(mu))
+        residuals.append(float(np.sqrt(np.sum(np.abs(b @ right - mu * right) ** 2))))
+    return values, residuals

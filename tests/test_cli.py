@@ -105,6 +105,7 @@ def test_trapped_k_count_above_live_rows_is_config_error(tmp_path, capsys):
     {"quantization": "weyl", "k_max": 48, "grid": 100},  # grid < 4 k_max
     {"k_max": 48, "grid": 100},  # on the left route too
     {"out_svg": 2},  # an integer path would be taken as a file descriptor
+    {"phase": "none"},  # the phase rule is the only rule
 ])
 def test_trapped_malformed_value_is_config_error(tmp_path, capsys, overrides):
     out = tmp_path / "rows.csv"
@@ -507,10 +508,10 @@ def test_trapped_svg_at_one_n_draws_a_dot_per_k(tmp_path):
     assert {x for _, (x, _) in dots(svg)} == {50.0}
 
 
-@pytest.mark.parametrize("n_list, points", [([32, 64, 128], 3), ([2, 4], 1)])
+@pytest.mark.parametrize("n_list, points", [([32, 64, 128], 3), ([2, 64], 1)])
 def test_nontrapping_svg_is_one_solid_line(tmp_path, n_list, points):
-    # at N = 2 and 4 the left annulus vanishes at every point, every radius
-    # is 0, and the plot holds only the placeholder point, drawn as a dot
+    # at N = 2 the left annulus vanishes at every point and its radius is
+    # 0, so with N = 64 the plot has one point, drawn as a dot
     out, svg = tmp_path / "nt.csv", tmp_path / "plot.svg"
     cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=n_list,
                        cutoff={"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24})
@@ -518,12 +519,31 @@ def test_nontrapping_svg_is_one_solid_line(tmp_path, n_list, points):
     text = svg.read_text()
     assert text.startswith("<svg") and "stroke-dasharray" not in text
     if points == 1:
-        assert [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]] == [0, 0]
+        radii = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        assert radii[0] == 0 and radii[1] > 0
         assert polylines(svg) == []
         assert dots(svg) == [("#1f77b4", (50.0, 370.0))]
     else:
         [(_, _, drawn)] = polylines(svg)
         assert len(drawn) == points and dots(svg) == []
+
+
+def test_nontrapping_without_a_positive_radius_writes_no_svg(tmp_path, capsys, caplog):
+    # at N = 2 and 4 the left annulus vanishes at every point and every
+    # radius is 0: there is nothing to plot, so no SVG, one stderr line
+    # naming it, and still the CSV and exit 0
+    out, svg = tmp_path / "nt.csv", tmp_path / "plot.svg"
+    cfg = write_config(tmp_path, out_csv=str(out), out_svg=str(svg), n_list=[2, 4],
+                       cutoff={"kind": "annulus_product", "r_inner": 0.15, "r_outer": 0.24})
+    with caplog.at_level("WARNING", logger="opencat.experiments"):
+        assert main(["nontrapping", "--config", cfg]) == 0
+    assert not svg.exists()
+    assert capsys.readouterr().err == (f"no plot written to {svg}: "
+                                       "no spectral radius is positive\n")
+    assert [line.split(",")[::2] for line in out.read_text().splitlines()] == [
+        ["N", "top_modulus"], ["2", "0"], ["4", "0"]]
+    assert caplog.messages == ["slope undefined from N = 2 to 4: a spectral radius is 0, "
+                               "so the cutoff vanishes at every point of that N"]
 
 
 def test_csv_headers_name_the_row_fields_in_order(tmp_path):

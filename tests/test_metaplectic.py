@@ -178,7 +178,7 @@ def test_phase_mode_preserves_moduli():
     n = 64
     chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     u_plain = quantize_map(ARNOLD, n)
-    u_norm = u_plain * phase_factor(eigenvalues(chi @ u_plain))
+    u_norm = u_plain * phase_factor(sort_by_modulus(eigenvalues(chi @ u_plain))[0])
     m_plain = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_plain)))
     m_norm = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ u_norm)))
     assert np.abs(m_plain - m_norm).max() < 1e-12
@@ -189,10 +189,12 @@ def test_phase_mode_preserves_moduli():
 
 def test_phase_factor_from_eigenvalues():
     vals = np.array([0.1, -0.5j, 0.2 + 0.1j])
-    assert phase_factor(vals) == pytest.approx(1j, abs=1e-15)
-    assert (vals * phase_factor(vals))[1] == pytest.approx(0.5, abs=1e-15)
+    lead = sort_by_modulus(vals)[0]
+    assert lead == -0.5j
+    assert phase_factor(lead) == pytest.approx(1j, abs=1e-15)
+    assert (vals * phase_factor(lead))[1] == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DegeneratePhase):
-        phase_factor(np.zeros(4))
+        phase_factor(sort_by_modulus(np.zeros(4))[0])
 
 
 @settings(max_examples=60, deadline=None)
