@@ -1,12 +1,11 @@
 """Unitary quantization of SL(2,Z) matrices on the N-dimensional torus space.
 
-A cat map is factored into the generators S = [[0,-1],[1,0]], shears
-U(b) = [[1,b],[0,1]] and L(c) = [[1,0],[c,1]], and the parity -I.  Each
-generator has a closed-form unitary on the state space (quadratic phases and
-the DFT); the product quantizes the map up to a global phase.  -I is central
-in SL(2,Z), so every generator commutes with parity j -> -j, exactly in the
-integers of its phases: the word acts on the two parity sectors of hn apart
-and is not checked at run time.  apply_word multiplies one sector's rows,
+A cat map is factored into three letters: S^-1 = [[0,1],[-1,0]], the shear
+U(b) = [[1,b],[0,1]] and the parity -I.  Each has a closed-form unitary (the
+DFT and a quadratic phase); the product quantizes the map up to a global
+phase.  -I is central in SL(2,Z), so every letter commutes with parity
+j -> -j, exactly in the integers of its phases: the word acts on the two
+parity sectors of hn apart and is not checked at run time.  apply_word multiplies one sector's rows,
 in place, by the word letter by letter, with the DFT's sector block that
 its caller passes and the folded chirps, so chi Mhat is formed from chi's
 nonzero rows without building Mhat, and only in the run of columns asked
@@ -15,9 +14,9 @@ sector's identity and unfolds the two sector unitaries into the N x N
 matrix.  The global phase is a convention: the one rule that fixes it acts
 on the eigenvalues of the open operator (phase_factor).  All sign
 conventions are pinned by the exact commutation identity with quantized
-observables (checked generator by generator in the tests): with the DFT
-kernel e^{-2 pi i m k / N}, S quantizes to a multiple of the *inverse* DFT
-(quantize_word's sign=-1).
+observables (checked letter by letter in the tests): with the DFT kernel
+e^{-2 pi i m k / N}, S^-1 quantizes to a multiple of the DFT (quantize_word's
+sign=-1).
 """
 
 import math
@@ -29,24 +28,20 @@ from .errors import DegeneratePhase
 from .hn import dft_sector, fold_parity, unfold_parity
 from .quantizer import TorusSymbol, op_weyl
 
-OMEGA_S = np.exp(-1j * math.pi / 4)  # unimodular convention constant for S
+OMEGA_S = np.exp(-1j * math.pi / 4)  # S^-1 quantizes to conj(OMEGA_S) times the DFT
 
 # Most rows of apply_word's buffer overwritten per product; the panel is
 # copied first, 1.7 MB at N = 2048 (410 rows in 4 panels).
 _ROW_PANEL = 128
 
 
-# Letters are tuples: ("S",), ("S_INV",), ("U", b), ("L", c), ("PAR",)
+# Letters are tuples: ("S_INV",), ("U", b), ("PAR",)
 def letter_matrix(letter) -> CatMap:
     kind = letter[0]
-    if kind == "S":
-        return CatMap(0, -1, 1, 0)
     if kind == "S_INV":
         return CatMap(0, 1, -1, 0)
     if kind == "U":
         return CatMap(1, letter[1], 0, 1)
-    if kind == "L":
-        return CatMap(1, 0, letter[1], 1)
     if kind == "PAR":
         return CatMap(-1, 0, 0, -1)
     raise ValueError(f"unknown letter {letter!r}")
@@ -61,47 +56,45 @@ def word_matrix(word) -> CatMap:
 
 
 def factor_sl2z(m: CatMap) -> list:
-    """Factor m into generator letters whose ordered product is exactly m.
+    """Factor m into S_INV, U(b) and PAR letters whose ordered product is exactly m.
 
     Euclidean reduction of the first column: swap via S when the lower-left
     entry dominates, shear via U to reduce the upper-left mod it, and absorb
-    a final -I into PAR.  Exact integer arithmetic throughout; the result is
-    verified by multiplying back before returning.
+    a final -I into PAR.  Each step left-multiplies the matrix by S or
+    U(-t), so the word takes its inverse, S_INV or U(t), in the order the
+    steps run.  Exact integer arithmetic throughout; the result is verified
+    by multiplying back before returning.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
-    applied = []  # left-multiplied generators, in application order
+    word = []
     while c != 0:
         if a == 0 or abs(c) > abs(a):
             # S * [[a,b],[c,d]] = [[-c,-d],[a,b]]
-            applied.append(("S",))
+            word.append(("S_INV",))
             a, b, c, d = -c, -d, a, b
         else:
             t = a // c
             # U(-t) * [[a,b],[c,d]] = [[a-tc, b-td],[c,d]]
-            applied.append(("U", -t))
+            word.append(("U", t))
             a, b = a - t * c, b - t * d
     # now [[a,b],[0,d]] with a*d = 1
     if a == 1:
-        tail = [("U", b)] if b != 0 else []
+        word += [("U", b)] if b != 0 else []
     else:
-        tail = [("PAR",)] + ([("U", -b)] if b != 0 else [])
-    inverses = {"S": lambda g: ("S_INV",), "U": lambda g: ("U", -g[1])}
-    word = [inverses[g[0]](g) for g in applied] + tail
+        word += [("PAR",)] + ([("U", -b)] if b != 0 else [])
     assert word_matrix(word) == m, f"factorization failed for {m}"
     return word
 
 
 def _chirp(letter, n: int, parity: int):
-    """A shear letter's quadratic phase e^{i pi coef m^2 / N}, folded into one parity sector.
+    """U(b)'s quadratic phase e^{i pi coef m^2 / N}, coef = -b, folded into one parity sector.
 
-    L(c) multiplies by the chirp with coef = c; U(b) is the chirp with
-    coef = -b conjugated by the DFT.  The phase has period 2N in coef, so
-    coef is first reduced into [-N, N) in exact integer arithmetic.  For N
-    even coef (N - m)^2 = coef m^2 mod 2N, so the chirp folds into one
-    diagonal per sector (fold_parity).
+    U(b) is this chirp conjugated by the DFT.  The phase has period 2N in
+    coef, so coef is first reduced into [-N, N) in exact integer
+    arithmetic.  For N even coef (N - m)^2 = coef m^2 mod 2N, so the chirp
+    folds into one diagonal per sector (fold_parity).
     """
-    coef = letter[1] if letter[0] == "L" else -letter[1]
-    coef = (coef + n) % (2 * n) - n
+    coef = (n - letter[1]) % (2 * n) - n
     m = np.arange(n)
     return fold_parity(np.exp(1j * math.pi * coef * m * m / n), parity)
 
@@ -135,48 +128,39 @@ def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
-    sector's block of the unitary DFT (hn.dft_sector).  With chirp the
-    sector's folded chirp, the letters act on the rows as S: omega x F^dag,
-    S_INV: conj(omega) x F, U(b): ((x F) * chirp) F^dag, L(c): x * chirp
-    and PAR: x * parity; F is symmetric, so x F^dag is conj(conj(x) F).  A
-    Fourier letter costs one (rows x N/2) by (N/2 x N/2) product, a quarter
-    of the full-space one.  The slice cols selects the output columns: the
-    last Fourier letter forms only those, and the L and PAR letters after
-    it act on them alone.
+    sector's block of the unitary DFT (hn.dft_sector).  With chirp U's
+    folded chirp in the sector, the letters act on the rows as S_INV:
+    conj(omega) x F, U(b): ((x F) * chirp) F^dag and PAR: x * parity; F is
+    symmetric, so x F^dag is conj(conj(x) F).  Each product with F is a
+    (rows x N/2) by (N/2 x N/2) one, a quarter of the full-space one.  The
+    slice cols selects the output columns: the last Fourier letter forms
+    only those, and the PAR letters after it act on them alone.
 
     The word runs in x, a complex buffer the caller gives up: every letter
     overwrites it, a product a panel of rows at a time, and the last
     Fourier letter writes the columns cols into its first columns, so the
-    result is a view of x.  A read-only x raises ValueError at the first
-    letter, before anything is written; the empty word writes nothing.
+    result is a view of x.  A letter other than S_INV, U and PAR, or a
+    read-only x, raises ValueError before anything is written; the empty
+    word writes nothing.
     """
-    last = max((i for i, letter in enumerate(word) if letter[0] in ("S", "S_INV", "U")),
-               default=-1)
+    for letter in word:
+        letter_matrix(letter)  # raises ValueError on a letter outside the alphabet
+    last = max((i for i, letter in enumerate(word) if letter[0] != "PAR"), default=-1)
     if last < 0:
         x = x[:, cols]
     for i, letter in enumerate(word):
-        kind = letter[0]
         out = cols if i == last else slice(None)
-        if kind == "S":
-            np.conj(x, out=x)
-            x = _times(x, f, out)
-            np.conj(x, out=x)
-            x *= OMEGA_S
-        elif kind == "S_INV":
+        if letter[0] == "S_INV":
             x = _times(x, f, out)
             x *= np.conj(OMEGA_S)
-        elif kind == "U":
+        elif letter[0] == "U":
             x = _times(x, f, slice(None))
             x *= _chirp(letter, n, parity)
             np.conj(x, out=x)
             x = _times(x, f, out)
             np.conj(x, out=x)
-        elif kind == "L":
-            x *= _chirp(letter, n, parity)[cols if i > last else slice(None)]
-        elif kind == "PAR":
-            x *= parity
         else:
-            raise ValueError(f"unknown letter {letter!r}")
+            x *= parity
     return x
 
 
@@ -185,7 +169,7 @@ def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:
 
     sign=+1 uses conj(F), the kernel opposite to the package's.  Flipping
     the sign everywhere is unitarily equivalent (conjugation by parity), so
-    only a mismatch with the observables shows: Egorov for S breaks at O(1).
+    only a mismatch with the observables shows: Egorov for S^-1 breaks at O(1).
     """
     blocks = []
     for parity in (1, -1):

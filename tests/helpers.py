@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import opencat.experiments as experiments
+from opencat.catmap import CatMap
 from opencat.eigensolver import sort_by_modulus
 from opencat.hn import dft_sector, live_run, torus_rep_array, unfold_parity
 from opencat.metaplectic import factor_sl2z
@@ -16,10 +17,31 @@ from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_sym
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
 NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
 
-# A shear letter; words of two or more of them draw random SL(2,Z) maps,
-# hyperbolic once their trace exceeds 2 in modulus.
+# A shear, ("U", b) for [[1, b], [0, 1]] or ("L", c) for [[1, 0], [c, 1]];
+# products of two or more of them draw random SL(2,Z) maps, hyperbolic once
+# their trace exceeds 2 in modulus.
 shear = st.tuples(st.sampled_from(["U", "L"]),
                   st.integers(-3, 3).filter(lambda v: v != 0))
+
+
+def shear_map(shears, negate=False):
+    """The ordered product of the shears, times -I when negate."""
+    m = CatMap(-1, 0, 0, -1) if negate else CatMap(1, 0, 0, 1)
+    for kind, v in shears:
+        m = m @ (CatMap(1, v, 0, 1) if kind == "U" else CatMap(1, 0, v, 1))
+    return m
+
+
+def shear_word(shears):
+    """A word of the quantizer's letters for shear_map(shears), not factor_sl2z's.
+
+    U(b) is a letter, and L(c) = S U(-c) S^-1 with S = -I S^-1 is the word
+    PAR, S_INV, U(-c), S_INV.
+    """
+    word = []
+    for kind, v in shears:
+        word += [("U", v)] if kind == "U" else [("PAR",), ("S_INV",), ("U", -v), ("S_INV",)]
+    return word
 
 
 def eigvec_matrix(m):
@@ -87,9 +109,8 @@ def fold_pairs(d):
 
 
 def chirp_diagonal(letter, n):
-    """A shear letter's chirp e^{i pi coef m^2 / N} on the N points, as metaplectic._chirp forms it before its fold."""
-    coef = letter[1] if letter[0] == "L" else -letter[1]
-    coef = (coef + n) % (2 * n) - n
+    """U(b)'s chirp e^{i pi coef m^2 / N}, coef = -b, on the N points, as metaplectic._chirp forms it before its fold."""
+    coef = (n - letter[1]) % (2 * n) - n
     m = np.arange(n)
     return np.exp(1j * math.pi * coef * m * m / n)
 
@@ -303,15 +324,10 @@ def long_double_operator(m, spec, n):
     root_n = np.sqrt(np.longdouble(n))
     squares = np.arange(n, dtype=np.int64) ** 2
     for letter in factor_sl2z(m):
-        kind = letter[0]
-        if kind == "S":
-            x = np.fft.ifft(x, axis=1) * (omega * root_n)
-        elif kind == "S_INV":
+        if letter[0] == "S_INV":
             x = np.fft.fft(x, axis=1) * (np.conj(omega) / root_n)
-        elif kind == "U":
+        elif letter[0] == "U":
             x = np.fft.ifft(np.fft.fft(x, axis=1) * chirps[-letter[1] * squares % (2 * n)], axis=1)
-        elif kind == "L":
-            x = x * chirps[letter[1] * squares % (2 * n)]
         else:  # PAR
             x = x[:, -np.arange(n) % n]
     return x[:, live]

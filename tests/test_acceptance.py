@@ -24,7 +24,7 @@ from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
 from opencat.quantizer import TorusSymbol, cutoff_profile, cutoff_symbol, op_weyl
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, left_sectors,
-                     live_operator, open_sectors, operator_sectors, spectrum)
+                     live_operator, open_sectors, operator_sectors, shear_word, spectrum)
 from test_catmap import orbit
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -175,8 +175,8 @@ def test_criterion_6_classical_proposition():
 def test_criterion_7_word_independence():
     n = 128
     w1 = factor_sl2z(ARNOLD)
-    w2 = [("U", 1), ("L", 1)]
-    assert word_matrix(w2) == ARNOLD
+    w2 = shear_word([("U", 1), ("L", 1)])
+    assert word_matrix(w2) == ARNOLD and w2 != w1
     chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     m1 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w1, n)))[:4])
     m2 = np.abs(sort_by_modulus(eigenvalues(chi @ quantize_word(w2, n)))[:4])

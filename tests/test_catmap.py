@@ -8,7 +8,7 @@ from opencat.catmap import (ARNOLD, CatMap, EscapeReport, RationalPoint, analyze
                             escape_check, guard_radius)
 from opencat.errors import InvalidRadius, NotHyperbolic, NotUnimodular
 
-from helpers import eigvec_matrix
+from helpers import eigvec_matrix, shear, shear_map
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -228,17 +228,6 @@ def test_escape_check_matches_loop(mat, radius, q_max):
         radius = guard_radius(analyze(m))
     assert_same_report(escape_check(m, radius, q_max),
                        escape_check_loop(m, radius, q_max))
-
-
-shear = st.tuples(st.sampled_from(["U", "L"]),
-                  st.integers(-3, 3).filter(lambda v: v != 0))
-
-
-def shear_map(letters, negate: bool) -> CatMap:
-    m = CatMap(-1, 0, 0, -1) if negate else CatMap(1, 0, 0, 1)
-    for kind, v in letters:
-        m = m @ (CatMap(1, v, 0, 1) if kind == "U" else CatMap(1, 0, v, 1))
-    return m
 
 
 @settings(max_examples=300, deadline=None)

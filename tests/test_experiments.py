@@ -18,13 +18,13 @@ from opencat.experiments import (PARITY_TOL, cutoff_sectors, nontrapping_rows,
                                  nontrapping_sweep, SYMMETRY_TOL_N64, spectrum_gap,
                                  theorem_targets, trapped_sweep)
 from opencat.hn import torus_rep_array
-from opencat.metaplectic import factor_sl2z, phase_factor, word_matrix
+from opencat.metaplectic import factor_sl2z, phase_factor
 from opencat.quantizer import BumpSpec, cutoff_profile, cutoff_symbol, op_weyl
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, dft_matrix,
                      fold_matrix, left_sectors, live_operator, live_rows, long_double_modes,
                      nan_in_dead_column, odd_term_symbol, open_sectors, operator_sectors,
-                     shear, spectrum)
+                     shear, shear_map, shear_word, spectrum)
 from test_metaplectic import quantize_word_dense
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -237,7 +237,7 @@ def test_moduli_invariant_under_conventions(monkeypatch):
     # conjugate pair straddles the top-4 cut and roundoff picks its member
     n = 128
     base = [complex(r.re, r.im) for r in trapped_sweep(ARNOLD, TRAPPED_SPEC, [n])]
-    monkeypatch.setattr(experiments, "factor_sl2z", lambda m: [("U", 1), ("L", 1)])
+    monkeypatch.setattr(experiments, "factor_sl2z", lambda m: shear_word([("U", 1), ("L", 1)]))
     other = [complex(r.re, r.im) for r in trapped_sweep(ARNOLD, TRAPPED_SPEC, [n])]
     assert len(base) == len(other) == 4
     assert match_distance(np.array(base), np.array(other)) < 1e-9
@@ -262,6 +262,32 @@ def test_trapped_moduli_match_long_double_oracle():
     assert max(errors[:3]) <= 1e-9 and errors[3] <= 1e-8
     # measured at most 6.7e-15
     assert max(residuals) < 1e-13
+
+
+@pytest.mark.parametrize("m", [ARNOLD, CatMap(1, 1, 1, 2), CatMap(-2, -1, -1, -1),
+                               CatMap(-1, -1, -1, -2)])
+def test_trapped_modes_match_the_signed_prediction(m):
+    # the theorem predicts each mode, not only its modulus: once the phase
+    # rule fixes mode 0, mode k is eps^k lam^{-(2k+1)/2}, eps = sign(tr M),
+    # and lies in parity sector (-1)^k.  At N = 1024 the relative errors on
+    # the benchmark's four maps and their negatives were at most 1.2e-8,
+    # 9.6e-6 and 1.2e-4 for k = 0..2.  A PAR letter that loses the odd
+    # sector's sign reads 2.0 at k = 1 on the maps whose word has one, here
+    # Arnold's and [1, 1, 1, 2]; their moduli do not move.  Mode 3 (3.8e-2
+    # off on Arnold's map) is left out
+    n = 1024
+    rows = trapped_sweep(m, TRAPPED_SPEC, [n], k_count=3)
+    top = np.array([complex(r.re, r.im) for r in rows])
+    sectors = [(parity, eigenvalues(block))
+               for parity, (_, block) in zip((1, -1), open_sectors(m, TRAPPED_SPEC, n))]
+    lead = sort_by_modulus(np.concatenate([vals for _, vals in sectors]))[0]
+    eps = 1 if m.trace > 0 else -1
+    predicted = eps ** np.arange(3) * theorem_targets(m, 3)
+    errors = np.abs(top - predicted) / np.abs(predicted)
+    assert (errors <= [1e-7, 1e-4, 1e-3]).all(), errors
+    for k, mu in enumerate(top):
+        nearest = min(sectors, key=lambda s: np.abs(s[1] * phase_factor(lead) - mu).min())
+        assert nearest[0] == (-1) ** k
 
 
 def test_trapped_sweep_diagonalizes_once_per_sector_per_n(monkeypatch):
@@ -335,7 +361,7 @@ def test_cutoff_prepared_once_per_n(monkeypatch, tmp_path, capsys):
                                   "cutoff": {"kind": "product_bump", "r_inner": 0.1,
                                              "r_outer": 0.2}}))
     assert main(["verify", "--config", str(config)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 18
+    assert len(capsys.readouterr().out.splitlines()) == 16
     assert folded == [64]
 
 
@@ -443,7 +469,7 @@ def dense_cutoff(spec, n):
        quant=st.sampled_from(["left", "weyl"]),
        spec=st.sampled_from([TRAPPED_SPEC, NONTRAP_SPEC]))
 def test_parity_sectors_on_random_hyperbolic_maps(word, n, quant, spec):
-    m = word_matrix(word)
+    m = shear_map(word)
     assume(abs(m.a + m.d) > 2)
     routed = replace(spec, quantization=quant, k_max=16, grid=64)
     even, odd = open_sectors(m, routed, n)
@@ -474,7 +500,7 @@ def test_symmetries_of_the_open_spectrum_on_random_hyperbolic_maps(word, n, quan
     # fixes the cutoff, so their open spectra are conjugate; on the Weyl
     # route the DFT quantizes S exactly, so S M S^-1 has M's spectrum.  The
     # roundoff bound grows like N^3
-    m = word_matrix(word)
+    m = shear_map(word)
     assume(abs(m.a + m.d) > 2)
     spec = replace(TRAPPED_SPEC, quantization=quant)
     tol = SYMMETRY_TOL_N64 * (n / 64) ** 3

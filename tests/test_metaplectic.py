@@ -12,14 +12,15 @@ from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
 from opencat.hn import dft_sector, torus_rep_array
 from opencat.metaplectic import (OMEGA_S, _panels, apply_word, compose_symbol,
-                                 egorov_residual, factor_sl2z, phase_factor,
+                                 egorov_residual, factor_sl2z, letter_matrix, phase_factor,
                                  quantize_map, quantize_word, word_matrix)
 from opencat.quantizer import TorusSymbol, cutoff_profile
 from opencat.experiments import cutoff_sectors
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, chirp_diagonal, dense_operator,
-                     dft_sectors_oracle, fold_matrix, fold_pairs, open_sectors, shear, spectrum)
+                     dft_sectors_oracle, fold_matrix, fold_pairs, open_sectors, shear, shear_map,
+                     shear_word, spectrum)
 
 
 def mode(k, l, kmax=2):
@@ -37,19 +38,15 @@ def cos_pair_symbol():
 
 
 def quantize_generator(letter, n, sign=-1):
-    """Reference closed-form unitary of a single generator, DFT kernel sign `sign`."""
+    """Reference closed-form unitary of a single letter, DFT kernel sign `sign`."""
     if n % 2:
         raise OddDimension(f"n = {n} must be even")
     kind = letter[0]
     m = np.arange(n)
     f = np.exp(sign * 2j * np.pi * np.outer(m, m) / n) / math.sqrt(n)
     f_inv = f.conj().T
-    if kind == "S":
-        return OMEGA_S * f_inv
     if kind == "S_INV":
         return np.conj(OMEGA_S) * f
-    if kind == "L":
-        return np.diag(np.exp(1j * math.pi * letter[1] * m * m / n))
     if kind == "U":
         d = np.exp(-1j * math.pi * letter[1] * m * m / n)
         return f @ (d[:, None] * f_inv)
@@ -67,19 +64,28 @@ def sector_dft(n, parity, sign=-1):
 
 
 def quantize_word_dense(word, n, sign=-1):
-    """Reference word product: identity times each generator matrix in turn."""
+    """Reference word product: identity times each letter's matrix in turn."""
     u = np.eye(n, dtype=complex)
     for letter in word:
         u = u @ quantize_generator(letter, n, sign)
     return u
 
 
+def assert_alphabet_word(m):
+    # every letter is S_INV, U(b) with b != 0 or PAR, and the word's product is m
+    word = factor_sl2z(m)
+    for letter in word:
+        assert letter in (("S_INV",), ("PAR",)) or (letter[0] == "U" and len(letter) == 2
+                                                     and letter[1] != 0), letter
+    assert word_matrix(word) == m
+
+
 @pytest.mark.parametrize("m", [ARNOLD, CatMap(0, -1, 1, 0), CatMap(-1, 0, 0, -1),
                                CatMap(2, 3, 1, 2), CatMap(-2, -1, -1, -1),
-                               CatMap(1, 0, 5, 1), CatMap(7, 12, 4, 7)])
+                               CatMap(1, 0, 5, 1), CatMap(7, 12, 4, 7), CatMap(1, 0, 0, 1),
+                               CatMap(1, 7, 0, 1), CatMap(-1, 3, 0, -1)])
 def test_factorization_reproduces_matrix(m):
-    word = factor_sl2z(m)
-    assert word_matrix(word) == m
+    assert_alphabet_word(m)
 
 
 def test_factor_single_s():
@@ -87,20 +93,48 @@ def test_factor_single_s():
     assert word_matrix(word) == CatMap(0, -1, 1, 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(shears=st.lists(shear, min_size=2, max_size=6), negate=st.booleans())
+def test_factorization_uses_the_three_letters(shears, negate):
+    # the factorization writes only the letters the quantizer knows, over
+    # products of shears of both trace signs, hyperbolic or not
+    assert_alphabet_word(shear_map(shears, negate))
+
+
+@pytest.mark.parametrize("bad", [("S",), ("L", 1)])
+def test_letters_outside_the_alphabet_are_rejected(bad):
+    # S and L(c) are words, not letters: letter_matrix and apply_word
+    # raise on them, and apply_word before it writes, even after an S_INV
+    with pytest.raises(ValueError):
+        letter_matrix(bad)
+    n = 8
+    f = dft_sector(n, 1)
+    x = np.random.default_rng(1).standard_normal((3, len(f))) + 0j
+    for word in ([bad], [("S_INV",), bad], [("U", 1), ("S_INV",), bad, ("PAR",)]):
+        buf = x.copy()
+        with pytest.raises(ValueError):
+            apply_word(buf, word, f, n, 1)
+        assert np.array_equal(buf, x)
+
+
 def test_generator_examples():
-    l1 = quantize_word([("L", 1)], 2)
-    assert np.allclose(l1, np.diag([1.0, 1j]), atol=1e-14)
+    s_inv = quantize_word([("S_INV",)], 2)
+    assert np.allclose(s_inv, np.exp(1j * math.pi / 4) * np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+                       atol=1e-14)
     par = quantize_word([("PAR",)], 4)
     expect = np.zeros((4, 4))
     expect[0, 0] = expect[2, 2] = expect[1, 3] = expect[3, 1] = 1.0
     assert np.allclose(par, expect)
-    l2 = quantize_word([("L", 2)], 4)
-    assert np.allclose(np.diag(l2), [1.0, 1j, 1.0, 1j], atol=1e-14)
+    # L(c)'s word PAR, S_INV, U(-c), S_INV is i times the chirp e^{i pi c m^2 / N}
+    l1 = quantize_word(shear_word([("L", 1)]), 2)
+    assert np.allclose(l1, 1j * np.diag([1.0, 1j]), atol=1e-14)
+    l2 = quantize_word(shear_word([("L", 2)]), 4)
+    assert np.allclose(l2, 1j * np.diag([1.0, 1j, 1.0, 1j]), atol=1e-14)
 
 
 def test_odd_dimension_rejected():
     with pytest.raises(OddDimension):
-        quantize_word([("S",)], 5)
+        quantize_word([("S_INV",)], 5)
     with pytest.raises(OddDimension):
         quantize_map(ARNOLD, 7)
 
@@ -111,10 +145,12 @@ def test_map_unitary(n):
     assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
 
 
-@pytest.mark.parametrize("letter", [("S",), ("S_INV",), ("U", 1), ("U", -2),
-                                    ("L", 1), ("L", 3), ("PAR",)])
+@pytest.mark.parametrize("letter", [("U", 16), ("S_INV",), ("U", 1), ("U", -2),
+                                    ("U", 3), ("U", 33), ("PAR",)])
 @pytest.mark.parametrize("kl", [(1, 0), (0, 1)])
 def test_generator_egorov_pins_conventions(letter, kl):
+    # at N = 16 U(16)'s chirp coefficient is -N, the end of its reduced
+    # range, and U(33) is U(1) one period 2N on
     assert egorov_residual([letter], mode(*kl), 16) < 1e-12
 
 
@@ -139,7 +175,7 @@ def test_compose_symbol_reindexes_exactly():
 
 
 def test_s_squared_is_parity_up_to_phase():
-    s = quantize_word([("S",)], 16)
+    s = quantize_word([("S_INV",)], 16)
     par = quantize_word([("PAR",)], 16)
     ratio = (s @ s)[0, 0] / par[0, 0]
     assert abs(abs(ratio) - 1.0) < 1e-12
@@ -159,8 +195,8 @@ def test_word_independent_moduli():
     n = 64
     chi = dense_operator(built(cutoff_sectors(TRAPPED_SPEC, n), n), n)
     w1 = factor_sl2z(ARNOLD)
-    w2 = [("U", 1), ("L", 1)]
-    assert word_matrix(w2) == ARNOLD
+    w2 = shear_word([("U", 1), ("L", 1)])
+    assert word_matrix(w2) == ARNOLD and w2 != w1
     m1 = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ quantize_word(w1, n)))[:4])
     m2 = np.abs(sort_by_modulus(np.linalg.eigvals(chi @ quantize_word(w2, n)))[:4])
     assert np.abs(m1 - m2).max() < 1e-9
@@ -202,15 +238,15 @@ def test_phase_factor_from_eigenvalues():
        n=st.integers(2, 32).map(lambda h: 2 * h),
        kl=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
-    m = word_matrix(word)
+    m = shear_map(word)
     assume(abs(m.a + m.d) > 2)
-    # the factorization's word (S, S_INV, U, PAR letters) and the drawn
-    # shear word quantize the same map
+    # the factorization's word and the drawn shears' word quantize the
+    # same map
     assert egorov_residual(factor_sl2z(m), mode(*kl), n) < 1e-8
-    assert egorov_residual(word, mode(*kl), n) < 1e-8
-    # the opposite DFT sign breaks Egorov for the Fourier letters at O(1)
-    for letter in (("S",), ("S_INV",)):
-        res = max(egorov_residual([letter], mode(*w), n, sign=1)
+    assert egorov_residual(shear_word(word), mode(*kl), n) < 1e-8
+    # the opposite DFT sign breaks Egorov for S^-1 and for S = -I S^-1 at O(1)
+    for letters in ([("S_INV",)], [("PAR",), ("S_INV",)]):
+        res = max(egorov_residual(letters, mode(*w), n, sign=1)
                   for w in ((1, 0), (0, 1)))
         assert res >= 1.0
 
@@ -218,11 +254,11 @@ def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
 @settings(max_examples=40, deadline=None)
 @given(word=st.lists(shear, min_size=2, max_size=4), n=st.sampled_from([32, 48, 64]))
 def test_word_independent_moduli_on_random_hyperbolic_maps(word, n):
-    m = word_matrix(word)
+    m = shear_map(word)
     assume(abs(m.a + m.d) > 2)
-    # the drawn shear word and the factorization's word quantize the same
+    # the drawn shears' word and the factorization's word quantize the same
     # map up to a global phase, which leaves the moduli unchanged
-    with mock.patch.object(experiments, "factor_sl2z", lambda _: word):
+    with mock.patch.object(experiments, "factor_sl2z", lambda _: shear_word(word)):
         drawn = np.abs(sort_by_modulus(spectrum(m, TRAPPED_SPEC, n))[:4])
     factored = np.abs(sort_by_modulus(spectrum(m, TRAPPED_SPEC, n))[:4])
     assert np.abs(drawn - factored).max() < 1e-8
@@ -239,20 +275,17 @@ def test_quantize_word_bitwise_matches_dense(m, n):
     assert np.abs(quantize_word(word, n) - quantize_word_dense(word, n)).max() <= 1e-12
 
 
-fourier_letter = st.one_of(st.sampled_from([("S",), ("S_INV",), ("PAR",)]),
-                           st.integers(-3, 3).map(lambda b: ("U", b)))
+any_letter = st.one_of(st.sampled_from([("S_INV",), ("PAR",)]),
+                       st.integers(-3, 3).map(lambda b: ("U", b)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(word=st.lists(fourier_letter, max_size=5),
+@given(word=st.lists(any_letter, max_size=5),
        n=st.integers(1, 16).map(lambda h: 2 * h), sign=st.sampled_from([-1, 1]))
 def test_quantize_word_bitwise_matches_dense_on_random_words(word, n, sign):
     fast = quantize_word(word, n, sign)
     assert fast.dtype == complex
     assert np.abs(fast - quantize_word_dense(word, n, sign)).max() <= 1e-12
-
-
-any_letter = st.one_of(fourier_letter, st.integers(-3, 3).map(lambda c: ("L", c)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -279,11 +312,11 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
 @given(word=st.lists(shear, min_size=2, max_size=4),
        n=st.sampled_from([2, 4, 16, 32, 96]), sign=st.sampled_from([-1, 1]))
 def test_sector_word_matches_dense_on_random_hyperbolic_maps(word, n, sign):
-    m = word_matrix(word)
+    m = shear_map(word)
     assume(abs(m.a + m.d) > 2)
     # the two sector unitaries, unfolded, are the dense product of the
-    # generators, for the drawn word and for the factorization's
-    for w in (word, factor_sl2z(m)):
+    # letters, for the drawn shears' word and for the factorization's
+    for w in (shear_word(word), factor_sl2z(m)):
         assert np.abs(quantize_word(w, n, sign) - quantize_word_dense(w, n, sign)).max() <= 1e-12
 
 
@@ -293,7 +326,7 @@ def assert_word_folds(word, n):
     # the oracle's bit for bit, about 5.4e-16 N, and a chirp's, whose phase
     # pi coef m^2 / N reaches pi |coef| N with coef reduced into [-N, N)
     for letter in word:
-        if letter[0] in ("U", "L"):
+        if letter[0] == "U":
             coef = (letter[1] + n) % (2 * n) - n
             assert fold_pairs(chirp_diagonal(letter, n))[2] <= 1e-15 * n * max(1, abs(coef))
     assert dft_sectors_oracle(n)[2] <= 1e-15 * n
@@ -302,7 +335,7 @@ def assert_word_folds(word, n):
 @settings(max_examples=40, deadline=None)
 @given(word=st.lists(shear, min_size=2, max_size=4), n=st.integers(1, 128).map(lambda h: 2 * h))
 def test_word_factors_commute_with_parity_on_random_words(word, n):
-    assert_word_folds(word + factor_sl2z(word_matrix(word)), n)
+    assert_word_folds(shear_word(word) + factor_sl2z(shear_map(word)), n)
 
 
 @pytest.mark.parametrize("m", BENCHMARK_MAPS)
@@ -311,17 +344,14 @@ def test_word_factors_commute_with_parity_on_benchmark_maps(m, n):
     assert_word_folds(factor_sl2z(m), n)
 
 
-trailing_letter = st.one_of(st.just(("PAR",)), st.integers(-3, 3).map(lambda c: ("L", c)))
-
-
 @settings(max_examples=80, deadline=None)
-@given(head=st.lists(any_letter, max_size=4), tail=st.lists(trailing_letter, max_size=3),
+@given(head=st.lists(any_letter, max_size=4), tail=st.lists(st.just(("PAR",)), max_size=3),
        n=st.one_of(st.integers(1, 16).map(lambda h: 2 * h), st.just(260)),
        sign=st.sampled_from([-1, 1]), rows=st.integers(1, 8), data=st.data())
 def test_apply_word_narrowed_columns_match_full_product(head, tail, n, sign, rows, data):
     # the last Fourier letter forms only the requested run of columns and
-    # the L and PAR letters after it index their chirps; a word of L and PAR
-    # letters alone narrows x first.  The run may be empty or full, and
+    # the PAR letters after it act on them alone; a word of PAR letters
+    # alone narrows x first.  The run may be empty or full, and
     # N = 260 adds a sector wider than the small ones
     word = head + tail
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -343,8 +373,8 @@ def test_apply_word_allocates_no_dft_sized_array():
     # it stays below F[:, live], which is a view of F.  The block and the
     # rows are made before the measurement
     n = 512
-    word = factor_sl2z(ARNOLD) + [("S",)]
-    assert {"S", "S_INV", "U"} <= {letter[0] for letter in word}
+    word = factor_sl2z(ARNOLD) + [("S_INV",)]
+    assert {letter[0] for letter in word} == {"S_INV", "U", "PAR"}
     f = dft_sector(n, 1)
     live = cutoff_sectors(TRAPPED_SPEC, n)[1][0][1]
     assert 0 < live.stop - live.start < n // 2 + 1
@@ -360,19 +390,20 @@ def test_apply_word_allocates_no_dft_sized_array():
         assert peak < (n // 2 + 1) * bound * 16
 
 
-@pytest.mark.parametrize("first", [("S",), ("S_INV",), ("U", 2), ("L", -1), ("PAR",), None])
+@pytest.mark.parametrize("first", [[("PAR",), ("S_INV",)], [("S_INV",)], [("U", 2)],
+                                   shear_word([("L", -1)]), [("PAR",)], None])
 def test_apply_word_works_in_place(first):
-    # the word overwrites the buffer its caller gives up, whichever letter
-    # comes first, and returns a view of it; on a read-only view of the DFT
-    # block it raises before any byte is written, and the empty word (first
-    # None) writes nothing
+    # the word overwrites the buffer its caller gives up, whichever letters
+    # come first (S = -I S^-1 and L(-1) among them), and returns a view of
+    # it; on a read-only view of the DFT block it raises before any byte is
+    # written, and the empty word (first None) writes nothing
     n = 32
     rng = np.random.default_rng(7)
     for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
         f = dft_sector(n, parity)
         before = f.tobytes()
-        for word in ([first] + [("U", 1), ("S",), ("L", 2)] if first else [],
-                     [first] if first else []):
+        for word in (first + [("U", 1), ("S_INV",), ("PAR",)] if first else [],
+                     first or []):
             block = fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
             for cols in (slice(None), slice(2, 7)):
                 x = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
