@@ -20,7 +20,7 @@ from .errors import ConfigError, OpenCatError
 from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors, nontrapping_sweep,
                           open_spectrum, spectrum_gap, trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
-from .quantizer import BumpSpec, TorusSymbol, cutoff_symbol, op_weyl
+from .quantizer import BumpSpec, cutoff_symbol, op_weyl, plane_wave
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -217,7 +217,8 @@ def _verify_checks(config: RunConfig, sign: int):
     """Yield (name, passed, measure) for the cross-module invariant suite.
 
     sign is the DFT kernel sign the map is quantized with; the observables
-    keep the package convention -1, so sign=+1 must fail egorov_gen_S_INV.
+    keep the package convention -1, so sign=+1 must fail egorov_gen_S_INV,
+    and the map's lines too when its word has an odd count of S^-1 letters.
     """
     dims = [32, 64, 128]
     for n in dims:
@@ -229,30 +230,14 @@ def _verify_checks(config: RunConfig, sign: int):
         u = quantize_map(config.matrix, n, sign=sign)
         defect = np.abs(u.conj().T @ u - np.eye(n)).max()
         yield f"map_unitary_N{n}", defect < 1e-10, defect
-    k = 3
-    table = np.zeros((2 * k + 1, 2 * k + 1), dtype=complex)
-    table[k + 1, k] = table[k - 1, k] = 0.5
-    table[k, k + 1] = table[k, k - 1] = 0.5
-    sym = TorusSymbol(table, k)
+    # Egorov on e^{2 pi i x} and e^{2 pi i xi}: the map's word, and each letter
+    # alone, which sees a flipped DFT that an even count of S^-1 letters hides
     word = factor_sl2z(config.matrix)
-    for n in (32, 64):
-        res = egorov_residual(word, sym, n, sign=sign)
-        yield f"egorov_N{n}", res < 1e-8, res
-    # Per-letter residuals with single plane waves pin every sign
-    # convention; the full-word residual alone can miss a flipped Fourier
-    # kernel because the mismatched letters may cancel along the word.
-    modes = []
-    for k_mode, l_mode in ((1, 0), (0, 1)):
-        t = np.zeros((3, 3), dtype=complex)
-        t[1 + k_mode, 1 + l_mode] = 1.0
-        modes.append(TorusSymbol(t, 1))
-    for letter in (("S_INV",), ("U", 1)):
-        res = max(egorov_residual([letter], mode, 32, sign=sign) for mode in modes)
-        name = letter[0] if len(letter) == 1 else f"{letter[0]}{letter[1]}"
-        yield f"egorov_gen_{name}", res < 1e-8, res
-    one = np.zeros((3, 3), dtype=complex)
-    one[1, 1] = 1.0
-    defect = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
+    for name, letters, n in (("N32", word, 32), ("N64", word, 64),
+                             ("gen_S_INV", [("S_INV",)], 32), ("gen_U1", [("U", 1)], 32)):
+        res = max(egorov_residual(letters, freq, n, sign=sign) for freq in ((1, 0), (0, 1)))
+        yield f"egorov_{name}", res < 1e-8, res
+    defect = np.abs(op_weyl(plane_wave(0, 0), 64) - np.eye(64)).max()
     yield "op_weyl_identity", defect < 1e-13, defect
     a = op_weyl(cutoff_symbol(config.cutoff), 64)
     defect = np.abs(a - a.conj().T).max()

@@ -13,10 +13,10 @@ for; quantize_word builds each sector's block, runs the word on the
 sector's identity and unfolds the two sector unitaries into the N x N
 matrix.  The global phase is a convention: the one rule that fixes it acts
 on the eigenvalues of the open operator (phase_factor).  All sign
-conventions are pinned by the exact commutation identity with quantized
-observables (checked letter by letter in the tests): with the DFT kernel
-e^{-2 pi i m k / N}, S^-1 quantizes to a multiple of the DFT (quantize_word's
-sign=-1).
+conventions are pinned by the exact Egorov law Op(a o M) = Mhat^dag Op(a) Mhat
+on the plane waves e^{2 pi i x} and e^{2 pi i xi}, per letter and per word
+(egorov_residual): with the DFT kernel e^{-2 pi i m k / N}, S^-1 quantizes
+to a multiple of the DFT (quantize_word's sign=-1).
 """
 
 import math
@@ -26,7 +26,7 @@ import numpy as np
 from .catmap import CatMap
 from .errors import DegeneratePhase
 from .hn import dft_sector, fold_parity, unfold_parity
-from .quantizer import TorusSymbol, op_weyl
+from .quantizer import op_weyl, plane_wave
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # S^-1 quantizes to conj(OMEGA_S) times the DFT
 
@@ -200,36 +200,19 @@ def phase_factor(mu0: complex) -> complex:
     return np.conj(mu0) / abs(mu0)
 
 
-def compose_symbol(sym: TorusSymbol, m: CatMap, n: int) -> TorusSymbol:
-    """Pull back a symbol by the map, for Op_N: coefficient at M^T w moves to w's value.
+def egorov_residual(word, freq, n: int, sign: int = -1) -> float:
+    """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat, a = e^{2 pi i (k x + l xi)}, (k, l) = freq.
 
-    Exact integer reindexing of the Fourier table; the plane wave with
-    frequency w composed with M is the plane wave with frequency M^T w.
-    Op_N of a plane wave depends on its frequency only mod 2N, so M's entries
-    are reduced mod 2N and each M^T w into [-N, N), where coefficients that
-    land on one frequency add; a frequency already in range keeps its place.
+    Mhat is the word's unitary with DFT kernel sign `sign`, M = word_matrix(word),
+    and Op keeps the package convention, so sign=+1 measures the mismatch.
+    a o M is the plane wave at M^T freq, whose Op_N depends on it only mod
+    2N, so each component is reduced into [-N, N) in exact integers.
+    Egorov is linear in the symbol, so plane waves pin it for every symbol;
+    the defect is zero in exact arithmetic.
     """
-    kmax = sym.k_max
-    ks, ls = np.nonzero(sym.table)
-    ks, ls = ks - kmax, ls - kmax
-    a, b, c, d = (entry % (2 * n) for entry in (m.a, m.b, m.c, m.d))
-    new_k = (a * ks + c * ls + n) % (2 * n) - n
-    new_l = (b * ks + d * ls + n) % (2 * n) - n
-    needed = int(max(np.abs(new_k).max(), np.abs(new_l).max())) if len(ks) else 0
-    out_k = max(needed, kmax)
-    table = np.zeros((2 * out_k + 1, 2 * out_k + 1), dtype=complex)
-    np.add.at(table, (new_k + out_k, new_l + out_k), sym.table[ks + kmax, ls + kmax])
-    return TorusSymbol(table=table, k_max=out_k)
-
-
-def egorov_residual(word, sym: TorusSymbol, n: int, sign: int = -1) -> float:
-    """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat; zero in exact arithmetic.
-
-    Mhat is the word's unitary and M = word_matrix(word).  Mhat is quantized
-    with DFT kernel sign `sign`; the observables Op keep the package
-    convention, so sign=+1 measures the mismatch.
-    """
+    k, l = freq
+    m = word_matrix(word)
+    pulled = plane_wave((m.a * k + m.c * l + n) % (2 * n) - n,
+                        (m.b * k + m.d * l + n) % (2 * n) - n)
     u = quantize_word(word, n, sign)
-    lhs = op_weyl(compose_symbol(sym, word_matrix(word), n), n)
-    rhs = u.conj().T @ op_weyl(sym, n) @ u
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(op_weyl(pulled, n) - u.conj().T @ op_weyl(plane_wave(k, l), n) @ u).max())

@@ -107,13 +107,24 @@ class TorusSymbol:
     """
 
     table: np.ndarray
-    k_max: int
 
     def __post_init__(self):
-        kk = 2 * self.k_max + 1
-        if self.table.shape != (kk, kk):
-            raise ValueError(f"table shape {self.table.shape}, expected ({kk}, {kk})")
+        shape = self.table.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 == 0:
+            raise ValueError(f"table shape {shape}, expected square with an odd side")
         self.table.setflags(write=False)
+
+    @property
+    def k_max(self) -> int:
+        return self.table.shape[0] // 2
+
+
+def plane_wave(k: int, l: int) -> TorusSymbol:
+    """The symbol e^{2 pi i (k x + l xi)}: a one-hot table of side 2 max(|k|, |l|) + 1."""
+    k_max = max(abs(k), abs(l))
+    table = np.zeros((2 * k_max + 1, 2 * k_max + 1), dtype=complex)
+    table[k + k_max, l + k_max] = 1.0
+    return TorusSymbol(table)
 
 
 def weyl_band(sym: TorusSymbol, n: int):
@@ -234,4 +245,4 @@ def cutoff_symbol(spec: BumpSpec) -> TorusSymbol:
     k_max, grid = spec.k_max, spec.grid
     samples = cutoff_profile(spec)(torus_rep_array(np.arange(grid) / grid))
     c = np.fft.fft(samples)[np.arange(-k_max, k_max + 1) % grid] / grid
-    return TorusSymbol(table=np.outer(c, c), k_max=k_max)
+    return TorusSymbol(np.outer(c, c))

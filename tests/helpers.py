@@ -118,7 +118,7 @@ def chirp_diagonal(letter, n):
 def fold_matrix(a):
     """An N x N matrix in the sector basis, as (even, odd, defect), N even.
 
-    The oracle for quantizer.op_weyl_sectors: the rows and then the columns
+    The oracle for quantizer.op_weyl_sector: the rows and then the columns
     of a are folded into the two sectors, the two blocks that couple them
     are dropped, and defect is their largest entry relative to a's largest
     entry: zero when a commutes with parity.
@@ -272,7 +272,7 @@ def odd_term_symbol(spec):
     sym = cutoff_symbol(spec)
     table = sym.table.copy()
     table[sym.k_max + 1, sym.k_max] += 0.5
-    return TorusSymbol(table, sym.k_max)
+    return TorusSymbol(table)
 
 
 def nan_in_dead_column(monkeypatch):

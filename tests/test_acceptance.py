@@ -21,7 +21,7 @@ from opencat.eigensolver import (char_poly_roots, eigenvalues,
 from opencat.experiments import cutoff_sectors, nontrapping_sweep, trapped_sweep
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
                                  quantize_word, word_matrix)
-from opencat.quantizer import TorusSymbol, cutoff_profile, cutoff_symbol, op_weyl
+from opencat.quantizer import cutoff_profile, cutoff_symbol, op_weyl, plane_wave
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, left_sectors,
                      live_operator, open_sectors, operator_sectors, shear_word, spectrum)
@@ -107,15 +107,10 @@ def test_criterion_3_nontrapping_decay():
 def test_criterion_4_exactness():
     unit = max(np.abs(quantize_map(ARNOLD, n).conj().T @ quantize_map(ARNOLD, n)
                       - np.eye(n)).max() for n in (64, 128, 256))
-    kmax = 3
-    table = np.zeros((2 * kmax + 1, 2 * kmax + 1), dtype=complex)
-    table[kmax + 1, kmax] = table[kmax - 1, kmax] = 0.5
-    table[kmax, kmax + 1] = table[kmax, kmax - 1] = 0.5
-    ego = max(egorov_residual(factor_sl2z(ARNOLD), TorusSymbol(table.copy(), kmax), n)
-              for n in (32, 64))
-    one = np.zeros((3, 3), dtype=complex)
-    one[1, 1] = 1.0
-    ident = np.abs(op_weyl(TorusSymbol(one, 1), 64) - np.eye(64)).max()
+    # the four plane waves of cos 2 pi x + cos 2 pi xi
+    ego = max(egorov_residual(factor_sl2z(ARNOLD), w, n)
+              for w in ((1, 0), (-1, 0), (0, 1), (0, -1)) for n in (32, 64))
+    ident = np.abs(op_weyl(plane_wave(0, 0), 64) - np.eye(64)).max()
     bump = cutoff_symbol(TRAPPED_SPEC)
     a = op_weyl(bump, 128)
     herm = np.abs(a - a.conj().T).max()

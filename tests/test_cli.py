@@ -675,17 +675,40 @@ def test_n_beyond_exact_chirp_phase_is_config_error(tmp_path, capsys, command, n
     assert not out.exists()
 
 
-def test_verify_checks_parity_commutation(tmp_path, capsys):
+@pytest.mark.parametrize("matrix, flip_fails", [
+    pytest.param([2, 1, 1, 1], {"egorov_N32", "egorov_N64", "egorov_gen_S_INV"}, id="arnold"),
+    # the word has four S^-1 letters: their parities cancel, so the flipped
+    # word is the map's true quantization and only the letter's line sees it
+    pytest.param([3, 2, 4, 3], {"egorov_gen_S_INV"}, id="even_s_inv"),
+])
+def test_verify_checks_parity_commutation(tmp_path, capsys, matrix, flip_fails):
     # the flipped DFT sign still commutes with parity; the flipped DFT is
-    # parity times F, which leaves U(b) = F chirp F^dag as it is, so only
-    # S^-1's Egorov check fails
-    cfg = write_config(tmp_path)
+    # parity P times F, which leaves U(b) = F chirp F^dag as it is, so the
+    # flipped word is the word times P once per S^-1 letter
+    cfg = write_config(tmp_path, matrix=matrix)
     for flip, code in (([], 0), (["--debug-flip-dft"], 1)):
         assert main(["verify", "--config", cfg, *flip]) == code
         lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 16
         assert any(line.startswith("PASS  parity_commutation") for line in lines)
         failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
-        assert failed == ({"egorov_gen_S_INV"} if flip else set())
+        assert failed == (flip_fails if flip else set())
+
+
+def test_verify_sees_a_word_without_its_parity_letters(tmp_path, capsys, monkeypatch):
+    # Arnold's word is U(2), S^-1, PAR, U(1): without PAR it quantizes -M,
+    # which pulls e^{2 pi i x} back to its conjugate; every letter alone and
+    # the unitarity checks still pass
+    apply_word = metaplectic.apply_word
+
+    def without_parity(x, word, *args, **kwargs):
+        return apply_word(x, [letter for letter in word if letter != ("PAR",)], *args, **kwargs)
+
+    monkeypatch.setattr(metaplectic, "apply_word", without_parity)
+    assert main(["verify", "--config", write_config(tmp_path)]) == 1
+    failed = {line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")}
+    assert failed == {"egorov_N32", "egorov_N64"}
 
 
 @pytest.mark.parametrize("overrides", [

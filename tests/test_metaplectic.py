@@ -11,30 +11,16 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import DegeneratePhase, OddDimension
 from opencat.hn import dft_sector, torus_rep_array
-from opencat.metaplectic import (OMEGA_S, _panels, apply_word, compose_symbol,
-                                 egorov_residual, factor_sl2z, letter_matrix, phase_factor,
-                                 quantize_map, quantize_word, word_matrix)
-from opencat.quantizer import TorusSymbol, cutoff_profile
+from opencat.metaplectic import (OMEGA_S, _panels, apply_word, egorov_residual, factor_sl2z,
+                                 letter_matrix, phase_factor, quantize_map, quantize_word,
+                                 word_matrix)
+from opencat.quantizer import cutoff_profile
 from opencat.experiments import cutoff_sectors
 from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, chirp_diagonal, dense_operator,
                      dft_sectors_oracle, fold_matrix, fold_pairs, open_sectors, shear, shear_map,
                      shear_word, spectrum)
-
-
-def mode(k, l, kmax=2):
-    t = np.zeros((2 * kmax + 1, 2 * kmax + 1), dtype=complex)
-    t[k + kmax, l + kmax] = 1.0
-    return TorusSymbol(t, kmax)
-
-
-def cos_pair_symbol():
-    kmax = 3
-    t = np.zeros((2 * kmax + 1, 2 * kmax + 1), dtype=complex)
-    t[kmax + 1, kmax] = t[kmax - 1, kmax] = 0.5
-    t[kmax, kmax + 1] = t[kmax, kmax - 1] = 0.5
-    return TorusSymbol(t, kmax)
 
 
 def quantize_generator(letter, n, sign=-1):
@@ -151,27 +137,22 @@ def test_map_unitary(n):
 def test_generator_egorov_pins_conventions(letter, kl):
     # at N = 16 U(16)'s chirp coefficient is -N, the end of its reduced
     # range, and U(33) is U(1) one period 2N on
-    assert egorov_residual([letter], mode(*kl), 16) < 1e-12
+    assert egorov_residual([letter], kl, 16) < 1e-12
 
 
 def test_egorov_arnold_cos_pair():
-    assert egorov_residual(factor_sl2z(ARNOLD), cos_pair_symbol(), 32) < 1e-8
+    # cos 2 pi x + cos 2 pi xi is a sum of the four plane waves (+-1, 0),
+    # (0, +-1), and Egorov is linear in the symbol
+    freqs = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    assert max(egorov_residual(factor_sl2z(ARNOLD), w, 32) for w in freqs) < 1e-8
 
 
 def test_egorov_identity_word():
-    assert egorov_residual([], mode(1, 0), 16) < 1e-13
+    assert egorov_residual([], (1, 0), 16) < 1e-13
 
 
 def test_egorov_constant_symbol():
-    assert egorov_residual(factor_sl2z(ARNOLD), mode(0, 0), 16) < 1e-12
-
-
-def test_compose_symbol_reindexes_exactly():
-    sym = mode(1, 0)
-    out = compose_symbol(sym, ARNOLD, 16)
-    # M^T maps (1,0) to (a, b) = (2, 1)
-    assert out.table[2 + out.k_max, 1 + out.k_max] == pytest.approx(1.0)
-    assert abs(out.table[1 + out.k_max, out.k_max]) < 1e-15
+    assert egorov_residual(factor_sl2z(ARNOLD), (0, 0), 16) < 1e-12
 
 
 def test_s_squared_is_parity_up_to_phase():
@@ -242,11 +223,11 @@ def test_egorov_exact_on_random_hyperbolic_maps(word, n, kl):
     assume(abs(m.a + m.d) > 2)
     # the factorization's word and the drawn shears' word quantize the
     # same map
-    assert egorov_residual(factor_sl2z(m), mode(*kl), n) < 1e-8
-    assert egorov_residual(shear_word(word), mode(*kl), n) < 1e-8
+    assert egorov_residual(factor_sl2z(m), kl, n) < 1e-8
+    assert egorov_residual(shear_word(word), kl, n) < 1e-8
     # the opposite DFT sign breaks Egorov for S^-1 and for S = -I S^-1 at O(1)
     for letters in ([("S_INV",)], [("PAR",), ("S_INV",)]):
-        res = max(egorov_residual(letters, mode(*w), n, sign=1)
+        res = max(egorov_residual(letters, w, n, sign=1)
                   for w in ((1, 0), (0, 1)))
         assert res >= 1.0
 

@@ -13,7 +13,7 @@ from opencat.experiments import cutoff_sectors
 from opencat.hn import live_run, parity_defect, torus_rep_array
 from opencat.quantizer import (BumpSpec, TorusSymbol, annulus_profile,
                                bump_profile, cutoff_profile, cutoff_symbol, op_weyl,
-                               op_weyl_sector, profile_sectors)
+                               op_weyl_sector, plane_wave, profile_sectors)
 
 from helpers import NONTRAP_SPEC, both_sectors, dense_operator, fold_matrix, left_sectors
 
@@ -36,7 +36,7 @@ def symbol_from_function(f, k_max, grid):
     big = np.fft.fft2(samples) / grid**2
     kk = np.arange(-k_max, k_max + 1)
     table = big[np.ix_(kk % grid, kk % grid)]
-    return TorusSymbol(table=np.ascontiguousarray(table), k_max=k_max)
+    return TorusSymbol(np.ascontiguousarray(table))
 
 
 def coeff(sym, k, l):
@@ -83,12 +83,6 @@ def op_weyl_dense(sym, n):
             vals[mask] = col[idx[mask] + kmax]
             a += sign * vals * phase
     return a
-
-
-def mode(k, l, kmax=2, value=1.0):
-    t = np.zeros((2 * kmax + 1, 2 * kmax + 1), dtype=complex)
-    t[k + kmax, l + kmax] = value
-    return TorusSymbol(t, kmax)
 
 
 def test_bump_spec_validation():
@@ -201,26 +195,38 @@ def test_nontrapping_symbol_profile():
 
 
 def test_op_weyl_identity():
-    sym = mode(0, 0)
+    sym = plane_wave(0, 0)
     for n in (4, 9, 16):
         assert np.abs(op_weyl(sym, n) - np.eye(n)).max() < 1e-14
 
 
 def test_op_weyl_position_mode():
-    a = op_weyl(mode(1, 0), 8)
+    a = op_weyl(plane_wave(1, 0), 8)
     assert np.abs(a - np.diag(np.exp(2j * np.pi * np.arange(8) / 8))).max() < 1e-13
 
 
 def test_op_weyl_momentum_mode():
-    a = op_weyl(mode(0, 1), 8)
+    a = op_weyl(plane_wave(0, 1), 8)
     shift = np.zeros((8, 8))
     shift[np.arange(8), (np.arange(8) + 1) % 8] = 1.0
     assert np.abs(a - shift).max() < 1e-13
 
 
 def test_op_weyl_zero_symbol():
-    z = TorusSymbol(np.zeros((5, 5), dtype=complex), 2)
+    z = TorusSymbol(np.zeros((5, 5), dtype=complex))
     assert np.abs(op_weyl(z, 16)).max() == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4), (3,)])
+def test_torus_symbol_needs_a_square_table_with_an_odd_side(shape):
+    with pytest.raises(ValueError):
+        TorusSymbol(np.zeros(shape, dtype=complex))
+
+
+def test_plane_wave_is_one_hot():
+    sym = plane_wave(-3, 1)
+    assert sym.k_max == 3 and sym.table.shape == (7, 7)
+    assert sym.table[0, 4] == 1.0 and np.count_nonzero(sym.table) == 1
 
 
 def test_op_weyl_linear():
@@ -228,8 +234,8 @@ def test_op_weyl_linear():
     t1 = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     t2 = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     a, b = 0.7 - 0.2j, -1.3 + 0.5j
-    combo = op_weyl(TorusSymbol(a * t1 + b * t2, 3), 12)
-    parts = a * op_weyl(TorusSymbol(t1.copy(), 3), 12) + b * op_weyl(TorusSymbol(t2.copy(), 3), 12)
+    combo = op_weyl(TorusSymbol(a * t1 + b * t2), 12)
+    parts = a * op_weyl(TorusSymbol(t1.copy()), 12) + b * op_weyl(TorusSymbol(t2.copy()), 12)
     assert np.abs(combo - parts).max() < 1e-12
 
 
@@ -247,7 +253,7 @@ def test_op_weyl_band_matches_dense(kmax, n, seed):
     rng = np.random.default_rng(seed)
     shape = (2 * kmax + 1, 2 * kmax + 1)
     table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sym = TorusSymbol(table, kmax)
+    sym = TorusSymbol(table)
     tol = 1e-12 * np.abs(table).max()
     assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() <= tol
 
@@ -273,7 +279,7 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
     flip = -np.arange(n) % n
     couplings = []
     for tab in (table, even_table, odd_table):
-        sym = TorusSymbol(tab, kmax)
+        sym = TorusSymbol(tab)
         even, odd = both_sectors(op_weyl_sector, sym, n)
         a = op_weyl(sym, n)
         even_o, odd_o, coupling = fold_matrix(a)
@@ -283,14 +289,14 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
         assert np.abs(odd - odd_o).max(initial=0.0) <= 1e-13
         # parity covariance P op_weyl(T) P = op_weyl(T[::-1, ::-1]), which lets
         # cutoff_sectors read the coupling off the table
-        flipped = op_weyl(TorusSymbol(tab[::-1, ::-1], kmax), n)
+        flipped = op_weyl(TorusSymbol(tab[::-1, ::-1]), n)
         assert np.abs(a[np.ix_(flip, flip)] - flipped).max() <= 1e-13
     # an even symbol commutes with parity; an odd one maps each sector to the
     # other, so the coupling is all there is (N = 2 has no odd sector)
     assert couplings[1] < 1e-14
     assert couplings[2] > 0.5 or n == 2
-    assert weyl_defect(TorusSymbol(even_table, kmax), n) == 0.0
-    assert weyl_defect(TorusSymbol(odd_table, kmax), n) > 0.5
+    assert weyl_defect(TorusSymbol(even_table), n) == 0.0
+    assert weyl_defect(TorusSymbol(odd_table), n) > 0.5
 
 
 def weyl_defect(sym, n):
