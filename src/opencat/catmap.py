@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import (InvalidDenominatorBound, InvalidRadius, NotHyperbolic,
-                     NotUnimodular)
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,8 @@ class CatMap:
 
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
-            raise NotUnimodular(f"matrix {[self.a, self.b, self.c, self.d]}: "
-                                f"det = {self.a * self.d - self.b * self.c}, expected 1")
+            raise ConfigError(f"matrix {[self.a, self.b, self.c, self.d]}: "
+                              f"det = {self.a * self.d - self.b * self.c}, expected 1")
 
     @property
     def trace(self) -> int:
@@ -76,7 +75,7 @@ def analyze(m: CatMap) -> CatMapAnalysis:
     a, b, c, d = m.a, m.b, m.c, m.d
     tr = a + d
     if abs(tr) <= 2:
-        raise NotHyperbolic(f"matrix {[a, b, c, d]}: |trace| = {abs(tr)} <= 2")
+        raise ConfigError(f"matrix {[a, b, c, d]}: |trace| = {abs(tr)} <= 2, not hyperbolic")
     root = math.sqrt(tr * tr - 4)
     lam = (abs(tr) + root) / 2.0
     q_norm = math.sqrt((math.hypot(b + c, a - d) + abs(b - c)) / root)
@@ -121,9 +120,9 @@ def escape_check(m: CatMap, radius: float, q_max: int) -> EscapeReport:
     as witness.
     """
     if not (0.0 < radius <= 0.5):
-        raise InvalidRadius(f"radius {radius} outside (0, 1/2]")
+        raise ConfigError(f"radius {radius} outside (0, 1/2]")
     if q_max < 1:
-        raise InvalidDenominatorBound(f"q_max {q_max} must be >= 1")
+        raise ConfigError(f"q_max {q_max} must be >= 1")
 
     report = EscapeReport(all_escape=True)
     r2 = radius * radius

@@ -11,7 +11,7 @@ must agree; the tests enforce it.
 
 import numpy as np
 
-from .errors import EigensolverFailed, NonFinite, OracleNoConvergence
+from .errors import NumericError
 
 ORACLE_MAX_DIM = 8
 # Durand-Kerner stops once every residual is below ORACLE_TOL times
@@ -23,16 +23,16 @@ ORACLE_TOL = 1e-12
 def eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense complex matrix, unordered.
 
-    A LAPACK failure raises EigensolverFailed; no partial spectrum is returned.
+    A LAPACK failure raises NumericError; no partial spectrum is returned.
     """
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
-        raise NonFinite("matrix contains NaN or Inf")
+        raise NumericError("matrix contains NaN or Inf")
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverFailed(f"eigvals failed on a {a.shape[0]}x{a.shape[0]} "
-                                f"matrix: {exc}") from exc
+        raise NumericError(f"eigvals failed on a {a.shape[0]}x{a.shape[0]} "
+                           f"matrix: {exc}") from exc
 
 
 def char_poly_coeffs(a: np.ndarray) -> np.ndarray:
@@ -82,7 +82,8 @@ def durand_kerner(coeffs: np.ndarray) -> np.ndarray:
             moved = max(moved, abs(step))
         if moved < 5e-15 * radius:
             return z
-    raise OracleNoConvergence(f"no convergence after {ORACLE_MAX_SWEEPS} sweeps")
+    raise NumericError(f"characteristic-polynomial oracle: Durand-Kerner roots "
+                       f"did not converge in {ORACLE_MAX_SWEEPS} sweeps")
 
 
 def char_poly_roots(a: np.ndarray) -> np.ndarray:

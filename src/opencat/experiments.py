@@ -25,7 +25,7 @@ import numpy as np
 
 from .catmap import CatMap, analyze, guard_radius
 from .eigensolver import eigenvalues, match_distance, sort_by_modulus
-from .errors import ConfigError, InvalidSpec, ParityBroken, TooFewLiveRows
+from .errors import ConfigError, NumericError
 from .hn import dft_sector, live_run, planck, sector_basis
 from .metaplectic import apply_word, factor_sl2z, phase_factor
 from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol, op_left_separable,
@@ -138,7 +138,7 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
 def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     """All N eigenvalues of the open operator, unordered, for the cutoff as cutoff_sectors gives it at N.
 
-    A cutoff whose parity defect exceeds PARITY_TOL raises ParityBroken
+    A cutoff whose parity defect exceeds PARITY_TOL raises NumericError
     before any product is formed, rather than lose the coupling.  Then
     each parity sector is built, diagonalized and freed in turn, so one
     sector's DFT block and word buffer are held at a time, a left factor
@@ -154,7 +154,7 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     log.info("open operator spectrum: N = %d", n)
     defect, sectors = cutoff
     if defect > PARITY_TOL:
-        raise ParityBroken(f"open operator at N = {n} couples the parity "
+        raise NumericError(f"open operator at N = {n} couples the parity "
                            f"sectors: cutoff defect {defect:.3e} > {PARITY_TOL:g}")
     vals = np.concatenate([eigenvalues(build_open_operator(m, sector, n)) for sector in sectors])
     return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
@@ -177,7 +177,7 @@ def spectrum_gap(vals: np.ndarray, partner: np.ndarray) -> float:
     MAX_MODES eigenvalues matched into the partner (match_distance):
     roundoff, with no reference.  A zero spectrum has no phase to fix; its
     gap is the partner's largest modulus.  A partner with none to fix
-    under a nonzero vals raises DegeneratePhase (phase_factor).
+    under a nonzero vals raises NumericError (phase_factor).
     """
     if not vals.any():
         return float(np.abs(partner).max())
@@ -195,19 +195,19 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
     rule: each N's top k eigenvalues, in sort_by_modulus order, are rotated
     by phase_factor of the first, so it is real and positive; the moduli do
     not change.  A leading modulus below 1e-12 has no phase to fix and
-    raises DegeneratePhase.  A cutoff whose support leaves the ball of
+    raises NumericError.  A cutoff whose support leaves the ball of
     guard_radius warns once per sweep, not once per N; the theorem's
     constant is unspecified, so this is advisory.  A product bump's support
     reaches the corner of its square, so its radius is sqrt(2) * r_outer.
     Each N's cutoff is prepared once (cutoff_sectors).  A k_count above its
-    live rows at any N raises TooFewLiveRows before any N is solved: the
+    live rows at any N raises ConfigError before any N is solved: the
     modes beyond the live rows would be padding zeros.  k_count defaults to
     4, or to the fewest live rows over n_list when that is below 4 (but at
     least 1); one outside 1..MAX_MODES raises ConfigError.  A cutoff that
-    is not a product bump raises InvalidSpec.
+    is not a product bump raises ConfigError too.
     """
     if spec.kind != "product_bump":
-        raise InvalidSpec(f"trapped sweep needs a product_bump cutoff, got {spec.kind!r}")
+        raise ConfigError(f"trapped sweep needs a product_bump cutoff, got {spec.kind!r}")
     if k_count is not None and not 1 <= k_count <= MAX_MODES:
         raise ConfigError(f"k_count must be in 1..{MAX_MODES} at desk scale, got {k_count}")
     cutoffs = [cutoff_sectors(spec, n) for n in n_list]
@@ -216,8 +216,8 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
         k_count = max(1, min([4] + live))
     for n, count in zip(n_list, live):
         if k_count > count:
-            raise TooFewLiveRows(f"k_count {k_count} exceeds the {count} rows "
-                                 f"where the cutoff is nonzero at N = {n}")
+            raise ConfigError(f"k_count {k_count} exceeds the {count} rows "
+                              f"where the cutoff is nonzero at N = {n}")
     support_radius = math.sqrt(2.0) * spec.r_outer
     radius_limit = guard_radius(analyze(m))
     if support_radius > radius_limit:
@@ -241,7 +241,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
 def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list):
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
-        raise InvalidSpec(f"nontrapping sweep needs an annulus_product cutoff, got {spec.kind!r}")
+        raise ConfigError(f"nontrapping sweep needs an annulus_product cutoff, got {spec.kind!r}")
     tops = [float(np.abs(open_spectrum(m, cutoff_sectors(spec, n), n)).max())
             for n in n_list]
     return nontrapping_rows(n_list, tops)

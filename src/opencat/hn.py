@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import NonPositiveN, OddDimension
+from .errors import ConfigError
 
 # Rows of a DFT sector block built per pass.  A pass holds a few
 # temporaries of this many rows by at most N/2 + 1 columns, 0.95 MB at
@@ -39,7 +39,7 @@ MAX_N = 2**21
 def planck(n: int) -> float:
     """Planck scale h = 1/(2 pi N) attached to dimension N."""
     if n < 1:
-        raise NonPositiveN(f"n = {n}")
+        raise ConfigError(f"dimension N = {n} must be positive")
     return 1.0 / (2.0 * math.pi * n)
 
 
@@ -53,9 +53,9 @@ def sector_basis(n: int, parity: int):
     is e_j, weight 1; every other weight is sqrt(1/2).
     """
     if n < 1:
-        raise NonPositiveN(f"n = {n}")
+        raise ConfigError(f"dimension N = {n} must be positive")
     if n % 2:
-        raise OddDimension(f"n = {n} must be even")
+        raise ConfigError(f"dimension N = {n} must be even")
     h = n // 2
     index = np.arange(h + 1) if parity == 1 else np.arange(1, h)
     partner = (n - index) % n

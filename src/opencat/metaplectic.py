@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .catmap import CatMap
-from .errors import DegeneratePhase
+from .errors import NumericError
 from .hn import dft_sector, fold_parity, unfold_parity
 from .quantizer import op_weyl, plane_wave
 
@@ -193,26 +193,31 @@ def phase_factor(mu0: complex) -> complex:
     mu0 is the open operator's eigenvalue that eigensolver.sort_by_modulus
     ranks first; the operator times this scalar has its eigenvalues times
     it, and mu0 among them real and positive.  A mu0 of modulus below 1e-12
-    has no phase to fix and raises DegeneratePhase.
+    has no phase to fix and raises NumericError.
     """
     if abs(mu0) < 1e-12:
-        raise DegeneratePhase(f"leading eigenvalue modulus {abs(mu0):.3e}")
+        raise NumericError(f"cannot fix the global phase: leading eigenvalue modulus "
+                           f"{abs(mu0):.3e} is below 1e-12")
     return np.conj(mu0) / abs(mu0)
 
 
-def egorov_residual(word, freq, n: int, sign: int = -1) -> float:
-    """Max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat, a = e^{2 pi i (k x + l xi)}, (k, l) = freq.
+def egorov_residual(word, freqs, n: int, sign: int = -1) -> float:
+    """Largest max-entry defect of Op(a o M) - Mhat^dag Op(a) Mhat over a = e^{2 pi i (k x + l xi)}, (k, l) in freqs.
 
-    Mhat is the word's unitary with DFT kernel sign `sign`, M = word_matrix(word),
-    and Op keeps the package convention, so sign=+1 measures the mismatch.
-    a o M is the plane wave at M^T freq, whose Op_N depends on it only mod
-    2N, so each component is reduced into [-N, N) in exact integers.
-    Egorov is linear in the symbol, so plane waves pin it for every symbol;
-    the defect is zero in exact arithmetic.
+    Mhat is the word's unitary with DFT kernel sign `sign`, built once for
+    all the frequencies, M = word_matrix(word), and Op keeps the package
+    convention, so sign=+1 measures the mismatch.  a o M is the plane wave
+    at M^T (k, l), whose Op_N depends on it only mod 2N, so each component
+    is reduced into [-N, N) in exact integers.  Egorov is linear in the
+    symbol, so plane waves pin it for every symbol; the defect is zero in
+    exact arithmetic.
     """
-    k, l = freq
     m = word_matrix(word)
-    pulled = plane_wave((m.a * k + m.c * l + n) % (2 * n) - n,
-                        (m.b * k + m.d * l + n) % (2 * n) - n)
     u = quantize_word(word, n, sign)
-    return float(np.abs(op_weyl(pulled, n) - u.conj().T @ op_weyl(plane_wave(k, l), n) @ u).max())
+
+    def defect(k, l):
+        pulled = plane_wave((m.a * k + m.c * l + n) % (2 * n) - n,
+                            (m.b * k + m.d * l + n) % (2 * n) - n)
+        return float(np.abs(op_weyl(pulled, n) - u.conj().T @ op_weyl(plane_wave(k, l), n) @ u).max())
+
+    return max(defect(k, l) for k, l in freqs)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidSpec
+from .errors import ConfigError
 from .hn import MAX_N, fold_parity, live_run, parity_defect, sector_basis, torus_rep_array
 
 DEFAULT_K_MAX = 48
@@ -57,21 +57,21 @@ class BumpSpec:
 
     def __post_init__(self):
         if self.kind not in ("product_bump", "annulus_product"):
-            raise InvalidSpec(f"unknown cutoff kind {self.kind!r}")
+            raise ConfigError(f"unknown cutoff kind {self.kind!r}")
         if not (0.0 < self.r_inner < self.r_outer < 0.5):
-            raise InvalidSpec(f"cutoff needs 0 < r_inner < r_outer < 1/2, got "
+            raise ConfigError(f"cutoff needs 0 < r_inner < r_outer < 1/2, got "
                               f"({self.r_inner}, {self.r_outer})")
         if self.kind == "annulus_product" and 2.0 * self.r_outer >= 0.5:
-            raise InvalidSpec("annulus cutoff needs 2*r_outer < 1/2")
+            raise ConfigError("annulus cutoff needs 2*r_outer < 1/2")
         if self.quantization not in ("left", "weyl"):
-            raise InvalidSpec(f"cutoff quantization must be 'left' or 'weyl', "
+            raise ConfigError(f"cutoff quantization must be 'left' or 'weyl', "
                               f"got {self.quantization!r}")
         if not 1 <= self.k_max <= MAX_K_MAX:
-            raise InvalidSpec(f"cutoff k_max must be in 1..{MAX_K_MAX}, got {self.k_max}")
+            raise ConfigError(f"cutoff k_max must be in 1..{MAX_K_MAX}, got {self.k_max}")
         if self.grid >= MAX_N:
-            raise InvalidSpec(f"cutoff grid {self.grid} must be below 2**{MAX_N.bit_length() - 1}")
+            raise ConfigError(f"cutoff grid {self.grid} must be below 2**{MAX_N.bit_length() - 1}")
         if self.grid < 4 * self.k_max:
-            raise GridTooCoarse(f"grid {self.grid} < 4*k_max = {4 * self.k_max}")
+            raise ConfigError(f"cutoff grid {self.grid} < 4*k_max = {4 * self.k_max}")
 
 
 def _smooth_step(t):

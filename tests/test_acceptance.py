@@ -108,8 +108,8 @@ def test_criterion_4_exactness():
     unit = max(np.abs(quantize_map(ARNOLD, n).conj().T @ quantize_map(ARNOLD, n)
                       - np.eye(n)).max() for n in (64, 128, 256))
     # the four plane waves of cos 2 pi x + cos 2 pi xi
-    ego = max(egorov_residual(factor_sl2z(ARNOLD), w, n)
-              for w in ((1, 0), (-1, 0), (0, 1), (0, -1)) for n in (32, 64))
+    ego = max(egorov_residual(factor_sl2z(ARNOLD), [(1, 0), (-1, 0), (0, 1), (0, -1)], n)
+              for n in (32, 64))
     ident = np.abs(op_weyl(plane_wave(0, 0), 64) - np.eye(64)).max()
     bump = cutoff_symbol(TRAPPED_SPEC)
     a = op_weyl(bump, 128)

@@ -6,7 +6,7 @@ import pytest
 
 from opencat.catmap import (ARNOLD, CatMap, EscapeReport, RationalPoint, analyze,
                             escape_check, guard_radius)
-from opencat.errors import InvalidRadius, NotHyperbolic, NotUnimodular
+from opencat.errors import ConfigError
 
 from helpers import eigvec_matrix, shear, shear_map
 
@@ -81,12 +81,12 @@ def test_arnold_expanding_eigenvalue():
 
 
 def test_parabolic_rejected():
-    with pytest.raises(NotHyperbolic):
+    with pytest.raises(ConfigError, match=r"\|trace\| = 2 <= 2, not hyperbolic"):
         analyze(CatMap(1, 1, 0, 1))
 
 
 def test_non_unimodular_rejected():
-    with pytest.raises(NotUnimodular):
+    with pytest.raises(ConfigError, match=r"matrix \[2, 0, 0, 1\]: det = 2, expected 1"):
         CatMap(2, 0, 0, 1)
 
 
@@ -201,9 +201,9 @@ def test_escape_trivial_q1():
 
 
 def test_escape_invalid_radius():
-    with pytest.raises(InvalidRadius):
+    with pytest.raises(ConfigError, match=r"radius 0.6 outside \(0, 1/2\]"):
         escape_check(ARNOLD, 0.6, 5)
-    with pytest.raises(InvalidRadius):
+    with pytest.raises(ConfigError, match=r"radius 0.0 outside \(0, 1/2\]"):
         escape_check(ARNOLD, 0.0, 5)
 
 

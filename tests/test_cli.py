@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import opencat.cli as cli
+import opencat.eigensolver as eigensolver
 import opencat.errors as errors
 import opencat.experiments as experiments
+import opencat.hn as hn
 import opencat.metaplectic as metaplectic
 from opencat.cli import ConfigError, load_config, main, parse_config
-from opencat.errors import (DegeneratePhase, EigensolverFailed, GridTooCoarse,
-                            InvalidDenominatorBound, InvalidRadius, InvalidSpec, NonFinite,
-                            NonPositiveN, NotHyperbolic, NotUnimodular, OddDimension,
-                            OpenCatError, OracleNoConvergence, ParityBroken, TooFewLiveRows)
+from opencat.errors import NumericError, OpenCatError
 from opencat.quantizer import BumpSpec
 
 from helpers import nan_in_dead_column, odd_term_symbol
@@ -353,32 +352,26 @@ def test_sweep_on_the_other_cutoff_kind_is_config_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error, overrides, noun", [
-    pytest.param(NotUnimodular, {"matrix": [2, 1, 1, 2]},
+@pytest.mark.parametrize("overrides, noun", [
+    pytest.param({"matrix": [2, 1, 1, 2]},
                  "matrix [2, 1, 1, 2]: det = 3, expected 1", id="NotUnimodular"),
-    pytest.param(NotHyperbolic, {"matrix": [1, 1, 0, 1]},
-                 "matrix [1, 1, 0, 1]: |trace| = 2 <= 2", id="NotHyperbolic"),
-    pytest.param(InvalidSpec, {"cutoff": {"kind": "product_bump", "r_inner": 0.3,
-                                          "r_outer": 0.2}}, "cutoff", id="InvalidSpec-radii"),
-    pytest.param(InvalidSpec, {"cutoff": {"kind": "disk", "r_inner": 0.1, "r_outer": 0.2}},
-                 "cutoff", id="InvalidSpec-kind"),
-    pytest.param(GridTooCoarse, {"k_max": 48, "grid": 100}, "grid 100", id="GridTooCoarse"),
+    pytest.param({"matrix": [1, 1, 0, 1]},
+                 "matrix [1, 1, 0, 1]: |trace| = 2 <= 2, not hyperbolic", id="NotHyperbolic"),
+    pytest.param({"cutoff": {"kind": "product_bump", "r_inner": 0.3, "r_outer": 0.2}},
+                 "cutoff needs 0 < r_inner < r_outer < 1/2, got (0.3, 0.2)", id="InvalidSpec-radii"),
+    pytest.param({"cutoff": {"kind": "disk", "r_inner": 0.1, "r_outer": 0.2}},
+                 "unknown cutoff kind 'disk'", id="InvalidSpec-kind"),
+    pytest.param({"k_max": 48, "grid": 100}, "cutoff grid 100 < 4*k_max = 192",
+                 id="GridTooCoarse"),
 ])
-def test_config_error_names_its_input(tmp_path, capsys, error, overrides, noun):
+def test_config_error_names_its_input(tmp_path, capsys, overrides, noun):
     # the error's own message says which input is wrong; no wrapper adds it
     cfg = write_config(tmp_path, out_csv=str(tmp_path / "rows.csv"), **overrides)
-    with pytest.raises(error):
+    with pytest.raises(ConfigError, match=re.escape(noun)):
         load_config(cfg)
     assert main(["trapped", "--config", cfg]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ") and noun in err[0]
+    assert capsys.readouterr().err.splitlines() == [f"config error: {noun}"]
     assert not (tmp_path / "rows.csv").exists()
-
-
-CONFIG_ERRORS = {NotHyperbolic, NotUnimodular, InvalidRadius, InvalidDenominatorBound,
-                 NonPositiveN, OddDimension, GridTooCoarse, InvalidSpec, TooFewLiveRows}
-NUMERIC_ERRORS = {DegeneratePhase, NonFinite, ParityBroken, EigensolverFailed,
-                  OracleNoConvergence}
 
 
 def subclasses(cls):
@@ -386,34 +379,85 @@ def subclasses(cls):
 
 
 def test_every_error_class_has_a_category():
-    # a new error class must be listed here, as an input error or a numeric one
-    found = subclasses(OpenCatError) - {OpenCatError, ConfigError}
-    assert found == CONFIG_ERRORS | NUMERIC_ERRORS
-    assert subclasses(ConfigError) - {ConfigError} == CONFIG_ERRORS
+    # one class per failure exit code: ConfigError (2), also a ValueError,
+    # and NumericError (3); a new class must be one of the two
+    assert subclasses(OpenCatError) == {OpenCatError, ConfigError, NumericError}
     assert ConfigError is errors.ConfigError and issubclass(ConfigError, ValueError)
-    assert all(cls.__module__ == "opencat.errors" for cls in found)
+    assert not issubclass(NumericError, (ConfigError, ValueError))
+    assert all(cls.__module__ == "opencat.errors" for cls in subclasses(OpenCatError))
+
+
+# Each kind of failure the package reports, keyed by the name its test ids
+# carry, with the class it raises and a message of that kind; the CLI
+# prints the message alone
+FAILURES = {
+    "ConfigError": (ConfigError, "out_csv is required"),
+    "DegeneratePhase": (NumericError, "cannot fix the global phase: leading eigenvalue "
+                                      "modulus 0.000e+00 is below 1e-12"),
+    "EigensolverFailed": (NumericError, "eigvals failed on a 3x3 matrix: "
+                                        "Eigenvalues did not converge"),
+    "GridTooCoarse": (ConfigError, "cutoff grid 100 < 4*k_max = 192"),
+    "InvalidDenominatorBound": (ConfigError, "q_max 0 must be >= 1"),
+    "InvalidRadius": (ConfigError, "radius 0.7 outside (0, 1/2]"),
+    "InvalidSpec": (ConfigError, "unknown cutoff kind 'disk'"),
+    "NonFinite": (NumericError, "matrix contains NaN or Inf"),
+    "NonPositiveN": (ConfigError, "dimension N = 0 must be positive"),
+    "NotHyperbolic": (ConfigError, "matrix [1, 1, 0, 1]: |trace| = 2 <= 2, not hyperbolic"),
+    "NotUnimodular": (ConfigError, "matrix [2, 1, 1, 2]: det = 3, expected 1"),
+    "OddDimension": (ConfigError, "dimension N = 7 must be even"),
+    "OracleNoConvergence": (NumericError, "characteristic-polynomial oracle: Durand-Kerner "
+                                          "roots did not converge in 500 sweeps"),
+    "ParityBroken": (NumericError, "open operator at N = 32 couples the parity sectors: "
+                                   "cutoff defect 1.000e-01 > 1e-09"),
+    "TooFewLiveRows": (ConfigError, "k_count 4 exceeds the 1 rows where the cutoff "
+                                    "is nonzero at N = 4"),
+}
 
 
 @pytest.mark.parametrize("command, target", [("trapped", "trapped_sweep"),
                                              ("nontrapping", "nontrapping_sweep"),
                                              ("classical", "escape_check")])
-@pytest.mark.parametrize("error", sorted(CONFIG_ERRORS | NUMERIC_ERRORS | {ConfigError},
-                                         key=lambda cls: cls.__name__),
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_main_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, capsys,
-                                                     command, target, error):
+                                                     command, target, kind):
+    error, message = FAILURES[kind]
+
     def fail(*args, **kwargs):
-        raise error("raised by the sweep")
+        raise error(message)
 
     monkeypatch.setattr(cli, target, fail)
     out = tmp_path / "rows.csv"
     cfg = write_config(tmp_path, out_csv=str(out))
-    config_error = issubclass(error, ConfigError)
+    config_error = error is ConfigError
     assert main([command, "--config", cfg]) == (2 if config_error else 3)
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        f"{'config error' if config_error else 'numeric failure'}: raised by the sweep"]
+        f"{'config error' if config_error else 'numeric failure'}: {message}"]
     assert not out.exists()
+
+
+def _oracle_out_of_sweeps(monkeypatch):
+    monkeypatch.setattr(eigensolver, "ORACLE_MAX_SWEEPS", 2)
+    eigensolver.char_poly_roots(np.diag([1.0, 2.0, 3.0]) + 0.5)
+
+
+@pytest.mark.parametrize("fail, error, cause", [
+    pytest.param(lambda mp: hn.planck(0), ConfigError,
+                 "dimension N = 0 must be positive", id="planck"),
+    pytest.param(lambda mp: hn.sector_basis(0, 1), ConfigError,
+                 "dimension N = 0 must be positive", id="sector_basis"),
+    pytest.param(lambda mp: metaplectic.phase_factor(0j), NumericError,
+                 "cannot fix the global phase: leading eigenvalue modulus 0.000e+00 "
+                 "is below 1e-12", id="phase_factor"),
+    pytest.param(_oracle_out_of_sweeps, NumericError,
+                 "characteristic-polynomial oracle: Durand-Kerner roots did not "
+                 "converge in 2 sweeps", id="durand_kerner"),
+])
+def test_failure_message_names_its_cause(monkeypatch, fail, error, cause):
+    # the CLI prints the message alone, so it must say what failed and why
+    with pytest.raises(error) as info:
+        fail(monkeypatch)
+    assert str(info.value) == cause
 
 
 @pytest.mark.parametrize("command", ["trapped", "nontrapping", "classical"])

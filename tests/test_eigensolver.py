@@ -8,7 +8,7 @@ from opencat.catmap import ARNOLD
 from opencat.eigensolver import (char_poly_coeffs, char_poly_roots,
                                  eigenvalues, match_distance, multiset_distance,
                                  sort_by_modulus)
-from opencat.errors import EigensolverFailed, NonFinite, OpenCatError
+from opencat.errors import NumericError
 import opencat.experiments as experiments
 
 from helpers import TRAPPED_SPEC, live_operator, open_sectors, operator_sectors, spectrum
@@ -34,7 +34,7 @@ def test_arnold_matrix_eigenvalues():
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(NonFinite):
+    with pytest.raises(NumericError, match="matrix contains NaN or Inf"):
         eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -43,9 +43,8 @@ def test_solver_failure_raises(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
-    with pytest.raises(EigensolverFailed):
+    with pytest.raises(NumericError, match="eigvals failed on a 3x3 matrix: Eigenvalues did not converge"):
         eigenvalues(np.eye(3))
-    assert issubclass(EigensolverFailed, OpenCatError)
 
 
 def test_char_poly_coeffs_known():

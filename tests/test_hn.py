@@ -7,7 +7,7 @@ import pytest
 
 from opencat import experiments, metaplectic, quantizer
 from opencat.eigensolver import multiset_distance
-from opencat.errors import NonPositiveN, OddDimension
+from opencat.errors import ConfigError
 from opencat.hn import (dft_sector, fold_parity, parity_defect, planck, sector_basis,
                         torus_rep_array, unfold_parity)
 from opencat.metaplectic import OMEGA_S, _chirp, quantize_word
@@ -22,9 +22,9 @@ def test_planck_values():
 
 
 def test_planck_rejects_nonpositive():
-    with pytest.raises(NonPositiveN):
+    with pytest.raises(ConfigError, match="dimension N = 0 must be positive"):
         planck(0)
-    with pytest.raises(NonPositiveN):
+    with pytest.raises(ConfigError, match="dimension N = -3 must be positive"):
         planck(-3)
 
 
@@ -133,9 +133,9 @@ def test_dft_sectors_cold_build_memory():
 
 def test_dft_sectors_reject_odd_and_nonpositive_n():
     for parity in (1, -1):
-        with pytest.raises(OddDimension):
+        with pytest.raises(ConfigError, match="dimension N = 7 must be even"):
             dft_sector(7, parity)
-        with pytest.raises(NonPositiveN):
+        with pytest.raises(ConfigError, match="dimension N = 0 must be positive"):
             dft_sector(0, parity)
 
 
@@ -211,7 +211,7 @@ def test_sector_basis_gives_the_fold(n):
     assert np.abs(folded[:h + 1, :h + 1] - even).max() < 1e-14
     assert np.abs(folded[h + 1:, h + 1:] - odd).max(initial=0.0) < 1e-14
     for parity in (1, -1):
-        with pytest.raises(OddDimension):
+        with pytest.raises(ConfigError, match=f"dimension N = {n + 1} must be even"):
             sector_basis(n + 1, parity)
 
 

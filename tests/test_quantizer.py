@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from opencat.errors import GridTooCoarse, InvalidSpec, OddDimension
+from opencat.errors import ConfigError
 import opencat.experiments as experiments
 from opencat.experiments import cutoff_sectors
 from opencat.hn import live_run, parity_defect, torus_rep_array
@@ -29,7 +29,7 @@ def symbol_from_function(f, k_max, grid):
     bounded by f's Fourier tail beyond grid - k_max.
     """
     if grid < 4 * k_max:
-        raise GridTooCoarse(f"grid {grid} < 4*k_max = {4 * k_max}")
+        raise ConfigError(f"grid {grid} < 4*k_max = {4 * k_max}")
     pts = torus_rep_array(np.arange(grid) / grid)
     xx, yy = np.meshgrid(pts, pts, indexing="ij")
     samples = np.asarray(f(xx, yy), dtype=complex)
@@ -86,22 +86,22 @@ def op_weyl_dense(sym, n):
 
 
 def test_bump_spec_validation():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match=r"cutoff needs 0 < r_inner < r_outer < 1/2, got \(0.2, 0.1\)"):
         BumpSpec("product_bump", 0.2, 0.1)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match=r"annulus cutoff needs 2\*r_outer < 1/2"):
         BumpSpec("annulus_product", 0.2, 0.3)  # 2*r_outer >= 1/2
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="unknown cutoff kind 'mystery'"):
         BumpSpec("mystery", 0.1, 0.2)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="cutoff quantization must be 'left' or 'weyl', got 'exact'"):
         BumpSpec("product_bump", 0.1, 0.2, quantization="exact")
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match=r"cutoff k_max must be in 1\.\.4096, got 0"):
         BumpSpec("product_bump", 0.1, 0.2, quantization="weyl", k_max=0)
     # grid >= 4 k_max is checked on either route
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ConfigError, match=r"cutoff grid 100 < 4\*k_max = 192"):
         BumpSpec("product_bump", 0.1, 0.2, quantization="weyl", k_max=48, grid=100)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ConfigError, match=r"cutoff grid 100 < 4\*k_max = 192"):
         BumpSpec("product_bump", 0.1, 0.2, k_max=48, grid=100)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ConfigError, match=r"cutoff grid 63 < 4\*k_max = 64"):
         replace(SPEC, k_max=16, grid=63)
 
 
@@ -143,7 +143,7 @@ def test_symbol_cosine():
 
 
 def test_symbol_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ConfigError, match=r"grid 32 < 4\*k_max = 64"):
         symbol_from_function(lambda x, xi: x, k_max=16, grid=32)
 
 
@@ -325,7 +325,7 @@ def test_weyl_cutoff_peaks_at_its_blocks():
 
 
 def test_op_weyl_sectors_reject_odd_n():
-    with pytest.raises(OddDimension):
+    with pytest.raises(ConfigError, match="dimension N = 7 must be even"):
         op_weyl_sector(cutoff_symbol(SPEC), 7, 1)
 
 
