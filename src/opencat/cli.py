@@ -15,12 +15,11 @@ import numpy as np
 
 from . import hn
 from .catmap import CatMap, analyze, escape_check, guard_radius
-from .eigensolver import char_poly_roots, eigenvalues, multiset_distance
 from .errors import ConfigError, OpenCatError
 from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors, nontrapping_sweep,
                           open_spectrum, spectrum_gap, trapped_sweep)
 from .metaplectic import egorov_residual, factor_sl2z, quantize_map
-from .quantizer import BumpSpec, cutoff_symbol, op_weyl, plane_wave
+from .quantizer import BumpSpec, cutoff_profile, cutoff_symbol, op_weyl, plane_wave
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -239,8 +238,8 @@ def _verify_checks(config: RunConfig, sign: int):
         yield f"egorov_{name}", res < 1e-8, res
     defect = np.abs(op_weyl(plane_wave(0, 0), 64) - np.eye(64)).max()
     yield "op_weyl_identity", defect < 1e-13, defect
-    a = op_weyl(cutoff_symbol(config.cutoff), 64)
-    defect = np.abs(a - a.conj().T).max()
+    chi = op_weyl(cutoff_symbol(config.cutoff), 64)
+    defect = np.abs(chi - chi.conj().T).max()
     yield "weyl_hermitian", defect < 1e-11, defect
     # open_spectrum builds and diagonalizes the parity sectors apart; this is
     # the cutoff's parity defect it checks first, for the configured cutoff
@@ -252,18 +251,28 @@ def _verify_checks(config: RunConfig, sign: int):
     # map that is not symmetric: on a symmetric map such as Arnold's the
     # phase-normalized spectrum is self-conjugate, so a word fault that
     # conjugates it (every U chirp conjugated) leaves the gap at roundoff
+    mu = open_spectrum(config.matrix, cutoff, 64)
     for name, m in (("time_reversal_N64", config.matrix),
                     ("time_reversal_N64_witness", CatMap(3, 2, 4, 3))):
-        gap = spectrum_gap(open_spectrum(m, cutoff, 64),
-                           np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), cutoff, 64)))
+        vals = mu if m is config.matrix else open_spectrum(m, cutoff, 64)
+        gap = spectrum_gap(vals, np.conj(open_spectrum(CatMap(m.a, -m.b, -m.c, m.d), cutoff, 64)))
         yield name, gap < SYMMETRY_TOL_N64, gap
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(20):
-        mat = rng.uniform(-1, 1, (6, 6)) + 1j * rng.uniform(-1, 1, (6, 6))
-        worst = max(worst, multiset_distance(char_poly_roots(mat),
-                                             eigenvalues(mat)))
-    yield "eigensolver_oracle", worst < 1e-6, worst
+    # Newton's identities on the program's own spectrum, its zero padding
+    # included: sum mu^p = tr B^p for B = chi Mhat formed densely in the full
+    # space, apart from the sector split and the live blocks.  chi is the
+    # Weyl matrix above on that route, or diag(rho) F^dag diag(rho) F; the
+    # map keeps the package sign, so a flipped DFT fails only the Egorov lines
+    if config.cutoff.quantization == "left":
+        rho = np.diag(cutoff_profile(config.cutoff)(hn.torus_rep_array(np.arange(64) / 64)))
+        f = np.fft.fft(np.eye(64), norm="ortho")
+        chi = rho @ f.conj().T @ rho @ f
+    b = chi @ quantize_map(config.matrix, 64)
+    power, worst = np.eye(64), 0.0
+    for p in range(1, 5):
+        power = power @ b
+        trace = np.trace(power)
+        worst = max(worst, abs(np.sum(mu ** p) - trace) / max(1.0, abs(trace)))
+    yield "eigensolver_power_traces_N64", worst < 1e-10, worst
 
 
 def cmd_verify(config: RunConfig, flip_dft: bool = False) -> int:

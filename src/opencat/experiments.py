@@ -19,7 +19,6 @@ phases, so only the cutoff, which comes from the spec, is checked.
 from dataclasses import dataclass
 import logging
 import math
-import warnings
 
 import numpy as np
 
@@ -196,7 +195,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
     by phase_factor of the first, so it is real and positive; the moduli do
     not change.  A leading modulus below 1e-12 has no phase to fix and
     raises NumericError.  A cutoff whose support leaves the ball of
-    guard_radius warns once per sweep, not once per N; the theorem's
+    guard_radius logs one warning per sweep, not one per N; the theorem's
     constant is unspecified, so this is advisory.  A product bump's support
     reaches the corner of its square, so its radius is sqrt(2) * r_outer.
     Each N's cutoff is prepared once (cutoff_sectors).  A k_count above its
@@ -221,10 +220,9 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
     support_radius = math.sqrt(2.0) * spec.r_outer
     radius_limit = guard_radius(analyze(m))
     if support_radius > radius_limit:
-        warnings.warn(
-            f"cutoff support radius {support_radius:.4f} exceeds the "
-            f"guard limit {radius_limit:.4f}; the trapped-limit "
-            "theorem is only guaranteed for small enough support", stacklevel=2)
+        log.warning("cutoff support radius %.4f exceeds the guard limit %.4f; the "
+                    "trapped-limit theorem is only guaranteed for small enough support",
+                    support_radius, radius_limit)
     targets = theorem_targets(m, k_count)
     rows = []
     for n, cutoff in zip(n_list, cutoffs):

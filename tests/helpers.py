@@ -1,4 +1,4 @@
-"""Cutoff specs, operator helpers and the eigenvector, fold, DFT and long-double oracles shared by the test modules."""
+"""Cutoff specs, operator helpers and the eigenvector, fold, DFT, characteristic-polynomial and long-double oracles shared by the test modules."""
 
 import math
 
@@ -7,7 +7,8 @@ import numpy as np
 
 import opencat.experiments as experiments
 from opencat.catmap import CatMap
-from opencat.eigensolver import sort_by_modulus
+from opencat.eigensolver import match_distance, sort_by_modulus
+from opencat.errors import NumericError
 from opencat.hn import dft_sector, live_run, torus_rep_array, unfold_parity
 from opencat.metaplectic import factor_sl2z
 from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
@@ -16,6 +17,10 @@ from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_sym
 # The cutoffs of the README's example config and of the benchmark workloads.
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
 NONTRAP_SPEC = BumpSpec("annulus_product", 0.15, 0.24)
+
+# The support-guard warning of a trapped sweep of TRAPPED_SPEC on Arnold's map.
+GUARD_ADVISORY = ("cutoff support radius 0.2828 exceeds the guard limit 0.0955; the "
+                  "trapped-limit theorem is only guaranteed for small enough support")
 
 # A shear, ("U", b) for [[1, b], [0, 1]] or ("L", c) for [[1, 0], [c, 1]];
 # products of two or more of them draw random SL(2,Z) maps, hyperbolic once
@@ -42,6 +47,14 @@ def shear_word(shears):
     for kind, v in shears:
         word += [("U", v)] if kind == "U" else [("PAR",), ("S_INV",), ("U", -v), ("S_INV",)]
     return word
+
+
+def guard_warnings(caplog):
+    """The support-guard warnings logged since the last call, which clears them."""
+    found = [message for message in caplog.messages
+             if message.startswith("cutoff support radius")]
+    caplog.clear()
+    return found
 
 
 def eigvec_matrix(m):
@@ -384,3 +397,78 @@ def long_double_modes(m, spec, n, count):
         values.append(complex(mu))
         residuals.append(float(np.sqrt(np.sum(np.abs(b @ right - mu * right) ** 2))))
     return values, residuals
+
+
+# The characteristic-polynomial oracle for eigensolver.eigenvalues, for
+# matrices of dimension <= ORACLE_MAX_DIM.  Durand-Kerner stops once every
+# residual is below ORACLE_TOL times 1 + max |coefficient|, and raises after
+# ORACLE_MAX_SWEEPS sweeps.
+ORACLE_MAX_DIM = 8
+ORACLE_MAX_SWEEPS = 500
+ORACLE_TOL = 1e-12
+
+
+def char_poly_coeffs(a):
+    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier.
+
+    Returns [1, c1, ..., cn] with p(t) = t^n + c1 t^{n-1} + ... + cn.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[0] = 1.0
+    mk = np.array(a)
+    for k in range(1, n + 1):
+        ck = -np.trace(mk) / k
+        coeffs[k] = ck
+        if k < n:
+            mk = a @ (mk + ck * np.eye(n))
+    return coeffs
+
+
+def durand_kerner(coeffs):
+    """Simultaneous root iteration for a monic polynomial.
+
+    Starts from a slightly rotated circle (radius from the Cauchy bound) so
+    no initial guess sits on a symmetry axis of the root set.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = len(coeffs) - 1
+    if n == 0:
+        return np.zeros(0, dtype=complex)
+    radius = 1.0 + np.abs(coeffs[1:]).max()
+    angles = 2.0 * np.pi * np.arange(n) / n + 0.41
+    z = radius * np.exp(1j * angles)
+    scale = 1.0 + np.abs(coeffs).max()
+    for _ in range(ORACLE_MAX_SWEEPS):
+        p = np.polyval(coeffs, z)
+        if np.abs(p).max() < ORACLE_TOL * scale:
+            return z
+        moved = 0.0
+        for i in range(n):
+            denom = np.prod(z[i] - np.delete(z, i))
+            if denom == 0:
+                z[i] += 1e-8 * (1 + 1j)
+                continue
+            step = np.polyval(coeffs, z[i]) / denom
+            z[i] -= step
+            moved = max(moved, abs(step))
+        if moved < 5e-15 * radius:
+            return z
+    raise NumericError(f"characteristic-polynomial oracle: Durand-Kerner roots "
+                       f"did not converge in {ORACLE_MAX_SWEEPS} sweeps")
+
+
+def char_poly_roots(a):
+    """Oracle eigenvalues for matrices of dimension <= ORACLE_MAX_DIM."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[0] > ORACLE_MAX_DIM:
+        raise ValueError(f"oracle limited to dim <= {ORACLE_MAX_DIM}")
+    return durand_kerner(char_poly_coeffs(a))
+
+
+def multiset_distance(a, b):
+    """match_distance between two eigenvalue multisets of one size."""
+    if len(a) != len(b):
+        raise ValueError("multisets differ in size")
+    return match_distance(a, b)

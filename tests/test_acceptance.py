@@ -16,15 +16,15 @@ import pytest
 
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, RationalPoint, analyze, escape_check
-from opencat.eigensolver import (char_poly_roots, eigenvalues,
-                                 multiset_distance, sort_by_modulus)
+from opencat.eigensolver import eigenvalues, sort_by_modulus
 from opencat.experiments import cutoff_sectors, nontrapping_sweep, trapped_sweep
 from opencat.metaplectic import (egorov_residual, factor_sl2z, quantize_map,
                                  quantize_word, word_matrix)
 from opencat.quantizer import cutoff_profile, cutoff_symbol, op_weyl, plane_wave
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, left_sectors,
-                     live_operator, open_sectors, operator_sectors, shear_word, spectrum)
+from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, char_poly_roots, dense_operator,
+                     left_sectors, live_operator, multiset_distance, open_sectors,
+                     operator_sectors, shear_word, spectrum)
 from test_catmap import orbit
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from opencat.catmap import ARNOLD
-from opencat.eigensolver import (char_poly_coeffs, char_poly_roots,
-                                 eigenvalues, match_distance, multiset_distance,
-                                 sort_by_modulus)
+from opencat.eigensolver import eigenvalues, match_distance, sort_by_modulus
 from opencat.errors import NumericError
 import opencat.experiments as experiments
 
-from helpers import TRAPPED_SPEC, live_operator, open_sectors, operator_sectors, spectrum
+from helpers import (TRAPPED_SPEC, char_poly_coeffs, char_poly_roots, live_operator,
+                     multiset_distance, open_sectors, operator_sectors, spectrum)
 
 ARNOLD_MATRIX = np.array([[2.0, 1.0], [1.0, 1.0]])
 

@@ -1,7 +1,6 @@
 from dataclasses import replace
 import json
 import math
-import warnings
 import weakref
 
 from hypothesis import assume, given, reject, settings, strategies as st
@@ -11,7 +10,7 @@ import pytest
 import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.cli import main
-from opencat.eigensolver import eigenvalues, match_distance, multiset_distance, sort_by_modulus
+from opencat.eigensolver import eigenvalues, match_distance, sort_by_modulus
 from opencat.errors import ConfigError, NumericError
 from opencat.experiments import (PARITY_TOL, cutoff_sectors, nontrapping_rows,
                                  nontrapping_sweep, SYMMETRY_TOL_N64, spectrum_gap,
@@ -20,10 +19,11 @@ from opencat.hn import torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor
 from opencat.quantizer import BumpSpec, cutoff_profile, cutoff_symbol, op_weyl
 
-from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator, dft_matrix,
-                     fold_matrix, left_sectors, live_operator, live_rows, long_double_modes,
-                     nan_in_dead_column, odd_term_symbol, open_sectors, operator_sectors,
-                     shear, shear_map, shear_word, spectrum)
+from helpers import (GUARD_ADVISORY, NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator,
+                     dft_matrix, fold_matrix, guard_warnings, left_sectors, live_operator,
+                     live_rows, long_double_modes, multiset_distance, nan_in_dead_column,
+                     odd_term_symbol, open_sectors, operator_sectors, shear, shear_map,
+                     shear_word, spectrum)
 from test_metaplectic import quantize_word_dense
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -47,28 +47,19 @@ def test_open_operator_with_unit_cutoff_is_unitary():
     assert np.abs(np.abs(np.linalg.eigvals(a)) - 1.0).max() < 1e-9
 
 
-def guard_warnings(sweep, *args, **kwargs):
-    """The support-guard UserWarnings a sweep emits, none hidden by filters."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sweep(*args, **kwargs)
-    return [w for w in caught if w.category is UserWarning
-            and str(w.message).startswith("cutoff support radius")]
-
-
-def test_guard_warns_once_per_trapped_sweep_only():
+def test_guard_warns_once_per_trapped_sweep_only(caplog):
     # both specs are outside the guard (support radius > 0.0955)
-    assert len(guard_warnings(trapped_sweep, ARNOLD, TRAPPED_SPEC,
-                              [16, 32, 64], k_count=2)) == 1
-    assert guard_warnings(nontrapping_sweep, ARNOLD, NONTRAP_SPEC,
-                          [16, 32, 64]) == []
+    trapped_sweep(ARNOLD, TRAPPED_SPEC, [16, 32, 64], k_count=2)
+    assert guard_warnings(caplog) == [GUARD_ADVISORY]
+    nontrapping_sweep(ARNOLD, NONTRAP_SPEC, [16, 32, 64])
+    assert guard_warnings(caplog) == []
 
 
-def test_no_guard_warning_inside_guard():
+def test_no_guard_warning_inside_guard(caplog):
     # support radius sqrt(2) * 0.05 = 0.0707 < guard radius 0.0955; at
     # N = 16 the cutoff is live on one row, so one mode
-    inside = BumpSpec("product_bump", 0.02, 0.05)
-    assert guard_warnings(trapped_sweep, ARNOLD, inside, [16, 32], k_count=1) == []
+    trapped_sweep(ARNOLD, BumpSpec("product_bump", 0.02, 0.05), [16, 32], k_count=1)
+    assert guard_warnings(caplog) == []
 
 
 def test_degenerate_phase(monkeypatch):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from opencat import experiments, metaplectic, quantizer
-from opencat.eigensolver import multiset_distance
 from opencat.errors import ConfigError
 from opencat.hn import (dft_sector, fold_parity, parity_defect, planck, sector_basis,
                         torus_rep_array, unfold_parity)
 from opencat.metaplectic import OMEGA_S, _chirp, quantize_word
 
-from helpers import chirp_diagonal, dft_matrix, dft_sectors_oracle, fold_matrix, fold_pairs
+from helpers import (chirp_diagonal, dft_matrix, dft_sectors_oracle, fold_matrix, fold_pairs,
+                     multiset_distance)
 
 
 def test_planck_values():

@@ -16,11 +16,11 @@ from opencat.metaplectic import (OMEGA_S, _panels, apply_word, egorov_residual, 
                                  word_matrix)
 from opencat.quantizer import cutoff_profile
 from opencat.experiments import cutoff_sectors
-from opencat.eigensolver import eigenvalues, multiset_distance, sort_by_modulus
+from opencat.eigensolver import eigenvalues, sort_by_modulus
 
 from helpers import (NONTRAP_SPEC, TRAPPED_SPEC, built, chirp_diagonal, dense_operator,
-                     dft_sectors_oracle, fold_matrix, fold_pairs, open_sectors, shear, shear_map,
-                     shear_word, spectrum)
+                     dft_sectors_oracle, fold_matrix, fold_pairs, multiset_distance, open_sectors,
+                     shear, shear_map, shear_word, spectrum)
 
 
 def quantize_generator(letter, n, sign=-1):
