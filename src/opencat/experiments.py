@@ -11,8 +11,8 @@ and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
 route, as its parity defect and per sector (parity, live, rows, factor);
 build_open_operator builds the sector's DFT block once for the rows, the
-map's word, which runs in place on them, and the factor, formed after the
-word.  The map commutes with parity exactly, in the integers of its
+map's word, which runs on them a panel of rows at a time, and the factor,
+formed after the word.  The map commutes with parity exactly, in the integers of its
 phases, so only the cutoff, which comes from the spec, is checked.
 """
 
@@ -53,6 +53,10 @@ PARITY_TOL = 1e-9
 MAX_MODES = 8
 SYMMETRY_TOL_N64 = 1e-11
 
+# Most rows build_open_operator runs the word on at once: each product
+# allocates one panel, 1.0 MB at N = 2048 (410 live rows in 7 panels).
+_ROW_PANEL = 64
+
 
 @dataclass
 class SweepRow:
@@ -86,32 +90,42 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     defect is how far the cutoff breaks parity.  sectors holds the even
     and the odd sector as (parity, live, rows, factor): the sector's rows
     outside the slice live are zero, and with f its DFT block (dft_sector)
-    the live rows are factor(f) @ rows(f), or rows(f) when factor(f) is
-    None; rows(f) is a fresh buffer for the map's word to overwrite.  The
-    left route samples and folds the profile once (profile_sectors): the
-    defect is the fold's, a sector is live on the run where its folded
-    profile is nonzero (live_run), its rows are a copy of f's live rows,
-    and op_left_separable builds its factor.  The Weyl route builds the
-    symbol once (cutoff_symbol): the defect is max|T - T[::-1, ::-1]| /
-    max|T| on its table T, for every N, since P op_weyl(T) P =
-    op_weyl(T[::-1, ::-1]); every row is live, a sector's rows are its
-    block of the symbol's band (op_weyl_sector), and there is no factor.
+    the live rows are factor(f) @ rows(f), or rows(f) when factor is None.
+    The left route samples and folds the profile once (profile_sectors):
+    the defect is the fold's, a sector is live on the run where its folded
+    profile is nonzero (live_run), its rows are a read-only view of f's
+    live rows, and op_left_separable builds its factor.  The Weyl route
+    builds the symbol once (cutoff_symbol): the defect is max|T -
+    T[::-1, ::-1]| / max|T| on its table T, for every N, since P
+    op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, a sector's
+    rows are its block of the symbol's band (op_weyl_sector), a fresh
+    buffer for build_open_operator to overwrite, and there is no factor.
     """
     if spec.quantization == "weyl":
         sym = cutoff_symbol(spec)
         scale = np.abs(sym.table).max()
         defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
         return defect, tuple((parity, slice(0, len(sector_basis(n, parity)[0])),
-                              lambda f, parity=parity: op_weyl_sector(sym, n, parity),
-                              lambda f: None)
+                              lambda f, parity=parity: op_weyl_sector(sym, n, parity), None)
                              for parity in (1, -1))
     even, odd, defect = profile_sectors(cutoff_profile(spec), n)
 
     def left(parity, d):
         live = live_run(d)
-        return parity, live, lambda f: f[live].copy(), lambda f: op_left_separable(d, f)
+        return parity, live, lambda f: f[live], lambda f: op_left_separable(d, f)
 
     return defect, (left(1, even), left(-1, odd))
+
+
+def _panels(rows: int):
+    """Slices of near-equal panels of at most _ROW_PANEL rows covering range(rows).
+
+    Equal panels leave no lone trailing row: numpy multiplies a one-row
+    panel as a vector, which rounds otherwise than the matrix product.
+    """
+    count = max(1, -(-rows // _ROW_PANEL))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
@@ -120,18 +134,26 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     Returns the product's live x live block for a sector (parity, live,
     rows, factor) of cutoff_sectors: the only part the spectrum reads.
     The sector's DFT block f is built here, passed to the cutoff's rows,
-    the map's word and the factor, and freed on return, before the block
-    is solved.  The word runs in place on the buffer rows(f), and its last
-    Fourier letter forms only the live columns, in the buffer's first
-    columns.  A block narrower than the buffer is copied out of it, so the
-    buffer is freed before the factor is formed and multiplies the copy.
+    the map's word and the factor, and freed before the block is solved.
+    The word runs on the rows a panel at a time (_panels), and its last
+    Fourier letter forms only the live columns, which go into the block's
+    rows of the panel: a new live x live block, or, without a factor, the
+    rows themselves.  The rows are gone before the factor is formed, and f
+    before the factor multiplies the block.
     """
     parity, live, rows, factor = sector
     f = dft_sector(n, parity)
-    # a view narrower than its buffer is not contiguous: the copy frees the buffer
-    block = np.ascontiguousarray(apply_word(rows(f), factor_sl2z(m), f, n, parity, cols=live))
+    x = rows(f)
+    word = factor_sl2z(m)
+    block = x if factor is None else np.empty((len(x), len(x)), dtype=complex)
+    for panel in _panels(len(x)):
+        block[panel] = apply_word(x[panel], word, f, n, parity, cols=live)
+    del x
+    if factor is None:
+        return block
     lead = factor(f)
-    return block if lead is None else lead @ block
+    del f
+    return lead @ block
 
 
 def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
@@ -140,10 +162,10 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     A cutoff whose parity defect exceeds PARITY_TOL raises NumericError
     before any product is formed, rather than lose the coupling.  Then
     each parity sector is built, diagonalized and freed in turn, so one
-    sector's DFT block and word buffer are held at a time, a left factor
-    is formed only after the buffer is freed, and the DFT block is freed
-    before the live block is solved (build_open_operator).
-    With its dead rows permuted last a sector is block upper triangular,
+    sector's DFT block and live block are held at a time, with a panel of
+    the word's rows, a left factor is formed only after the word, and the
+    DFT block is freed before the live block is solved
+    (build_open_operator).  With its dead rows permuted last a sector is block upper triangular,
     [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
     which is all that build_open_operator forms, plus one exact zero per
     dead row.  A NaN in a live row of the cutoff still reaches the live

@@ -5,18 +5,19 @@ U(b) = [[1,b],[0,1]] and the parity -I.  Each has a closed-form unitary (the
 DFT and a quadratic phase); the product quantizes the map up to a global
 phase.  -I is central in SL(2,Z), so every letter commutes with parity
 j -> -j, exactly in the integers of its phases: the word acts on the two
-parity sectors of hn apart and is not checked at run time.  apply_word multiplies one sector's rows,
-in place, by the word letter by letter, with the DFT's sector block that
-its caller passes and the folded chirps, so chi Mhat is formed from chi's
-nonzero rows without building Mhat, and only in the run of columns asked
-for; quantize_word builds each sector's block, runs the word on the
-sector's identity and unfolds the two sector unitaries into the N x N
-matrix.  The global phase is a convention: the one rule that fixes it acts
-on the eigenvalues of the open operator (phase_factor).  All sign
-conventions are pinned by the exact Egorov law Op(a o M) = Mhat^dag Op(a) Mhat
-on the plane waves e^{2 pi i x} and e^{2 pi i xi}, per letter and per word
-(egorov_residual): with the DFT kernel e^{-2 pi i m k / N}, S^-1 quantizes
-to a multiple of the DFT (quantize_word's sign=-1).
+parity sectors of hn apart and is not checked at run time.  apply_word
+multiplies one sector's rows by the word letter by letter, out of place,
+with the DFT's sector block that its caller passes and the folded chirps,
+so chi Mhat is formed from chi's nonzero rows without building Mhat, and
+only in the run of columns asked for; quantize_word builds each sector's
+block, runs the word on the sector's identity and unfolds the two sector
+unitaries into the N x N matrix.  The global phase is a convention: the
+one rule that fixes it acts on the eigenvalues of the open operator
+(phase_factor).  All sign conventions are pinned by the exact Egorov law
+Op(a o M) = Mhat^dag Op(a) Mhat on the plane waves e^{2 pi i x} and
+e^{2 pi i xi}, per letter and per word (egorov_residual): with the DFT
+kernel e^{-2 pi i m k / N}, S^-1 quantizes to a multiple of the DFT
+(quantize_word's sign=-1).
 """
 
 import math
@@ -29,11 +30,6 @@ from .hn import dft_sector, fold_parity, unfold_parity
 from .quantizer import op_weyl, plane_wave
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # S^-1 quantizes to conj(OMEGA_S) times the DFT
-
-# Most rows of apply_word's buffer overwritten per product; the panel is
-# copied first, 1.7 MB at N = 2048 (410 rows in 4 panels).
-_ROW_PANEL = 128
-
 
 # Letters are tuples: ("S_INV",), ("U", b), ("PAR",)
 def letter_matrix(letter) -> CatMap:
@@ -99,32 +95,9 @@ def _chirp(letter, n: int, parity: int):
     return fold_parity(np.exp(1j * math.pi * coef * m * m / n), parity)
 
 
-def _panels(rows: int):
-    """Slices of near-equal panels of at most _ROW_PANEL rows covering range(rows).
-
-    Equal panels leave no lone trailing row: numpy multiplies a one-row
-    panel as a vector, which rounds otherwise than the matrix product.
-    """
-    count = max(1, -(-rows // _ROW_PANEL))
-    bounds = [rows * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _times(x, f, cols):
-    """x @ f[:, cols], written over x's first columns; the result is a view of x.
-
-    The product goes a panel of rows at a time, each panel copied before it
-    is overwritten.
-    """
-    out = x[:, :len(range(f.shape[1])[cols])]
-    for rows in _panels(len(x)):
-        np.matmul(x[rows].copy(), f[:, cols], out=out[rows])
-    return out
-
-
 def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
                cols=slice(None)) -> np.ndarray:
-    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right, in place.
+    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right.
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
@@ -136,12 +109,10 @@ def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
     slice cols selects the output columns: the last Fourier letter forms
     only those, and the PAR letters after it act on them alone.
 
-    The word runs in x, a complex buffer the caller gives up: every letter
-    overwrites it, a product a panel of rows at a time, and the last
-    Fourier letter writes the columns cols into its first columns, so the
-    result is a view of x.  A letter other than S_INV, U and PAR, or a
-    read-only x, raises ValueError before anything is written; the empty
-    word writes nothing.
+    x is only read, so it may be a read-only view: the letters write only
+    arrays the word makes.  A letter other than S_INV, U and PAR raises
+    ValueError before any product; the empty word returns the view
+    x[:, cols].
     """
     for letter in word:
         letter_matrix(letter)  # raises ValueError on a letter outside the alphabet
@@ -151,16 +122,16 @@ def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
     for i, letter in enumerate(word):
         out = cols if i == last else slice(None)
         if letter[0] == "S_INV":
-            x = _times(x, f, out)
+            x = x @ f[:, out]
             x *= np.conj(OMEGA_S)
         elif letter[0] == "U":
-            x = _times(x, f, slice(None))
+            x = x @ f
             x *= _chirp(letter, n, parity)
             np.conj(x, out=x)
-            x = _times(x, f, out)
+            x = x @ f[:, out]
             np.conj(x, out=x)
         else:
-            x *= parity
+            x = x * parity
     return x
 
 

@@ -218,7 +218,7 @@ def op_left_separable(d, f):
     F_s^dag = conj(F_s): the factor is d_s[live] conj(F_s[live, live])
     d_s[live], built entrywise in place in that order.  It is built apart
     from the rows F_s[live], so a caller can run the map's word on them
-    first and form the factor after the word's buffer is freed.
+    first and form the factor after the word.
     """
     live = live_run(d)
     factor = np.conj(f[live, live])

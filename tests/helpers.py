@@ -212,7 +212,7 @@ def built(cutoff, n):
     out = []
     for parity, live, rows, factor in cutoff[1]:
         f = dft_sector(n, parity)
-        out.append((live, factor(f), rows(f)))
+        out.append((live, None if factor is None else factor(f), rows(f)))
     return out
 
 
@@ -291,11 +291,11 @@ def odd_term_symbol(spec):
 def nan_in_dead_column(monkeypatch):
     """Make the left cutoff carry a NaN in its live even rows, at a dead column.
 
-    The even sector's rows, a copy of the DFT block's live rows, get a NaN
-    at row 0 and column N/2: the bump's even run starts at index 0 and ends
-    before N/2, so row 0 is live and column N/2 dead.  The factor and the
-    word's DFT block stay finite, and every live row the factor mixes row 0
-    into has the NaN.
+    The even sector's rows, a read-only view of the DFT block's live rows,
+    are copied and the copy gets a NaN at row 0 and column N/2: the bump's
+    even run starts at index 0 and ends before N/2, so row 0 is live and
+    column N/2 dead.  The factor and the word's DFT block stay finite, and
+    every live row the factor mixes row 0 into has the NaN.
     """
     prepare = experiments.cutoff_sectors
 
@@ -303,7 +303,7 @@ def nan_in_dead_column(monkeypatch):
         defect, ((parity, live, rows, factor), odd) = prepare(spec, n)
 
         def nan_rows(f):
-            x = rows(f)
+            x = rows(f).copy()
             x[0, n // 2] = np.nan
             return x
 

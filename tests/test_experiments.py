@@ -97,14 +97,16 @@ def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch
 
 
 def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
-    # a sector's factor is formed only after the sector before it is solved
-    # and its factor and block are gone, and after its own word has run and
-    # its buffer is gone; each (N, parity) DFT block is built once, only
-    # after the block before it is gone, the sector's word and factor read
-    # that block, and it is gone before the sector is solved
-    events, held, buffers, dfts, keys = [], [], [], [], []
-    quantize, word, build, solve, build_dft = (
-        experiments.op_left_separable, experiments.apply_word,
+    # the word runs once per panel of a sector's live rows (one at N = 256,
+    # two at N = 512), each on that sector's DFT block; a sector's factor
+    # is formed only after its last panel, once the row view of the DFT
+    # block and the panels' products are gone, and after the sector before
+    # it is solved and its factor and block are gone; each (N, parity) DFT
+    # block is built once, only after the block before it is gone, and it
+    # is gone before the sector is solved
+    events, held, rows_held, dfts, keys = [], [], [], [], []
+    prepare, quantize, word, build, solve, build_dft = (
+        experiments.cutoff_sectors, experiments.op_left_separable, experiments.apply_word,
         experiments.build_open_operator, experiments.eigenvalues, experiments.dft_sector)
 
     def alive(refs):
@@ -113,9 +115,21 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def owner(a):
         return weakref.ref(a if a.base is None else a.base)
 
+    def tracked(rows):
+        def view(f):
+            x = rows(f)
+            rows_held.append(weakref.ref(x))
+            return x
+        return view
+
+    def sectors(spec, n):
+        defect, parts = prepare(spec, n)
+        return defect, tuple((parity, live, tracked(rows), factor)
+                             for parity, live, rows, factor in parts)
+
     def cutoff(d, f):
         n, parity = next(key for key, ref in zip(keys, dfts) if ref() is f)
-        events.append(("factor", n, parity, alive(held), alive(buffers)))
+        events.append(("factor", n, parity, alive(held), alive(rows_held)))
         factor = quantize(d, f)
         held.append(weakref.ref(factor))
         return factor
@@ -123,7 +137,7 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def apply(x, letters, f, n, parity, **kwargs):
         events.append(("word", n, parity, f is dfts[-1]()))
         out = word(x, letters, f, n, parity, **kwargs)
-        buffers.append(owner(out))
+        rows_held.append(weakref.ref(out))
         return out
 
     def sector(m, cutoff_sector, n):
@@ -142,6 +156,10 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         keys.append((n, parity))
         return block
 
+    def sector_events(n, parity, panels):
+        return [("word", n, parity)] * panels + [("factor", n, parity), ("solve", False)]
+
+    monkeypatch.setattr(experiments, "cutoff_sectors", sectors)
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
     monkeypatch.setattr(experiments, "apply_word", apply)
     monkeypatch.setattr(experiments, "build_open_operator", sector)
@@ -151,11 +169,9 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     assert [e for e in events if e[0] == "dft"] == [
         ("dft", 256, 1, False), ("dft", 256, -1, False),
         ("dft", 512, 1, False), ("dft", 512, -1, False)]
-    assert [e[:3] for e in events if e[0] != "dft"] == [
-        ("word", 256, 1), ("factor", 256, 1), ("solve", False),
-        ("word", 256, -1), ("factor", 256, -1), ("solve", False),
-        ("word", 512, 1), ("factor", 512, 1), ("solve", False),
-        ("word", 512, -1), ("factor", 512, -1), ("solve", False)]
+    assert [e[:3] for e in events if e[0] != "dft"] == (
+        sector_events(256, 1, 1) + sector_events(256, -1, 1) + sector_events(512, 1, 2)
+        + sector_events(512, -1, 2))
     assert all(e[3] for e in events if e[0] == "word")
     assert not any(e[3] or e[4] for e in events if e[0] == "factor")
 

@@ -11,7 +11,7 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import ConfigError, NumericError
 from opencat.hn import dft_sector, torus_rep_array
-from opencat.metaplectic import (OMEGA_S, _panels, apply_word, egorov_residual, factor_sl2z,
+from opencat.metaplectic import (OMEGA_S, apply_word, egorov_residual, factor_sl2z,
                                  letter_matrix, phase_factor, quantize_map, quantize_word,
                                  word_matrix)
 from opencat.quantizer import cutoff_profile
@@ -90,7 +90,8 @@ def test_factorization_uses_the_three_letters(shears, negate):
 @pytest.mark.parametrize("bad", [("S",), ("L", 1)])
 def test_letters_outside_the_alphabet_are_rejected(bad):
     # S and L(c) are words, not letters: letter_matrix and apply_word
-    # raise on them, and apply_word before it writes, even after an S_INV
+    # raise on them, and apply_word leaves its rows as they were, even
+    # after an S_INV
     with pytest.raises(ValueError):
         letter_matrix(bad)
     n = 8
@@ -283,8 +284,8 @@ def test_apply_word_matches_dense_product(word, n, sign, rows, seed):
         out = apply_word(buf, word, sector_dft(n, parity, sign), n, parity)
         assert out.shape == (rows, size)
         assert np.abs(out - x @ block).max(initial=0.0) <= 1e-12
-        # the word ran in the buffer it was given
-        assert out.base is buf
+        # the rows it was given are only read
+        assert np.array_equal(buf, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,10 +373,12 @@ def test_apply_word_allocates_no_dft_sized_array():
 @pytest.mark.parametrize("first", [[("PAR",), ("S_INV",)], [("S_INV",)], [("U", 2)],
                                    shear_word([("L", -1)]), [("PAR",)], None])
 def test_apply_word_works_in_place(first):
-    # the word overwrites the buffer its caller gives up, whichever letters
-    # come first (S = -I S^-1 and L(-1) among them), and returns a view of
-    # it; on a read-only view of the DFT block it raises before any byte is
-    # written, and the empty word (first None) writes nothing
+    # the word only reads the rows it is given, whichever letters come
+    # first (S = -I S^-1 and L(-1) among them): a read-only x and a
+    # read-only view of the DFT block's rows both give their product and
+    # stay as they were.  A letter outside the alphabet raises before any
+    # product, which without a DFT block (f None) would raise TypeError,
+    # and the empty word (first None) returns the view x[:, cols]
     n = 32
     rng = np.random.default_rng(7)
     for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
@@ -386,47 +389,48 @@ def test_apply_word_works_in_place(first):
             block = fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
             for cols in (slice(None), slice(2, 7)):
                 x = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
-                buf = x.copy()
-                out = apply_word(buf, word, f, n, parity, cols=cols)
-                assert np.shares_memory(out, buf)
-                assert np.abs(out - (x @ block)[:, cols]).max() <= 1e-12
-                if word:
-                    with pytest.raises(ValueError):
-                        apply_word(f[1:], word, f, n, parity, cols=cols)
-                else:
-                    assert np.array_equal(apply_word(f[1:], word, f, n, parity, cols=cols),
-                                          f[1:, cols])
+                kept = x.copy()
+                x.flags.writeable = False
+                out = apply_word(x, word, f, n, parity, cols=cols)
+                assert np.array_equal(x, kept)
+                assert np.abs(out - (kept @ block)[:, cols]).max() <= 1e-12
+                assert np.shares_memory(out, x) == (not word)
+                rows = apply_word(f[1:], word, f, n, parity, cols=cols)
+                assert np.abs(rows - (f[1:] @ block)[:, cols]).max() <= 1e-12
                 assert f.tobytes() == before
+                with pytest.raises(ValueError):
+                    apply_word(x, word + [("S",)], None, n, parity, cols=cols)
 
 
 def test_open_spectrum_holds_one_sector_and_one_buffer():
-    # a cold build at N = 512, one sector at a time: its DFT block, then
-    # its word in one rows x (N/2 + 1) buffer, one panel of it copied per
-    # product; the live x live block is copied out and the buffer freed
-    # before the factor is formed.  Peak over one block, the buffer and one
-    # panel: 1.01 measured here; both sectors' DFT blocks held at once and
-    # the factor's product formed beside the buffer gave 1.64
+    # a cold build at N = 512, one sector at a time: its DFT block, the
+    # live x live block and the panel of rows the word is on (two panels
+    # during a shear), then the factor once the panels are gone.  The
+    # bracket, one DFT block + the live block + the factor + two 64-row
+    # panels, counts the factor and the panels together, which are never
+    # held at once: the peak is 0.87 of it here.  The word run in place on
+    # a copy of the live rows, with a panel copy and a copy of the block
+    # out of it, peaked at 1.00
     n = 512
     h = n // 2
-    live, factor, rows = built(cutoff_sectors(TRAPPED_SPEC, n), n)[0]
-    panel = max(p.stop - p.start for p in _panels(len(rows)))
-    bound = ((h + 1) ** 2 + (len(rows) + panel) * (h + 1)) * 16
-    del live, factor, rows
+    live = cutoff_sectors(TRAPPED_SPEC, n)[1][0][1]
+    bound = ((h + 1) ** 2 + 2 * (live.stop - live.start) ** 2 + 2 * 64 * (h + 1)) * 16
     tracemalloc.start()
     try:
         spectrum(ARNOLD, TRAPPED_SPEC, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * bound
+    assert peak < 0.95 * bound
 
 
 def test_weyl_open_spectrum_holds_two_sector_blocks():
-    # on the Weyl route the word runs in the symbol's sector block itself,
-    # beside the DFT block and one panel, and the DFT block is freed before
-    # the solve: at N = 512 open_spectrum peaks under 1.25 x (two blocks and
-    # a 128-row panel), 3.30 MB, at 2.61 MB measured here; a word on its own
-    # copy of the symbol block, with the block kept alive, peaked at 3.67 MB
+    # on the Weyl route each panel's product goes back into the rows of
+    # the symbol's sector block it came from, beside the DFT block and two
+    # 64-row panels, and the DFT block is freed before the solve: at
+    # N = 512 open_spectrum peaks under 1.25 x (two blocks and 128 rows of
+    # panels), 3.30 MB, at 2.61 MB measured here; a word on its own copy
+    # of the symbol block, with the block kept alive, peaked at 3.67 MB
     n = 512
     h = n // 2
     cutoff = cutoff_sectors(replace(NONTRAP_SPEC, quantization="weyl"), n)
@@ -443,7 +447,7 @@ def test_weyl_open_spectrum_holds_two_sector_blocks():
 @pytest.mark.parametrize("spec", [TRAPPED_SPEC, NONTRAP_SPEC])
 @pytest.mark.parametrize("quant", ["left", "weyl"])
 @pytest.mark.parametrize("n", [64, 128])
-def test_open_operator_matches_dense_product(spec, quant, n):
+def test_open_operator_matches_dense_product(spec, quant, n, monkeypatch):
     word = factor_sl2z(ARNOLD)
     routed = replace(spec, quantization=quant)
     sectors = open_sectors(ARNOLD, routed, n)
@@ -454,6 +458,12 @@ def test_open_operator_matches_dense_product(spec, quant, n):
     for (live, block), oracle in zip(sectors, fold_matrix(dense)[:2]):
         assert np.abs(block - oracle[live, live]).max() <= 1e-12
         assert not np.delete(oracle, np.arange(len(oracle))[live], axis=0).any()
+    # the live rows fit in one 64-row panel here; split into several
+    # panels of at most 7 rows, every panel lands on its own rows
+    monkeypatch.setattr(experiments, "_ROW_PANEL", 7)
+    for (live, block), oracle in zip(open_sectors(ARNOLD, routed, n), fold_matrix(dense)[:2]):
+        assert len(experiments._panels(live.stop - live.start)) > 1
+        assert np.abs(block - oracle[live, live]).max() <= 1e-12
     if quant == "left":
         # row m carries the factor f(x_m) of the left symbol f(x) f(xi); the
         # profile is even, so a pair of rows j, -j is live or dead together
