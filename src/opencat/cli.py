@@ -18,7 +18,7 @@ from .catmap import CatMap, analyze, escape_check, guard_radius
 from .errors import ConfigError, OpenCatError
 from .experiments import (PARITY_TOL, SYMMETRY_TOL_N64, cutoff_sectors, nontrapping_sweep,
                           open_spectrum, spectrum_gap, trapped_sweep)
-from .metaplectic import egorov_residual, factor_sl2z, quantize_map
+from .metaplectic import apply_word, egorov_residual, factor_sl2z, quantize_map
 from .quantizer import BumpSpec, cutoff_profile, cutoff_symbol, op_weyl, plane_wave
 
 EXIT_OK = 0
@@ -221,9 +221,13 @@ def _verify_checks(config: RunConfig, sign: int):
     """
     dims = [32, 64, 128]
     for n in dims:
-        # the sector blocks the sweeps multiply by; F_s^dag = conj(F_s)
-        defect = max(np.abs(np.conj(f) @ f - np.eye(len(f))).max()
-                     for f in map(hn.dft_sector, (n, n), (1, -1)))
+        # the DFT as the sweeps apply it: the sector blocks the left route
+        # multiplies by, and the row FFTs of the Weyl route's word, here the
+        # S^-1 letter (conj(omega) F_s) on the identity
+        defect = max(np.abs(u.conj().T @ u - np.eye(len(u))).max()
+                     for parity in (1, -1)
+                     for u in (hn.dft_sector(n, parity),
+                               apply_word(np.eye(n // 2 + parity), [("S_INV",)], None, n, parity)))
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         u = quantize_map(config.matrix, n, sign=sign)

@@ -10,10 +10,12 @@ in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
 route, as its parity defect and per sector (parity, live, rows, factor);
-build_open_operator builds the sector's DFT block once for the rows, the
-map's word, which runs on them a panel of rows at a time, and the factor,
-formed after the word.  The map commutes with parity exactly, in the integers of its
-phases, so only the cutoff, which comes from the spec, is checked.
+build_open_operator runs the map's word on the rows a panel of rows at a
+time and forms the factor after the word.  On the left route it builds the
+sector's DFT block once for the rows, the word and the factor; the Weyl
+route reads no block, and its word runs each Fourier letter as row FFTs.
+The map commutes with parity exactly, in the integers of its phases, so
+only the cutoff, which comes from the spec, is checked.
 """
 
 from dataclasses import dataclass
@@ -54,7 +56,8 @@ MAX_MODES = 8
 SYMMETRY_TOL_N64 = 1e-11
 
 # Most rows build_open_operator runs the word on at once: each product
-# allocates one panel, 1.0 MB at N = 2048 (410 live rows in 7 panels).
+# with a DFT block allocates one panel, 1.0 MB at N = 2048 (410 live rows
+# in 7 panels); a row-FFT letter holds two panels N wide, 1.6 MB at N = 768.
 _ROW_PANEL = 64
 
 
@@ -90,7 +93,8 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     defect is how far the cutoff breaks parity.  sectors holds the even
     and the odd sector as (parity, live, rows, factor): the sector's rows
     outside the slice live are zero, and with f its DFT block (dft_sector)
-    the live rows are factor(f) @ rows(f), or rows(f) when factor is None.
+    the live rows are factor(f) @ rows(f), or rows(f) when factor is None;
+    then rows does not read f, and build_open_operator passes None.
     The left route samples and folds the profile once (profile_sectors):
     the defect is the fold's, a sector is live on the run where its folded
     profile is nonzero (live_run), its rows are a read-only view of f's
@@ -99,7 +103,8 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     T[::-1, ::-1]| / max|T| on its table T, for every N, since P
     op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, a sector's
     rows are its block of the symbol's band (op_weyl_sector), a fresh
-    buffer for build_open_operator to overwrite, and there is no factor.
+    buffer for build_open_operator to overwrite, and there is no factor
+    and no DFT block.
     """
     if spec.quantization == "weyl":
         sym = cutoff_symbol(spec)
@@ -133,16 +138,19 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
 
     Returns the product's live x live block for a sector (parity, live,
     rows, factor) of cutoff_sectors: the only part the spectrum reads.
-    The sector's DFT block f is built here, passed to the cutoff's rows,
-    the map's word and the factor, and freed before the block is solved.
-    The word runs on the rows a panel at a time (_panels), and its last
-    Fourier letter forms only the live columns, which go into the block's
-    rows of the panel: a new live x live block, or, without a factor, the
-    rows themselves.  The rows are gone before the factor is formed, and f
-    before the factor multiplies the block.
+    With a factor (the left route) the sector's DFT block f is built here,
+    passed to the cutoff's rows, the map's word and the factor, and freed
+    before the block is solved.  Without one (the Weyl route) no block is
+    built: the word gets f = None and runs each Fourier letter as one FFT
+    per row (metaplectic.apply_word).  The word runs on the rows a panel
+    at a time (_panels), and its last Fourier letter forms only the live
+    columns, which go into the block's rows of the panel: a new live x
+    live block, or, without a factor, the rows themselves.  The rows are
+    gone before the factor is formed, and f before the factor multiplies
+    the block.
     """
     parity, live, rows, factor = sector
-    f = dft_sector(n, parity)
+    f = None if factor is None else dft_sector(n, parity)
     x = rows(f)
     word = factor_sl2z(m)
     block = x if factor is None else np.empty((len(x), len(x)), dtype=complex)
@@ -162,15 +170,16 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     A cutoff whose parity defect exceeds PARITY_TOL raises NumericError
     before any product is formed, rather than lose the coupling.  Then
     each parity sector is built, diagonalized and freed in turn, so one
-    sector's DFT block and live block are held at a time, with a panel of
-    the word's rows, a left factor is formed only after the word, and the
-    DFT block is freed before the live block is solved
-    (build_open_operator).  With its dead rows permuted last a sector is block upper triangular,
-    [[B_LL, B_LD], [0, 0]], so its spectrum is that of the live block B_LL,
-    which is all that build_open_operator forms, plus one exact zero per
-    dead row.  A NaN in a live row of the cutoff still reaches the live
-    block, whose solve rejects it: every hyperbolic word has a Fourier
-    letter, which spreads it along the row.
+    sector's live block, and on the left route its DFT block, are held at
+    a time, with a panel of the word's rows, a left factor is formed only
+    after the word, and the DFT block is freed before the live block is
+    solved (build_open_operator).  With its dead rows permuted last a
+    sector is block upper triangular, [[B_LL, B_LD], [0, 0]], so its
+    spectrum is that of the live block B_LL, which is all that
+    build_open_operator forms, plus one exact zero per dead row.  A NaN
+    in a live row of the cutoff still reaches the live block, whose solve
+    rejects it: every hyperbolic word has a Fourier letter, which spreads
+    it along the row.
     """
     log.info("open operator spectrum: N = %d", n)
     defect, sectors = cutoff

@@ -7,13 +7,16 @@ phase.  -I is central in SL(2,Z), so every letter commutes with parity
 j -> -j, exactly in the integers of its phases: the word acts on the two
 parity sectors of hn apart and is not checked at run time.  apply_word
 multiplies one sector's rows by the word letter by letter, out of place,
-with the DFT's sector block that its caller passes and the folded chirps,
-so chi Mhat is formed from chi's nonzero rows without building Mhat, and
-only in the run of columns asked for; quantize_word builds each sector's
-block, runs the word on the sector's identity and unfolds the two sector
-unitaries into the N x N matrix.  The global phase is a convention: the
-one rule that fixes it acts on the eigenvalues of the open operator
-(phase_factor).  All sign conventions are pinned by the exact Egorov law
+with the folded chirps and either the DFT's sector block that its caller
+passes or, without one, one FFT per row for each Fourier letter (in the
+sector basis the DFT is a DCT-I or i times a DST-I), so chi Mhat is
+formed from chi's nonzero rows without building Mhat, and only in the run
+of columns asked for; quantize_word builds each sector's block, runs the
+word on the sector's identity and unfolds the two sector unitaries into
+the N x N matrix: the dense reference for both kinds of Fourier letter.
+The global phase is a convention: the one rule that fixes it acts on the
+eigenvalues of the open operator (phase_factor).  All sign conventions
+are pinned by the exact Egorov law
 Op(a o M) = Mhat^dag Op(a) Mhat on the plane waves e^{2 pi i x} and
 e^{2 pi i xi}, per letter and per word (egorov_residual): with the DFT
 kernel e^{-2 pi i m k / N}, S^-1 quantizes to a multiple of the DFT
@@ -26,7 +29,7 @@ import numpy as np
 
 from .catmap import CatMap
 from .errors import NumericError
-from .hn import dft_sector, fold_parity, unfold_parity
+from .hn import dft_sector, fold_parity, sector_basis, unfold_parity
 from .quantizer import op_weyl, plane_wave
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # S^-1 quantizes to conj(OMEGA_S) times the DFT
@@ -95,19 +98,51 @@ def _chirp(letter, n: int, parity: int):
     return fold_parity(np.exp(1j * math.pi * coef * m * m / n), parity)
 
 
-def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
+def _fourier(x, f, n: int, parity: int, cols=slice(None)):
+    """x @ F_s[:, cols] for the sector's DFT block F_s: a product with f, or with f None one FFT per row.
+
+    Without a block the rows are unfolded to N columns with the sector's
+    weights and partner signs (hn.sector_basis), each transformed by one
+    length-N unitary FFT, whose kernel e^{-2 pi i m k / N} is the DFT's,
+    and folded back on the columns cols: a column is its pair's weighted
+    sum, a fixed point's value itself.  O(rows N log N) work, against
+    O(rows N^2 / 4) for the product with the block.
+    """
+    if f is not None:
+        return x @ f[:, cols]
+    index, partner, weight = sector_basis(n, parity)
+    full = np.zeros((len(x), n), dtype=complex)
+    part = x * weight
+    full[:, index] = part
+    full[:, partner] = part if parity == 1 else -part
+    del part
+    full = np.fft.fft(full, axis=1, norm="ortho")
+    # a fixed point is its own partner: its two terms are one value
+    scale = np.where(index == partner, 0.5, weight)[cols]
+    out = full[:, index[cols]]
+    if parity == 1:
+        out += full[:, partner[cols]]
+    else:
+        out -= full[:, partner[cols]]
+    out *= scale
+    return out
+
+
+def apply_word(x: np.ndarray, word, f, n: int, parity: int,
                cols=slice(None)) -> np.ndarray:
     """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right.
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
-    sector's block of the unitary DFT (hn.dft_sector).  With chirp U's
-    folded chirp in the sector, the letters act on the rows as S_INV:
-    conj(omega) x F, U(b): ((x F) * chirp) F^dag and PAR: x * parity; F is
-    symmetric, so x F^dag is conj(conj(x) F).  Each product with F is a
-    (rows x N/2) by (N/2 x N/2) one, a quarter of the full-space one.  The
-    slice cols selects the output columns: the last Fourier letter forms
-    only those, and the PAR letters after it act on them alone.
+    sector's block of the unitary DFT (hn.dft_sector), or None for no
+    block: each product with F_s is then one FFT per row (_fourier).  With
+    chirp U's folded chirp in the sector, the letters act on the rows as
+    S_INV: conj(omega) x F, U(b): ((x F) * chirp) F^dag and PAR: x *
+    parity; F is symmetric, so x F^dag is conj(conj(x) F).  Each product
+    with the block is a (rows x N/2) by (N/2 x N/2) one, a quarter of the
+    full-space one.  The slice cols selects the output columns: the last
+    Fourier letter forms only those, and the PAR letters after it act on
+    them alone.
 
     x is only read, so it may be a read-only view: the letters write only
     arrays the word makes.  A letter other than S_INV, U and PAR raises
@@ -122,13 +157,13 @@ def apply_word(x: np.ndarray, word, f: np.ndarray, n: int, parity: int,
     for i, letter in enumerate(word):
         out = cols if i == last else slice(None)
         if letter[0] == "S_INV":
-            x = x @ f[:, out]
+            x = _fourier(x, f, n, parity, out)
             x *= np.conj(OMEGA_S)
         elif letter[0] == "U":
-            x = x @ f
+            x = _fourier(x, f, n, parity)
             x *= _chirp(letter, n, parity)
             np.conj(x, out=x)
-            x = x @ f[:, out]
+            x = _fourier(x, f, n, parity, out)
             np.conj(x, out=x)
         else:
             x = x * parity

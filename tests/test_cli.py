@@ -323,8 +323,9 @@ def test_verify_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["trapped", "nontrapping", "verify"])
 def test_out_of_memory_exits_numeric(tmp_path, monkeypatch, capsys, command):
-    # a config that passes validation can still exhaust memory; every
-    # subcommand builds a DFT sector block, where numpy's allocation fails
+    # a config that passes validation can still exhaust memory; on the
+    # left route every subcommand builds a DFT sector block, where numpy's
+    # allocation fails
     def fail(n, parity):
         raise MemoryError("Unable to allocate 64.0 GiB for an array")
 
@@ -719,6 +720,23 @@ def test_verify_power_traces_see_a_dropped_eigenvalue(tmp_path, capsys, monkeypa
     assert len(lines) == 16
     assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
         "eigensolver_power_traces_N64"]
+
+
+def test_verify_dft_unitarity_sees_the_fft_letter(tmp_path, capsys, monkeypatch):
+    # row FFTs a part in 1e6 off unitary, which only the Weyl route's word
+    # runs: on a left config the sweeps' DFT blocks and Egorov's word stay
+    # exact, and only the three DFT unitarity lines fail
+    fourier = metaplectic._fourier
+
+    def scaled(x, f, *args):
+        return fourier(x, f, *args) * (1.0 if f is not None else 1.0 + 1e-6)
+
+    monkeypatch.setattr(metaplectic, "_fourier", scaled)
+    assert main(["verify", "--config", write_config(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+        "dft_unitary_N32", "dft_unitary_N64", "dft_unitary_N128"]
 
 
 def test_verify_flipped_dft_fails_egorov(tmp_path, capsys):

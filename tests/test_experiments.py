@@ -176,6 +176,35 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     assert not any(e[3] or e[4] for e in events if e[0] == "factor")
 
 
+def test_weyl_sweeps_build_no_dft_block(monkeypatch):
+    # the Weyl route's word runs each Fourier letter as one FFT per row, so
+    # both of its sweeps complete with dft_sector failing, and agree within
+    # a relative 1e-9 with the same sweeps whose word multiplies by the
+    # sector's DFT block
+    nontrap = replace(NONTRAP_SPEC, quantization="weyl")
+    trapped = replace(TRAPPED_SPEC, quantization="weyl")
+    word, build_dft = experiments.apply_word, experiments.dft_sector
+
+    def sweeps():
+        radii = [r.top_modulus for r in nontrapping_sweep(ARNOLD, nontrap, [64, 128])]
+        modes = [complex(r.re, r.im) for r in trapped_sweep(ARNOLD, trapped, [64, 128], k_count=4)]
+        return np.array(radii), np.array(modes)
+
+    def block_word(x, letters, f, n, parity, cols=slice(None)):
+        return word(x, letters, build_dft(n, parity) if f is None else f, n, parity, cols)
+
+    def no_block(n, parity):
+        raise AssertionError(f"DFT block built at N = {n}, parity {parity}")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "apply_word", block_word)
+        expected = sweeps()
+    monkeypatch.setattr(experiments, "dft_sector", no_block)
+    for got, want in zip(sweeps(), expected):
+        assert len(got) == len(want) > 0
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
 def test_trapped_sweep_rows():
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [64, 128], k_count=3)
     assert len(rows) == 6

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -41,6 +42,11 @@ def quantize_generator(letter, n, sign=-1):
         p[(n - np.arange(n)) % n, np.arange(n)] = 1.0
         return p
     raise ValueError(f"unknown letter {letter!r}")
+
+
+# dft_sector builds afresh on every call; the FFT letter test reuses the
+# blocks of the sizes it runs in every example
+cached_dft_sector = functools.lru_cache(maxsize=16)(dft_sector)
 
 
 def sector_dft(n, parity, sign=-1):
@@ -346,6 +352,33 @@ def test_apply_word_narrowed_columns_match_full_product(head, tail, n, sign, row
         assert np.abs(out - full[:, cols]).max(initial=0.0) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(shears=st.lists(shear, min_size=2, max_size=4), negate=st.booleans(),
+       h=st.integers(1, 200), data=st.data())
+def test_fft_letter_matches_block_letter(shears, negate, h, data):
+    # without a block (f None) each Fourier letter is one FFT per row; it
+    # gives the block's product within 1e-12 for the factor word of a
+    # random hyperbolic map of either trace sign, on both sectors and a
+    # random run of columns.  Every example runs N = 2 (an empty odd
+    # sector), 4, 6, 130 and 768 beside the drawn N.  The rows have unit
+    # norm and the letters are unitary, so the bound is relative to them
+    m = shear_map(shears, negate)
+    assume(abs(m.a + m.d) > 2)
+    word = factor_sl2z(m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for n in (2, 4, 6, 130, 768, 2 * h):
+        for parity in (1, -1):
+            size = n // 2 + parity
+            start = data.draw(st.integers(0, size))
+            cols = slice(start, data.draw(st.integers(start, size)))
+            x = rng.uniform(-1, 1, (5, size)) + 1j * rng.uniform(-1, 1, (5, size))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            block = apply_word(x, word, cached_dft_sector(n, parity), n, parity, cols)
+            fft = apply_word(x, word, None, n, parity, cols)
+            assert fft.shape == block.shape == (5, cols.stop - cols.start)
+            assert np.abs(fft - block).max(initial=0.0) <= 1e-12
+
+
 def test_apply_word_allocates_no_dft_sized_array():
     # neither F^dag nor a copy of a sector block is materialized: on a few
     # rows the word's peak allocation stays below one sector block, and
@@ -374,11 +407,12 @@ def test_apply_word_allocates_no_dft_sized_array():
                                    shear_word([("L", -1)]), [("PAR",)], None])
 def test_apply_word_works_in_place(first):
     # the word only reads the rows it is given, whichever letters come
-    # first (S = -I S^-1 and L(-1) among them): a read-only x and a
-    # read-only view of the DFT block's rows both give their product and
-    # stay as they were.  A letter outside the alphabet raises before any
-    # product, which without a DFT block (f None) would raise TypeError,
-    # and the empty word (first None) returns the view x[:, cols]
+    # first (S = -I S^-1 and L(-1) among them), with the DFT block and
+    # with row FFTs (f None): a read-only x and a read-only view of the
+    # DFT block's rows both give their product and stay as they were.  A
+    # letter outside the alphabet raises before any product, which with a
+    # block that is not an array would raise TypeError, and the empty word
+    # (first None) returns the view x[:, cols]
     n = 32
     rng = np.random.default_rng(7)
     for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
@@ -387,19 +421,19 @@ def test_apply_word_works_in_place(first):
         for word in (first + [("U", 1), ("S_INV",), ("PAR",)] if first else [],
                      first or []):
             block = fold_matrix(quantize_word_dense(word, n))[0 if parity == 1 else 1]
-            for cols in (slice(None), slice(2, 7)):
+            for cols, dft in ((slice(None), f), (slice(2, 7), f), (slice(2, 7), None)):
                 x = rng.standard_normal((9, size)) + 1j * rng.standard_normal((9, size))
                 kept = x.copy()
                 x.flags.writeable = False
-                out = apply_word(x, word, f, n, parity, cols=cols)
+                out = apply_word(x, word, dft, n, parity, cols=cols)
                 assert np.array_equal(x, kept)
                 assert np.abs(out - (kept @ block)[:, cols]).max() <= 1e-12
                 assert np.shares_memory(out, x) == (not word)
-                rows = apply_word(f[1:], word, f, n, parity, cols=cols)
+                rows = apply_word(f[1:], word, dft, n, parity, cols=cols)
                 assert np.abs(rows - (f[1:] @ block)[:, cols]).max() <= 1e-12
                 assert f.tobytes() == before
                 with pytest.raises(ValueError):
-                    apply_word(x, word + [("S",)], None, n, parity, cols=cols)
+                    apply_word(x, word + [("S",)], object(), n, parity, cols=cols)
 
 
 def test_open_spectrum_holds_one_sector_and_one_buffer():
@@ -426,11 +460,12 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
 
 def test_weyl_open_spectrum_holds_two_sector_blocks():
     # on the Weyl route each panel's product goes back into the rows of
-    # the symbol's sector block it came from, beside the DFT block and two
-    # 64-row panels, and the DFT block is freed before the solve: at
-    # N = 512 open_spectrum peaks under 1.25 x (two blocks and 128 rows of
-    # panels), 3.30 MB, at 2.61 MB measured here; a word on its own copy
-    # of the symbol block, with the block kept alive, peaked at 3.67 MB
+    # the symbol's sector block it came from, and no DFT block is built:
+    # the Fourier letters run as row FFTs, on two 64-row panels N wide.
+    # At N = 512 open_spectrum peaks under 1.25 x (two blocks and 128 rows
+    # of panels), 3.30 MB, at 2.37 MB measured here; with the DFT block
+    # beside the symbol block it peaked at 2.61 MB, and a word on its own
+    # copy of the symbol block, with the block kept alive, at 3.67 MB
     n = 512
     h = n // 2
     cutoff = cutoff_sectors(replace(NONTRAP_SPEC, quantization="weyl"), n)
