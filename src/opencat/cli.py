@@ -222,12 +222,14 @@ def _verify_checks(config: RunConfig, sign: int):
     dims = [32, 64, 128]
     for n in dims:
         # the DFT as the sweeps apply it: the sector blocks the left route
-        # multiplies by, and the row FFTs of the Weyl route's word, here the
-        # S^-1 letter (conj(omega) F_s) on the identity
+        # multiplies by, and the row FFTs of the Weyl route's word, F in the
+        # S^-1 letter (conj(omega) F) and F^dag in U(1) (F chirp F^dag), each
+        # letter on the identity
         defect = max(np.abs(u.conj().T @ u - np.eye(len(u))).max()
                      for parity in (1, -1)
                      for u in (hn.dft_sector(n, parity),
-                               apply_word(np.eye(n // 2 + parity), [("S_INV",)], None, n, parity)))
+                               *(apply_word(np.eye(n // 2 + parity), [letter], None, n, parity)
+                                 for letter in (("S_INV",), ("U", 1)))))
         yield f"dft_unitary_N{n}", defect < 1e-13, defect
     for n in dims:
         u = quantize_map(config.matrix, n, sign=sign)

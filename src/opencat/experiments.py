@@ -13,7 +13,8 @@ route, as its parity defect and per sector (parity, live, rows, factor);
 build_open_operator runs the map's word on the rows a panel of rows at a
 time and forms the factor after the word.  On the left route it builds the
 sector's DFT block once for the rows, the word and the factor; the Weyl
-route reads no block, and its word runs each Fourier letter as row FFTs.
+route reads no block, and its word runs as full-space steps: row FFTs and
+chirps on the rows unfolded to N columns once.
 The map commutes with parity exactly, in the integers of its phases, so
 only the cutoff, which comes from the spec, is checked.
 """
@@ -57,7 +58,8 @@ SYMMETRY_TOL_N64 = 1e-11
 
 # Most rows build_open_operator runs the word on at once: each product
 # with a DFT block allocates one panel, 1.0 MB at N = 2048 (410 live rows
-# in 7 panels); a row-FFT letter holds two panels N wide, 1.6 MB at N = 768.
+# in 7 panels); the full-space steps allocate the panel's live columns,
+# 0.39 MB at N = 768, beside their 16-row buffer N wide (metaplectic).
 _ROW_PANEL = 64
 
 
@@ -141,10 +143,10 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     With a factor (the left route) the sector's DFT block f is built here,
     passed to the cutoff's rows, the map's word and the factor, and freed
     before the block is solved.  Without one (the Weyl route) no block is
-    built: the word gets f = None and runs each Fourier letter as one FFT
-    per row (metaplectic.apply_word).  The word runs on the rows a panel
-    at a time (_panels), and its last Fourier letter forms only the live
-    columns, which go into the block's rows of the panel: a new live x
+    built: the word gets f = None and runs as full-space steps, row FFTs
+    and chirps (metaplectic.apply_word).  The word runs on the rows a panel
+    at a time (_panels) and forms only the live columns, which go into
+    the block's rows of the panel: a new live x
     live block, or, without a factor, the rows themselves.  The rows are
     gone before the factor is formed, and f before the factor multiplies
     the block.

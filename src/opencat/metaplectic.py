@@ -6,14 +6,15 @@ DFT and a quadratic phase); the product quantizes the map up to a global
 phase.  -I is central in SL(2,Z), so every letter commutes with parity
 j -> -j, exactly in the integers of its phases: the word acts on the two
 parity sectors of hn apart and is not checked at run time.  apply_word
-multiplies one sector's rows by the word letter by letter, out of place,
-with the folded chirps and either the DFT's sector block that its caller
-passes or, without one, one FFT per row for each Fourier letter (in the
-sector basis the DFT is a DCT-I or i times a DST-I), so chi Mhat is
+multiplies one sector's rows by the word out of place, so chi Mhat is
 formed from chi's nonzero rows without building Mhat, and only in the run
-of columns asked for; quantize_word builds each sector's block, runs the
+of columns asked for: with the DFT's sector block that its caller passes,
+letter by letter with the folded chirps; without one, as the word lowered
+to full-space steps (F, F^dag, U's chirps and one scalar), each adjacent
+F^dag F cancelled, run as row FFTs on the rows unfolded to N columns once
+and folded back once.  quantize_word builds each sector's block, runs the
 word on the sector's identity and unfolds the two sector unitaries into
-the N x N matrix: the dense reference for both kinds of Fourier letter.
+the N x N matrix: the dense reference for both ways of running the word.
 The global phase is a convention: the one rule that fixes it acts on the
 eigenvalues of the open operator (phase_factor).  All sign conventions
 are pinned by the exact Egorov law
@@ -85,64 +86,129 @@ def factor_sl2z(m: CatMap) -> list:
     return word
 
 
-def _chirp(letter, n: int, parity: int):
-    """U(b)'s quadratic phase e^{i pi coef m^2 / N}, coef = -b, folded into one parity sector.
+def _chirp(letter, n: int):
+    """U(b)'s quadratic phase e^{i pi coef m^2 / N}, coef = -b, on the N points m = 0..N-1.
 
     U(b) is this chirp conjugated by the DFT.  The phase has period 2N in
     coef, so coef is first reduced into [-N, N) in exact integer
     arithmetic.  For N even coef (N - m)^2 = coef m^2 mod 2N, so the chirp
-    folds into one diagonal per sector (fold_parity).
+    commutes with parity: the block letters read its fold into one
+    sector (fold_parity), the full-space steps the chirp itself.
     """
     coef = (n - letter[1]) % (2 * n) - n
     m = np.arange(n)
-    return fold_parity(np.exp(1j * math.pi * coef * m * m / n), parity)
+    return np.exp(1j * math.pi * coef * m * m / n)
 
 
-def _fourier(x, f, n: int, parity: int, cols=slice(None)):
-    """x @ F_s[:, cols] for the sector's DFT block F_s: a product with f, or with f None one FFT per row.
+# Rows _run_steps unfolds into the full space at once: one N-wide buffer,
+# 0.2 MB at N = 768, serves every block of a panel's rows.  On the Weyl
+# nontrapping sweep (N = 256, 512, 768, 2 vCPUs) the process peaked 0.1-0.4
+# MB above the RSS of the word run letter by letter, against 0.8-1.0 MB with
+# a whole 64-row panel unfolded at once, in the same time.
+_FULL_ROWS = 16
 
-    Without a block the rows are unfolded to N columns with the sector's
-    weights and partner signs (hn.sector_basis), each transformed by one
-    length-N unitary FFT, whose kernel e^{-2 pi i m k / N} is the DFT's,
-    and folded back on the columns cols: a column is its pair's weighted
-    sum, a fixed point's value itself.  O(rows N log N) work, against
-    O(rows N^2 / 4) for the product with the block.
+
+def _lower(word, n: int, parity: int):
+    """The word on one parity sector as full-space steps and one scalar: (steps, scalar).
+
+    S_INV is conj(omega) F and U(b) is F chirp F^dag, acting on rows from
+    the right; PAR is the sector's sign.  The steps are "F", "F^dag" and
+    U's chirps (_chirp) in the order they act, with each adjacent F^dag F
+    or F F^dag pair dropped as it forms; the scalar is the product of the
+    conj(omega) and parity factors.  A chirp is never dropped, nor a pair
+    across one.
     """
-    if f is not None:
-        return x @ f[:, cols]
+    steps, scalar = [], 1.0
+    for letter in word:
+        if letter[0] == "S_INV":
+            new = ["F"]
+            scalar *= np.conj(OMEGA_S)
+        elif letter[0] == "U":
+            new = ["F", _chirp(letter, n), "F^dag"]
+        else:
+            new = []
+            scalar *= parity
+        for step in new:
+            # two different transforms in a row are F^dag F or F F^dag
+            if isinstance(step, str) and steps and isinstance(steps[-1], str) and steps[-1] != step:
+                steps.pop()
+            else:
+                steps.append(step)
+    return steps, scalar
+
+
+def _transform(full, step: str):
+    """full @ F, or full @ F^dag for step "F^dag", in place: one unitary FFT per row (numpy >= 2.0 for out=).
+
+    F is the unitary DFT, kernel e^{-2 pi i m k / N} / sqrt(N), so a row
+    times F is its ortho FFT and a row times F^dag its ortho inverse FFT.
+    """
+    fft = np.fft.fft if step == "F" else np.fft.ifft
+    fft(full, axis=1, norm="ortho", out=full)
+
+
+def _run_steps(x, steps, scalar, n: int, parity: int, cols):
+    """(x @ Mhat_s)[:, cols] for a word lowered to steps and scalar (_lower), its steps in the full space.
+
+    _FULL_ROWS rows at a time are unfolded once to N columns with the
+    sector's weights and partner signs (hn.sector_basis), the steps act on
+    them in place, and they are folded back once onto the columns cols: a
+    column is its pair's weighted sum, a fixed point's value itself, times
+    the scalar.  One N-wide buffer serves every block of rows, and the
+    unfold and the fold read one array and write another, so no step
+    copies it.
+    """
     index, partner, weight = sector_basis(n, parity)
-    full = np.zeros((len(x), n), dtype=complex)
-    part = x * weight
-    full[:, index] = part
-    full[:, partner] = part if parity == 1 else -part
-    del part
-    full = np.fft.fft(full, axis=1, norm="ortho")
+    h, size = n // 2, len(index)
+    first = 0 if parity == 1 else 1      # index[0], also for N = 2's empty odd sector
     # a fixed point is its own partner: its two terms are one value
-    scale = np.where(index == partner, 0.5, weight)[cols]
-    out = full[:, index[cols]]
-    if parity == 1:
-        out += full[:, partner[cols]]
-    else:
-        out -= full[:, partner[cols]]
-    out *= scale
+    scale = np.where(index == partner, 0.5, weight)[cols] * scalar
+    out = np.empty((len(x), len(scale)), dtype=complex)
+    full = np.empty((min(len(x), _FULL_ROWS), n), dtype=complex)
+    for start in range(0, len(x), _FULL_ROWS):
+        rows, folded = x[start:start + _FULL_ROWS], out[start:start + _FULL_ROWS]
+        buf = full[:len(rows)]
+        if parity == -1:
+            # no odd basis vector reaches e_0 or e_{N/2}; the steps of the
+            # rows before may have left roundoff there
+            buf[:, 0] = buf[:, h] = 0.0
+        np.multiply(rows, weight, out=buf[:, first:first + size])
+        # the columns N - j of the pairs, j = h - 1 down to 1
+        np.multiply(rows[:, 1 - first:h - first][:, ::-1], parity * math.sqrt(0.5),
+                    out=buf[:, h + 1:])
+        for step in steps:
+            if isinstance(step, str):
+                _transform(buf, step)
+            else:
+                buf *= step
+        np.take(buf, partner[cols], axis=1, mode="clip", out=folded)
+        if parity == 1:
+            folded += buf[:, first:first + size][:, cols]
+        else:
+            np.subtract(buf[:, first:first + size][:, cols], folded, out=folded)
+        folded *= scale
     return out
 
 
 def apply_word(x: np.ndarray, word, f, n: int, parity: int,
                cols=slice(None)) -> np.ndarray:
-    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector, letter by letter from the right.
+    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector.
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
     sector's block of the unitary DFT (hn.dft_sector), or None for no
-    block: each product with F_s is then one FFT per row (_fourier).  With
-    chirp U's folded chirp in the sector, the letters act on the rows as
-    S_INV: conj(omega) x F, U(b): ((x F) * chirp) F^dag and PAR: x *
-    parity; F is symmetric, so x F^dag is conj(conj(x) F).  Each product
-    with the block is a (rows x N/2) by (N/2 x N/2) one, a quarter of the
-    full-space one.  The slice cols selects the output columns: the last
-    Fourier letter forms only those, and the PAR letters after it act on
-    them alone.
+    block.  The letters act on the rows from the right as S_INV: conj(omega)
+    x F, U(b): x F chirp F^dag and PAR: x * parity, with chirp U's
+    chirp (_chirp).  With the block the word runs letter by letter on
+    the sector: each product with F_s is a (rows x N/2) by (N/2 x N/2)
+    one, a quarter of the full-space one, U's chirp is folded into the
+    sector, and, F being symmetric, x F^dag is conj(conj(x) F); the last
+    Fourier letter forms only the columns cols, and the PAR letters after
+    it act on them alone.  Without the block the word is lowered to
+    full-space steps, an adjacent F^dag F cancelled (_lower), and the rows
+    are unfolded to N columns once, run through the steps as row FFTs and
+    chirps, and folded back onto cols once (_run_steps): a word
+    [U(b), S_INV, PAR, U(b')] runs three FFTs per row, not five.
 
     x is only read, so it may be a read-only view: the letters write only
     arrays the word makes.  A letter other than S_INV, U and PAR raises
@@ -151,19 +217,24 @@ def apply_word(x: np.ndarray, word, f, n: int, parity: int,
     """
     for letter in word:
         letter_matrix(letter)  # raises ValueError on a letter outside the alphabet
+    if f is None:
+        steps, scalar = _lower(word, n, parity)
+        if steps:
+            return _run_steps(x, steps, scalar, n, parity, cols)
+        return x[:, cols] * scalar if word else x[:, cols]
     last = max((i for i, letter in enumerate(word) if letter[0] != "PAR"), default=-1)
     if last < 0:
         x = x[:, cols]
     for i, letter in enumerate(word):
         out = cols if i == last else slice(None)
         if letter[0] == "S_INV":
-            x = _fourier(x, f, n, parity, out)
+            x = x @ f[:, out]
             x *= np.conj(OMEGA_S)
         elif letter[0] == "U":
-            x = _fourier(x, f, n, parity)
-            x *= _chirp(letter, n, parity)
+            x = x @ f
+            x *= fold_parity(_chirp(letter, n), parity)
             np.conj(x, out=x)
-            x = _fourier(x, f, n, parity, out)
+            x = x @ f[:, out]
             np.conj(x, out=x)
         else:
             x = x * parity

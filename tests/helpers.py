@@ -122,7 +122,7 @@ def fold_pairs(d):
 
 
 def chirp_diagonal(letter, n):
-    """U(b)'s chirp e^{i pi coef m^2 / N}, coef = -b, on the N points, as metaplectic._chirp forms it before its fold."""
+    """U(b)'s chirp e^{i pi coef m^2 / N}, coef = -b, on the N points, as metaplectic._chirp forms it."""
     coef = (n - letter[1]) % (2 * n) - n
     m = np.arange(n)
     return np.exp(1j * math.pi * coef * m * m / n)

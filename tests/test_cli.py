@@ -723,20 +723,24 @@ def test_verify_power_traces_see_a_dropped_eigenvalue(tmp_path, capsys, monkeypa
 
 
 def test_verify_dft_unitarity_sees_the_fft_letter(tmp_path, capsys, monkeypatch):
-    # row FFTs a part in 1e6 off unitary, which only the Weyl route's word
-    # runs: on a left config the sweeps' DFT blocks and Egorov's word stay
-    # exact, and only the three DFT unitarity lines fail
-    fourier = metaplectic._fourier
+    # row FFTs a part in 1e6 off unitary, F's or F^dag's alone, which only
+    # the Weyl route's word runs: on a left config the sweeps' DFT blocks
+    # and Egorov's word stay exact, and only the three DFT unitarity lines
+    # fail, for either transform
+    transform = metaplectic._transform
+    cfg = write_config(tmp_path)
+    for off in ("F", "F^dag"):
+        def scaled(full, step):
+            transform(full, step)
+            if step == off:
+                full *= 1.0 + 1e-6
 
-    def scaled(x, f, *args):
-        return fourier(x, f, *args) * (1.0 if f is not None else 1.0 + 1e-6)
-
-    monkeypatch.setattr(metaplectic, "_fourier", scaled)
-    assert main(["verify", "--config", write_config(tmp_path)]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 16
-    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
-        "dft_unitary_N32", "dft_unitary_N64", "dft_unitary_N128"]
+        monkeypatch.setattr(metaplectic, "_transform", scaled)
+        assert main(["verify", "--config", cfg]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 16
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+            "dft_unitary_N32", "dft_unitary_N64", "dft_unitary_N128"]
 
 
 def test_verify_flipped_dft_fails_egorov(tmp_path, capsys):
@@ -843,12 +847,13 @@ def test_verify_checks_time_reversal(tmp_path, capsys, monkeypatch, overrides):
 def test_verify_witness_catches_conjugated_u_chirps(tmp_path, capsys, monkeypatch, overrides):
     # Arnold's phase-normalized open spectrum is self-conjugate, so a word
     # whose U chirps are conjugated keeps its time-reversal gap at roundoff;
-    # the witness map [3, 2, 4, 3] is not symmetric, and its gap is O(1e-2)
+    # the witness map [3, 2, 4, 3] is not symmetric, and its gap is O(1e-2).
+    # Both routes' words read the one chirp, folded on the left route and
+    # in the full space on the Weyl route
     chirp = metaplectic._chirp
 
-    def conjugated(letter, n, parity):
-        d = chirp(letter, n, parity)
-        return d.conj() if letter[0] == "U" else d
+    def conjugated(letter, n):
+        return chirp(letter, n).conj()
 
     monkeypatch.setattr(metaplectic, "_chirp", conjugated)
     cfg = write_config(tmp_path, **overrides)

@@ -177,7 +177,7 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
 
 
 def test_weyl_sweeps_build_no_dft_block(monkeypatch):
-    # the Weyl route's word runs each Fourier letter as one FFT per row, so
+    # the Weyl route's word runs as full-space steps, row FFTs and chirps, so
     # both of its sweeps complete with dft_sector failing, and agree within
     # a relative 1e-9 with the same sweeps whose word multiplies by the
     # sector's DFT block

@@ -179,16 +179,18 @@ def assert_folds_bitwise(d):
 @given(h=st.integers(1, 256), seed=st.integers(0, 2**32 - 1),
        letter=st.integers(-3, 3).filter(lambda b: b != 0).map(lambda b: ("U", b)))
 def test_fold_parity_bitwise_matches_pairwise_formula(h, seed, letter):
-    # a fixed point's entry is (d + d) * 0.5, exactly d; the U chirp,
-    # folded straight into the sector the word runs in, is the fold of the
-    # full chirp
+    # a fixed point's entry is (d + d) * 0.5, exactly d; the U chirp the
+    # word reads is the full chirp, and its fold into the sector the block
+    # letters run in is the pairwise fold
     n = 2 * h
     rng = np.random.default_rng(seed)
     assert_folds_bitwise(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     chirp = chirp_diagonal(letter, n)
     assert_folds_bitwise(chirp)
+    assert np.array_equal(_chirp(letter, n).view(float), chirp.view(float))
     for parity, folded in zip((1, -1), fold_pairs(chirp)):
-        assert np.array_equal(_chirp(letter, n, parity).view(float), folded.view(float))
+        assert np.array_equal(fold_parity(_chirp(letter, n), parity).view(float),
+                              folded.view(float))
 
 
 @pytest.mark.parametrize("n", [2, 4, 10])

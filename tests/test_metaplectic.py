@@ -4,7 +4,7 @@ import math
 import tracemalloc
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,7 +12,7 @@ import opencat.experiments as experiments
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import ConfigError, NumericError
 from opencat.hn import dft_sector, torus_rep_array
-from opencat.metaplectic import (OMEGA_S, apply_word, egorov_residual, factor_sl2z,
+from opencat.metaplectic import (OMEGA_S, _lower, apply_word, egorov_residual, factor_sl2z,
                                  letter_matrix, phase_factor, quantize_map, quantize_word,
                                  word_matrix)
 from opencat.quantizer import cutoff_profile
@@ -356,10 +356,10 @@ def test_apply_word_narrowed_columns_match_full_product(head, tail, n, sign, row
 @given(shears=st.lists(shear, min_size=2, max_size=4), negate=st.booleans(),
        h=st.integers(1, 200), data=st.data())
 def test_fft_letter_matches_block_letter(shears, negate, h, data):
-    # without a block (f None) each Fourier letter is one FFT per row; it
-    # gives the block's product within 1e-12 for the factor word of a
-    # random hyperbolic map of either trace sign, on both sectors and a
-    # random run of columns.  Every example runs N = 2 (an empty odd
+    # without a block (f None) the word runs as full-space steps, row FFTs
+    # and chirps; it gives the block's product within 1e-12 for the factor
+    # word of a random hyperbolic map of either trace sign, on both sectors
+    # and a random run of columns.  Every example runs N = 2 (an empty odd
     # sector), 4, 6, 130 and 768 beside the drawn N.  The rows have unit
     # norm and the letters are unitary, so the bound is relative to them
     m = shear_map(shears, negate)
@@ -371,12 +371,67 @@ def test_fft_letter_matches_block_letter(shears, negate, h, data):
             size = n // 2 + parity
             start = data.draw(st.integers(0, size))
             cols = slice(start, data.draw(st.integers(start, size)))
-            x = rng.uniform(-1, 1, (5, size)) + 1j * rng.uniform(-1, 1, (5, size))
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            block = apply_word(x, word, cached_dft_sector(n, parity), n, parity, cols)
-            fft = apply_word(x, word, None, n, parity, cols)
-            assert fft.shape == block.shape == (5, cols.stop - cols.start)
-            assert np.abs(fft - block).max(initial=0.0) <= 1e-12
+            assert_steps_match_letters(word, n, parity, cols, rng)
+
+
+def step_names(steps):
+    """A lowered word's steps by name: "F", "F^dag" or "chirp"."""
+    return [step if isinstance(step, str) else "chirp" for step in steps]
+
+
+def assert_steps_match_letters(word, n, parity, cols, rng):
+    # five unit rows through the word: full-space steps against block letters
+    size = n // 2 + parity
+    x = rng.uniform(-1, 1, (5, size)) + 1j * rng.uniform(-1, 1, (5, size))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    block = apply_word(x, word, cached_dft_sector(n, parity), n, parity, cols)
+    fft = apply_word(x, word, None, n, parity, cols)
+    assert fft.shape == block.shape == (5, cols.stop - cols.start)
+    assert np.abs(fft - block).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(word=st.lists(any_letter, max_size=8), h=st.integers(4, 80),
+       seed=st.integers(0, 2**32 - 1))
+@example(word=[], h=4, seed=0)
+@example(word=[("PAR",)], h=4, seed=1)
+@example(word=[("PAR",), ("PAR",), ("PAR",)], h=5, seed=2)
+@example(word=[("S_INV",), ("U", 1)], h=4, seed=3)
+@example(word=[("U", 2), ("S_INV",), ("PAR",), ("U", -1)], h=6, seed=4)
+@example(word=[("U", 1), ("U", -3), ("S_INV",), ("S_INV",)], h=7, seed=5)
+@example(word=[("U", 0), ("PAR",), ("U", 3), ("S_INV",)], h=8, seed=6)
+def test_full_space_steps_match_block_letters_on_any_word(word, h, seed):
+    # any string of letters, not only a hyperbolic map's factor word: the
+    # lowering cancels each adjacent F^dag F pair (U then S_INV or U) and
+    # folds the PAR signs and conj(omega) into one scalar, and the steps
+    # give the block letters' product within 1e-12 on both sectors and a
+    # random run of columns, at N = 2, 4 and 6 and at the drawn N.  The
+    # empty word and PAR-only words have no transform to run
+    rng = np.random.default_rng(seed)
+    for n in (2, 4, 6, 2 * h):
+        for parity in (1, -1):
+            size = n // 2 + parity
+            start = int(rng.integers(0, size + 1))
+            cols = slice(start, int(rng.integers(start, size + 1)))
+            assert_steps_match_letters(word, n, parity, cols, rng)
+            names = step_names(_lower(word, n, parity)[0])
+            assert names.count("chirp") == sum(letter[0] == "U" for letter in word)
+            assert not {("F^dag", "F"), ("F", "F^dag")} & set(zip(names, names[1:]))
+            assert (names == []) == all(letter == ("PAR",) for letter in word)
+
+
+@pytest.mark.parametrize("m", BENCHMARK_MAPS)
+def test_benchmark_words_lower_to_three_transforms(m):
+    # every benchmark word, Arnold's (m0) among them, is U(b), S_INV,
+    # (PAR), U(b'): U ends in F^dag and S_INV starts with F, so that pair
+    # cancels and the word runs three transforms where its letters run five
+    word = factor_sl2z(m)
+    assert [letter[0] for letter in word if letter[0] != "PAR"] == ["U", "S_INV", "U"]
+    for n in (64, 768):
+        for parity in (1, -1):
+            steps, scalar = _lower(word, n, parity)
+            assert step_names(steps) == ["F", "chirp", "F", "chirp", "F^dag"]
+            assert scalar == np.conj(OMEGA_S) * parity ** word.count(("PAR",))
 
 
 def test_apply_word_allocates_no_dft_sized_array():
@@ -408,7 +463,7 @@ def test_apply_word_allocates_no_dft_sized_array():
 def test_apply_word_works_in_place(first):
     # the word only reads the rows it is given, whichever letters come
     # first (S = -I S^-1 and L(-1) among them), with the DFT block and
-    # with row FFTs (f None): a read-only x and a read-only view of the
+    # as full-space steps (f None): a read-only x and a read-only view of the
     # DFT block's rows both give their product and stay as they were.  A
     # letter outside the alphabet raises before any product, which with a
     # block that is not an array would raise TypeError, and the empty word
@@ -461,15 +516,18 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
 def test_weyl_open_spectrum_holds_two_sector_blocks():
     # on the Weyl route each panel's product goes back into the rows of
     # the symbol's sector block it came from, and no DFT block is built:
-    # the Fourier letters run as row FFTs, on two 64-row panels N wide.
-    # At N = 512 open_spectrum peaks under 1.25 x (two blocks and 128 rows
-    # of panels), 3.30 MB, at 2.37 MB measured here; with the DFT block
-    # beside the symbol block it peaked at 2.61 MB, and a word on its own
-    # copy of the symbol block, with the block kept alive, at 3.67 MB
+    # the word runs as full-space steps on one 16-row buffer N wide, and
+    # each 64-row panel's live columns are one new array.  At N = 512
+    # open_spectrum peaks under 1.25 x (one sector block, one panel of
+    # live columns and the buffer), 1.81 MB, at 1.60 MB measured here.
+    # The word letter by letter, two 64-row panels N wide per Fourier
+    # letter, peaked at 2.37 MB, with the DFT block beside the symbol block
+    # at 2.61 MB, and a word on its own copy of the symbol block, with the
+    # block kept alive, at 3.67 MB
     n = 512
     h = n // 2
     cutoff = cutoff_sectors(replace(NONTRAP_SPEC, quantization="weyl"), n)
-    bound = (2 * (h + 1) ** 2 + 128 * (h + 1)) * 16
+    bound = ((h + 1) ** 2 + 64 * (h + 1) + 16 * n) * 16
     tracemalloc.start()
     try:
         experiments.open_spectrum(ARNOLD, cutoff, n)
