@@ -10,11 +10,11 @@ in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
 route, as its parity defect and per sector (parity, live, rows, factor);
-build_open_operator runs the map's word on the rows a panel of rows at a
-time and forms the factor after the word.  On the left route it builds the
+build_open_operator runs the map's word once on all of the sector's rows
+and forms the factor after the word.  On the left route it builds the
 sector's DFT block once for the rows, the word and the factor; the Weyl
-route reads no block, and its word runs as full-space steps: row FFTs and
-chirps on the rows unfolded to N columns once.
+route reads no block, and its word runs as full-space steps (row FFTs and
+chirps) in place in the symbol's sector block.
 The map commutes with parity exactly, in the integers of its phases, so
 only the cutoff, which comes from the spec, is checked.
 """
@@ -55,12 +55,6 @@ PARITY_TOL = 1e-9
 # word that drops its -I breaks the time reversal by 1e-2 or more.
 MAX_MODES = 8
 SYMMETRY_TOL_N64 = 1e-11
-
-# Most rows build_open_operator runs the word on at once: each product
-# with a DFT block allocates one panel, 1.0 MB at N = 2048 (410 live rows
-# in 7 panels); the full-space steps allocate the panel's live columns,
-# 0.39 MB at N = 768, beside their 16-row buffer N wide (metaplectic).
-_ROW_PANEL = 64
 
 
 @dataclass
@@ -124,17 +118,6 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     return defect, (left(1, even), left(-1, odd))
 
 
-def _panels(rows: int):
-    """Slices of near-equal panels of at most _ROW_PANEL rows covering range(rows).
-
-    Equal panels leave no lone trailing row: numpy multiplies a one-row
-    panel as a vector, which rounds otherwise than the matrix product.
-    """
-    count = max(1, -(-rows // _ROW_PANEL))
-    bounds = [rows * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     """(quantized cutoff) @ (quantized map) in one parity sector, unnormalized phase.
 
@@ -144,23 +127,20 @@ def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     passed to the cutoff's rows, the map's word and the factor, and freed
     before the block is solved.  Without one (the Weyl route) no block is
     built: the word gets f = None and runs as full-space steps, row FFTs
-    and chirps (metaplectic.apply_word).  The word runs on the rows a panel
-    at a time (_panels) and forms only the live columns, which go into
-    the block's rows of the panel: a new live x
-    live block, or, without a factor, the rows themselves.  The rows are
-    gone before the factor is formed, and f before the factor multiplies
-    the block.
+    and chirps (metaplectic.apply_word).  The word runs once on all the
+    rows and forms only the live columns: into a new live x live block,
+    or, without a factor, into the rows themselves.  The rows are gone
+    before the factor is formed, and f before the factor multiplies the
+    block.
     """
     parity, live, rows, factor = sector
     f = None if factor is None else dft_sector(n, parity)
     x = rows(f)
     word = factor_sl2z(m)
-    block = x if factor is None else np.empty((len(x), len(x)), dtype=complex)
-    for panel in _panels(len(x)):
-        block[panel] = apply_word(x[panel], word, f, n, parity, cols=live)
-    del x
     if factor is None:
-        return block
+        return apply_word(x, word, None, n, parity, cols=live, out=x)
+    block = apply_word(x, word, f, n, parity, cols=live)
+    del x
     lead = factor(f)
     del f
     return lead @ block
@@ -173,7 +153,7 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     before any product is formed, rather than lose the coupling.  Then
     each parity sector is built, diagonalized and freed in turn, so one
     sector's live block, and on the left route its DFT block, are held at
-    a time, with a panel of the word's rows, a left factor is formed only
+    a time, with the word's working rows, a left factor is formed only
     after the word, and the DFT block is freed before the live block is
     solved (build_open_operator).  With its dead rows permuted last a
     sector is block upper triangular, [[B_LL, B_LD], [0, 0]], so its

@@ -6,15 +6,16 @@ DFT and a quadratic phase); the product quantizes the map up to a global
 phase.  -I is central in SL(2,Z), so every letter commutes with parity
 j -> -j, exactly in the integers of its phases: the word acts on the two
 parity sectors of hn apart and is not checked at run time.  apply_word
-multiplies one sector's rows by the word out of place, so chi Mhat is
-formed from chi's nonzero rows without building Mhat, and only in the run
-of columns asked for: with the DFT's sector block that its caller passes,
-letter by letter with the folded chirps; without one, as the word lowered
-to full-space steps (F, F^dag, U's chirps and one scalar), each adjacent
-F^dag F cancelled, run as row FFTs on the rows unfolded to N columns once
-and folded back once.  quantize_word builds each sector's block, runs the
-word on the sector's identity and unfolds the two sector unitaries into
-the N x N matrix: the dense reference for both ways of running the word.
+multiplies all of one sector's rows by the word, into a new array or in
+place, so chi Mhat is formed from chi's nonzero rows without building
+Mhat, and only in the run of columns asked for: with the DFT's sector
+block that its caller passes, letter by letter on panels of rows;
+without one, as the word lowered once to full-space steps (F, F^dag,
+U's chirps, one scalar), each adjacent F^dag F cancelled, run as row
+FFTs on blocks of rows unfolded to N columns once and folded back once.
+quantize_word builds each sector's block, runs the word on the sector's
+identity and unfolds the two sector unitaries into the N x N matrix: the
+dense reference for both ways of running the word.
 The global phase is a convention: the one rule that fixes it acts on the
 eigenvalues of the open operator (phase_factor).  All sign conventions
 are pinned by the exact Egorov law
@@ -100,12 +101,25 @@ def _chirp(letter, n: int):
     return np.exp(1j * math.pi * coef * m * m / n)
 
 
-# Rows _run_steps unfolds into the full space at once: one N-wide buffer,
-# 0.2 MB at N = 768, serves every block of a panel's rows.  On the Weyl
-# nontrapping sweep (N = 256, 512, 768, 2 vCPUs) the process peaked 0.1-0.4
-# MB above the RSS of the word run letter by letter, against 0.8-1.0 MB with
-# a whole 64-row panel unfolded at once, in the same time.
+# Most rows a block letter multiplies at once: one panel, 1.0 MB at
+# N = 2048 (410 live rows in 7 panels), per product with the DFT block.
+_ROW_PANEL = 64
+# Rows _run_steps unfolds to N columns at once, in one buffer of 0.2 MB at
+# N = 768.  On the Weyl nontrapping sweep (N = 256, 512, 768, 2 vCPUs) the
+# process peaked 0.1-0.4 MB above the RSS of the word run letter by letter,
+# against 0.8-1.0 MB with 64 rows unfolded at once, in the same time.
 _FULL_ROWS = 16
+
+
+def _panels(rows: int):
+    """Slices of near-equal panels of at most _ROW_PANEL rows covering range(rows).
+
+    Equal panels leave no lone trailing row: numpy multiplies a one-row
+    panel as a vector, which rounds otherwise than the matrix product.
+    """
+    count = max(1, -(-rows // _ROW_PANEL))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _lower(word, n: int, parity: int):
@@ -147,23 +161,21 @@ def _transform(full, step: str):
     fft(full, axis=1, norm="ortho", out=full)
 
 
-def _run_steps(x, steps, scalar, n: int, parity: int, cols):
-    """(x @ Mhat_s)[:, cols] for a word lowered to steps and scalar (_lower), its steps in the full space.
+def _run_steps(x, steps, scalar, n: int, parity: int, cols, out):
+    """Write (x @ Mhat_s)[:, cols] into out for a word lowered to steps and scalar (_lower), its steps in the full space.
 
     _FULL_ROWS rows at a time are unfolded once to N columns with the
     sector's weights and partner signs (hn.sector_basis), the steps act on
-    them in place, and they are folded back once onto the columns cols: a
-    column is its pair's weighted sum, a fixed point's value itself, times
-    the scalar.  One N-wide buffer serves every block of rows, and the
-    unfold and the fold read one array and write another, so no step
-    copies it.
+    them in place, and they are folded back once onto the columns cols of
+    out's same rows: a column is its pair's weighted sum, a fixed point's
+    value itself, times the scalar.  One N-wide buffer serves every block,
+    and out may be x: a block is unfolded before its rows are written.
     """
     index, partner, weight = sector_basis(n, parity)
     h, size = n // 2, len(index)
     first = 0 if parity == 1 else 1      # index[0], also for N = 2's empty odd sector
     # a fixed point is its own partner: its two terms are one value
     scale = np.where(index == partner, 0.5, weight)[cols] * scalar
-    out = np.empty((len(x), len(scale)), dtype=complex)
     full = np.empty((min(len(x), _FULL_ROWS), n), dtype=complex)
     for start in range(0, len(x), _FULL_ROWS):
         rows, folded = x[start:start + _FULL_ROWS], out[start:start + _FULL_ROWS]
@@ -187,58 +199,63 @@ def _run_steps(x, steps, scalar, n: int, parity: int, cols):
         else:
             np.subtract(buf[:, first:first + size][:, cols], folded, out=folded)
         folded *= scale
-    return out
 
 
 def apply_word(x: np.ndarray, word, f, n: int, parity: int,
-               cols=slice(None)) -> np.ndarray:
-    """(x @ Mhat_s)[:, cols] for the word's unitary on one parity sector.
+               cols=slice(None), out=None) -> np.ndarray:
+    """Write (x @ Mhat_s)[:, cols], the word's unitary on one parity sector, into out and return it.
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
-    sector's block of the unitary DFT (hn.dft_sector), or None for no
-    block.  The letters act on the rows from the right as S_INV: conj(omega)
-    x F, U(b): x F chirp F^dag and PAR: x * parity, with chirp U's
-    chirp (_chirp).  With the block the word runs letter by letter on
-    the sector: each product with F_s is a (rows x N/2) by (N/2 x N/2)
-    one, a quarter of the full-space one, U's chirp is folded into the
-    sector, and, F being symmetric, x F^dag is conj(conj(x) F); the last
-    Fourier letter forms only the columns cols, and the PAR letters after
-    it act on them alone.  Without the block the word is lowered to
-    full-space steps, an adjacent F^dag F cancelled (_lower), and the rows
-    are unfolded to N columns once, run through the steps as row FFTs and
-    chirps, and folded back onto cols once (_run_steps): a word
-    [U(b), S_INV, PAR, U(b')] runs three FFTs per row, not five.
+    sector's block of the unitary DFT (hn.dft_sector), or None.  The
+    letters act on the rows from the right as S_INV: conj(omega) x F,
+    U(b): x F chirp F^dag and PAR: x * parity (chirp: _chirp).  With f the
+    word runs letter by letter on panels of rows (_panels): each product
+    with F_s is a quarter of the full-space one, U's chirp is folded into
+    the sector, x F^dag is conj(conj(x) F) as F is symmetric, and the
+    last Fourier letter forms only the columns cols.  Without f the word is
+    lowered once to full-space steps, each adjacent F^dag F cancelled
+    (_lower), and run as row FFTs and chirps on _FULL_ROWS rows at a time
+    unfolded to N columns (_run_steps): a word [U(b), S_INV, PAR, U(b')]
+    runs three FFTs per row, not five.
 
-    x is only read, so it may be a read-only view: the letters write only
-    arrays the word makes.  A letter other than S_INV, U and PAR raises
-    ValueError before any product; the empty word returns the view
-    x[:, cols].
+    out is a new complex array when None, and may be x itself when cols
+    spans all of x's columns: each block of rows is read before it is
+    written.  Otherwise x is only read and may be a read-only view.  A
+    letter other than S_INV, U and PAR raises ValueError before any
+    product; the empty word without out returns the view x[:, cols].
     """
     for letter in word:
         letter_matrix(letter)  # raises ValueError on a letter outside the alphabet
+    if not word and out is None:
+        return x[:, cols]
+    if out is None:
+        out = np.empty((len(x), len(range(x.shape[1])[cols])), dtype=complex)
     if f is None:
         steps, scalar = _lower(word, n, parity)
         if steps:
-            return _run_steps(x, steps, scalar, n, parity, cols)
-        return x[:, cols] * scalar if word else x[:, cols]
-    last = max((i for i, letter in enumerate(word) if letter[0] != "PAR"), default=-1)
-    if last < 0:
-        x = x[:, cols]
-    for i, letter in enumerate(word):
-        out = cols if i == last else slice(None)
-        if letter[0] == "S_INV":
-            x = x @ f[:, out]
-            x *= np.conj(OMEGA_S)
-        elif letter[0] == "U":
-            x = x @ f
-            x *= fold_parity(_chirp(letter, n), parity)
-            np.conj(x, out=x)
-            x = x @ f[:, out]
-            np.conj(x, out=x)
+            _run_steps(x, steps, scalar, n, parity, cols, out)
         else:
-            x = x * parity
-    return x
+            np.multiply(x[:, cols], scalar, out=out)
+        return out
+    last = max((i for i, letter in enumerate(word) if letter[0] != "PAR"), default=-1)
+    for panel in _panels(len(x)):
+        y = x[panel] if last >= 0 else x[panel, cols]
+        for i, letter in enumerate(word):
+            to = cols if i == last else slice(None)
+            if letter[0] == "S_INV":
+                y = y @ f[:, to]
+                y *= np.conj(OMEGA_S)
+            elif letter[0] == "U":
+                y = y @ f
+                y *= fold_parity(_chirp(letter, n), parity)
+                np.conj(y, out=y)
+                y = y @ f[:, to]
+                np.conj(y, out=y)
+            else:
+                y = y * parity
+        out[panel] = y
+    return out
 
 
 def quantize_word(word, n: int, sign: int = -1) -> np.ndarray:

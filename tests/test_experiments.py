@@ -97,13 +97,12 @@ def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch
 
 
 def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
-    # the word runs once per panel of a sector's live rows (one at N = 256,
-    # two at N = 512), each on that sector's DFT block; a sector's factor
-    # is formed only after its last panel, once the row view of the DFT
-    # block and the panels' products are gone, and after the sector before
-    # it is solved and its factor and block are gone; each (N, parity) DFT
-    # block is built once, only after the block before it is gone, and it
-    # is gone before the sector is solved
+    # the word runs once per sector, on all of its live rows and on that
+    # sector's DFT block; a sector's factor is formed only after the word,
+    # once the row view of the DFT block is gone, and after the sector
+    # before it is solved and its factor and block are gone; each (N,
+    # parity) DFT block is built once, only after the block before it is
+    # gone, and it is gone before the sector is solved
     events, held, rows_held, dfts, keys = [], [], [], [], []
     prepare, quantize, word, build, solve, build_dft = (
         experiments.cutoff_sectors, experiments.op_left_separable, experiments.apply_word,
@@ -136,9 +135,7 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
 
     def apply(x, letters, f, n, parity, **kwargs):
         events.append(("word", n, parity, f is dfts[-1]()))
-        out = word(x, letters, f, n, parity, **kwargs)
-        rows_held.append(weakref.ref(out))
-        return out
+        return word(x, letters, f, n, parity, **kwargs)
 
     def sector(m, cutoff_sector, n):
         block = build(m, cutoff_sector, n)
@@ -156,8 +153,8 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         keys.append((n, parity))
         return block
 
-    def sector_events(n, parity, panels):
-        return [("word", n, parity)] * panels + [("factor", n, parity), ("solve", False)]
+    def sector_events(n, parity):
+        return [("word", n, parity), ("factor", n, parity), ("solve", False)]
 
     monkeypatch.setattr(experiments, "cutoff_sectors", sectors)
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
@@ -170,8 +167,8 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         ("dft", 256, 1, False), ("dft", 256, -1, False),
         ("dft", 512, 1, False), ("dft", 512, -1, False)]
     assert [e[:3] for e in events if e[0] != "dft"] == (
-        sector_events(256, 1, 1) + sector_events(256, -1, 1) + sector_events(512, 1, 2)
-        + sector_events(512, -1, 2))
+        sector_events(256, 1) + sector_events(256, -1) + sector_events(512, 1)
+        + sector_events(512, -1))
     assert all(e[3] for e in events if e[0] == "word")
     assert not any(e[3] or e[4] for e in events if e[0] == "factor")
 
@@ -190,8 +187,8 @@ def test_weyl_sweeps_build_no_dft_block(monkeypatch):
         modes = [complex(r.re, r.im) for r in trapped_sweep(ARNOLD, trapped, [64, 128], k_count=4)]
         return np.array(radii), np.array(modes)
 
-    def block_word(x, letters, f, n, parity, cols=slice(None)):
-        return word(x, letters, build_dft(n, parity) if f is None else f, n, parity, cols)
+    def block_word(x, letters, f, n, parity, cols=slice(None), out=None):
+        return word(x, letters, build_dft(n, parity) if f is None else f, n, parity, cols, out)
 
     def no_block(n, parity):
         raise AssertionError(f"DFT block built at N = {n}, parity {parity}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import opencat.experiments as experiments
+import opencat.metaplectic as metaplectic
 from opencat.catmap import ARNOLD, CatMap
 from opencat.errors import ConfigError, NumericError
 from opencat.hn import dft_sector, torus_rep_array
@@ -491,6 +492,45 @@ def test_apply_word_works_in_place(first):
                     apply_word(x, word + [("S",)], object(), n, parity, cols=cols)
 
 
+@pytest.mark.parametrize("word", [[], [("PAR",)], factor_sl2z(ARNOLD),
+                                  factor_sl2z(ARNOLD) + [("S_INV",), ("PAR",)],
+                                  shear_word([("L", -1)])])
+def test_apply_word_writes_its_product_over_its_rows(word, monkeypatch):
+    # out=x gives, bit for bit, the product of the word on a copy of x,
+    # with the DFT block and as full-space steps (f None), on rows that
+    # span several panels and blocks of full-space rows: each block of
+    # rows is read before it is written
+    monkeypatch.setattr(metaplectic, "_ROW_PANEL", 7)
+    monkeypatch.setattr(metaplectic, "_FULL_ROWS", 5)
+    n = 64
+    rng = np.random.default_rng(11)
+    for parity, size in ((1, n // 2 + 1), (-1, n // 2 - 1)):
+        for dft in (dft_sector(n, parity), None):
+            x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            want = apply_word(x.copy(), word, dft, n, parity)
+            assert apply_word(x, word, dft, n, parity, out=x) is x
+            assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("quant", ["left", "weyl"])
+def test_open_operator_lowers_the_word_once_per_sector(quant, monkeypatch):
+    # apply_word runs all of a sector's rows and lowers the word once per
+    # call: at N = 768 the Weyl sectors' 385 and 383 rows, seven and six
+    # 64-row panels, are lowered once each; the left route runs the block
+    # letters and lowers nothing
+    n = 768
+    lower, calls = metaplectic._lower, []
+
+    def counted(word, n, parity):
+        calls.append(parity)
+        return lower(word, n, parity)
+
+    monkeypatch.setattr(metaplectic, "_lower", counted)
+    for sector in cutoff_sectors(replace(NONTRAP_SPEC, quantization=quant), n)[1]:
+        experiments.build_open_operator(ARNOLD, sector, n)
+    assert calls == ([1, -1] if quant == "weyl" else [])
+
+
 def test_open_spectrum_holds_one_sector_and_one_buffer():
     # a cold build at N = 512, one sector at a time: its DFT block, the
     # live x live block and the panel of rows the word is on (two panels
@@ -514,13 +554,13 @@ def test_open_spectrum_holds_one_sector_and_one_buffer():
 
 
 def test_weyl_open_spectrum_holds_two_sector_blocks():
-    # on the Weyl route each panel's product goes back into the rows of
-    # the symbol's sector block it came from, and no DFT block is built:
-    # the word runs as full-space steps on one 16-row buffer N wide, and
-    # each 64-row panel's live columns are one new array.  At N = 512
+    # on the Weyl route the word writes its product in place over the
+    # symbol's sector block, and no DFT block is built: the word runs as
+    # full-space steps on one 16-row buffer N wide.  At N = 512
     # open_spectrum peaks under 1.25 x (one sector block, one panel of
-    # live columns and the buffer), 1.81 MB, at 1.60 MB measured here.
-    # The word letter by letter, two 64-row panels N wide per Fourier
+    # live columns and the buffer), 1.81 MB, at 1.53 MB measured here;
+    # with each 64-row panel's live columns a new array it peaked at 1.60
+    # MB.  The word letter by letter, two 64-row panels N wide per Fourier
     # letter, peaked at 2.37 MB, with the DFT block beside the symbol block
     # at 2.61 MB, and a word on its own copy of the symbol block, with the
     # block kept alive, at 3.67 MB
@@ -551,11 +591,12 @@ def test_open_operator_matches_dense_product(spec, quant, n, monkeypatch):
     for (live, block), oracle in zip(sectors, fold_matrix(dense)[:2]):
         assert np.abs(block - oracle[live, live]).max() <= 1e-12
         assert not np.delete(oracle, np.arange(len(oracle))[live], axis=0).any()
-    # the live rows fit in one 64-row panel here; split into several
-    # panels of at most 7 rows, every panel lands on its own rows
-    monkeypatch.setattr(experiments, "_ROW_PANEL", 7)
+    # split into panels of at most 7 rows, and on the Weyl route into
+    # blocks of 7 full-space rows, every panel lands on its own rows
+    monkeypatch.setattr(metaplectic, "_ROW_PANEL", 7)
+    monkeypatch.setattr(metaplectic, "_FULL_ROWS", 7)
     for (live, block), oracle in zip(open_sectors(ARNOLD, routed, n), fold_matrix(dense)[:2]):
-        assert len(experiments._panels(live.stop - live.start)) > 1
+        assert len(metaplectic._panels(live.stop - live.start)) > 1
         assert np.abs(block - oracle[live, live]).max() <= 1e-12
     if quant == "left":
         # row m carries the factor f(x_m) of the left symbol f(x) f(xi); the
