@@ -3,7 +3,7 @@
 A ConfigError means the input was wrong (a matrix, cutoff, dimension,
 count or argument); it is also a ValueError.  A NumericError means a
 computation on valid input failed (a degenerate phase, a non-finite matrix,
-coupled parity sectors, a solver or oracle that did not converge).  Each
+coupled parity sectors, an eigensolver that did not converge).  Each
 message names what was rejected or what failed.  The command line maps the
 first to exit 2 and every other OpenCatError to exit 3.
 """

@@ -9,12 +9,14 @@ and with either quantization of an even cutoff, so every factor is built
 in the two parity sectors of hn, and the operator is built, diagonalized
 and freed sector by sector, on the block of rows and columns where the
 cutoff is nonzero.  cutoff_sectors prepares the cutoff at one N, by its
-route, as its parity defect and per sector (parity, live, rows, factor);
-build_open_operator runs the map's word once on all of the sector's rows
-and forms the factor after the word.  On the left route it builds the
-sector's DFT block once for the rows, the word and the factor; the Weyl
-route reads no block, and its word runs as full-space steps (row FFTs and
-chirps) in place in the symbol's sector block.
+route, as its parity defect and per sector the data (parity, live,
+cutoff): the folded profile on the left route, the symbol on the Weyl
+route.  build_open_operator switches on that cutoff once and runs the
+map's word once on all of the sector's live rows.  On the left route it
+builds the sector's DFT block once for the rows, the word and the
+factor, which it forms after the word; the Weyl route reads no block,
+and its word runs as full-space steps (row FFTs and chirps) in place in
+the symbol's sector block.
 The map commutes with parity exactly, in the integers of its phases, so
 only the cutoff, which comes from the spec, is checked.
 """
@@ -30,8 +32,8 @@ from .eigensolver import eigenvalues, match_distance, sort_by_modulus
 from .errors import ConfigError, NumericError
 from .hn import dft_sector, live_run, planck, sector_basis
 from .metaplectic import apply_word, factor_sl2z, phase_factor
-from .quantizer import (BumpSpec, cutoff_profile, cutoff_symbol, op_left_separable,
-                        op_weyl_sector, profile_sectors)
+from .quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
+                        op_left_separable, op_weyl_sector, profile_sectors)
 
 log = logging.getLogger(__name__)
 
@@ -87,61 +89,49 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     """The cutoff of spec at N, by its route, spec.quantization, as (defect, sectors).
 
     defect is how far the cutoff breaks parity.  sectors holds the even
-    and the odd sector as (parity, live, rows, factor): the sector's rows
-    outside the slice live are zero, and with f its DFT block (dft_sector)
-    the live rows are factor(f) @ rows(f), or rows(f) when factor is None;
-    then rows does not read f, and build_open_operator passes None.
-    The left route samples and folds the profile once (profile_sectors):
-    the defect is the fold's, a sector is live on the run where its folded
-    profile is nonzero (live_run), its rows are a read-only view of f's
-    live rows, and op_left_separable builds its factor.  The Weyl route
-    builds the symbol once (cutoff_symbol): the defect is max|T -
-    T[::-1, ::-1]| / max|T| on its table T, for every N, since P
-    op_weyl(T) P = op_weyl(T[::-1, ::-1]); every row is live, a sector's
-    rows are its block of the symbol's band (op_weyl_sector), a fresh
-    buffer for build_open_operator to overwrite, and there is no factor
-    and no DFT block.
+    and the odd sector as plain data (parity, live, cutoff): the sector's
+    rows outside the slice live are zero, and cutoff is what
+    build_open_operator quantizes on the live rows.  The left route
+    samples and folds the profile once (profile_sectors): the defect is
+    the fold's, cutoff is the sector's folded profile and a sector is live
+    on the run where it is nonzero (live_run).  The Weyl route builds the
+    symbol once (cutoff_symbol): cutoff is the TorusSymbol in both
+    sectors, every row is live, and the defect is max|T - T[::-1, ::-1]| /
+    max|T| on its table T, for every N, since P op_weyl(T) P =
+    op_weyl(T[::-1, ::-1]).
     """
     if spec.quantization == "weyl":
         sym = cutoff_symbol(spec)
         scale = np.abs(sym.table).max()
         defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
-        return defect, tuple((parity, slice(0, len(sector_basis(n, parity)[0])),
-                              lambda f, parity=parity: op_weyl_sector(sym, n, parity), None)
+        return defect, tuple((parity, slice(0, len(sector_basis(n, parity)[0])), sym)
                              for parity in (1, -1))
     even, odd, defect = profile_sectors(cutoff_profile(spec), n)
-
-    def left(parity, d):
-        live = live_run(d)
-        return parity, live, lambda f: f[live], lambda f: op_left_separable(d, f)
-
-    return defect, (left(1, even), left(-1, odd))
+    return defect, ((1, live_run(even), even), (-1, live_run(odd), odd))
 
 
 def build_open_operator(m: CatMap, sector, n: int) -> np.ndarray:
     """(quantized cutoff) @ (quantized map) in one parity sector, unnormalized phase.
 
     Returns the product's live x live block for a sector (parity, live,
-    rows, factor) of cutoff_sectors: the only part the spectrum reads.
-    With a factor (the left route) the sector's DFT block f is built here,
-    passed to the cutoff's rows, the map's word and the factor, and freed
-    before the block is solved.  Without one (the Weyl route) no block is
-    built: the word gets f = None and runs as full-space steps, row FFTs
-    and chirps (metaplectic.apply_word).  The word runs once on all the
-    rows and forms only the live columns: into a new live x live block,
-    or, without a factor, into the rows themselves.  The rows are gone
-    before the factor is formed, and f before the factor multiplies the
-    block.
+    cutoff) of cutoff_sectors: the only part the spectrum reads.  The
+    cutoff's type picks the route.  A TorusSymbol (Weyl) is quantized into
+    its sector block (op_weyl_sector), and the map's word runs on all of
+    its rows as full-space steps, row FFTs and chirps, in place
+    (metaplectic.apply_word); no DFT block is built.  A folded profile
+    (left) is quantized as op_left_separable's factor times the sector's
+    DFT block f: the word runs once on f's live rows into a new live x
+    live block, the factor is formed after the word, and f is freed
+    before the factor multiplies the block.
     """
-    parity, live, rows, factor = sector
-    f = None if factor is None else dft_sector(n, parity)
-    x = rows(f)
+    parity, live, cutoff = sector
     word = factor_sl2z(m)
-    if factor is None:
-        return apply_word(x, word, None, n, parity, cols=live, out=x)
-    block = apply_word(x, word, f, n, parity, cols=live)
-    del x
-    lead = factor(f)
+    if isinstance(cutoff, TorusSymbol):
+        x = op_weyl_sector(cutoff, n, parity)
+        return apply_word(x, word, None, n, parity, out=x)
+    f = dft_sector(n, parity)
+    block = apply_word(f[live], word, f, n, parity, cols=live)
+    lead = op_left_separable(cutoff, f)
     del f
     return lead @ block
 
@@ -151,11 +141,12 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
 
     A cutoff whose parity defect exceeds PARITY_TOL raises NumericError
     before any product is formed, rather than lose the coupling.  Then
-    each parity sector is built, diagonalized and freed in turn, so one
-    sector's live block, and on the left route its DFT block, are held at
-    a time, with the word's working rows, a left factor is formed only
-    after the word, and the DFT block is freed before the live block is
-    solved (build_open_operator).  With its dead rows permuted last a
+    each parity sector (parity, live, cutoff) is built, diagonalized and
+    freed in turn, so one sector's live block, and on the left route its
+    DFT block, are held at a time, with the word's working rows; the
+    cutoff's type picks the route, a left factor is formed only after the
+    word, and the DFT block is freed before the live block is solved
+    (build_open_operator).  With its dead rows permuted last a
     sector is block upper triangular, [[B_LL, B_LD], [0, 0]], so its
     spectrum is that of the live block B_LL, which is all that
     build_open_operator forms, plus one exact zero per dead row.  A NaN
@@ -223,7 +214,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
     if k_count is not None and not 1 <= k_count <= MAX_MODES:
         raise ConfigError(f"k_count must be in 1..{MAX_MODES} at desk scale, got {k_count}")
     cutoffs = [cutoff_sectors(spec, n) for n in n_list]
-    live = [sum(run.stop - run.start for _, run, _, _ in sectors) for _, sectors in cutoffs]
+    live = [sum(run.stop - run.start for _, run, _ in sectors) for _, sectors in cutoffs]
     if k_count is None:
         k_count = max(1, min([4] + live))
     for n, count in zip(n_list, live):

@@ -11,8 +11,9 @@ place, so chi Mhat is formed from chi's nonzero rows without building
 Mhat, and only in the run of columns asked for: with the DFT's sector
 block that its caller passes, letter by letter on panels of rows;
 without one, as the word lowered once to full-space steps (F, F^dag,
-U's chirps, one scalar), each adjacent F^dag F cancelled, run as row
-FFTs on blocks of rows unfolded to N columns once and folded back once.
+U's chirps, one scalar), any two adjacent transforms collapsed, run as
+row FFTs on blocks of rows unfolded to N columns once and folded back
+once.
 quantize_word builds each sector's block, runs the word on the sector's
 identity and unfolds the two sector unitaries into the N x N matrix: the
 dense reference for both ways of running the word.
@@ -127,10 +128,12 @@ def _lower(word, n: int, parity: int):
 
     S_INV is conj(omega) F and U(b) is F chirp F^dag, acting on rows from
     the right; PAR is the sector's sign.  The steps are "F", "F^dag" and
-    U's chirps (_chirp) in the order they act, with each adjacent F^dag F
-    or F F^dag pair dropped as it forms; the scalar is the product of the
-    conj(omega) and parity factors.  A chirp is never dropped, nor a pair
-    across one.
+    U's chirps (_chirp) in the order they act, with any two adjacent
+    transforms collapsed as they form: F^dag F and F F^dag are 1, and F F
+    and F^dag F^dag are the parity P (F^2 = P), the sector's sign.  The
+    scalar is the product of the conj(omega) and parity factors.  A chirp
+    is never dropped, nor a pair across one, so no two transforms stay
+    adjacent.
     """
     steps, scalar = [], 1.0
     for letter in word:
@@ -143,9 +146,9 @@ def _lower(word, n: int, parity: int):
             new = []
             scalar *= parity
         for step in new:
-            # two different transforms in a row are F^dag F or F F^dag
-            if isinstance(step, str) and steps and isinstance(steps[-1], str) and steps[-1] != step:
-                steps.pop()
+            if isinstance(step, str) and steps and isinstance(steps[-1], str):
+                if steps.pop() == step:
+                    scalar *= parity
             else:
                 steps.append(step)
     return steps, scalar
@@ -214,10 +217,10 @@ def apply_word(x: np.ndarray, word, f, n: int, parity: int,
     with F_s is a quarter of the full-space one, U's chirp is folded into
     the sector, x F^dag is conj(conj(x) F) as F is symmetric, and the
     last Fourier letter forms only the columns cols.  Without f the word is
-    lowered once to full-space steps, each adjacent F^dag F cancelled
-    (_lower), and run as row FFTs and chirps on _FULL_ROWS rows at a time
-    unfolded to N columns (_run_steps): a word [U(b), S_INV, PAR, U(b')]
-    runs three FFTs per row, not five.
+    lowered once to full-space steps, each two adjacent transforms
+    collapsed (_lower), and run as row FFTs and chirps on _FULL_ROWS rows
+    at a time unfolded to N columns (_run_steps): a word [U(b), S_INV,
+    PAR, U(b')] runs three FFTs per row, not five.
 
     out is a new complex array when None, and may be x itself when cols
     spans all of x's columns: each block of rows is read before it is

@@ -12,7 +12,7 @@ from opencat.errors import NumericError
 from opencat.hn import dft_sector, live_run, torus_rep_array, unfold_parity
 from opencat.metaplectic import factor_sl2z
 from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
-                               op_left_separable, profile_sectors)
+                               op_left_separable, op_weyl_sector, profile_sectors)
 
 # The cutoffs of the README's example config and of the benchmark workloads.
 TRAPPED_SPEC = BumpSpec("product_bump", 0.10, 0.20)
@@ -196,29 +196,33 @@ def both_sectors(build, *args):
     return build(*args, 1), build(*args, -1)
 
 
-def left_sectors(profile, n):
-    """The left cutoff's (live, factor, rows) for the even and the odd sector of a profile folded at N.
-
-    live is the folded profile's run, factor is op_left_separable's and
-    rows is the DFT block's live rows: the live rows are factor @ rows.
-    """
-    even, odd, _ = profile_sectors(profile, n)
-    return tuple((live_run(d), op_left_separable(d, f), f[live_run(d)])
-                 for d, f in ((even, dft_sector(n, 1)), (odd, dft_sector(n, -1))))
-
-
 def built(cutoff, n):
-    """The two sectors of a cutoff from cutoff_sectors at N, each built on its DFT block, as (live, factor, rows)."""
+    """The two sectors of a cutoff from cutoff_sectors at N, each built, as (live, factor, rows).
+
+    A sector's live rows are factor @ rows, or rows when factor is None.
+    On the left route factor is op_left_separable's on the sector's DFT
+    block and rows are the block's live rows; on the Weyl route there is
+    no factor and rows are the symbol's sector block (op_weyl_sector).
+    """
     out = []
-    for parity, live, rows, factor in cutoff[1]:
-        f = dft_sector(n, parity)
-        out.append((live, None if factor is None else factor(f), rows(f)))
+    for parity, live, part in cutoff[1]:
+        if isinstance(part, TorusSymbol):
+            out.append((live, None, op_weyl_sector(part, n, parity)))
+        else:
+            f = dft_sector(n, parity)
+            out.append((live, op_left_separable(part, f), f[live]))
     return out
+
+
+def left_sectors(profile, n):
+    """built for the left cutoff of a profile folded at N (profile_sectors), whatever its parity defect."""
+    even, odd, defect = profile_sectors(profile, n)
+    return built((defect, ((1, live_run(even), even), (-1, live_run(odd), odd))), n)
 
 
 def live_rows(cutoff):
     """The live rows of both sectors of a cutoff from cutoff_sectors."""
-    return sum(live.stop - live.start for _, live, _, _ in cutoff[1])
+    return sum(live.stop - live.start for _, live, _ in cutoff[1])
 
 
 def open_sectors(m, spec, n):
@@ -291,25 +295,21 @@ def odd_term_symbol(spec):
 def nan_in_dead_column(monkeypatch):
     """Make the left cutoff carry a NaN in its live even rows, at a dead column.
 
-    The even sector's rows, a read-only view of the DFT block's live rows,
-    are copied and the copy gets a NaN at row 0 and column N/2: the bump's
-    even run starts at index 0 and ends before N/2, so row 0 is live and
-    column N/2 dead.  The factor and the word's DFT block stay finite, and
-    every live row the factor mixes row 0 into has the NaN.
+    The word's rows on the even sector, a read-only view of the DFT block's
+    live rows, are copied and the copy gets a NaN at row 0 and column N/2:
+    the bump's even run starts at index 0 and ends before N/2, so row 0 is
+    live and column N/2 dead.  The factor and the word's DFT block stay
+    finite, and every live row the factor mixes row 0 into has the NaN.
     """
-    prepare = experiments.cutoff_sectors
+    word = experiments.apply_word
 
-    def poisoned(spec, n):
-        defect, ((parity, live, rows, factor), odd) = prepare(spec, n)
-
-        def nan_rows(f):
-            x = rows(f).copy()
+    def poisoned(x, letters, f, n, parity, **kwargs):
+        if f is not None and parity == 1:
+            x = x.copy()
             x[0, n // 2] = np.nan
-            return x
+        return word(x, letters, f, n, parity, **kwargs)
 
-        return defect, ((parity, live, nan_rows, factor), odd)
-
-    monkeypatch.setattr(experiments, "cutoff_sectors", poisoned)
+    monkeypatch.setattr(experiments, "apply_word", poisoned)
 
 
 def _unit_roots(period):

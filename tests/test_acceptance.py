@@ -47,7 +47,7 @@ def test_phase_coherence_vacuous_and_synthetic(monkeypatch):
                         operator_sectors(np.diag([0.6, 0.2, 0.1, 0.2])))
     # every row of the stand-in operator is live
     monkeypatch.setattr(experiments, "cutoff_sectors", lambda spec, n: (
-        0.0, ((1, slice(0, n // 2 + 1), None, None), (-1, slice(0, n // 2 - 1), None, None))))
+        0.0, ((1, slice(0, n // 2 + 1), None), (-1, slice(0, n // 2 - 1), None))))
     rows = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=1)
     assert phase_coherence_check(rows, 4) == 0.0
     rows4 = trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)

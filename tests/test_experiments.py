@@ -15,9 +15,10 @@ from opencat.errors import ConfigError, NumericError
 from opencat.experiments import (PARITY_TOL, cutoff_sectors, nontrapping_rows,
                                  nontrapping_sweep, SYMMETRY_TOL_N64, spectrum_gap,
                                  theorem_targets, trapped_sweep)
-from opencat.hn import torus_rep_array
+from opencat.hn import live_run, torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor
-from opencat.quantizer import BumpSpec, cutoff_profile, cutoff_symbol, op_weyl
+from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
+                               op_weyl, profile_sectors)
 
 from helpers import (GUARD_ADVISORY, NONTRAP_SPEC, TRAPPED_SPEC, built, dense_operator,
                      dft_matrix, fold_matrix, guard_warnings, left_sectors, live_operator,
@@ -97,15 +98,15 @@ def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch
 
 
 def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
-    # the word runs once per sector, on all of its live rows and on that
-    # sector's DFT block; a sector's factor is formed only after the word,
-    # once the row view of the DFT block is gone, and after the sector
-    # before it is solved and its factor and block are gone; each (N,
-    # parity) DFT block is built once, only after the block before it is
-    # gone, and it is gone before the sector is solved
+    # the word runs once per sector, on all of its live rows, a view of
+    # that sector's DFT block; a sector's factor is formed only after the
+    # word, once that row view is gone, and after the sector before it is
+    # solved and its factor and block are gone; each (N, parity) DFT block
+    # is built once, only after the block before it is gone, and it is
+    # gone before the sector is solved
     events, held, rows_held, dfts, keys = [], [], [], [], []
-    prepare, quantize, word, build, solve, build_dft = (
-        experiments.cutoff_sectors, experiments.op_left_separable, experiments.apply_word,
+    quantize, word, build, solve, build_dft = (
+        experiments.op_left_separable, experiments.apply_word,
         experiments.build_open_operator, experiments.eigenvalues, experiments.dft_sector)
 
     def alive(refs):
@@ -113,18 +114,6 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
 
     def owner(a):
         return weakref.ref(a if a.base is None else a.base)
-
-    def tracked(rows):
-        def view(f):
-            x = rows(f)
-            rows_held.append(weakref.ref(x))
-            return x
-        return view
-
-    def sectors(spec, n):
-        defect, parts = prepare(spec, n)
-        return defect, tuple((parity, live, tracked(rows), factor)
-                             for parity, live, rows, factor in parts)
 
     def cutoff(d, f):
         n, parity = next(key for key, ref in zip(keys, dfts) if ref() is f)
@@ -134,7 +123,8 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         return factor
 
     def apply(x, letters, f, n, parity, **kwargs):
-        events.append(("word", n, parity, f is dfts[-1]()))
+        events.append(("word", n, parity, f is dfts[-1]() and x.base is f))
+        rows_held.append(weakref.ref(x))
         return word(x, letters, f, n, parity, **kwargs)
 
     def sector(m, cutoff_sector, n):
@@ -156,7 +146,6 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     def sector_events(n, parity):
         return [("word", n, parity), ("factor", n, parity), ("solve", False)]
 
-    monkeypatch.setattr(experiments, "cutoff_sectors", sectors)
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
     monkeypatch.setattr(experiments, "apply_word", apply)
     monkeypatch.setattr(experiments, "build_open_operator", sector)
@@ -454,6 +443,28 @@ def test_live_rows_count_the_cutoff_sectors(n):
         np.abs(torus_rep_array(np.arange(n) / n)) < 0.2)
     weyl = cutoff_sectors(replace(TRAPPED_SPEC, quantization="weyl", k_max=1, grid=4), n)
     assert live_rows(weyl) == n
+
+
+@pytest.mark.parametrize("quantization", ["left", "weyl"])
+def test_prepared_cutoff_is_data(quantization):
+    # a prepared sector is (parity, live, cutoff) and holds no callable: the
+    # left route's cutoff is the sector's folded profile, the Weyl route's
+    # the symbol, the same in both sectors
+    n = 64
+    spec = replace(TRAPPED_SPEC, quantization=quantization, k_max=16, grid=64)
+    defect, sectors = cutoff_sectors(spec, n)
+    assert [sector[0] for sector in sectors] == [1, -1]
+    assert all(len(sector) == 3 and not any(map(callable, sector)) for sector in sectors)
+    if quantization == "weyl":
+        assert isinstance(sectors[0][2], TorusSymbol) and sectors[0][2] is sectors[1][2]
+        assert np.array_equal(sectors[0][2].table, cutoff_symbol(spec).table)
+        assert [live for _, live, _ in sectors] == [slice(0, n // 2 + 1), slice(0, n // 2 - 1)]
+    else:
+        even, odd, fold_defect = profile_sectors(cutoff_profile(spec), n)
+        assert defect == fold_defect
+        for (_, live, cutoff), d in zip(sectors, (even, odd)):
+            assert isinstance(cutoff, np.ndarray) and np.array_equal(cutoff, d)
+            assert live == live_run(d)
 
 
 def test_live_set_closed_under_parity(monkeypatch):

@@ -401,13 +401,17 @@ def assert_steps_match_letters(word, n, parity, cols, rng):
 @example(word=[("U", 2), ("S_INV",), ("PAR",), ("U", -1)], h=6, seed=4)
 @example(word=[("U", 1), ("U", -3), ("S_INV",), ("S_INV",)], h=7, seed=5)
 @example(word=[("U", 0), ("PAR",), ("U", 3), ("S_INV",)], h=8, seed=6)
+@example(word=[("S_INV",), ("S_INV",), ("PAR",), ("S_INV",), ("S_INV",)], h=5, seed=7)
+@example(word=factor_sl2z(CatMap(3, 2, 4, 3)), h=32, seed=8)
 def test_full_space_steps_match_block_letters_on_any_word(word, h, seed):
     # any string of letters, not only a hyperbolic map's factor word: the
-    # lowering cancels each adjacent F^dag F pair (U then S_INV or U) and
-    # folds the PAR signs and conj(omega) into one scalar, and the steps
-    # give the block letters' product within 1e-12 on both sectors and a
-    # random run of columns, at N = 2, 4 and 6 and at the drawn N.  The
-    # empty word and PAR-only words have no transform to run
+    # lowering collapses any two adjacent transforms, F^dag F (U then
+    # S_INV or U) to 1 and F F (S_INV then S_INV or U) to the sector's
+    # sign, and folds those signs, the PAR signs and conj(omega) into one
+    # scalar, and the steps give the block letters' product within 1e-12
+    # on both sectors and a random run of columns, at N = 2, 4 and 6 and
+    # at the drawn N.  No two transforms stay adjacent, so a word without
+    # U runs one transform or none
     rng = np.random.default_rng(seed)
     for n in (2, 4, 6, 2 * h):
         for parity in (1, -1):
@@ -417,8 +421,8 @@ def test_full_space_steps_match_block_letters_on_any_word(word, h, seed):
             assert_steps_match_letters(word, n, parity, cols, rng)
             names = step_names(_lower(word, n, parity)[0])
             assert names.count("chirp") == sum(letter[0] == "U" for letter in word)
-            assert not {("F^dag", "F"), ("F", "F^dag")} & set(zip(names, names[1:]))
-            assert (names == []) == all(letter == ("PAR",) for letter in word)
+            assert all("chirp" in pair for pair in zip(names, names[1:]))
+            assert (names == []) == ("chirp" not in names and word.count(("S_INV",)) % 2 == 0)
 
 
 @pytest.mark.parametrize("m", BENCHMARK_MAPS)
@@ -433,6 +437,21 @@ def test_benchmark_words_lower_to_three_transforms(m):
             steps, scalar = _lower(word, n, parity)
             assert step_names(steps) == ["F", "chirp", "F", "chirp", "F^dag"]
             assert scalar == np.conj(OMEGA_S) * parity ** word.count(("PAR",))
+
+
+def test_witness_word_lowers_to_two_transforms():
+    # verify's time-reversal witness [3, 2, 4, 3] is S_INV, U(-2) three
+    # times, S_INV and PAR: its letters run ten transforms.  The first two
+    # are F F, the sector's sign (F^2 = P), and each later F^dag F
+    # cancels, so it runs two.  The signs of that F F and of PAR cancel,
+    # leaving conj(omega)^4 = -1 in both sectors
+    word = factor_sl2z(CatMap(3, 2, 4, 3))
+    assert [letter[0] for letter in word] == ["S_INV", "U"] * 3 + ["S_INV", "PAR"]
+    for n in (64, 768):
+        for parity in (1, -1):
+            steps, scalar = _lower(word, n, parity)
+            assert step_names(steps) == ["chirp", "F", "chirp", "F", "chirp"]
+            assert abs(scalar + 1) < 1e-15
 
 
 def test_apply_word_allocates_no_dft_sized_array():

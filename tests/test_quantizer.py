@@ -315,9 +315,8 @@ def test_weyl_cutoff_peaks_at_its_blocks():
     spec = replace(NONTRAP_SPEC, quantization="weyl")
     tracemalloc.start()
     try:
-        # the Weyl rows do not read the DFT block
-        for _, _, rows, _ in cutoff_sectors(spec, n)[1]:
-            rows(None)
+        for parity, _, sym in cutoff_sectors(spec, n)[1]:
+            op_weyl_sector(sym, n, parity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
