@@ -2,11 +2,12 @@
 
 Smooth symbols are carried as truncated Fourier coefficient tables.  Two
 quantizations are provided.  The general Weyl quantization is cyclically
-banded: weyl_band gives its 2 k_max + 1 diagonals from the explicit
-matrix-entry formula, op_weyl places them in a dense N x N matrix, and
-op_weyl_sector adds them straight into one parity sector of hn without
-forming it; the sectors couple only through the table's part that is odd
-under T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
+banded: weyl_band gives its 2 k_max + 1 diagonals by the midpoint rule,
+entry (m, m + t) being column t of the table synthesized at (2m + t)/2N,
+and one scatter adds them into a block: op_weyl places them in a dense
+N x N matrix, op_weyl_sector in one parity sector of hn without forming
+it; the sectors couple only through the table's part that is odd under
+T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
 The left (standard) quantization of the cutoff rho(x)rho(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
 form: a square factor from the folded profile and the DFT's sector block,
@@ -17,7 +18,6 @@ caller need hold only one.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -27,11 +27,12 @@ from .hn import MAX_N, fold_parity, live_run, parity_defect, sector_basis, torus
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
 
-# Cyclic diagonals of a Weyl quantization computed per pass: 0.1 MB at N = 768.
+# Cyclic diagonals of a Weyl quantization computed per pass: the 2N x 8
+# spectra, transformed in place, is 0.2 MB at N = 768.
 _BAND_CHUNK = 8
 
-# At k_max = 4096 the symbol's table and weyl_band's weighted table are
-# 1.07 GB apiece; grid has the cap on N, hn.MAX_N.
+# At k_max = 4096 the symbol's table is 1.07 GB; grid has the cap on N,
+# hn.MAX_N.
 MAX_K_MAX = 4096
 
 
@@ -132,45 +133,58 @@ def weyl_band(sym: TorusSymbol, n: int):
 
     Entry (m, j) of the N x N matrix is the lattice sum of coeff(k, j - m - l N)
     times the parity sign (-1)^{k l} and the half-integer phase
-    e^{i pi (j+m) k / N}.  With t = j - m - l N the parity sign cancels the
-    e^{i pi l k} of the wrapped phase, so every |t| <= k_max contributes
+    e^{i pi (j+m) k / N}.  With t = j - m - l N, j + m = 2m + t + l N and the
+    parity sign cancels the e^{i pi l k} of the wrapped phase, so every
+    |t| <= k_max contributes
 
-        A[m, (m + t) mod N] += sum_k coeff(k, t) e^{i pi t k / N} e^{2 pi i m k / N},
+        A[m, (m + t) mod N] += sum_k coeff(k, t) e^{2 pi i k (2m + t) / 2N},
 
-    one length-N inverse DFT over k per offset t: O(k_max N log N) work for
-    the 2 k_max + 1 cyclic diagonals.  They are yielded _BAND_CHUNK at a
-    time, column i of diagonals holding A[m, (m + offsets[i]) mod N], so
-    the N x (2 k_max + 1) band is never held whole.  The frequencies k are
-    folded mod N before the transform, and when N < 2 k_max + 1 the
-    offsets that are equal mod N are summed into one diagonal, so the
-    offsets are distinct mod N and every N >= 1 is exact.
+    column t of the table synthesized at the midpoint (2m + t) / 2N: one
+    length-2N inverse DFT over k (frequencies folded mod 2N) per offset,
+    read at row (2m + t) mod 2N.  The 2 k_max + 1 offsets are yielded
+    _BAND_CHUNK at a time, column i of diagonals holding the term of
+    offsets[i] at A[m, (m + offsets[i]) mod N], so the N x (2 k_max + 1)
+    band is never held whole.  When N < 2 k_max + 1 several offsets land on
+    one diagonal; their terms add, so every N >= 1 is exact.
     """
     kmax = sym.k_max
     k = np.arange(-kmax, kmax + 1)   # table rows: frequencies in x; columns: offsets
-    weighted = sym.table * np.exp(1j * math.pi * np.outer(k, k) / n)
-    offsets = k
-    if k.size > n:
-        offsets = np.arange(n)
-        aliased = np.zeros((k.size, n), dtype=complex)
-        np.add.at(aliased, (slice(None), k % n), weighted)
-        weighted = aliased
-    for start in range(0, offsets.size, _BAND_CHUNK):
+    m = np.arange(n)[:, None]
+    for start in range(0, k.size, _BAND_CHUNK):
         part = slice(start, start + _BAND_CHUNK)
-        spectra = np.zeros((n, len(offsets[part])), dtype=complex)
-        np.add.at(spectra, k % n, weighted[:, part])
-        diagonals = np.fft.ifft(spectra, axis=0)
-        del spectra
-        diagonals *= n
-        yield offsets[part], diagonals
+        offsets = k[part]
+        spectra = np.zeros((2 * n, offsets.size), dtype=complex)
+        np.add.at(spectra, k % (2 * n), sym.table[:, part])
+        np.fft.ifft(spectra, axis=0, norm="forward", out=spectra)   # unscaled, in place
+        diagonals = spectra[(2 * m + offsets) % (2 * n), np.arange(offsets.size)]
+        del spectra   # the 2N-row array does not outlive the chunk's read
+        yield offsets, diagonals
+
+
+def _scatter_band(sym: TorusSymbol, n: int, place, weight, size: int) -> np.ndarray:
+    """weyl_band added into a size x size block through per-index places and weights.
+
+    Entry A[m, c] adds into (place[m], place[c]) times weight[m] weight[c].
+    Entries that land on one cell, from offsets equal mod N or from the two
+    basis vectors of one sector pair, add.  O(k_max N) work beside the
+    transforms; only one chunk of the band is held at a time.
+    """
+    m = np.arange(n)[:, None]
+    block = np.zeros((size, size), dtype=complex)
+    for offsets, diagonals in weyl_band(sym, n):
+        c = (m + offsets) % n
+        # a zero weight has no place: the odd sector's fixed points, and every
+        # e_m at N = 2, whose odd sector is empty
+        keep = (weight[:, None] != 0) & (weight[c] != 0)
+        # repeated cells add: np.add.at on the flat view
+        np.add.at(block.reshape(-1), (place[:, None] * size + place[c])[keep],
+                  (weight[:, None] * weight[c] * diagonals)[keep])
+    return block
 
 
 def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
-    """Weyl quantization as a dense N x N matrix: the diagonals of weyl_band in place."""
-    m = np.arange(n)[:, None]
-    a = np.zeros((n, n), dtype=complex)
-    for offsets, diagonals in weyl_band(sym, n):
-        a[m, (m + offsets) % n] = diagonals
-    return a
+    """Weyl quantization as a dense N x N matrix: weyl_band scattered with e_m at place m, weight 1."""
+    return _scatter_band(sym, n, np.arange(n), np.ones(n), n)
 
 
 def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
@@ -178,25 +192,15 @@ def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
 
     Each e_m lies in the sector at one place with one signed weight, from
     sector_basis: 0 for a fixed point in the odd sector, which has no place
-    for it.  Each entry A[m, c] of weyl_band's diagonals adds into the block
-    at the places of m and c, times their weights; the part that couples
-    the sectors is dropped.  O(k_max N) work beside the transforms; no
-    N x N array is formed.
+    for it.  weyl_band is scattered with those places and weights, so the
+    part that couples the sectors is dropped and no N x N array is formed.
     """
     index, partner, basis_weight = sector_basis(n, parity)
     size = len(index)
     place, weight = np.zeros(n, dtype=int), np.zeros(n)
     place[partner], weight[partner] = np.arange(size), parity * basis_weight
     place[index], weight[index] = np.arange(size), basis_weight
-    m = np.arange(n)[:, None]
-    block = np.zeros((size, size), dtype=complex)
-    for offsets, diagonals in weyl_band(sym, n):
-        c = (m + offsets) % n
-        keep = (weight[:, None] != 0) & (weight[c] != 0)
-        # repeated cells add: np.add.at on the flat view
-        np.add.at(block.reshape(-1), (place[:, None] * size + place[c])[keep],
-                  (weight[:, None] * weight[c] * diagonals)[keep])
-    return block
+    return _scatter_band(sym, n, place, weight, size)
 
 
 def profile_sectors(profile, n: int):

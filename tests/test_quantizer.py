@@ -247,9 +247,14 @@ def test_op_weyl_hermitian_for_real_bump():
 
 @settings(max_examples=150, deadline=None)
 @given(kmax=st.integers(1, 7), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+@example(kmax=7, n=10, seed=0)
+@example(kmax=7, n=4, seed=0)
+@example(kmax=7, n=2, seed=0)
 def test_op_weyl_band_matches_dense(kmax, n, seed):
     # n runs over even and odd dimensions, and below 2 kmax + 1 the cyclic
-    # diagonals of different offsets coincide
+    # diagonals of different offsets coincide; the examples pin N < 2 kmax + 1
+    # <= 2N (only offsets alias), 2 kmax + 1 > 2N (the frequencies also fold
+    # mod 2N in the midpoint synthesis) and N = 2
     rng = np.random.default_rng(seed)
     shape = (2 * kmax + 1, 2 * kmax + 1)
     table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -268,8 +273,13 @@ def test_op_weyl_band_matches_dense_annulus(n):
 
 @settings(max_examples=100, deadline=None)
 @given(kmax=st.integers(1, 8), h=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(kmax=7, h=5, seed=0)
+@example(kmax=7, h=2, seed=0)
+@example(kmax=7, h=1, seed=0)
 def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
-    # even N from 2 to 40: below 2 kmax + 1 offsets alias onto one diagonal
+    # even N from 2 to 40: below 2 kmax + 1 offsets alias onto one diagonal;
+    # the examples pin N = 10 (only offsets alias), N = 4 (frequencies fold
+    # mod 2N too) and N = 2, whose odd sector is empty
     n = 2 * h
     rng = np.random.default_rng(seed)
     shape = (2 * kmax + 1, 2 * kmax + 1)
@@ -321,6 +331,23 @@ def test_weyl_cutoff_peaks_at_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * block
+
+
+def test_op_weyl_sector_peak_is_independent_of_the_table():
+    # k_max = 1024: the symbol's table (67 MB) is built before tracing; a
+    # (2 k_max + 1)^2 work array would be another 67 MB and the whole band at
+    # N = 512 (N x (2 k_max + 1)) 16.8 MB, while one sector's block is 1.1 MB
+    # and the chunked band adds about 0.4 MB to it
+    sym = cutoff_symbol(BumpSpec("annulus_product", 0.15, 0.24, quantization="weyl",
+                                 k_max=1024, grid=4096))
+    for parity in (1, -1):
+        tracemalloc.start()
+        try:
+            op_weyl_sector(sym, 512, parity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def test_op_weyl_sectors_reject_odd_n():
