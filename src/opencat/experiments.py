@@ -16,7 +16,10 @@ map's word once on all of the sector's live rows.  On the left route it
 builds the sector's DFT block once for the rows, the word and the
 factor, which it forms after the word; the Weyl route reads no block,
 and its word runs as full-space steps (row FFTs and chirps) in place in
-the symbol's sector block.
+the symbol's sector block.  The sweeps read only the top modes:
+open_top solves each live block for its k eigenvalues of largest modulus
+by Arnoldi from two start vectors, and falls back to the full spectrum,
+open_spectrum, which verify and the tests read, when the runs disagree.
 The map commutes with parity exactly, in the integers of its phases, so
 only the cutoff, which comes from the spec, is checked.
 """
@@ -28,7 +31,7 @@ import math
 import numpy as np
 
 from .catmap import CatMap, analyze, guard_radius
-from .eigensolver import eigenvalues, match_distance, sort_by_modulus
+from .eigensolver import KRYLOV_DIM, arnoldi, eigenvalues, match_distance, sort_by_modulus
 from .errors import ConfigError, NumericError
 from .hn import dft_sector, live_run, planck, sector_basis
 from .metaplectic import apply_word, factor_sl2z, phase_factor
@@ -45,6 +48,19 @@ log = logging.getLogger(__name__)
 # symbols with the tests' odd term added.  The map's factors are not
 # checked: their roundoff coupling is about 5.4e-16 N, 1.1e-12 at N = 2048.
 PARITY_TOL = 1e-9
+
+# open_top accepts its two Arnoldi runs when every reported value agrees
+# between them to TOP_RTOL, relative to the smallest reported modulus, and
+# each run's worst residual is below TOP_RESIDUAL.  Measured on the
+# benchmark's four maps, the runs agreed to 7.0e-8 (trapped, left route,
+# N = 512 to 2048, k = 4), 9.6e-8 (the same on the Weyl route) and 2.1e-11
+# (nontrapping radius, Weyl route, N = 256 to 768), with residuals of at
+# most 3.3e-15.  The left route's nontrapping radius at N = 2048, which is
+# roundoff, gives 5e-8 to 1.1e-7 on k = 1 and falls back.
+TOP_RTOL = 1e-6
+TOP_RESIDUAL = 1e-10
+# The chirp rates phi of open_top's two start vectors e^{2 pi i phi j^2} / sqrt(n).
+CHIRP_RATES = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)
 
 
 # The most modes a trapped sweep reports, which spectrum_gap compares, and
@@ -155,12 +171,63 @@ def open_spectrum(m: CatMap, cutoff, n: int) -> np.ndarray:
     it along the row.
     """
     log.info("open operator spectrum: N = %d", n)
-    defect, sectors = cutoff
+    _check_parity(cutoff[0], n)
+    vals = np.concatenate([eigenvalues(build_open_operator(m, sector, n)) for sector in cutoff[1]])
+    return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
+
+
+def _check_parity(defect: float, n: int):
+    """Raise NumericError if a cutoff's parity defect at N exceeds PARITY_TOL."""
     if defect > PARITY_TOL:
         raise NumericError(f"open operator at N = {n} couples the parity "
                            f"sectors: cutoff defect {defect:.3e} > {PARITY_TOL:g}")
-    vals = np.concatenate([eigenvalues(build_open_operator(m, sector, n)) for sector in sectors])
-    return np.concatenate([vals, np.zeros(n - len(vals), dtype=complex)])
+
+
+def start_vector(rate: float, n: int) -> np.ndarray:
+    """The unit start vector e^{2 pi i rate j^2} / sqrt(n), j = 0..n-1."""
+    j = np.arange(n, dtype=float)
+    return np.exp(2j * np.pi * (rate * j * j % 1.0)) / math.sqrt(n)
+
+
+def open_top(m: CatMap, cutoff, n: int, k: int) -> np.ndarray:
+    """The k eigenvalues of the open operator of largest modulus, in sort_by_modulus order; k <= N.
+
+    The same values as sort_by_modulus(open_spectrum(m, cutoff, n))[:k],
+    without the full spectrum.  The parity defect is checked as there.
+    Each sector's live block is built (build_open_operator), solved and
+    freed before the next is built.  A block with more than KRYLOV_DIM
+    rows is solved twice by Arnoldi (eigensolver.arnoldi), from the chirp
+    start vectors of CHIRP_RATES; a smaller one once, densely, which
+    gives both runs its whole spectrum bit for bit.  Each run's values
+    are merged over the sectors with one zero per dead row, as in
+    open_spectrum, and its top k kept.  They are accepted when the two
+    runs agree to TOP_RTOL and every residual is below TOP_RESIDUAL.
+    Otherwise one warning names N and the disagreement, and the top k of
+    open_spectrum are returned: never an answer worse than the dense one.
+    """
+    log.info("open operator top %d: N = %d", k, n)
+    _check_parity(cutoff[0], n)
+    runs, worst, live = ([], []), 0.0, 0
+    for sector in cutoff[1]:
+        block = build_open_operator(m, sector, n)
+        rows = len(block)
+        live += rows
+        rates = CHIRP_RATES if rows > KRYLOV_DIM else CHIRP_RATES[:1]
+        found = [arnoldi(block, k, start_vector(rate, rows)) for rate in rates if rows]
+        del block
+        # a block of at most KRYLOV_DIM rows is solved densely, once, and
+        # both runs take its values
+        for run, (vals, residual) in zip(runs, found + found):
+            run.append(vals)
+            worst = max(worst, residual)
+    pad = np.zeros(n - live, dtype=complex)
+    first, second = (sort_by_modulus(np.concatenate(run + [pad]))[:k] for run in runs)
+    gap = match_distance(first, second) if len(first) == len(second) == k else math.inf
+    if gap <= TOP_RTOL * abs(first[-1]) and worst <= TOP_RESIDUAL:
+        return first
+    log.warning("Arnoldi top %d at N = %d not accepted (start vectors differ by %.3e, "
+                "residual %.3e); solving densely", k, n, gap, worst)
+    return sort_by_modulus(open_spectrum(m, cutoff, n))[:k]
 
 
 def spectrum_gap(vals: np.ndarray, partner: np.ndarray) -> float:
@@ -230,7 +297,7 @@ def trapped_sweep(m: CatMap, spec: BumpSpec, n_list, k_count: int | None = None)
     targets = theorem_targets(m, k_count)
     rows = []
     for n, cutoff in zip(n_list, cutoffs):
-        top = sort_by_modulus(open_spectrum(m, cutoff, n))[:k_count]
+        top = open_top(m, cutoff, n, k_count)
         top = top * phase_factor(top[0])
         errors = np.abs(np.abs(top) - targets)
         rows += [SweepRow(n=n, h=planck(n), k=k, re=float(mu.real),
@@ -244,7 +311,7 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list):
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ConfigError(f"nontrapping sweep needs an annulus_product cutoff, got {spec.kind!r}")
-    tops = [float(np.abs(open_spectrum(m, cutoff_sectors(spec, n), n)).max())
+    tops = [float(np.abs(open_top(m, cutoff_sectors(spec, n), n, 1)).max())
             for n in n_list]
     return nontrapping_rows(n_list, tops)
 

@@ -1,6 +1,11 @@
 from dataclasses import replace
 import json
 import math
+import os
+from pathlib import Path
+import re
+import subprocess
+import sys
 import weakref
 
 from hypothesis import assume, given, reject, settings, strategies as st
@@ -12,8 +17,9 @@ from opencat.catmap import ARNOLD, CatMap
 from opencat.cli import main
 from opencat.eigensolver import eigenvalues, match_distance, sort_by_modulus
 from opencat.errors import ConfigError, NumericError
-from opencat.experiments import (PARITY_TOL, cutoff_sectors, nontrapping_rows,
-                                 nontrapping_sweep, SYMMETRY_TOL_N64, spectrum_gap,
+from opencat.experiments import (CHIRP_RATES, PARITY_TOL, TOP_RESIDUAL, cutoff_sectors,
+                                 nontrapping_rows, nontrapping_sweep, open_spectrum, open_top,
+                                 start_vector, SYMMETRY_TOL_N64, spectrum_gap,
                                  theorem_targets, trapped_sweep)
 from opencat.hn import live_run, torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor
@@ -74,10 +80,15 @@ def test_degenerate_phase(monkeypatch):
 def test_phase_rule_rotates_the_mode_sort_by_modulus_ranks_first(monkeypatch):
     # 0.5i and 0.5 tie in modulus, as do their turns by 0.6 + 0.8i;
     # sort_by_modulus ranks the larger real part first, 0.5 or 0.3 + 0.4i,
-    # so that one is made real and positive and the others turn with it
+    # so that one is made real and positive and the others turn with it.
+    # The even sector's solve gives the values unsorted, the odd sector is
+    # empty, and open_top merges and ranks them
     vals = np.array([0.5j, 0.1, 0.5, 0.3j, 0.2])
+    monkeypatch.setattr(experiments, "arnoldi", lambda block, k, start: (np.diag(block), 0.0))
     for turn in (1, 0.6 + 0.8j):
-        monkeypatch.setattr(experiments, "open_spectrum", lambda m, cutoff, n: vals * turn)
+        blocks = {1: np.diag(vals * turn), -1: np.zeros((0, 0), dtype=complex)}
+        monkeypatch.setattr(experiments, "build_open_operator",
+                            lambda m, sector, n: blocks[sector[0]])
         top = np.array([complex(r.re, r.im)
                         for r in trapped_sweep(ARNOLD, TRAPPED_SPEC, [16], k_count=4)])
         assert np.abs(top - [0.5, 0.5j, 0.3j, 0.2]).max() < 1e-15
@@ -90,7 +101,7 @@ def test_trapped_sweep_k_count_above_live_rows_raises_before_solving(monkeypatch
                                           "where the cutoff is nonzero at N = 4"):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [4], k_count=4)
     solved = []
-    monkeypatch.setattr(experiments, "open_spectrum", lambda m, cutoff, n: solved.append(n))
+    monkeypatch.setattr(experiments, "open_top", lambda m, cutoff, n, k: solved.append(n))
     with pytest.raises(ConfigError, match="k_count 4 exceeds the 1 rows where the cutoff "
                                           "is nonzero at N = 4"):
         trapped_sweep(ARNOLD, TRAPPED_SPEC, [64, 4], k_count=4)
@@ -103,11 +114,12 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
     # word, once that row view is gone, and after the sector before it is
     # solved and its factor and block are gone; each (N, parity) DFT block
     # is built once, only after the block before it is gone, and it is
-    # gone before the sector is solved
+    # gone before the sector is solved, by two Arnoldi runs on its live
+    # block (more than KRYLOV_DIM rows at these N)
     events, held, rows_held, dfts, keys = [], [], [], [], []
     quantize, word, build, solve, build_dft = (
         experiments.op_left_separable, experiments.apply_word,
-        experiments.build_open_operator, experiments.eigenvalues, experiments.dft_sector)
+        experiments.build_open_operator, experiments.arnoldi, experiments.dft_sector)
 
     def alive(refs):
         return any(ref() is not None for ref in refs)
@@ -132,9 +144,9 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         held.append(owner(block))
         return block
 
-    def eigenvalues(a):
+    def arnoldi(a, k, start):
         events.append(("solve", alive(dfts)))
-        return solve(a)
+        return solve(a, k, start)
 
     def dft(n, parity):
         events.append(("dft", n, parity, alive(dfts)))
@@ -144,12 +156,12 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         return block
 
     def sector_events(n, parity):
-        return [("word", n, parity), ("factor", n, parity), ("solve", False)]
+        return [("word", n, parity), ("factor", n, parity), ("solve", False), ("solve", False)]
 
     monkeypatch.setattr(experiments, "op_left_separable", cutoff)
     monkeypatch.setattr(experiments, "apply_word", apply)
     monkeypatch.setattr(experiments, "build_open_operator", sector)
-    monkeypatch.setattr(experiments, "eigenvalues", eigenvalues)
+    monkeypatch.setattr(experiments, "arnoldi", arnoldi)
     monkeypatch.setattr(experiments, "dft_sector", dft)
     trapped_sweep(ARNOLD, TRAPPED_SPEC, [256, 512], k_count=2)
     assert [e for e in events if e[0] == "dft"] == [
@@ -160,6 +172,101 @@ def test_sweep_builds_one_sector_and_one_n_at_a_time(monkeypatch):
         + sector_events(512, -1))
     assert all(e[3] for e in events if e[0] == "word")
     assert not any(e[3] or e[4] for e in events if e[0] == "factor")
+
+
+@settings(max_examples=30, deadline=None)
+@given(word=st.lists(shear, min_size=2, max_size=4),
+       n=st.sampled_from([128, 256]),
+       quant=st.sampled_from(["left", "weyl"]),
+       spec_k=st.sampled_from([(TRAPPED_SPEC, 1), (TRAPPED_SPEC, 2), (TRAPPED_SPEC, 4),
+                               (NONTRAP_SPEC, 1)]))
+def test_open_top_matches_the_dense_spectrum_on_random_hyperbolic_maps(word, n, quant, spec_k):
+    # the sweeps' top k against the dense path they replace.  Every block
+    # is above KRYLOV_DIM rows but the left route's at N = 128 (at most 31
+    # rows), which are solved densely.  The moduli agree in order, and each
+    # value is an eigenvalue of the dense spectrum: a conjugate pair tied at
+    # the k-th place may give either member.  Over 60 draws the worst
+    # relative gap was 5.5e-12
+    m = shear_map(word)
+    assume(abs(m.a + m.d) > 2)
+    spec, k = spec_k
+    cutoff = cutoff_sectors(replace(spec, quantization=quant), n)
+    top = open_top(m, cutoff, n, k)
+    full = open_spectrum(m, cutoff, n)
+    dense = sort_by_modulus(full)[:k]
+    assert len(top) == k
+    assert np.all(np.abs(np.abs(top) - np.abs(dense)) <= 1e-9 * np.abs(dense))
+    assert match_distance(top, full) <= 1e-9 * abs(top[-1])
+
+
+@pytest.mark.parametrize("quant", ["left", "weyl"])
+@pytest.mark.parametrize("fault", ["disagree", "residual"])
+def test_open_top_falls_back_to_the_dense_spectrum(quant, fault, monkeypatch, caplog):
+    # a solver whose second run moves its values by 1e-3, or reports a
+    # residual above TOP_RESIDUAL: one warning names N and the gap, and the
+    # top k are the dense path's, bit for bit
+    n, k = 256, 4
+    solve = experiments.arnoldi
+
+    def faulty(a, k, start):
+        vals, residual = solve(a, k, start)
+        if np.array_equal(start, start_vector(CHIRP_RATES[1], len(a))):
+            if fault == "disagree":
+                vals = vals * (1 + 1e-3)
+            else:
+                residual = 10 * TOP_RESIDUAL
+        return vals, residual
+
+    monkeypatch.setattr(experiments, "arnoldi", faulty)
+    cutoff = cutoff_sectors(replace(TRAPPED_SPEC, quantization=quant), n)
+    with caplog.at_level("WARNING", logger="opencat.experiments"):
+        top = open_top(ARNOLD, cutoff, n, k)
+    [message] = caplog.messages
+    number = r"[0-9]\.[0-9]{3}e[+-][0-9]{2}"
+    gap, residual = ((r"[1-9]\.[0-9]{3}e-04", number) if fault == "disagree"
+                     else (number, r"1\.000e-09"))
+    assert re.fullmatch(rf"Arnoldi top 4 at N = 256 not accepted \(start vectors differ by "
+                        rf"{gap}, residual {residual}\); solving densely", message)
+    dense = sort_by_modulus(open_spectrum(ARNOLD, cutoff, n))[:k]
+    assert top.tobytes() == dense.tobytes()
+
+
+def test_open_top_of_a_cutoff_with_no_live_row(caplog):
+    # the left annulus vanishes at every point of N = 2 and 4: no sector
+    # has a live row, so no solve runs, and the top k are the zeros the
+    # dense path pads, for every k up to N; the sweep's radius is 0 and no
+    # slope is printed
+    for n in (2, 4):
+        cutoff = cutoff_sectors(NONTRAP_SPEC, n)
+        assert live_rows(cutoff) == 0
+        for k in range(1, n + 1):
+            top = open_top(ARNOLD, cutoff, n, k)
+            assert top.tobytes() == np.zeros(k, dtype=complex).tobytes()
+            assert top.tobytes() == sort_by_modulus(open_spectrum(ARNOLD, cutoff, n))[:k].tobytes()
+    assert caplog.messages == []
+    rows = nontrapping_sweep(ARNOLD, NONTRAP_SPEC, [2, 4])
+    assert [r.top_modulus for r in rows] == [0.0, 0.0]
+    assert all(math.isnan(r.slope_vs_prev) for r in rows)
+
+
+def test_sweeps_leave_numpy_random_unimported():
+    # the start vectors are fixed chirps: importing numpy.random for a
+    # random one cost 6.5 MB of peak RSS and 8-12 ms here.  Both sweeps run
+    # Arnoldi, on blocks of 52 and 51 (left, N = 256) and 65 and 63 rows
+    # (Weyl, N = 128)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "from opencat.catmap import ARNOLD\n"
+            "from opencat.experiments import nontrapping_sweep, trapped_sweep\n"
+            "from opencat.quantizer import BumpSpec\n"
+            "trapped_sweep(ARNOLD, BumpSpec('product_bump', 0.10, 0.20), [256], k_count=2)\n"
+            "nontrapping_sweep(ARNOLD, BumpSpec('annulus_product', 0.15, 0.24, "
+            "quantization='weyl'), [128])\n"
+            "print('numpy.random' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_weyl_sweeps_build_no_dft_block(monkeypatch):
