@@ -9,15 +9,17 @@ so the package does its algebra in the sector basis, N even:
           natural order j = 0..N/2 (size N/2 + 1);
     odd:  (e_j - e_{N-j})/sqrt(2) for 0 < j < N/2 (size N/2 - 1).
 
-sector_basis is the one definition of that layout; everything that needs
-it reads it there.  fold_parity takes a diagonal into one sector and
-parity_defect measures what the fold drops, live_run gives the run of
-indices where a folded cutoff profile is nonzero, unfold_parity takes two
-sector blocks back to an N x N matrix, and dft_sector builds one sector's
-block of the unitary DFT straight from its kernel, on half of the
-symmetric block: no N x N DFT matrix is formed.  Nothing is cached: the
-caller holds the block as long as it needs it and passes it to whatever
-reads it.  All matrices are plain dense numpy arrays.
+sector_basis defines that layout and sector_embedding reads it from the
+full space's side, as the place and weight of each e_j in a sector;
+everything that needs the layout reads one of the two.  fold_parity takes
+a diagonal into one sector and parity_defect measures what the fold
+drops, live_run gives the run of indices where a folded cutoff profile is
+nonzero, unfold_parity takes two sector blocks back to an N x N matrix,
+and dft_sector builds one sector's block of the unitary DFT straight from
+its kernel, on half of the symmetric block: no N x N DFT matrix is
+formed.  Nothing is cached: the caller holds the block as long as it
+needs it and passes it to whatever reads it.  All matrices are plain
+dense numpy arrays.
 """
 
 import math
@@ -90,17 +92,34 @@ def parity_defect(d) -> float:
     return cross / scale if scale > 0 else 0.0
 
 
+def sector_embedding(n: int, parity: int):
+    """Each e_j of the full space in one parity sector, as (place, weight); N even.
+
+    e_j's part in the sector is weight[j] times basis vector place[j] of
+    sector_basis, so a row x in the sector basis unfolds to x[place] * weight
+    in e_0..e_{N-1}.  A fixed point j = 0, N/2 has no vector in the odd
+    sector: its weight is 0, at place 0.
+    """
+    index, partner, weight = sector_basis(n, parity)
+    place, signed = np.zeros(n, dtype=int), np.zeros(n)
+    place[partner], signed[partner] = np.arange(len(index)), parity * weight
+    place[index], signed[index] = np.arange(len(index)), weight
+    return place, signed
+
+
 def unfold_parity(even, odd):
-    """The N x N matrix with sector blocks even and odd and no coupling between them: sum of Q_s^T B_s Q_s."""
+    """The N x N matrix with sector blocks even and odd and no coupling between them.
+
+    Entry (j, k) of a sector's part is weight[j] B[place[j], place[k]]
+    weight[k] (sector_embedding): the one nonzero product of Q^T B Q, with
+    Q's row s basis vector s, so it is formed in O(N^2) without Q.
+    """
     n = 2 * (len(even) - 1)
     out = np.zeros((n, n), dtype=complex)
     for parity, block in zip((1, -1), (even, odd)):
-        index, partner, weight = sector_basis(n, parity)
-        q = np.zeros((len(index), n))     # row s: basis vector s in e_0..e_{N-1}
-        rows = np.arange(len(index))
-        q[rows, partner] = parity * weight
-        q[rows, index] = weight
-        out += q.T @ block @ q
+        if len(block):      # N = 2's odd sector is empty
+            place, weight = sector_embedding(n, parity)
+            out += weight[:, None] * block[np.ix_(place, place)] * weight
     return out
 
 

@@ -8,12 +8,14 @@ j -> -j, exactly in the integers of its phases: the word acts on the two
 parity sectors of hn apart and is not checked at run time.  apply_word
 multiplies all of one sector's rows by the word, into a new array or in
 place, so chi Mhat is formed from chi's nonzero rows without building
-Mhat, and only in the run of columns asked for: with the DFT's sector
-block that its caller passes, letter by letter on panels of rows;
-without one, as the word lowered once to full-space steps (F, F^dag,
-U's chirps, one scalar), any two adjacent transforms collapsed, run as
-row FFTs on blocks of rows unfolded to N columns once and folded back
-once.
+Mhat, and only in the run of columns asked for.  The letters are written
+down once, as full-space steps (_steps: F, F^dag, U's chirps and
+scalars), and both ways of running the word read them: with the DFT's
+sector block that its caller passes, the steps as they stand, on panels
+of rows, each transform a product with the block; without one, the
+steps lowered once to one scalar and transforms, any two adjacent ones
+collapsed, run as row FFTs on blocks of rows unfolded to N columns once
+and folded back once.
 quantize_word builds each sector's block, runs the word on the sector's
 identity and unfolds the two sector unitaries into the N x N matrix: the
 dense reference for both ways of running the word.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .catmap import CatMap
 from .errors import NumericError
-from .hn import dft_sector, fold_parity, sector_basis, unfold_parity
+from .hn import dft_sector, fold_parity, sector_basis, sector_embedding, unfold_parity
 from .quantizer import op_weyl, plane_wave
 
 OMEGA_S = np.exp(-1j * math.pi / 4)  # S^-1 quantizes to conj(OMEGA_S) times the DFT
@@ -94,16 +96,16 @@ def _chirp(letter, n: int):
     U(b) is this chirp conjugated by the DFT.  The phase has period 2N in
     coef, so coef is first reduced into [-N, N) in exact integer
     arithmetic.  For N even coef (N - m)^2 = coef m^2 mod 2N, so the chirp
-    commutes with parity: the block letters read its fold into one
-    sector (fold_parity), the full-space steps the chirp itself.
+    commutes with parity: the steps run with the DFT block read its fold
+    into one sector (fold_parity), the row FFTs the chirp itself.
     """
     coef = (n - letter[1]) % (2 * n) - n
     m = np.arange(n)
     return np.exp(1j * math.pi * coef * m * m / n)
 
 
-# Most rows a block letter multiplies at once: one panel, 1.0 MB at
-# N = 2048 (410 live rows in 7 panels), per product with the DFT block.
+# Most rows multiplied by the DFT block at once: one panel, 1.0 MB at
+# N = 2048 (410 live rows in 7 panels), per product.
 _ROW_PANEL = 64
 # Rows _run_steps unfolds to N columns at once, in one buffer of 0.2 MB at
 # N = 768.  On the Weyl nontrapping sweep (N = 256, 512, 768, 2 vCPUs) the
@@ -123,35 +125,46 @@ def _panels(rows: int):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _lower(word, n: int, parity: int):
-    """The word on one parity sector as full-space steps and one scalar: (steps, scalar).
+def _steps(word, n: int, parity: int):
+    """The word on one parity sector letter by letter, as full-space steps acting on rows from the right.
 
-    S_INV is conj(omega) F and U(b) is F chirp F^dag, acting on rows from
-    the right; PAR is the sector's sign.  The steps are "F", "F^dag" and
-    U's chirps (_chirp) in the order they act, with any two adjacent
-    transforms collapsed as they form: F^dag F and F F^dag are 1, and F F
-    and F^dag F^dag are the parity P (F^2 = P), the sector's sign.  The
-    scalar is the product of the conj(omega) and parity factors.  A chirp
-    is never dropped, nor a pair across one, so no two transforms stay
-    adjacent.
+    S_INV is F then conj(omega), U(b) is F, U's chirp (_chirp) and F^dag,
+    and PAR is the sector's sign: a step is "F", "F^dag", a chirp or a
+    scalar.  A letter outside the alphabet raises letter_matrix's
+    ValueError, before any step is run.
     """
-    steps, scalar = [], 1.0
+    steps = []
     for letter in word:
+        letter_matrix(letter)  # raises ValueError on a letter outside the alphabet
         if letter[0] == "S_INV":
-            new = ["F"]
-            scalar *= np.conj(OMEGA_S)
+            steps += ["F", np.conj(OMEGA_S)]
         elif letter[0] == "U":
-            new = ["F", _chirp(letter, n), "F^dag"]
+            steps += ["F", _chirp(letter, n), "F^dag"]
         else:
-            new = []
-            scalar *= parity
-        for step in new:
-            if isinstance(step, str) and steps and isinstance(steps[-1], str):
-                if steps.pop() == step:
-                    scalar *= parity
-            else:
-                steps.append(step)
-    return steps, scalar
+            steps.append(parity)
+    return steps
+
+
+def _lower(word, n: int, parity: int):
+    """The word's steps (_steps) with their scalars pulled out and adjacent transforms collapsed: (steps, scalar).
+
+    The steps left are "F", "F^dag" and U's chirps in the order they act,
+    with any two adjacent transforms collapsed as they form: F^dag F and F
+    F^dag are 1, and F F and F^dag F^dag are the parity P (F^2 = P), the
+    sector's sign.  The scalar is the product of the conj(omega) and parity
+    factors.  A chirp is never dropped, nor a pair across one, so no two
+    transforms stay adjacent.
+    """
+    lowered, scalar = [], 1.0
+    for step in _steps(word, n, parity):
+        if isinstance(step, str) and lowered and isinstance(lowered[-1], str):
+            if lowered.pop() == step:
+                scalar *= parity
+        elif isinstance(step, str) or np.ndim(step):
+            lowered.append(step)
+        else:
+            scalar *= step
+    return lowered, scalar
 
 
 def _transform(full, step: str):
@@ -167,40 +180,35 @@ def _transform(full, step: str):
 def _run_steps(x, steps, scalar, n: int, parity: int, cols, out):
     """Write (x @ Mhat_s)[:, cols] into out for a word lowered to steps and scalar (_lower), its steps in the full space.
 
-    _FULL_ROWS rows at a time are unfolded once to N columns with the
-    sector's weights and partner signs (hn.sector_basis), the steps act on
-    them in place, and they are folded back once onto the columns cols of
-    out's same rows: a column is its pair's weighted sum, a fixed point's
-    value itself, times the scalar.  One N-wide buffer serves every block,
-    and out may be x: a block is unfolded before its rows are written.
+    _FULL_ROWS rows at a time are unfolded once to N columns through the
+    sector's embedding (hn.sector_embedding), the steps act on them in
+    place, and they are folded back once onto the columns cols of out's
+    same rows (hn.sector_basis): a column is its pair's weighted sum, a
+    fixed point's value itself, times the scalar.  One N-wide buffer
+    serves every block, and out may be x: a block is unfolded before its
+    rows are written.  An empty sector, N = 2's odd one, writes nothing.
     """
     index, partner, weight = sector_basis(n, parity)
-    h, size = n // 2, len(index)
-    first = 0 if parity == 1 else 1      # index[0], also for N = 2's empty odd sector
+    if not len(index):
+        return
+    place, signed = sector_embedding(n, parity)
+    own = slice(index[0], index[-1] + 1)    # basis vector s's own column index[s], a run
     # a fixed point is its own partner: its two terms are one value
     scale = np.where(index == partner, 0.5, weight)[cols] * scalar
     full = np.empty((min(len(x), _FULL_ROWS), n), dtype=complex)
     for start in range(0, len(x), _FULL_ROWS):
         rows, folded = x[start:start + _FULL_ROWS], out[start:start + _FULL_ROWS]
         buf = full[:len(rows)]
-        if parity == -1:
-            # no odd basis vector reaches e_0 or e_{N/2}; the steps of the
-            # rows before may have left roundoff there
-            buf[:, 0] = buf[:, h] = 0.0
-        np.multiply(rows, weight, out=buf[:, first:first + size])
-        # the columns N - j of the pairs, j = h - 1 down to 1
-        np.multiply(rows[:, 1 - first:h - first][:, ::-1], parity * math.sqrt(0.5),
-                    out=buf[:, h + 1:])
+        # mode="clip" writes straight into buf, where "raise" buffers
+        np.take(rows.astype(complex, copy=False), place, axis=1, mode="clip", out=buf)
+        buf *= signed
         for step in steps:
             if isinstance(step, str):
                 _transform(buf, step)
             else:
                 buf *= step
         np.take(buf, partner[cols], axis=1, mode="clip", out=folded)
-        if parity == 1:
-            folded += buf[:, first:first + size][:, cols]
-        else:
-            np.subtract(buf[:, first:first + size][:, cols], folded, out=folded)
+        (np.add if parity == 1 else np.subtract)(buf[:, own][:, cols], folded, out=folded)
         folded *= scale
 
 
@@ -210,14 +218,15 @@ def apply_word(x: np.ndarray, word, f, n: int, parity: int,
 
     x holds rows in the sector basis, even (parity=+1, N/2 + 1 columns) or
     odd (parity=-1, N/2 - 1 columns); N must be even, and f is the
-    sector's block of the unitary DFT (hn.dft_sector), or None.  The
-    letters act on the rows from the right as S_INV: conj(omega) x F,
-    U(b): x F chirp F^dag and PAR: x * parity (chirp: _chirp).  With f the
-    word runs letter by letter on panels of rows (_panels): each product
-    with F_s is a quarter of the full-space one, U's chirp is folded into
-    the sector, x F^dag is conj(conj(x) F) as F is symmetric, and the
-    last Fourier letter forms only the columns cols.  Without f the word is
-    lowered once to full-space steps, each two adjacent transforms
+    sector's block of the unitary DFT (hn.dft_sector), or None.  Both ways
+    run the steps of _steps, which acts on the rows from the right as
+    S_INV: conj(omega) x F, U(b): x F chirp F^dag and PAR: x * parity.
+    With f they run as they stand on panels of rows (_panels): each
+    transform is a product with F_s, a quarter of the full-space one,
+    x F^dag is conj(conj(x) F_s) as F_s is symmetric, the last transform
+    forms only the columns cols, U's chirp is folded into the sector once
+    per call, and a chirp or scalar is a multiply.  Without f the word is
+    lowered once, its scalars pulled out and each two adjacent transforms
     collapsed (_lower), and run as row FFTs and chirps on _FULL_ROWS rows
     at a time unfolded to N columns (_run_steps): a word [U(b), S_INV,
     PAR, U(b')] runs three FFTs per row, not five.
@@ -228,8 +237,6 @@ def apply_word(x: np.ndarray, word, f, n: int, parity: int,
     letter other than S_INV, U and PAR raises ValueError before any
     product; the empty word without out returns the view x[:, cols].
     """
-    for letter in word:
-        letter_matrix(letter)  # raises ValueError on a letter outside the alphabet
     if not word and out is None:
         return x[:, cols]
     if out is None:
@@ -241,22 +248,23 @@ def apply_word(x: np.ndarray, word, f, n: int, parity: int,
         else:
             np.multiply(x[:, cols], scalar, out=out)
         return out
-    last = max((i for i, letter in enumerate(word) if letter[0] != "PAR"), default=-1)
+    # U's chirp folded into the sector once for all panels
+    steps = [fold_parity(step, parity) if np.ndim(step) else step for step in _steps(word, n, parity)]
+    products = [i for i, step in enumerate(steps) if isinstance(step, str)]
+    first = products[0] if products else len(steps)
     for panel in _panels(len(x)):
-        y = x[panel] if last >= 0 else x[panel, cols]
-        for i, letter in enumerate(word):
-            to = cols if i == last else slice(None)
-            if letter[0] == "S_INV":
-                y = y @ f[:, to]
-                y *= np.conj(OMEGA_S)
-            elif letter[0] == "U":
-                y = y @ f
-                y *= fold_parity(_chirp(letter, n), parity)
-                np.conj(y, out=y)
-                y = y @ f[:, to]
-                np.conj(y, out=y)
+        y = x[panel] if products else x[panel, cols]
+        for i, step in enumerate(steps):
+            into = y if i > first else None     # until the first product y is a view of x
+            if isinstance(step, str):
+                to = cols if i == products[-1] else slice(None)
+                if step == "F^dag":
+                    y = np.conj(y, out=into) @ f[:, to]
+                    np.conj(y, out=y)
+                else:
+                    y = y @ f[:, to]
             else:
-                y = y * parity
+                y = np.multiply(y, step, out=into)
         out[panel] = y
     return out
 

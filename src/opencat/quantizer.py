@@ -5,8 +5,9 @@ quantizations are provided.  The general Weyl quantization is cyclically
 banded: weyl_band gives its 2 k_max + 1 diagonals by the midpoint rule,
 entry (m, m + t) being column t of the table synthesized at (2m + t)/2N,
 and one scatter adds them into a block: op_weyl places them in a dense
-N x N matrix, op_weyl_sector in one parity sector of hn without forming
-it; the sectors couple only through the table's part that is odd under
+N x N matrix, op_weyl_sector in one parity sector, through each e_m's
+place and weight there (hn.sector_embedding), without forming it; the
+sectors couple only through the table's part that is odd under
 T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
 The left (standard) quantization of the cutoff rho(x)rho(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .hn import MAX_N, fold_parity, live_run, parity_defect, sector_basis, torus_rep_array
+from .hn import MAX_N, fold_parity, live_run, parity_defect, sector_embedding, torus_rep_array
 
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
@@ -190,17 +191,12 @@ def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
 def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
     """One parity sector's block of the Weyl quantization, even (parity=+1) or odd, N even.
 
-    Each e_m lies in the sector at one place with one signed weight, from
-    sector_basis: 0 for a fixed point in the odd sector, which has no place
-    for it.  weyl_band is scattered with those places and weights, so the
-    part that couples the sectors is dropped and no N x N array is formed.
+    weyl_band is scattered with each e_m at its place and signed weight in
+    the sector (hn.sector_embedding), so the part that couples the sectors
+    is dropped and no N x N array is formed.
     """
-    index, partner, basis_weight = sector_basis(n, parity)
-    size = len(index)
-    place, weight = np.zeros(n, dtype=int), np.zeros(n)
-    place[partner], weight[partner] = np.arange(size), parity * basis_weight
-    place[index], weight[index] = np.arange(size), basis_weight
-    return _scatter_band(sym, n, place, weight, size)
+    place, weight = sector_embedding(n, parity)
+    return _scatter_band(sym, n, place, weight, n // 2 + parity)
 
 
 def profile_sectors(profile, n: int):

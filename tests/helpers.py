@@ -1,4 +1,4 @@
-"""Cutoff specs, operator helpers and the eigenvector, fold, DFT, characteristic-polynomial and long-double oracles shared by the test modules."""
+"""Cutoff specs, operator helpers and the eigenvector, fold, unfold, DFT, characteristic-polynomial and long-double oracles shared by the test modules."""
 
 import math
 
@@ -9,7 +9,7 @@ import opencat.experiments as experiments
 from opencat.catmap import CatMap
 from opencat.eigensolver import match_distance, sort_by_modulus
 from opencat.errors import NumericError
-from opencat.hn import dft_sector, live_run, torus_rep_array, unfold_parity
+from opencat.hn import dft_sector, live_run, sector_basis, torus_rep_array, unfold_parity
 from opencat.metaplectic import factor_sl2z
 from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
                                op_left_separable, op_weyl_sector, profile_sectors)
@@ -126,6 +126,25 @@ def chirp_diagonal(letter, n):
     coef = (n - letter[1]) % (2 * n) - n
     m = np.arange(n)
     return np.exp(1j * math.pi * coef * m * m / n)
+
+
+def unfold_q(even, odd):
+    """The N x N matrix with sector blocks even and odd, as the sum of Q_s^T B_s Q_s.
+
+    The oracle for hn.unfold_parity: row s of Q_s is sector basis vector s
+    in e_0..e_{N-1}, built from hn.sector_basis, and each sector's part is
+    two dense products, O(N^3).
+    """
+    n = 2 * (len(even) - 1)
+    out = np.zeros((n, n), dtype=complex)
+    for parity, block in zip((1, -1), (even, odd)):
+        index, partner, weight = sector_basis(n, parity)
+        q = np.zeros((len(index), n))
+        rows = np.arange(len(index))
+        q[rows, partner] = parity * weight
+        q[rows, index] = weight
+        out += q.T @ block @ q
+    return out
 
 
 def fold_matrix(a):

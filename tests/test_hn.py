@@ -8,11 +8,11 @@ import pytest
 from opencat import experiments, metaplectic, quantizer
 from opencat.errors import ConfigError
 from opencat.hn import (dft_sector, fold_parity, parity_defect, planck, sector_basis,
-                        torus_rep_array, unfold_parity)
-from opencat.metaplectic import OMEGA_S, _chirp, quantize_word
+                        sector_embedding, torus_rep_array, unfold_parity)
+from opencat.metaplectic import OMEGA_S, _chirp, _run_steps, apply_word, quantize_word
 
 from helpers import (chirp_diagonal, dft_matrix, dft_sectors_oracle, fold_matrix, fold_pairs,
-                     multiset_distance)
+                     multiset_distance, unfold_q)
 
 
 def test_planck_values():
@@ -215,6 +215,52 @@ def test_sector_basis_gives_the_fold(n):
     for parity in (1, -1):
         with pytest.raises(ConfigError, match=f"dimension N = {n + 1} must be even"):
             sector_basis(n + 1, parity)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 64, 130])
+def test_unfold_parity_bitwise_matches_q_oracle(n):
+    # each entry of Q^T B Q has one nonzero product, weight[j] B weight[k],
+    # so the gather through the embedding gives the dense products' bits
+    rng = np.random.default_rng(n)
+    even, odd = ((rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+                 for size in (n // 2 + 1, n // 2 - 1))
+    assert np.array_equal(unfold_parity(even, odd).view(float), unfold_q(even, odd).view(float))
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 64])
+def test_sector_embedding_agrees_with_sector_basis(n):
+    # e_j's place and weight are where basis vector s carries e_j, entry by
+    # entry: weight[s] at index[s], parity weight[s] at partner[s], and an
+    # odd-sector fixed point, which no vector carries, weight 0
+    for parity in (1, -1):
+        index, partner, weight = sector_basis(n, parity)
+        place, signed = sector_embedding(n, parity)
+        assert place.shape == signed.shape == (n,)
+        carried = np.zeros(n, dtype=bool)
+        for s, (j, k, w) in enumerate(zip(index, partner, weight)):
+            assert place[j] == place[k] == s
+            assert signed[j] == w and signed[k] == (w if j == k else parity * w)
+            carried[[j, k]] = True
+        assert not signed[~carried].any()
+        assert set(np.flatnonzero(~carried)) == (set() if parity == 1 else {0, n // 2})
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 64])
+def test_sector_rows_unfold_and_fold_back(n):
+    # the word's executor unfolds blocks of rows to N entries through the
+    # embedding and folds them back through the basis: with no step between,
+    # the rows come back, float rows as complex, over several blocks of
+    # rows, and N = 2's empty odd sector writes nothing
+    rng = np.random.default_rng(n)
+    for parity in (1, -1):
+        size = n // 2 + parity
+        for x in (rng.standard_normal((21, size)) + 1j * rng.standard_normal((21, size)),
+                  np.eye(size)):
+            out = np.zeros((len(x), size), dtype=complex)
+            _run_steps(x, [], 1.0, n, parity, slice(None), out)
+            assert np.abs(out - x).max(initial=0.0) <= 4e-16 * np.abs(x).max(initial=0.0)
+    rows = np.empty((3, 0))
+    assert apply_word(rows, [("U", 1), ("S_INV",)], None, 2, -1).shape == (3, 0)
 
 
 def test_torus_rep():
