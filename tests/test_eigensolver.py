@@ -47,13 +47,16 @@ def test_solver_failure_raises(monkeypatch):
         eigenvalues(np.eye(3))
 
 
-def planted(seed, n, coupling, bulk):
+def planted(seed, n, coupling, bulk, top=None):
     """Q T Q* with Q a random unitary and T upper triangular: its diagonal, the
-    spectrum, is 0.9 * 0.6^j e^{i theta_j} for j < 4 and uniform in |z| < bulk
-    after, and its strictly upper part random with norm about 2 coupling."""
+    spectrum, is top (by default 0.9 * 0.6^j e^{i theta_j}, j < 4) and then
+    uniform in |z| < bulk, and its strictly upper part random with norm about
+    2 coupling."""
     rng = np.random.default_rng(seed)
     diag = rng.uniform(0, bulk, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-    diag[:4] = 0.9 * 0.6 ** np.arange(4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    if top is None:
+        top = 0.9 * 0.6 ** np.arange(4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    diag[:len(top)] = top
     t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
     t *= coupling / np.sqrt(n)
     t[np.diag_indices(n)] = diag
@@ -138,14 +141,109 @@ def test_arnoldi_stops_on_an_invariant_subspace():
 
 
 def test_arnoldi_hessenberg_failure_raises(monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
+    # the small solve makes two calls: eigvals for the Ritz values, and one
+    # batched solve for the Ritz vectors, retried once with a moved shift
     a = np.random.default_rng(1).standard_normal((100, 100)).astype(complex)
-    monkeypatch.setattr(np.linalg, "eig", fail)
-    with pytest.raises(NumericError, match="eig failed on the 48x48 Hessenberg matrix of a "
-                                           "100x100 matrix: Eigenvalues did not converge"):
-        arnoldi(a, 2, start_vector(CHIRP_RATES[0], 100))
+    for call, message in (("eigvals", "Eigenvalues did not converge"),
+                          ("solve", "Singular matrix")):
+        def fail(*args, message=message):
+            raise np.linalg.LinAlgError(message)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, call, fail)
+            with pytest.raises(NumericError, match=f"Ritz solve failed on the 48x48 Hessenberg "
+                                                   f"matrix of a 100x100 matrix: {message}"):
+                arnoldi(a, 2, start_vector(CHIRP_RATES[0], 100))
+
+
+@pytest.mark.parametrize("top", [
+    [0.9 * np.exp(0.7j), 0.9 * np.exp(-0.7j), 0.5, 0.3],
+    [0.9, 0.9, 0.5, 0.3],
+], ids=["conjugate_pair", "repeated"])
+def test_arnoldi_ritz_vectors_of_tied_top_values(top):
+    # a tied conjugate pair, and a repeated top value that the triangular
+    # coupling makes defective (eigvals splits it by about 1e-8).  Inverse
+    # iteration resolves each Ritz vector to a residual below 1e-13: over
+    # 20 seeds and both start vectors at most 4.9e-14, against 7.5e-15 for
+    # the vectors np.linalg.eig forms
+    for seed in range(5):
+        a, _ = planted(seed, 150, 0.3, 0.1, top=np.array(top, dtype=complex))
+        for rate in CHIRP_RATES:
+            vals, residual = arnoldi(a, 3, start_vector(rate, 150))
+            assert residual < 1e-13
+            assert match_distance(vals, eigenvalues(a)) < 1e-7
+
+
+def test_arnoldi_returns_the_top_of_the_hessenberg_eigvals(monkeypatch):
+    # the values are the top k of one eigvals call on H, bit for bit; no
+    # eig (all 48 eigenvectors) and no SVD runs.  Past the 4 planted values
+    # the bulk is not resolved, and the residual says so
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(h):
+        seen.append(eigvals(h))
+        return seen[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arnoldi called np.linalg.eig or svd")
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    a, _ = planted(7, 120, 0.3, 0.1)
+    for k in (1, 4, 8):
+        vals, residual = arnoldi(a, k, start_vector(CHIRP_RATES[1], 120))
+        assert len(seen) == 1 and seen[0].shape == (KRYLOV_DIM,)
+        assert vals.tobytes() == sort_by_modulus(seen.pop())[:k].tobytes()
+        assert (residual < 1e-10) == (k <= 4)
+
+
+def test_arnoldi_on_exactly_singular_shifts():
+    # H - theta I is exactly singular when the basis closes on an exact
+    # spectrum: 2 I (a 1 x 1 basis), the swap of e_0 and e_1 (H = [[0, 1],
+    # [1, 0]], whose eigenvector (1, 1) is orthogonal to the other's) and a
+    # 3-cycle.  The shift is moved by eps |H|, and e_1 reaches the vectors
+    # that ones misses
+    n = 100
+    start = np.eye(n, dtype=complex)[0]
+    swap = np.zeros((n, n), dtype=complex)
+    swap[0, 1] = swap[1, 0] = 1.0
+    swap[2:, 2:] = np.diag(np.linspace(0.5, 0.1, n - 2))
+    cycle = np.zeros((n, n), dtype=complex)
+    cycle[1, 0] = cycle[2, 1] = cycle[0, 2] = 1.0
+    third = np.exp(2j * np.pi / 3)
+    for a, want in ((2 * np.eye(n, dtype=complex), [2]), (swap, [1, -1]),
+                    (cycle, [1, third, third.conjugate()])):
+        vals, residual = arnoldi(a, 4, start)
+        assert multiset_distance(vals, np.array(want, dtype=complex)) < 1e-15
+        assert residual < 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(KRYLOV_DIM + 1, 160),
+       k=st.integers(1, 4), coupling=st.sampled_from([0.0, 0.3, 2.0]))
+def test_arnoldi_residual_is_no_smaller_than_with_the_2_norm(seed, n, k, coupling):
+    # the residual's scale is H's largest column norm, which never exceeds
+    # |H|_2: the same run with the scale replaced by |H|_2 (an SVD) reads
+    # no larger.  Both runs take the same Ritz vectors, bit for bit
+    a, _ = planted(seed, n, coupling, 0.3)
+    start = start_vector(CHIRP_RATES[0], n)
+    vals, residual = arnoldi(a, k, start)
+    norm, scaled = np.linalg.norm, []
+
+    def two_norm(x, ord=None, axis=None, **kwargs):
+        if axis == 0:
+            scaled.append(norm(x, 2))
+            return np.array([scaled[-1]])
+        return norm(x, ord, axis, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "norm", two_norm)
+        old_vals, old_residual = arnoldi(a, k, start)
+    assert len(scaled) == 1
+    assert old_vals.tobytes() == vals.tobytes()
+    assert residual >= old_residual
 
 
 def test_char_poly_coeffs_known():

@@ -17,10 +17,10 @@ from opencat.catmap import ARNOLD, CatMap
 from opencat.cli import main
 from opencat.eigensolver import eigenvalues, match_distance, sort_by_modulus
 from opencat.errors import ConfigError, NumericError
-from opencat.experiments import (CHIRP_RATES, PARITY_TOL, TOP_RESIDUAL, cutoff_sectors,
-                                 nontrapping_rows, nontrapping_sweep, open_spectrum, open_top,
-                                 start_vector, SYMMETRY_TOL_N64, spectrum_gap,
-                                 theorem_targets, trapped_sweep)
+from opencat.experiments import (CHIRP_RATES, PARITY_TOL, TOP_RESIDUAL, TOP_RTOL,
+                                 cutoff_sectors, nontrapping_rows, nontrapping_sweep,
+                                 open_spectrum, open_top, start_vector, SYMMETRY_TOL_N64,
+                                 spectrum_gap, theorem_targets, trapped_sweep)
 from opencat.hn import live_run, torus_rep_array
 from opencat.metaplectic import factor_sl2z, phase_factor
 from opencat.quantizer import (BumpSpec, TorusSymbol, cutoff_profile, cutoff_symbol,
@@ -197,6 +197,34 @@ def test_open_top_matches_the_dense_spectrum_on_random_hyperbolic_maps(word, n, 
     assert len(top) == k
     assert np.all(np.abs(np.abs(top) - np.abs(dense)) <= 1e-9 * np.abs(dense))
     assert match_distance(top, full) <= 1e-9 * abs(top[-1])
+
+
+@pytest.mark.parametrize("matrix", [[2, 1, 1, 1], [1, 1, 1, 2], [2, -1, -1, 1], [1, -1, -1, 2]],
+                         ids=["m0", "m1", "m2", "m3"])
+def test_open_top_accepts_both_arnoldi_runs_on_the_weyl_annulus(matrix, monkeypatch, caplog):
+    # the benchmark's nontrapping configs (its four maps, the Weyl annulus)
+    # at their largest N: both start vectors' runs are accepted.  The dense
+    # fallback would write the same radius, but a sweep over N = 256, 512
+    # and 768 took 3.8-4.5x as long with it (0.44 s against 0.10-0.11 s)
+    n, runs, solve = 768, [], experiments.arnoldi
+
+    def recorded(a, k, start):
+        runs.append(solve(a, k, start))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "arnoldi", recorded)
+    cutoff = cutoff_sectors(replace(NONTRAP_SPEC, quantization="weyl"), n)
+    with caplog.at_level("WARNING", logger="opencat.experiments"):
+        top = open_top(CatMap(*matrix), cutoff, n, 1)
+    # open_top's two runs alternate within each sector, as open_top merges them
+    first, second = (sort_by_modulus(np.concatenate([vals for vals, _ in runs[i::2]]))[:1]
+                     for i in (0, 1))
+    gap = match_distance(first, second)
+    worst = max(residual for _, residual in runs)
+    message = f"start vectors differ by {gap:.3e}, residual {worst:.3e}"
+    assert len(runs) == 4 and caplog.messages == [], message
+    assert gap <= TOP_RTOL * abs(first[0]) and worst <= TOP_RESIDUAL, message
+    assert top.tobytes() == first.tobytes(), message
 
 
 @pytest.mark.parametrize("quant", ["left", "weyl"])
