@@ -43,20 +43,21 @@ log = logging.getLogger(__name__)
 # Largest parity defect of the cutoff (cutoff_sectors) that open_spectrum
 # accepts as roundoff.  Measured on the benchmark's cutoffs: the left
 # profiles give 0 at N = 2048 and at most 8.9e-16 at N = 768, where m/N is
-# inexact; the Weyl symbols' tables 1.9e-16 (annulus) and 1.6e-16 (bump).
-# A cutoff that really breaks parity gives O(1): 0.96 and 0.87 for those
-# symbols with the tests' odd term added.  The map's factors are not
+# inexact; the Weyl symbols' factors 1.4e-16 (annulus) and 9.3e-17 (bump),
+# at every N.  A cutoff that really breaks parity gives O(1): 0.81 and 0.66
+# for those symbols with the tests' odd term added.  The map's factors are not
 # checked: their roundoff coupling is about 5.4e-16 N, 1.1e-12 at N = 2048.
 PARITY_TOL = 1e-9
 
-# open_top accepts its two Arnoldi runs when every reported value agrees
-# between them to TOP_RTOL, relative to the smallest reported modulus, and
-# each run's worst residual is below TOP_RESIDUAL.  Measured on the
-# benchmark's four maps, the runs agreed to 7.0e-8 (trapped, left route,
-# N = 512 to 2048, k = 4), 9.6e-8 (the same on the Weyl route) and 2.1e-11
-# (nontrapping radius, Weyl route, N = 256 to 768), with residuals of at
-# most 3.3e-15.  The left route's nontrapping radius at N = 2048, which is
-# roundoff, gives 5e-8 to 1.1e-7 on k = 1 and falls back.
+# open_top accepts its two Arnoldi runs when their sorted moduli agree to
+# TOP_RTOL, relative to the smallest reported modulus, and each run's
+# worst residual is below TOP_RESIDUAL.  Moduli, since roundoff ranks the
+# members of a top pair mu, +-conj(mu) (Weyl annulus).  On the benchmark's
+# four maps the moduli agreed to 4.8e-8 (trapped, left route, N = 512 to
+# 2048, k = 4), 1.5e-7 (Weyl route) and 1.3e-11 (nontrapping radius, Weyl
+# route, N = 256 to 768), with residuals of at most 4.7e-15.  The left
+# route's nontrapping radius at N = 2048, which is roundoff, falls back:
+# its moduli differ by 2.0e-2 and 2.9e-2 relative on m0 and m2.
 TOP_RTOL = 1e-6
 TOP_RESIDUAL = 1e-10
 # The chirp rates phi of open_top's two start vectors e^{2 pi i phi j^2} / sqrt(n).
@@ -112,14 +113,16 @@ def cutoff_sectors(spec: BumpSpec, n: int):
     the fold's, cutoff is the sector's folded profile and a sector is live
     on the run where it is nonzero (live_run).  The Weyl route builds the
     symbol once (cutoff_symbol): cutoff is the TorusSymbol in both
-    sectors, every row is live, and the defect is max|T - T[::-1, ::-1]| /
-    max|T| on its table T, for every N, since P op_weyl(T) P =
-    op_weyl(T[::-1, ::-1]).
+    sectors, every row is live, and the defect is the larger over its
+    factors v of max|v - v[::-1]| / max|v|, for every N, since
+    P op_weyl(a) P = op_weyl(a(-x, -xi)) reverses both factors.  It reads
+    roundoff on every cutoff and O(1) on an odd term; it also rejects a
+    product of two odd factors, which commutes with parity but is no cutoff.
     """
     if spec.quantization == "weyl":
         sym = cutoff_symbol(spec)
-        scale = np.abs(sym.table).max()
-        defect = np.abs(sym.table - sym.table[::-1, ::-1]).max() / scale if scale > 0 else 0.0
+        defect = max(np.abs(v - v[::-1]).max() / np.abs(v).max() if v.any() else 0.0
+                     for v in (sym.x, sym.xi))
         return defect, tuple((parity, slice(0, len(sector_basis(n, parity)[0])), sym)
                              for parity in (1, -1))
     even, odd, defect = profile_sectors(cutoff_profile(spec), n)
@@ -201,7 +204,8 @@ def open_top(m: CatMap, cutoff, n: int, k: int) -> np.ndarray:
     gives both runs its whole spectrum bit for bit.  Each run's values
     are merged over the sectors with one zero per dead row, as in
     open_spectrum, and its top k kept.  They are accepted when the two
-    runs agree to TOP_RTOL and every residual is below TOP_RESIDUAL.
+    runs' moduli agree to TOP_RTOL and every residual is below
+    TOP_RESIDUAL, and run 1's values are returned.
     Otherwise one warning names N and the disagreement, and the top k of
     open_spectrum are returned: never an answer worse than the dense one.
     """
@@ -222,7 +226,7 @@ def open_top(m: CatMap, cutoff, n: int, k: int) -> np.ndarray:
             worst = max(worst, residual)
     pad = np.zeros(n - live, dtype=complex)
     first, second = (sort_by_modulus(np.concatenate(run + [pad]))[:k] for run in runs)
-    gap = match_distance(first, second) if len(first) == len(second) == k else math.inf
+    gap = np.abs(np.abs(first) - np.abs(second)).max() if len(first) == len(second) == k else math.inf
     if gap <= TOP_RTOL * abs(first[-1]) and worst <= TOP_RESIDUAL:
         return first
     log.warning("Arnoldi top %d at N = %d not accepted (start vectors differ by %.3e, "
@@ -311,8 +315,7 @@ def nontrapping_sweep(m: CatMap, spec: BumpSpec, n_list):
     """Spectral radius per dimension with log-log slopes between neighbors."""
     if spec.kind != "annulus_product":
         raise ConfigError(f"nontrapping sweep needs an annulus_product cutoff, got {spec.kind!r}")
-    tops = [float(np.abs(open_top(m, cutoff_sectors(spec, n), n, 1)).max())
-            for n in n_list]
+    tops = [float(abs(open_top(m, cutoff_sectors(spec, n), n, 1)[0])) for n in n_list]
     return nontrapping_rows(n_list, tops)
 
 

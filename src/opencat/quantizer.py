@@ -1,14 +1,15 @@
 """Symbols on the torus and their quantization on the N-dimensional space.
 
-Smooth symbols are carried as truncated Fourier coefficient tables.  Two
-quantizations are provided.  The general Weyl quantization is cyclically
-banded: weyl_band gives its 2 k_max + 1 diagonals by the midpoint rule,
-entry (m, m + t) being column t of the table synthesized at (2m + t)/2N,
-and one scatter adds them into a block: op_weyl places them in a dense
-N x N matrix, op_weyl_sector in one parity sector, through each e_m's
-place and weight there (hn.sector_embedding), without forming it; the
-sectors couple only through the table's part that is odd under
-T -> T[::-1, ::-1], since P op_weyl(T) P = op_weyl(T[::-1, ::-1]).
+A symbol is a product f(x) g(xi), as every cutoff is, carried as the
+truncated Fourier coefficients of f and g.  Two quantizations are
+provided.  The Weyl quantization is cyclically banded: by the midpoint
+rule entry (m, m + t) is g's coefficient at t times f at (2m + t)/2N, one
+inverse FFT per block, and one scatter adds the 2 k_max + 1 diagonals
+into a block: op_weyl places them in a dense N x N matrix,
+op_weyl_sector in one parity sector, through each e_m's place and weight
+there (hn.sector_embedding), without forming it; the sectors couple only
+through the symbol's part odd under (x, xi) -> (-x, -xi), since
+P op_weyl(a) P = op_weyl(a(-x, -xi)).
 The left (standard) quantization of the cutoff rho(x)rho(xi), a
 diagonal/Fourier-multiplier sandwich, is given per sector in factored
 form: a square factor from the folded profile and the DFT's sector block,
@@ -28,12 +29,12 @@ from .hn import MAX_N, fold_parity, live_run, parity_defect, sector_embedding, t
 DEFAULT_K_MAX = 48
 DEFAULT_GRID = 512
 
-# Cyclic diagonals of a Weyl quantization computed per pass: the 2N x 8
-# spectra, transformed in place, is 0.2 MB at N = 768.
+# Cyclic diagonals of a Weyl quantization gathered per pass: the N x 8
+# chunk is 98 KB at N = 768.
 _BAND_CHUNK = 8
 
-# At k_max = 4096 the symbol's table is 1.07 GB; grid has the cap on N,
-# hn.MAX_N.
+# Input validation: a Weyl block's band costs N (2 k_max + 1) work; grid
+# has the cap on N, hn.MAX_N.
 MAX_K_MAX = 4096
 
 
@@ -103,34 +104,36 @@ def annulus_profile(spec: BumpSpec, x):
 
 @dataclass(frozen=True)
 class TorusSymbol:
-    """Truncated Fourier series a(x, xi) = sum coeff(k, l) e^{2 pi i (k x + l xi)}.
+    """Truncated Fourier series of a product f(x) g(xi): coeff(k, l) = x[k + k_max] xi[l + k_max].
 
-    The table is dense, indexed [k + k_max, l + k_max] for |k|, |l| <= k_max.
+    x and xi, made read-only, hold the coefficients of f and g, |k| <= k_max.
     """
 
-    table: np.ndarray
+    x: np.ndarray
+    xi: np.ndarray
 
     def __post_init__(self):
-        shape = self.table.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 == 0:
-            raise ValueError(f"table shape {shape}, expected square with an odd side")
-        self.table.setflags(write=False)
+        shapes = self.x.shape, self.xi.shape
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1] or shapes[0][0] % 2 == 0:
+            raise ValueError(f"factor shapes {shapes}, expected two 1-D of one odd length")
+        self.x.setflags(write=False)
+        self.xi.setflags(write=False)
 
     @property
     def k_max(self) -> int:
-        return self.table.shape[0] // 2
+        return len(self.x) // 2
 
 
 def plane_wave(k: int, l: int) -> TorusSymbol:
-    """The symbol e^{2 pi i (k x + l xi)}: a one-hot table of side 2 max(|k|, |l|) + 1."""
+    """The symbol e^{2 pi i (k x + l xi)}: one-hot factors of length 2 max(|k|, |l|) + 1."""
     k_max = max(abs(k), abs(l))
-    table = np.zeros((2 * k_max + 1, 2 * k_max + 1), dtype=complex)
-    table[k + k_max, l + k_max] = 1.0
-    return TorusSymbol(table)
+    x, xi = np.zeros((2, 2 * k_max + 1))
+    x[k + k_max] = xi[l + k_max] = 1.0
+    return TorusSymbol(x, xi)
 
 
-def weyl_band(sym: TorusSymbol, n: int):
-    """The cyclic diagonals of the Weyl quantization, a few at a time, as (offsets, diagonals).
+def _scatter_band(sym: TorusSymbol, n: int, place, weight, size: int) -> np.ndarray:
+    """The Weyl quantization's cyclic band added into a size x size block through per-index places and weights.
 
     Entry (m, j) of the N x N matrix is the lattice sum of coeff(k, j - m - l N)
     times the parity sign (-1)^{k l} and the half-integer phase
@@ -138,41 +141,27 @@ def weyl_band(sym: TorusSymbol, n: int):
     parity sign cancels the e^{i pi l k} of the wrapped phase, so every
     |t| <= k_max contributes
 
-        A[m, (m + t) mod N] += sum_k coeff(k, t) e^{2 pi i k (2m + t) / 2N},
+        A[m, (m + t) mod N] += xi_t sum_k x_k e^{2 pi i k (2m + t) / 2N} = xi_t f((2m + t) / 2N),
 
-    column t of the table synthesized at the midpoint (2m + t) / 2N: one
-    length-2N inverse DFT over k (frequencies folded mod 2N) per offset,
-    read at row (2m + t) mod 2N.  The 2 k_max + 1 offsets are yielded
-    _BAND_CHUNK at a time, column i of diagonals holding the term of
-    offsets[i] at A[m, (m + offsets[i]) mod N], so the N x (2 k_max + 1)
-    band is never held whole.  When N < 2 k_max + 1 several offsets land on
-    one diagonal; their terms add, so every N >= 1 is exact.
+    f the truncated series of x at the midpoint (2m + t) / 2N: one
+    unscaled length-2N inverse DFT of x, its frequencies folded mod 2N so
+    that every k_max is exact, read at row (2m + t) mod 2N.  The
+    2 k_max + 1 offsets are gathered _BAND_CHUNK at a time, so the
+    N x (2 k_max + 1) band is never held whole.  Entry A[m, c] adds into
+    (place[m], place[c]) times weight[m] weight[c].  Entries that land on
+    one cell, from offsets equal mod N (N < 2 k_max + 1) or from the two
+    basis vectors of one sector pair, add, so every N >= 1 is exact.
+    O(k_max N) work beside the one transform.
     """
-    kmax = sym.k_max
-    k = np.arange(-kmax, kmax + 1)   # table rows: frequencies in x; columns: offsets
-    m = np.arange(n)[:, None]
-    for start in range(0, k.size, _BAND_CHUNK):
-        part = slice(start, start + _BAND_CHUNK)
-        offsets = k[part]
-        spectra = np.zeros((2 * n, offsets.size), dtype=complex)
-        np.add.at(spectra, k % (2 * n), sym.table[:, part])
-        np.fft.ifft(spectra, axis=0, norm="forward", out=spectra)   # unscaled, in place
-        diagonals = spectra[(2 * m + offsets) % (2 * n), np.arange(offsets.size)]
-        del spectra   # the 2N-row array does not outlive the chunk's read
-        yield offsets, diagonals
-
-
-def _scatter_band(sym: TorusSymbol, n: int, place, weight, size: int) -> np.ndarray:
-    """weyl_band added into a size x size block through per-index places and weights.
-
-    Entry A[m, c] adds into (place[m], place[c]) times weight[m] weight[c].
-    Entries that land on one cell, from offsets equal mod N or from the two
-    basis vectors of one sector pair, add.  O(k_max N) work beside the
-    transforms; only one chunk of the band is held at a time.
-    """
+    k = np.arange(-sym.k_max, sym.k_max + 1)
+    f = np.zeros(2 * n, dtype=complex)
+    np.add.at(f, k % (2 * n), sym.x)
+    np.fft.ifft(f, norm="forward", out=f)   # unscaled, in place
     m = np.arange(n)[:, None]
     block = np.zeros((size, size), dtype=complex)
-    for offsets, diagonals in weyl_band(sym, n):
+    for start in range(0, k.size, _BAND_CHUNK):
+        offsets = k[start:start + _BAND_CHUNK]
+        diagonals = sym.xi[start:start + _BAND_CHUNK] * f[(2 * m + offsets) % (2 * n)]
         c = (m + offsets) % n
         # a zero weight has no place: the odd sector's fixed points, and every
         # e_m at N = 2, whose odd sector is empty
@@ -184,14 +173,14 @@ def _scatter_band(sym: TorusSymbol, n: int, place, weight, size: int) -> np.ndar
 
 
 def op_weyl(sym: TorusSymbol, n: int) -> np.ndarray:
-    """Weyl quantization as a dense N x N matrix: weyl_band scattered with e_m at place m, weight 1."""
+    """Weyl quantization as a dense N x N matrix: the band scattered with e_m at place m, weight 1."""
     return _scatter_band(sym, n, np.arange(n), np.ones(n), n)
 
 
 def op_weyl_sector(sym: TorusSymbol, n: int, parity: int) -> np.ndarray:
     """One parity sector's block of the Weyl quantization, even (parity=+1) or odd, N even.
 
-    weyl_band is scattered with each e_m at its place and signed weight in
+    The band is scattered with each e_m at its place and signed weight in
     the sector (hn.sector_embedding), so the part that couples the sectors
     is dropped and no N x N array is formed.
     """
@@ -238,11 +227,11 @@ def cutoff_symbol(spec: BumpSpec) -> TorusSymbol:
 
     The profile is sampled on spec.grid uniform points of [0, 1) (through
     torus_rep) and transformed with one length-grid DFT.  The symbol is a
-    product, so its coefficient table is the outer product of the profile's
-    coefficients with |k| <= spec.k_max.  Aliasing is bounded by the
-    profile's Fourier tail beyond grid - k_max.
+    product, so both of its factors are the profile's coefficients with
+    |k| <= spec.k_max.  Aliasing is bounded by the profile's Fourier tail
+    beyond grid - k_max.
     """
     k_max, grid = spec.k_max, spec.grid
     samples = cutoff_profile(spec)(torus_rep_array(np.arange(grid) / grid))
     c = np.fft.fft(samples)[np.arange(-k_max, k_max + 1) % grid] / grid
-    return TorusSymbol(np.outer(c, c))
+    return TorusSymbol(c, c)

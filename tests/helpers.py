@@ -303,12 +303,12 @@ def operator_sectors(a, dead=None):
 
 
 def odd_term_symbol(spec):
-    """The cutoff's symbol plus 0.5 e^{2 pi i x}: a term that parity (x, xi) -> (-x, -xi)
-    does not fix, so its Weyl quantization couples the sectors at O(1)."""
+    """The cutoff's symbol rho(x) rho(xi) plus 0.5 e^{2 pi i x} rho(xi): a term that parity
+    (x, xi) -> (-x, -xi) does not fix, so its Weyl quantization couples the sectors at O(1)."""
     sym = cutoff_symbol(spec)
-    table = sym.table.copy()
-    table[sym.k_max + 1, sym.k_max] += 0.5
-    return TorusSymbol(table)
+    x = sym.x.copy()
+    x[sym.k_max + 1] += 0.5
+    return TorusSymbol(x, sym.xi)
 
 
 def nan_in_dead_column(monkeypatch):

@@ -203,9 +203,10 @@ def test_open_top_matches_the_dense_spectrum_on_random_hyperbolic_maps(word, n, 
                          ids=["m0", "m1", "m2", "m3"])
 def test_open_top_accepts_both_arnoldi_runs_on_the_weyl_annulus(matrix, monkeypatch, caplog):
     # the benchmark's nontrapping configs (its four maps, the Weyl annulus)
-    # at their largest N: both start vectors' runs are accepted.  The dense
-    # fallback would write the same radius, but a sweep over N = 256, 512
-    # and 768 took 3.8-4.5x as long with it (0.44 s against 0.10-0.11 s)
+    # at their largest N: both start vectors' runs are accepted, their gap
+    # read on the moduli as open_top reads it.  The dense fallback would
+    # write the same radius, but a sweep over N = 256, 512 and 768 took
+    # 3.8-4.5x as long with it (0.44 s against 0.10-0.11 s)
     n, runs, solve = 768, [], experiments.arnoldi
 
     def recorded(a, k, start):
@@ -219,12 +220,36 @@ def test_open_top_accepts_both_arnoldi_runs_on_the_weyl_annulus(matrix, monkeypa
     # open_top's two runs alternate within each sector, as open_top merges them
     first, second = (sort_by_modulus(np.concatenate([vals for vals, _ in runs[i::2]]))[:1]
                      for i in (0, 1))
-    gap = match_distance(first, second)
+    gap = np.abs(np.abs(first) - np.abs(second)).max()
     worst = max(residual for _, residual in runs)
     message = f"start vectors differ by {gap:.3e}, residual {worst:.3e}"
     assert len(runs) == 4 and caplog.messages == [], message
     assert gap <= TOP_RTOL * abs(first[0]) and worst <= TOP_RESIDUAL, message
     assert top.tobytes() == first.tobytes(), message
+
+
+def test_open_top_accepts_runs_that_pick_opposite_members_of_a_pair(monkeypatch, caplog):
+    # on Arnold's map the Weyl annulus at N = 768 tops each sector with a
+    # pair mu, conj(mu) (0.00040360 -+ 0.00054705i), whose moduli only
+    # roundoff tells apart: a second run that reports the other member
+    # agrees in modulus, so it is accepted and run 1's values come back
+    n, runs, solve = 768, [], experiments.arnoldi
+
+    def conjugating(a, k, start):
+        vals, residual = solve(a, k, start)
+        if np.array_equal(start, start_vector(CHIRP_RATES[1], len(a))):
+            vals = vals.conj()
+        runs.append(vals)
+        return vals, residual
+
+    monkeypatch.setattr(experiments, "arnoldi", conjugating)
+    cutoff = cutoff_sectors(replace(NONTRAP_SPEC, quantization="weyl"), n)
+    with caplog.at_level("WARNING", logger="opencat.experiments"):
+        top = open_top(ARNOLD, cutoff, n, 1)
+    assert len(runs) == 4 and caplog.messages == []
+    first = sort_by_modulus(np.concatenate(runs[0::2]))[:1]
+    assert abs(first[0].imag) > 1e-4
+    assert top.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("quant", ["left", "weyl"])
@@ -592,7 +617,8 @@ def test_prepared_cutoff_is_data(quantization):
     assert all(len(sector) == 3 and not any(map(callable, sector)) for sector in sectors)
     if quantization == "weyl":
         assert isinstance(sectors[0][2], TorusSymbol) and sectors[0][2] is sectors[1][2]
-        assert np.array_equal(sectors[0][2].table, cutoff_symbol(spec).table)
+        sym = cutoff_symbol(spec)
+        assert np.array_equal(sectors[0][2].x, sym.x) and np.array_equal(sectors[0][2].xi, sym.xi)
         assert [live for _, live, _ in sectors] == [slice(0, n // 2 + 1), slice(0, n // 2 - 1)]
     else:
         even, odd, fold_defect = profile_sectors(cutoff_profile(spec), n)

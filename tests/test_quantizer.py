@@ -21,12 +21,14 @@ SPEC = BumpSpec("product_bump", 0.10, 0.20)
 
 
 def symbol_from_function(f, k_max, grid):
-    """Reference Fourier truncation of a periodic function on the torus.
+    """Reference Fourier truncation of a periodic function on the torus, as a general table.
 
     f is sampled on a grid x grid uniform lattice of [0,1)^2 (f may be given
     on the fundamental domain [-1/2,1/2)^2; sampling arguments are passed
-    through torus_rep) and transformed with an exact 2D DFT.  Aliasing is
-    bounded by f's Fourier tail beyond grid - k_max.
+    through torus_rep) and transformed with an exact 2D DFT.  The table is
+    indexed [k + k_max, l + k_max] for |k|, |l| <= k_max; a product symbol's
+    is np.outer(sym.x, sym.xi).  Aliasing is bounded by f's Fourier tail
+    beyond grid - k_max.
     """
     if grid < 4 * k_max:
         raise ConfigError(f"grid {grid} < 4*k_max = {4 * k_max}")
@@ -35,41 +37,48 @@ def symbol_from_function(f, k_max, grid):
     samples = np.asarray(f(xx, yy), dtype=complex)
     big = np.fft.fft2(samples) / grid**2
     kk = np.arange(-k_max, k_max + 1)
-    table = big[np.ix_(kk % grid, kk % grid)]
-    return TorusSymbol(np.ascontiguousarray(table))
+    return big[np.ix_(kk % grid, kk % grid)]
 
 
-def coeff(sym, k, l):
-    """Fourier coefficient of the symbol at (k, l), |k|, |l| <= k_max."""
-    return complex(sym.table[k + sym.k_max, l + sym.k_max])
+def profile_coefficients(profile, k_max, grid):
+    """The Fourier coefficients with |k| <= k_max of a profile on the circle, from grid samples through torus_rep."""
+    samples = profile(torus_rep_array(np.arange(grid) / grid))
+    return np.fft.fft(samples)[np.arange(-k_max, k_max + 1) % grid] / grid
+
+
+def coeff(table, k, l):
+    """Entry (k, l) of a coefficient table, |k|, |l| <= k_max."""
+    k_max = len(table) // 2
+    return complex(table[k + k_max, l + k_max])
 
 
 def value(sym, x, xi):
     """The truncated Fourier series of the symbol at a phase-space point."""
     k = np.arange(-sym.k_max, sym.k_max + 1)
-    return complex(np.exp(2j * np.pi * k * x) @ sym.table @ np.exp(2j * np.pi * k * xi))
+    return complex((np.exp(2j * np.pi * k * x) @ sym.x) * (sym.xi @ np.exp(2j * np.pi * k * xi)))
 
 
 def hermitian_defect(sym):
     """Max deviation from coeff(-k, -l) = conj(coeff(k, l)); 0 for real symbols."""
-    return float(np.abs(sym.table - sym.table[::-1, ::-1].conj()).max())
+    table = np.outer(sym.x, sym.xi)
+    return float(np.abs(table - table[::-1, ::-1].conj()).max())
 
 
-def op_weyl_dense(sym, n):
-    """Reference Weyl quantization: the entry formula summed over the lattice.
+def op_weyl_dense(table, n):
+    """Reference Weyl quantization of a general coefficient table: the entry formula summed over the lattice.
 
     Entry (m, j) is the sum of coeff(k, j - m - l N) (-1)^{k l}
     e^{i pi (j+m) k / N} over every (k, l) the truncation keeps, one dense
     N x N pass per pair.
     """
-    kmax = sym.k_max
+    kmax = len(table) // 2
     mm, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     s = jj - mm
     jpm = jj + mm
     l_span = (kmax + n - 1) // n + 1
     a = np.zeros((n, n), dtype=complex)
     for k in range(-kmax, kmax + 1):
-        col = sym.table[k + kmax]
+        col = table[k + kmax]
         if not np.any(col):
             continue
         phase = np.exp(1j * math.pi * k * jpm / n)
@@ -128,18 +137,17 @@ def test_annulus_profile_shape():
 
 
 def test_symbol_constant():
-    sym = symbol_from_function(lambda x, xi: np.ones_like(x), k_max=4, grid=32)
-    assert coeff(sym, 0, 0) == pytest.approx(1.0, abs=1e-14)
-    table = sym.table.copy()
+    table = symbol_from_function(lambda x, xi: np.ones_like(x), k_max=4, grid=32)
+    assert coeff(table, 0, 0) == pytest.approx(1.0, abs=1e-14)
     table[4, 4] = 0.0
     assert np.abs(table).max() < 1e-14
 
 
 def test_symbol_cosine():
-    sym = symbol_from_function(lambda x, xi: np.cos(2 * np.pi * x), k_max=4, grid=32)
-    assert coeff(sym, 1, 0) == pytest.approx(0.5, abs=1e-13)
-    assert coeff(sym, -1, 0) == pytest.approx(0.5, abs=1e-13)
-    assert abs(coeff(sym, 0, 1)) < 1e-14
+    table = symbol_from_function(lambda x, xi: np.cos(2 * np.pi * x), k_max=4, grid=32)
+    assert coeff(table, 1, 0) == pytest.approx(0.5, abs=1e-13)
+    assert coeff(table, -1, 0) == pytest.approx(0.5, abs=1e-13)
+    assert abs(coeff(table, 0, 1)) < 1e-14
 
 
 def test_symbol_grid_too_coarse():
@@ -164,13 +172,14 @@ def test_cutoff_symbol_matches_2d_oracle(spec, k_max, data):
     oracle = symbol_from_function(lambda x, xi: p(x) * p(xi), k_max, grid)
     sym = cutoff_symbol(replace(spec, k_max=k_max, grid=grid))
     assert sym.k_max == k_max
-    assert np.abs(sym.table - oracle.table).max() <= 1e-15
+    assert np.abs(np.outer(sym.x, sym.xi) - oracle).max() <= 1e-15
 
 
 def test_bump_symbol_tail_below_tolerance():
     sym = cutoff_symbol(replace(SPEC, k_max=40, grid=256))
-    shell = np.concatenate([np.abs(sym.table[0]), np.abs(sym.table[-1]),
-                            np.abs(sym.table[:, 0]), np.abs(sym.table[:, -1])])
+    table = np.outer(sym.x, sym.xi)
+    shell = np.concatenate([np.abs(table[0]), np.abs(table[-1]),
+                            np.abs(table[:, 0]), np.abs(table[:, -1])])
     assert shell.max() < 1e-10
 
 
@@ -180,7 +189,7 @@ def test_trapped_symbol_values_and_reality():
     assert value(sym, 0.0, 0.0).real == pytest.approx(1.0, abs=2e-3)
     assert abs(value(sym, 0.4, 0.0)) < 2e-3
     assert hermitian_defect(sym) < 1e-12
-    assert np.abs(sym.table.imag).max() < 1e-12  # even in each variable
+    assert np.abs(np.outer(sym.x, sym.xi).imag).max() < 1e-12  # even in each variable
 
 
 def test_nontrapping_symbol_profile():
@@ -213,30 +222,36 @@ def test_op_weyl_momentum_mode():
 
 
 def test_op_weyl_zero_symbol():
-    z = TorusSymbol(np.zeros((5, 5), dtype=complex))
+    z = TorusSymbol(np.zeros(5, dtype=complex), np.zeros(5, dtype=complex))
     assert np.abs(op_weyl(z, 16)).max() == 0.0
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (4, 4), (3,)])
+# the table np.outer(x, xi) is square with an odd side exactly when the
+# factors are 1-D of one odd length: lengths that differ, an even length
+# and 2-D factors are each refused
+@pytest.mark.parametrize("shape", [((3,), (5,)), ((4,), (4,)), ((3, 3), (3, 3))])
 def test_torus_symbol_needs_a_square_table_with_an_odd_side(shape):
     with pytest.raises(ValueError):
-        TorusSymbol(np.zeros(shape, dtype=complex))
+        TorusSymbol(*(np.zeros(side, dtype=complex) for side in shape))
 
 
 def test_plane_wave_is_one_hot():
     sym = plane_wave(-3, 1)
-    assert sym.k_max == 3 and sym.table.shape == (7, 7)
-    assert sym.table[0, 4] == 1.0 and np.count_nonzero(sym.table) == 1
+    assert sym.k_max == 3 and sym.x.shape == sym.xi.shape == (7,)
+    assert sym.x[0] == 1.0 and sym.xi[4] == 1.0
+    assert np.count_nonzero(sym.x) == np.count_nonzero(sym.xi) == 1
 
 
 def test_op_weyl_linear():
+    # the symbol is linear in each factor with the other held, and so is
+    # its quantization
     rng = np.random.default_rng(11)
-    t1 = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    t2 = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    u1, u2, v = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
     a, b = 0.7 - 0.2j, -1.3 + 0.5j
-    combo = op_weyl(TorusSymbol(a * t1 + b * t2), 12)
-    parts = a * op_weyl(TorusSymbol(t1.copy()), 12) + b * op_weyl(TorusSymbol(t2.copy()), 12)
-    assert np.abs(combo - parts).max() < 1e-12
+    for pair in (lambda u: (u, v), lambda u: (v, u)):
+        combo = op_weyl(TorusSymbol(*pair(a * u1 + b * u2)), 12)
+        parts = a * op_weyl(TorusSymbol(*pair(u1)), 12) + b * op_weyl(TorusSymbol(*pair(u2)), 12)
+        assert np.abs(combo - parts).max() < 1e-12
 
 
 def test_op_weyl_hermitian_for_real_bump():
@@ -256,11 +271,10 @@ def test_op_weyl_band_matches_dense(kmax, n, seed):
     # <= 2N (only offsets alias), 2 kmax + 1 > 2N (the frequencies also fold
     # mod 2N in the midpoint synthesis) and N = 2
     rng = np.random.default_rng(seed)
-    shape = (2 * kmax + 1, 2 * kmax + 1)
-    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sym = TorusSymbol(table)
+    x, xi = rng.standard_normal((2, 2 * kmax + 1)) + 1j * rng.standard_normal((2, 2 * kmax + 1))
+    table = np.outer(x, xi)
     tol = 1e-12 * np.abs(table).max()
-    assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() <= tol
+    assert np.abs(op_weyl(TorusSymbol(x, xi), n) - op_weyl_dense(table, n)).max() <= tol
 
 
 @pytest.mark.parametrize("n", [96, 97, 256])
@@ -268,7 +282,7 @@ def test_op_weyl_band_matches_dense_annulus(n):
     # the default cutoff has k_max = 48: N = 96 folds two offsets onto one
     # diagonal, N = 97 is the first dimension where all 97 are distinct
     sym = cutoff_symbol(BumpSpec("annulus_product", 0.15, 0.24))
-    assert np.abs(op_weyl(sym, n) - op_weyl_dense(sym, n)).max() < 1e-14
+    assert np.abs(op_weyl(sym, n) - op_weyl_dense(np.outer(sym.x, sym.xi), n)).max() < 1e-14
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,14 +296,15 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
     # mod 2N too) and N = 2, whose odd sector is empty
     n = 2 * h
     rng = np.random.default_rng(seed)
-    shape = (2 * kmax + 1, 2 * kmax + 1)
-    table = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    # a general symbol, its part even under (x, xi) -> (-x, -xi), and its odd part
-    even_table, odd_table = table + table[::-1, ::-1], table - table[::-1, ::-1]
+    u, v = rng.uniform(-1, 1, (2, 2 * kmax + 1)) + 1j * rng.uniform(-1, 1, (2, 2 * kmax + 1))
+    # a general product, and products of the factors' parts even and odd
+    # under k -> -k: the symbol is even under (x, xi) -> (-x, -xi) when both
+    # factors are even or both odd, and odd when one is odd
+    (ue, uo), (ve, vo) = ((w + w[::-1], w - w[::-1]) for w in (u, v))
+    syms = [TorusSymbol(*pair) for pair in ((u, v), (ue, ve), (uo, ve), (ue, vo), (uo, vo))]
     flip = -np.arange(n) % n
     couplings = []
-    for tab in (table, even_table, odd_table):
-        sym = TorusSymbol(tab)
+    for sym in syms:
         even, odd = both_sectors(op_weyl_sector, sym, n)
         a = op_weyl(sym, n)
         even_o, odd_o, coupling = fold_matrix(a)
@@ -297,16 +312,19 @@ def test_op_weyl_sectors_match_fold_oracle(kmax, h, seed):
         assert even.shape == even_o.shape and odd.shape == odd_o.shape
         assert np.abs(even - even_o).max() <= 1e-13
         assert np.abs(odd - odd_o).max(initial=0.0) <= 1e-13
-        # parity covariance P op_weyl(T) P = op_weyl(T[::-1, ::-1]), which lets
-        # cutoff_sectors read the coupling off the table
-        flipped = op_weyl(TorusSymbol(tab[::-1, ::-1]), n)
+        # parity covariance P op_weyl(a) P = op_weyl(a(-x, -xi)), whose
+        # factors are the reversed ones, which lets cutoff_sectors read the
+        # coupling off the factors
+        flipped = op_weyl(TorusSymbol(sym.x[::-1], sym.xi[::-1]), n)
         assert np.abs(a[np.ix_(flip, flip)] - flipped).max() <= 1e-13
     # an even symbol commutes with parity; an odd one maps each sector to the
     # other, so the coupling is all there is (N = 2 has no odd sector)
-    assert couplings[1] < 1e-14
-    assert couplings[2] > 0.5 or n == 2
-    assert weyl_defect(TorusSymbol(even_table), n) == 0.0
-    assert weyl_defect(TorusSymbol(odd_table), n) > 0.5
+    assert couplings[1] < 1e-14 and couplings[4] < 1e-14
+    assert all(c > 0.5 or n == 2 for c in couplings[2:4])
+    assert weyl_defect(syms[1], n) == 0.0
+    # the defect rejects both odd terms, and an odd x odd product too: it
+    # commutes with parity, but no cutoff is one
+    assert all(weyl_defect(sym, n) > 0.5 for sym in syms[2:])
 
 
 def weyl_defect(sym, n):
@@ -334,10 +352,10 @@ def test_weyl_cutoff_peaks_at_its_blocks():
 
 
 def test_op_weyl_sector_peak_is_independent_of_the_table():
-    # k_max = 1024: the symbol's table (67 MB) is built before tracing; a
-    # (2 k_max + 1)^2 work array would be another 67 MB and the whole band at
-    # N = 512 (N x (2 k_max + 1)) 16.8 MB, while one sector's block is 1.1 MB
-    # and the chunked band adds about 0.4 MB to it
+    # k_max = 1024: the symbol's factors are built before tracing; a
+    # (2 k_max + 1)^2 table would be 67 MB and the whole band at N = 512
+    # (N x (2 k_max + 1)) 16.8 MB, while one sector's block is 1.1 MB and
+    # the chunked band adds about 0.4 MB to it
     sym = cutoff_symbol(BumpSpec("annulus_product", 0.15, 0.24, quantization="weyl",
                                  k_max=1024, grid=4096))
     for parity in (1, -1):
@@ -348,6 +366,33 @@ def test_op_weyl_sector_peak_is_independent_of_the_table():
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def test_weyl_symbol_and_sector_blocks_peak_below_1mb():
+    # k_max = 1024 at N = 64: the symbol is two factors of 2049 entries and
+    # each sector's block 17 KB, so nothing of size (2 k_max + 1)^2 (67 MB)
+    # or N x (2 k_max + 1) (2.1 MB) may appear
+    spec = BumpSpec("annulus_product", 0.15, 0.24, quantization="weyl", k_max=1024, grid=4096)
+    tracemalloc.start()
+    try:
+        sym = cutoff_symbol(spec)
+        for parity in (1, -1):
+            op_weyl_sector(sym, 64, parity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_op_weyl_sector_takes_one_inverse_fft():
+    # the band is g's coefficients times f synthesized at the midpoints,
+    # which is one length-2N transform of f's coefficients per block
+    sym = cutoff_symbol(replace(NONTRAP_SPEC, quantization="weyl"))
+    assert sym.k_max == 48
+    for parity in (1, -1):
+        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
+            op_weyl_sector(sym, 64, parity)
+        assert ifft.call_count == 1
 
 
 def test_op_weyl_sectors_reject_odd_n():
@@ -417,10 +462,11 @@ def test_disjoint_supports_shrink():
     inner = BumpSpec("product_bump", 0.05, 0.10)
 
     def boxbump(cx):
-        return lambda x, xi: bump_profile(inner, x - cx) * bump_profile(inner, xi)
+        # the bump at (cx, 0), from the 1-D profiles of its two factors
+        return TorusSymbol(*(profile_coefficients(lambda x: bump_profile(inner, x - c), 48, 512)
+                             for c in (cx, 0.0)))
 
-    left = symbol_from_function(boxbump(-0.25), k_max=48, grid=512)
-    right = symbol_from_function(boxbump(0.25), k_max=48, grid=512)
+    left, right = boxbump(-0.25), boxbump(0.25)
     norms = {n: np.linalg.norm(op_weyl(left, n) @ op_weyl(right, n), 2)
              for n in (64, 256)}
     assert norms[256] < norms[64]
